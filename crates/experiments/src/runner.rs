@@ -5,8 +5,9 @@
 //! files, drives all processes to completion, and returns the collected
 //! multi-layer trace. [`run_case_streaming`] runs the same case through
 //! [`StreamingMetrics`] instead — constant space, identical numbers.
-//! [`CasePoint`] averages the four paper metrics over repeated seeded
-//! runs, as the paper averages 5 runs per case.
+//! [`UnitValues`] captures one seeded run's metrics and
+//! [`CasePoint::from_units`] averages them over the seeds, as the paper
+//! averages 5 runs per case.
 
 use bps_core::metrics::MetricSelection;
 use bps_core::sink::{RecordSink, StreamingMetrics};
@@ -270,46 +271,15 @@ impl Serialize for CasePoint {
 }
 
 impl CasePoint {
-    /// Run a case once per seed and average the metrics. The seeds are
-    /// fanned across threads by [`crate::sweep::SweepExec::from_env`]
-    /// (`BPS_THREADS` controls the count); the result is byte-identical
-    /// at any thread count.
-    pub fn averaged(label: impl Into<String>, spec: &CaseSpec<'_>, seeds: &[u64]) -> CasePoint {
-        crate::sweep::SweepExec::from_env().run_one(label, spec, seeds)
-    }
-
-    /// Average already-finished per-seed runs into one point (runs in seed
-    /// order). A seed where a metric is undefined (e.g. a zero-time run)
-    /// is counted and skipped with a warning rather than poisoning the
-    /// mean with NaN; if *every* run leaves a metric undefined — including
-    /// the degenerate case of no surviving runs at all, e.g. when every
-    /// seed of a case panicked and was isolated by the sweep executor —
-    /// that metric is NaN and downstream correlation scoring reports
-    /// `n/a`.
-    pub fn from_runs(label: impl Into<String>, runs: &[StreamingMetrics]) -> CasePoint {
-        CasePoint::from_runs_selected(label, runs, &MetricSelection::paper())
-    }
-
-    /// Like [`CasePoint::from_runs`], additionally averaging every selected
-    /// registry metric beyond the paper four into [`CasePoint::extra`]
-    /// (the runs must have been folded with the selection's needs, e.g. via
-    /// [`run_case_streaming_selected`]).
-    pub fn from_runs_selected(
-        label: impl Into<String>,
-        runs: &[StreamingMetrics],
-        selection: &MetricSelection,
-    ) -> CasePoint {
-        let units: Vec<UnitValues> = runs
-            .iter()
-            .map(|r| UnitValues::capture(r, selection))
-            .collect();
-        CasePoint::from_units(label, &units, selection)
-    }
-
-    /// Average captured per-unit values into one point — the journaled
-    /// form of [`CasePoint::from_runs_selected`], bit-identical to it
-    /// because [`UnitValues::capture`] records the exact `f64`s the live
-    /// sinks would have contributed.
+    /// Average captured per-unit values (in seed order) into one point —
+    /// the one averaging function behind every sweep, fresh or replayed
+    /// from the journal, since [`UnitValues::capture`] records the exact
+    /// `f64`s the live sinks produced. A seed where a metric is undefined
+    /// (e.g. a zero-time run) is counted and skipped with a warning rather
+    /// than poisoning the mean with NaN; if *every* unit leaves a metric
+    /// undefined — including the degenerate case of no surviving units at
+    /// all, e.g. when every seed of a case failed — that metric is NaN and
+    /// downstream correlation scoring reports `n/a`.
     pub fn from_units(
         label: impl Into<String>,
         units: &[UnitValues],
@@ -443,7 +413,7 @@ mod tests {
     fn averaged_point_is_finite() {
         let w = Iozone::seq_read(4 << 20, 256 << 10);
         let spec = CaseSpec::new(Storage::Ssd, &w);
-        let p = CasePoint::averaged("ssd", &spec, &[1, 2]);
+        let p = crate::sweep::SweepExec::from_env().run_one("ssd", &spec, &[1, 2]);
         assert!(p.iops.is_finite() && p.iops > 0.0);
         assert!(p.bw.is_finite() && p.bw > 0.0);
         assert!(p.arpt.is_finite() && p.arpt > 0.0);
@@ -507,7 +477,8 @@ mod tests {
             run_case_streaming_selected(&spec, 1, &sel),
             run_case_streaming_selected(&spec, 2, &sel),
         ];
-        let p = CasePoint::from_runs_selected("hdd", &runs, &sel);
+        let units: Vec<UnitValues> = runs.iter().map(|r| UnitValues::capture(r, &sel)).collect();
+        let p = CasePoint::from_units("hdd", &units, &sel);
         // Paper fields are always populated; extras follow the selection.
         assert!(p.bps.is_finite() && p.bps > 0.0);
         let names: Vec<&str> = p.extra.iter().map(|(n, _)| n.as_str()).collect();
@@ -525,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn from_runs_skips_undefined_samples() {
+    fn from_units_skips_undefined_samples() {
         use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
         use bps_core::sink::RecordSink;
         use bps_core::sink::StreamingMetrics;
@@ -553,7 +524,12 @@ mod tests {
             Nanos::from_micros(5),
             Layer::Application,
         ));
-        let p = CasePoint::from_runs("mixed", &[good.clone(), degenerate]);
+        let paper = MetricSelection::paper();
+        let units = [
+            UnitValues::capture(&good, &paper),
+            UnitValues::capture(&degenerate, &paper),
+        ];
+        let p = CasePoint::from_units("mixed", &units, &paper);
         // The undefined samples are skipped, not NaN-poisoned.
         assert_eq!(p.bps, good.bps().unwrap());
         assert_eq!(p.iops, good.iops().unwrap());

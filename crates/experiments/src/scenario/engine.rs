@@ -8,10 +8,13 @@
 //!    against the scale preset. The result is a list of pure-data
 //!    [`ResolvedCase`]s: deterministic, thread-count-independent, and
 //!    checkable without running anything.
-//! 2. [`run`] (or [`run_with`] with an explicit executor) — build the
-//!    workloads, fan `cases × seeds` through
-//!    [`SweepExec`](crate::sweep::SweepExec), and score the points into a
-//!    [`ScenarioOutput`].
+//! 2. [`run`] (or [`run_with`] with an explicit executor) — serve what
+//!    the case memo and store already hold, run every remaining
+//!    `(case, seed)` unit through the one supervised executor
+//!    ([`run_supervised`](crate::supervise::run_supervised) on
+//!    [`SweepExec`](crate::sweep::SweepExec)'s thread count), average
+//!    each case with [`CasePoint::from_units`], and score the points into
+//!    a [`ScenarioOutput`].
 //! 3. [`violations`] — compare a scored CC figure against the scenario's
 //!    Table-1 expectations and verdict.
 
@@ -291,6 +294,14 @@ pub fn expand(scenario: &Scenario, scale: &Scale) -> Result<Vec<ResolvedCase>, E
             )));
         }
     }
+    // Zero would time out every unit; the CLI rejects `--deadline-ms 0`
+    // for the same reason.
+    if scenario.deadline_ms == Some(0) {
+        return Err(err(format!(
+            "scenario `{}`: `deadline_ms` must be a positive number of milliseconds, got 0",
+            scenario.name
+        )));
+    }
     // An explicit component graph must be structurally sound before
     // anything runs, mirroring the metric checks above.
     if let Some(topology) = &scenario.base.topology {
@@ -556,7 +567,7 @@ pub fn content_key(case: &ResolvedCase, scale: &Scale, selection: &MetricSelecti
 }
 
 /// Build a runnable [`CaseSpec`] from a resolved case and its built
-/// workload — the one translation both execution paths share.
+/// workload.
 fn case_spec<'a>(c: &ResolvedCase, w: &'a dyn Workload) -> CaseSpec<'a> {
     let storage = match c.storage {
         StorageSpec::Hdd => Storage::Hdd,
@@ -598,7 +609,8 @@ fn case_spec<'a>(c: &ResolvedCase, w: &'a dyn Workload) -> CaseSpec<'a> {
 
 /// Supervision options of one scenario run: the journal to replay/record,
 /// the per-unit wall-clock deadline, and the failure budget. The default
-/// (all `None`) runs the plain unsupervised sweep path.
+/// (all `None`) runs every unit once on the scoped pool, isolating
+/// failures without a journal, watchdog or budget.
 #[derive(Default, Clone)]
 pub struct RunOpts {
     /// Journal to replay completed units from and record fresh units to.
@@ -610,10 +622,6 @@ pub struct RunOpts {
 }
 
 impl RunOpts {
-    fn supervised(&self) -> bool {
-        self.journal.is_some() || self.deadline.is_some() || self.max_failures.is_some()
-    }
-
     /// The process-wide options installed by the CLI, with the scenario's
     /// own `deadline_ms` outranking `--deadline-ms` (mirroring how a
     /// scenario's `metrics` list outranks `--metrics`).
@@ -652,25 +660,13 @@ pub fn run_with(
     )
 }
 
-/// [`run_with`] with explicit memoization control — tests use this to
-/// pin the memo on or off without mutating process environment.
-#[cfg(test)]
-fn run_with_memo(
-    scenario: &Scenario,
-    scale: &Scale,
-    exec: SweepExec,
-    memo_on: bool,
-) -> Result<ScenarioOutput, EngineError> {
-    run_with_opts(scenario, scale, exec, memo_on, &RunOpts::default())
-}
-
 /// Run the missing cases through the supervised executor: one
 /// [`UnitTask`](crate::supervise::UnitTask) per `(case, seed)`, journal
 /// replay for units already on disk, journal append for fresh ones, and
-/// the watchdog enforcing the per-unit deadline. Healthy units produce
-/// the exact `f64`s of the plain path, so the output stays byte-identical
-/// to an unsupervised run.
-fn run_cases_supervised(
+/// the watchdog when a per-unit deadline is set. Each unit's values are
+/// captured as it finishes and averaged in seed order, so the output is
+/// byte-identical at any thread count, journaled or not.
+fn run_cases(
     resolved: &[ResolvedCase],
     missing: &[usize],
     keys: &[String],
@@ -858,26 +854,8 @@ pub fn run_with_opts(
 
     if !missing.is_empty() {
         let _span = bps_telemetry::phase("engine.sweep");
-        let (fresh, failures) = if opts.supervised() {
-            run_cases_supervised(&resolved, &missing, &keys, scale, &selection, exec, opts)
-        } else {
-            let workloads: Vec<Box<dyn Workload>> = missing
-                .iter()
-                .map(|&i| build_workload(&resolved[i].workload, scale))
-                .collect::<Result<_, _>>()?;
-            let cases: Vec<(String, CaseSpec)> = missing
-                .iter()
-                .zip(&workloads)
-                .map(|(&i, w)| {
-                    (
-                        resolved[i].label.clone(),
-                        case_spec(&resolved[i], w.as_ref()),
-                    )
-                })
-                .collect();
-            let report = exec.run_reporting_selected(&cases, &scale.seeds(), &selection);
-            (report.points, report.failures)
-        };
+        let (fresh, failures) =
+            run_cases(&resolved, &missing, &keys, scale, &selection, exec, opts);
         for failure in &failures {
             eprintln!("warning: sweep unit failed: {failure}");
         }
@@ -1158,6 +1136,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_deadline_rejected_at_expansion() {
+        let mut sc = cc_scenario(Grid::single(vec![CaseDecl::new("a", Patch::none())]));
+        sc.deadline_ms = Some(0);
+        let e = expand(&sc, &Scale::tiny()).unwrap_err();
+        assert_eq!(e.kind(), EngineErrorKind::InvalidSpec);
+        assert!(e.to_string().contains("deadline_ms"), "{e}");
+        sc.deadline_ms = Some(1);
+        assert!(expand(&sc, &Scale::tiny()).is_ok());
+    }
+
+    #[test]
     fn unknown_expect_metric_rejected_at_expansion() {
         let mut sc = cc_scenario(Grid::single(vec![CaseDecl::new("a", Patch::none())]));
         sc.expect = vec![Expect::correct("QPS", 0.5)];
@@ -1214,9 +1203,15 @@ mod tests {
         ]);
         let mut sc = cc_scenario(grid);
         sc.metrics = vec!["BPS".into(), "p99".into()];
-        let fig = run_with_memo(&sc, &Scale::tiny(), SweepExec::new(1), false)
-            .unwrap()
-            .into_cc();
+        let fig = run_with_opts(
+            &sc,
+            &Scale::tiny(),
+            SweepExec::new(1),
+            false,
+            &RunOpts::default(),
+        )
+        .unwrap()
+        .into_cc();
         let rows: Vec<&str> = fig.rows.iter().map(|r| r.metric.as_str()).collect();
         assert_eq!(rows, ["BPS", "P99"]);
         for c in &fig.cases {
@@ -1307,20 +1302,30 @@ mod tests {
                 },
             ),
         ]);
-        let sc = cc_scenario(grid);
+        let mut sc = cc_scenario(grid);
+        // Extended metrics too: their per-record sink state must not
+        // depend on which worker ran a unit either.
+        sc.metrics = ["IOPS", "BW", "ARPT", "BPS", "p50", "p99", "EffPar", "MaxQD"]
+            .map(String::from)
+            .to_vec();
         let scale = Scale::tiny();
         // Memo pinned off: the point is to compare two real simulations,
         // not a simulation against its own cached result.
-        let seq = run_with_memo(&sc, &scale, SweepExec::new(1), false)
+        let seq = run_with_opts(&sc, &scale, SweepExec::new(1), false, &RunOpts::default())
             .unwrap()
             .into_cc();
-        let par = run_with_memo(&sc, &scale, SweepExec::new(4), false)
+        let par = run_with_opts(&sc, &scale, SweepExec::new(4), false, &RunOpts::default())
             .unwrap()
             .into_cc();
         assert_eq!(format!("{seq}"), format!("{par}"));
         for (a, b) in seq.cases.iter().zip(&par.cases) {
             assert_eq!(a.exec_s.to_bits(), b.exec_s.to_bits());
             assert_eq!(a.bps.to_bits(), b.bps.to_bits());
+            assert_eq!(a.extra.len(), 4);
+            for ((na, va), (nb, vb)) in a.extra.iter().zip(&b.extra) {
+                assert_eq!(na, nb);
+                assert_eq!(va.to_bits(), vb.to_bits(), "{na} differs across threads");
+            }
         }
     }
 
@@ -1337,11 +1342,11 @@ mod tests {
         )]);
         let sc = cc_scenario(grid);
         let scale = Scale::tiny();
-        let cold = run_with_memo(&sc, &scale, SweepExec::new(1), true)
+        let cold = run_with_opts(&sc, &scale, SweepExec::new(1), true, &RunOpts::default())
             .unwrap()
             .into_cc();
         let (hits_before, _) = memo_stats();
-        let warm = run_with_memo(&sc, &scale, SweepExec::new(1), true)
+        let warm = run_with_opts(&sc, &scale, SweepExec::new(1), true, &RunOpts::default())
             .unwrap()
             .into_cc();
         let (hits_after, _) = memo_stats();
@@ -1360,7 +1365,7 @@ mod tests {
         }
         // A memo-off run of the same scenario still simulates and must
         // agree bit-for-bit with the cached result.
-        let off = run_with_memo(&sc, &scale, SweepExec::new(1), false)
+        let off = run_with_opts(&sc, &scale, SweepExec::new(1), false, &RunOpts::default())
             .unwrap()
             .into_cc();
         for (a, b) in warm.cases.iter().zip(&off.cases) {

@@ -522,7 +522,8 @@ pub struct Scenario {
     /// running longer is detached and reported as a `Timeout` failure
     /// instead of hanging the sweep. `None` — the default, and omitted
     /// from serialized scenarios — means no scenario-level deadline;
-    /// when set it outranks the CLI's `--deadline-ms`.
+    /// when set it outranks the CLI's `--deadline-ms`. Like that flag it
+    /// must be positive: expansion rejects 0.
     pub deadline_ms: Option<u64>,
     /// Table-1 expected directions, checked by tests and `reproduce check`.
     pub expect: Vec<Expect>,

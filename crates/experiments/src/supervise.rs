@@ -1,20 +1,21 @@
 //! Supervised unit execution: failure taxonomy, per-unit deadlines, and
 //! the failure-budget circuit breaker.
 //!
-//! A sweep is `cases × seeds` independent units. The plain
-//! [`SweepExec`](crate::sweep::SweepExec) path already isolates panics;
-//! this module generalizes that into a full supervised layer used
-//! whenever a run asks for a journal, a deadline, or a failure budget:
+//! A sweep is `cases × seeds` independent units, and every scenario run
+//! executes them through [`run_supervised`]:
 //!
 //! * every unit failure is classified into a [`FailureKind`]
 //!   (`Panic | Timeout | InvalidSpec | Io`) and carried as a
 //!   [`UnitFailure`] through the sweep report, the CC "why n/a" rows,
 //!   and the `reproduce` exit code;
-//! * [`run_supervised`] executes units on worker threads while the
-//!   calling thread acts as a watchdog: a unit that overruns its
-//!   wall-clock deadline is marked `Timeout` and *detached* (its wedged
-//!   worker is never joined; a replacement worker keeps the pool full),
-//!   so one pathological case degrades the sweep instead of hanging it;
+//! * without a deadline, units run on
+//!   [`SweepExec::run_indexed`](crate::sweep::SweepExec::run_indexed)'s
+//!   scoped work-stealing pool, so no worker outlives the call;
+//! * with a per-unit wall-clock deadline, units run on a watchdog pool
+//!   instead: the calling thread watches the clock, and a unit that
+//!   overruns is marked `Timeout` and *detached* (its wedged worker is
+//!   never joined; a replacement worker keeps the pool full), so one
+//!   pathological case degrades the sweep instead of hanging it;
 //! * a `--max-failures N` budget aborts the whole run once more than
 //!   `N` units have failed;
 //! * a SIGINT sets [`request_interrupt`]; the supervisor notices between
@@ -27,6 +28,7 @@
 //! documented exit code.
 
 use crate::runner::UnitValues;
+use crate::sweep::SweepExec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -389,15 +391,15 @@ fn worker(shared: &Shared, on_done: &OnDone) {
 }
 
 /// Execute `tasks` under supervision and return one outcome per task, in
-/// task order. `threads` workers claim tasks from a shared counter (same
-/// work-stealing shape as [`SweepExec`](crate::sweep::SweepExec), so the
-/// set of executed units is identical at any thread count); the calling
-/// thread watches the clock. A unit running past `deadline` is marked
-/// [`FailureKind::Timeout`] and detached — its worker thread is never
-/// joined, and a replacement worker keeps the pool at full strength. The
-/// process exits (with the journal flushed and the resume command
-/// printed) if the run is interrupted or more than `max_failures` units
-/// fail.
+/// task order. `threads` workers claim tasks from a shared counter, so
+/// the set of executed units is identical at any thread count. Without a
+/// `deadline` they are [`SweepExec`]'s scoped workers; with one, the
+/// calling thread watches the clock, and a unit running past `deadline`
+/// is marked [`FailureKind::Timeout`] and detached — its worker thread is
+/// never joined, and a replacement worker keeps the pool at full
+/// strength. The process exits (with the journal flushed and the resume
+/// command printed) if the run is interrupted or more than `max_failures`
+/// units fail.
 pub fn run_supervised(
     tasks: Vec<UnitTask>,
     threads: usize,
@@ -405,33 +407,61 @@ pub fn run_supervised(
     max_failures: Option<usize>,
     on_done: Arc<OnDone>,
 ) -> Vec<UnitOutcome> {
-    let n = tasks.len();
-    if n == 0 {
+    if tasks.is_empty() {
         return Vec::new();
     }
-    // Inline path: single worker, no watchdog needed. Deterministic task
-    // order, zero threads spawned — the shape `BPS_THREADS=1` runs take.
-    if threads <= 1 && deadline.is_none() {
-        let mut out = Vec::with_capacity(n);
-        let mut failed = 0usize;
-        for task in &tasks {
-            if interrupted() {
-                exit_interrupted();
-            }
-            let outcome = run_unit(task, on_done.as_ref());
-            if matches!(outcome, UnitOutcome::Failed(..)) {
-                failed += 1;
-                if let Some(budget) = max_failures {
-                    if failed > budget {
-                        exit_budget(failed, budget);
-                    }
-                }
-            }
-            out.push(outcome);
-        }
-        return out;
+    match deadline {
+        None => run_pooled(&tasks, threads, max_failures, on_done.as_ref()),
+        Some(deadline) => run_watched(tasks, threads, deadline, max_failures, on_done),
     }
+}
 
+/// The no-deadline scheduler: [`SweepExec::run_indexed`] over the tasks.
+/// Each worker checks the interrupt flag and the failure budget before
+/// claiming a unit and skips the rest once either trips; the calling
+/// thread exits after the in-flight units finish (and are journaled).
+fn run_pooled(
+    tasks: &[UnitTask],
+    threads: usize,
+    max_failures: Option<usize>,
+    on_done: &OnDone,
+) -> Vec<UnitOutcome> {
+    let failed = AtomicUsize::new(0);
+    let over_budget = || max_failures.is_some_and(|b| failed.load(Ordering::Relaxed) > b);
+    let outcomes = SweepExec::new(threads).run_indexed(tasks.len(), |i| {
+        if interrupted() || over_budget() {
+            return None;
+        }
+        let outcome = run_unit(&tasks[i], on_done);
+        if matches!(outcome, UnitOutcome::Failed(..)) {
+            failed.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(outcome)
+    });
+    if interrupted() {
+        exit_interrupted();
+    }
+    if let Some(budget) = max_failures {
+        let failed = failed.load(Ordering::Relaxed);
+        if failed > budget {
+            exit_budget(failed, budget);
+        }
+    }
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("no unit is skipped unless the run exits"))
+        .collect()
+}
+
+/// The deadline scheduler: detachable workers under a watchdog.
+fn run_watched(
+    tasks: Vec<UnitTask>,
+    threads: usize,
+    deadline: Duration,
+    max_failures: Option<usize>,
+    on_done: Arc<OnDone>,
+) -> Vec<UnitOutcome> {
+    let n = tasks.len();
     let shared = Arc::new(Shared {
         slots: (0..n).map(|_| Mutex::new(SlotState::Pending)).collect(),
         tasks,
@@ -477,22 +507,20 @@ pub fn run_supervised(
                 exit_budget(failed, budget);
             }
         }
-        if let Some(deadline) = deadline {
-            for i in 0..n {
-                let mut slot = shared.slots[i].lock().expect("slot poisoned");
-                if let SlotState::Running(started) = *slot {
-                    if started.elapsed() >= deadline {
-                        *slot = SlotState::Done(UnitOutcome::Failed(
-                            FailureKind::Timeout,
-                            format!("exceeded per-unit deadline of {} ms", deadline.as_millis()),
-                        ));
-                        drop(slot);
-                        shared.failures.fetch_add(1, Ordering::Relaxed);
-                        *shared.done.lock().expect("done count poisoned") += 1;
-                        // The worker stuck on this unit is detached, never
-                        // joined; a replacement keeps the pool full.
-                        spawn_worker(&mut handles);
-                    }
+        for i in 0..n {
+            let mut slot = shared.slots[i].lock().expect("slot poisoned");
+            if let SlotState::Running(started) = *slot {
+                if started.elapsed() >= deadline {
+                    *slot = SlotState::Done(UnitOutcome::Failed(
+                        FailureKind::Timeout,
+                        format!("exceeded per-unit deadline of {} ms", deadline.as_millis()),
+                    ));
+                    drop(slot);
+                    shared.failures.fetch_add(1, Ordering::Relaxed);
+                    *shared.done.lock().expect("done count poisoned") += 1;
+                    // The worker stuck on this unit is detached, never
+                    // joined; a replacement keeps the pool full.
+                    spawn_worker(&mut handles);
                 }
             }
         }

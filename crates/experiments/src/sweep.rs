@@ -2,11 +2,17 @@
 //!
 //! Every figure in the evaluation is a sweep: a list of cases, each run
 //! once per seed and averaged. The units are completely independent, so
-//! [`SweepExec`] fans `cases × seeds` across OS threads
-//! (`std::thread::scope`, no extra crates) and reassembles the results in
-//! the input order — the output is byte-identical at any thread count,
+//! [`SweepExec::run_indexed`] fans them across OS threads
+//! (`std::thread::scope`, no extra crates) and hands the results back in
+//! input order — the output is byte-identical at any thread count,
 //! because each unit is deterministic in `(case, seed)` and the averaging
 //! still happens in seed order on the caller's thread.
+//!
+//! This is the pool every scenario run schedules on: the supervisor
+//! ([`run_supervised`](crate::supervise::run_supervised)) wraps each unit
+//! with failure isolation, the journal and the failure budget, and only a
+//! per-unit deadline swaps in its own watchdog pool. [`SweepExec::run_one`]
+//! averages one ad-hoc [`CaseSpec`] for examples and tests.
 //!
 //! Thread count, in precedence order: a process-wide override installed
 //! with [`set_thread_override`] (the `reproduce --threads N` flag), then
@@ -14,26 +20,10 @@
 //! [`std::thread::available_parallelism`]. A count of 1 runs inline on
 //! the calling thread.
 
-use crate::runner::{run_case_streaming_selected, CasePoint, CaseSpec};
-use crate::supervise::{panic_message, FailureKind, UnitFailure};
+use crate::runner::{run_case_streaming_selected, CasePoint, CaseSpec, UnitValues};
 use bps_core::metrics::MetricSelection;
-use bps_core::sink::StreamingMetrics;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Outcome of a failure-isolating sweep: one point per case (averaged
-/// over the seeds that completed) plus every unit that failed, classified
-/// by [`FailureKind`]. A case whose seeds all failed still gets a point —
-/// with NaN metrics and [`CasePoint::failed`] set — so the output stays
-/// positionally aligned with the input cases.
-#[derive(Debug)]
-pub struct SweepReport {
-    /// One point per input case, in input order.
-    pub points: Vec<CasePoint>,
-    /// Every unit that failed, in `(case, seed)` order.
-    pub failures: Vec<UnitFailure>,
-}
 
 /// Process-wide thread-count override; 0 means "not set". Installed by
 /// the CLI's `--threads N` flag and read by [`SweepExec::from_env`]
@@ -126,120 +116,25 @@ impl SweepExec {
             .collect()
     }
 
-    /// Run every `(case, seed)` unit through the streaming pipeline in
-    /// parallel and average each case over its seeds. Points come back in
-    /// the input case order. A unit that panics is isolated and printed to
-    /// stderr rather than aborting the sweep; use [`Self::run_reporting`]
-    /// to inspect failures programmatically.
-    pub fn run(&self, cases: &[(String, CaseSpec<'_>)], seeds: &[u64]) -> Vec<CasePoint> {
-        self.run_selected(cases, seeds, &MetricSelection::paper())
-    }
-
-    /// [`Self::run`] with an explicit metric selection: every unit's sink
-    /// retains what the selection needs, and each point averages the
-    /// selected non-paper metrics into [`CasePoint::extra`].
-    pub fn run_selected(
-        &self,
-        cases: &[(String, CaseSpec<'_>)],
-        seeds: &[u64],
-        selection: &MetricSelection,
-    ) -> Vec<CasePoint> {
-        let report = self.run_reporting_selected(cases, seeds, selection);
-        for failure in &report.failures {
-            eprintln!("warning: sweep unit failed: {failure}");
-        }
-        report.points
-    }
-
-    /// [`Self::run`], but each `(case, seed)` unit runs under
-    /// `catch_unwind`: one poisoned case (a panicking workload, a config
-    /// that trips an internal invariant) yields NaN metrics and a recorded
-    /// [`UnitFailure`] instead of tearing down the entire sweep — in both
-    /// the inline and the threaded execution paths. Units that complete
-    /// average exactly as in a failure-free run.
-    pub fn run_reporting(&self, cases: &[(String, CaseSpec<'_>)], seeds: &[u64]) -> SweepReport {
-        self.run_reporting_selected(cases, seeds, &MetricSelection::paper())
-    }
-
-    /// [`Self::run_reporting`] with an explicit metric selection.
-    pub fn run_reporting_selected(
-        &self,
-        cases: &[(String, CaseSpec<'_>)],
-        seeds: &[u64],
-        selection: &MetricSelection,
-    ) -> SweepReport {
-        assert!(!seeds.is_empty(), "need at least one seed");
-        let units = cases.len() * seeds.len();
-        let runs: Vec<Result<StreamingMetrics, String>> = self.run_indexed(units, |i| {
-            let (ci, si) = (i / seeds.len(), i % seeds.len());
-            let started = bps_telemetry::now();
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                crate::supervise::apply_test_hooks(&cases[ci].0);
-                run_case_streaming_selected(&cases[ci].1, seeds[si], selection)
-            }))
-            .map_err(panic_message);
-            if bps_telemetry::enabled() {
-                bps_telemetry::unit(&cases[ci].0, seeds[si], started);
-                bps_telemetry::incr(bps_telemetry::Counter::SweepUnits);
-                if run.is_err() {
-                    bps_telemetry::incr(bps_telemetry::Counter::SweepFailures);
-                }
-            }
-            run
-        });
-        let mut points = Vec::with_capacity(cases.len());
-        let mut failures = Vec::new();
-        let mut runs = runs.into_iter();
-        for (label, _) in cases {
-            let mut survived = Vec::with_capacity(seeds.len());
-            let mut case_failed = false;
-            for &seed in seeds {
-                match runs.next().expect("one run per (case, seed) unit") {
-                    Ok(metrics) => survived.push(metrics),
-                    Err(detail) => {
-                        case_failed = true;
-                        failures.push(UnitFailure {
-                            kind: FailureKind::Panic,
-                            case: label.clone(),
-                            seed,
-                            detail,
-                        });
-                    }
-                }
-            }
-            let mut point = CasePoint::from_runs_selected(label.clone(), &survived, selection);
-            if survived.is_empty() && case_failed {
-                point.failed = Some(FailureKind::Panic);
-            }
-            points.push(point);
-        }
-        SweepReport { points, failures }
-    }
-
-    /// Run one case across its seeds in parallel; the [`CasePoint`] is
-    /// identical to a sequential run.
+    /// Run one ad-hoc case once per seed in parallel and average it under
+    /// the paper selection: each unit's values are captured as it finishes
+    /// and averaged in seed order by [`CasePoint::from_units`], the same
+    /// arithmetic a scenario run uses, so the point is identical at any
+    /// thread count. A panicking unit propagates; scenario runs isolate
+    /// failures in [`run_supervised`](crate::supervise::run_supervised).
     pub fn run_one(
         &self,
         label: impl Into<String>,
         spec: &CaseSpec<'_>,
         seeds: &[u64],
     ) -> CasePoint {
-        self.run_one_selected(label, spec, seeds, &MetricSelection::paper())
-    }
-
-    /// [`Self::run_one`] with an explicit metric selection.
-    pub fn run_one_selected(
-        &self,
-        label: impl Into<String>,
-        spec: &CaseSpec<'_>,
-        seeds: &[u64],
-        selection: &MetricSelection,
-    ) -> CasePoint {
         assert!(!seeds.is_empty(), "need at least one seed");
-        let runs = self.run_indexed(seeds.len(), |i| {
-            run_case_streaming_selected(spec, seeds[i], selection)
+        let selection = MetricSelection::paper();
+        let units = self.run_indexed(seeds.len(), |i| {
+            let run = run_case_streaming_selected(spec, seeds[i], &selection);
+            UnitValues::capture(&run, &selection)
         });
-        CasePoint::from_runs_selected(label, &runs, selection)
+        CasePoint::from_units(label, &units, &selection)
     }
 }
 
@@ -279,113 +174,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_equals_sequential_sweep() {
+    fn run_one_is_thread_count_invariant() {
         let w = Iozone::seq_read(2 << 20, 256 << 10);
-        let cases = vec![
-            ("hdd".to_string(), CaseSpec::new(Storage::Hdd, &w)),
-            ("ssd".to_string(), CaseSpec::new(Storage::Ssd, &w)),
-        ];
-        let seeds = [1, 2, 3];
-        let seq = SweepExec::new(1).run(&cases, &seeds);
-        let par = SweepExec::new(4).run(&cases, &seeds);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.iops.to_bits(), b.iops.to_bits());
-            assert_eq!(a.bw.to_bits(), b.bw.to_bits());
-            assert_eq!(a.arpt.to_bits(), b.arpt.to_bits());
-            assert_eq!(a.bps.to_bits(), b.bps.to_bits());
-            assert_eq!(a.exec_s.to_bits(), b.exec_s.to_bits());
+        for storage in [Storage::Hdd, Storage::Ssd] {
+            let spec = CaseSpec::new(storage, &w);
+            let seq = SweepExec::new(1).run_one("case", &spec, &[1, 2, 3]);
+            let par = SweepExec::new(4).run_one("case", &spec, &[1, 2, 3]);
+            assert_eq!(seq.label, par.label);
+            assert_eq!(seq.iops.to_bits(), par.iops.to_bits());
+            assert_eq!(seq.bw.to_bits(), par.bw.to_bits());
+            assert_eq!(seq.arpt.to_bits(), par.arpt.to_bits());
+            assert_eq!(seq.bps.to_bits(), par.bps.to_bits());
+            assert_eq!(seq.exec_s.to_bits(), par.exec_s.to_bits());
         }
-    }
-
-    #[test]
-    fn parallel_sweep_is_thread_invariant_for_extended_selection() {
-        let w = Iozone::seq_read(2 << 20, 256 << 10);
-        let cases = vec![
-            ("hdd".to_string(), CaseSpec::new(Storage::Hdd, &w)),
-            ("ssd".to_string(), CaseSpec::new(Storage::Ssd, &w)),
-        ];
-        let seeds = [1, 2, 3];
-        let sel = MetricSelection::parse(&["BPS", "p50", "p99", "EffPar", "MaxQD"]).unwrap();
-        let seq = SweepExec::new(1).run_selected(&cases, &seeds, &sel);
-        let par = SweepExec::new(4).run_selected(&cases, &seeds, &sel);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.bps.to_bits(), b.bps.to_bits());
-            assert_eq!(a.extra.len(), 4);
-            for ((na, va), (nb, vb)) in a.extra.iter().zip(&b.extra) {
-                assert_eq!(na, nb);
-                assert_eq!(va.to_bits(), vb.to_bits(), "{na} differs across threads");
-            }
-        }
-    }
-
-    #[test]
-    fn panicking_case_is_isolated_and_reported() {
-        use bps_workloads::spec::{OpStream, Workload};
-
-        /// A workload whose op stream panics the moment it is built.
-        struct Poisoned;
-        impl Workload for Poisoned {
-            fn name(&self) -> &'static str {
-                "poisoned"
-            }
-            fn processes(&self) -> usize {
-                1
-            }
-            fn file_sizes(&self) -> Vec<u64> {
-                vec![1 << 20]
-            }
-            fn stream(&self, _pid: usize) -> OpStream {
-                panic!("injected test panic");
-            }
-        }
-
-        let healthy = Iozone::seq_read(1 << 20, 256 << 10);
-        let poisoned = Poisoned;
-        let cases = vec![
-            ("ok".to_string(), CaseSpec::new(Storage::Hdd, &healthy)),
-            ("bad".to_string(), CaseSpec::new(Storage::Hdd, &poisoned)),
-        ];
-        let seeds = [1, 2];
-        // Quiet the default panic hook for the injected panics.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let report = SweepExec::new(2).run_reporting(&cases, &seeds);
-        std::panic::set_hook(prev);
-
-        // Both cases produce a point, in input order.
-        assert_eq!(report.points.len(), 2);
-        assert_eq!(report.points[0].label, "ok");
-        assert_eq!(report.points[1].label, "bad");
-        // The healthy case is unaffected; the poisoned one reports NaN
-        // and carries its failure class.
-        assert!(report.points[0].bps.is_finite());
-        assert!(report.points[0].failed.is_none());
-        assert!(report.points[1].bps.is_nan());
-        assert!(report.points[1].exec_s.is_nan());
-        assert_eq!(report.points[1].failed, Some(FailureKind::Panic));
-        // Every poisoned unit is reported with its seed, class, and payload.
-        assert_eq!(report.failures.len(), seeds.len());
-        for (f, &seed) in report.failures.iter().zip(&seeds) {
-            assert_eq!(f.case, "bad");
-            assert_eq!(f.seed, seed);
-            assert_eq!(f.kind, FailureKind::Panic);
-            assert!(f.detail.contains("injected test panic"), "{}", f.detail);
-        }
-    }
-
-    #[test]
-    fn run_one_matches_run() {
-        let w = Iozone::seq_read(2 << 20, 256 << 10);
-        let spec = CaseSpec::new(Storage::Hdd, &w);
-        let seeds = [1, 2];
-        let one = SweepExec::new(2).run_one("hdd", &spec, &seeds);
-        let cases = vec![("hdd".to_string(), CaseSpec::new(Storage::Hdd, &w))];
-        let many = SweepExec::new(2).run(&cases, &seeds);
-        assert_eq!(one.bps.to_bits(), many[0].bps.to_bits());
-        assert_eq!(one.exec_s.to_bits(), many[0].exec_s.to_bits());
     }
 }

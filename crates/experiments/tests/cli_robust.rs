@@ -4,6 +4,7 @@
 //! injection uses the `BPS_TEST_UNIT_PANIC` / `BPS_TEST_UNIT_STALL`
 //! hooks, which are inert unless set.
 
+use bps_experiments::scale::Scale;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -126,6 +127,22 @@ fn forced_panic_exits_5_and_names_the_kind() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("[panic]"), "{err}");
     assert!(err.contains("unit(s) failed"), "{err}");
+    // Every poisoned unit is isolated and reported once with its seed and
+    // class, in seed order; the other cases' units all complete.
+    let reported: Vec<&str> = err
+        .lines()
+        .filter(|l| l.starts_with("warning: sweep unit failed: "))
+        .collect();
+    let seeds = Scale::tiny().seeds();
+    assert_eq!(reported.len(), seeds.len(), "{err}");
+    for (line, seed) in reported.iter().zip(&seeds) {
+        let expected = format!("warning: sweep unit failed: case pvfs-3 seed {seed} [panic]: ");
+        assert!(line.starts_with(&expected), "{line}");
+        assert!(
+            line.contains("BPS_TEST_UNIT_PANIC injected panic"),
+            "{line}"
+        );
+    }
     // The report still renders, with the failed case annotated.
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("pvfs-3 [panic]"), "{stdout}");

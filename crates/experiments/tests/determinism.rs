@@ -1,31 +1,70 @@
 //! Sweep determinism: the parallel executor must be invisible in the
-//! results. A sweep run on one thread and the same sweep fanned over many
-//! threads serialize to byte-identical JSON, and a same-seed rerun is
+//! results. A scenario run on one thread and the same run fanned over
+//! many threads serialize to byte-identical JSON, and a same-seed rerun is
 //! byte-identical too.
 
 use bps_experiments::runner::{CaseSpec, Storage};
+use bps_experiments::scale::Scale;
+use bps_experiments::scenario::engine::{self, RunOpts};
+use bps_experiments::scenario::spec::{
+    CaseDecl, CaseTemplate, Grid, Num, OutputSpec, Patch, Scenario, StorageSpec, WorkloadTemplate,
+};
 use bps_experiments::sweep::SweepExec;
-use bps_workloads::iozone::Iozone;
+use bps_workloads::iozone::{Iozone, IozoneMode};
 
+/// Three cases over two storage classes and two record sizes.
+fn scenario() -> Scenario {
+    let cell = |label: &str, storage: StorageSpec, record_size: Option<u64>| {
+        CaseDecl::new(
+            label,
+            Patch {
+                storage: Some(storage),
+                record_size,
+                ..Patch::none()
+            },
+        )
+    };
+    Scenario {
+        name: "determinism".to_string(),
+        title: "thread-count determinism".to_string(),
+        output: OutputSpec::Cc,
+        base: CaseTemplate::new(
+            StorageSpec::Hdd,
+            WorkloadTemplate::Iozone {
+                mode: IozoneMode::SeqRead,
+                file_size: Num::Abs { n: 2 << 20 },
+                record_size: Num::Abs { n: 256 << 10 },
+                processes: 1,
+                seed: 0,
+            },
+        ),
+        grid: Grid::single(vec![
+            cell("hdd-small", StorageSpec::Hdd, None),
+            cell("ssd-small", StorageSpec::Ssd, None),
+            cell("pvfs-2", StorageSpec::Pvfs { servers: 2 }, Some(1 << 20)),
+        ]),
+        metrics: Vec::new(),
+        deadline_ms: None,
+        expect: Vec::new(),
+        verdict: None,
+    }
+}
+
+/// The scenario's case points as JSON, memo off so every run simulates.
 fn sweep_json(threads: usize) -> String {
-    let w_small = Iozone::seq_read(2 << 20, 256 << 10);
-    let w_large = Iozone::seq_read(4 << 20, 1 << 20);
-    let cases = vec![
-        (
-            "hdd-small".to_string(),
-            CaseSpec::new(Storage::Hdd, &w_small),
-        ),
-        (
-            "ssd-small".to_string(),
-            CaseSpec::new(Storage::Ssd, &w_small),
-        ),
-        (
-            "pvfs-2".to_string(),
-            CaseSpec::new(Storage::Pvfs { servers: 2 }, &w_large),
-        ),
-    ];
-    let points = SweepExec::new(threads).run(&cases, &[1, 2, 3]);
-    serde_json::to_string(&points).expect("CasePoint serializes")
+    let scale = Scale {
+        runs: 3,
+        ..Scale::tiny()
+    };
+    let out = engine::run_with_opts(
+        &scenario(),
+        &scale,
+        SweepExec::new(threads),
+        false,
+        &RunOpts::default(),
+    )
+    .expect("scenario runs");
+    serde_json::to_string(&out.into_cc().cases).expect("CasePoint serializes")
 }
 
 #[test]
@@ -45,9 +84,9 @@ fn same_seed_rerun_is_byte_identical() {
 #[test]
 fn different_seeds_actually_change_the_numbers() {
     let w = Iozone::seq_read(2 << 20, 256 << 10);
-    let cases = vec![("hdd".to_string(), CaseSpec::new(Storage::Hdd, &w))];
+    let spec = CaseSpec::new(Storage::Hdd, &w);
     let exec = SweepExec::new(2);
-    let a = serde_json::to_string(&exec.run(&cases, &[1, 2])).unwrap();
-    let b = serde_json::to_string(&exec.run(&cases, &[3, 4])).unwrap();
+    let a = serde_json::to_string(&exec.run_one("hdd", &spec, &[1, 2])).unwrap();
+    let b = serde_json::to_string(&exec.run_one("hdd", &spec, &[3, 4])).unwrap();
     assert_ne!(a, b, "seed set should perturb the averaged metrics");
 }

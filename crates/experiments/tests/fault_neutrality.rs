@@ -13,36 +13,46 @@
 //!    identical degraded results at any thread count.
 
 use bps_core::time::{Dur, Nanos};
-use bps_experiments::runner::{CaseSpec, Storage};
+use bps_experiments::runner::{CasePoint, CaseSpec, Storage};
 use bps_experiments::sweep::SweepExec;
 use bps_sim::fault::{FaultPlan, Outage, SlowdownWindow};
 use bps_workloads::iozone::Iozone;
 use proptest::prelude::*;
 
-/// Serialized `SweepExec::new(2).run(..)` output captured on the pre-fault
-/// tree (commit "Stream metrics incrementally and parallelize sweeps"),
-/// same cases and seeds as below. Any drift here means the healthy path is
-/// no longer the pre-fault path.
+/// Serialized sweep output captured on the pre-fault tree (commit "Stream
+/// metrics incrementally and parallelize sweeps"), same cases and seeds as
+/// below. Any drift here means the healthy path is no longer the pre-fault
+/// path.
 const GOLDEN_SWEEP_JSON: &str = "[{\"label\":\"hdd-small\",\"iops\":303.9253246240201,\"bw\":79.67220029823913,\"arpt\":0.0032903635000000003,\"bps\":155609.7662074983,\"exec_s\":0.026362908},{\"label\":\"ssd-small\",\"iops\":649.2060178482678,\"bw\":170.1854623428163,\"arpt\":0.0015404251666666666,\"bps\":332393.48113831313,\"exec_s\":0.012363401333333334},{\"label\":\"pvfs-2\",\"iops\":87.30744506358985,\"bw\":91.94988804974197,\"arpt\":0.011453806583333332,\"bps\":178805.64749023202,\"exec_s\":0.04583522633333333}]";
+
+/// Average every case over `seeds` with [`SweepExec::run_one`], in input
+/// order.
+fn sweep(threads: usize, cases: &[(&str, CaseSpec<'_>)], seeds: &[u64]) -> Vec<CasePoint> {
+    let exec = SweepExec::new(threads);
+    cases
+        .iter()
+        .map(|(label, spec)| exec.run_one(*label, spec, seeds))
+        .collect()
+}
 
 fn sweep_json_with(fault: impl Fn() -> FaultPlan) -> String {
     let w_small = Iozone::seq_read(2 << 20, 256 << 10);
     let w_large = Iozone::seq_read(4 << 20, 1 << 20);
     let cases = vec![
         (
-            "hdd-small".to_string(),
+            "hdd-small",
             CaseSpec::new(Storage::Hdd, &w_small).with_fault(fault()),
         ),
         (
-            "ssd-small".to_string(),
+            "ssd-small",
             CaseSpec::new(Storage::Ssd, &w_small).with_fault(fault()),
         ),
         (
-            "pvfs-2".to_string(),
+            "pvfs-2",
             CaseSpec::new(Storage::Pvfs { servers: 2 }, &w_large).with_fault(fault()),
         ),
     ];
-    let points = SweepExec::new(2).run(&cases, &[1, 2, 3]);
+    let points = sweep(2, &cases, &[1, 2, 3]);
     serde_json::to_string(&points).expect("CasePoint serializes")
 }
 
@@ -60,10 +70,10 @@ fn none_plan_reproduces_the_pre_fault_golden_output() {
 fn quick_run_json(fault: FaultPlan) -> String {
     let w = Iozone::seq_read(1 << 20, 256 << 10);
     let cases = vec![(
-        "hdd-quick".to_string(),
+        "hdd-quick",
         CaseSpec::new(Storage::Hdd, &w).with_fault(fault),
     )];
-    serde_json::to_string(&SweepExec::new(1).run(&cases, &[1])).expect("CasePoint serializes")
+    serde_json::to_string(&sweep(1, &cases, &[1])).expect("CasePoint serializes")
 }
 
 proptest! {
@@ -103,10 +113,10 @@ fn degraded_plan() -> FaultPlan {
 fn degraded_sweep_json(threads: usize) -> String {
     let w = Iozone::seq_read(4 << 20, 1 << 20);
     let cases = vec![(
-        "pvfs-2-degraded".to_string(),
+        "pvfs-2-degraded",
         CaseSpec::new(Storage::Pvfs { servers: 2 }, &w).with_fault(degraded_plan()),
     )];
-    let points = SweepExec::new(threads).run(&cases, &[1, 2, 3]);
+    let points = sweep(threads, &cases, &[1, 2, 3]);
     serde_json::to_string(&points).expect("CasePoint serializes")
 }
 
@@ -124,10 +134,10 @@ fn faults_actually_degrade_the_run() {
     let healthy = sweep_json_with(FaultPlan::none);
     let w = Iozone::seq_read(4 << 20, 1 << 20);
     let cases = vec![(
-        "pvfs-2".to_string(),
+        "pvfs-2",
         CaseSpec::new(Storage::Pvfs { servers: 2 }, &w).with_fault(degraded_plan()),
     )];
-    let degraded = SweepExec::new(2).run(&cases, &[1, 2, 3]);
+    let degraded = sweep(2, &cases, &[1, 2, 3]);
     #[derive(serde::Deserialize)]
     struct Point {
         exec_s: f64,

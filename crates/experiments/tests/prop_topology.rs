@@ -4,7 +4,7 @@
 //! nothing — and `TopologySpec` survives JSON round-trips.
 
 use bps_core::time::Dur;
-use bps_experiments::runner::{CasePoint, CaseSpec, Storage};
+use bps_experiments::runner::{CaseSpec, Storage};
 use bps_experiments::scale::Scale;
 use bps_experiments::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, Scenario, StorageSpec,
@@ -160,8 +160,9 @@ proptest! {
         prop_assert_eq!(a.execution_time(), b.execution_time());
         prop_assert_eq!(a.records(), b.records());
 
-        let pa = CasePoint::averaged("case", &implicit, &[seed, seed + 1]);
-        let pb = CasePoint::averaged("case", &explicit, &[seed, seed + 1]);
+        let exec = SweepExec::from_env();
+        let pa = exec.run_one("case", &implicit, &[seed, seed + 1]);
+        let pb = exec.run_one("case", &explicit, &[seed, seed + 1]);
         prop_assert_eq!(
             serde_json::to_string(&pa).unwrap(),
             serde_json::to_string(&pb).unwrap()

@@ -8,11 +8,13 @@
 
 use bps::experiments::figures::common::CcFigure;
 use bps::experiments::runner::{CasePoint, CaseSpec, Storage};
+use bps::experiments::sweep::SweepExec;
 use bps::workloads::iozone::Iozone;
 
 fn main() {
     let file_size = 128 << 20; // 128 MiB per case
     let seeds = [1, 2, 3];
+    let exec = SweepExec::from_env();
     let points: Vec<CasePoint> = [4u64 << 10, 64 << 10, 512 << 10, 4 << 20]
         .iter()
         .map(|&record| {
@@ -23,7 +25,7 @@ fn main() {
             } else {
                 format!("{}KB", record >> 10)
             };
-            CasePoint::averaged(label, &spec, &seeds)
+            exec.run_one(label, &spec, &seeds)
         })
         .collect();
 
