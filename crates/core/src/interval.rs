@@ -110,7 +110,7 @@ pub fn union_time<I: IntoIterator<Item = Interval>>(intervals: I) -> Dur {
     if v.is_empty() {
         return Dur::ZERO;
     }
-    v.sort_unstable_by_key(|iv| (iv.start, iv.end));
+    sort_runs(&mut v);
     let mut total = Dur::ZERO;
     let mut cur = v[0];
     for iv in &v[1..] {
@@ -122,6 +122,16 @@ pub fn union_time<I: IntoIterator<Item = Interval>>(intervals: I) -> Dur {
         }
     }
     total + cur.duration()
+}
+
+/// Sort intervals by `(start, end)` with the stable, run-detecting sort.
+///
+/// Records arrive in completion order, which is nearly sorted by start:
+/// the stable sort finds and merges those runs, the unstable one does not.
+/// Intervals with equal keys are identical, so stability changes nothing
+/// but the cost.
+fn sort_runs(v: &mut [Interval]) {
+    v.sort_by_key(|iv| (iv.start, iv.end));
 }
 
 /// Faithful port of the pseudocode in the paper's Figure 3 ("BPS time
@@ -190,7 +200,7 @@ impl IntervalSet {
     /// Build from arbitrary (unsorted, overlapping) intervals.
     pub fn from_unsorted<I: IntoIterator<Item = Interval>>(intervals: I) -> Self {
         let mut v: Vec<Interval> = intervals.into_iter().collect();
-        v.sort_unstable_by_key(|iv| (iv.start, iv.end));
+        sort_runs(&mut v);
         let mut spans: Vec<Interval> = Vec::with_capacity(v.len());
         for iv in v {
             match spans.last_mut() {
@@ -435,7 +445,9 @@ impl ConcurrencyProfile {
         if events.is_empty() {
             return ConcurrencyProfile::default();
         }
-        events.sort_unstable_by_key(|&(t, delta)| (t, delta));
+        // Stable for the same reason as `sort_runs`: equal events are
+        // identical, and completion-ordered input is nearly sorted.
+        events.sort_by_key(|&(t, delta)| (t, delta));
 
         let mut steps: Vec<DepthStep> = Vec::new();
         let mut depth: i64 = 0;
@@ -470,6 +482,38 @@ impl ConcurrencyProfile {
             mean_busy_depth: if busy > 0.0 { weighted / busy } else { 0.0 },
         }
     }
+}
+
+/// Peak number of simultaneously in-flight intervals: the
+/// [`ConcurrencyProfile::max_depth`] of the same intervals, without the
+/// step timeline.
+///
+/// Sorts the starts and the ends as two integer arrays and merges them.
+/// As in the profile, zero-length intervals are skipped and ends sort
+/// before starts at the same instant, so half-open adjacency does not
+/// inflate the depth. Taking the maximum after each start is enough: at a
+/// given instant every end is consumed before the first start, and each
+/// further start only raises the depth, so the last start there reaches
+/// the depth the profile records for that instant.
+pub fn max_depth(intervals: &[Interval]) -> u32 {
+    let (mut starts, mut ends): (Vec<u64>, Vec<u64>) = intervals
+        .iter()
+        .filter(|iv| iv.start != iv.end)
+        .map(|iv| (iv.start.0, iv.end.0))
+        .unzip();
+    starts.sort();
+    ends.sort();
+    // `ended` never passes `i`: an end at or before a start belongs to an
+    // interval that started strictly earlier.
+    let mut ended = 0;
+    let mut max = 0;
+    for (i, &s) in starts.iter().enumerate() {
+        while ends[ended] <= s {
+            ended += 1;
+        }
+        max = max.max(i + 1 - ended);
+    }
+    max as u32
 }
 
 #[cfg(test)]

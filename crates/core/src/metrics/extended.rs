@@ -12,7 +12,7 @@
 //! `finish` reads (the only registered metrics that are not constant-space).
 
 use super::{Direction, FoldNeeds, MetricFold};
-use crate::interval::ConcurrencyProfile;
+use crate::interval::max_depth;
 use crate::record::Layer;
 use crate::sink::StreamingMetrics;
 
@@ -57,18 +57,18 @@ impl MetricFold for LatencyPercentile {
     }
 
     fn finish(&self, acc: &StreamingMetrics) -> Option<f64> {
-        let mut durs: Vec<f64> = acc
-            .app_durations()?
-            .iter()
-            .map(|d| d.as_secs_f64())
-            .collect();
+        let mut durs = acc.app_durations()?.to_vec();
         if durs.is_empty() {
             return None;
         }
-        durs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        // Nearest-rank percentile.
+        // Nearest-rank percentile, selected on the integer nanoseconds in
+        // linear time. Converting only the selected value is exact: the
+        // conversion to seconds is monotone, so it maps the rank-th
+        // smallest duration to the rank-th smallest value in seconds.
         let rank = ((self.0 / 100.0) * durs.len() as f64).ceil() as usize;
-        Some(durs[rank.clamp(1, durs.len()) - 1])
+        let rank = rank.clamp(1, durs.len());
+        let (_, nth, _) = durs.select_nth_unstable(rank - 1);
+        Some(nth.as_secs_f64())
     }
 
     fn unit(&self) -> &'static str {
@@ -216,10 +216,9 @@ impl MetricFold for MaxQueueDepth {
         if acc.op_count(Layer::Application) == 0 {
             return None;
         }
-        // The profile's event sweep sorts internally, so arrival order is
-        // irrelevant and the streamed result matches the trace path exactly.
-        let profile = ConcurrencyProfile::from_intervals(intervals.iter().copied());
-        Some(f64::from(profile.max_depth))
+        // `max_depth` sorts internally, so arrival order is irrelevant and
+        // the streamed result matches the trace path exactly.
+        Some(f64::from(max_depth(intervals)))
     }
 
     fn unit(&self) -> &'static str {

@@ -75,16 +75,26 @@ impl Trace {
         self.exec_time = Some(t);
     }
 
+    /// The execution time recorded with [`Trace::set_execution_time`], if
+    /// any.
+    pub fn recorded_execution_time(&self) -> Option<Dur> {
+        self.exec_time
+    }
+
     /// Application execution time: the explicitly recorded value if set,
     /// otherwise the wall span from the first record start to the last end.
     pub fn execution_time(&self) -> Dur {
         self.exec_time.unwrap_or_else(|| {
-            let start = self.records.iter().map(|r| r.start).min();
-            let end = self.records.iter().map(|r| r.end).max();
-            match (start, end) {
-                (Some(s), Some(e)) => e - s,
-                _ => Dur::ZERO,
-            }
+            let Some(first) = self.records.first() else {
+                return Dur::ZERO;
+            };
+            let (start, end) = self
+                .records
+                .iter()
+                .fold((first.start, first.end), |(s, e), r| {
+                    (s.min(r.start), e.max(r.end))
+                });
+            end - start
         })
     }
 

@@ -101,8 +101,8 @@ pub fn windowed_series(trace: &Trace, window: Dur) -> Vec<WindowPoint> {
             }
         }
     }
-    for (b, point) in out.iter_mut().enumerate() {
-        point.io_time = union_time(per_bucket[b].iter().copied());
+    for (point, clipped) in out.iter_mut().zip(per_bucket) {
+        point.io_time = union_time(clipped);
         if !point.io_time.is_zero() {
             point.bps = Some(point.blocks / point.io_time.as_secs_f64());
         }

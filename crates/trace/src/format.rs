@@ -86,86 +86,61 @@ pub fn to_binary(trace: &Trace) -> Vec<u8> {
     buf
 }
 
-/// Little-endian reader over a byte slice for [`from_binary`].
-struct Cursor<'a> {
-    data: &'a [u8],
-}
-
-impl Cursor<'_> {
-    fn take<const N: usize>(&mut self) -> [u8; N] {
-        let (head, rest) = self.data.split_at(N);
-        self.data = rest;
-        head.try_into().expect("split_at returned N bytes")
-    }
-
-    fn u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take())
-    }
-
-    fn u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take())
-    }
-
-    fn u8(&mut self) -> u8 {
-        self.take::<1>()[0]
-    }
-
-    fn skip(&mut self, n: usize) {
-        self.data = &self.data[n..];
-    }
-}
-
 /// Decode the binary format. Byte sizes come back block-rounded (the
 /// format stores block counts, as the paper's record does); offsets come
 /// back as zero.
+///
+/// The header's record count is checked against the body length before
+/// anything is allocated, so a lying header cannot ask for a huge buffer.
+/// A record that ends before it starts fails the whole trace.
 pub fn from_binary(data: &[u8]) -> io::Result<Trace> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     if data.len() < 16 || &data[..8] != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a BPS binary trace",
-        ));
+        return Err(invalid("not a BPS binary trace".into()));
     }
-    let mut data = Cursor { data };
-    data.skip(8);
-    let count = data.u64_le() as usize;
-    if data.data.len() != count * BINARY_RECORD_SIZE {
+    let count = u64::from_le_bytes(data[8..16].try_into().expect("8 header bytes"));
+    let body = &data[16..];
+    let expected = usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_mul(BINARY_RECORD_SIZE))
+        .ok_or_else(|| invalid(format!("record count {count} overflows the address space")))?;
+    if body.len() != expected {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
-            format!(
-                "expected {} record bytes, found {}",
-                count * BINARY_RECORD_SIZE,
-                data.data.len()
-            ),
+            format!("expected {expected} record bytes, found {}", body.len()),
         ));
     }
-    let mut trace = Trace::new();
-    for _ in 0..count {
-        let pid = ProcessId(data.u32_le());
-        let blocks = u64::from(data.u32_le());
-        let start = Nanos(data.u64_le());
-        let end = Nanos(data.u64_le());
-        let file = FileId(data.u32_le());
-        let flags = data.u8();
-        data.skip(3);
-        let (op, layer) = decode_flags(flags);
-        if end < start {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "record ends before it starts",
-            ));
-        }
-        trace.push(IoRecord::new(
-            pid,
-            op,
-            file,
-            0,
-            blocks * BLOCK_SIZE,
-            start,
-            end,
-            layer,
-        ));
+    // Collecting from `chunks_exact` allocates the exact count once and
+    // writes each record in place; an inverted record is remembered and
+    // rejected after the loop, which keeps the loop free of early exits.
+    let mut inverted = false;
+    let records: Vec<IoRecord> = body
+        .chunks_exact(BINARY_RECORD_SIZE)
+        .map(|rec| {
+            let rec: &[u8; BINARY_RECORD_SIZE] = rec.try_into().expect("exact chunk");
+            let u32_at =
+                |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4 bytes"));
+            let u64_at =
+                |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+            let (op, layer) = decode_flags(rec[28]);
+            let (start, end) = (Nanos(u64_at(8)), Nanos(u64_at(16)));
+            inverted |= end < start;
+            IoRecord {
+                pid: ProcessId(u32_at(0)),
+                op,
+                file: FileId(u32_at(24)),
+                offset: 0,
+                bytes: u64::from(u32_at(4)) * BLOCK_SIZE,
+                start,
+                end,
+                layer,
+            }
+        })
+        .collect();
+    if inverted {
+        return Err(invalid("record ends before it starts".into()));
     }
-    Ok(trace)
+    Ok(Trace::from_records(records))
 }
 
 /// Write a trace to a file in the binary format.
@@ -315,6 +290,16 @@ mod tests {
         let t = sample();
         let bin = to_binary(&t);
         assert!(from_binary(&bin[..bin.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn overflowing_record_count_is_rejected() {
+        // `count * 32` wraps to 0 for this count, which used to match the
+        // empty body and panic on the first record read.
+        let mut bin = MAGIC.to_vec();
+        bin.extend_from_slice(&(1u64 << 59).to_le_bytes());
+        let err = from_binary(&bin).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! Every check returns findings rather than failing hard — a trace with
 //! oddities is still analyzable, but the analyst should know.
 
-use bps_core::record::Layer;
+use bps_core::interval::{union_time, Interval};
+use bps_core::record::{Layer, ProcessId};
 use bps_core::time::Dur;
 use bps_core::trace::Trace;
 use serde::Serialize;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Severity of a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -41,7 +44,32 @@ impl fmt::Display for Finding {
     }
 }
 
+/// Multiplicative hashing for the process-id map: the default SipHash
+/// costs more than the rest of the per-record work, and process ids are
+/// not adversarial keys.
+#[derive(Default)]
+struct PidHasher(u64);
+
+impl Hasher for PidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Validate a trace; returns all findings (empty = clean).
+///
+/// One pass over the records counts everything the checks need and groups
+/// each process's application intervals in arrival order.
 pub fn validate(trace: &Trace) -> Vec<Finding> {
     let mut findings = Vec::new();
 
@@ -54,13 +82,33 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
         return findings;
     }
 
+    let (mut zero, mut empty_io, mut app, mut fs) = (0usize, 0usize, 0u64, 0u64);
+    let first = &trace.records()[0];
+    let (mut first_start, mut last_end) = (first.start, first.end);
+    let mut procs: Vec<(ProcessId, Vec<Interval>)> = Vec::new();
+    let mut slot_of: HashMap<ProcessId, usize, BuildHasherDefault<PidHasher>> = HashMap::default();
+    for r in trace.records() {
+        zero += usize::from(r.start == r.end);
+        empty_io += usize::from(r.bytes == 0);
+        first_start = first_start.min(r.start);
+        last_end = last_end.max(r.end);
+        match r.layer {
+            Layer::Application => app += r.bytes,
+            Layer::FileSystem => {
+                fs += r.bytes;
+                continue;
+            }
+            _ => continue,
+        }
+        let slot = *slot_of.entry(r.pid).or_insert_with(|| {
+            procs.push((r.pid, Vec::new()));
+            procs.len() - 1
+        });
+        procs[slot].1.push(r.interval());
+    }
+
     // Zero-duration records: legal, but many of them usually means the
     // clock resolution was too coarse for the I/O being measured.
-    let zero = trace
-        .records()
-        .iter()
-        .filter(|r| r.duration().is_zero())
-        .count();
     if zero > 0 {
         let frac = zero as f64 / trace.len() as f64;
         findings.push(Finding {
@@ -79,7 +127,6 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
     }
 
     // Zero-byte records.
-    let empty_io = trace.records().iter().filter(|r| r.bytes == 0).count();
     if empty_io > 0 {
         findings.push(Finding {
             severity: Severity::Warning,
@@ -90,13 +137,13 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
 
     // Per-process overlap at the application layer: a single-threaded
     // process cannot have two POSIX calls in flight; overlap suggests
-    // thread-shared pids or broken timestamps.
-    for pid in trace.pids(Layer::Application) {
-        let mut intervals: Vec<_> = trace
-            .process(Layer::Application, pid)
-            .map(|r| r.interval())
-            .collect();
-        intervals.sort_unstable_by_key(|iv| (iv.start, iv.end));
+    // thread-shared pids or broken timestamps. `Interval`'s order is
+    // `(start, end)`. A process's requests arrive nearly in order, and
+    // the stable sort merges runs: intervals already in order cost it one
+    // linear scan.
+    procs.sort_unstable_by_key(|&(pid, _)| pid);
+    for (pid, intervals) in &mut procs {
+        intervals.sort();
         let overlapping = intervals
             .windows(2)
             .filter(|w| w[1].start < w[0].end)
@@ -116,8 +163,6 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
 
     // FS layer moving less than the app required is physically impossible
     // for reads without caching; flag when both layers are instrumented.
-    let app = trace.bytes(Layer::Application);
-    let fs = trace.bytes(Layer::FileSystem);
     if fs > 0 && fs < app / 2 {
         findings.push(Finding {
             severity: Severity::Warning,
@@ -130,18 +175,33 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
     }
 
     // Giant idle fraction: execution dominated by non-I/O time is fine,
-    // but worth surfacing since BPS excludes it by design.
-    let exec = trace.execution_time();
-    let io = trace.overlapped_io_time(Layer::Application);
-    if !exec.is_zero() && io < exec / 100 && exec > Dur::from_millis(1) {
-        findings.push(Finding {
-            severity: Severity::Warning,
-            check: "mostly-idle",
-            detail: format!(
-                "only {io} of {exec} execution was I/O-active (<1%) — BPS will \
-                 reflect the I/O bursts, not the run"
-            ),
-        });
+    // but worth surfacing since BPS excludes it by design. The union is
+    // taken only when the execution is long enough to be flagged. It
+    // reuses the largest process's buffer, and the processes' sorted
+    // intervals concatenated are runs the union's sort merges.
+    let exec = trace
+        .recorded_execution_time()
+        .unwrap_or(last_end - first_start);
+    if exec > Dur::from_millis(1) {
+        procs.sort_unstable_by_key(|(_, intervals)| std::cmp::Reverse(intervals.len()));
+        let mut all = procs
+            .first_mut()
+            .map(|(_, intervals)| std::mem::take(intervals))
+            .unwrap_or_default();
+        for (_, intervals) in &procs {
+            all.extend_from_slice(intervals);
+        }
+        let io = union_time(all);
+        if io < exec / 100 {
+            findings.push(Finding {
+                severity: Severity::Warning,
+                check: "mostly-idle",
+                detail: format!(
+                    "only {io} of {exec} execution was I/O-active (<1%) — BPS will \
+                     reflect the I/O bursts, not the run"
+                ),
+            });
+        }
     }
 
     findings
@@ -155,7 +215,7 @@ pub fn is_usable(findings: &[Finding]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bps_core::record::{FileId, IoOp, IoRecord, ProcessId};
+    use bps_core::record::{FileId, IoOp, IoRecord};
     use bps_core::time::Nanos;
 
     fn rec(pid: u32, bytes: u64, s_us: u64, e_us: u64) -> IoRecord {

@@ -1,0 +1,223 @@
+//! The one-pass `validate` produces the same findings, in the same order
+//! and with the same text, as a naive reference that scans the trace once
+//! per check and once per application process.
+
+use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
+use bps_core::time::{Dur, Nanos};
+use bps_core::trace::Trace;
+use bps_trace::validate::{validate, Finding, Severity};
+use proptest::prelude::*;
+
+/// The scan-per-check validator, as written before the one-pass rewrite.
+fn reference(trace: &Trace) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    if trace.is_empty() {
+        findings.push(Finding {
+            severity: Severity::Error,
+            check: "empty",
+            detail: "trace contains no records".into(),
+        });
+        return findings;
+    }
+    let zero = trace
+        .records()
+        .iter()
+        .filter(|r| r.duration().is_zero())
+        .count();
+    if zero > 0 {
+        let frac = zero as f64 / trace.len() as f64;
+        findings.push(Finding {
+            severity: if frac > 0.5 {
+                Severity::Error
+            } else {
+                Severity::Warning
+            },
+            check: "zero-duration",
+            detail: format!(
+                "{zero} of {} records have zero duration ({:.0}% — clock too coarse?)",
+                trace.len(),
+                frac * 100.0
+            ),
+        });
+    }
+    let empty_io = trace.records().iter().filter(|r| r.bytes == 0).count();
+    if empty_io > 0 {
+        findings.push(Finding {
+            severity: Severity::Warning,
+            check: "zero-bytes",
+            detail: format!("{empty_io} records moved zero bytes"),
+        });
+    }
+    for pid in trace.pids(Layer::Application) {
+        let mut intervals: Vec<_> = trace
+            .process(Layer::Application, pid)
+            .map(|r| r.interval())
+            .collect();
+        intervals.sort_unstable_by_key(|iv| (iv.start, iv.end));
+        let overlapping = intervals
+            .windows(2)
+            .filter(|w| w[1].start < w[0].end)
+            .count();
+        if overlapping > 0 {
+            findings.push(Finding {
+                severity: Severity::Warning,
+                check: "intra-process-overlap",
+                detail: format!(
+                    "process {} has {overlapping} overlapping request pairs \
+                     (multithreaded process, or clock skew between threads)",
+                    pid.0
+                ),
+            });
+        }
+    }
+    let app = trace.bytes(Layer::Application);
+    let fs = trace.bytes(Layer::FileSystem);
+    if fs > 0 && fs < app / 2 {
+        findings.push(Finding {
+            severity: Severity::Warning,
+            check: "fs-underflow",
+            detail: format!(
+                "file system moved {fs} bytes but the application required {app} \
+                 (cache hits, or missing FS-layer records)"
+            ),
+        });
+    }
+    let exec = trace.execution_time();
+    let io = trace.overlapped_io_time(Layer::Application);
+    if !exec.is_zero() && io < exec / 100 && exec > Dur::from_millis(1) {
+        findings.push(Finding {
+            severity: Severity::Warning,
+            check: "mostly-idle",
+            detail: format!(
+                "only {io} of {exec} execution was I/O-active (<1%) — BPS will \
+                 reflect the I/O bursts, not the run"
+            ),
+        });
+    }
+    findings
+}
+
+fn rendered(findings: &[Finding]) -> Vec<(Severity, String)> {
+    findings
+        .iter()
+        .map(|f| (f.severity, f.to_string()))
+        .collect()
+}
+
+/// One generated record: pid, layer pick, bytes, start, length. Lengths
+/// and bytes are zero often; starts jump far apart sometimes, so some
+/// traces are mostly idle.
+type Raw = (u32, u8, u64, u64, u64);
+
+fn raw_record() -> impl Strategy<Value = Raw> {
+    (
+        prop_oneof![0u32..4, 0u32..64, Just(u32::MAX)],
+        0u8..8,
+        prop_oneof![Just(0u64), 1u64..1 << 20],
+        prop_oneof![0u64..2_000_000, 0u64..20_000_000_000],
+        prop_oneof![Just(0u64), 1u64..500_000],
+    )
+}
+
+/// A random multi-process trace in arbitrary (out-of-order) record order,
+/// with an execution time recorded sometimes.
+fn trace() -> impl Strategy<Value = Trace> {
+    (
+        proptest::collection::vec(raw_record(), 0..120),
+        prop_oneof![Just(None), (0u64..100_000_000_000).prop_map(Some)],
+    )
+        .prop_map(|(raws, exec)| {
+            let mut t = Trace::from_records(
+                raws.into_iter()
+                    .map(|(pid, pick, bytes, start, len)| {
+                        let layer = match pick {
+                            0..=4 => Layer::Application,
+                            5 | 6 => Layer::FileSystem,
+                            _ => Layer::Device,
+                        };
+                        IoRecord::new(
+                            ProcessId(pid),
+                            IoOp::Read,
+                            FileId(0),
+                            0,
+                            bytes,
+                            Nanos(start),
+                            Nanos(start + len),
+                            layer,
+                        )
+                    })
+                    .collect(),
+            );
+            if let Some(ns) = exec {
+                t.set_execution_time(Dur(ns));
+            }
+            t
+        })
+}
+
+/// Per-process back-to-back chains, interleaved across processes and
+/// stored in completion order, with thread-shared pids overlapping.
+fn completion_ordered_trace() -> impl Strategy<Value = Trace> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u64..50_000, 0u64..40_000, any::<bool>()), 1..60),
+        1..6,
+    )
+    .prop_map(|procs| {
+        let mut records = Vec::new();
+        for (pid, ops) in procs.into_iter().enumerate() {
+            let mut t = 0u64;
+            for (gap, len, overlap) in ops {
+                t = if overlap && pid % 2 == 1 {
+                    t.saturating_sub(gap)
+                } else {
+                    t + gap
+                };
+                records.push(IoRecord::app_read(
+                    ProcessId(pid as u32),
+                    FileId(0),
+                    0,
+                    len % 4096,
+                    Nanos(t),
+                    Nanos(t + len),
+                ));
+                t += len;
+            }
+        }
+        records.sort_by_key(|r| r.end);
+        Trace::from_records(records)
+    })
+}
+
+#[test]
+fn fixed_cases_match_reference() {
+    let rec = |pid: u32, s: u64, e: u64| {
+        IoRecord::app_read(ProcessId(pid), FileId(0), 0, 512, Nanos(s), Nanos(e))
+    };
+    let mut idle = Trace::from_records(vec![rec(0, 0, 10)]);
+    idle.set_execution_time(Dur::from_secs(10));
+    // Exactly 1 ms of execution is not long enough to be mostly idle.
+    let mut short = Trace::from_records(vec![rec(0, 0, 10)]);
+    short.set_execution_time(Dur::from_millis(1));
+    let cases = [
+        Trace::new(),
+        Trace::from_records(vec![rec(0, 5, 5), rec(0, 9, 9)]),
+        Trace::from_records(vec![rec(1, 50, 150), rec(0, 0, 100), rec(1, 0, 100)]),
+        idle,
+        short,
+    ];
+    for t in &cases {
+        assert_eq!(rendered(&validate(t)), rendered(&reference(t)));
+    }
+}
+
+proptest! {
+    #[test]
+    fn one_pass_matches_reference(t in trace()) {
+        prop_assert_eq!(rendered(&validate(&t)), rendered(&reference(&t)));
+    }
+
+    #[test]
+    fn one_pass_matches_reference_in_completion_order(t in completion_ordered_trace()) {
+        prop_assert_eq!(rendered(&validate(&t)), rendered(&reference(&t)));
+    }
+}
