@@ -13,8 +13,7 @@
 //!
 //! This library hosts shared generators so the benches stay small.
 //!
-//! Everything here, and the `bench_export` snapshot binary, measures one
-//! function or layer in isolation. End-to-end claims — what a user of
+//! Everything here measures one function or layer in isolation. End-to-end claims — what a user of
 //! `reproduce` waits for, and how it splits over the crates — come from
 //! the `benchmark` package at the repository root (`BENCHMARK.json`,
 //! `benchmark/README.md`).

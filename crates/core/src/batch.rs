@@ -1,25 +1,20 @@
 //! Structure-of-arrays record batches.
 //!
-//! An [`IoRecord`] slice is the natural unit the producers emit, but its
-//! array-of-structs layout makes the hot folds walk 56-byte strides to
-//! touch one or two fields: summing bytes, counting blocks, or reducing
-//! start/end bounds loads seven fields to use one. A [`RecordBatch`]
-//! stores the same records as parallel columns — one `Vec` per field —
-//! so a fold reads only the columns it needs, contiguously, in loops the
-//! compiler can autovectorize.
+//! A [`RecordBatch`] stores the same records as an [`IoRecord`] slice, as
+//! parallel columns — one `Vec` per field — for sinks that want to read
+//! one field across many records contiguously. It is the argument of
+//! [`RecordSink::push_columns`](crate::sink::RecordSink::push_columns).
 //!
 //! Batches are strictly a *layout* change: `push` preserves arrival
-//! order, [`RecordBatch::get`] reassembles the exact record, and every
-//! consumer ([`RecordSink::push_columns`](crate::sink::RecordSink::push_columns),
-//! [`MetricFold::fold_columns`](crate::metrics::MetricFold::fold_columns))
-//! is bit-for-bit identical to its row-wise counterpart because all the
-//! stream accumulators are integer-valued and the interval union is a
-//! canonical function of the set of inserted intervals.
+//! order and [`RecordBatch::get`] reassembles the exact record, so a sink
+//! that replays the rows through its per-record path (the default
+//! `push_columns`) observes exactly what the row batch would have given
+//! it. The metrics themselves fold rows through
+//! [`StreamingMetrics`](crate::sink::StreamingMetrics); there is no second,
+//! columnar definition of any metric.
 
-use crate::block::blocks_for_bytes;
-use crate::interval::{Interval, OnlineUnion};
 use crate::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
-use crate::time::{Dur, Nanos};
+use crate::time::Nanos;
 
 /// A batch of I/O records in structure-of-arrays layout: eight parallel
 /// columns, one entry per record, in arrival order.
@@ -32,7 +27,7 @@ use crate::time::{Dur, Nanos};
 ///     Nanos::ZERO, Nanos::from_micros(100),
 /// ));
 /// assert_eq!(batch.len(), 1);
-/// assert_eq!(batch.sum_blocks(Layer::Application), 8);
+/// assert_eq!(batch.bytes_col(), &[4096]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordBatch {
@@ -115,11 +110,6 @@ impl RecordBatch {
         }
     }
 
-    /// Reassembled records in arrival order.
-    pub fn to_records(&self) -> Vec<IoRecord> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
     /// Number of records in the batch.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -181,121 +171,6 @@ impl RecordBatch {
     pub fn files_col(&self) -> &[FileId] {
         &self.files
     }
-
-    /// `Some(layer)` when every record in a non-empty batch was observed
-    /// at the same layer — the gate for the branch-free columnar loops.
-    pub fn uniform_layer(&self) -> Option<Layer> {
-        let first = *self.layers.first()?;
-        self.layers[1..]
-            .iter()
-            .all(|&l| l == first)
-            .then_some(first)
-    }
-
-    /// Records observed at `layer`.
-    pub fn count(&self, layer: Layer) -> u64 {
-        if self.uniform_layer() == Some(layer) {
-            return self.len() as u64;
-        }
-        self.layers.iter().filter(|&&l| l == layer).count() as u64
-    }
-
-    /// Sum of the byte sizes at `layer`.
-    pub fn sum_bytes(&self, layer: Layer) -> u64 {
-        if self.uniform_layer() == Some(layer) {
-            return self.bytes.iter().sum();
-        }
-        self.rows(layer).map(|i| self.bytes[i]).sum()
-    }
-
-    /// Sum of the 512-byte block counts (each rounded up) at `layer`.
-    pub fn sum_blocks(&self, layer: Layer) -> u64 {
-        if self.uniform_layer() == Some(layer) {
-            return self.bytes.iter().map(|&b| blocks_for_bytes(b)).sum();
-        }
-        self.rows(layer)
-            .map(|i| blocks_for_bytes(self.bytes[i]))
-            .sum()
-    }
-
-    /// Sum of the per-record response times at `layer` (what ARPT
-    /// averages).
-    pub fn sum_durations(&self, layer: Layer) -> Dur {
-        if self.uniform_layer() == Some(layer) {
-            let ns: u64 = self
-                .starts
-                .iter()
-                .zip(&self.ends)
-                .map(|(s, e)| e.0 - s.0)
-                .sum();
-            return Dur(ns);
-        }
-        Dur(self
-            .rows(layer)
-            .map(|i| self.ends[i].0 - self.starts[i].0)
-            .sum())
-    }
-
-    /// Earliest start in the batch, any layer.
-    pub fn min_start(&self) -> Option<Nanos> {
-        self.starts.iter().copied().min()
-    }
-
-    /// Latest end in the batch, any layer.
-    pub fn max_end(&self) -> Option<Nanos> {
-        self.ends.iter().copied().max()
-    }
-
-    /// Insert the in-flight intervals at `layer` into `union`, in row
-    /// order, through a register-resident running hull: consecutive
-    /// overlapping-or-touching intervals fuse before the union is
-    /// touched, exactly like the row-wise batch accumulator. The union's
-    /// final state is the canonical one for the interval set regardless
-    /// of fusing, so totals match per-record insertion bit-for-bit.
-    pub fn union_into(&self, layer: Layer, union: &mut OnlineUnion) {
-        let uniform = self.uniform_layer() == Some(layer);
-        let mut run: Option<Interval> = None;
-        for i in 0..self.len() {
-            if !uniform && self.layers[i] != layer {
-                continue;
-            }
-            let iv = Interval {
-                start: self.starts[i],
-                end: self.ends[i],
-            };
-            match &mut run {
-                Some(r) if iv.start <= r.end && iv.end >= r.start => {
-                    r.start = r.start.min(iv.start);
-                    r.end = r.end.max(iv.end);
-                }
-                Some(r) => {
-                    union.insert(*r);
-                    *r = iv;
-                }
-                None => run = Some(iv),
-            }
-        }
-        if let Some(r) = run {
-            union.insert(r);
-        }
-    }
-
-    /// Overlapped I/O time at `layer`: the measure of the union of the
-    /// layer's in-flight intervals (the `T` of the BPS equation at
-    /// `Layer::Application`).
-    pub fn union_time(&self, layer: Layer) -> Dur {
-        let mut union = OnlineUnion::new();
-        self.union_into(layer, &mut union);
-        union.total()
-    }
-
-    fn rows(&self, layer: Layer) -> impl Iterator<Item = usize> + '_ {
-        self.layers
-            .iter()
-            .enumerate()
-            .filter(move |(_, &l)| l == layer)
-            .map(|(i, _)| i)
-    }
 }
 
 impl FromIterator<IoRecord> for RecordBatch {
@@ -311,7 +186,6 @@ impl FromIterator<IoRecord> for RecordBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::union_time;
 
     fn rec(layer: Layer, bytes: u64, s_us: u64, e_us: u64) -> IoRecord {
         IoRecord::new(
@@ -341,55 +215,11 @@ mod tests {
         let records = sample();
         let batch = RecordBatch::from_records(&records);
         assert_eq!(batch.len(), records.len());
-        assert_eq!(batch.to_records(), records);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(&batch.get(i), r);
         }
-    }
-
-    #[test]
-    fn columnar_reductions_match_row_wise() {
-        let records = sample();
-        let batch = RecordBatch::from_records(&records);
-        for layer in [
-            Layer::Application,
-            Layer::FileSystem,
-            Layer::Device,
-            Layer::Network,
-        ] {
-            let rows: Vec<&IoRecord> = records.iter().filter(|r| r.layer == layer).collect();
-            assert_eq!(batch.count(layer), rows.len() as u64);
-            assert_eq!(
-                batch.sum_bytes(layer),
-                rows.iter().map(|r| r.bytes).sum::<u64>()
-            );
-            assert_eq!(
-                batch.sum_blocks(layer),
-                rows.iter().map(|r| r.blocks()).sum::<u64>()
-            );
-            assert_eq!(
-                batch.sum_durations(layer),
-                rows.iter().fold(Dur::ZERO, |acc, r| acc + r.duration())
-            );
-            assert_eq!(
-                batch.union_time(layer),
-                union_time(rows.iter().map(|r| r.interval()))
-            );
-        }
-    }
-
-    #[test]
-    fn uniform_layer_detects_single_layer_batches() {
-        assert_eq!(RecordBatch::new().uniform_layer(), None);
-        let batch = RecordBatch::from_records(&sample());
-        assert_eq!(batch.uniform_layer(), None);
-        let app: RecordBatch = sample()
-            .into_iter()
-            .filter(|r| r.layer == Layer::Application)
-            .collect();
-        assert_eq!(app.uniform_layer(), Some(Layer::Application));
-        assert_eq!(app.count(Layer::Application), 3);
-        assert_eq!(app.count(Layer::FileSystem), 0);
+        let collected: RecordBatch = records.iter().copied().collect();
+        assert_eq!(collected, batch);
     }
 
     #[test]
@@ -397,22 +227,11 @@ mod tests {
         let mut batch = RecordBatch::from_records(&sample());
         batch.clear();
         assert!(batch.is_empty());
-        assert_eq!(batch.min_start(), None);
-        assert_eq!(batch.max_end(), None);
+        assert!(batch.starts_col().is_empty());
+        assert!(batch.ends_col().is_empty());
         batch.push(&rec(Layer::Application, 512, 3, 9));
         assert_eq!(batch.len(), 1);
-        assert_eq!(batch.min_start(), Some(Nanos::from_micros(3)));
-        assert_eq!(batch.max_end(), Some(Nanos::from_micros(9)));
-    }
-
-    #[test]
-    fn union_into_accumulates_across_batches() {
-        let records = sample();
-        let (a, b) = records.split_at(2);
-        let mut split = OnlineUnion::new();
-        RecordBatch::from_records(a).union_into(Layer::Application, &mut split);
-        RecordBatch::from_records(b).union_into(Layer::Application, &mut split);
-        let whole = RecordBatch::from_records(&records).union_time(Layer::Application);
-        assert_eq!(split.total(), whole);
+        assert_eq!(batch.starts_col(), &[Nanos::from_micros(3)]);
+        assert_eq!(batch.ends_col(), &[Nanos::from_micros(9)]);
     }
 }

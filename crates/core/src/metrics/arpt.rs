@@ -1,7 +1,6 @@
 //! ARPT — Average ResPonse Time (paper §II).
 
 use super::{Direction, MetricFold};
-use crate::batch::RecordBatch;
 use crate::record::Layer;
 use crate::sink::StreamingMetrics;
 
@@ -32,17 +31,6 @@ impl MetricFold for Arpt {
             return None;
         }
         let summed = acc.summed_io_time(Layer::Application);
-        Some(summed.as_secs_f64() / ops as f64)
-    }
-
-    /// Columnar mean response time: one vectorizable `end − start` sum —
-    /// ARPT needs no interval union at all.
-    fn fold_columns(&self, batch: &RecordBatch) -> Option<f64> {
-        let ops = batch.count(Layer::Application);
-        if ops == 0 {
-            return None;
-        }
-        let summed = batch.sum_durations(Layer::Application);
         Some(summed.as_secs_f64() / ops as f64)
     }
 

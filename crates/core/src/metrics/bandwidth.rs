@@ -1,7 +1,6 @@
 //! Bandwidth — data rate through the file system (paper §II).
 
 use super::{Direction, MetricFold};
-use crate::batch::RecordBatch;
 use crate::record::Layer;
 use crate::sink::StreamingMetrics;
 
@@ -60,25 +59,6 @@ impl MetricFold for Bandwidth {
             return None;
         }
         Some(bytes as f64 / MB / t.as_secs_f64())
-    }
-
-    /// Columnar byte rate with the same FS→application layer fallback as
-    /// the streaming path: a byte-column sum plus one hull pass at the
-    /// measured layer.
-    fn fold_columns(&self, batch: &RecordBatch) -> Option<f64> {
-        let layer = if batch.count(Layer::FileSystem) > 0 {
-            Layer::FileSystem
-        } else {
-            Layer::Application
-        };
-        if batch.count(layer) == 0 {
-            return None;
-        }
-        let t = batch.union_time(layer);
-        if t.is_zero() {
-            return None;
-        }
-        Some(batch.sum_bytes(layer) as f64 / MB / t.as_secs_f64())
     }
 
     fn unit(&self) -> &'static str {

@@ -1,7 +1,6 @@
 //! BPS — Blocks Per Second, the paper's contribution (equation (1)).
 
 use super::{Direction, MetricFold};
-use crate::batch::RecordBatch;
 use crate::record::Layer;
 use crate::sink::StreamingMetrics;
 
@@ -37,20 +36,6 @@ impl MetricFold for Bps {
             return None;
         }
         Some(blocks as f64 / t.as_secs_f64())
-    }
-
-    /// Columnar `B / T`: one vectorizable block-sum over the byte column
-    /// and one hull pass over the start/end columns. Same integer
-    /// operands as the streaming path, so bit-identical.
-    fn fold_columns(&self, batch: &RecordBatch) -> Option<f64> {
-        if batch.count(Layer::Application) == 0 {
-            return None;
-        }
-        let t = batch.union_time(Layer::Application);
-        if t.is_zero() {
-            return None;
-        }
-        Some(batch.sum_blocks(Layer::Application) as f64 / t.as_secs_f64())
     }
 
     fn unit(&self) -> &'static str {

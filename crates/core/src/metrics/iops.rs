@@ -1,7 +1,6 @@
 //! IOPS — Input/Output Operations Per Second (paper §II).
 
 use super::{Direction, MetricFold};
-use crate::batch::RecordBatch;
 use crate::record::Layer;
 use crate::sink::StreamingMetrics;
 
@@ -29,20 +28,6 @@ impl MetricFold for Iops {
         let ops = acc.op_count(Layer::Application);
         let t = acc.overlapped_io_time(Layer::Application);
         if ops == 0 || t.is_zero() {
-            return None;
-        }
-        Some(ops as f64 / t.as_secs_f64())
-    }
-
-    /// Columnar ops-over-time: a layer count and one hull pass over the
-    /// start/end columns; no per-row reassembly.
-    fn fold_columns(&self, batch: &RecordBatch) -> Option<f64> {
-        let ops = batch.count(Layer::Application);
-        if ops == 0 {
-            return None;
-        }
-        let t = batch.union_time(Layer::Application);
-        if t.is_zero() {
             return None;
         }
         Some(ops as f64 / t.as_secs_f64())

@@ -51,7 +51,6 @@ pub use bandwidth::Bandwidth;
 pub use bps::Bps;
 pub use iops::Iops;
 
-use crate::batch::RecordBatch;
 use crate::sink::{RecordSink, StreamingMetrics};
 use crate::trace::Trace;
 use extended::{EffectiveParallelism, IoEfficiency, LatencyPercentile, MaxQueueDepth};
@@ -152,24 +151,6 @@ pub trait MetricFold: Send + Sync {
     /// the stream has no relevant records (or the accumulator was built
     /// without this metric's [`FoldNeeds`]).
     fn finish(&self, acc: &StreamingMetrics) -> Option<f64>;
-
-    /// Evaluate the metric over one structure-of-arrays batch.
-    ///
-    /// The default reassembles each row and drives the ordinary
-    /// per-record accumulator, so every metric works on batches with no
-    /// extra code. The paper four override it with tight loops over just
-    /// the columns their formula reads — byte/block sums, response-time
-    /// sums, and the interval union — which the compiler can vectorize.
-    /// Overrides must be bit-identical to the default: all the operands
-    /// are integer sums or the canonical union measure, so any correct
-    /// columnar reduction yields exactly the operands `finish` divides.
-    fn fold_columns(&self, batch: &RecordBatch) -> Option<f64> {
-        let mut acc = StreamingMetrics::with_needs(self.needs());
-        for i in 0..batch.len() {
-            acc.on_record(&batch.get(i));
-        }
-        self.finish(&acc)
-    }
 
     /// Column header in case tables ("BW(MB/s)"); defaults to the name.
     fn col_label(&self) -> &'static str {

@@ -271,53 +271,6 @@ proptest! {
         prop_assert_eq!(trace_seq.records(), trace_col.records());
     }
 
-    /// Single-layer batches fed through `push_columns` give sums and a
-    /// union bit-identical to per-record ingestion of the same rows.
-    #[test]
-    fn push_columns_uniform_layer_fast_path(recs in records()) {
-        for layer in [Layer::Application, Layer::FileSystem, Layer::Device] {
-            let rows: Vec<IoRecord> =
-                recs.iter().filter(|r| r.layer == layer).copied().collect();
-            let mut seq = StreamingMetrics::new();
-            for r in &rows {
-                seq.on_record(r);
-            }
-            let batch = RecordBatch::from_records(&rows);
-            prop_assert!(batch.is_empty() || batch.uniform_layer() == Some(layer));
-            let mut col = StreamingMetrics::new();
-            col.push_columns(&batch);
-            prop_assert_eq!(seq.op_count(layer), col.op_count(layer));
-            prop_assert_eq!(seq.bytes(layer), col.bytes(layer));
-            prop_assert_eq!(seq.blocks(layer), col.blocks(layer));
-            prop_assert_eq!(seq.summed_io_time(layer), col.summed_io_time(layer));
-            prop_assert_eq!(
-                seq.overlapped_io_time(layer),
-                col.overlapped_io_time(layer)
-            );
-            prop_assert_eq!(seq.execution_time(), col.execution_time());
-        }
-    }
-
-    /// Every registry metric's [`MetricFold::fold_columns`] — the paper
-    /// four's vectorized overrides and the default for the rest — agrees
-    /// bit-for-bit with the per-record streaming path over the whole
-    /// stream as one batch.
-    #[test]
-    fn fold_columns_equals_per_record(recs in records()) {
-        let mut seq = StreamingMetrics::with_needs(FoldNeeds::ALL);
-        for r in &recs {
-            seq.on_record(r);
-        }
-        let batch = RecordBatch::from_records(&recs);
-        for m in registry().all() {
-            prop_assert_eq!(
-                bits(m.finish(&seq)),
-                bits(m.fold_columns(&batch)),
-                "{}: per-record vs fold_columns", m.name()
-            );
-        }
-    }
-
     /// `OnlineUnion::insert_all` is exactly per-interval insertion, under
     /// arbitrary arrival order.
     #[test]

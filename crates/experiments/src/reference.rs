@@ -253,14 +253,10 @@ fn failures_page() -> String {
 /// Environment knobs, with what they control. The single source for the
 /// generated knobs page; `cargo test -p bps-experiments` cross-checks it
 /// against the variables the code actually reads.
-pub const ENV_KNOBS: [(&str, &str); 7] = [
+pub const ENV_KNOBS: [(&str, &str); 6] = [
     (
         "BPS_THREADS",
         "sweep worker count; `--threads` outranks it, machine parallelism is the fallback",
-    ),
-    (
-        "BPS_MEMO",
-        "`0` disables the in-process (L1) case memo; anything else (or unset) leaves it on",
     ),
     (
         "BPS_CACHE",
@@ -421,7 +417,6 @@ mod tests {
         let documented: Vec<&str> = ENV_KNOBS.iter().map(|(n, _)| *n).collect();
         for expected in [
             "BPS_THREADS",
-            "BPS_MEMO",
             "BPS_CACHE",
             "BPS_CACHE_DIR",
             "BPS_CODE_FINGERPRINT",
@@ -433,6 +428,6 @@ mod tests {
                 "undocumented knob {expected}"
             );
         }
-        assert_eq!(documented.len(), 7, "document new knobs in ENV_KNOBS");
+        assert_eq!(documented.len(), 6, "document new knobs in ENV_KNOBS");
     }
 }

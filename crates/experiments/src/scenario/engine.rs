@@ -37,7 +37,6 @@ use bps_workloads::WorkloadSpec;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// What class of problem an [`EngineError`] is — mapped by the
@@ -481,15 +480,12 @@ impl fmt::Display for ScenarioOutput {
 /// [`Scale`] determines the simulated runs exactly: the workload build,
 /// cluster construction, and seed list are all pure functions of them. So
 /// a shared case simulates once per process and every later occurrence is
-/// a lookup. Disable with `BPS_MEMO=0` (the golden CI job diffs both
-/// modes).
+/// a lookup. Library callers can bypass it through [`run_with_opts`]'s
+/// `memo_on`.
 fn memo_cache() -> &'static Mutex<HashMap<String, CasePoint>> {
     static MEMO: OnceLock<Mutex<HashMap<String, CasePoint>>> = OnceLock::new();
     MEMO.get_or_init(Default::default)
 }
-
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide CLI metric selection (`reproduce --metrics a,b,c`).
 fn metric_override() -> &'static Mutex<Option<Vec<String>>> {
@@ -529,21 +525,6 @@ fn effective_selection(scenario: &Scenario) -> Result<MetricSelection, EngineErr
     referenced.extend(scenario.expect.iter().map(|e| e.metric.as_str()));
     base.with_names(&referenced)
         .map_err(|e| err(format!("scenario `{}`: {e}", scenario.name)))
-}
-
-/// Whether cross-figure memoization is on (default; `BPS_MEMO=0` turns it
-/// off).
-pub fn memo_enabled() -> bool {
-    std::env::var("BPS_MEMO").map(|v| v != "0").unwrap_or(true)
-}
-
-/// Lifetime (hits, misses) counters of the case memo — `misses` counts
-/// cases actually simulated, `hits` cases served from cache.
-pub fn memo_stats() -> (u64, u64) {
-    (
-        MEMO_HITS.load(Ordering::Relaxed),
-        MEMO_MISSES.load(Ordering::Relaxed),
-    )
 }
 
 /// Content key of a case: every field that feeds the simulation, with the
@@ -655,7 +636,7 @@ pub fn run_with(
         scenario,
         scale,
         exec,
-        memo_enabled(),
+        true,
         &RunOpts::from_globals(scenario),
     )
 }
@@ -813,8 +794,6 @@ pub fn run_with_opts(
         .filter(|&i| points[i].is_none())
         .collect();
     if memo_on {
-        MEMO_HITS.fetch_add((resolved.len() - missing.len()) as u64, Ordering::Relaxed);
-        MEMO_MISSES.fetch_add(missing.len() as u64, Ordering::Relaxed);
         bps_telemetry::add(
             bps_telemetry::Counter::CacheL1Hits,
             (resolved.len() - missing.len()) as u64,
@@ -1345,15 +1324,9 @@ mod tests {
         let cold = run_with_opts(&sc, &scale, SweepExec::new(1), true, &RunOpts::default())
             .unwrap()
             .into_cc();
-        let (hits_before, _) = memo_stats();
         let warm = run_with_opts(&sc, &scale, SweepExec::new(1), true, &RunOpts::default())
             .unwrap()
             .into_cc();
-        let (hits_after, _) = memo_stats();
-        assert!(
-            hits_after > hits_before,
-            "second run should be served from the memo ({hits_before} -> {hits_after})"
-        );
         assert_eq!(cold.cases.len(), warm.cases.len());
         for (a, b) in cold.cases.iter().zip(&warm.cases) {
             assert_eq!(a.label, b.label);
@@ -1372,6 +1345,29 @@ mod tests {
             assert_eq!(a.bps.to_bits(), b.bps.to_bits());
             assert_eq!(a.exec_s.to_bits(), b.exec_s.to_bits());
         }
+    }
+
+    #[test]
+    fn memo_is_byte_neutral_for_bundled_figures() {
+        // The second memo-on pass serves every case from the memo, as
+        // `reproduce summary` does after the figures it re-scores.
+        let scale = Scale::tiny();
+        let reports = |memo_on: bool| -> String {
+            ["fig4", "fig5", "fig9"]
+                .into_iter()
+                .map(|name| {
+                    let sc = super::super::registry::find(name).expect("bundled scenario");
+                    let out =
+                        run_with_opts(&sc, &scale, SweepExec::new(1), memo_on, &RunOpts::default())
+                            .unwrap();
+                    // The report's bytes, then every value bit-exact.
+                    format!("{out}{out:?}")
+                })
+                .collect()
+        };
+        let off = reports(false);
+        assert_eq!(off, reports(true), "memo cold");
+        assert_eq!(off, reports(true), "memo warm");
     }
 
     #[test]

@@ -194,6 +194,24 @@ fn counters_are_deterministic_and_monotone_under_threads() {
 }
 
 #[test]
+fn shared_cases_are_served_from_the_l1_memo() {
+    // `summary` re-scores every CC figure, so after fig4, fig5 and fig9
+    // their cases must come from the in-process memo.
+    let path = scratch("l1-hits.jsonl");
+    let counters = counters_of(&telemetry_lines(
+        &["fig4", "fig5", "fig9", "summary", "--tiny"],
+        &path,
+    ));
+    let hits = counters
+        .iter()
+        .find(|(k, _)| k == "cache.l1.hits")
+        .map(|&(_, v)| v)
+        .expect("cache.l1.hits counter");
+    assert!(hits > 0, "no L1 memo hits across fig4 fig5 fig9 summary");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn docs_generation_is_byte_deterministic() {
     let a = scratch("docs-a");
     let b = scratch("docs-b");

@@ -263,9 +263,15 @@ fn memo_on_and_off_agree_for_explicit_topologies() {
     ]);
     let sc = scenario(Some(topo), StorageSpec::Pvfs { servers: 3 }, 32);
     let scale = Scale::tiny();
-    std::env::set_var("BPS_MEMO", "0");
-    let off = format!("{}", run_with(&sc, &scale, SweepExec::new(2)).unwrap());
-    std::env::remove_var("BPS_MEMO");
+    let off = engine::run_with_opts(
+        &sc,
+        &scale,
+        SweepExec::new(2),
+        false,
+        &engine::RunOpts::default(),
+    )
+    .unwrap();
+    let off = format!("{off}");
     let cold = format!("{}", run_with(&sc, &scale, SweepExec::new(2)).unwrap());
     let warm = format!("{}", run_with(&sc, &scale, SweepExec::new(2)).unwrap());
     assert_eq!(off, cold);

@@ -131,3 +131,13 @@ proptest! {
         }
     }
 }
+
+/// Nesting far past the JSON parser's depth limit is an error, not a
+/// stack overflow.
+#[test]
+fn deeply_nested_json_is_an_error() {
+    let path = scratch("deep", "json");
+    std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+    assert!(load_path(&path).is_err());
+    std::fs::remove_file(&path).ok();
+}
