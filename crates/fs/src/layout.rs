@@ -74,10 +74,15 @@ impl StripeLayout {
     /// in ascending file-offset order. Adjacent stripe units that land on
     /// the same server (the single-server case) are coalesced.
     pub fn map(&self, offset: u64, len: u64) -> Vec<Chunk> {
-        let mut chunks: Vec<Chunk> = Vec::new();
-        if len == 0 {
-            return chunks;
-        }
+        let mut chunks = Vec::new();
+        self.map_into(offset, len, &mut chunks);
+        chunks
+    }
+
+    /// [`map`](Self::map) into `chunks`, which is cleared first, so a
+    /// caller can reuse one buffer across requests.
+    pub fn map_into(&self, offset: u64, len: u64, chunks: &mut Vec<Chunk>) {
+        chunks.clear();
         let n = self.servers.len() as u64;
         let mut pos = offset;
         let end = offset + len;
@@ -109,7 +114,6 @@ impl StripeLayout {
             }
             pos += piece;
         }
-        chunks
     }
 
     /// Total bytes of the file that live on layout slot `slot` for a file

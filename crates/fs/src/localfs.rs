@@ -94,7 +94,7 @@ impl LocalFs {
         now: Nanos,
     ) -> Result<Nanos, IoError> {
         let meta = &self.files[file.0 as usize];
-        if offset + len > meta.size {
+        if offset.checked_add(len).is_none_or(|end| end > meta.size) {
             return Err(IoError::BeyondEof {
                 offset,
                 len,
@@ -252,6 +252,37 @@ mod tests {
             matches!(err, IoError::BeyondEof { size: 4096, .. }),
             "{err}"
         );
+    }
+
+    /// An extent whose end overflows `u64` is past EOF, not a wrapped
+    /// small end that passes the size check.
+    #[test]
+    fn overflowing_extent_is_beyond_eof() {
+        let mut cluster = hdd_cluster();
+        let mut fs = LocalFs::new(0);
+        let f = fs.create(4096);
+        let err = fs
+            .read(
+                &mut cluster,
+                ProcessId(0),
+                f,
+                u64::MAX - 10,
+                512,
+                Nanos::ZERO,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IoError::BeyondEof {
+                    size: 4096,
+                    len: 512,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(cluster.device_stats(0).ops, 0);
     }
 
     #[test]

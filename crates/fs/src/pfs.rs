@@ -26,6 +26,8 @@ pub struct ParallelFs {
     client_overhead: Dur,
     /// Optional byte-level contents for correctness tests.
     content: Option<SparseStore>,
+    /// Stripe fan-out buffer reused by every [`io`](Self::io) call.
+    chunks: Vec<Chunk>,
 }
 
 impl ParallelFs {
@@ -39,6 +41,7 @@ impl ParallelFs {
             alloc_cursor: vec![64; server_count],
             client_overhead: Self::DEFAULT_OVERHEAD,
             content: None,
+            chunks: Vec::new(),
         }
     }
 
@@ -106,7 +109,7 @@ impl ParallelFs {
         now: Nanos,
     ) -> Result<Nanos, IoError> {
         let meta = &self.files[file.0 as usize];
-        if offset + len > meta.size {
+        if offset.checked_add(len).is_none_or(|end| end > meta.size) {
             return Err(IoError::BeyondEof {
                 offset,
                 len,
@@ -114,16 +117,19 @@ impl ParallelFs {
             });
         }
         let t0 = now + self.client_overhead;
-        let mut done = t0;
-        for chunk in meta.layout.map(offset, len) {
+        let mut chunks = std::mem::take(&mut self.chunks);
+        meta.layout.map_into(offset, len, &mut chunks);
+        let done = chunks.iter().try_fold(t0, |done, chunk| {
             let lba = meta.lba_of(chunk.slot, chunk.server_offset);
-            let chunk_done = match cluster.remote_chunk_io(pid, file, client, &chunk, lba, op, t0) {
+            let chunk_done = match cluster.remote_chunk_io(pid, file, client, chunk, lba, op, t0) {
                 Ok(t) => t,
-                Err(e) => Self::failover_chunk(cluster, pid, file, client, &chunk, lba, op, t0, e)?,
+                Err(e) => Self::failover_chunk(cluster, pid, file, client, chunk, lba, op, t0, e)?,
             };
-            done = done.max(chunk_done);
-        }
-        Ok(done)
+            Ok(done.max(chunk_done))
+        });
+        // Back on every exit path, so the next call allocates nothing.
+        self.chunks = chunks;
+        done
     }
 
     /// Reissue one failed read chunk against the next server as a degraded
@@ -208,9 +214,14 @@ mod tests {
     use crate::cluster::{ClusterConfig, DeviceSpec};
     use bps_core::record::Layer;
     use bps_sim::device::DiskSched;
+    use bps_sim::fault::{FaultPlan, Outage};
     use bps_sim::rng::Jitter;
 
     fn ram_cluster(servers: usize, clients: usize) -> Cluster {
+        faulted_ram_cluster(servers, clients, FaultPlan::none())
+    }
+
+    fn faulted_ram_cluster(servers: usize, clients: usize, fault: FaultPlan) -> Cluster {
         Cluster::new(&ClusterConfig {
             servers,
             clients,
@@ -223,9 +234,9 @@ mod tests {
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::NONE,
             seed: 3,
-            record_device_layer: false,
-            record_net_layer: false,
-            fault: bps_sim::fault::FaultPlan::none(),
+            record_device_layer: true,
+            record_net_layer: true,
+            fault,
         })
     }
 
@@ -315,6 +326,87 @@ mod tests {
         assert!(!err.is_transient());
         // Nothing was issued to any device.
         assert_eq!(cluster.device_stats(0).ops, 0);
+    }
+
+    /// An extent whose end overflows `u64` is past EOF, not a wrapped
+    /// small end that maps to no chunks.
+    #[test]
+    fn overflowing_extent_is_beyond_eof() {
+        let mut cluster = ram_cluster(2, 1);
+        let mut pfs = ParallelFs::new(2);
+        let f = pfs.create(4096, StripeLayout::default_over(2));
+        let err = pfs
+            .read(
+                &mut cluster,
+                ProcessId(0),
+                0,
+                f,
+                u64::MAX - 10,
+                512,
+                Nanos::ZERO,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IoError::BeyondEof {
+                    size: 4096,
+                    len: 512,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        for s in 0..2 {
+            assert_eq!(cluster.device_stats(s).ops, 0, "server {s}");
+        }
+    }
+
+    /// A read whose chunk hits an outage leaves the reused stripe buffer
+    /// dirty, with failover taken or with the error returned part-way
+    /// through the fan-out. The next healthy read must return what the same
+    /// read returns on a fresh `ParallelFs`.
+    #[test]
+    fn reused_stripe_buffer_is_invisible_after_outage() {
+        // Server 1 is down during the first read. In the second case its
+        // failover target, server 2, is down too, so the error propagates.
+        for down in [vec![1], vec![1, 2]] {
+            let plan = down.iter().fold(FaultPlan::none(), |plan, &server| {
+                plan.with_outage(Outage {
+                    server,
+                    start: Nanos::ZERO,
+                    end: Nanos::from_millis(5),
+                })
+            });
+            let run = |reuse: bool| {
+                let mut cluster = faulted_ram_cluster(4, 1, plan.clone());
+                let mut pfs = ParallelFs::new(4);
+                let f = pfs.create(16 << 20, StripeLayout::default_over(4));
+                let faulted = pfs.read(&mut cluster, ProcessId(0), 0, f, 0, 1 << 20, Nanos::ZERO);
+                let faulted_records = cluster.take_trace().records().to_vec();
+                if !reuse {
+                    pfs = ParallelFs::new(4);
+                    pfs.create(16 << 20, StripeLayout::default_over(4));
+                }
+                let at = Nanos::from_millis(50);
+                let healthy = pfs.read(&mut cluster, ProcessId(0), 0, f, 5000, 3 << 16, at);
+                let records = cluster.take_trace().records().to_vec();
+                (faulted, faulted_records, healthy, records)
+            };
+            let reused = run(true);
+            let (faulted, faulted_records, healthy, records) = &reused;
+            assert_eq!(faulted.is_ok(), down.len() == 1, "{faulted:?}");
+            assert!(faulted_records.iter().any(|r| r.layer == Layer::Retry));
+            assert!(healthy.is_ok());
+            assert_eq!(
+                records
+                    .iter()
+                    .filter(|r| r.layer == Layer::FileSystem)
+                    .count(),
+                4
+            );
+            assert_eq!(reused, run(false), "down {down:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests: stripe mapping is an exact partition, and content
-//! round-trips through the sparse store.
+//! Property tests: stripe mapping is an exact partition, a reused mapping
+//! buffer is invisible, and content round-trips through the sparse store.
 
 use bps_core::record::FileId;
 use bps_fs::content::SparseStore;
@@ -64,6 +64,25 @@ proptest! {
         let first: u64 = l.map(offset, a).iter().map(|c| c.len).sum();
         let second: u64 = l.map(offset + a, b).iter().map(|c| c.len).sum();
         prop_assert_eq!(combined, first + second);
+    }
+
+    /// `map_into` a buffer left dirty by earlier maps, over this layout or
+    /// another, gives exactly what `map` gives.
+    #[test]
+    fn map_into_dirty_buffer_matches_map(
+        l in layout(),
+        other in layout(),
+        earlier in proptest::collection::vec((0u64..2_000_000, 0u64..2_000_000), 0..4),
+        offset in 0u64..2_000_000,
+        len in 0u64..2_000_000,
+    ) {
+        let mut buf = Vec::new();
+        for (i, &(o, n)) in earlier.iter().enumerate() {
+            let prior = if i % 2 == 0 { &l } else { &other };
+            prior.map_into(o, n, &mut buf);
+        }
+        l.map_into(offset, len, &mut buf);
+        prop_assert_eq!(buf, l.map(offset, len));
     }
 
     /// Sparse store: write-then-read returns exactly what was written,

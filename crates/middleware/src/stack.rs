@@ -18,6 +18,7 @@ use bps_core::trace::Trace;
 use bps_fs::cluster::Cluster;
 use bps_fs::localfs::LocalFs;
 use bps_fs::pfs::ParallelFs;
+use bps_sim::resource::ByteRate;
 use std::collections::HashMap;
 
 /// The shared bounded-backoff retry policy; lives in
@@ -130,9 +131,8 @@ pub struct IoStack<S: RecordSink = Trace> {
     pub sieving: SievingConfig,
     /// Sequential read-ahead; `None` disables prefetching.
     pub prefetch: Option<PrefetchConfig>,
-    /// Memory-copy rate for prefetch hits and sieving extraction,
-    /// bytes/second.
-    pub memcpy_rate: u64,
+    /// Memory-copy rate for prefetch hits and sieving extraction.
+    pub memcpy_rate: ByteRate,
     /// Barrier state for collective calls (group size 0 = disabled).
     pub collective: crate::collective_exec::CollectiveState,
     /// Timeout/retry/backoff behavior for faulted requests.
@@ -151,7 +151,7 @@ impl<S: RecordSink> IoStack<S> {
             backend,
             sieving: SievingConfig::romio_default(),
             prefetch: None,
-            memcpy_rate: 10_000_000_000,
+            memcpy_rate: ByteRate::new(10_000_000_000),
             collective: crate::collective_exec::CollectiveState::default(),
             retry: RetryPolicy::default(),
             abandoned_ops: 0,
@@ -159,8 +159,8 @@ impl<S: RecordSink> IoStack<S> {
         }
     }
 
-    pub(crate) fn memcpy_cost(&self, bytes: u64) -> Dur {
-        Dur::for_bytes(bytes, self.memcpy_rate)
+    pub(crate) fn memcpy_cost(&mut self, bytes: u64) -> Dur {
+        self.memcpy_rate.price(bytes)
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -14,6 +14,7 @@
 //!   which is exactly what makes IOPS mislead in the paper's Figure 7.
 
 use super::{DeviceModel, DeviceReq, DiskSched, ServiceCtx};
+use crate::resource::ByteRate;
 use bps_core::block::BLOCK_SIZE;
 use bps_core::time::{Dur, NANOS_PER_SEC};
 
@@ -68,6 +69,8 @@ impl HddProfile {
 #[derive(Debug, Clone)]
 pub struct Hdd {
     profile: HddProfile,
+    /// The profile's sustained rate.
+    rate: ByteRate,
     /// LBA one past the end of the last request (streaming detector).
     head_lba: u64,
 }
@@ -76,6 +79,7 @@ impl Hdd {
     /// New disk with the head parked at LBA 0.
     pub fn new(profile: HddProfile) -> Self {
         Hdd {
+            rate: ByteRate::new(profile.sustained_rate),
             profile,
             head_lba: 0,
         }
@@ -92,10 +96,6 @@ impl Hdd {
         let t2t = self.profile.track_to_track_seek.as_secs_f64();
         let full = self.profile.full_stroke_seek.as_secs_f64();
         Dur::from_secs_f64(t2t + (full - t2t) * frac.sqrt())
-    }
-
-    fn transfer_time(&self, bytes: u64) -> Dur {
-        Dur::for_bytes(bytes, self.profile.sustained_rate)
     }
 }
 
@@ -126,7 +126,7 @@ impl DeviceModel for Hdd {
             }
         };
         self.head_lba = req.lba + req.blocks;
-        positional + self.transfer_time(req.bytes()) + self.profile.controller_overhead
+        positional + self.rate.price(req.bytes()) + self.profile.controller_overhead
     }
 
     fn capacity_blocks(&self) -> u64 {

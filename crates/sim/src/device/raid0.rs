@@ -10,6 +10,7 @@
 
 use super::hdd::HddProfile;
 use super::{DeviceModel, DeviceReq, DiskSched, ServiceCtx};
+use crate::resource::ByteRate;
 use bps_core::block::BLOCK_SIZE;
 use bps_core::time::Dur;
 
@@ -18,6 +19,8 @@ use bps_core::time::Dur;
 pub struct Raid0 {
     member: HddProfile,
     members: usize,
+    /// One member's sustained rate.
+    rate: ByteRate,
     /// Array-level head position (members move together under striping).
     head_lba: u64,
 }
@@ -27,6 +30,7 @@ impl Raid0 {
     pub fn new(member: HddProfile, members: usize) -> Self {
         assert!(members >= 1, "an array needs at least one member");
         Raid0 {
+            rate: ByteRate::new(member.sustained_rate),
             member,
             members,
             head_lba: 0,
@@ -73,7 +77,7 @@ impl DeviceModel for Raid0 {
         // Transfer is striped over all members; positional cost is paid in
         // parallel by the members, so it is counted once.
         let share = req.bytes().div_ceil(self.members as u64);
-        let transfer = Dur::for_bytes(share, self.member.sustained_rate);
+        let transfer = self.rate.price(share);
         positional + transfer + self.member.controller_overhead
     }
 

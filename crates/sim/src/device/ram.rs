@@ -2,6 +2,7 @@
 //! of the page cache's hit path.
 
 use super::{DeviceModel, DeviceReq, ServiceCtx};
+use crate::resource::ByteRate;
 use bps_core::block::BLOCK_SIZE;
 use bps_core::time::Dur;
 
@@ -9,7 +10,7 @@ use bps_core::time::Dur;
 #[derive(Debug, Clone)]
 pub struct Ram {
     fixed: Dur,
-    rate: u64,
+    rate: ByteRate,
     capacity: u64,
 }
 
@@ -20,7 +21,7 @@ impl Ram {
         assert!(rate > 0, "transfer rate must be positive");
         Ram {
             fixed,
-            rate,
+            rate: ByteRate::new(rate),
             capacity,
         }
     }
@@ -32,7 +33,7 @@ impl DeviceModel for Ram {
     }
 
     fn service_time(&mut self, req: &DeviceReq, _ctx: &mut ServiceCtx<'_>) -> Dur {
-        self.fixed + Dur::for_bytes(req.bytes(), self.rate)
+        self.fixed + self.rate.price(req.bytes())
     }
 
     fn capacity_blocks(&self) -> u64 {

@@ -8,6 +8,7 @@
 //! 22.35 ms at 4 MB ⇒ ~190 MB/s effective streaming).
 
 use super::{DeviceModel, DeviceReq, ServiceCtx};
+use crate::resource::ByteRate;
 use bps_core::block::BLOCK_SIZE;
 use bps_core::record::IoOp;
 use bps_core::time::Dur;
@@ -47,13 +48,18 @@ impl SsdProfile {
 #[derive(Debug, Clone)]
 pub struct Ssd {
     profile: SsdProfile,
+    /// The profile's per-channel rate.
+    rate: ByteRate,
 }
 
 impl Ssd {
     /// New SSD from a profile.
     pub fn new(profile: SsdProfile) -> Self {
         assert!(profile.channels >= 1, "SSD needs at least one channel");
-        Ssd { profile }
+        Ssd {
+            rate: ByteRate::new(profile.channel_rate),
+            profile,
+        }
     }
 }
 
@@ -67,7 +73,7 @@ impl DeviceModel for Ssd {
             IoOp::Read => self.profile.read_latency,
             IoOp::Write => self.profile.write_latency,
         };
-        latency + Dur::for_bytes(req.bytes(), self.profile.channel_rate)
+        latency + self.rate.price(req.bytes())
     }
 
     fn channels(&self) -> usize {

@@ -20,14 +20,14 @@
 //! throughput, but it gives ARPT the gentle upward drift under concurrency
 //! that the paper's Figure 10 shows.
 
-use crate::resource::{FifoResource, Grant, ResourceStats};
+use crate::resource::{ByteRate, FifoResource, Grant, ResourceStats};
 use bps_core::time::{Dur, Nanos};
 
 /// A simplex point-to-point link (one NIC direction).
 #[derive(Debug, Clone)]
 pub struct Link {
     latency: Dur,
-    bandwidth: u64,
+    rate: ByteRate,
     queue: FifoResource,
 }
 
@@ -37,7 +37,7 @@ impl Link {
         assert!(bandwidth > 0, "link bandwidth must be positive");
         Link {
             latency,
-            bandwidth,
+            rate: ByteRate::new(bandwidth),
             queue: FifoResource::new(),
         }
     }
@@ -48,18 +48,12 @@ impl Link {
         Link::new(Dur::from_micros(80), 117_000_000)
     }
 
-    /// Serialization time of `bytes` through this link's bandwidth.
-    pub fn serialization(&self, bytes: u64) -> Dur {
-        Dur::for_bytes(bytes, self.bandwidth)
-    }
-
     /// Transfer `bytes` arriving at the NIC at `arrival`. Returns the
     /// instant the last byte is delivered at the far end: queueing +
     /// serialization, then latency.
     pub fn transfer(&mut self, arrival: Nanos, bytes: u64) -> Nanos {
-        let g: Grant = self
-            .queue
-            .acquire_bytes(arrival, self.serialization(bytes), bytes);
+        let serialization = self.rate.price(bytes);
+        let g: Grant = self.queue.acquire_bytes(arrival, serialization, bytes);
         g.end + self.latency
     }
 
@@ -75,7 +69,7 @@ impl Link {
 
     /// Bandwidth in bytes/second.
     pub fn bandwidth(&self) -> u64 {
-        self.bandwidth
+        self.rate.rate()
     }
 
     /// Short human description, e.g. `117 MB/s, 80.00us one-way`
@@ -83,7 +77,7 @@ impl Link {
     pub fn describe(&self) -> String {
         format!(
             "{} MB/s, {} one-way",
-            self.bandwidth / 1_000_000,
+            self.bandwidth() / 1_000_000,
             self.latency
         )
     }
@@ -94,7 +88,7 @@ impl Link {
 #[derive(Debug, Clone)]
 pub struct Switch {
     forwarding: Dur,
-    aggregate_bandwidth: u64,
+    aggregate_bandwidth: ByteRate,
     /// Extra delay per concurrently active message.
     congestion_per_msg: Dur,
     /// Decay window of the message-rate estimator.
@@ -113,7 +107,7 @@ impl Switch {
         assert!(aggregate_bandwidth > 0, "switch bandwidth must be positive");
         Switch {
             forwarding,
-            aggregate_bandwidth,
+            aggregate_bandwidth: ByteRate::new(aggregate_bandwidth),
             congestion_per_msg: Dur::from_micros(4),
             window: Dur::from_millis(1),
             recent_load: 0.0,
@@ -153,7 +147,7 @@ impl Switch {
         self.recent_load += 1.0;
         self.ops += 1;
         self.bytes += bytes;
-        arrival + self.forwarding + Dur::for_bytes(bytes, self.aggregate_bandwidth) + penalty
+        arrival + self.forwarding + self.aggregate_bandwidth.price(bytes) + penalty
     }
 
     /// Messages forwarded.

@@ -47,6 +47,51 @@ impl ResourceStats {
     }
 }
 
+/// A transfer rate in bytes per second that prices each size once.
+///
+/// [`price`](ByteRate::price) returns exactly `Dur::for_bytes(bytes,
+/// rate)`, and remembers the last two sizes it priced, so the conversion
+/// runs only on a size change. Two entries, because a switch carries a
+/// small request and then a large reply for every chunk. The rate is fixed
+/// at construction, so the memo can never go stale.
+#[derive(Debug, Clone)]
+pub struct ByteRate {
+    rate: u64,
+    /// Most recent size first. `(0, ZERO)` is exact: zero bytes take no
+    /// time at any rate.
+    memo: [(u64, Dur); 2],
+}
+
+impl ByteRate {
+    /// A rate of `rate` bytes per second.
+    pub fn new(rate: u64) -> Self {
+        ByteRate {
+            rate,
+            memo: [(0, Dur::ZERO); 2],
+        }
+    }
+
+    /// The rate in bytes per second.
+    pub fn rate(&self) -> u64 {
+        self.rate
+    }
+
+    /// Time to move `bytes` at this rate: `Dur::for_bytes(bytes, rate)`.
+    #[inline]
+    pub fn price(&mut self, bytes: u64) -> Dur {
+        if self.memo[0].0 == bytes {
+            return self.memo[0].1;
+        }
+        if self.memo[1].0 == bytes {
+            self.memo.swap(0, 1);
+            return self.memo[0].1;
+        }
+        let d = Dur::for_bytes(bytes, self.rate);
+        self.memo = [(bytes, d), self.memo[0]];
+        d
+    }
+}
+
 /// A single non-preemptive FIFO server.
 #[derive(Debug, Clone, Default)]
 pub struct FifoResource {

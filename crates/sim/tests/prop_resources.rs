@@ -5,7 +5,7 @@ use bps_core::time::{Dur, Nanos};
 use bps_sim::device::hdd::{Hdd, HddProfile};
 use bps_sim::device::ssd::{Ssd, SsdProfile};
 use bps_sim::device::{DeviceModel, DeviceReq, DiskSched, ServiceCtx};
-use bps_sim::resource::{FifoResource, MultiChannel};
+use bps_sim::resource::{ByteRate, FifoResource, MultiChannel};
 use bps_sim::rng::{Jitter, SimRng};
 use proptest::prelude::*;
 
@@ -87,6 +87,32 @@ proptest! {
         let a = ssd.service_time(&DeviceReq { lba: lba_a, blocks, op: IoOp::Read }, &mut ctx);
         let b = ssd.service_time(&DeviceReq { lba: lba_b, blocks, op: IoOp::Read }, &mut ctx);
         prop_assert_eq!(a, b);
+    }
+
+    /// Every price a `ByteRate` quotes is `Dur::for_bytes` bit for bit.
+    /// Sizes come from a small alphabet, so the two-entry memo hits,
+    /// misses and evicts; the first price is of 0 bytes, its initial entry.
+    #[test]
+    fn byte_rate_price_is_exact(
+        rate in prop_oneof![
+            Just(117_000_000u64),
+            Just(6_000_000_000),
+            Just(95_000_000),
+            Just(190_000_000),
+            Just(10_000_000_000),
+            1u64..100_000_000_000,
+            1u64..=u64::MAX,
+        ],
+        alphabet in proptest::collection::vec(
+            prop_oneof![0u64..(64 << 20), any::<u64>()], 1..=5),
+        picks in proptest::collection::vec(any::<usize>(), 1..200),
+    ) {
+        let mut memo = ByteRate::new(rate);
+        prop_assert_eq!(memo.price(0).0, Dur::for_bytes(0, rate).0);
+        for pick in picks {
+            let bytes = alphabet[pick % alphabet.len()];
+            prop_assert_eq!(memo.price(bytes).0, Dur::for_bytes(bytes, rate).0, "{} B at {} B/s", bytes, rate);
+        }
     }
 
     /// Log-normal jitter is positive, and sigma=0 is the identity.

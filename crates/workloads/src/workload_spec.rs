@@ -269,7 +269,9 @@ impl WorkloadSpec {
             WorkloadSpec::Replay { path } => {
                 let trace = bps_trace::format::load_path(Path::new(&path))
                     .map_err(|e| BuildError(format!("cannot load trace `{path}`: {e}")))?;
-                Ok(Box::new(Replay::from_trace(&trace)))
+                let replay = Replay::from_trace(&trace)
+                    .map_err(|e| BuildError(format!("cannot replay trace `{path}`: {e}")))?;
+                Ok(Box::new(replay))
             }
         }
     }
@@ -411,6 +413,37 @@ mod tests {
             Ok(_) => panic!("expected missing-file error"),
         };
         assert!(err.contains("/nonexistent/trace.bpstrace"), "{err}");
+    }
+
+    #[test]
+    fn replay_build_reports_overflowing_record() {
+        use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
+        use bps_core::time::Nanos;
+        use bps_core::trace::Trace;
+        let dir = std::env::temp_dir().join(format!("bps_replay_spec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("overflow.json");
+        let record = IoRecord::new(
+            ProcessId(2),
+            IoOp::Read,
+            FileId(0),
+            u64::MAX - 10,
+            512,
+            Nanos::ZERO,
+            Nanos::from_micros(5),
+            Layer::Application,
+        );
+        bps_trace::format::store_path(&Trace::from_records(vec![record]), &path).unwrap();
+        let spec = WorkloadSpec::Replay {
+            path: path.display().to_string(),
+        };
+        let err = match spec.build() {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("expected an overflow error"),
+        };
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(err.contains("overflow.json"), "{err}");
+        assert!(err.contains("record 0 (pid 2, file 0"), "{err}");
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() -> std::io::Result<()> {
     );
 
     // 2. Distill the access pattern.
-    let replay = Replay::from_trace(&recorded);
+    let replay = Replay::from_trace(&recorded).expect("recorded extents fit in u64");
     println!(
         "\nreplaying {} processes / {} file(s) through simulated configurations:\n",
         replay.processes(),
