@@ -7,6 +7,7 @@
 //! bytes between regions.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A byte range `[offset, offset + len)` within a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -52,12 +53,14 @@ impl Extent {
 /// Sort extents by offset and merge overlapping or touching neighbours,
 /// dropping empty ones. The result is a minimal disjoint ascending cover of
 /// the same bytes.
-pub fn normalize(extents: &[Extent]) -> Vec<Extent> {
-    // Region lists usually arrive ascending and disjoint already (HPIO's
-    // strided regions, an earlier normalize's output): one linear check
-    // then stands in for the sort and merge, which would change nothing.
+///
+/// Region lists usually arrive ascending and disjoint already (HPIO's
+/// strided regions, an earlier normalize's output). One linear check then
+/// stands in for the sort and merge, which would change nothing, and the
+/// input comes back borrowed; only a list that needs work is copied.
+pub fn normalize(extents: &[Extent]) -> Cow<'_, [Extent]> {
     if is_normalized(extents) {
-        return extents.to_vec();
+        return Cow::Borrowed(extents);
     }
     let mut v: Vec<Extent> = extents.iter().copied().filter(|e| !e.is_empty()).collect();
     // A stable sort merges the ascending runs that concatenated
@@ -74,7 +77,7 @@ pub fn normalize(extents: &[Extent]) -> Vec<Extent> {
             _ => out.push(e),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// True when `extents` is already what [`normalize`] returns for it:
@@ -119,20 +122,22 @@ mod tests {
 
     #[test]
     fn normalize_merges_and_sorts() {
-        let n = normalize(&[e(10, 5), e(0, 5), e(14, 6), e(30, 0)]);
+        let input = [e(10, 5), e(0, 5), e(14, 6), e(30, 0)];
+        let n = normalize(&input);
         assert_eq!(n, vec![e(0, 5), e(10, 10)]);
         assert_eq!(covered_bytes(&n), 15);
     }
 
     #[test]
     fn touching_extents_merge() {
-        let n = normalize(&[e(0, 5), e(5, 5)]);
-        assert_eq!(n, vec![e(0, 10)]);
+        let input = [e(0, 5), e(5, 5)];
+        assert_eq!(normalize(&input), vec![e(0, 10)]);
     }
 
     #[test]
     fn hull_and_holes() {
-        let n = normalize(&[e(0, 4), e(10, 4), e(20, 4)]);
+        let input = [e(0, 4), e(10, 4), e(20, 4)];
+        let n = normalize(&input);
         assert_eq!(hull(&n), Some(e(0, 24)));
         assert_eq!(holes(&n), vec![e(4, 6), e(14, 6)]);
         // Hole bytes + covered bytes = hull bytes.
@@ -196,7 +201,8 @@ mod tests {
             let n = normalize(&v);
             assert_eq!(n, reference(&v), "{v:?}");
             assert!(is_normalized(&n));
-            assert_eq!(normalize(&n), n);
+            // A normalized list comes back borrowed, not copied.
+            assert!(matches!(normalize(&n), Cow::Borrowed(b) if b.as_ptr() == n.as_ptr()));
         }
         assert!(is_normalized(&[]));
         assert!(!is_normalized(&[e(0, 0)]));
@@ -206,7 +212,7 @@ mod tests {
 
     #[test]
     fn nested_extents_normalize() {
-        let n = normalize(&[e(0, 100), e(10, 5), e(50, 200)]);
-        assert_eq!(n, vec![e(0, 250)]);
+        let input = [e(0, 100), e(10, 5), e(50, 200)];
+        assert_eq!(normalize(&input), vec![e(0, 250)]);
     }
 }

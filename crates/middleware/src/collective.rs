@@ -48,26 +48,34 @@ pub fn plan_collective_read(requests: &[Vec<Extent>], aggregator_count: usize) -
     let nprocs = requests.len();
     let nagg = aggregator_count.clamp(1, nprocs.max(1));
     // Each process's wanted bytes, normalized once for every domain.
-    let owned: Vec<Vec<Extent>> = requests.iter().map(|r| extent::normalize(r)).collect();
+    let owned: Vec<_> = requests.iter().map(|r| extent::normalize(r)).collect();
     let required: Vec<u64> = owned.iter().map(|o| extent::covered_bytes(o)).collect();
-    // The merged set of wanted bytes.
-    let all: Vec<Extent> = requests.iter().flatten().copied().collect();
-    let wanted = extent::normalize(&all);
-    let total: u64 = extent::covered_bytes(&wanted);
-    if total == 0 {
-        return CollectivePlan {
-            aggregators: Vec::new(),
-            read_bytes: 0,
-            exchange_bytes: 0,
-            required,
-        };
-    }
+    // The hull of the merged wanted bytes, from each list's first and last
+    // extents; no wanted bytes at all means nothing to plan.
+    let start = owned
+        .iter()
+        .filter_map(|o| o.first())
+        .map(|e| e.offset)
+        .min();
+    let end = owned.iter().filter_map(|o| o.last()).map(|e| e.end()).max();
+    let hull = match (start, end) {
+        (Some(start), Some(end)) => Extent::new(start, end - start),
+        _ => {
+            return CollectivePlan {
+                aggregators: Vec::new(),
+                read_bytes: 0,
+                exchange_bytes: 0,
+                required,
+            }
+        }
+    };
     // Split the hull into equal file domains.
-    let hull = extent::hull(&wanted).expect("non-empty");
     let domain = hull.len.div_ceil(nagg as u64).max(1);
     let mut aggregators = Vec::with_capacity(nagg);
     let mut read_bytes = 0;
     let mut exchange_bytes = 0;
+    // Every process's pieces of the current domain, reused across domains.
+    let mut pieces: Vec<Extent> = Vec::new();
     for a in 0..nagg {
         let dom_start = hull.offset + a as u64 * domain;
         let dom_end = (dom_start + domain).min(hull.end());
@@ -75,24 +83,29 @@ pub fn plan_collective_read(requests: &[Vec<Extent>], aggregator_count: usize) -
             break;
         }
         let dom = Extent::new(dom_start, dom_end - dom_start);
-        // Clip the wanted set to this domain, then cover it with large
-        // sieve-style reads (this is what makes two-phase I/O win: the
-        // aggregator turns everyone's fine-grained pieces into a few big
-        // contiguous requests).
-        let clipped: Vec<Extent> = clip_all(&wanted, &dom).collect();
-        let reads = covering_reads(&clipped, COLLECTIVE_BUFFER);
-        let dom_read: u64 = reads.iter().map(|e| e.len).sum();
-        read_bytes += dom_read;
-        // Exchange volume: bytes of each process's request inside the domain,
-        // except the aggregator's own bytes (delivered locally).
+        // Gather each process's request inside the domain. Its bytes are
+        // the exchange volume, except the aggregator's own (delivered
+        // locally).
+        pieces.clear();
         let mut exchanges = Vec::new();
         for (p, regions) in owned.iter().enumerate() {
-            let bytes: u64 = clip_all(regions, &dom).map(|e| e.len).sum();
+            let from = pieces.len();
+            pieces.extend(clip_all(regions, &dom));
+            let bytes: u64 = pieces[from..].iter().map(|e| e.len).sum();
             if bytes > 0 && p != a {
                 exchanges.push((p, bytes));
                 exchange_bytes += bytes;
             }
         }
+        // Cover the domain's wanted bytes with large sieve-style reads
+        // (this is what makes two-phase I/O win: the aggregator turns
+        // everyone's fine-grained pieces into a few big contiguous
+        // requests). Clipping commutes with union and `normalize` returns
+        // the one canonical cover of a byte set, so this equals the merged
+        // wanted set clipped to the domain. It borrows when the pieces
+        // already come in order, as a block partition's do.
+        let reads = covering_reads(&extent::normalize(&pieces), COLLECTIVE_BUFFER);
+        read_bytes += reads.iter().map(|e| e.len).sum::<u64>();
         aggregators.push(AggregatorPlan {
             aggregator: a,
             reads,

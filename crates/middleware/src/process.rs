@@ -148,7 +148,7 @@ impl AppProcess {
                 let plan = stack.plan_noncontig(&regions);
                 self.pending = Some(PendingNoncontig {
                     file: self.files[file],
-                    fs_reads: plan.fs_reads.into_iter().collect(),
+                    fs_reads: VecDeque::from(plan.fs_reads),
                     required: plan.required,
                     moved: plan.moved,
                     sieved: plan.sieved,

@@ -81,7 +81,8 @@ pub fn covering_reads(regions: &[Extent], buffer: u64) -> Vec<Extent> {
     };
     while i < regions.len() {
         let start = pos.max(regions[i].offset);
-        let limit = start + buffer;
+        // Saturating is exact: a sum past `u64::MAX` lies beyond every end.
+        let limit = start.saturating_add(buffer);
         let mut end = start;
         while i < regions.len() && regions[i].offset < limit {
             if regions[i].end() <= limit {
@@ -116,42 +117,27 @@ pub fn covering_reads(regions: &[Extent], buffer: u64) -> Vec<Extent> {
 pub fn plan_read(regions: &[Extent], cfg: &SievingConfig) -> SievePlan {
     let normalized = extent::normalize(regions);
     let required = extent::covered_bytes(&normalized);
-    let direct = || SievePlan {
-        fs_reads: normalized.clone(),
-        required,
-        moved: required,
-        sieved: false,
-    };
-    if normalized.len() <= 1 {
-        // Contiguous (or empty): nothing to sieve.
-        return direct();
-    }
-    match cfg.mode {
-        SieveMode::Disabled => direct(),
-        SieveMode::Enabled => {
-            let fs_reads = covering_reads(&normalized, cfg.buffer_size.max(1));
-            let moved = fs_reads.iter().map(|e| e.len).sum();
-            SievePlan {
+    // A contiguous (or empty) request has nothing to sieve.
+    if normalized.len() > 1 && cfg.mode != SieveMode::Disabled {
+        let fs_reads = covering_reads(&normalized, cfg.buffer_size.max(1));
+        let moved: u64 = fs_reads.iter().map(|e| e.len).sum();
+        // `required` > 0 here: more than one non-empty region.
+        let waste = moved as f64 / required as f64;
+        if cfg.mode == SieveMode::Enabled || waste <= cfg.auto_waste_limit {
+            return SievePlan {
                 fs_reads,
                 required,
                 moved,
                 sieved: true,
-            }
+            };
         }
-        SieveMode::Auto => {
-            let fs_reads = covering_reads(&normalized, cfg.buffer_size.max(1));
-            let moved: u64 = fs_reads.iter().map(|e| e.len).sum();
-            if required > 0 && moved as f64 / required as f64 <= cfg.auto_waste_limit {
-                SievePlan {
-                    fs_reads,
-                    required,
-                    moved,
-                    sieved: true,
-                }
-            } else {
-                direct()
-            }
-        }
+    }
+    // The direct plan is the only one that copies the regions.
+    SievePlan {
+        fs_reads: normalized.into_owned(),
+        required,
+        moved: required,
+        sieved: false,
     }
 }
 
@@ -166,7 +152,7 @@ pub fn extract<F: FnMut(Extent) -> Vec<u8>>(
     // Materialize each planned read once.
     let buffers: Vec<(Extent, Vec<u8>)> = plan.fs_reads.iter().map(|e| (*e, fetch(*e))).collect();
     let mut out = Vec::with_capacity(plan.required as usize);
-    for region in extent::normalize(regions) {
+    for region in extent::normalize(regions).iter() {
         let mut pos = region.offset;
         while pos < region.end() {
             let (cover, bytes) = buffers
@@ -256,6 +242,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn unbounded_buffer_does_not_overflow() {
+        // `start + buffer` is past u64::MAX: one read covers the hull.
+        let regions = vec![
+            Extent::new(1 << 40, 256),
+            Extent::new((1 << 40) + 1280, 256),
+        ];
+        let plan = plan_read(&regions, &cfg(SieveMode::Enabled, u64::MAX));
+        assert_eq!(plan.fs_reads, vec![Extent::new(1 << 40, 1536)]);
+        let top = vec![
+            Extent::new(u64::MAX - 100, 10),
+            Extent::new(u64::MAX - 50, 50),
+        ];
+        assert_eq!(
+            covering_reads(&top, 4 << 20),
+            vec![Extent::new(u64::MAX - 100, 100)]
+        );
     }
 
     #[test]

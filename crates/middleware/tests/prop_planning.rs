@@ -1,0 +1,291 @@
+//! Reference proptests for the middleware planners.
+//!
+//! `normalize` borrows a list that is already normalized, `plan_read`
+//! copies only the direct plan's reads, and the two-phase planner clips
+//! each process's list into one reused piece buffer instead of normalizing
+//! the concatenation of every request. The copying planners they replaced
+//! are kept below as references; every plan must equal theirs field by
+//! field.
+
+use bps_core::extent::{self, Extent};
+use bps_middleware::collective::{
+    plan_collective_read, AggregatorPlan, CollectivePlan, COLLECTIVE_BUFFER,
+};
+use bps_middleware::sieving::{plan_read, SieveMode, SievePlan, SievingConfig};
+use proptest::prelude::*;
+use std::borrow::Cow;
+
+mod reference {
+    use super::*;
+
+    /// The copying `normalize`: an already normalized list is copied,
+    /// anything else sorted and merged.
+    pub fn normalize(extents: &[Extent]) -> Vec<Extent> {
+        let normalized = extents.iter().all(|e| !e.is_empty())
+            && extents.windows(2).all(|w| w[0].end() < w[1].offset);
+        if normalized {
+            return extents.to_vec();
+        }
+        let mut v: Vec<Extent> = extents.iter().copied().filter(|e| !e.is_empty()).collect();
+        v.sort();
+        let mut out: Vec<Extent> = Vec::with_capacity(v.len());
+        for e in v {
+            match out.last_mut() {
+                Some(last) if e.offset <= last.end() => {
+                    let end = last.end().max(e.end());
+                    last.len = end - last.offset;
+                }
+                _ => out.push(e),
+            }
+        }
+        out
+    }
+
+    /// The window walk, adding `start + buffer` unchecked.
+    pub fn covering_reads(regions: &[Extent], buffer: u64) -> Vec<Extent> {
+        let mut reads = Vec::new();
+        let mut i = 0;
+        let mut pos = match regions.first() {
+            Some(r) => r.offset,
+            None => return reads,
+        };
+        while i < regions.len() {
+            let start = pos.max(regions[i].offset);
+            let limit = start + buffer;
+            let mut end = start;
+            while i < regions.len() && regions[i].offset < limit {
+                if regions[i].end() <= limit {
+                    end = end.max(regions[i].end());
+                    i += 1;
+                } else {
+                    end = limit;
+                    break;
+                }
+            }
+            reads.push(Extent::new(start, end - start));
+            pos = end;
+        }
+        reads
+    }
+
+    pub fn plan_read(regions: &[Extent], cfg: &SievingConfig) -> SievePlan {
+        let normalized = normalize(regions);
+        let required = extent::covered_bytes(&normalized);
+        let direct = || SievePlan {
+            fs_reads: normalized.clone(),
+            required,
+            moved: required,
+            sieved: false,
+        };
+        if normalized.len() <= 1 {
+            return direct();
+        }
+        let fs_reads = covering_reads(&normalized, cfg.buffer_size.max(1));
+        let moved: u64 = fs_reads.iter().map(|e| e.len).sum();
+        let sieved = SievePlan {
+            fs_reads,
+            required,
+            moved,
+            sieved: true,
+        };
+        match cfg.mode {
+            SieveMode::Disabled => direct(),
+            SieveMode::Enabled => sieved,
+            SieveMode::Auto => {
+                if required > 0 && moved as f64 / required as f64 <= cfg.auto_waste_limit {
+                    sieved
+                } else {
+                    direct()
+                }
+            }
+        }
+    }
+
+    /// The planner that normalized the concatenation of every request and
+    /// walked each process's list a second time for the exchanges.
+    pub fn plan_collective_read(
+        requests: &[Vec<Extent>],
+        aggregator_count: usize,
+    ) -> CollectivePlan {
+        let nprocs = requests.len();
+        let nagg = aggregator_count.clamp(1, nprocs.max(1));
+        let owned: Vec<Vec<Extent>> = requests.iter().map(|r| normalize(r)).collect();
+        let required: Vec<u64> = owned.iter().map(|o| extent::covered_bytes(o)).collect();
+        let all: Vec<Extent> = requests.iter().flatten().copied().collect();
+        let wanted = normalize(&all);
+        if extent::covered_bytes(&wanted) == 0 {
+            return CollectivePlan {
+                aggregators: Vec::new(),
+                read_bytes: 0,
+                exchange_bytes: 0,
+                required,
+            };
+        }
+        let hull = extent::hull(&wanted).expect("non-empty");
+        let domain = hull.len.div_ceil(nagg as u64).max(1);
+        let mut aggregators = Vec::with_capacity(nagg);
+        let mut read_bytes = 0;
+        let mut exchange_bytes = 0;
+        for a in 0..nagg {
+            let dom_start = hull.offset + a as u64 * domain;
+            let dom_end = (dom_start + domain).min(hull.end());
+            if dom_start >= dom_end {
+                break;
+            }
+            let dom = Extent::new(dom_start, dom_end - dom_start);
+            let clipped: Vec<Extent> = wanted.iter().filter_map(|e| clip(e, &dom)).collect();
+            let reads = covering_reads(&clipped, COLLECTIVE_BUFFER);
+            read_bytes += reads.iter().map(|e| e.len).sum::<u64>();
+            let mut exchanges = Vec::new();
+            for (p, regions) in owned.iter().enumerate() {
+                let bytes: u64 = regions
+                    .iter()
+                    .filter_map(|e| clip(e, &dom))
+                    .map(|e| e.len)
+                    .sum();
+                if bytes > 0 && p != a {
+                    exchanges.push((p, bytes));
+                    exchange_bytes += bytes;
+                }
+            }
+            aggregators.push(AggregatorPlan {
+                aggregator: a,
+                reads,
+                exchanges,
+            });
+        }
+        CollectivePlan {
+            aggregators,
+            read_bytes,
+            exchange_bytes,
+            required,
+        }
+    }
+
+    fn clip(e: &Extent, dom: &Extent) -> Option<Extent> {
+        let start = e.offset.max(dom.offset);
+        let end = e.end().min(dom.end());
+        (start < end).then(|| Extent::new(start, end - start))
+    }
+}
+
+/// HPIO's shape: `count` equally spaced regions block-partitioned over the
+/// processes, so each list continues where the previous one stopped (and
+/// touches it when the spacing is zero).
+fn chained() -> impl Strategy<Value = Vec<Vec<Extent>>> {
+    // Figure 12's spacings, and spacings wide enough that a domain
+    // spans several collective buffers.
+    let spacing = prop_oneof![0u64..4096, 0u64..70_000];
+    (1usize..6, 0u64..300, 1u64..512, spacing, 0u64..1 << 40).prop_map(
+        |(nprocs, count, size, spacing, base)| {
+            let n = nprocs as u64;
+            (0..n)
+                .map(|p| {
+                    let first = p * (count / n) + p.min(count % n);
+                    let mine = count / n + u64::from(p < count % n);
+                    (first..first + mine)
+                        .map(|i| Extent::new(base + i * (size + spacing), size))
+                        .collect()
+                })
+                .collect()
+        },
+    )
+}
+
+/// Block `b` of process `p` sits at `b * nprocs + p`: the lists interleave.
+fn interleaved() -> impl Strategy<Value = Vec<Vec<Extent>>> {
+    (1usize..6, 0u64..60, 1u64..200_000, 0u64..1 << 40).prop_map(|(nprocs, blocks, size, base)| {
+        let n = nprocs as u64;
+        (0..n)
+            .map(|p| {
+                (0..blocks)
+                    .map(|b| Extent::new(base + (b * n + p) * size, size))
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+/// Unordered lists with overlapping, touching and empty extents, and
+/// empty lists.
+fn scattered() -> impl Strategy<Value = Vec<Vec<Extent>>> {
+    let list = proptest::collection::vec((0u64..12_000_000, 0u64..3_000_000), 0..30)
+        .prop_map(|v| v.into_iter().map(|(o, l)| Extent::new(o, l)).collect());
+    proptest::collection::vec(list, 0..6)
+}
+
+fn requests() -> impl Strategy<Value = Vec<Vec<Extent>>> {
+    prop_oneof![chained(), interleaved(), scattered()]
+}
+
+/// A buffer from 1 byte up to one past the hull of `regions`, so windows
+/// straddle regions as often as they swallow them.
+fn buffer_for(regions: &[Extent], pick: u64) -> u64 {
+    let hull = extent::hull(&reference::normalize(regions)).map_or(0, |h| h.len);
+    1 + pick % (hull + 1)
+}
+
+fn mode() -> impl Strategy<Value = SieveMode> {
+    prop_oneof![
+        Just(SieveMode::Disabled),
+        Just(SieveMode::Enabled),
+        Just(SieveMode::Auto)
+    ]
+}
+
+proptest! {
+    #[test]
+    fn normalize_matches_reference_and_borrows_normalized_input(reqs in requests()) {
+        let all: Vec<Extent> = reqs.iter().flatten().copied().collect();
+        for list in reqs.iter().chain([&all]) {
+            let n = extent::normalize(list);
+            prop_assert_eq!(&*n, reference::normalize(list).as_slice());
+            let again = extent::normalize(&n);
+            prop_assert!(matches!(again, Cow::Borrowed(b) if b.as_ptr() == n.as_ptr()));
+        }
+    }
+
+    #[test]
+    fn plan_read_matches_reference(
+        reqs in requests(),
+        pick in any::<u64>(),
+        mode in mode(),
+        auto_waste_limit in 1.0f64..16.0,
+    ) {
+        for list in &reqs {
+            let cfg = SievingConfig { mode, buffer_size: buffer_for(list, pick), auto_waste_limit };
+            prop_assert_eq!(plan_read(list, &cfg), reference::plan_read(list, &cfg));
+        }
+    }
+
+    #[test]
+    fn collective_plan_matches_reference(reqs in requests(), aggs in 0usize..16) {
+        let nagg = aggs % (reqs.len() + 3);
+        prop_assert_eq!(
+            plan_collective_read(&reqs, nagg),
+            reference::plan_collective_read(&reqs, nagg)
+        );
+    }
+}
+
+/// HPIO's block partition is ordered end to end, so the collective
+/// planner's domain pieces arrive normalized and are never copied to be
+/// sorted; the plan still equals the reference's.
+#[test]
+fn block_partition_pieces_come_in_order() {
+    let reqs: Vec<Vec<Extent>> = (0..4u64)
+        .map(|p| {
+            (0..4096)
+                .map(|i| Extent::new((p * 4096 + i) * 1280, 256))
+                .collect()
+        })
+        .collect();
+    let all: Vec<Extent> = reqs.iter().flatten().copied().collect();
+    assert!(matches!(extent::normalize(&all), Cow::Borrowed(_)));
+    for nagg in [1, 2, 4] {
+        assert_eq!(
+            plan_collective_read(&reqs, nagg),
+            reference::plan_collective_read(&reqs, nagg)
+        );
+    }
+}

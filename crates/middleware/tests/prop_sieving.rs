@@ -40,7 +40,7 @@ proptest! {
         // Coverage: every region byte inside some read. Check region
         // endpoints and one midpoint (reads are contiguous ranges).
         let covered = |b: u64| plan.fs_reads.iter().any(|e| e.offset <= b && b < e.end());
-        for r in extent::normalize(&rs) {
+        for r in extent::normalize(&rs).iter() {
             prop_assert!(covered(r.offset), "first byte of {r:?}");
             prop_assert!(covered(r.end() - 1), "last byte of {r:?}");
             prop_assert!(covered(r.offset + r.len / 2));

@@ -220,6 +220,18 @@ impl WorkloadSpec {
                 if processes == 0 {
                     return Err(invalid("hpio processes must be > 0"));
                 }
+                // The last region must end inside a u64 file: the file
+                // span and every region offset derive from these sums.
+                let span = region_size
+                    .checked_add(region_spacing)
+                    .and_then(|stride| region_count.saturating_sub(1).checked_mul(stride))
+                    .and_then(|last| last.checked_add(region_size));
+                if span.is_none() {
+                    return Err(invalid(format!(
+                        "hpio regions overflow u64: {region_count} regions of \
+                         {region_size} B spaced {region_spacing} B apart"
+                    )));
+                }
                 Ok(Box::new(Hpio {
                     region_count,
                     region_size,
@@ -280,6 +292,7 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::AppOp;
     use serde::{Deserialize, Serialize};
 
     fn specimens() -> Vec<WorkloadSpec> {
@@ -317,6 +330,37 @@ mod tests {
                 seed: 42,
             },
         ]
+    }
+
+    fn hpio(region_spacing: u64) -> WorkloadSpec {
+        WorkloadSpec::Hpio {
+            region_count: 4,
+            region_size: 256,
+            region_spacing,
+            regions_per_call: 4,
+            processes: 1,
+            collective: false,
+        }
+    }
+
+    #[test]
+    fn hpio_regions_past_u64_are_rejected() {
+        let err = hpio(u64::MAX / 2).build().err().expect("overflowing spec");
+        assert!(err.to_string().contains("overflow"), "{err}");
+        // The widest spacing whose last region still ends inside u64.
+        let stride = (u64::MAX - 256) / 3;
+        let w = hpio(stride - 256).build().expect("spec inside the limit");
+        assert_eq!(w.file_sizes(), vec![3 * stride + 256]);
+        let offsets: Vec<u64> = w
+            .stream(0)
+            .flat_map(|op| match op {
+                AppOp::ReadNoncontig { regions, .. } => regions,
+                _ => Vec::new(),
+            })
+            .map(|r| r.offset)
+            .collect();
+        assert_eq!(offsets, vec![0, stride, 2 * stride, 3 * stride]);
+        assert!(hpio(stride - 255).build().is_err());
     }
 
     #[test]
