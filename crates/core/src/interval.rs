@@ -13,11 +13,13 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`union_time`] / [`IntervalSet`] — an independently written
-//!   sort-and-sweep union, the one the rest of the workspace uses;
+//! * [`IntervalSet`] — an independently written union, maintained merged
+//!   as intervals arrive ([`IntervalSet::insert`]) or built by one sort and
+//!   sweep ([`IntervalSet::from_unsorted`]); the one the rest of the
+//!   workspace uses;
 //! * [`paper_union_time`] — a line-by-line port of the pseudocode in the
 //!   paper's Figure 3, kept as executable documentation and cross-checked
-//!   against `union_time` by property tests.
+//!   against `IntervalSet` by property tests.
 
 use crate::time::{Dur, Nanos};
 use serde::{Deserialize, Serialize};
@@ -87,43 +89,6 @@ impl Interval {
     }
 }
 
-/// Total overlapped I/O time of a set of intervals: the measure of their
-/// union, per the paper's Figure 2. Order of the input is irrelevant.
-///
-/// Runs in O(n log n) time and O(n) space.
-///
-/// ```
-/// use bps_core::interval::{union_time, Interval};
-/// use bps_core::time::{Dur, Nanos};
-/// let ms = Nanos::from_millis;
-/// // R1=[0,4), R2=[1,5), R3=[3,6) overlap; R4=[8,10) is disjoint.
-/// let t = union_time([
-///     Interval::new(ms(0), ms(4)),
-///     Interval::new(ms(1), ms(5)),
-///     Interval::new(ms(3), ms(6)),
-///     Interval::new(ms(8), ms(10)),
-/// ]);
-/// assert_eq!(t, Dur::from_millis(6 + 2)); // Δt1 + Δt2
-/// ```
-pub fn union_time<I: IntoIterator<Item = Interval>>(intervals: I) -> Dur {
-    let mut v: Vec<Interval> = intervals.into_iter().collect();
-    if v.is_empty() {
-        return Dur::ZERO;
-    }
-    sort_runs(&mut v);
-    let mut total = Dur::ZERO;
-    let mut cur = v[0];
-    for iv in &v[1..] {
-        if iv.start <= cur.end {
-            cur.end = cur.end.max(iv.end);
-        } else {
-            total += cur.duration();
-            cur = *iv;
-        }
-    }
-    total + cur.duration()
-}
-
 /// Sort intervals by `(start, end)` with the stable, run-detecting sort.
 ///
 /// Records arrive in completion order, which is nearly sorted by start:
@@ -144,7 +109,7 @@ fn sort_runs(v: &mut [Interval]) {
 ///
 /// This port preserves the structure (including the in-place widening of
 /// `nextRecord`) and is checked by property tests to agree with
-/// [`union_time`] on every input.
+/// [`IntervalSet`] on every input.
 pub fn paper_union_time(col_time: &[Interval]) -> Dur {
     if col_time.is_empty() {
         return Dur::ZERO;
@@ -183,69 +148,117 @@ pub fn paper_union_time(col_time: &[Interval]) -> Dur {
 }
 
 /// A maintained union of intervals: always stored merged, disjoint, and
-/// sorted. Useful for incremental busy-time accounting inside simulator
-/// components and for gap (idle period) analysis.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// sorted, with its measure (the paper's `T`) kept up to date. Used for the
+/// overlapped time of a whole trace, incremental busy-time accounting in
+/// the streaming metrics, and gap (idle period) analysis.
+///
+/// The state is a canonical function of the *set* of intervals inserted:
+/// every path keeps the spans disjoint, sorted and maximal, with `total`
+/// exactly their integer measure. Insertion order never shows.
+///
+/// ```
+/// use bps_core::interval::{Interval, IntervalSet};
+/// use bps_core::time::{Dur, Nanos};
+/// let ms = Nanos::from_millis;
+/// // R1=[0,4), R2=[1,5), R3=[3,6) overlap; R4=[8,10) is disjoint.
+/// let set = IntervalSet::from_unsorted([
+///     Interval::new(ms(0), ms(4)),
+///     Interval::new(ms(1), ms(5)),
+///     Interval::new(ms(3), ms(6)),
+///     Interval::new(ms(8), ms(10)),
+/// ]);
+/// assert_eq!(set.total(), Dur::from_millis(6 + 2)); // Δt1 + Δt2
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntervalSet {
     /// Merged, disjoint, sorted by start.
     spans: Vec<Interval>,
+    /// Measure of `spans`.
+    total: Dur,
 }
 
 impl IntervalSet {
     /// An empty set.
     pub fn new() -> Self {
-        IntervalSet { spans: Vec::new() }
+        IntervalSet::default()
     }
 
-    /// Build from arbitrary (unsorted, overlapping) intervals.
+    /// Build from arbitrary (unsorted, overlapping) intervals: one sort,
+    /// then one merge in place in the sorted buffer. O(n log n) time, no
+    /// second buffer.
     pub fn from_unsorted<I: IntoIterator<Item = Interval>>(intervals: I) -> Self {
-        let mut v: Vec<Interval> = intervals.into_iter().collect();
-        sort_runs(&mut v);
-        let mut spans: Vec<Interval> = Vec::with_capacity(v.len());
-        for iv in v {
-            match spans.last_mut() {
-                Some(last) if iv.start <= last.end => last.end = last.end.max(iv.end),
-                _ => spans.push(iv),
+        let mut spans: Vec<Interval> = intervals.into_iter().collect();
+        sort_runs(&mut spans);
+        let mut total = Dur::ZERO;
+        let mut len = 0;
+        if let Some(&first) = spans.first() {
+            // `cur` is the open span; closed spans are written back over
+            // the already-read front of the buffer.
+            let mut cur = first;
+            for i in 1..spans.len() {
+                let iv = spans[i];
+                if iv.start <= cur.end {
+                    cur.end = cur.end.max(iv.end);
+                } else {
+                    total += cur.duration();
+                    spans[len] = cur;
+                    len += 1;
+                    cur = iv;
+                }
             }
+            total += cur.duration();
+            spans[len] = cur;
+            len += 1;
         }
-        IntervalSet { spans }
+        spans.truncate(len);
+        IntervalSet { spans, total }
     }
 
-    /// Insert one interval, merging as needed. O(n) worst case, O(1)
-    /// amortized for append-mostly (time-ordered) insertion.
+    /// Insert one interval, merging as needed. Intervals arriving in
+    /// nondecreasing start order (the common case when fed from a
+    /// simulation or a live recorder) take an O(1) fast path: they either
+    /// extend the rightmost span or open a new one. Out-of-order arrivals
+    /// fall back to a binary search and splice, O(n) worst case.
+    #[inline]
     pub fn insert(&mut self, iv: Interval) {
-        // Fast path: strictly after everything present.
+        // Fast paths against the rightmost span.
         match self.spans.last_mut() {
             None => {
+                self.total += iv.duration();
                 self.spans.push(iv);
                 return;
             }
             Some(last) if iv.start > last.end => {
+                self.total += iv.duration();
                 self.spans.push(iv);
                 return;
             }
             Some(last) if iv.start >= last.start => {
-                last.end = last.end.max(iv.end);
+                if iv.end > last.end {
+                    self.total += iv.end - last.end;
+                    last.end = iv.end;
+                }
                 return;
             }
             _ => {}
         }
-        // General path: find the insertion window by binary search.
+        // General path: merge with every overlapping or touching span.
         let first = self.spans.partition_point(|s| s.end < iv.start);
         let mut merged = iv;
+        let mut displaced = Dur::ZERO;
         let mut last = first;
         while last < self.spans.len() && self.spans[last].start <= merged.end {
+            displaced += self.spans[last].duration();
             merged = merged.hull(&self.spans[last]);
             last += 1;
         }
+        self.total = self.total - displaced + merged.duration();
         self.spans.splice(first..last, std::iter::once(merged));
     }
 
-    /// Total measure of the union (the paper's `T`).
+    /// Total measure of the union (the paper's `T`). O(1).
     pub fn total(&self) -> Dur {
-        self.spans
-            .iter()
-            .fold(Dur::ZERO, |acc, iv| acc + iv.duration())
+        self.total
     }
 
     /// Number of disjoint busy periods.
@@ -294,116 +307,6 @@ impl IntervalSet {
             Some(s) => s.duration() - self.total(),
             None => Dur::ZERO,
         }
-    }
-}
-
-/// Online interval union: maintains the measure of the union *as intervals
-/// arrive*, without materializing and re-sweeping the whole set.
-///
-/// The streaming counterpart of [`union_time`]: after any sequence of
-/// [`OnlineUnion::insert`] calls, [`OnlineUnion::total`] equals
-/// `union_time` over the same intervals — exactly, since both work in
-/// integer nanoseconds. Requests completing in nondecreasing start order
-/// (the common case when fed from a simulation or a live recorder) take the
-/// O(1) fast path: they either extend the rightmost span or open a new one.
-/// Out-of-order arrivals fall back to a binary search + splice, like
-/// [`IntervalSet::insert`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OnlineUnion {
-    spans: Vec<Interval>,
-    total: Dur,
-}
-
-impl OnlineUnion {
-    /// An empty union.
-    pub fn new() -> Self {
-        OnlineUnion::default()
-    }
-
-    /// Add one interval, merging it into the maintained union.
-    #[inline]
-    pub fn insert(&mut self, iv: Interval) {
-        // Fast paths against the rightmost span.
-        match self.spans.last_mut() {
-            None => {
-                self.total += iv.duration();
-                self.spans.push(iv);
-                return;
-            }
-            Some(last) if iv.start > last.end => {
-                self.total += iv.duration();
-                self.spans.push(iv);
-                return;
-            }
-            Some(last) if iv.start >= last.start => {
-                if iv.end > last.end {
-                    self.total += iv.end - last.end;
-                    last.end = iv.end;
-                }
-                return;
-            }
-            _ => {}
-        }
-        // General path: merge with every overlapping or touching span.
-        let first = self.spans.partition_point(|s| s.end < iv.start);
-        let mut merged = iv;
-        let mut displaced = Dur::ZERO;
-        let mut last = first;
-        while last < self.spans.len() && self.spans[last].start <= merged.end {
-            displaced += self.spans[last].duration();
-            merged = merged.hull(&self.spans[last]);
-            last += 1;
-        }
-        self.total = self.total - displaced + merged.duration();
-        self.spans.splice(first..last, std::iter::once(merged));
-    }
-
-    /// Add a batch of intervals, merging them into the maintained union.
-    ///
-    /// Exactly equivalent to calling [`OnlineUnion::insert`] once per
-    /// interval in order — the final spans and total are identical —
-    /// but consecutive intervals that overlap or touch are fused into one
-    /// running hull in registers first, so a batch of mutually overlapping
-    /// requests (the common shape of one simulated wake) touches the span
-    /// vector once instead of once per interval.
-    pub fn insert_all(&mut self, ivs: &[Interval]) {
-        let mut ivs = ivs.iter();
-        let Some(&first) = ivs.next() else { return };
-        // The running hull of a consecutive overlapping run. Fusing
-        // `next` into it is valid exactly when sequential insertion would
-        // have hit a `last`-span fast path: `next.start` inside
-        // `[run.start, run.end]`. Anything else flushes the run and
-        // starts over, so ordering effects are preserved bit-for-bit.
-        let mut run = first;
-        for &iv in ivs {
-            if iv.start >= run.start && iv.start <= run.end {
-                run.end = run.end.max(iv.end);
-            } else {
-                self.insert(run);
-                run = iv;
-            }
-        }
-        self.insert(run);
-    }
-
-    /// The measure of the union so far.
-    pub fn total(&self) -> Dur {
-        self.total
-    }
-
-    /// Number of disjoint busy periods so far.
-    pub fn period_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True before any insert.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// The disjoint, ascending spans of the union.
-    pub fn spans(&self) -> &[Interval] {
-        &self.spans
     }
 }
 
@@ -526,10 +429,13 @@ mod tests {
     fn iv(a: u64, b: u64) -> Interval {
         Interval::new(ms(a), ms(b))
     }
+    fn measure<I: IntoIterator<Item = Interval>>(ivs: I) -> Dur {
+        IntervalSet::from_unsorted(ivs).total()
+    }
 
     #[test]
     fn empty_union_is_zero() {
-        assert_eq!(union_time([]), Dur::ZERO);
+        assert_eq!(measure([]), Dur::ZERO);
         assert_eq!(paper_union_time(&[]), Dur::ZERO);
     }
 
@@ -537,7 +443,7 @@ mod tests {
     fn figure_2_example() {
         // R1..R3 overlap into Δt1 = [0,6); R4 = [8,10) gives Δt2 = 2ms.
         let records = [iv(0, 4), iv(1, 5), iv(3, 6), iv(8, 10)];
-        assert_eq!(union_time(records), Dur::from_millis(8));
+        assert_eq!(measure(records), Dur::from_millis(8));
         assert_eq!(paper_union_time(&records), Dur::from_millis(8));
     }
 
@@ -552,7 +458,7 @@ mod tests {
 
     #[test]
     fn contained_interval_adds_nothing() {
-        let t = union_time([iv(0, 10), iv(2, 3)]);
+        let t = measure([iv(0, 10), iv(2, 3)]);
         assert_eq!(t, Dur::from_millis(10));
     }
 
@@ -561,7 +467,7 @@ mod tests {
         let a = [iv(5, 9), iv(0, 2), iv(1, 6), iv(20, 21)];
         let mut b = a;
         b.reverse();
-        assert_eq!(union_time(a), union_time(b));
+        assert_eq!(measure(a), measure(b));
         assert_eq!(paper_union_time(&a), paper_union_time(&b));
     }
 
@@ -576,7 +482,7 @@ mod tests {
             vec![iv(0, 10), iv(0, 10), iv(0, 10)],
         ];
         for c in cases {
-            assert_eq!(paper_union_time(&c), union_time(c.iter().copied()), "{c:?}");
+            assert_eq!(paper_union_time(&c), measure(c.iter().copied()), "{c:?}");
         }
     }
 
@@ -589,7 +495,7 @@ mod tests {
             inc.insert(d);
         }
         assert_eq!(batch, inc);
-        assert_eq!(batch.total(), union_time(data));
+        assert_eq!(batch.total(), paper_union_time(&data));
     }
 
     #[test]
@@ -614,46 +520,6 @@ mod tests {
         assert_eq!(set.span().unwrap(), iv(0, 42));
         // [0,2) + [10,35) + [40,42) = 2 + 25 + 2 ms.
         assert_eq!(set.total(), Dur::from_millis(29));
-    }
-
-    #[test]
-    fn insert_all_matches_sequential_insert() {
-        let cases: Vec<Vec<Interval>> = vec![
-            vec![],
-            vec![iv(0, 1)],
-            vec![iv(0, 4), iv(1, 5), iv(3, 6), iv(8, 10)], // figure 2
-            vec![iv(8, 10), iv(0, 4), iv(1, 5), iv(3, 6)], // out of order
-            vec![iv(0, 0), iv(0, 0), iv(5, 5)],            // degenerate
-            vec![iv(0, 2), iv(2, 4), iv(4, 6)],            // touching chain
-            vec![iv(5, 9), iv(0, 2), iv(1, 6), iv(20, 21), iv(3, 4)],
-        ];
-        for c in &cases {
-            let mut seq = OnlineUnion::new();
-            for &i in c {
-                seq.insert(i);
-            }
-            let mut batched = OnlineUnion::new();
-            batched.insert_all(c);
-            assert_eq!(seq, batched, "{c:?}");
-        }
-    }
-
-    #[test]
-    fn insert_all_appends_to_existing_union() {
-        let mut seq = OnlineUnion::new();
-        let mut batched = OnlineUnion::new();
-        for u in [&mut seq, &mut batched] {
-            u.insert(iv(0, 3));
-            u.insert(iv(10, 12));
-        }
-        let more = [iv(2, 5), iv(4, 11), iv(30, 31)];
-        for i in more {
-            seq.insert(i);
-        }
-        batched.insert_all(&more);
-        assert_eq!(seq, batched);
-        // [0,3)∪[2,5)∪[4,11)∪[10,12) fuse to [0,12); [30,31) stays apart.
-        assert_eq!(seq.total(), Dur::from_millis(13));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   Figure 2 (idle time excluded, concurrent accesses counted once),
 //!   including both a faithful port of the Figure 3 pseudocode
 //!   ([`interval::paper_union_time`]) and an independently implemented,
-//!   property-tested sweep ([`interval::union_time`]).
+//!   property-tested maintained union ([`interval::IntervalSet`]).
 //! * [`metrics`] — BPS itself (equation (1): `BPS = B / T`), plus the three
 //!   conventional metrics the paper compares against (IOPS, bandwidth,
 //!   average response time) and several extended diagnostics.
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::block::{blocks_for_bytes, BLOCK_SIZE};
     pub use crate::correlation::{normalized_cc, pearson, CcOutcome};
     pub use crate::extent::Extent;
-    pub use crate::interval::{union_time, Interval, IntervalSet, OnlineUnion};
+    pub use crate::interval::{Interval, IntervalSet};
     pub use crate::metrics::{
         paper_metrics, registry, Arpt, Bandwidth, Bps, Direction, FoldNeeds, Iops, Metric,
         MetricFold, MetricRegistry, MetricSelection, UnknownMetric,

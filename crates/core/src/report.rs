@@ -1,6 +1,7 @@
 //! Human-readable summaries of traces and correlation sweeps.
 
 use crate::correlation::CcOutcome;
+use crate::interval::IntervalSet;
 use crate::metrics::{registry, MetricSelection};
 use crate::record::Layer;
 use crate::sink::{RecordSink, StreamingMetrics};
@@ -129,7 +130,7 @@ pub fn per_process(trace: &Trace) -> Vec<ProcessBreakdown> {
             let ops = records.len() as u64;
             let bytes = records.iter().map(|r| r.bytes).sum();
             let summed: f64 = records.iter().map(|r| r.duration().as_secs_f64()).sum();
-            let io_time = crate::interval::union_time(records.iter().map(|r| r.interval()));
+            let io_time = IntervalSet::from_unsorted(records.iter().map(|r| r.interval())).total();
             let blocks: u64 = records.iter().map(|r| r.blocks()).sum();
             let io_time_s = io_time.as_secs_f64();
             ProcessBreakdown {

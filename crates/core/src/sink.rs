@@ -6,11 +6,11 @@
 //! [`Trace`] implements it by materializing records as before, while
 //! [`StreamingMetrics`] folds each record into constant-size accumulators
 //! — per-layer counts, byte/block sums, summed response time, and an
-//! [`OnlineUnion`] for the overlapped time — and reproduces the four paper
+//! [`IntervalSet`] for the overlapped time — and reproduces the four paper
 //! metrics bit-for-bit without ever storing a record.
 
 use crate::batch::RecordBatch;
-use crate::interval::{Interval, OnlineUnion};
+use crate::interval::{Interval, IntervalSet};
 use crate::metrics::{
     registry, Arpt, Bandwidth, Bps, FoldNeeds, Iops, MetricFold, MetricSelection,
 };
@@ -22,7 +22,7 @@ use crate::trace::Trace;
 ///
 /// Implementations must not assume records arrive sorted: layers interleave
 /// and concurrent processes complete out of order. They *may* exploit that
-/// start times are usually nondecreasing (as [`OnlineUnion`] does).
+/// start times are usually nondecreasing (as [`IntervalSet::insert`] does).
 pub trait RecordSink {
     /// Observe one completed access.
     fn on_record(&mut self, record: &IoRecord);
@@ -106,7 +106,7 @@ struct LayerAcc {
     bytes: u64,
     blocks: u64,
     summed: Dur,
-    union: OnlineUnion,
+    union: IntervalSet,
 }
 
 impl LayerAcc {
@@ -155,7 +155,7 @@ pub struct StreamingMetrics {
 /// Register-resident accumulator for one layer's share of a batch: counts
 /// plus a running interval hull. Overlapping-or-touching intervals merge
 /// into the hull in either direction (the hull of overlapping intervals
-/// *is* their union), so the [`OnlineUnion`] is touched once per busy
+/// *is* their union), so the [`IntervalSet`] is touched once per busy
 /// period instead of once per record, and the struct's count fields once
 /// per batch.
 struct BatchAcc {
@@ -178,7 +178,7 @@ impl BatchAcc {
     }
 
     #[inline]
-    fn observe(&mut self, r: &IoRecord, union: &mut OnlineUnion) {
+    fn observe(&mut self, r: &IoRecord, union: &mut IntervalSet) {
         self.ops += 1;
         self.bytes += r.bytes;
         self.blocks += r.blocks();
@@ -197,7 +197,7 @@ impl BatchAcc {
     /// Busy-period break: flush the finished hull and start a new one.
     /// Outlined and cold so the fuse loop above stays tight.
     #[cold]
-    fn spill(run: &mut Interval, iv: Interval, union: &mut OnlineUnion) {
+    fn spill(run: &mut Interval, iv: Interval, union: &mut IntervalSet) {
         union.insert(*run);
         *run = iv;
     }
@@ -397,7 +397,7 @@ impl RecordSink for StreamingMetrics {
     /// struct's accumulators are touched once per batch and the union
     /// once per busy period.
     ///
-    /// Fusing out of arrival order is sound because [`OnlineUnion`]'s
+    /// Fusing out of arrival order is sound because [`IntervalSet`]'s
     /// state is a canonical function of the *set* of inserted intervals:
     /// every insert path keeps the spans disjoint, sorted and maximal,
     /// with `total` exactly equal to their integer measure, and the hull

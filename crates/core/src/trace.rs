@@ -5,7 +5,7 @@
 //! that collection, carrying records from every process and — in this
 //! reproduction — from every instrumented layer of the I/O stack.
 
-use crate::interval::{union_time, ConcurrencyProfile, Interval, IntervalSet};
+use crate::interval::{ConcurrencyProfile, Interval, IntervalSet};
 use crate::record::{IoOp, IoRecord, Layer, ProcessId};
 use crate::time::{Dur, Nanos};
 use serde::{Deserialize, Serialize};
@@ -156,7 +156,7 @@ impl Trace {
     /// intervals (paper Figure 2). Idle time excluded, concurrency counted
     /// once.
     pub fn overlapped_io_time(&self, layer: Layer) -> Dur {
-        union_time(self.layer(layer).map(|r| r.interval()))
+        self.busy_periods(layer).total()
     }
 
     /// Sum of the individual response times at a layer — what ARPT averages

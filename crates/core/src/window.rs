@@ -6,7 +6,7 @@
 //! metrics within each, clipping in-flight records at window edges so a
 //! request spanning windows contributes its overlap to each.
 
-use crate::interval::{union_time, Interval};
+use crate::interval::{Interval, IntervalSet};
 use crate::record::Layer;
 use crate::time::{Dur, Nanos};
 use crate::trace::Trace;
@@ -85,7 +85,9 @@ pub fn windowed_series(trace: &Trace, window: Dur) -> Vec<WindowPoint> {
             .skip(b_first)
         {
             let w_start = first + window * b as u64;
-            let w_end = w_start + window;
+            // A window reaching past the last representable instant ends
+            // there.
+            let w_end = Nanos(w_start.0.saturating_add(window.0));
             let clip = Interval {
                 start: r.start.max(w_start),
                 end: r.end.min(w_end),
@@ -102,7 +104,7 @@ pub fn windowed_series(trace: &Trace, window: Dur) -> Vec<WindowPoint> {
         }
     }
     for (point, clipped) in out.iter_mut().zip(per_bucket) {
-        point.io_time = union_time(clipped);
+        point.io_time = IntervalSet::from_unsorted(clipped).total();
         if !point.io_time.is_zero() {
             point.bps = Some(point.blocks / point.io_time.as_secs_f64());
         }
@@ -190,6 +192,15 @@ mod tests {
         let t = Trace::from_records(vec![read(512, 0, 10), read(512, 0, 10)]);
         let s = windowed_series(&t, Dur::from_millis(10));
         assert_eq!(s[0].io_time, Dur::from_millis(10));
+        assert_eq!(s[0].active_requests, 2);
+    }
+
+    #[test]
+    fn window_past_the_last_instant_is_one_bucket() {
+        let t = Trace::from_records(vec![read(512, 5, 10), read(512, 8, 20)]);
+        let s = windowed_series(&t, Dur(u64::MAX - 1));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s[0].io_time, Dur::from_millis(15));
         assert_eq!(s[0].active_requests, 2);
     }
 

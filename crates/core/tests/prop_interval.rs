@@ -1,6 +1,6 @@
 //! Property tests for the overlapped-time algebra — the heart of BPS.
 
-use bps_core::interval::{paper_union_time, union_time, ConcurrencyProfile, Interval, IntervalSet};
+use bps_core::interval::{paper_union_time, ConcurrencyProfile, Interval, IntervalSet};
 use bps_core::time::{Dur, Nanos};
 use proptest::prelude::*;
 
@@ -14,12 +14,17 @@ fn intervals(max: usize) -> impl Strategy<Value = Vec<Interval>> {
     proptest::collection::vec(interval(), 0..max)
 }
 
+/// The union measure, as the workspace computes it.
+fn measure<'a>(ivs: impl IntoIterator<Item = &'a Interval>) -> Dur {
+    IntervalSet::from_unsorted(ivs.into_iter().copied()).total()
+}
+
 proptest! {
     /// The union measure never exceeds the sum of the parts and never
     /// undercuts the longest part.
     #[test]
     fn union_bounded(ivs in intervals(64)) {
-        let t = union_time(ivs.iter().copied());
+        let t = measure(&ivs);
         let sum = ivs.iter().fold(Dur::ZERO, |acc, iv| acc + iv.duration());
         let max = ivs.iter().map(|iv| iv.duration()).max().unwrap_or(Dur::ZERO);
         prop_assert!(t <= sum);
@@ -29,29 +34,29 @@ proptest! {
     /// Input order is irrelevant.
     #[test]
     fn union_order_invariant(mut ivs in intervals(32), seed in 0u64..1000) {
-        let a = union_time(ivs.iter().copied());
+        let a = measure(&ivs);
         // Cheap deterministic shuffle.
         let n = ivs.len().max(1);
         for i in 0..ivs.len() {
             let j = ((seed as usize).wrapping_mul(31).wrapping_add(i * 17)) % n;
             ivs.swap(i, j);
         }
-        let b = union_time(ivs.iter().copied());
+        let b = measure(&ivs);
         prop_assert_eq!(a, b);
     }
 
-    /// The paper's Figure 3 algorithm agrees with the independent sweep on
+    /// The paper's Figure 3 algorithm agrees with the independent union on
     /// every input.
     #[test]
     fn paper_algorithm_equivalent(ivs in intervals(64)) {
-        prop_assert_eq!(paper_union_time(&ivs), union_time(ivs.iter().copied()));
+        prop_assert_eq!(paper_union_time(&ivs), measure(&ivs));
     }
 
     /// Union equals the sum of parts iff no two intervals overlap (merged
     /// set has as many spans as non-degenerate inputs).
     #[test]
     fn union_equals_sum_iff_disjoint(ivs in intervals(24)) {
-        let t = union_time(ivs.iter().copied());
+        let t = measure(&ivs);
         let sum = ivs.iter().fold(Dur::ZERO, |acc, iv| acc + iv.duration());
         let set = IntervalSet::from_unsorted(ivs.iter().copied());
         if t == sum {
@@ -63,7 +68,8 @@ proptest! {
         }
     }
 
-    /// Incremental insertion builds the same set as batch construction.
+    /// Incremental insertion builds the same set as batch construction:
+    /// the same spans and the same kept total.
     #[test]
     fn incremental_matches_batch(ivs in intervals(32)) {
         let batch = IntervalSet::from_unsorted(ivs.iter().copied());
@@ -103,7 +109,7 @@ proptest! {
     #[test]
     fn depth_times_busy_equals_sum(ivs in intervals(32)) {
         let profile = ConcurrencyProfile::from_intervals(ivs.iter().copied());
-        let busy = union_time(ivs.iter().copied()).as_secs_f64();
+        let busy = measure(&ivs).as_secs_f64();
         let sum: f64 = ivs.iter().map(|iv| iv.duration().as_secs_f64()).sum();
         if busy > 0.0 {
             let reconstructed = profile.mean_busy_depth * busy;
@@ -117,9 +123,9 @@ proptest! {
     /// Merging two sets of intervals unions their measures sub-additively.
     #[test]
     fn union_subadditive(a in intervals(16), b in intervals(16)) {
-        let ta = union_time(a.iter().copied());
-        let tb = union_time(b.iter().copied());
-        let tab = union_time(a.iter().chain(b.iter()).copied());
+        let ta = measure(&a);
+        let tb = measure(&b);
+        let tab = measure(a.iter().chain(&b));
         prop_assert!(tab <= ta + tb);
         prop_assert!(tab >= ta.max(tb));
     }

@@ -63,7 +63,7 @@ pub fn report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bps_core::interval::union_time;
+    use bps_core::interval::paper_union_time;
 
     #[test]
     fn t_is_delta_t1_plus_delta_t2() {
@@ -72,8 +72,8 @@ mod tests {
         assert_eq!(t, Dur::from_millis(6 + 2));
         assert_eq!(gaps.len(), 1);
         assert_eq!(gaps[0].duration(), Dur::from_millis(1));
-        // Matches the raw union.
-        assert_eq!(t, union_time(requests()));
+        // Matches the paper's Figure 3 algorithm.
+        assert_eq!(t, paper_union_time(&requests()));
     }
 
     #[test]

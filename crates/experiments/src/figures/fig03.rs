@@ -3,11 +3,11 @@
 //! The paper gives O(n log n) pseudocode (sort by start time, then one
 //! merging pass). `bps-core` carries a faithful port
 //! ([`bps_core::interval::paper_union_time`]) and an independently written
-//! sweep ([`bps_core::interval::union_time`]); this module demonstrates
-//! their agreement on randomized traces — the executable version of the
-//! figure.
+//! sort-and-sweep union ([`bps_core::interval::IntervalSet`]); this module
+//! demonstrates their agreement on randomized traces — the executable
+//! version of the figure.
 
-use bps_core::interval::{paper_union_time, union_time, Interval};
+use bps_core::interval::{paper_union_time, Interval, IntervalSet};
 use bps_core::time::Nanos;
 use bps_sim::rng::SimRng;
 use std::fmt::Write;
@@ -37,7 +37,7 @@ pub fn agreement(sizes: &[usize], seed: u64) -> Vec<(usize, f64, f64)> {
         .map(|&n| {
             let ivs = random_intervals(n, seed ^ n as u64);
             let a = paper_union_time(&ivs).as_secs_f64();
-            let b = union_time(ivs).as_secs_f64();
+            let b = IntervalSet::from_unsorted(ivs).total().as_secs_f64();
             (n, a, b)
         })
         .collect()

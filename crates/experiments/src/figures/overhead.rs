@@ -11,7 +11,7 @@
 //! size, the encoded footprint at the paper's example op count, and the
 //! wall time of the union algorithm across record counts.
 
-use bps_core::interval::{paper_union_time, union_time, Interval};
+use bps_core::interval::{paper_union_time, Interval, IntervalSet};
 use bps_core::time::Nanos;
 use bps_sim::rng::SimRng;
 use std::fmt::Write;
@@ -50,7 +50,7 @@ pub fn measure(counts: &[usize]) -> Vec<OverheadRow> {
             let a = paper_union_time(&ivs);
             let paper_ns = t0.elapsed().as_nanos() as u64;
             let t0 = Instant::now();
-            let b = union_time(ivs.iter().copied());
+            let b = IntervalSet::from_unsorted(ivs.iter().copied()).total();
             let sweep_ns = t0.elapsed().as_nanos() as u64;
             assert_eq!(a, b, "algorithms disagree at n={n}");
             OverheadRow {
@@ -97,7 +97,7 @@ pub fn report() -> String {
     }
     writeln!(
         out,
-        "\n(criterion-grade numbers: cargo bench -p bps-bench interval_union)"
+        "\n(steady-state numbers: the benchmark's core.union_s on trace-analyze)"
     )
     .unwrap();
     out

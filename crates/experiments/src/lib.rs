@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Absolute numbers are simulator-scale, not the authors' testbed; the
-//! reproduction criterion is the *shape*: correlation directions, who
+//! reproduction is judged on the *shape*: correlation directions, who
 //! misleads where, and approximate strengths (see EXPERIMENTS.md).
 
 #![warn(missing_docs)]

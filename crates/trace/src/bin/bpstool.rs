@@ -111,8 +111,17 @@ fn run() -> Result<(), String> {
                 Some(w) => w.parse().map_err(|_| "window must be milliseconds")?,
                 None => 100,
             };
+            // Zero would be an empty window, and a window past u64
+            // nanoseconds would wrap.
+            let window = window_ms
+                .checked_mul(1_000_000)
+                .filter(|&ns| ns > 0)
+                .map(Dur)
+                .ok_or_else(|| {
+                    format!("window must be 1 to {} milliseconds", u64::MAX / 1_000_000)
+                })?;
             let trace = load(Path::new(path))?;
-            let series = windowed_series(&trace, Dur::from_millis(window_ms));
+            let series = windowed_series(&trace, window);
             println!("windowed BPS, {window_ms} ms windows:");
             println!(
                 "{}",

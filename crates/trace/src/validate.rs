@@ -5,7 +5,7 @@
 //! Every check returns findings rather than failing hard — a trace with
 //! oddities is still analyzable, but the analyst should know.
 
-use bps_core::interval::{union_time, Interval};
+use bps_core::interval::{Interval, IntervalSet};
 use bps_core::record::{Layer, ProcessId};
 use bps_core::time::Dur;
 use bps_core::trace::Trace;
@@ -191,7 +191,7 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
         for (_, intervals) in &procs {
             all.extend_from_slice(intervals);
         }
-        let io = union_time(all);
+        let io = IntervalSet::from_unsorted(all).total();
         if io < exec / 100 {
             findings.push(Finding {
                 severity: Severity::Warning,

@@ -118,3 +118,25 @@ fn bpstool_output_matches_goldens() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A zero window and one past `u64` nanoseconds are usage errors: exit 2
+/// with a `bpstool:` message, not a panic.
+#[test]
+fn timeline_rejects_unusable_windows() {
+    let dir = std::env::temp_dir().join(format!("bpstool_window-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("seeded.bpstrc");
+    bps_trace::format::store_path(&seeded_trace(), &path).unwrap();
+    let file = path.to_str().unwrap();
+    for window in ["0", "18446744073710"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bpstool"))
+            .args(["timeline", file, window])
+            .output()
+            .expect("spawn bpstool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "window {window}: {stderr}");
+        assert!(stderr.starts_with("bpstool: "), "window {window}: {stderr}");
+        assert!(!stderr.contains("panicked"), "window {window}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
