@@ -173,8 +173,11 @@ pub fn paper_union_time(col_time: &[Interval]) -> Dur {
 pub struct IntervalSet {
     /// Merged, disjoint, sorted by start.
     spans: Vec<Interval>,
-    /// Measure of `spans`.
+    /// Measure of every span inserted, forgotten ones included.
     total: Dur,
+    /// End of the last span [`IntervalSet::forget_before`] dropped, if
+    /// any: no later insert may start at or before it.
+    forgotten_end: Option<Nanos>,
 }
 
 impl IntervalSet {
@@ -211,7 +214,11 @@ impl IntervalSet {
             len += 1;
         }
         spans.truncate(len);
-        IntervalSet { spans, total }
+        IntervalSet {
+            spans,
+            total,
+            forgotten_end: None,
+        }
     }
 
     /// Insert one interval, merging as needed. Intervals arriving in
@@ -219,11 +226,21 @@ impl IntervalSet {
     /// simulation or a live recorder) take an O(1) fast path: they either
     /// extend the rightmost span or open a new one. Out-of-order arrivals
     /// fall back to a binary search and splice, O(n) worst case.
+    ///
+    /// # Panics
+    ///
+    /// If `iv` starts at or before the end of a span `forget_before` dropped
+    /// behind a watermark (see [`crate::sink::RecordSink::on_watermark`]):
+    /// it could merge with that span, and the set no longer knows where it
+    /// was. Only the empty-set and out-of-order paths check; every retained
+    /// span lies wholly after every forgotten one, so the other fast paths
+    /// cannot reach back.
     #[inline]
     pub fn insert(&mut self, iv: Interval) {
         // Fast paths against the rightmost span.
         match self.spans.last_mut() {
             None => {
+                self.check_not_forgotten(iv);
                 self.total += iv.duration();
                 self.spans.push(iv);
                 return;
@@ -243,6 +260,7 @@ impl IntervalSet {
             _ => {}
         }
         // General path: merge with every overlapping or touching span.
+        self.check_not_forgotten(iv);
         let first = self.spans.partition_point(|s| s.end < iv.start);
         let mut merged = iv;
         let mut displaced = Dur::ZERO;
@@ -256,12 +274,44 @@ impl IntervalSet {
         self.spans.splice(first..last, std::iter::once(merged));
     }
 
-    /// Total measure of the union (the paper's `T`). O(1).
+    #[inline]
+    fn check_not_forgotten(&self, iv: Interval) {
+        if let Some(end) = self.forgotten_end {
+            assert!(
+                iv.start > end,
+                "interval starting at {} ns could touch a span forgotten up to {} ns",
+                iv.start.0,
+                end.0
+            );
+        }
+    }
+
+    /// Drop every span that ends strictly before `t`, keeping its measure
+    /// in [`IntervalSet::total`]. The caller promises that no later insert
+    /// starts before `t`: a dropped span ends before any such interval
+    /// starts, so it could never merge with one again, and `T` stays
+    /// exactly what it would have been. A span ending exactly at `t`
+    /// stays, since an interval starting at `t` touches it and merges.
+    ///
+    /// Afterwards [`IntervalSet::spans`], [`IntervalSet::span`],
+    /// [`IntervalSet::gaps`], [`IntervalSet::idle_time`] and
+    /// [`IntervalSet::period_count`] see only the retained spans, and an
+    /// insert that breaks the promise panics instead of changing `T`.
+    pub(crate) fn forget_before(&mut self, t: Nanos) {
+        let k = self.spans.partition_point(|s| s.end < t);
+        if k > 0 {
+            self.forgotten_end = Some(self.spans[k - 1].end);
+            self.spans.drain(..k);
+        }
+    }
+
+    /// Total measure of the union (the paper's `T`), forgotten spans
+    /// included. O(1).
     pub fn total(&self) -> Dur {
         self.total
     }
 
-    /// Number of disjoint busy periods.
+    /// Number of retained disjoint busy periods.
     pub fn period_count(&self) -> usize {
         self.spans.len()
     }
@@ -269,10 +319,10 @@ impl IntervalSet {
     /// True if no interval has been inserted (or all were degenerate —
     /// degenerate intervals are kept but measure zero).
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.spans.is_empty() && self.forgotten_end.is_none()
     }
 
-    /// The merged disjoint spans, sorted by start.
+    /// The retained merged disjoint spans, sorted by start.
     pub fn spans(&self) -> &[Interval] {
         &self.spans
     }
@@ -520,6 +570,56 @@ mod tests {
         assert_eq!(set.span().unwrap(), iv(0, 42));
         // [0,2) + [10,35) + [40,42) = 2 + 25 + 2 ms.
         assert_eq!(set.total(), Dur::from_millis(29));
+    }
+
+    #[test]
+    fn forget_before_keeps_the_total() {
+        let mut set = IntervalSet::new();
+        for k in 0..10 {
+            set.insert(iv(k * 10, k * 10 + 3));
+        }
+        let before = set.total();
+        set.forget_before(ms(55));
+        assert_eq!(set.total(), before);
+        assert_eq!(set.period_count(), 4);
+        // Later arrivals keep adding to the same measure.
+        set.insert(iv(95, 120));
+        set.insert(iv(200, 201));
+        assert_eq!(set.total(), Dur::from_millis(10 * 3 + 25 + 1));
+        assert!(!set.is_empty());
+    }
+
+    #[test]
+    fn forget_before_drops_only_spans_ending_strictly_before() {
+        let mut set = IntervalSet::from_unsorted([iv(0, 2), iv(4, 6), iv(8, 10)]);
+        // [4,6) ends exactly at the watermark: an interval starting at 6
+        // touches it and must merge, so it stays.
+        set.forget_before(ms(6));
+        assert_eq!(set.spans(), &[iv(4, 6), iv(8, 10)]);
+        set.insert(iv(6, 7));
+        assert_eq!(set.spans(), &[iv(4, 7), iv(8, 10)]);
+        assert_eq!(set.total(), Dur::from_millis(2 + 3 + 2));
+        // A watermark before every end drops nothing.
+        set.forget_before(ms(3));
+        assert_eq!(set.period_count(), 2);
+        // Forgetting everything keeps the set non-empty in measure.
+        set.forget_before(ms(11));
+        assert_eq!(set.period_count(), 0);
+        assert!(!set.is_empty());
+        assert_eq!(set.total(), Dur::from_millis(7));
+    }
+
+    /// A watermark the producer broke. In the paper's Fig. 2/3, overlapping
+    /// requests form one busy period and the instants they share count once
+    /// in `T`. The forgotten span [4,6) and the late interval [5,9) share
+    /// [5,6), but the set no longer knows where [4,6) was, so it cannot
+    /// leave the overlap out: the insert panics instead of changing `T`.
+    #[test]
+    #[should_panic(expected = "could touch a span forgotten")]
+    fn insert_reaching_a_forgotten_span_panics() {
+        let mut set = IntervalSet::from_unsorted([iv(0, 2), iv(4, 6), iv(8, 10)]);
+        set.forget_before(ms(7));
+        set.insert(iv(5, 9));
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! [`StreamingMetrics`] folds each record into constant-size accumulators
 //! — per-layer counts, byte/block sums, summed response time, and an
 //! [`IntervalSet`] for the overlapped time — and reproduces the four paper
-//! metrics bit-for-bit without ever storing a record.
+//! metrics bit-for-bit without ever storing a record. A producer that
+//! knows how far its clock has advanced says so through
+//! [`RecordSink::on_watermark`], which lets the union drop busy periods
+//! no later record can touch.
 
 use crate::batch::RecordBatch;
 use crate::interval::{Interval, IntervalSet};
@@ -61,6 +64,21 @@ pub trait RecordSink {
     fn on_execution_time(&mut self, t: Dur) {
         let _ = t;
     }
+
+    /// Promise that no record delivered after this call starts before `t`.
+    ///
+    /// A producer driven by a simulation clock knows this: the engine
+    /// wakes processes in time order, and a record starts no earlier than
+    /// the wake that issues it or the still-open call it closes. A sink
+    /// may use the promise to drop state only an earlier record could
+    /// touch, as [`StreamingMetrics`] does with busy periods that ended
+    /// before `t`. The promise must hold: a sink that relied on it panics
+    /// on the first record breaking it rather than folding a wrong value.
+    /// Watermarks never decrease. The default ignores them, and so does
+    /// [`Trace`], which keeps every record anyway.
+    fn on_watermark(&mut self, t: Nanos) {
+        let _ = t;
+    }
 }
 
 impl RecordSink for Trace {
@@ -97,7 +115,18 @@ impl<A: RecordSink, B: RecordSink> RecordSink for Tee<A, B> {
         self.0.on_execution_time(t);
         self.1.on_execution_time(t);
     }
+
+    fn on_watermark(&mut self, t: Nanos) {
+        self.0.on_watermark(t);
+        self.1.on_watermark(t);
+    }
 }
+
+/// Busy periods a layer union retains before a watermark drops the ones
+/// behind it: the drop runs about once per this many new periods instead
+/// of on every wake, and the retained spans stay a constant. Out-of-order
+/// inserts on the bundled sweeps reach back at most 4 spans, well inside.
+const RETAINED_SPANS: usize = 64;
 
 /// Constant-size accumulator for one observation layer.
 #[derive(Debug, Clone, Default)]
@@ -117,15 +146,29 @@ impl LayerAcc {
         self.summed += r.duration();
         self.union.insert(r.interval());
     }
+
+    fn on_watermark(&mut self, t: Nanos) {
+        if self.union.period_count() > RETAINED_SPANS {
+            self.union.forget_before(t);
+        }
+    }
 }
 
 /// The shared stream accumulator every [`MetricFold`] finishes from.
 ///
 /// Equivalent to collecting a [`Trace`] and calling `Metric::compute` on
-/// it, but in O(1) space per record (amortized; the interval union keeps
-/// one entry per disjoint busy period) for any selection whose
-/// [`FoldNeeds`] is [`FoldNeeds::NONE`] — the default, and all the paper
-/// four need. Every core accumulator is integer-valued (counts, bytes,
+/// it, without storing records for any selection whose [`FoldNeeds`] is
+/// [`FoldNeeds::NONE`] — the default, and all the paper four need. The
+/// counters are constant-size; each layer's interval union keeps one span
+/// per disjoint busy period, which on a stream of requests that never
+/// touch is one span per request. A producer that emits
+/// [`RecordSink::on_watermark`] bounds that: once a union retains more
+/// than 64 spans, the spans ending before the watermark are dropped with
+/// their measure kept, so a simulated run holds a constant number of
+/// spans. Without watermarks (a stored trace, which
+/// may arrive in any order) the unions grow with the busy periods.
+///
+/// Every core accumulator is integer-valued (counts, bytes,
 /// blocks, nanoseconds), so the final floating-point divisions see exactly
 /// the operands the trace-based path computes: results are bit-for-bit
 /// equal, not merely close.
@@ -434,6 +477,16 @@ impl RecordSink for StreamingMetrics {
     fn on_execution_time(&mut self, t: Dur) {
         self.exec_time = Some(t);
     }
+
+    /// Drop the busy periods that ended before `t` from the application
+    /// and file-system unions, once either retains more than 64. A
+    /// dropped span ends before every later record starts, so it could
+    /// never merge with one: `T` at both layers, and every metric, stay
+    /// bit-identical.
+    fn on_watermark(&mut self, t: Nanos) {
+        self.app.on_watermark(t);
+        self.fs.on_watermark(t);
+    }
 }
 
 #[cfg(test)]
@@ -571,6 +624,42 @@ mod tests {
         let mut t2 = Trace::new();
         t2.push_batch(&records);
         assert_eq!(t1.records(), t2.records());
+    }
+
+    #[test]
+    fn sequential_stream_behind_a_watermark_retains_a_constant() {
+        let mut stream = StreamingMetrics::new();
+        let mut trace = Trace::new();
+        for k in 0..100_000u64 {
+            // Non-touching: a 1 us gap after every 3 us request.
+            let r = rec(0, Layer::Application, 4096, k * 4, k * 4 + 3);
+            stream.push_batch(&[r]);
+            trace.on_record(&r);
+            // The next record starts at (k + 1) * 4 us.
+            let next = Nanos::from_micros((k + 1) * 4);
+            stream.on_watermark(next);
+            trace.on_watermark(next);
+            assert!(stream.app.union.period_count() <= RETAINED_SPANS);
+        }
+        assert_eq!(
+            stream.overlapped_io_time(Layer::Application),
+            Dur::from_micros(100_000 * 3)
+        );
+        assert_eq!(Bps.compute(&trace), stream.bps());
+        assert_eq!(trace.len(), 100_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "could touch a span forgotten")]
+    fn record_behind_a_broken_watermark_panics() {
+        let mut stream = StreamingMetrics::new();
+        for k in 0..=RETAINED_SPANS as u64 {
+            stream.on_record(&rec(0, Layer::FileSystem, 512, k * 10, k * 10 + 5));
+        }
+        let last_start = RETAINED_SPANS as u64 * 10;
+        stream.on_watermark(Nanos::from_micros(last_start));
+        // Starts before the watermark and reaches a dropped span.
+        stream.on_record(&rec(0, Layer::FileSystem, 512, 3, last_start));
     }
 
     #[test]

@@ -64,12 +64,17 @@ impl<S: RecordSink> IoStack<S> {
             self.collective.group_size > 0,
             "collective issued but no collective group configured"
         );
+        self.open_call(arrival.at);
         self.collective.arrivals.push(arrival);
         if self.collective.arrivals.len() < self.collective.group_size {
             return CollectiveOutcome::Wait;
         }
-        // Barrier complete: take the arrivals and execute.
+        // Barrier complete: take the arrivals and execute. Every
+        // participant's call records below, in this wake.
         let mut arrivals = std::mem::take(&mut self.collective.arrivals);
+        for a in &arrivals {
+            self.close_call(a.at);
+        }
         // Deterministic aggregator order: by pid.
         arrivals.sort_by_key(|a| a.pid);
         let barrier = arrivals.iter().map(|a| a.at).max().expect("non-empty");

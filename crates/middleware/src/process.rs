@@ -79,6 +79,7 @@ impl AppProcess {
                     Ok(done) => Wake::At(done),
                     Err(e) => {
                         let at = e.fail_time().unwrap_or(now);
+                        stack.close_call(pending.started);
                         self.pending = None;
                         stack.abandoned_ops += 1;
                         Wake::At(at + self.cpu_per_op)
@@ -101,6 +102,7 @@ impl AppProcess {
                     pending.started,
                     end,
                 );
+                stack.close_call(pending.started);
                 Wake::At(end + self.cpu_per_op)
             }
         }
@@ -146,6 +148,7 @@ impl AppProcess {
             }
             Some(AppOp::ReadNoncontig { file, regions }) => {
                 let plan = stack.plan_noncontig(&regions);
+                stack.open_call(now);
                 self.pending = Some(PendingNoncontig {
                     file: self.files[file],
                     fs_reads: VecDeque::from(plan.fs_reads),
@@ -200,6 +203,9 @@ impl<S: RecordSink> Process<IoStack<S>> for AppProcess {
     }
 
     fn wake(&mut self, now: Nanos, stack: &mut IoStack<S>, waker: &mut Waker) -> Wake {
+        // The previous wake's batch is flushed, and nothing from here on
+        // starts before this wake or an open call.
+        stack.watermark(now);
         // Per-wake batching: everything this wake completes — covering
         // reads, retries, device records, the application record — is
         // delivered to the sink as one batch when the scope closes.

@@ -141,6 +141,11 @@ pub struct IoStack<S: RecordSink = Trace> {
     /// diagnostic; stays 0 on a healthy cluster).
     pub abandoned_ops: u64,
     prefetch_states: HashMap<(ProcessId, FileId), PrefetchState>,
+    /// Start instants of the calls spanning several engine wakes that have
+    /// not recorded yet: noncontiguous reads between their first and last
+    /// covering read, and collective arrivals parked at the barrier. Their
+    /// application records start here, behind the current wake.
+    open_calls: Vec<Nanos>,
 }
 
 impl<S: RecordSink> IoStack<S> {
@@ -156,7 +161,33 @@ impl<S: RecordSink> IoStack<S> {
             retry: RetryPolicy::default(),
             abandoned_ops: 0,
             prefetch_states: HashMap::new(),
+            open_calls: Vec::new(),
         }
+    }
+
+    /// Note a call started at `start` whose application record a later
+    /// wake emits.
+    pub(crate) fn open_call(&mut self, start: Nanos) {
+        self.open_calls.push(start);
+    }
+
+    /// Close one call opened at `start`, recorded or abandoned.
+    pub(crate) fn close_call(&mut self, start: Nanos) {
+        let i = self
+            .open_calls
+            .iter()
+            .position(|&s| s == start)
+            .expect("closing a call that was never opened");
+        self.open_calls.swap_remove(i);
+    }
+
+    /// Tell the sink that no record from a wake at `now` on starts before
+    /// `now` or the start of a still-open call. Engine wakes come in time
+    /// order, and every record a wake emits starts at the wake or later,
+    /// except the application record of an open call.
+    pub(crate) fn watermark(&mut self, now: Nanos) {
+        let t = self.open_calls.iter().fold(now, |t, &s| t.min(s));
+        self.cluster.sink.on_watermark(t);
     }
 
     pub(crate) fn memcpy_cost(&mut self, bytes: u64) -> Dur {
@@ -366,6 +397,10 @@ impl<S: RecordSink> IoStack<S> {
             self.cluster.batch_depth(),
             0,
             "finish inside an open batch scope would lose buffered records"
+        );
+        debug_assert!(
+            self.open_calls.is_empty(),
+            "finish with a multi-wake call still open"
         );
         self.cluster.sink.on_execution_time(exec_time);
         std::mem::take(&mut self.cluster.sink)

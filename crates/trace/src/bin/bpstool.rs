@@ -21,6 +21,11 @@ use bps_core::window::windowed_series;
 use std::path::Path;
 use std::process::ExitCode;
 
+/// Most windows `timeline` builds: a day of the default 100 ms windows
+/// fits. The series holds a point per window, so a long trace cut into
+/// short windows would otherwise try to allocate without bound.
+const MAX_WINDOWS: u64 = 1_000_000;
+
 fn load(path: &Path) -> Result<Trace, String> {
     bps_trace::format::load_path(path).map_err(|e| e.to_string())
 }
@@ -121,6 +126,18 @@ fn run() -> Result<(), String> {
                     format!("window must be 1 to {} milliseconds", u64::MAX / 1_000_000)
                 })?;
             let trace = load(Path::new(path))?;
+            let span = match (trace.first_start(), trace.last_end()) {
+                (Some(first), Some(last)) => (last - first).0,
+                _ => 0,
+            };
+            let windows = span.div_ceil(window.0).max(1);
+            if windows > MAX_WINDOWS {
+                let fits_ms = span.div_ceil(MAX_WINDOWS).div_ceil(1_000_000);
+                return Err(format!(
+                    "{window_ms} ms windows cut this trace into {windows} windows, more than \
+                     {MAX_WINDOWS}; use a window of at least {fits_ms} ms"
+                ));
+            }
             let series = windowed_series(&trace, window);
             println!("windowed BPS, {window_ms} ms windows:");
             println!(

@@ -140,3 +140,41 @@ fn timeline_rejects_unusable_windows() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A trace one record long but 10^18 ns wide is valid, yet the default
+/// 100 ms window would cut it into 10^10 windows. `timeline` refuses with
+/// exit 2 and names the smallest window that fits, instead of aborting on
+/// the allocation.
+#[test]
+fn timeline_rejects_a_series_too_long_to_hold() {
+    let dir = std::env::temp_dir().join(format!("bpstool_long-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("long.bpstrc");
+    let trace = Trace::from_records(vec![IoRecord::new(
+        ProcessId(0),
+        IoOp::Read,
+        FileId(0),
+        0,
+        4096,
+        Nanos(0),
+        Nanos(1_000_000_000_000_000_000),
+        Layer::Application,
+    )]);
+    bps_trace::format::store_path(&trace, &path).unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), 48);
+    let file = path.to_str().unwrap();
+    assert!(bpstool(&["validate", file]).starts_with("clean"));
+    let out = Command::new(env!("CARGO_BIN_EXE_bpstool"))
+        .args(["timeline", file])
+        .output()
+        .expect("spawn bpstool");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "bpstool: 100 ms windows cut this trace into 10000000000 windows, more than 1000000; \
+         use a window of at least 1000000 ms\n"
+    );
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
