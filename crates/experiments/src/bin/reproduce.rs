@@ -26,10 +26,12 @@ use bps_experiments::figures::{
     extensions, faults, fig01, fig02, fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10,
     fig11, fig12, overhead, summary, tables, writes,
 };
-use bps_experiments::journal::{self, Journal};
+use bps_experiments::journal::Journal;
 use bps_experiments::scale::Scale;
-use bps_experiments::scenario::{engine, registry, spec::Scenario, store};
+use bps_experiments::scenario::engine::{self, RunOpts};
+use bps_experiments::scenario::{registry, spec::Scenario, store};
 use bps_experiments::supervise::{self, FailureKind};
+use bps_experiments::sweep::SweepExec;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -248,14 +250,6 @@ fn install_interrupt_handler() {
 #[cfg(not(unix))]
 fn install_interrupt_handler() {}
 
-/// Make a journal live: publish it to the engine, arm the interrupt
-/// handler, and remember the resume command for diagnostics.
-fn activate_journal(j: Arc<Journal>) {
-    supervise::set_resume_hint(Some(format!("reproduce resume {}", j.path().display())));
-    journal::set_active(Some(j));
-    install_interrupt_handler();
-}
-
 /// Resolve a `run` operand: a bundled scenario name, or a path to a JSON
 /// file (anything with a `.json` suffix or that exists on disk).
 fn resolve_scenario(arg: &str) -> Scenario {
@@ -336,6 +330,18 @@ fn parse_metrics_flag(arg: &str) -> Vec<String> {
         }
     }
     names
+}
+
+/// A flag's integer value; exits 1 naming the flag when `v` is not an
+/// integer, or is zero and `positive` asks for more.
+fn int_flag<T: std::str::FromStr + PartialEq + Default>(flag: &str, v: &str, positive: bool) -> T {
+    match v.parse::<T>() {
+        Ok(n) if !positive || n != T::default() => n,
+        _ => fail(format_args!(
+            "{flag} wants a {} integer, got `{v}`",
+            if positive { "positive" } else { "non-negative" }
+        )),
+    }
 }
 
 /// `reproduce cache stats|verify|clear` — inspect or manage the
@@ -589,11 +595,17 @@ fn cmd_topology(refs: &[String], scale: &Scale) {
     }
 }
 
-fn cmd_run(refs: &[String], scale: &Scale, csv_dir: Option<&PathBuf>) -> bool {
+fn cmd_run(
+    refs: &[String],
+    scale: &Scale,
+    exec: SweepExec,
+    opts: &RunOpts,
+    csv_dir: Option<&PathBuf>,
+) -> bool {
     let mut bad = false;
     for r in refs {
         let sc = resolve_scenario(r);
-        let out = match engine::run(&sc, scale) {
+        let out = match engine::run_with_opts(&sc, scale, exec, true, opts) {
             Ok(out) => out,
             Err(e) => fail_engine(e),
         };
@@ -654,7 +666,14 @@ fn expand_targets(targets: &[String]) -> Vec<&'static str> {
 /// Run the fixed report targets in order. With `quiet`, reports are
 /// computed (and exported, if `--csv` asks) but not printed — `profile`
 /// wants the work without the figure text.
-fn run_fixed_targets(expanded: &[&str], scale: &Scale, csv_dir: Option<&PathBuf>, quiet: bool) {
+fn run_fixed_targets(
+    expanded: &[&str],
+    scale: &Scale,
+    exec: SweepExec,
+    opts: &RunOpts,
+    csv_dir: Option<&PathBuf>,
+    quiet: bool,
+) {
     let emit = |text: String| {
         if !quiet {
             print!("{text}");
@@ -697,56 +716,56 @@ fn run_fixed_targets(expanded: &[&str], scale: &Scale, csv_dir: Option<&PathBuf>
             "fig2" => emit(fig02::report().to_string()),
             "fig3" => emit(fig03::report().to_string()),
             "fig4" => {
-                let fig = fig04::run(scale);
+                let fig = fig04::run(scale, exec, opts);
                 export_cc("fig04", &fig);
                 emit(fig.to_string());
             }
             "fig5" => {
-                let fig = fig05::run(scale);
+                let fig = fig05::run(scale, exec, opts);
                 export_cc("fig05", &fig);
                 emit(fig.to_string());
             }
             "fig6" => {
-                let fig = fig06::run(scale);
+                let fig = fig06::run(scale, exec, opts);
                 export_cc("fig06", &fig);
                 emit(fig.to_string());
             }
             "fig7" => {
-                let s = fig07::run(scale);
+                let s = fig07::run(scale, exec, opts);
                 export_detail("fig07", &s);
                 emit(s.to_string());
             }
             "fig8" => {
-                let s = fig08::run(scale);
+                let s = fig08::run(scale, exec, opts);
                 export_detail("fig08", &s);
                 emit(s.to_string());
             }
             "fig9" => {
-                let fig = fig09::run(scale);
+                let fig = fig09::run(scale, exec, opts);
                 export_cc("fig09", &fig);
                 emit(fig.to_string());
             }
             "fig10" => {
-                let s = fig10::run(scale);
+                let s = fig10::run(scale, exec, opts);
                 export_detail("fig10", &s);
                 emit(s.to_string());
             }
             "fig11" => {
-                let fig = fig11::run(scale);
+                let fig = fig11::run(scale, exec, opts);
                 export_cc("fig11", &fig);
                 emit(fig.to_string());
             }
             "fig12" => {
-                let fig = fig12::run(scale);
+                let fig = fig12::run(scale, exec, opts);
                 export_cc("fig12", &fig);
                 emit(fig.to_string());
             }
-            "summary" => emit(summary::report(scale)),
-            "extensions" => emit(extensions::report(scale)),
+            "summary" => emit(summary::report(scale, exec, opts)),
+            "extensions" => emit(extensions::report(scale, exec)),
             "overhead" => emit(overhead::report()),
-            "writes" => emit(writes::report(scale)),
+            "writes" => emit(writes::report(scale, exec, opts)),
             "faults" => {
-                let figures = faults::run(scale);
+                let figures = faults::run(scale, exec, opts);
                 for (kind, fig) in &figures {
                     export_cc(&format!("faults-{}", kind.name()), fig);
                 }
@@ -762,11 +781,11 @@ fn main() {
     if args.is_empty() {
         usage();
     }
+    let mut opts = RunOpts::default();
 
     // `resume <journal> [extra flags]`: the journal header stores the
     // original arguments (minus its own `--journal` pair); extra flags
     // append after them, so a later flag wins via the last-wins parse.
-    let mut resumed: Option<Arc<Journal>> = None;
     if args[0] == "resume" {
         if args.len() < 2 {
             usage();
@@ -784,9 +803,7 @@ fn main() {
             path.display(),
             j.replayed_units()
         );
-        let j = Arc::new(j);
-        activate_journal(j.clone());
-        resumed = Some(j);
+        opts.journal = Some(Arc::new(j));
         let mut full = stored;
         full.extend(args.drain(2..));
         args = full;
@@ -799,6 +816,7 @@ fn main() {
     let mut scale_label = "quick";
     let mut targets: Vec<String> = Vec::new();
     let mut csv_dir: Option<PathBuf> = None;
+    let mut threads: Option<usize> = None;
     let mut journal_path: Option<PathBuf> = None;
     let mut telemetry_path: Option<PathBuf> = None;
     let mut out_dir: Option<PathBuf> = None;
@@ -806,77 +824,19 @@ fn main() {
     // The arguments a fresh journal stores in its header: everything
     // except the `--journal <path>` pair (resume installs its own).
     let mut header_args: Vec<String> = Vec::new();
-    let mut expect_csv_dir = false;
-    let mut expect_threads = false;
-    let mut expect_metrics = false;
-    let mut expect_journal = false;
-    let mut expect_deadline = false;
-    let mut expect_max_failures = false;
-    let mut expect_telemetry = false;
-    let mut expect_out = false;
-    for a in &args {
-        if expect_telemetry {
-            telemetry_path = Some(PathBuf::from(a));
-            header_args.push(a.clone());
-            expect_telemetry = false;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "--journal" {
+            journal_path = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())));
             continue;
         }
-        if expect_out {
-            out_dir = Some(PathBuf::from(a));
-            header_args.push(a.clone());
-            expect_out = false;
-            continue;
-        }
-        if expect_csv_dir {
-            csv_dir = Some(PathBuf::from(a));
-            header_args.push(a.clone());
-            expect_csv_dir = false;
-            continue;
-        }
-        if expect_metrics {
-            engine::set_metric_override(Some(parse_metrics_flag(a)));
-            header_args.push(a.clone());
-            expect_metrics = false;
-            continue;
-        }
-        if expect_threads {
-            match a.parse::<usize>() {
-                Ok(n) if n > 0 => bps_experiments::sweep::set_thread_override(Some(n)),
-                _ => fail(format_args!(
-                    "--threads wants a positive integer, got `{a}`"
-                )),
-            }
-            header_args.push(a.clone());
-            expect_threads = false;
-            continue;
-        }
-        if expect_journal {
-            journal_path = Some(PathBuf::from(a));
-            expect_journal = false;
-            continue;
-        }
-        if expect_deadline {
-            match a.parse::<u64>() {
-                Ok(n) if n > 0 => supervise::set_deadline_override(Some(n)),
-                _ => fail(format_args!(
-                    "--deadline-ms wants a positive integer, got `{a}`"
-                )),
-            }
-            header_args.push(a.clone());
-            expect_deadline = false;
-            continue;
-        }
-        if expect_max_failures {
-            match a.parse::<usize>() {
-                Ok(n) => supervise::set_max_failures(Some(n)),
-                _ => fail(format_args!(
-                    "--max-failures wants a non-negative integer, got `{a}`"
-                )),
-            }
-            header_args.push(a.clone());
-            expect_max_failures = false;
-            continue;
-        }
+        header_args.push(a.clone());
+        // A value-taking flag's value, recorded in the header with it.
+        let mut value = || {
+            let v = it.next().unwrap_or_else(|| usage());
+            header_args.push(v.clone());
+            v
+        };
         match a.as_str() {
             "--paper" => {
                 scale = Scale::paper();
@@ -890,35 +850,24 @@ fn main() {
                 scale = Scale::tiny();
                 scale_label = "tiny";
             }
-            "--csv" => expect_csv_dir = true,
-            "--threads" => expect_threads = true,
-            "--metrics" => expect_metrics = true,
-            "--journal" => {
-                expect_journal = true;
-                continue;
+            "--csv" => csv_dir = Some(PathBuf::from(value())),
+            "--threads" => threads = Some(int_flag(a, value(), true)),
+            "--metrics" => opts.metrics = Some(parse_metrics_flag(value())),
+            "--deadline-ms" => {
+                opts.deadline = Some(Duration::from_millis(int_flag(a, value(), true)));
             }
-            "--deadline-ms" => expect_deadline = true,
-            "--max-failures" => expect_max_failures = true,
-            "--telemetry" => expect_telemetry = true,
-            "--out" => expect_out = true,
+            "--max-failures" => opts.max_failures = Some(int_flag(a, value(), false)),
+            "--telemetry" => telemetry_path = Some(PathBuf::from(value())),
+            "--out" => out_dir = Some(PathBuf::from(value())),
             "--no-cache" => no_cache = true,
             other if other.starts_with("--") => usage(),
             other => targets.push(other.to_string()),
         }
-        header_args.push(a.clone());
     }
-    if expect_csv_dir
-        || expect_threads
-        || expect_metrics
-        || expect_journal
-        || expect_deadline
-        || expect_max_failures
-        || expect_telemetry
-        || expect_out
-        || targets.is_empty()
-    {
+    if targets.is_empty() {
         usage();
     }
+    let exec = SweepExec::from_env(threads);
 
     // Arm the collector before anything that could emit telemetry runs.
     // `profile` implies collection even without `--telemetry <path>`.
@@ -930,20 +879,22 @@ fn main() {
         let _ = TELEMETRY_OUT.set((path.clone(), args.clone()));
     }
     if let Some(path) = &journal_path {
-        if resumed.is_some() {
+        if opts.journal.is_some() {
             fail(format_args!(
                 "resume already journals to the original file; drop --journal {}",
                 path.display()
             ));
         }
-        let j = match Journal::create(path, &header_args) {
-            Ok(j) => j,
+        match Journal::create(path, &header_args) {
+            Ok(j) => opts.journal = Some(Arc::new(j)),
             Err(e) => {
                 eprintln!("error: cannot create journal {}: {e}", path.display());
                 std::process::exit(FailureKind::Io.exit_code());
             }
-        };
-        activate_journal(Arc::new(j));
+        }
+    }
+    if opts.journal.is_some() {
+        install_interrupt_handler();
     }
 
     // Make the persistent case store live for anything that runs cases;
@@ -980,7 +931,7 @@ fn main() {
             if targets.len() < 2 {
                 usage();
             }
-            let bad = cmd_run(&targets[1..], &scale, csv_dir.as_ref());
+            let bad = cmd_run(&targets[1..], &scale, exec, &opts, csv_dir.as_ref());
             finish(bad);
         }
         "check" => {
@@ -1011,7 +962,7 @@ fn main() {
                 usage();
             }
             let expanded = expand_targets(&targets[1..]);
-            run_fixed_targets(&expanded, &scale, csv_dir.as_ref(), true);
+            run_fixed_targets(&expanded, &scale, exec, &opts, csv_dir.as_ref(), true);
             print_profile(&expanded, scale_label);
             finish(false);
         }
@@ -1019,6 +970,6 @@ fn main() {
     }
 
     let expanded = expand_targets(&targets);
-    run_fixed_targets(&expanded, &scale, csv_dir.as_ref(), false);
+    run_fixed_targets(&expanded, &scale, exec, &opts, csv_dir.as_ref(), false);
     finish(false);
 }

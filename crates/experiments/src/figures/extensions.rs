@@ -165,14 +165,15 @@ fn run_combo(combo: Combo, scale: &Scale, seed: u64) -> StreamingMetrics {
     metrics
 }
 
-/// Sweep all combinations — every `(combo, seed)` unit in parallel through
-/// the streaming pipeline — averaged over the scale's seeds, sorted by BPS
-/// (best first).
-pub fn sweep(scale: &Scale) -> Vec<ComboResult> {
+/// Sweep all combinations — every `(combo, seed)` unit in parallel on
+/// `exec` through the streaming pipeline — averaged over the scale's
+/// seeds, sorted by BPS (best first). No scenario runs here, so no
+/// [`RunOpts`](crate::scenario::engine::RunOpts) applies.
+pub fn sweep(scale: &Scale, exec: SweepExec) -> Vec<ComboResult> {
     let seeds = scale.seeds();
     let combos = Combo::all();
     let units = combos.len() * seeds.len();
-    let runs = SweepExec::from_env().run_indexed(units, |i| {
+    let runs = exec.run_indexed(units, |i| {
         run_combo(combos[i / seeds.len()], scale, seeds[i % seeds.len()])
     });
     let mut results: Vec<ComboResult> = combos
@@ -201,8 +202,8 @@ pub fn sweep(scale: &Scale) -> Vec<ComboResult> {
 }
 
 /// Render the extension study.
-pub fn report(scale: &Scale) -> String {
-    let results = sweep(scale);
+pub fn report(scale: &Scale, exec: SweepExec) -> String {
+    let results = sweep(scale, exec);
     let mut out = String::new();
     writeln!(
         out,
@@ -265,7 +266,7 @@ mod tests {
 
     #[test]
     fn sieving_dominates_on_this_workload() {
-        let results = sweep(&Scale::tiny());
+        let results = sweep(&Scale::tiny(), SweepExec::from_env(None));
         assert_eq!(results.len(), 8);
         // The best combination uses sieving (the noncontiguous phase is
         // hostile without it), and every sieving combo beats every
@@ -288,7 +289,7 @@ mod tests {
     fn bps_ranking_tracks_execution_time() {
         // The whole point of the metric: ranking optimizations by BPS is
         // ranking them by what the application experiences.
-        let results = sweep(&Scale::tiny());
+        let results = sweep(&Scale::tiny(), SweepExec::from_env(None));
         assert!(bps_ranks_match_exec(&results), "{results:?}");
     }
 }

@@ -30,12 +30,13 @@
 use crate::figures::common::CcFigure;
 use crate::runner::CasePoint;
 use crate::scale::Scale;
-use crate::scenario::engine;
+use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, DeviceErrorSpec, FaultSpec, Grid, LayoutSpec, LinkLossSpec,
     OutageTrainSpec, OutputSpec, Patch, RetrySpec, Scenario, SlowdownSpec, StorageSpec,
     WorkloadTemplate,
 };
+use crate::sweep::SweepExec;
 use bps_core::extent::Extent;
 use bps_workloads::spec::{AppOp, OpStream, Workload};
 use std::fmt::Write;
@@ -322,15 +323,15 @@ impl FaultKind {
 }
 
 /// Sweep one variety over its fault shapes and score the metrics.
-pub fn variety(kind: FaultKind, scale: &Scale) -> CcFigure {
-    engine::run(&kind.scenario(), scale)
+pub fn variety(kind: FaultKind, scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
+    engine::run_with_opts(&kind.scenario(), scale, exec, true, opts)
         .expect("bundled scenario is valid")
         .into_cc()
 }
 
 /// The averaged sweep points of one variety.
-pub fn points(kind: FaultKind, scale: &Scale) -> Vec<CasePoint> {
-    variety(kind, scale).cases
+pub fn points(kind: FaultKind, scale: &Scale, exec: SweepExec, opts: &RunOpts) -> Vec<CasePoint> {
+    variety(kind, scale, exec, opts).cases
 }
 
 /// Whether BPS has the strictly largest |CC| of the four metrics in a
@@ -348,16 +349,16 @@ pub fn bps_strictly_best(fig: &CcFigure) -> bool {
 }
 
 /// Run every variety.
-pub fn run(scale: &Scale) -> Vec<(FaultKind, CcFigure)> {
+pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> Vec<(FaultKind, CcFigure)> {
     FaultKind::all()
         .into_iter()
-        .map(|kind| (kind, variety(kind, scale)))
+        .map(|kind| (kind, variety(kind, scale, exec, opts)))
         .collect()
 }
 
 /// Render the whole set: one CC figure per variety plus the verdict line.
-pub fn report(scale: &Scale) -> String {
-    render(&run(scale))
+pub fn report(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> String {
+    render(&run(scale, exec, opts))
 }
 
 /// Render already-run variety figures (shared by [`report`] and the
@@ -431,7 +432,12 @@ mod tests {
     fn faults_lengthen_execution_time() {
         // Every faulted shape runs longer than its variety's healthy case.
         for kind in FaultKind::all() {
-            let pts = points(kind, &Scale::tiny());
+            let pts = points(
+                kind,
+                &Scale::tiny(),
+                SweepExec::from_env(None),
+                &RunOpts::default(),
+            );
             for p in &pts[1..] {
                 assert!(
                     p.exec_s > pts[0].exec_s,
@@ -447,7 +453,11 @@ mod tests {
     fn bps_highest_under_at_least_two_fault_types() {
         // The acceptance bar: |CC(BPS)| strictly highest under ≥ 2
         // distinct fault varieties.
-        let figures = run(&Scale::tiny());
+        let figures = run(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         let winners: Vec<&str> = figures
             .iter()
             .filter(|(_, fig)| bps_strictly_best(fig))

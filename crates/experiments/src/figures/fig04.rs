@@ -13,11 +13,12 @@
 
 use crate::figures::common::CcFigure;
 use crate::scale::Scale;
-use crate::scenario::engine;
+use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, ScaleKnob, Scenario, StorageSpec,
     WorkloadTemplate,
 };
+use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 /// Record size used for the sequential read.
@@ -78,8 +79,8 @@ pub fn scenario() -> Scenario {
 }
 
 /// Run the sweep and score the metrics.
-pub fn run(scale: &Scale) -> CcFigure {
-    engine::run(&scenario(), scale)
+pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
+    engine::run_with_opts(&scenario(), scale, exec, true, opts)
         .expect("bundled scenario is valid")
         .into_cc()
 }
@@ -91,13 +92,21 @@ mod tests {
 
     #[test]
     fn all_four_metrics_correct_and_strong() {
-        let fig = run(&Scale::tiny());
+        let fig = run(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         assert_cc_expectations(&fig, &scenario().expect);
     }
 
     #[test]
     fn ssd_fastest_pvfs_scales() {
-        let fig = run(&Scale::tiny());
+        let fig = run(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         let by_label = |l: &str| fig.cases.iter().find(|c| c.label == l).unwrap();
         assert!(by_label("ssd").exec_s < by_label("hdd").exec_s);
         assert!(by_label("pvfs-8").exec_s < by_label("pvfs-1").exec_s);

@@ -10,11 +10,12 @@
 
 use crate::figures::common::CcFigure;
 use crate::scale::Scale;
-use crate::scenario::engine;
+use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, LayoutSpec, Num, OutputSpec, Patch, ScaleKnob, Scenario,
     StorageSpec, WorkloadTemplate,
 };
+use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 /// Record size of the per-process sequential reads.
@@ -82,8 +83,8 @@ pub fn scenario() -> Scenario {
 }
 
 /// Run the sweep and score the metrics.
-pub fn run(scale: &Scale) -> CcFigure {
-    engine::run(&scenario(), scale)
+pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
+    engine::run_with_opts(&scenario(), scale, exec, true, opts)
         .expect("bundled scenario is valid")
         .into_cc()
 }
@@ -95,13 +96,21 @@ mod tests {
 
     #[test]
     fn throughput_metrics_correct_arpt_wrong() {
-        let fig = run(&Scale::tiny());
+        let fig = run(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         assert_cc_expectations(&fig, &scenario().expect);
     }
 
     #[test]
     fn more_processes_finish_sooner() {
-        let fig = run(&Scale::tiny());
+        let fig = run(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         assert!(fig.cases[7].exec_s < fig.cases[0].exec_s / 3.0, "{fig}");
     }
 }

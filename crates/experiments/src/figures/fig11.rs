@@ -9,11 +9,12 @@
 
 use crate::figures::common::CcFigure;
 use crate::scale::Scale;
-use crate::scenario::engine;
+use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, ScaleKnob, Scenario, StorageSpec,
     WorkloadTemplate,
 };
+use crate::sweep::SweepExec;
 
 /// The process counts swept.
 pub const PROCESS_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -65,8 +66,8 @@ pub fn scenario() -> Scenario {
 }
 
 /// Run the sweep and score the metrics.
-pub fn run(scale: &Scale) -> CcFigure {
-    engine::run(&scenario(), scale)
+pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
+    engine::run_with_opts(&scenario(), scale, exec, true, opts)
         .expect("bundled scenario is valid")
         .into_cc()
 }
@@ -78,13 +79,21 @@ mod tests {
 
     #[test]
     fn throughput_metrics_correct_arpt_wrong() {
-        let fig = run(&Scale::tiny());
+        let fig = run(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         assert_cc_expectations(&fig, &scenario().expect);
     }
 
     #[test]
     fn speedup_then_saturation() {
-        let fig = run(&Scale::tiny());
+        let fig = run(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         let t = |label: &str| fig.cases.iter().find(|c| c.label == label).unwrap().exec_s;
         // Concurrency helps early...
         assert!(t("np=8") < t("np=1"), "{fig}");
@@ -95,7 +104,11 @@ mod tests {
 
     #[test]
     fn arpt_grows_under_fan_in() {
-        let fig = run(&Scale::tiny());
+        let fig = run(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         let a = |label: &str| fig.cases.iter().find(|c| c.label == label).unwrap().arpt;
         assert!(a("np=32") > a("np=1"), "{fig}");
     }

@@ -8,18 +8,20 @@
 use crate::figures::common::CcFigure;
 use crate::figures::{fig04, fig05, fig06, fig09, fig11, fig12};
 use crate::scale::Scale;
+use crate::scenario::engine::RunOpts;
+use crate::sweep::SweepExec;
 use bps_core::metrics::paper_metrics;
 use std::fmt::Write;
 
 /// Run every CC figure.
-pub fn all_figures(scale: &Scale) -> Vec<CcFigure> {
+pub fn all_figures(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> Vec<CcFigure> {
     vec![
-        fig04::run(scale),
-        fig05::run(scale),
-        fig06::run(scale),
-        fig09::run(scale),
-        fig11::run(scale),
-        fig12::run(scale),
+        fig04::run(scale, exec, opts),
+        fig05::run(scale, exec, opts),
+        fig06::run(scale, exec, opts),
+        fig09::run(scale, exec, opts),
+        fig11::run(scale, exec, opts),
+        fig12::run(scale, exec, opts),
     ]
 }
 
@@ -42,8 +44,8 @@ pub fn verdicts(figures: &[CcFigure]) -> Vec<(String, f64, usize)> {
 }
 
 /// Render the summary table.
-pub fn report(scale: &Scale) -> String {
-    let figures = all_figures(scale);
+pub fn report(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> String {
+    let figures = all_figures(scale, exec, opts);
     let mut out = String::new();
     writeln!(out, "=== Summary (paper §IV.C.5) ===").unwrap();
     writeln!(
@@ -69,7 +71,11 @@ mod tests {
 
     #[test]
     fn bps_wins_everywhere_others_fail_somewhere() {
-        let figures = all_figures(&Scale::tiny());
+        let figures = all_figures(
+            &Scale::tiny(),
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
         let v = verdicts(&figures);
         let get = |m: &str| v.iter().find(|(n, _, _)| n == m).unwrap().clone();
         // BPS: correct in all six scenarios, high mean CC.

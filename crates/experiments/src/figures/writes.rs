@@ -10,8 +10,9 @@
 use crate::figures::common::CcFigure;
 use crate::figures::fig05::{record_size_scenario, size_sweep_expect};
 use crate::scale::Scale;
-use crate::scenario::engine;
+use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{OutputSpec, Scenario, StorageSpec};
+use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 fn write_scenario(name: &str, storage: StorageSpec, device: &str) -> Scenario {
@@ -36,23 +37,23 @@ pub fn scenario_ssd() -> Scenario {
 }
 
 /// Run the write sweep on one device.
-pub fn run_on(storage: StorageSpec, scale: &Scale) -> CcFigure {
+pub fn run_on(storage: StorageSpec, scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
     let sc = match storage {
         StorageSpec::Hdd => scenario_hdd(),
         StorageSpec::Ssd => scenario_ssd(),
         StorageSpec::Pvfs { .. } => panic!("the write extension sweeps local devices only"),
     };
-    engine::run(&sc, scale)
+    engine::run_with_opts(&sc, scale, exec, true, opts)
         .expect("bundled scenario is valid")
         .into_cc()
 }
 
 /// Both device sweeps.
-pub fn report(scale: &Scale) -> String {
+pub fn report(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> String {
     format!(
         "{}\n{}",
-        run_on(StorageSpec::Hdd, scale),
-        run_on(StorageSpec::Ssd, scale)
+        run_on(StorageSpec::Hdd, scale, exec, opts),
+        run_on(StorageSpec::Ssd, scale, exec, opts)
     )
 }
 
@@ -67,7 +68,12 @@ mod tests {
             (StorageSpec::Hdd, scenario_hdd()),
             (StorageSpec::Ssd, scenario_ssd()),
         ] {
-            let fig = run_on(storage, &Scale::tiny());
+            let fig = run_on(
+                storage,
+                &Scale::tiny(),
+                SweepExec::from_env(None),
+                &RunOpts::default(),
+            );
             assert_cc_expectations(&fig, &sc.expect);
         }
     }
@@ -77,8 +83,14 @@ mod tests {
         // The SSD's program latency exceeds its read latency; sanity-check
         // the asymmetry survives the full stack.
         let scale = Scale::tiny();
-        let writes = run_on(StorageSpec::Ssd, &scale);
-        let reads = crate::figures::fig06::run(&scale);
+        let writes = run_on(
+            StorageSpec::Ssd,
+            &scale,
+            SweepExec::from_env(None),
+            &RunOpts::default(),
+        );
+        let reads =
+            crate::figures::fig06::run(&scale, SweepExec::from_env(None), &RunOpts::default());
         let w4k = writes.cases[0].exec_s;
         let r4k = reads.cases[0].exec_s;
         assert!(w4k > r4k, "write {w4k} vs read {r4k}");

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Journal format version (the header's `version` field).
 const VERSION: u64 = 1;
@@ -267,22 +267,6 @@ impl Journal {
             );
         }
     }
-}
-
-fn active_slot() -> &'static Mutex<Option<Arc<Journal>>> {
-    static ACTIVE: OnceLock<Mutex<Option<Arc<Journal>>>> = OnceLock::new();
-    ACTIVE.get_or_init(Default::default)
-}
-
-/// Install (or clear) the process-wide journal every scenario run records
-/// to and replays from. The CLI sets it for `--journal` and `resume`.
-pub fn set_active(journal: Option<Arc<Journal>>) {
-    *active_slot().lock().expect("journal slot poisoned") = journal;
-}
-
-/// The process-wide journal, if one is installed.
-pub fn active() -> Option<Arc<Journal>> {
-    active_slot().lock().expect("journal slot poisoned").clone()
 }
 
 #[cfg(test)]

@@ -8,13 +8,14 @@
 //!    against the scale preset. The result is a list of pure-data
 //!    [`ResolvedCase`]s: deterministic, thread-count-independent, and
 //!    checkable without running anything.
-//! 2. [`run`] (or [`run_with`] with an explicit executor) — serve what
-//!    the case memo and store already hold, run every remaining
-//!    `(case, seed)` unit through the one supervised executor
+//! 2. [`run_with_opts`], the one runner — serve what the case memo and
+//!    store already hold, run every remaining `(case, seed)` unit through
+//!    the one supervised executor
 //!    ([`run_supervised`](crate::supervise::run_supervised) on
-//!    [`SweepExec`](crate::sweep::SweepExec)'s thread count), average
-//!    each case with [`CasePoint::from_units`], and score the points into
-//!    a [`ScenarioOutput`].
+//!    [`SweepExec`](crate::sweep::SweepExec)'s thread count) under the
+//!    caller's [`RunOpts`], average each case with
+//!    [`CasePoint::from_units`], and score the points into a
+//!    [`ScenarioOutput`].
 //! 3. [`violations`] — compare a scored CC figure against the scenario's
 //!    Table-1 expectations and verdict.
 
@@ -487,32 +488,18 @@ fn memo_cache() -> &'static Mutex<HashMap<String, CasePoint>> {
     MEMO.get_or_init(Default::default)
 }
 
-/// Process-wide CLI metric selection (`reproduce --metrics a,b,c`).
-fn metric_override() -> &'static Mutex<Option<Vec<String>>> {
-    static OVERRIDE: OnceLock<Mutex<Option<Vec<String>>>> = OnceLock::new();
-    OVERRIDE.get_or_init(Default::default)
-}
-
-/// Set (or clear, with `None`) the CLI metric selection. It applies to
-/// every scenario that does not pin its own `metrics` list — a scenario's
-/// explicit selection always wins, so a bundled figure that depends on a
-/// particular metric set keeps it under any CLI flags.
-pub fn set_metric_override(names: Option<Vec<String>>) {
-    *metric_override().lock().expect("metric override poisoned") = names;
-}
-
 /// The metric selection a scenario run computes and reports: the
-/// scenario's `metrics` list if non-empty, else the CLI override, else
-/// the paper four — always unioned with any metric the output or an
-/// expectation references, so scoring never misses a value it needs.
-fn effective_selection(scenario: &Scenario) -> Result<MetricSelection, EngineError> {
-    let cli = metric_override()
-        .lock()
-        .expect("metric override poisoned")
-        .clone();
+/// scenario's `metrics` list if non-empty, else the caller's
+/// [`RunOpts::metrics`], else the paper four — always unioned with any
+/// metric the output or an expectation references, so scoring never
+/// misses a value it needs.
+fn effective_selection(
+    scenario: &Scenario,
+    opts: &RunOpts,
+) -> Result<MetricSelection, EngineError> {
     let base = if !scenario.metrics.is_empty() {
         MetricSelection::parse(&scenario.metrics)
-    } else if let Some(names) = &cli {
+    } else if let Some(names) = &opts.metrics {
         MetricSelection::parse(names)
     } else {
         Ok(MetricSelection::paper())
@@ -588,57 +575,24 @@ fn case_spec<'a>(c: &ResolvedCase, w: &'a dyn Workload) -> CaseSpec<'a> {
     spec
 }
 
-/// Supervision options of one scenario run: the journal to replay/record,
-/// the per-unit wall-clock deadline, and the failure budget. The default
-/// (all `None`) runs every unit once on the scoped pool, isolating
+/// The options of one run, built once by `reproduce` from its flags and
+/// passed down to every scenario it runs: the metric selection, the
+/// journal to replay/record, the per-unit wall-clock deadline, and the
+/// failure budget. A scenario's own `metrics` list and `deadline_ms`
+/// outrank the matching fields here. The default (all `None`) scores the
+/// paper four and runs every unit once on the scoped pool, isolating
 /// failures without a journal, watchdog or budget.
 #[derive(Default, Clone)]
 pub struct RunOpts {
-    /// Journal to replay completed units from and record fresh units to.
+    /// Metric names (`--metrics`) for scenarios without a `metrics` list.
+    pub metrics: Option<Vec<String>>,
+    /// Journal to replay completed units from and record fresh units to;
+    /// an early exit names it in the `reproduce resume` hint.
     pub journal: Option<std::sync::Arc<crate::journal::Journal>>,
     /// Per-unit wall-clock deadline.
     pub deadline: Option<std::time::Duration>,
     /// Abort the run (exit 7) once more than this many units fail.
     pub max_failures: Option<usize>,
-}
-
-impl RunOpts {
-    /// The process-wide options installed by the CLI, with the scenario's
-    /// own `deadline_ms` outranking `--deadline-ms` (mirroring how a
-    /// scenario's `metrics` list outranks `--metrics`).
-    fn from_globals(scenario: &Scenario) -> RunOpts {
-        RunOpts {
-            journal: crate::journal::active(),
-            deadline: scenario
-                .deadline_ms
-                .or_else(crate::supervise::deadline_override)
-                .map(std::time::Duration::from_millis),
-            max_failures: crate::supervise::max_failures(),
-        }
-    }
-}
-
-/// Expand, run and score a scenario with the environment's executor
-/// (`BPS_THREADS`) and the process-wide supervision options (journal,
-/// deadline, failure budget) installed by the CLI.
-pub fn run(scenario: &Scenario, scale: &Scale) -> Result<ScenarioOutput, EngineError> {
-    run_with(scenario, scale, SweepExec::from_env())
-}
-
-/// [`run`] with an explicit executor — the output is byte-identical at
-/// any thread count.
-pub fn run_with(
-    scenario: &Scenario,
-    scale: &Scale,
-    exec: SweepExec,
-) -> Result<ScenarioOutput, EngineError> {
-    run_with_opts(
-        scenario,
-        scale,
-        exec,
-        true,
-        &RunOpts::from_globals(scenario),
-    )
 }
 
 /// Run the missing cases through the supervised executor: one
@@ -710,6 +664,7 @@ fn run_cases(
         exec.threads(),
         opts.deadline,
         opts.max_failures,
+        opts.journal.as_ref().map(|j| j.path()),
         on_done,
     );
     for ((mi, si), outcome) in task_pos.into_iter().zip(fresh) {
@@ -748,9 +703,11 @@ fn run_cases(
     (points, failures)
 }
 
-/// [`run_with`] with everything explicit: executor, memoization, and
-/// supervision options. The test suites drive journaled/resumed runs
-/// through this without touching process-global state.
+/// Expand, run and score a scenario on `exec` under `opts`, serving and
+/// filling the case memo when `memo_on`. The output is byte-identical at
+/// any thread count, journaled or not. The scenario's own `deadline_ms`
+/// outranks `opts.deadline`, as its `metrics` list outranks
+/// `opts.metrics`.
 pub fn run_with_opts(
     scenario: &Scenario,
     scale: &Scale,
@@ -762,7 +719,7 @@ pub fn run_with_opts(
         let _span = bps_telemetry::phase("engine.expand");
         expand(scenario, scale)?
     };
-    let selection = effective_selection(scenario)?;
+    let selection = effective_selection(scenario, opts)?;
     let cache_span = bps_telemetry::phase("engine.cache-lookup");
 
     // Serve cases already simulated this process from the memo; only the
@@ -833,6 +790,13 @@ pub fn run_with_opts(
 
     if !missing.is_empty() {
         let _span = bps_telemetry::phase("engine.sweep");
+        let opts = &RunOpts {
+            deadline: scenario
+                .deadline_ms
+                .map(std::time::Duration::from_millis)
+                .or(opts.deadline),
+            ..opts.clone()
+        };
         let (fresh, failures) =
             run_cases(&resolved, &missing, &keys, scale, &selection, exec, opts);
         for failure in &failures {
@@ -1138,27 +1102,36 @@ mod tests {
     fn selection_resolution_scenario_then_override_then_paper() {
         let grid = || Grid::single(vec![CaseDecl::new("a", Patch::none())]);
         // Default: the paper four.
+        let none = RunOpts::default();
         assert_eq!(
-            effective_selection(&cc_scenario(grid())).unwrap().names(),
+            effective_selection(&cc_scenario(grid()), &none)
+                .unwrap()
+                .names(),
             ["IOPS", "BW", "ARPT", "BPS"]
         );
         // Expectation metrics are always unioned in (registry order).
         let mut sc = cc_scenario(grid());
         sc.metrics = vec!["BPS".into()];
         sc.expect = vec![Expect::correct("arpt", 0.5)];
-        assert_eq!(effective_selection(&sc).unwrap().names(), ["ARPT", "BPS"]);
-        // The CLI override fills in when a scenario has no list of its own,
-        // but never beats an explicit scenario selection.
-        set_metric_override(Some(vec!["BPS".into(), "MaxQD".into()]));
         assert_eq!(
-            effective_selection(&cc_scenario(grid())).unwrap().names(),
+            effective_selection(&sc, &none).unwrap().names(),
+            ["ARPT", "BPS"]
+        );
+        // The CLI's list fills in when a scenario has no list of its own,
+        // but never beats an explicit scenario selection.
+        let cli = RunOpts {
+            metrics: Some(vec!["BPS".into(), "MaxQD".into()]),
+            ..RunOpts::default()
+        };
+        assert_eq!(
+            effective_selection(&cc_scenario(grid()), &cli)
+                .unwrap()
+                .names(),
             ["BPS", "MaxQD"]
         );
-        assert_eq!(effective_selection(&sc).unwrap().names(), ["ARPT", "BPS"]);
-        set_metric_override(None);
         assert_eq!(
-            effective_selection(&cc_scenario(grid())).unwrap().names(),
-            ["IOPS", "BW", "ARPT", "BPS"]
+            effective_selection(&sc, &cli).unwrap().names(),
+            ["ARPT", "BPS"]
         );
     }
 

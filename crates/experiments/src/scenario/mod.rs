@@ -17,5 +17,5 @@ pub mod registry;
 pub mod spec;
 pub mod store;
 
-pub use engine::{expand, run, run_with, EngineError, ResolvedCase, ScenarioOutput};
+pub use engine::{expand, EngineError, ResolvedCase, ScenarioOutput};
 pub use spec::Scenario;

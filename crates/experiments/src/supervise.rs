@@ -22,15 +22,20 @@
 //!   units, stops dispatching, and exits with the journal flushed and
 //!   the exact `resume` command printed.
 //!
-//! The failure ledger ([`record_failures`] / [`take_recorded_failures`])
-//! is how the CLI learns, at the end of a run that spanned many figures,
-//! which failure classes occurred — each class maps to a distinct
-//! documented exit code.
+//! The deadline, the budget and the journal named in the resume hint
+//! are arguments of [`run_supervised`]; the engine passes them from its
+//! [`RunOpts`](crate::scenario::engine::RunOpts). Two pieces of state stay
+//! process-wide: the interrupt flag, because a signal handler can reach
+//! nothing else, and the failure ledger ([`record_failures`] /
+//! [`take_recorded_failures`]), which is how the CLI and the benchmark
+//! learn, at the end of a run that spanned many figures, which failure
+//! classes occurred — each class maps to a distinct documented exit code.
 
 use crate::runner::UnitValues;
 use crate::sweep::SweepExec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -152,46 +157,13 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide run policy (CLI flags), interrupt flag, and failure ledger.
+// Interrupt flag and failure ledger.
 // ---------------------------------------------------------------------------
 
-/// Per-unit wall-clock deadline in milliseconds; 0 means "not set".
-static DEADLINE_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Failure budget; `usize::MAX` means "not set".
-static MAX_FAILURES: AtomicUsize = AtomicUsize::new(usize::MAX);
-
 /// Set when the process received SIGINT/SIGTERM; checked between units.
+/// The one piece of run state a signal handler can reach, so it stays
+/// process-wide.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
-
-/// Install (or clear, with `None`) the CLI `--deadline-ms` per-unit
-/// deadline. A scenario's own `deadline_ms` field outranks it, mirroring
-/// how a scenario's `metrics` list outranks `--metrics`.
-pub fn set_deadline_override(ms: Option<u64>) {
-    DEADLINE_MS.store(ms.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The CLI per-unit deadline, if one was installed.
-pub fn deadline_override() -> Option<u64> {
-    match DEADLINE_MS.load(Ordering::Relaxed) {
-        0 => None,
-        ms => Some(ms),
-    }
-}
-
-/// Install (or clear, with `None`) the CLI `--max-failures` budget: a run
-/// aborts (exit code 7) once its unit-failure count exceeds the budget.
-pub fn set_max_failures(budget: Option<usize>) {
-    MAX_FAILURES.store(budget.unwrap_or(usize::MAX), Ordering::Relaxed);
-}
-
-/// The CLI failure budget, if one was installed.
-pub fn max_failures() -> Option<usize> {
-    match MAX_FAILURES.load(Ordering::Relaxed) {
-        usize::MAX => None,
-        n => Some(n),
-    }
-}
 
 /// Mark the process interrupted (called from the SIGINT handler; an
 /// atomic store is async-signal-safe). The supervisor notices between
@@ -203,25 +175,6 @@ pub fn request_interrupt() {
 /// Whether an interrupt has been requested.
 pub fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::Relaxed)
-}
-
-fn resume_hint_slot() -> &'static Mutex<Option<String>> {
-    static HINT: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    HINT.get_or_init(Default::default)
-}
-
-/// Remember the exact command that resumes the current journaled run, so
-/// an interrupt or a budget abort can print it.
-pub fn set_resume_hint(cmd: Option<String>) {
-    *resume_hint_slot().lock().expect("resume hint poisoned") = cmd;
-}
-
-/// The resume command remembered by [`set_resume_hint`].
-pub fn resume_hint() -> Option<String> {
-    resume_hint_slot()
-        .lock()
-        .expect("resume hint poisoned")
-        .clone()
 }
 
 fn ledger() -> &'static Mutex<Vec<UnitFailure>> {
@@ -246,19 +199,22 @@ pub fn take_recorded_failures() -> Vec<UnitFailure> {
 /// Exit because the run was interrupted: the journal is already flushed
 /// (every unit line is written and flushed as it completes), so all that
 /// remains is to tell the user how to pick the run back up.
-fn exit_interrupted() -> ! {
+fn exit_interrupted(journal: Option<&Path>) -> ! {
     eprintln!("interrupted: journal flushed; completed units are safe");
-    if let Some(hint) = resume_hint() {
-        eprintln!("resume with: {hint}");
+    if let Some(path) = journal {
+        eprintln!("resume with: reproduce resume {}", path.display());
     }
     std::process::exit(130);
 }
 
 /// Exit because the failure budget was exceeded.
-fn exit_budget(failed: usize, budget: usize) -> ! {
+fn exit_budget(failed: usize, budget: usize, journal: Option<&Path>) -> ! {
     eprintln!("error: failure budget exceeded: {failed} unit failure(s) > --max-failures {budget}");
-    if let Some(hint) = resume_hint() {
-        eprintln!("completed units are journaled; resume with: {hint}");
+    if let Some(path) = journal {
+        eprintln!(
+            "completed units are journaled; resume with: reproduce resume {}",
+            path.display()
+        );
     }
     std::process::exit(7);
 }
@@ -398,21 +354,22 @@ fn worker(shared: &Shared, on_done: &OnDone) {
 /// is marked [`FailureKind::Timeout`] and detached — its worker thread is
 /// never joined, and a replacement worker keeps the pool at full
 /// strength. The process exits (with the journal flushed and the resume
-/// command printed) if the run is interrupted or more than `max_failures`
-/// units fail.
+/// command for `journal` printed) if the run is interrupted or more than
+/// `max_failures` units fail.
 pub fn run_supervised(
     tasks: Vec<UnitTask>,
     threads: usize,
     deadline: Option<Duration>,
     max_failures: Option<usize>,
+    journal: Option<&Path>,
     on_done: Arc<OnDone>,
 ) -> Vec<UnitOutcome> {
     if tasks.is_empty() {
         return Vec::new();
     }
     match deadline {
-        None => run_pooled(&tasks, threads, max_failures, on_done.as_ref()),
-        Some(deadline) => run_watched(tasks, threads, deadline, max_failures, on_done),
+        None => run_pooled(&tasks, threads, max_failures, journal, on_done.as_ref()),
+        Some(deadline) => run_watched(tasks, threads, deadline, max_failures, journal, on_done),
     }
 }
 
@@ -424,6 +381,7 @@ fn run_pooled(
     tasks: &[UnitTask],
     threads: usize,
     max_failures: Option<usize>,
+    journal: Option<&Path>,
     on_done: &OnDone,
 ) -> Vec<UnitOutcome> {
     let failed = AtomicUsize::new(0);
@@ -439,12 +397,12 @@ fn run_pooled(
         Some(outcome)
     });
     if interrupted() {
-        exit_interrupted();
+        exit_interrupted(journal);
     }
     if let Some(budget) = max_failures {
         let failed = failed.load(Ordering::Relaxed);
         if failed > budget {
-            exit_budget(failed, budget);
+            exit_budget(failed, budget, journal);
         }
     }
     outcomes
@@ -459,6 +417,7 @@ fn run_watched(
     threads: usize,
     deadline: Duration,
     max_failures: Option<usize>,
+    journal: Option<&Path>,
     on_done: Arc<OnDone>,
 ) -> Vec<UnitOutcome> {
     let n = tasks.len();
@@ -498,13 +457,13 @@ fn run_watched(
         }
         if interrupted() {
             shared.halt.store(true, Ordering::Relaxed);
-            exit_interrupted();
+            exit_interrupted(journal);
         }
         if let Some(budget) = max_failures {
             let failed = shared.failures.load(Ordering::Relaxed);
             if failed > budget {
                 shared.halt.store(true, Ordering::Relaxed);
-                exit_budget(failed, budget);
+                exit_budget(failed, budget, journal);
             }
         }
         for i in 0..n {
@@ -606,7 +565,7 @@ mod tests {
             let tasks: Vec<UnitTask> = (0..10)
                 .map(|i| ok_task(&format!("t{i}"), i, i as f64))
                 .collect();
-            let out = run_supervised(tasks, threads, None, None, Arc::new(|_, _| {}));
+            let out = run_supervised(tasks, threads, None, None, None, Arc::new(|_, _| {}));
             assert_eq!(out.len(), 10);
             for (i, o) in out.iter().enumerate() {
                 match o {
@@ -628,7 +587,7 @@ mod tests {
         });
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = run_supervised(tasks, 2, None, None, Arc::new(|_, _| {}));
+        let out = run_supervised(tasks, 2, None, None, None, Arc::new(|_, _| {}));
         std::panic::set_hook(prev);
         assert!(matches!(out[0], UnitOutcome::Done(_)));
         match &out[1] {
@@ -665,6 +624,7 @@ mod tests {
             2,
             Some(Duration::from_millis(80)),
             None,
+            None,
             Arc::new(|_, _| {}),
         );
         assert!(
@@ -696,6 +656,7 @@ mod tests {
         let out = run_supervised(
             tasks,
             3,
+            None,
             None,
             None,
             Arc::new(move |task, _| sink.lock().unwrap().push(task.key.clone())),

@@ -14,9 +14,9 @@
 //! per-unit deadline swaps in its own watchdog pool. [`SweepExec::run_one`]
 //! averages one ad-hoc [`CaseSpec`] for examples and tests.
 //!
-//! Thread count, in precedence order: a process-wide override installed
-//! with [`set_thread_override`] (the `reproduce --threads N` flag), then
-//! the `BPS_THREADS` environment variable, then
+//! Thread count, in precedence order ([`SweepExec::from_env`]): the
+//! caller's explicit count (the `reproduce --threads N` flag), then the
+//! `BPS_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`]. A count of 1 runs inline on
 //! the calling thread.
 
@@ -24,18 +24,6 @@ use crate::runner::{run_case_streaming_selected, CasePoint, CaseSpec, UnitValues
 use bps_core::metrics::MetricSelection;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Process-wide thread-count override; 0 means "not set". Installed by
-/// the CLI's `--threads N` flag and read by [`SweepExec::from_env`]
-/// ahead of `BPS_THREADS`.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Install a process-wide worker thread count that outranks the
-/// `BPS_THREADS` environment variable in [`SweepExec::from_env`].
-/// `None` clears a previous override.
-pub fn set_thread_override(threads: Option<usize>) {
-    THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::Relaxed);
-}
 
 /// A work-stealing executor for embarrassingly parallel sweep units.
 #[derive(Debug, Clone, Copy)]
@@ -51,18 +39,18 @@ impl SweepExec {
         }
     }
 
-    /// Thread count by precedence: the [`set_thread_override`] value
-    /// (CLI `--threads`), then `BPS_THREADS`, then the machine's
-    /// available parallelism.
-    pub fn from_env() -> Self {
-        let overridden = THREAD_OVERRIDE.load(Ordering::Relaxed);
-        if overridden > 0 {
-            return SweepExec::new(overridden);
-        }
-        let threads = std::env::var("BPS_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
+    /// Thread count by precedence: `flag` (CLI `--threads`), then
+    /// `BPS_THREADS`, then the machine's available parallelism. A zero
+    /// or unparsable count falls through to the next source.
+    pub fn from_env(flag: Option<usize>) -> Self {
+        let threads = flag
             .filter(|&n| n > 0)
+            .or_else(|| {
+                std::env::var("BPS_THREADS")
+                    .ok()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .filter(|&n| n > 0)
+            })
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -165,12 +153,10 @@ mod tests {
 
     #[test]
     fn thread_override_outranks_environment() {
-        set_thread_override(Some(3));
-        assert_eq!(SweepExec::from_env().threads(), 3);
-        set_thread_override(None);
-        // Cleared: from_env falls back to BPS_THREADS / machine parallelism,
-        // both of which give at least one worker.
-        assert!(SweepExec::from_env().threads() >= 1);
+        assert_eq!(SweepExec::from_env(Some(3)).threads(), 3);
+        // No flag: BPS_THREADS or the machine's parallelism, both of
+        // which give at least one worker.
+        assert!(SweepExec::from_env(None).threads() >= 1);
     }
 
     #[test]

@@ -127,12 +127,24 @@ fn memoization_does_not_change_a_single_byte() {
 
 #[test]
 fn threads_flag_rejects_garbage() {
-    for bad in [
-        &["fig4", "--tiny", "--threads", "zero"][..],
-        &["fig4", "--tiny", "--threads"][..],
+    let out = reproduce(&["fig4", "--tiny", "--threads", "zero"]);
+    assert!(!out.status.success(), "--threads zero should fail");
+    // Every value-taking flag given last, with no value, is a usage
+    // error (exit 2), not a run with the flag silently dropped.
+    for flag in [
+        "--csv",
+        "--threads",
+        "--metrics",
+        "--journal",
+        "--deadline-ms",
+        "--max-failures",
+        "--telemetry",
+        "--out",
     ] {
-        let out = reproduce(bad);
-        assert!(!out.status.success(), "reproduce {bad:?} should fail");
+        let out = reproduce(&["fig4", "--tiny", flag]);
+        assert_eq!(out.status.code(), Some(2), "reproduce fig4 --tiny {flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage: reproduce"), "{flag}: {err}");
     }
 }
 

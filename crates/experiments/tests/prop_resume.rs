@@ -80,8 +80,7 @@ fn unique_path() -> PathBuf {
 fn journal_opts(j: Journal) -> RunOpts {
     RunOpts {
         journal: Some(Arc::new(j)),
-        deadline: None,
-        max_failures: None,
+        ..RunOpts::default()
     }
 }
 

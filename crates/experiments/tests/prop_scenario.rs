@@ -3,11 +3,11 @@
 //! of the sweep's thread count.
 
 use bps_experiments::scale::Scale;
+use bps_experiments::scenario::engine::{self, RunOpts};
 use bps_experiments::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, Scenario, StorageSpec,
     WorkloadTemplate,
 };
-use bps_experiments::scenario::{engine, run_with};
 use bps_experiments::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 use bps_workloads::synthetic::Pattern;
@@ -190,8 +190,8 @@ proptest! {
     ) {
         let sc = grid_scenario(storage_idx, file_kb, &[4 << 10, 64 << 10], &[1]);
         let scale = Scale::tiny();
-        let seq = run_with(&sc, &scale, SweepExec::new(1)).unwrap();
-        let par = run_with(&sc, &scale, SweepExec::new(threads)).unwrap();
+        let seq = engine::run_with_opts(&sc, &scale, SweepExec::new(1), true, &RunOpts::default()).unwrap();
+        let par = engine::run_with_opts(&sc, &scale, SweepExec::new(threads), true, &RunOpts::default()).unwrap();
         prop_assert_eq!(format!("{seq}"), format!("{par}"));
         let (seq, par) = (seq.into_cc(), par.into_cc());
         for (a, b) in seq.cases.iter().zip(&par.cases) {

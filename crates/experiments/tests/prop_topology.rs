@@ -6,11 +6,11 @@
 use bps_core::time::Dur;
 use bps_experiments::runner::{CaseSpec, Storage};
 use bps_experiments::scale::Scale;
+use bps_experiments::scenario::engine::{self, RunOpts};
 use bps_experiments::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, Scenario, StorageSpec,
     WorkloadTemplate,
 };
-use bps_experiments::scenario::{engine, run_with};
 use bps_experiments::sweep::SweepExec;
 use bps_sim::fault::FaultPlan;
 use bps_topology::{DeviceNode, NodeSpec, TopologySpec};
@@ -160,7 +160,7 @@ proptest! {
         prop_assert_eq!(a.execution_time(), b.execution_time());
         prop_assert_eq!(a.records(), b.records());
 
-        let exec = SweepExec::from_env();
+        let exec = SweepExec::from_env(None);
         let pa = exec.run_one("case", &implicit, &[seed, seed + 1]);
         let pb = exec.run_one("case", &explicit, &[seed, seed + 1]);
         prop_assert_eq!(
@@ -239,8 +239,8 @@ proptest! {
         for (a, b) in ia.iter().zip(&ea) {
             prop_assert_eq!(&a.effective_topology(), &b.effective_topology());
         }
-        let out_implicit = run_with(&implicit, &scale, SweepExec::new(1)).unwrap();
-        let out_explicit = run_with(&explicit, &scale, SweepExec::new(threads)).unwrap();
+        let out_implicit = engine::run_with_opts(&implicit, &scale, SweepExec::new(1), true, &RunOpts::default()).unwrap();
+        let out_explicit = engine::run_with_opts(&explicit, &scale, SweepExec::new(threads), true, &RunOpts::default()).unwrap();
         prop_assert_eq!(format!("{out_implicit}"), format!("{out_explicit}"));
     }
 }
@@ -263,17 +263,12 @@ fn memo_on_and_off_agree_for_explicit_topologies() {
     ]);
     let sc = scenario(Some(topo), StorageSpec::Pvfs { servers: 3 }, 32);
     let scale = Scale::tiny();
-    let off = engine::run_with_opts(
-        &sc,
-        &scale,
-        SweepExec::new(2),
-        false,
-        &engine::RunOpts::default(),
-    )
-    .unwrap();
+    let off =
+        engine::run_with_opts(&sc, &scale, SweepExec::new(2), false, &RunOpts::default()).unwrap();
     let off = format!("{off}");
-    let cold = format!("{}", run_with(&sc, &scale, SweepExec::new(2)).unwrap());
-    let warm = format!("{}", run_with(&sc, &scale, SweepExec::new(2)).unwrap());
+    let memo = || engine::run_with_opts(&sc, &scale, SweepExec::new(2), true, &RunOpts::default());
+    let cold = format!("{}", memo().unwrap());
+    let warm = format!("{}", memo().unwrap());
     assert_eq!(off, cold);
     assert_eq!(cold, warm);
 }

@@ -4,11 +4,17 @@
 
 use bps::experiments::figures::{fig04, fig05, fig09, fig11, fig12, summary};
 use bps::experiments::scale::Scale;
+use bps::experiments::scenario::engine::RunOpts;
+use bps::experiments::sweep::SweepExec;
 
 #[test]
 fn set1_devices_all_metrics_behave() {
     // Paper Fig. 4: "All of the four metrics perform well."
-    let fig = fig04::run(&Scale::tiny());
+    let fig = fig04::run(
+        &Scale::tiny(),
+        SweepExec::from_env(None),
+        &RunOpts::default(),
+    );
     for m in ["IOPS", "BW", "ARPT", "BPS"] {
         assert_eq!(fig.direction_correct(m), Some(true), "{m}\n{fig}");
     }
@@ -18,7 +24,11 @@ fn set1_devices_all_metrics_behave() {
 fn set2_sizes_iops_and_arpt_mislead() {
     // Paper Figs. 5/7: IOPS falls 5156 → 732 while the app runs 2.3x
     // faster; both IOPS and ARPT get the direction wrong.
-    let fig = fig05::run(&Scale::tiny());
+    let fig = fig05::run(
+        &Scale::tiny(),
+        SweepExec::from_env(None),
+        &RunOpts::default(),
+    );
     assert_eq!(fig.direction_correct("IOPS"), Some(false), "{fig}");
     assert_eq!(fig.direction_correct("ARPT"), Some(false), "{fig}");
     assert_eq!(fig.direction_correct("BW"), Some(true), "{fig}");
@@ -31,10 +41,18 @@ fn set2_sizes_iops_and_arpt_mislead() {
 fn set3_concurrency_arpt_misleads() {
     // Paper Figs. 9/11: ARPT wrong under concurrency, throughput metrics
     // fine.
-    let pure = fig09::run(&Scale::tiny());
+    let pure = fig09::run(
+        &Scale::tiny(),
+        SweepExec::from_env(None),
+        &RunOpts::default(),
+    );
     assert_eq!(pure.direction_correct("ARPT"), Some(false), "{pure}");
     assert_eq!(pure.direction_correct("BPS"), Some(true), "{pure}");
-    let ior = fig11::run(&Scale::tiny());
+    let ior = fig11::run(
+        &Scale::tiny(),
+        SweepExec::from_env(None),
+        &RunOpts::default(),
+    );
     assert_eq!(ior.direction_correct("ARPT"), Some(false), "{ior}");
     assert_eq!(ior.direction_correct("BPS"), Some(true), "{ior}");
     // Paper: ARPT correlation is also weak in the IOR case (~0.39),
@@ -49,7 +67,11 @@ fn set3_concurrency_arpt_misleads() {
 fn set4_sieving_bandwidth_misleads() {
     // Paper Fig. 12: "BW has a wrong correlation direction, which will
     // mislead people."
-    let fig = fig12::run(&Scale::tiny());
+    let fig = fig12::run(
+        &Scale::tiny(),
+        SweepExec::from_env(None),
+        &RunOpts::default(),
+    );
     assert_eq!(fig.direction_correct("BW"), Some(false), "{fig}");
     for m in ["IOPS", "ARPT", "BPS"] {
         assert_eq!(fig.direction_correct(m), Some(true), "{m}\n{fig}");
@@ -60,7 +82,11 @@ fn set4_sieving_bandwidth_misleads() {
 fn headline_bps_wins_every_scenario() {
     // Paper §IV.C.5: "BPS is the only metric that works well for all the
     // scenarios."
-    let figures = summary::all_figures(&Scale::tiny());
+    let figures = summary::all_figures(
+        &Scale::tiny(),
+        SweepExec::from_env(None),
+        &RunOpts::default(),
+    );
     let verdicts = summary::verdicts(&figures);
     for (name, mean_cc, wrong) in verdicts {
         match name.as_str() {
