@@ -23,32 +23,6 @@ pub const fn blocks_for_bytes(bytes: u64) -> u64 {
     bytes.div_ceil(BLOCK_SIZE)
 }
 
-/// Number of bytes spanned by `blocks` whole blocks.
-pub const fn bytes_for_blocks(blocks: u64) -> u64 {
-    blocks * BLOCK_SIZE
-}
-
-/// Round `bytes` up to the next block boundary.
-pub const fn round_up_to_block(bytes: u64) -> u64 {
-    bytes_for_blocks(blocks_for_bytes(bytes))
-}
-
-/// Round an absolute byte offset down to its containing block boundary.
-pub const fn block_aligned_offset(offset: u64) -> u64 {
-    offset - offset % BLOCK_SIZE
-}
-
-/// The half-open block range `[first, last)` touched by the byte extent
-/// `[offset, offset + len)`. An empty extent touches no blocks.
-pub fn block_range(offset: u64, len: u64) -> (u64, u64) {
-    if len == 0 {
-        return (offset / BLOCK_SIZE, offset / BLOCK_SIZE);
-    }
-    let first = offset / BLOCK_SIZE;
-    let last = (offset + len - 1) / BLOCK_SIZE + 1;
-    (first, last)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,37 +39,7 @@ mod tests {
     #[test]
     fn roundtrip_whole_blocks() {
         for b in [0u64, 1, 7, 1024] {
-            assert_eq!(blocks_for_bytes(bytes_for_blocks(b)), b);
+            assert_eq!(blocks_for_bytes(b * BLOCK_SIZE), b);
         }
-    }
-
-    #[test]
-    fn round_up_is_idempotent_and_aligned() {
-        for bytes in [0u64, 1, 511, 512, 513, 4095, 4096] {
-            let r = round_up_to_block(bytes);
-            assert!(r >= bytes);
-            assert_eq!(r % BLOCK_SIZE, 0);
-            assert_eq!(round_up_to_block(r), r);
-        }
-    }
-
-    #[test]
-    fn block_range_covers_extent() {
-        // A request straddling one block boundary touches two blocks.
-        let (first, last) = block_range(500, 24);
-        assert_eq!((first, last), (0, 2));
-        // Aligned single-block request.
-        assert_eq!(block_range(512, 512), (1, 2));
-        // Empty request touches nothing.
-        let (f, l) = block_range(1000, 0);
-        assert_eq!(f, l);
-    }
-
-    #[test]
-    fn aligned_offset() {
-        assert_eq!(block_aligned_offset(0), 0);
-        assert_eq!(block_aligned_offset(511), 0);
-        assert_eq!(block_aligned_offset(512), 512);
-        assert_eq!(block_aligned_offset(1025), 1024);
     }
 }

@@ -6,13 +6,6 @@ use std::fmt;
 /// Errors produced when building or analyzing traces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
-    /// A record's end time precedes its start time.
-    InvertedInterval {
-        /// Start nanoseconds.
-        start: u64,
-        /// End nanoseconds.
-        end: u64,
-    },
     /// A metric was asked to evaluate a trace containing no relevant records.
     EmptyTrace {
         /// The metric that was being computed.
@@ -33,9 +26,6 @@ pub enum CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoreError::InvertedInterval { start, end } => {
-                write!(f, "interval ends ({end}ns) before it starts ({start}ns)")
-            }
             CoreError::EmptyTrace { metric } => {
                 write!(f, "cannot compute {metric}: no matching records in trace")
             }
@@ -152,8 +142,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = CoreError::InvertedInterval { start: 5, end: 3 };
-        assert!(e.to_string().contains("before it starts"));
         let e = CoreError::EmptyTrace { metric: "BPS" };
         assert!(e.to_string().contains("BPS"));
         let e = CoreError::BadSeries { x_len: 1, y_len: 2 };

@@ -38,23 +38,11 @@ pub struct Interval {
 impl Interval {
     /// Build an interval, panicking if `end < start`.
     ///
-    /// Traces coming from files go through the checked
-    /// [`Interval::try_new`] path instead.
+    /// Records read from trace files never reach this panic: the binary
+    /// decoder rejects an inverted record as corrupt before building it.
     pub fn new(start: Nanos, end: Nanos) -> Self {
         assert!(end >= start, "interval ends before it starts");
         Interval { start, end }
-    }
-
-    /// Build an interval, rejecting inverted bounds.
-    pub fn try_new(start: Nanos, end: Nanos) -> Result<Self, crate::error::CoreError> {
-        if end < start {
-            Err(crate::error::CoreError::InvertedInterval {
-                start: start.0,
-                end: end.0,
-            })
-        } else {
-            Ok(Interval { start, end })
-        }
     }
 
     /// Length of the interval.
@@ -62,29 +50,11 @@ impl Interval {
         self.end - self.start
     }
 
-    /// True when the two intervals share at least one instant, treating
-    /// touching intervals (`a.end == b.start`) as overlapping so they merge
-    /// into one busy period — back-to-back I/O has no idle gap.
-    pub fn touches(&self, other: &Interval) -> bool {
-        self.start <= other.end && other.start <= self.end
-    }
-
     /// Smallest interval covering both.
     pub fn hull(&self, other: &Interval) -> Interval {
         Interval {
             start: self.start.min(other.start),
             end: self.end.max(other.end),
-        }
-    }
-
-    /// The overlap of two intervals, if non-degenerate.
-    pub fn intersect(&self, other: &Interval) -> Option<Interval> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        if start < end {
-            Some(Interval { start, end })
-        } else {
-            None
         }
     }
 }
@@ -294,9 +264,9 @@ impl IntervalSet {
     /// stays, since an interval starting at `t` touches it and merges.
     ///
     /// Afterwards [`IntervalSet::spans`], [`IntervalSet::span`],
-    /// [`IntervalSet::gaps`], [`IntervalSet::idle_time`] and
-    /// [`IntervalSet::period_count`] see only the retained spans, and an
-    /// insert that breaks the promise panics instead of changing `T`.
+    /// [`IntervalSet::gaps`] and [`IntervalSet::period_count`] see only the
+    /// retained spans, and an insert that breaks the promise panics instead
+    /// of changing `T`.
     pub(crate) fn forget_before(&mut self, t: Nanos) {
         let k = self.spans.partition_point(|s| s.end < t);
         if k > 0 {
@@ -350,104 +320,17 @@ impl IntervalSet {
             })
             .collect()
     }
-
-    /// Total idle time inside the span.
-    pub fn idle_time(&self) -> Dur {
-        match self.span() {
-            Some(s) => s.duration() - self.total(),
-            None => Dur::ZERO,
-        }
-    }
 }
 
-/// A step in the concurrency (queue-depth) timeline: from `at` until the
-/// next step, exactly `depth` requests are in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DepthStep {
-    /// Instant this depth takes effect.
-    pub at: Nanos,
-    /// Number of concurrently in-flight requests from `at` onward.
-    pub depth: u32,
-}
-
-/// Concurrency profile of a set of intervals: the piecewise-constant number
-/// of in-flight requests over time, plus summary statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ConcurrencyProfile {
-    /// The timeline of depth changes, starting at the first event.
-    pub steps: Vec<DepthStep>,
-    /// Maximum simultaneous in-flight requests.
-    pub max_depth: u32,
-    /// Time-weighted mean depth over busy time only (idle excluded).
-    pub mean_busy_depth: f64,
-}
-
-impl ConcurrencyProfile {
-    /// Compute the profile from raw intervals.
-    pub fn from_intervals<I: IntoIterator<Item = Interval>>(intervals: I) -> Self {
-        // Event sweep: +1 at start, -1 at end; ends sort before starts at
-        // the same instant so half-open adjacency does not inflate depth.
-        let mut events: Vec<(Nanos, i32)> = Vec::new();
-        for iv in intervals {
-            if iv.start == iv.end {
-                continue;
-            }
-            events.push((iv.start, 1));
-            events.push((iv.end, -1));
-        }
-        if events.is_empty() {
-            return ConcurrencyProfile::default();
-        }
-        // Stable for the same reason as `sort_runs`: equal events are
-        // identical, and completion-ordered input is nearly sorted.
-        events.sort_by_key(|&(t, delta)| (t, delta));
-
-        let mut steps: Vec<DepthStep> = Vec::new();
-        let mut depth: i64 = 0;
-        let mut max_depth: i64 = 0;
-        let mut weighted: f64 = 0.0;
-        let mut busy: f64 = 0.0;
-        let mut prev = events[0].0;
-        let mut i = 0;
-        while i < events.len() {
-            let t = events[i].0;
-            let dt = (t - prev).as_secs_f64();
-            if depth > 0 {
-                weighted += depth as f64 * dt;
-                busy += dt;
-            }
-            while i < events.len() && events[i].0 == t {
-                depth += i64::from(events[i].1);
-                i += 1;
-            }
-            max_depth = max_depth.max(depth);
-            if steps.last().map(|s| s.depth) != Some(depth as u32) {
-                steps.push(DepthStep {
-                    at: t,
-                    depth: depth as u32,
-                });
-            }
-            prev = t;
-        }
-        ConcurrencyProfile {
-            steps,
-            max_depth: max_depth as u32,
-            mean_busy_depth: if busy > 0.0 { weighted / busy } else { 0.0 },
-        }
-    }
-}
-
-/// Peak number of simultaneously in-flight intervals: the
-/// [`ConcurrencyProfile::max_depth`] of the same intervals, without the
-/// step timeline.
+/// Peak number of simultaneously in-flight intervals (queue depth).
 ///
 /// Sorts the starts and the ends as two integer arrays and merges them.
-/// As in the profile, zero-length intervals are skipped and ends sort
-/// before starts at the same instant, so half-open adjacency does not
-/// inflate the depth. Taking the maximum after each start is enough: at a
-/// given instant every end is consumed before the first start, and each
-/// further start only raises the depth, so the last start there reaches
-/// the depth the profile records for that instant.
+/// Zero-length intervals are skipped and ends sort before starts at the
+/// same instant, so half-open adjacency does not inflate the depth. Taking
+/// the maximum after each start is enough: at a given instant every end is
+/// consumed before the first start, and each further start only raises the
+/// depth, so the last start there reaches the depth in flight from that
+/// instant on.
 pub fn max_depth(intervals: &[Interval]) -> u32 {
     let (mut starts, mut ends): (Vec<u64>, Vec<u64>) = intervals
         .iter()
@@ -553,7 +436,8 @@ mod tests {
         let set = IntervalSet::from_unsorted([iv(0, 2), iv(5, 6), iv(9, 10)]);
         let gaps = set.gaps();
         assert_eq!(gaps, vec![iv(2, 5), iv(6, 9)]);
-        assert_eq!(set.idle_time(), Dur::from_millis(6));
+        let idle = gaps.iter().fold(Dur::ZERO, |acc, g| acc + g.duration());
+        assert_eq!(idle, Dur::from_millis(6));
         assert_eq!(set.span().unwrap(), iv(0, 10));
     }
 
@@ -623,47 +507,29 @@ mod tests {
     }
 
     #[test]
-    fn intersect_and_hull() {
-        assert_eq!(iv(0, 5).intersect(&iv(3, 8)), Some(iv(3, 5)));
-        assert_eq!(iv(0, 2).intersect(&iv(2, 4)), None); // touching: empty overlap
+    fn hull_covers_both() {
         assert_eq!(iv(0, 2).hull(&iv(5, 6)), iv(0, 6));
+        assert_eq!(iv(3, 8).hull(&iv(0, 5)), iv(0, 8));
     }
 
     #[test]
-    fn try_new_rejects_inverted() {
-        assert!(Interval::try_new(ms(2), ms(1)).is_err());
-        assert!(Interval::try_new(ms(1), ms(1)).is_ok());
+    #[should_panic(expected = "ends before it starts")]
+    fn new_rejects_inverted() {
+        let _ = Interval::new(ms(2), ms(1));
     }
 
     #[test]
-    fn concurrency_profile_figure_1c() {
+    fn max_depth_figure_1c() {
         // Sequential: two requests back to back, depth never exceeds 1.
-        let seq = ConcurrencyProfile::from_intervals([iv(0, 2), iv(2, 4)]);
-        assert_eq!(seq.max_depth, 1);
-        assert!((seq.mean_busy_depth - 1.0).abs() < 1e-9);
-
+        assert_eq!(max_depth(&[iv(0, 2), iv(2, 4)]), 1);
         // Concurrent: the same two requests fully overlapped, depth 2.
-        let conc = ConcurrencyProfile::from_intervals([iv(0, 2), iv(0, 2)]);
-        assert_eq!(conc.max_depth, 2);
-        assert!((conc.mean_busy_depth - 2.0).abs() < 1e-9);
+        assert_eq!(max_depth(&[iv(0, 2), iv(0, 2)]), 2);
     }
 
     #[test]
-    fn concurrency_profile_partial_overlap() {
+    fn max_depth_partial_overlap() {
         // [0,4) and [2,6): depth 1 on [0,2), 2 on [2,4), 1 on [4,6).
-        let p = ConcurrencyProfile::from_intervals([iv(0, 4), iv(2, 6)]);
-        assert_eq!(p.max_depth, 2);
-        assert!((p.mean_busy_depth - (1.0 * 2.0 + 2.0 * 2.0 + 1.0 * 2.0) / 6.0).abs() < 1e-9);
-        let depths: Vec<u32> = p.steps.iter().map(|s| s.depth).collect();
-        assert_eq!(depths, vec![1, 2, 1, 0]);
-    }
-
-    #[test]
-    fn concurrency_profile_empty_and_degenerate() {
-        let p = ConcurrencyProfile::from_intervals([]);
-        assert_eq!(p.max_depth, 0);
-        let p = ConcurrencyProfile::from_intervals([iv(1, 1)]);
-        assert_eq!(p.max_depth, 0);
-        assert_eq!(p.mean_busy_depth, 0.0);
+        assert_eq!(max_depth(&[iv(0, 4), iv(2, 6)]), 2);
+        assert_eq!(max_depth(&[iv(2, 6), iv(0, 4)]), 2);
     }
 }

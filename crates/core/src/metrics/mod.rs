@@ -365,16 +365,6 @@ impl MetricSelection {
             .iter()
             .fold(FoldNeeds::NONE, |acc, m| acc.union(m.needs()))
     }
-
-    /// True when this is exactly the paper selection (the default).
-    pub fn is_paper(&self) -> bool {
-        self.names()
-            == registry()
-                .paper()
-                .iter()
-                .map(|m| m.name())
-                .collect::<Vec<_>>()
-    }
 }
 
 impl fmt::Debug for MetricSelection {
@@ -451,19 +441,18 @@ mod tests {
     fn selection_canonicalizes_to_registry_order() {
         let sel = MetricSelection::parse(&["BPS", "IOPS", "BW", "ARPT"]).unwrap();
         assert_eq!(sel.names(), vec!["IOPS", "BW", "ARPT", "BPS"]);
-        assert!(sel.is_paper());
         assert_eq!(sel, MetricSelection::paper());
         // Duplicates collapse; case is normalized.
         let sel = MetricSelection::parse(&["p99", "bps", "P99"]).unwrap();
         assert_eq!(sel.names(), vec!["BPS", "P99"]);
-        assert!(!sel.is_paper());
+        assert_ne!(sel, MetricSelection::paper());
         assert!(sel.contains("p99") && sel.contains("BPS") && !sel.contains("IOPS"));
     }
 
     #[test]
     fn empty_selection_is_the_paper_default() {
         let sel = MetricSelection::parse::<&str>(&[]).unwrap();
-        assert!(sel.is_paper());
+        assert_eq!(sel, MetricSelection::paper());
     }
 
     #[test]

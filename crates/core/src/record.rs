@@ -136,27 +136,6 @@ impl IoRecord {
         )
     }
 
-    /// Convenience constructor for an application-layer write.
-    pub fn app_write(
-        pid: ProcessId,
-        file: FileId,
-        offset: u64,
-        bytes: u64,
-        start: Nanos,
-        end: Nanos,
-    ) -> Self {
-        Self::new(
-            pid,
-            IoOp::Write,
-            file,
-            offset,
-            bytes,
-            start,
-            end,
-            Layer::Application,
-        )
-    }
-
     /// Response time of this access (the quantity ARPT averages).
     pub fn duration(&self) -> Dur {
         self.end - self.start

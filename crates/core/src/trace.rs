@@ -5,8 +5,8 @@
 //! that collection, carrying records from every process and — in this
 //! reproduction — from every instrumented layer of the I/O stack.
 
-use crate::interval::{ConcurrencyProfile, Interval, IntervalSet};
-use crate::record::{IoOp, IoRecord, Layer, ProcessId};
+use crate::interval::{Interval, IntervalSet};
+use crate::record::{IoRecord, Layer, ProcessId};
 use crate::time::{Dur, Nanos};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -59,15 +59,6 @@ impl Trace {
     /// memcpy instead of a push per record.
     pub fn extend(&mut self, records: &[IoRecord]) {
         self.records.extend_from_slice(records);
-    }
-
-    /// Append all records of another trace (the paper's gather step).
-    pub fn merge(&mut self, other: Trace) {
-        self.records.extend(other.records);
-        self.exec_time = match (self.exec_time, other.exec_time) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
     }
 
     /// Record the application execution time measured alongside this trace.
@@ -171,11 +162,6 @@ impl Trace {
         IntervalSet::from_unsorted(self.layer(layer).map(|r| r.interval()))
     }
 
-    /// The concurrency (queue-depth) profile at a layer.
-    pub fn concurrency(&self, layer: Layer) -> ConcurrencyProfile {
-        ConcurrencyProfile::from_intervals(self.layer(layer).map(|r| r.interval()))
-    }
-
     /// All in-flight intervals at a layer, unmerged.
     pub fn intervals(&self, layer: Layer) -> Vec<Interval> {
         self.layer(layer).map(|r| r.interval()).collect()
@@ -184,14 +170,6 @@ impl Trace {
     /// Keep only records satisfying the predicate.
     pub fn retain<F: FnMut(&IoRecord) -> bool>(&mut self, f: F) {
         self.records.retain(f);
-    }
-
-    /// A new trace containing only records of the given op at a layer.
-    pub fn filter_op(&self, layer: Layer, op: IoOp) -> Trace {
-        Trace {
-            records: self.layer(layer).filter(|r| r.op == op).copied().collect(),
-            exec_time: self.exec_time,
-        }
     }
 
     /// Sort records by (start, end) — the first half of the paper's
@@ -215,7 +193,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::FileId;
+    use crate::record::{FileId, IoOp};
 
     fn rec(pid: u32, layer: Layer, offset: u64, bytes: u64, s_us: u64, e_us: u64) -> IoRecord {
         IoRecord::new(
@@ -273,11 +251,8 @@ mod tests {
     fn merge_gathers_processes() {
         let mut a = Trace::new();
         a.push(rec(0, Layer::Application, 0, 512, 0, 10));
-        a.set_execution_time(Dur::from_micros(10));
-        let mut b = Trace::new();
-        b.push(rec(1, Layer::Application, 0, 512, 20, 30));
-        b.set_execution_time(Dur::from_micros(30));
-        a.merge(b);
+        let b = Trace::from_records(vec![rec(1, Layer::Application, 0, 512, 20, 30)]);
+        a.extend(b.records());
         assert_eq!(a.len(), 2);
         assert_eq!(a.pids(Layer::Application), vec![ProcessId(0), ProcessId(1)]);
         assert_eq!(a.execution_time(), Dur::from_micros(30));
@@ -291,20 +266,13 @@ mod tests {
     #[test]
     fn filter_and_retain() {
         let mut t = sample();
-        t.push(IoRecord::app_write(
-            ProcessId(0),
-            FileId(0),
-            0,
-            1024,
-            Nanos::from_micros(200),
-            Nanos::from_micros(210),
-        ));
-        let reads = t.filter_op(Layer::Application, IoOp::Read);
-        assert_eq!(reads.len(), 2);
-        let writes = t.filter_op(Layer::Application, IoOp::Write);
-        assert_eq!(writes.len(), 1);
+        let mut write = rec(0, Layer::Application, 0, 1024, 200, 210);
+        write.op = IoOp::Write;
+        t.push(write);
         t.retain(|r| r.layer == Layer::Application);
         assert_eq!(t.len(), 3);
+        t.retain(|r| r.op == IoOp::Read);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -312,8 +280,8 @@ mod tests {
         let t = sample();
         let periods = t.busy_periods(Layer::Application);
         assert_eq!(periods.period_count(), 1);
-        let prof = t.concurrency(Layer::Application);
-        assert_eq!(prof.max_depth, 2);
+        let depth = crate::interval::max_depth(&t.intervals(Layer::Application));
+        assert_eq!(depth, 2);
     }
 
     #[test]

@@ -45,8 +45,6 @@ use std::fmt::Write;
 pub const SERVERS: usize = 4;
 /// Application processes (one per client node).
 pub const PROCESSES: usize = 4;
-/// Cases per variety (one healthy + four fault shapes).
-pub const CASES_PER_VARIETY: usize = 5;
 
 /// The large request of each workload round (a write: 16 stripe chunks,
 /// each a failure opportunity, and no degraded-read failover to absorb
@@ -419,7 +417,8 @@ mod tests {
     fn first_case_is_the_healthy_cluster() {
         for kind in FaultKind::all() {
             let shapes = kind.shapes();
-            assert_eq!(shapes.len(), CASES_PER_VARIETY, "{}", kind.name());
+            // One healthy case and four fault shapes.
+            assert_eq!(shapes.len(), 5, "{}", kind.name());
             assert!(shapes[0].1.is_none(), "{}", kind.name());
             for (label, spec) in &shapes[1..] {
                 let plan = engine::build_fault(spec.as_ref().unwrap());

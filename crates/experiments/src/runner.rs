@@ -102,18 +102,6 @@ impl<'a> CaseSpec<'a> {
         }
     }
 
-    /// Same case under a fault plan.
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Same case over an explicit component graph.
-    pub fn with_topology(mut self, topology: TopologySpec) -> Self {
-        self.topology = Some(topology);
-        self
-    }
-
     /// The component graph this case runs: the explicit one if declared,
     /// otherwise the storage's prebuilt default.
     pub fn effective_topology(&self) -> TopologySpec {

@@ -5,9 +5,12 @@
 //! figures demonstrate, because every metric and the execution time scale
 //! together. Three presets:
 //!
-//! * [`Scale::paper`] — the paper's exact volumes (minutes of wall time).
-//! * [`Scale::quick`] — the default for the `reproduce` binary (seconds).
-//! * [`Scale::tiny`] — for tests and Criterion benches (milliseconds).
+//! * [`Scale::paper`] — the paper's exact volumes. `reproduce all --paper`
+//!   takes about 30 s of wall time on a 2-vCPU Xeon.
+//! * [`Scale::quick`] — the default for the `reproduce` binary; `reproduce
+//!   all --quick` takes under a second on the same host.
+//! * [`Scale::tiny`] — for tests, the pinned goldens and the benchmark's
+//!   smoke runs (milliseconds per figure).
 
 use serde::{Deserialize, Serialize};
 
@@ -53,7 +56,7 @@ impl Scale {
         }
     }
 
-    /// Minimal: for unit tests and benches.
+    /// Minimal: for tests, goldens and smoke runs.
     pub fn tiny() -> Self {
         Scale {
             fig4_file: 64 << 20,

@@ -437,14 +437,6 @@ impl ScenarioOutput {
         }
     }
 
-    /// The detail series, if this output is one.
-    pub fn as_detail(&self) -> Option<&DetailSeries> {
-        match self {
-            ScenarioOutput::Cc(_) => None,
-            ScenarioOutput::Detail(s) => Some(s),
-        }
-    }
-
     /// The CC figure, panicking on a detail output (for callers that know
     /// the scenario's output kind statically — the bundled figures).
     pub fn into_cc(self) -> CcFigure {

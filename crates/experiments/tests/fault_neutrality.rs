@@ -41,15 +41,24 @@ fn sweep_json_with(fault: impl Fn() -> FaultPlan) -> String {
     let cases = vec![
         (
             "hdd-small",
-            CaseSpec::new(Storage::Hdd, &w_small).with_fault(fault()),
+            CaseSpec {
+                fault: fault(),
+                ..CaseSpec::new(Storage::Hdd, &w_small)
+            },
         ),
         (
             "ssd-small",
-            CaseSpec::new(Storage::Ssd, &w_small).with_fault(fault()),
+            CaseSpec {
+                fault: fault(),
+                ..CaseSpec::new(Storage::Ssd, &w_small)
+            },
         ),
         (
             "pvfs-2",
-            CaseSpec::new(Storage::Pvfs { servers: 2 }, &w_large).with_fault(fault()),
+            CaseSpec {
+                fault: fault(),
+                ..CaseSpec::new(Storage::Pvfs { servers: 2 }, &w_large)
+            },
         ),
     ];
     let points = sweep(2, &cases, &[1, 2, 3]);
@@ -71,7 +80,10 @@ fn quick_run_json(fault: FaultPlan) -> String {
     let w = Iozone::seq_read(1 << 20, 256 << 10);
     let cases = vec![(
         "hdd-quick",
-        CaseSpec::new(Storage::Hdd, &w).with_fault(fault),
+        CaseSpec {
+            fault,
+            ..CaseSpec::new(Storage::Hdd, &w)
+        },
     )];
     serde_json::to_string(&sweep(1, &cases, &[1])).expect("CasePoint serializes")
 }
@@ -114,7 +126,10 @@ fn degraded_sweep_json(threads: usize) -> String {
     let w = Iozone::seq_read(4 << 20, 1 << 20);
     let cases = vec![(
         "pvfs-2-degraded",
-        CaseSpec::new(Storage::Pvfs { servers: 2 }, &w).with_fault(degraded_plan()),
+        CaseSpec {
+            fault: degraded_plan(),
+            ..CaseSpec::new(Storage::Pvfs { servers: 2 }, &w)
+        },
     )];
     let points = sweep(threads, &cases, &[1, 2, 3]);
     serde_json::to_string(&points).expect("CasePoint serializes")
@@ -135,7 +150,10 @@ fn faults_actually_degrade_the_run() {
     let w = Iozone::seq_read(4 << 20, 1 << 20);
     let cases = vec![(
         "pvfs-2",
-        CaseSpec::new(Storage::Pvfs { servers: 2 }, &w).with_fault(degraded_plan()),
+        CaseSpec {
+            fault: degraded_plan(),
+            ..CaseSpec::new(Storage::Pvfs { servers: 2 }, &w)
+        },
     )];
     let degraded = sweep(2, &cases, &[1, 2, 3]);
     #[derive(serde::Deserialize)]

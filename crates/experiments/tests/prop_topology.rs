@@ -150,10 +150,15 @@ proptest! {
         } else {
             FaultPlan::none()
         };
-        let implicit = CaseSpec::new(s, &w).with_fault(fault.clone());
-        let explicit = CaseSpec::new(s, &w)
-            .with_fault(fault)
-            .with_topology(s.default_topology());
+        let implicit = CaseSpec {
+            fault: fault.clone(),
+            ..CaseSpec::new(s, &w)
+        };
+        let explicit = CaseSpec {
+            fault,
+            topology: Some(s.default_topology()),
+            ..CaseSpec::new(s, &w)
+        };
 
         let a = bps_experiments::runner::run_case(&implicit, seed);
         let b = bps_experiments::runner::run_case(&explicit, seed);

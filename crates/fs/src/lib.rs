@@ -16,15 +16,13 @@
 //! * [`pfs`] — the PVFS2-like parallel file system client: splits requests
 //!   into per-server chunks, issues them concurrently, completes at the
 //!   last chunk.
-//! * [`content`] — an optional sparse in-memory content store so
-//!   correctness tests (striping round-trips, data-sieving extraction) can
-//!   verify actual bytes, while large timing-only simulations skip it.
+//!
+//! The file systems model timing only and never hold file contents.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cluster;
-pub mod content;
 pub mod file;
 pub mod layout;
 pub mod localfs;

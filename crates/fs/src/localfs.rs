@@ -8,7 +8,6 @@
 //! (IOPS ≈ 5000, ~20 MB/s) and large records approach the sustained rate.
 
 use crate::cluster::Cluster;
-use crate::content::SparseStore;
 use crate::file::FileMeta;
 use crate::layout::StripeLayout;
 use bps_core::block::BLOCK_SIZE;
@@ -26,8 +25,6 @@ pub struct LocalFs {
     files: Vec<FileMeta>,
     /// Next free LBA on the device (contiguous extent allocator).
     next_lba: u64,
-    /// Optional byte-level contents for correctness tests.
-    content: Option<SparseStore>,
 }
 
 impl LocalFs {
@@ -41,19 +38,12 @@ impl LocalFs {
             per_op_overhead: Self::DEFAULT_OVERHEAD,
             files: Vec::new(),
             next_lba: 64,
-            content: None,
         }
     }
 
     /// Override the per-op overhead (calibration knob).
     pub fn with_overhead(mut self, overhead: Dur) -> Self {
         self.per_op_overhead = overhead;
-        self
-    }
-
-    /// Enable byte-level content tracking (small files only).
-    pub fn with_content(mut self) -> Self {
-        self.content = Some(SparseStore::new());
         self
     }
 
@@ -134,22 +124,6 @@ impl LocalFs {
         now: Nanos,
     ) -> Result<Nanos, IoError> {
         self.io(cluster, pid, file, offset, len, IoOp::Write, now)
-    }
-
-    /// Store bytes (content mode only; timing unaffected).
-    pub fn store_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) {
-        self.content
-            .as_mut()
-            .expect("content tracking not enabled")
-            .write(file, offset, data);
-    }
-
-    /// Load bytes (content mode only).
-    pub fn load_bytes(&self, file: FileId, offset: u64, len: u64) -> Vec<u8> {
-        self.content
-            .as_ref()
-            .expect("content tracking not enabled")
-            .read(file, offset, len)
     }
 }
 
@@ -283,14 +257,6 @@ mod tests {
             "{err}"
         );
         assert_eq!(cluster.device_stats(0).ops, 0);
-    }
-
-    #[test]
-    fn content_mode_roundtrip() {
-        let mut fs = LocalFs::new(0).with_content();
-        let f = fs.create(1 << 16);
-        fs.store_bytes(f, 100, b"payload");
-        assert_eq!(fs.load_bytes(f, 100, 7), b"payload");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! concurrency experiment).
 
 use crate::cluster::Cluster;
-use crate::content::SparseStore;
 use crate::file::FileMeta;
 use crate::layout::{Chunk, StripeLayout};
 use bps_core::error::IoError;
@@ -24,8 +23,6 @@ pub struct ParallelFs {
     /// Client-side software cost per request (request construction, layout
     /// lookup, PVFS client state machine).
     client_overhead: Dur,
-    /// Optional byte-level contents for correctness tests.
-    content: Option<SparseStore>,
     /// Stripe fan-out buffer reused by every [`io`](Self::io) call.
     chunks: Vec<Chunk>,
 }
@@ -40,7 +37,6 @@ impl ParallelFs {
             files: Vec::new(),
             alloc_cursor: vec![64; server_count],
             client_overhead: Self::DEFAULT_OVERHEAD,
-            content: None,
             chunks: Vec::new(),
         }
     }
@@ -48,12 +44,6 @@ impl ParallelFs {
     /// Override the client-side overhead (calibration knob).
     pub fn with_overhead(mut self, overhead: Dur) -> Self {
         self.client_overhead = overhead;
-        self
-    }
-
-    /// Enable byte-level content tracking (small files only).
-    pub fn with_content(mut self) -> Self {
-        self.content = Some(SparseStore::new());
         self
     }
 
@@ -190,22 +180,6 @@ impl ParallelFs {
     ) -> Result<Nanos, IoError> {
         self.io(cluster, pid, client, file, offset, len, IoOp::Write, now)
     }
-
-    /// Store bytes (content mode only; timing unaffected).
-    pub fn store_bytes(&mut self, file: FileId, offset: u64, data: &[u8]) {
-        self.content
-            .as_mut()
-            .expect("content tracking not enabled")
-            .write(file, offset, data);
-    }
-
-    /// Load bytes (content mode only).
-    pub fn load_bytes(&self, file: FileId, offset: u64, len: u64) -> Vec<u8> {
-        self.content
-            .as_ref()
-            .expect("content tracking not enabled")
-            .read(file, offset, len)
-    }
 }
 
 #[cfg(test)]
@@ -300,15 +274,6 @@ mod tests {
                 + bps_core::block::blocks_for_bytes(ma.layout.server_share(slot, 1 << 20));
             assert!(mb.base_lba[slot] >= a_end, "slot {slot}");
         }
-    }
-
-    #[test]
-    fn write_then_read_content() {
-        let mut pfs = ParallelFs::new(2).with_content();
-        let f = pfs.create(1 << 20, StripeLayout::default_over(2));
-        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
-        pfs.store_bytes(f, 1234, &data);
-        assert_eq!(pfs.load_bytes(f, 1234, data.len() as u64), data);
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! Property tests: stripe mapping is an exact partition, a reused mapping
-//! buffer is invisible, and content round-trips through the sparse store.
+//! Property tests: stripe mapping is an exact partition, and a reused
+//! mapping buffer is invisible.
 
-use bps_core::record::FileId;
-use bps_fs::content::SparseStore;
 use bps_fs::layout::StripeLayout;
 use proptest::prelude::*;
 
@@ -83,32 +81,5 @@ proptest! {
         }
         l.map_into(offset, len, &mut buf);
         prop_assert_eq!(buf, l.map(offset, len));
-    }
-
-    /// Sparse store: write-then-read returns exactly what was written,
-    /// regardless of chunk alignment.
-    #[test]
-    fn sparse_store_roundtrip(
-        offset in 0u64..100_000,
-        data in proptest::collection::vec(any::<u8>(), 0..20_000),
-    ) {
-        let mut store = SparseStore::new();
-        store.write(FileId(1), offset, &data);
-        prop_assert_eq!(store.read(FileId(1), offset, data.len() as u64), data);
-    }
-
-    /// Overlapping writes: the later write wins on the overlap.
-    #[test]
-    fn sparse_store_overwrite(
-        base in 0u64..10_000,
-        first in proptest::collection::vec(any::<u8>(), 1..5_000),
-        second in proptest::collection::vec(any::<u8>(), 1..5_000),
-        skew in 0u64..2_000,
-    ) {
-        let mut store = SparseStore::new();
-        store.write(FileId(0), base, &first);
-        store.write(FileId(0), base + skew, &second);
-        let got = store.read(FileId(0), base + skew, second.len() as u64);
-        prop_assert_eq!(got, second);
     }
 }

@@ -45,7 +45,6 @@ pub struct AppProcess {
     /// This process's index in the engine's process vector (used to park
     /// and release peers at collective barriers).
     pub engine_idx: usize,
-    start: Nanos,
     pending: Option<PendingNoncontig>,
 }
 
@@ -59,7 +58,6 @@ impl AppProcess {
             ops,
             cpu_per_op: Dur::from_micros(5),
             engine_idx: pid.0 as usize,
-            start: Nanos::ZERO,
             pending: None,
         }
     }
@@ -189,19 +187,9 @@ impl AppProcess {
             }
         }
     }
-
-    /// Override the start time (staggered arrivals).
-    pub fn starting_at(mut self, start: Nanos) -> Self {
-        self.start = start;
-        self
-    }
 }
 
 impl<S: RecordSink> Process<IoStack<S>> for AppProcess {
-    fn start_time(&self) -> Nanos {
-        self.start
-    }
-
     fn wake(&mut self, now: Nanos, stack: &mut IoStack<S>, waker: &mut Waker) -> Wake {
         // The previous wake's batch is flushed, and nothing from here on
         // starts before this wake or an open call.
@@ -251,6 +239,7 @@ pub fn run_workload<S: RecordSink + Default>(
 mod tests {
     use super::*;
     use crate::stack::FsBackend;
+    use bps_core::interval::max_depth;
     use bps_core::record::Layer;
     use bps_fs::cluster::{Cluster, ClusterConfig, DeviceSpec};
     use bps_fs::layout::StripeLayout;
@@ -305,8 +294,7 @@ mod tests {
         assert!(outcome.makespan() > Dur::ZERO);
         assert_eq!(trace.execution_time(), outcome.makespan());
         // Sequential process: app I/O intervals never overlap.
-        let prof = trace.concurrency(Layer::Application);
-        assert_eq!(prof.max_depth, 1);
+        assert_eq!(max_depth(&trace.intervals(Layer::Application)), 1);
     }
 
     #[test]
@@ -315,8 +303,8 @@ mod tests {
         let w = Iozone::throughput_read(4, 1 << 20, 64 << 10);
         let (stack, files) = pfs_stack_with_files(4, 4, &w, StripeLayout::pinned);
         let (trace, _) = run_workload(stack, &w, &files, Dur::from_micros(5));
-        let prof = trace.concurrency(Layer::Application);
-        assert!(prof.max_depth >= 3, "depth {}", prof.max_depth);
+        let depth = max_depth(&trace.intervals(Layer::Application));
+        assert!(depth >= 3, "depth {depth}");
         // All four processes appear in the trace.
         assert_eq!(trace.pids(Layer::Application).len(), 4);
     }
@@ -346,16 +334,5 @@ mod tests {
         let (tb, ob) = build();
         assert_eq!(oa.ended_at, ob.ended_at);
         assert_eq!(ta.records(), tb.records());
-    }
-
-    #[test]
-    fn staggered_start() {
-        let w = Iozone::seq_read(1 << 20, 1 << 20);
-        let (mut stack, files) = pfs_stack_with_files(1, 1, &w, |_| StripeLayout::pinned(0));
-        let mut procs = vec![AppProcess::new(ProcessId(0), 0, files, w.stream(0))
-            .starting_at(Nanos::from_millis(100))];
-        let outcome = run_processes(&mut procs, &mut stack);
-        assert_eq!(outcome.started_at, Nanos::from_millis(100));
-        assert!(outcome.ended_at > Nanos::from_millis(100));
     }
 }

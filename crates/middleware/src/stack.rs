@@ -345,47 +345,6 @@ impl<S: RecordSink> IoStack<S> {
         self.record_app(pid, file, offset, bytes, IoOp::Read, start, end);
     }
 
-    /// MPI-IO-style noncontiguous read (one call over many regions), served
-    /// through data sieving per the stack's [`SievingConfig`]. The covering
-    /// reads are issued one buffer at a time (as ROMIO does); the
-    /// application record carries only the *required* bytes.
-    ///
-    /// NOTE: this convenience entry point chains all covering reads in one
-    /// call, which is fine for standalone use but would let one simulated
-    /// process advance shared resources deep into the future under the
-    /// engine. Engine-driven processes use [`crate::process::AppProcess`],
-    /// which spreads the covering reads across wakes instead.
-    pub fn read_noncontig(
-        &mut self,
-        pid: ProcessId,
-        client: usize,
-        file: FileId,
-        regions: &[Extent],
-        now: Nanos,
-    ) -> Result<Nanos, IoError> {
-        let plan = plan_read(regions, &self.sieving);
-        self.cluster.begin_batch();
-        let mut t = now;
-        for fs_read in &plan.fs_reads {
-            t = match self.issue(pid, client, file, *fs_read, IoOp::Read, t) {
-                Ok(done) => done,
-                Err(e) => {
-                    self.abandoned_ops += 1;
-                    self.cluster.end_batch();
-                    return Err(e);
-                }
-            };
-        }
-        // Copying the requested pieces out of the sieve buffers.
-        if plan.sieved {
-            t += self.memcpy_cost(plan.moved);
-        }
-        let first_offset = regions.first().map(|r| r.offset).unwrap_or(0);
-        self.record_app(pid, file, first_offset, plan.required, IoOp::Read, now, t);
-        self.cluster.end_batch();
-        Ok(t)
-    }
-
     /// Finish a run: stamp the application execution time into the sink and
     /// pull it out (for the default [`Trace`] sink this is the collected
     /// trace, exactly as before).
@@ -410,10 +369,13 @@ impl<S: RecordSink> IoStack<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::run_workload;
     use bps_fs::cluster::{ClusterConfig, DeviceSpec};
     use bps_fs::layout::StripeLayout;
     use bps_sim::device::DiskSched;
+    use bps_sim::engine::RunOutcome;
     use bps_sim::rng::Jitter;
+    use bps_workloads::spec::{AppOp, OpStream, Workload};
 
     fn ram_cluster(servers: usize) -> Cluster {
         Cluster::new(&ClusterConfig {
@@ -455,19 +417,43 @@ mod tests {
         assert_eq!(trace.bytes(Layer::FileSystem), 4096);
     }
 
+    /// One process issuing one noncontiguous read call over `regions`.
+    struct OneCall(Vec<Extent>);
+
+    impl Workload for OneCall {
+        fn name(&self) -> &'static str {
+            "one-call"
+        }
+
+        fn processes(&self) -> usize {
+            1
+        }
+
+        fn file_sizes(&self) -> Vec<u64> {
+            vec![64 << 20]
+        }
+
+        fn stream(&self, _pid: usize) -> OpStream {
+            let regions = self.0.clone();
+            Box::new(std::iter::once(AppOp::ReadNoncontig { file: 0, regions }))
+        }
+    }
+
+    /// Run one noncontiguous call on a local FS over a RAM device, through
+    /// the engine path every experiment takes.
+    fn noncontig_call(regions: Vec<Extent>, sieving: SievingConfig) -> (Trace, RunOutcome) {
+        let (mut stack, f) = local_stack();
+        stack.sieving = sieving;
+        run_workload(stack, &OneCall(regions), &[f], Dur::ZERO)
+    }
+
     #[test]
     fn sieved_read_moves_more_than_required() {
-        let (mut stack, f) = local_stack();
         let regions: Vec<Extent> = (0..16).map(|i| Extent::new(i * 4096, 256)).collect();
-        let done = stack
-            .read_noncontig(ProcessId(0), 0, f, &regions, Nanos::ZERO)
-            .unwrap();
-        let trace = stack.finish(done.since(Nanos::ZERO));
-        let required = trace.bytes(Layer::Application);
-        let moved = trace.bytes(Layer::FileSystem);
-        assert_eq!(required, 16 * 256);
+        let (trace, _) = noncontig_call(regions, SievingConfig::romio_default());
+        assert_eq!(trace.bytes(Layer::Application), 16 * 256);
         // Hull = 15*4096 + 256 bytes.
-        assert_eq!(moved, 15 * 4096 + 256);
+        assert_eq!(trace.bytes(Layer::FileSystem), 15 * 4096 + 256);
         // One app record for the whole MPI-IO call; one FS read (fits the
         // 4 MB buffer).
         assert_eq!(trace.op_count(Layer::Application), 1);
@@ -476,13 +462,8 @@ mod tests {
 
     #[test]
     fn unsieved_read_issues_per_region_fs_ops() {
-        let (mut stack, f) = local_stack();
-        stack.sieving = SievingConfig::disabled();
         let regions: Vec<Extent> = (0..16).map(|i| Extent::new(i * 4096, 256)).collect();
-        let done = stack
-            .read_noncontig(ProcessId(0), 0, f, &regions, Nanos::ZERO)
-            .unwrap();
-        let trace = stack.finish(done.since(Nanos::ZERO));
+        let (trace, _) = noncontig_call(regions, SievingConfig::disabled());
         assert_eq!(trace.op_count(Layer::FileSystem), 16);
         assert_eq!(trace.bytes(Layer::FileSystem), 16 * 256);
     }
@@ -492,17 +473,19 @@ mod tests {
         // Dense regions: sieving's one big read beats 64 per-region reads
         // that each pay the per-op overhead.
         let regions: Vec<Extent> = (0..64).map(|i| Extent::new(i * 512, 256)).collect();
-        let (mut a, fa) = local_stack();
-        a.sieving = SievingConfig::romio_default();
-        let t_sieve = a
-            .read_noncontig(ProcessId(0), 0, fa, &regions, Nanos::ZERO)
-            .unwrap();
-        let (mut b, fb) = local_stack();
-        b.sieving = SievingConfig::disabled();
-        let t_direct = b
-            .read_noncontig(ProcessId(0), 0, fb, &regions, Nanos::ZERO)
-            .unwrap();
+        let (_, sieve) = noncontig_call(regions.clone(), SievingConfig::romio_default());
+        let (_, direct) = noncontig_call(regions, SievingConfig::disabled());
+        let (t_sieve, t_direct) = (sieve.makespan(), direct.makespan());
         assert!(t_sieve < t_direct, "sieve {t_sieve} direct {t_direct}");
+    }
+
+    #[test]
+    fn empty_noncontig_read_is_instant() {
+        let (trace, _) = noncontig_call(Vec::new(), SievingConfig::romio_default());
+        assert_eq!(trace.op_count(Layer::Application), 1);
+        assert_eq!(trace.op_count(Layer::FileSystem), 0);
+        assert_eq!(trace.bytes(Layer::Application), 0);
+        assert_eq!(trace.summed_io_time(Layer::Application), Dur::ZERO);
     }
 
     #[test]
@@ -540,16 +523,5 @@ mod tests {
         assert_eq!(trace.op_count(Layer::Application), 1);
         assert_eq!(trace.op_count(Layer::FileSystem), 16);
         assert_eq!(stack.backend.file_size(f), 16 << 20);
-    }
-
-    #[test]
-    fn empty_noncontig_read_is_instant() {
-        let (mut stack, f) = local_stack();
-        let done = stack
-            .read_noncontig(ProcessId(0), 0, f, &[], Nanos::from_millis(5))
-            .unwrap();
-        assert_eq!(done, Nanos::from_millis(5));
-        let trace = stack.finish(Dur::ZERO);
-        assert_eq!(trace.bytes(Layer::Application), 0);
     }
 }

@@ -150,11 +150,6 @@ impl Device {
         self.queue.stats()
     }
 
-    /// The wrapped model's name.
-    pub fn model_name(&self) -> &'static str {
-        self.model.name()
-    }
-
     /// Capacity in 512-byte blocks.
     pub fn capacity_blocks(&self) -> u64 {
         self.model.capacity_blocks()
@@ -254,7 +249,7 @@ mod tests {
     #[test]
     fn device_debug_and_name() {
         let d = ram_device();
-        assert_eq!(d.model_name(), "ram");
+        assert_eq!(d.model.name(), "ram");
         assert!(format!("{d:?}").contains("ram"));
         assert_eq!(d.capacity_blocks(), (1 << 30) / 512);
     }

@@ -1,5 +1,6 @@
-//! A trivial constant-cost device, used as a test double and as the backing
-//! of the page cache's hit path.
+//! A trivial constant-cost device: `fixed + bytes/rate` per request. The
+//! fs tests use it as a test double, and a cluster can be built on it
+//! through `DeviceSpec::Ram`.
 
 use super::{DeviceModel, DeviceReq, ServiceCtx};
 use crate::resource::ByteRate;

@@ -75,14 +75,6 @@ impl WakeHeap {
         self.entries.is_empty()
     }
 
-    /// The instant `idx` is scheduled to wake, if it is scheduled.
-    pub fn scheduled_at(&self, idx: usize) -> Option<Nanos> {
-        match self.pos.get(idx) {
-            Some(&p) if p != ABSENT => Some(self.entries[p].time),
-            _ => None,
-        }
-    }
-
     /// Schedule a wake. Panics if `idx` already has one (use
     /// [`WakeHeap::decrease_key`] to reschedule) or is out of range.
     pub fn push(&mut self, time: Nanos, seq: u64, idx: usize) {
@@ -266,10 +258,10 @@ mod tests {
         for idx in 0..8 {
             h.push(ns(100 + idx as u64 * 10), idx as u64, idx);
         }
-        assert_eq!(h.scheduled_at(7), Some(ns(170)));
+        assert_eq!(h.entries[h.pos[7]].time, ns(170));
         h.decrease_key(7, ns(5), 100);
         h.check_invariants();
-        assert_eq!(h.scheduled_at(7), Some(ns(5)));
+        assert_eq!(h.entries[h.pos[7]].time, ns(5));
         assert_eq!(h.pop().unwrap().idx, 7);
         // The rest still pop in order.
         let order: Vec<usize> = std::iter::from_fn(|| h.pop()).map(|e| e.idx).collect();
@@ -303,7 +295,7 @@ mod tests {
         }
         h.reset(2);
         assert!(h.is_empty());
-        assert_eq!(h.scheduled_at(0), None);
+        assert_eq!(h.pos[0], ABSENT);
         h.push(ns(1), 0, 1);
         assert_eq!(h.pop().unwrap().idx, 1);
     }

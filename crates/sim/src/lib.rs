@@ -17,8 +17,6 @@
 //!   per-op latency, channel parallelism) block-device models.
 //! * [`net`] — links (latency + bandwidth serialization) and a shared
 //!   switch, modeling the cluster's Gigabit Ethernet.
-//! * [`cache`] — an LRU page cache. The paper flushed caches before every
-//!   run; the cache exists to show (in an ablation bench) why they had to.
 //! * [`rng`] — seeded RNG with log-normal service-time jitter, so the
 //!   "5 runs, report the average" protocol of the paper is meaningful.
 //! * [`fault`] — declarative, seeded fault injection (stragglers, transient
@@ -31,7 +29,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod device;
 pub mod engine;
 pub mod fault;

@@ -123,11 +123,6 @@ impl Switch {
         Switch::new(Dur::from_micros(10), 6_000_000_000)
     }
 
-    /// The current decayed message-load estimate (messages per window).
-    pub fn load_estimate(&self) -> f64 {
-        self.recent_load
-    }
-
     /// Forward `bytes` through the backplane at `arrival`; returns egress
     /// completion.
     pub fn forward(&mut self, arrival: Nanos, bytes: u64) -> Nanos {
@@ -223,7 +218,7 @@ mod tests {
             .forward(Nanos::from_micros(100), 1024)
             .since(Nanos::from_micros(100));
         assert!(loaded > lone + Dur::from_micros(50), "{lone} vs {loaded}");
-        assert!(s.load_estimate() > 50.0);
+        assert!(s.recent_load > 50.0);
         assert_eq!(s.ops(), 102);
     }
 
@@ -266,7 +261,7 @@ mod tests {
                 + Dur::from_secs_f64(4e-6 * load);
             load += 1.0;
             assert_eq!(s.forward(arrival, bytes), want);
-            assert_eq!(s.load_estimate().to_bits(), load.to_bits());
+            assert_eq!(s.recent_load.to_bits(), load.to_bits());
         }
     }
 

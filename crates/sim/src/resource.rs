@@ -27,26 +27,6 @@ pub struct ResourceStats {
     pub last_completion: Nanos,
 }
 
-impl ResourceStats {
-    /// Utilization over a window: busy time divided by the window length.
-    pub fn utilization(&self, window: Dur) -> f64 {
-        if window.is_zero() {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / window.as_secs_f64()
-        }
-    }
-
-    /// Mean queueing delay per request.
-    pub fn mean_wait(&self) -> Dur {
-        if self.ops == 0 {
-            Dur::ZERO
-        } else {
-            self.waited / self.ops
-        }
-    }
-}
-
 /// A transfer rate in bytes per second that prices each size once.
 ///
 /// [`price`](ByteRate::price) returns exactly `Dur::for_bytes(bytes,
@@ -108,13 +88,6 @@ pub struct Grant {
     pub end: Nanos,
 }
 
-impl Grant {
-    /// Queueing delay experienced before service.
-    pub fn wait_from(&self, arrival: Nanos) -> Dur {
-        self.start - arrival
-    }
-}
-
 impl FifoResource {
     /// A fresh, idle resource.
     pub fn new() -> Self {
@@ -149,20 +122,9 @@ impl FifoResource {
         self.busy_until
     }
 
-    /// Whether the resource would be idle at `t`.
-    pub fn idle_at(&self, t: Nanos) -> bool {
-        self.busy_until <= t
-    }
-
     /// Counters.
     pub fn stats(&self) -> &ResourceStats {
         &self.stats
-    }
-
-    /// Pending backlog seen by an arrival at `t`: how long until the
-    /// resource drains what is already queued.
-    pub fn backlog_at(&self, t: Nanos) -> Dur {
-        self.busy_until.since(t)
     }
 }
 
@@ -230,7 +192,6 @@ mod tests {
         let g = r.acquire(ms(5), dms(3));
         assert_eq!(g.start, ms(5));
         assert_eq!(g.end, ms(8));
-        assert_eq!(g.wait_from(ms(5)), Dur::ZERO);
     }
 
     #[test]
@@ -240,22 +201,19 @@ mod tests {
         let g = r.acquire(ms(2), dms(5));
         assert_eq!(g.start, ms(10));
         assert_eq!(g.end, ms(15));
-        assert_eq!(g.wait_from(ms(2)), dms(8));
         assert_eq!(r.stats().waited, dms(8));
-        assert_eq!(r.stats().mean_wait(), dms(4));
     }
 
     #[test]
     fn gap_leaves_resource_idle() {
         let mut r = FifoResource::new();
         r.acquire(ms(0), dms(1));
-        assert!(r.idle_at(ms(5)));
+        assert_eq!(r.busy_until(), ms(1));
         let g = r.acquire(ms(5), dms(1));
         assert_eq!(g.start, ms(5));
         // Busy time excludes the idle gap.
         assert_eq!(r.stats().busy, dms(2));
-        assert_eq!(r.backlog_at(ms(5)), dms(1));
-        assert_eq!(r.backlog_at(ms(10)), Dur::ZERO);
+        assert_eq!(r.busy_until(), ms(6));
     }
 
     #[test]
@@ -273,21 +231,7 @@ mod tests {
         r.acquire_bytes(ms(0), dms(5), 1000);
         r.acquire_bytes(ms(5), dms(5), 2000);
         assert_eq!(r.stats().bytes, 3000);
-        assert!((r.stats().utilization(dms(20)) - 0.5).abs() < 1e-12);
-        assert_eq!(ResourceStats::default().utilization(Dur::ZERO), 0.0);
-    }
-
-    /// A zero-length window yields 0.0 utilization even with accumulated
-    /// busy time — not a NaN or infinity from the division.
-    #[test]
-    fn zero_window_utilization_is_zero_even_when_busy() {
-        let mut r = FifoResource::new();
-        r.acquire(ms(0), dms(5));
-        let stats = r.stats();
-        assert!(stats.busy > Dur::ZERO);
-        let u = stats.utilization(Dur::ZERO);
-        assert_eq!(u, 0.0);
-        assert!(u.is_finite());
+        assert_eq!(r.stats().busy, dms(10));
     }
 
     #[test]

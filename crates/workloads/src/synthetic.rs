@@ -130,9 +130,12 @@ impl Workload for Synthetic {
     }
 }
 
-impl Synthetic {
-    /// A small, fully-read uniform workload useful in examples.
-    pub fn uniform_read(file_size: u64, record_size: u64, ops: u64, seed: u64) -> Self {
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fully-read uniform workload on one process.
+    fn uniform_read(file_size: u64, record_size: u64, ops: u64, seed: u64) -> Synthetic {
         Synthetic {
             file_size,
             record_size,
@@ -145,15 +148,10 @@ impl Synthetic {
             seed,
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn op_count_and_bounds() {
-        let w = Synthetic::uniform_read(1 << 20, 4096, 100, 1);
+        let w = uniform_read(1 << 20, 4096, 100, 1);
         let ops: Vec<AppOp> = w.stream(0).collect();
         assert_eq!(ops.len(), 100);
         for op in &ops {
@@ -168,7 +166,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed_and_pid() {
-        let w = Synthetic::uniform_read(1 << 20, 4096, 50, 7);
+        let w = uniform_read(1 << 20, 4096, 50, 7);
         let a: Vec<AppOp> = w.stream(0).collect();
         let b: Vec<AppOp> = w.stream(0).collect();
         assert_eq!(a, b);
@@ -176,7 +174,7 @@ mod tests {
 
     #[test]
     fn write_fraction_respected_roughly() {
-        let mut w = Synthetic::uniform_read(1 << 20, 4096, 1000, 3);
+        let mut w = uniform_read(1 << 20, 4096, 1000, 3);
         w.read_fraction = 0.3;
         let reads = w
             .stream(0)
@@ -187,7 +185,7 @@ mod tests {
 
     #[test]
     fn zipf_is_skewed() {
-        let mut w = Synthetic::uniform_read(1 << 22, 4096, 2000, 5);
+        let mut w = uniform_read(1 << 22, 4096, 2000, 5);
         w.pattern = Pattern::Zipf { exponent: 1.2 };
         let mut counts = std::collections::HashMap::new();
         for op in w.stream(0) {
@@ -203,7 +201,7 @@ mod tests {
 
     #[test]
     fn bursts_insert_long_gaps() {
-        let mut w = Synthetic::uniform_read(1 << 20, 4096, 10, 1);
+        let mut w = uniform_read(1 << 20, 4096, 10, 1);
         w.think_time = Dur::from_micros(100);
         w.burst_len = 5;
         let gaps: Vec<Dur> = w
