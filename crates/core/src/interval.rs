@@ -532,4 +532,12 @@ mod tests {
         assert_eq!(max_depth(&[iv(0, 4), iv(2, 6)]), 2);
         assert_eq!(max_depth(&[iv(2, 6), iv(0, 4)]), 2);
     }
+
+    /// The concurrency profile's peak depth on no intervals and on a single
+    /// zero-length one: nothing is in flight in either case.
+    #[test]
+    fn concurrency_profile_empty_and_degenerate() {
+        assert_eq!(max_depth(&[]), 0);
+        assert_eq!(max_depth(&[iv(1, 1)]), 0);
+    }
 }
