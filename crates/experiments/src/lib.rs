@@ -28,7 +28,7 @@ pub mod scenario;
 pub mod supervise;
 pub mod sweep;
 
-pub use runner::{run_case, run_case_streaming, CasePoint, CaseSpec, LayoutPolicy, Storage};
+pub use runner::{run_case, CasePoint, CaseSpec, LayoutPolicy, Storage};
 pub use scale::Scale;
 pub use supervise::{FailureKind, UnitFailure};
 pub use sweep::SweepExec;

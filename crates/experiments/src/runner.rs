@@ -3,8 +3,8 @@
 //! A [`CaseSpec`] names a storage configuration plus a workload; `run_case`
 //! assembles the simulated cluster and file system, binds the workload's
 //! files, drives all processes to completion, and returns the collected
-//! multi-layer trace. [`run_case_streaming`] runs the same case through
-//! [`StreamingMetrics`] instead — constant space, identical numbers.
+//! multi-layer trace. [`run_case_with`] runs the same case into any
+//! sink, such as [`StreamingMetrics`] — constant space, identical numbers.
 //! [`UnitValues`] captures one seeded run's metrics and
 //! [`CasePoint::from_units`] averages them over the seeds, as the paper
 //! averages 5 runs per case.
@@ -18,46 +18,13 @@ use bps_middleware::sieving::SievingConfig;
 use bps_middleware::stack::RetryPolicy;
 use bps_sim::fault::FaultPlan;
 use bps_sim::rng::SimRng;
-use bps_topology::{BuildEnv, DeviceNode, Layout, TopologySpec};
+use bps_topology::{BuildEnv, Layout, TopologySpec};
 use bps_workloads::spec::Workload;
 use serde::Serialize;
 
-/// Storage configuration of a case (the paper's Set 1 dimension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Storage {
-    /// Local file system on the testbed HDD.
-    Hdd,
-    /// Local file system on the testbed SSD.
-    Ssd,
-    /// PVFS2-like parallel FS over this many I/O servers.
-    Pvfs {
-        /// Number of I/O servers.
-        servers: usize,
-    },
-}
-
-impl Storage {
-    /// The prebuilt component graph this storage historically hardcoded:
-    /// local-over-device for `Hdd`/`Ssd`, striped-over-the-network for
-    /// `Pvfs`. A case without an explicit topology runs this graph.
-    pub fn default_topology(&self) -> TopologySpec {
-        match *self {
-            Storage::Hdd => TopologySpec::local(DeviceNode::Hdd),
-            Storage::Ssd => TopologySpec::local(DeviceNode::Ssd),
-            Storage::Pvfs { servers } => TopologySpec::pfs(servers),
-        }
-    }
-}
-
-/// How the workload's files are laid out on a PVFS case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayoutPolicy {
-    /// Default 64 KB striping over all servers (paper's IOR setup).
-    DefaultStripe,
-    /// File `i` pinned to server `i % servers` (paper's "pure" concurrency
-    /// setup: each process's file on its own server).
-    PinnedPerFile,
-}
+pub use bps_topology::Storage;
+// Named by benchmark/; goes with ROADMAP item 4.
+pub use bps_topology::Layout as LayoutPolicy;
 
 /// One experiment case: a storage configuration plus a workload.
 pub struct CaseSpec<'a> {
@@ -69,7 +36,7 @@ pub struct CaseSpec<'a> {
     /// The benchmark.
     pub workload: &'a dyn Workload,
     /// File layout policy (PVFS only).
-    pub layout: LayoutPolicy,
+    pub layout: Layout,
     /// Data sieving configuration for noncontiguous reads.
     pub sieving: SievingConfig,
     /// Per-op CPU cost charged by each application process.
@@ -93,7 +60,7 @@ impl<'a> CaseSpec<'a> {
             storage,
             clients: workload.processes(),
             workload,
-            layout: LayoutPolicy::DefaultStripe,
+            layout: Layout::DefaultStripe,
             sieving: SievingConfig::romio_default(),
             cpu_per_op: Dur::from_micros(5),
             fault: FaultPlan::none(),
@@ -117,15 +84,10 @@ pub fn run_case(spec: &CaseSpec<'_>, seed: u64) -> Trace {
 }
 
 /// Run one case once with one seed, folding every record into streaming
-/// accumulators as it completes — no trace is materialized. The returned
-/// metrics are bit-for-bit what [`run_case`] plus `Metric::compute` yield.
-pub fn run_case_streaming(spec: &CaseSpec<'_>, seed: u64) -> StreamingMetrics {
-    run_case_with(spec, seed, StreamingMetrics::new())
-}
-
-/// Like [`run_case_streaming`], but the sink retains whatever per-record
-/// state `selection` needs, so any selected registry metric can be
-/// finished from the result.
+/// accumulators as it completes — no trace is materialized. The sink
+/// retains whatever per-record state `selection` needs, so any selected
+/// registry metric can be finished from the result, bit-for-bit what
+/// [`run_case`] plus `Metric::compute` yield.
 pub fn run_case_streaming_selected(
     spec: &CaseSpec<'_>,
     seed: u64,
@@ -149,10 +111,7 @@ pub fn run_case_with<S: RecordSink + Default>(spec: &CaseSpec<'_>, seed: u64, si
         server_cpu,
         seed,
         file_sizes: &file_sizes,
-        layout: match spec.layout {
-            LayoutPolicy::DefaultStripe => Layout::DefaultStripe,
-            LayoutPolicy::PinnedPerFile => Layout::PinnedPerFile,
-        },
+        layout: spec.layout,
         sieving: spec.sieving,
         retry: spec.retry,
         fault: spec.fault.clone(),
@@ -416,7 +375,7 @@ mod tests {
         let w = Iozone::seq_read(4 << 20, 256 << 10);
         let spec = CaseSpec::new(Storage::Hdd, &w);
         let trace = run_case(&spec, 7);
-        let stream = run_case_streaming(&spec, 7);
+        let stream = run_case_with(&spec, 7, StreamingMetrics::new());
         assert_eq!(Bps.compute(&trace), stream.bps());
         assert_eq!(Iops.compute(&trace), stream.iops());
         assert_eq!(Bandwidth.compute(&trace), stream.bandwidth());

@@ -25,7 +25,7 @@ use super::spec::{
 };
 use crate::figures::common::{CcFigure, DetailSeries};
 use crate::figures::faults::DegradedMix;
-use crate::runner::{CasePoint, CaseSpec, LayoutPolicy, Storage};
+use crate::runner::{CasePoint, CaseSpec};
 use crate::scale::Scale;
 use crate::sweep::SweepExec;
 use bps_core::metrics::{registry, MetricSelection};
@@ -131,15 +131,9 @@ impl ResolvedCase {
     /// `topology` when the scenario declares one, otherwise the prebuilt
     /// graph derived from `storage`.
     pub fn effective_topology(&self) -> bps_topology::TopologySpec {
-        if let Some(t) = &self.topology {
-            return t.clone();
-        }
-        match self.storage {
-            StorageSpec::Hdd => Storage::Hdd,
-            StorageSpec::Ssd => Storage::Ssd,
-            StorageSpec::Pvfs { servers } => Storage::Pvfs { servers },
-        }
-        .default_topology()
+        self.topology
+            .clone()
+            .unwrap_or_else(|| self.storage.default_topology())
     }
 
     /// One-line workload description for display (`reproduce topology`).
@@ -358,7 +352,7 @@ pub fn expand(scenario: &Scenario, scale: &Scale) -> Result<Vec<ResolvedCase>, E
             spec.build()
                 .map_err(|e| err(format!("case `{label}`: {e}")))?;
         }
-        cases.push(ResolvedCase {
+        let case = ResolvedCase {
             label,
             storage,
             layout,
@@ -369,9 +363,58 @@ pub fn expand(scenario: &Scenario, scale: &Scale) -> Result<Vec<ResolvedCase>, E
             clients: base.clients,
             topology: base.topology.clone(),
             workload,
-        });
+        };
+        check_durations(&case).map_err(|e| err(format!("case `{}`: {e}", case.label)))?;
+        cases.push(case);
     }
     Ok(cases)
+}
+
+/// Reject a case whose durations do not fit the engine's 64-bit
+/// nanoseconds: `Dur`/`Nanos` would wrap in a release build and panic in
+/// a debug one, so the run would report nonsense or fail every unit.
+fn check_durations(c: &ResolvedCase) -> Result<(), String> {
+    const NS_PER_US: u64 = 1_000;
+    const NS_PER_MS: u64 = 1_000_000;
+    let fits = |value: Option<u64>, ns_per_unit: u64, what: &str| match value
+        .and_then(|v| v.checked_mul(ns_per_unit))
+    {
+        Some(_) => Ok(()),
+        None => Err(format!("{what} overflows 64-bit nanoseconds")),
+    };
+    fits(Some(c.cpu_per_op_us), NS_PER_US, "`cpu_per_op_us`")?;
+    if let RetrySpec::Custom {
+        base_backoff_us,
+        max_backoff_us,
+        ..
+    } = c.retry
+    {
+        fits(Some(base_backoff_us), NS_PER_US, "retry `base_backoff_us`")?;
+        fits(Some(max_backoff_us), NS_PER_US, "retry `max_backoff_us`")?;
+    }
+    let Some(fault) = &c.fault else {
+        return Ok(());
+    };
+    if let Some(ll) = &fault.link_loss {
+        let ms = Some(ll.retransmit_delay_ms);
+        fits(ms, NS_PER_MS, "link loss `retransmit_delay_ms`")?;
+    }
+    for (i, t) in fault.outage_trains.iter().enumerate() {
+        // The last cycle's end is the latest instant `build_fault` computes.
+        let Some(last) = t.cycles.checked_sub(1) else {
+            continue;
+        };
+        let end_ms = t
+            .period_ms
+            .checked_mul(last)
+            .and_then(|ms| ms.checked_add(10))
+            .and_then(|ms| ms.checked_add(t.phase_ms))
+            .and_then(|ms| ms.checked_add(t.width_ms));
+        let what =
+            format!("outage train {i}: `10 + period_ms * (cycles - 1) + phase_ms + width_ms`");
+        fits(end_ms, NS_PER_MS, &what)?;
+    }
+    Ok(())
 }
 
 /// Build a concrete [`FaultPlan`] from its declarative form, applying the
@@ -529,16 +572,8 @@ pub fn content_key(case: &ResolvedCase, scale: &Scale, selection: &MetricSelecti
 /// Build a runnable [`CaseSpec`] from a resolved case and its built
 /// workload.
 fn case_spec<'a>(c: &ResolvedCase, w: &'a dyn Workload) -> CaseSpec<'a> {
-    let storage = match c.storage {
-        StorageSpec::Hdd => Storage::Hdd,
-        StorageSpec::Ssd => Storage::Ssd,
-        StorageSpec::Pvfs { servers } => Storage::Pvfs { servers },
-    };
-    let mut spec = CaseSpec::new(storage, w);
-    spec.layout = match c.layout {
-        LayoutSpec::DefaultStripe => LayoutPolicy::DefaultStripe,
-        LayoutSpec::PinnedPerFile => LayoutPolicy::PinnedPerFile,
-    };
+    let mut spec = CaseSpec::new(c.storage, w);
+    spec.layout = c.layout;
     spec.sieving = match c.sieving {
         SievingSpec::RomioDefault => SievingConfig::romio_default(),
         SievingSpec::Disabled => SievingConfig::disabled(),
@@ -937,6 +972,70 @@ mod tests {
             expect: Vec::new(),
             verdict: None,
         }
+    }
+
+    #[test]
+    fn durations_that_overflow_nanoseconds_are_invalid_specs() {
+        use super::super::spec::{LinkLossSpec, OutageTrainSpec};
+        let one = || Grid::single(vec![CaseDecl::new("one", Patch::none())]);
+        let rejects = |sc: Scenario, needle: &str| {
+            let e = expand(&sc, &Scale::tiny()).unwrap_err();
+            assert_eq!(e.kind(), EngineErrorKind::InvalidSpec);
+            assert!(e.to_string().starts_with("case `one`: "), "{e}");
+            assert!(e.to_string().contains(needle), "{e}");
+        };
+        let mut sc = cc_scenario(one());
+        sc.base.cpu_per_op_us = Some(100_000_000_000_000_000);
+        rejects(sc, "`cpu_per_op_us` overflows 64-bit nanoseconds");
+
+        let mut sc = cc_scenario(one());
+        sc.base.retry = Some(RetrySpec::Custom {
+            max_attempts: 3,
+            base_backoff_us: 10,
+            max_backoff_us: u64::MAX / 1_000 + 1,
+        });
+        rejects(sc, "retry `max_backoff_us` overflows");
+
+        let fault = |link_loss, outage_trains| FaultSpec {
+            seed: 1,
+            slowdowns: Vec::new(),
+            device_errors: Vec::new(),
+            link_loss,
+            outage_trains,
+        };
+        let mut sc = cc_scenario(one());
+        sc.base.fault = Some(fault(
+            Some(LinkLossSpec {
+                rate: 0.01,
+                retransmit_delay_ms: 100_000_000_000_000,
+            }),
+            Vec::new(),
+        ));
+        rejects(sc, "link loss `retransmit_delay_ms` overflows");
+
+        let train = |period_ms, cycles| OutageTrainSpec {
+            server: 0,
+            width_ms: 5,
+            period_ms,
+            phase_ms: 0,
+            cycles,
+        };
+        let mut sc = cc_scenario(one());
+        sc.base.fault = Some(fault(
+            None,
+            vec![train(10, 4), train(10_000_000_000_000_000, 3)],
+        ));
+        rejects(sc, "outage train 1: `10 + period_ms");
+
+        // One cycle never multiplies the period, so it cannot overflow;
+        // an outage ending at the largest representable instant fits.
+        let mut sc = cc_scenario(one());
+        let max_ms = u64::MAX / 1_000_000;
+        sc.base.fault = Some(fault(
+            None,
+            vec![train(u64::MAX, 1), train(1, max_ms - 10 - 5 + 1)],
+        ));
+        expand(&sc, &Scale::tiny()).unwrap();
     }
 
     #[test]

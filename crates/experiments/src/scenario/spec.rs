@@ -98,28 +98,10 @@ impl Num {
     }
 }
 
-/// Storage configuration (mirrors [`crate::runner::Storage`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StorageSpec {
-    /// Local file system on the testbed HDD.
-    Hdd,
-    /// Local file system on the testbed SSD.
-    Ssd,
-    /// PVFS2-like parallel FS over this many I/O servers.
-    Pvfs {
-        /// Number of I/O servers.
-        servers: usize,
-    },
-}
-
-/// File layout policy (mirrors [`crate::runner::LayoutPolicy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LayoutSpec {
-    /// Default 64 KB striping over all servers.
-    DefaultStripe,
-    /// File `i` pinned to server `i % servers`.
-    PinnedPerFile,
-}
+// Named by benchmark/; goes with ROADMAP item 4.
+pub use bps_topology::Storage as StorageSpec;
+// Named by benchmark/; goes with ROADMAP item 4.
+pub use bps_topology::Layout as LayoutSpec;
 
 /// Data sieving configuration (mirrors `SievingConfig` presets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

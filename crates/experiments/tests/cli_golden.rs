@@ -375,6 +375,47 @@ fn topology_subcommand_matches_its_golden() {
     );
 }
 
+/// The `*.json` scenario fixtures under `tests/fixtures/<dir>`, sorted.
+fn fixtures(dir: &str) -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(dir);
+    let mut paths: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|e| e.expect("fixture entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .map(|p| p.to_str().expect("utf-8 path").to_string())
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no fixtures under {}", dir.display());
+    paths
+}
+
+#[test]
+fn topology_fixtures_pin_every_render_branch() {
+    // Together the fixtures reach every line `reproduce topology` can
+    // print: Collective, Sieving on and off, Prefetch, LocalFs with and
+    // without an overhead, Pfs over one and several servers, Net
+    // lossless, lossy and recording, every device, and the implicit HDD.
+    let paths = fixtures("topology");
+    let mut args = vec!["topology"];
+    args.extend(paths.iter().map(String::as_str));
+    assert_eq!(stdout_of(&args), golden("topology-fixtures"));
+}
+
+#[test]
+fn overflowing_durations_and_sizes_fail_check() {
+    // A duration whose nanoseconds, or a read-ahead window whose bytes,
+    // pass u64 would wrap in a release run and panic in a debug one;
+    // `check` rejects each as an invalid spec (exit 3) instead.
+    for path in fixtures("overflow") {
+        let out = reproduce(&["check", &path]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{path}: {err}");
+        assert!(err.contains("overflows"), "{path}: {err}");
+    }
+}
+
 #[test]
 fn topology_of_a_prebuilt_scenario_shows_the_derived_graph() {
     // A scenario with no `topology` field still renders: the graph is

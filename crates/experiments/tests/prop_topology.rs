@@ -226,17 +226,9 @@ proptest! {
         file_kb in 16u64..64,
         threads in 2usize..5,
     ) {
-        let spec = match storage(storage_idx) {
-            Storage::Hdd => StorageSpec::Hdd,
-            Storage::Ssd => StorageSpec::Ssd,
-            Storage::Pvfs { servers } => StorageSpec::Pvfs { servers },
-        };
+        let spec = storage(storage_idx);
         let implicit = scenario(None, spec, file_kb);
-        let explicit = scenario(
-            Some(storage(storage_idx).default_topology()),
-            spec,
-            file_kb,
-        );
+        let explicit = scenario(Some(spec.default_topology()), spec, file_kb);
         // The resolved cases differ only in the topology field itself.
         let scale = Scale::tiny();
         let ia = engine::expand(&implicit, &scale).unwrap();

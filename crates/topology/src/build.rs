@@ -1,15 +1,17 @@
-//! Assembly: fold a validated component chain into the engine types.
+//! Assembly: lower a validated node list into the engine types.
 //!
 //! [`TopologySpec::build`] turns a node list into the exact
 //! [`IoStack`]/[`Cluster`] pair the experiment runner historically
-//! hardcoded. Each component [`install`](crate::Component::install)s its
-//! configuration into a [`StackBuilder`]; the builder then constructs the
-//! cluster, creates the files, and wires the middleware knobs. The
-//! prebuilt topologies ([`TopologySpec::local`], [`TopologySpec::pfs`])
-//! reproduce the pre-topology assembly byte for byte — same config
-//! fields, same construction order, same RNG consumption.
+//! hardcoded. It reads each [`NodeSpec`] directly: middleware nodes set
+//! the stack's sieving and read-ahead, the file-system node picks the
+//! backend and server count, a `Net` node composes link loss and network
+//! recording, and the `Device` node (HDD when absent) picks the server
+//! device. The prebuilt topologies ([`TopologySpec::local`],
+//! [`TopologySpec::pfs`]) reproduce the pre-topology assembly byte for
+//! byte — same config fields, same construction order, same RNG
+//! consumption.
 
-use crate::spec::DeviceNode;
+use crate::spec::{DeviceNode, NodeSpec};
 use crate::{TopologyError, TopologySpec};
 use bps_core::record::FileId;
 use bps_core::retry::RetryPolicy;
@@ -25,65 +27,17 @@ use bps_middleware::stack::{FsBackend, IoStack};
 use bps_sim::device::DiskSched;
 use bps_sim::fault::FaultPlan;
 use bps_sim::rng::Jitter;
+use serde::{Deserialize, Serialize};
 
-/// How striped files place their stripes (mirrors the runner's layout
-/// policy without depending on the experiments crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a parallel file system places each file's stripes. A scenario
+/// names it as its `"layout"`; local file systems ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Layout {
-    /// Round-robin stripes over all servers.
+    /// Default 64 KB striping over all servers (the paper's IOR setup).
     DefaultStripe,
-    /// Pin file `i` entirely to server `i % servers`.
+    /// File `i` pinned to server `i % servers` (the paper's "pure"
+    /// concurrency setup: each process's file on its own server).
     PinnedPerFile,
-}
-
-/// The file-system choice a component installed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FsChoice {
-    /// Local file system with an optional per-call overhead override.
-    Local {
-        /// Per-call overhead in microseconds, `None` for the default.
-        overhead_us: Option<u64>,
-    },
-    /// Striped parallel file system.
-    Parallel {
-        /// Number of I/O servers.
-        servers: usize,
-    },
-}
-
-/// The interconnect configuration a `Net` component installed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetChoice {
-    /// Payload loss probability; `None` or `0.0` is lossless.
-    pub loss_rate: Option<f64>,
-    /// Retransmit timeout in milliseconds.
-    pub retransmit_delay_ms: Option<u64>,
-    /// Emit `Layer::Network` records for remote payload legs.
-    pub record: bool,
-}
-
-impl NetChoice {
-    /// Retransmit timeout used when a lossy `Net` node does not set one.
-    pub const DEFAULT_RETRANSMIT_MS: u64 = 10;
-}
-
-/// Accumulates each component's contribution during assembly.
-#[derive(Debug, Default)]
-pub struct StackBuilder {
-    /// A `Collective` node is present (documentation marker: the
-    /// engine's collective execution always follows the workload).
-    pub collective: bool,
-    /// Sieving override: `Some(true)` ROMIO default, `Some(false)`
-    /// disabled, `None` inherit from the environment.
-    pub sieving: Option<bool>,
-    /// Read-ahead window in bytes, if a `Prefetch` node is present.
-    pub prefetch_window: Option<u64>,
-    /// The file-system node (validation guarantees exactly one).
-    pub fs: Option<FsChoice>,
-    /// The interconnect node, if declared.
-    pub net: Option<NetChoice>,
-    /// The device node; `None` means the implicit HDD default.
-    pub device: Option<DeviceNode>,
 }
 
 /// Everything the surrounding experiment supplies that is not part of
@@ -125,33 +79,37 @@ impl TopologySpec {
         sink: S,
     ) -> Result<BuiltStack<S>, TopologyError> {
         self.validate()?;
-        let mut b = StackBuilder::default();
-        for node in self.nodes() {
-            node.component().install(&mut b);
-        }
-        let fs = b.fs.expect("validation guarantees a file-system node");
-        let device = b.device.unwrap_or(DeviceNode::Hdd);
-
-        let mut record_net = false;
+        let mut fs = None;
+        let mut device = &DeviceNode::Hdd;
+        let mut sieving = env.sieving;
+        let mut prefetch = None;
         let mut fault = env.fault.clone();
-        if let Some(net) = &b.net {
-            record_net = net.record;
-            if let Some(rate) = net.loss_rate {
-                if rate > 0.0 {
-                    fault = fault.with_link_loss(
-                        rate,
-                        Dur::from_millis(
-                            net.retransmit_delay_ms
-                                .unwrap_or(NetChoice::DEFAULT_RETRANSMIT_MS),
-                        ),
-                    );
+        let mut record_net = false;
+        for node in self.nodes() {
+            match node {
+                NodeSpec::Collective => {}
+                NodeSpec::Sieving { enabled: true } => sieving = SievingConfig::romio_default(),
+                NodeSpec::Sieving { enabled: false } => sieving = SievingConfig::disabled(),
+                NodeSpec::Prefetch { window_kb } => {
+                    prefetch = Some(PrefetchConfig {
+                        window: window_kb << 10,
+                    })
                 }
+                NodeSpec::LocalFs { .. } | NodeSpec::Pfs { .. } => fs = Some(node),
+                NodeSpec::Net { record, .. } => {
+                    record_net = record.unwrap_or(false);
+                    if let Some((rate, delay_ms)) = node.link_loss() {
+                        fault = fault.with_link_loss(rate, Dur::from_millis(delay_ms));
+                    }
+                }
+                NodeSpec::Device { device: d } => device = d,
             }
         }
+        let fs = fs.expect("validation guarantees a file-system node");
 
         let servers = match fs {
-            FsChoice::Parallel { servers } => servers,
-            FsChoice::Local { .. } => 1,
+            NodeSpec::Pfs { servers } => *servers,
+            _ => 1,
         };
         let cfg = ClusterConfig {
             servers,
@@ -167,8 +125,8 @@ impl TopologySpec {
         };
         let cluster = Cluster::with_sink(&cfg, sink);
 
-        let (backend, files) = match fs {
-            FsChoice::Local { overhead_us } => {
+        let (backend, files) = match *fs {
+            NodeSpec::LocalFs { overhead_us } => {
                 let mut local = LocalFs::new(0);
                 if let Some(us) = overhead_us {
                     local = local.with_overhead(Dur::from_micros(us));
@@ -176,7 +134,7 @@ impl TopologySpec {
                 let files = env.file_sizes.iter().map(|&s| local.create(s)).collect();
                 (FsBackend::Local(local), files)
             }
-            FsChoice::Parallel { servers } => {
+            NodeSpec::Pfs { .. } => {
                 let mut pfs = ParallelFs::new(servers);
                 let files = env
                     .file_sizes
@@ -192,21 +150,12 @@ impl TopologySpec {
                     .collect();
                 (FsBackend::Parallel(pfs), files)
             }
+            _ => unreachable!("`fs` is a file-system node"),
         };
 
         let mut stack = IoStack::new(cluster, backend);
-        if let Some(enabled) = b.sieving {
-            stack.sieving = if enabled {
-                SievingConfig::romio_default()
-            } else {
-                SievingConfig::disabled()
-            };
-        } else {
-            stack.sieving = env.sieving;
-        }
-        if let Some(window) = b.prefetch_window {
-            stack.prefetch = Some(PrefetchConfig { window });
-        }
+        stack.sieving = sieving;
+        stack.prefetch = prefetch;
         stack.retry = env.retry;
         Ok(BuiltStack { stack, files })
     }
@@ -215,7 +164,6 @@ impl TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::NodeSpec;
     use bps_core::trace::Trace;
 
     fn env(file_sizes: &[u64]) -> BuildEnv<'_> {

@@ -14,30 +14,30 @@
 //!
 //! The pieces:
 //!
-//! * [`NodeSpec`] — one declarable node (serde-friendly; this is what a
-//!   scenario JSON `"topology"` array contains).
+//! * [`NodeSpec`] — one node, the only per-node type: what a scenario
+//!   JSON `"topology"` array contains, its typed input and output ports,
+//!   and the one-line description `reproduce topology` prints.
 //! * [`TopologySpec`] — an ordered list of nodes plus validation that the
 //!   chain is well-typed (exactly one file system, middleware above it,
-//!   `Net` only above a parallel file system, `Device` last).
-//! * [`Component`] — the behavioural view of a node: its typed input and
-//!   output ports, a human description, and an `install` hook that
-//!   contributes its configuration to a [`StackBuilder`].
-//! * [`TopologySpec::build`] — folds the components into the existing
-//!   engine types ([`bps_middleware::stack::IoStack`] over
+//!   `Net` only above a parallel file system, `Device` last) and that
+//!   every duration and size fits its 64-bit engine unit.
+//! * [`TopologySpec::build`] — lowers the validated nodes straight into
+//!   the existing engine types ([`bps_middleware::stack::IoStack`] over
 //!   [`bps_fs::cluster::Cluster`]), so a declared graph runs on exactly
 //!   the same simulation loop as the historical hardcoded stacks.
+//! * [`Storage`] and [`Layout`] — the storage configuration a case names
+//!   and how a parallel file system places its stripes.
 //!
-//! The prebuilt constructors [`TopologySpec::local`] and
-//! [`TopologySpec::pfs`] reproduce those historical stacks node for node:
-//! an experiment that omits `"topology"` gets a byte-identical run.
+//! The prebuilt graphs ([`Storage::default_topology`], built from
+//! [`TopologySpec::local`] and [`TopologySpec::pfs`]) reproduce those
+//! historical stacks node for node: an experiment that omits
+//! `"topology"` gets a byte-identical run.
 
 pub mod build;
-pub mod component;
 pub mod spec;
 
-pub use crate::build::{BuildEnv, BuiltStack, Layout, StackBuilder};
-pub use crate::component::{Component, PortKind};
-pub use crate::spec::{DeviceNode, NodeSpec, TopologySpec, VALID_COMPONENTS};
+pub use crate::build::{BuildEnv, BuiltStack, Layout};
+pub use crate::spec::{DeviceNode, NodeSpec, Storage, TopologySpec, VALID_COMPONENTS};
 
 /// A topology that cannot be validated or built.
 #[derive(Debug, Clone, PartialEq, Eq)]

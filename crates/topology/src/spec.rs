@@ -1,17 +1,34 @@
 //! Declarable topology nodes and the validated node list.
 //!
-//! [`NodeSpec`] is the serde surface: what a scenario JSON `"topology"`
-//! array contains. [`TopologySpec`] wraps the ordered list and owns the
-//! structural rules (exactly one file system, middleware above it, `Net`
-//! only above `Pfs`, `Device` last). Behaviour lives in
-//! [`crate::component`]; assembly lives in [`crate::build`].
+//! [`NodeSpec`] is the one per-node type: what a scenario JSON
+//! `"topology"` array contains, with its ports and one-line description.
+//! [`TopologySpec`] wraps the ordered list, owns the structural rules
+//! (exactly one file system, middleware above it, `Net` only above `Pfs`,
+//! `Device` last) and renders the graph. [`Storage`] names the prebuilt
+//! graphs. Assembly lives in [`crate::build`].
+//!
+//! Requests flow downward through typed ports:
+//!
+//! * `app` — application-level requests (process, file, extent),
+//!   possibly noncontiguous.
+//! * `file` — contiguous file-system requests after the middleware
+//!   layers have exchanged, sieved, or extended them.
+//! * `block` — block-level device requests.
+//!
+//! A chain is well-typed when each node's output port matches the next
+//! node's input port; [`TopologySpec::validate`] enforces the ordering
+//! rules that guarantee this.
 
 use crate::TopologyError;
 use bps_core::time::Dur;
 use bps_fs::cluster::DeviceSpec;
 use bps_sim::device::hdd::HddProfile;
 use bps_sim::device::ssd::SsdProfile;
+use bps_sim::net::Link;
 use serde::{Deserialize, Error, Serialize, Value};
+
+const NS_PER_US: u64 = 1_000;
+const NS_PER_MS: u64 = 1_000_000;
 
 /// The component kinds a topology may contain, in canonical stack order.
 /// Used verbatim in unknown-component error messages.
@@ -24,6 +41,30 @@ pub const VALID_COMPONENTS: [&str; 7] = [
     "Net",
     "Device",
 ];
+
+/// Retransmit timeout of a lossy `Net` node that does not set one.
+const DEFAULT_RETRANSMIT_MS: u64 = 10;
+
+/// What flows across a port boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PortKind {
+    /// Application requests, as the workload issued them.
+    App,
+    /// Contiguous file-system requests.
+    File,
+    /// Block-level device requests.
+    Block,
+}
+
+impl std::fmt::Display for PortKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(match self {
+            PortKind::App => "app",
+            PortKind::File => "file",
+            PortKind::Block => "block",
+        })
+    }
+}
 
 /// Which device model sits at the bottom of the stack.
 ///
@@ -138,6 +179,117 @@ impl NodeSpec {
             NodeSpec::Device { .. } => "Device",
         }
     }
+
+    /// The ports this node receives and emits requests on.
+    pub(crate) fn ports(&self) -> (PortKind, PortKind) {
+        match self {
+            NodeSpec::Collective | NodeSpec::Sieving { .. } | NodeSpec::Prefetch { .. } => {
+                (PortKind::App, PortKind::App)
+            }
+            NodeSpec::LocalFs { .. } | NodeSpec::Pfs { .. } => (PortKind::App, PortKind::File),
+            NodeSpec::Net { .. } => (PortKind::File, PortKind::File),
+            NodeSpec::Device { .. } => (PortKind::File, PortKind::Block),
+        }
+    }
+
+    /// A lossy `Net` node's loss rate and effective retransmit timeout in
+    /// milliseconds; `None` for every other node and for a lossless link.
+    pub(crate) fn link_loss(&self) -> Option<(f64, u64)> {
+        match self {
+            NodeSpec::Net {
+                loss_rate: Some(rate),
+                retransmit_delay_ms,
+                ..
+            } if *rate > 0.0 => Some((*rate, retransmit_delay_ms.unwrap_or(DEFAULT_RETRANSMIT_MS))),
+            _ => None,
+        }
+    }
+
+    /// One-line human description of what the node does, with its
+    /// effective parameters.
+    pub(crate) fn describe(&self) -> String {
+        match self {
+            NodeSpec::Collective => {
+                "two-phase collective exchange (group size follows the workload's process count)"
+                    .into()
+            }
+            NodeSpec::Sieving { enabled: true } => {
+                "ROMIO-default data sieving (4 MB covering reads)".into()
+            }
+            NodeSpec::Sieving { enabled: false } => {
+                "data sieving disabled (one request per region)".into()
+            }
+            NodeSpec::Prefetch { window_kb } => {
+                format!("sequential read-ahead, {window_kb} KB window")
+            }
+            NodeSpec::LocalFs {
+                overhead_us: Some(us),
+            } => format!("local file system on one server, {us} us per-call overhead"),
+            NodeSpec::LocalFs { overhead_us: None } => "local file system on one server".into(),
+            NodeSpec::Pfs { servers } => format!(
+                "parallel file system, 64 KB stripes over {servers} server{}",
+                if *servers == 1 { "" } else { "s" }
+            ),
+            NodeSpec::Net { record, .. } => {
+                let mut d = format!("gigabit ethernet, {}", Link::gigabit_ethernet().describe());
+                match self.link_loss() {
+                    Some((rate, delay_ms)) => d.push_str(&format!(
+                        ", loss rate {rate}, retransmit after {delay_ms} ms"
+                    )),
+                    None => d.push_str(", lossless"),
+                }
+                if record.unwrap_or(false) {
+                    d.push_str(", recording network-layer spans");
+                }
+                d
+            }
+            NodeSpec::Device { device } => match device {
+                DeviceNode::Hdd => "HDD, SATA 7200 rpm 250 GB profile".into(),
+                DeviceNode::Ssd => "SSD, PCIe x4 100 GB profile (4 channels)".into(),
+                DeviceNode::Raid0 { members } => {
+                    format!("RAID-0 over {members} SATA 7200 rpm members")
+                }
+                DeviceNode::Ram {
+                    fixed_us,
+                    rate,
+                    capacity,
+                } => format!(
+                    "RAM-backed: {fixed_us} us fixed + {} MB/s, {} MB capacity",
+                    rate / 1_000_000,
+                    capacity / 1_000_000
+                ),
+            },
+        }
+    }
+}
+
+/// The storage configuration a case names (the paper's Set 1
+/// dimension), and with it the prebuilt component graph the case runs
+/// when it declares no `"topology"` of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Storage {
+    /// Local file system on the testbed HDD.
+    Hdd,
+    /// Local file system on the testbed SSD.
+    Ssd,
+    /// PVFS2-like parallel FS over this many I/O servers.
+    Pvfs {
+        /// Number of I/O servers.
+        servers: usize,
+    },
+}
+
+impl Storage {
+    /// The prebuilt component graph this storage historically hardcoded:
+    /// local-over-device for `Hdd`/`Ssd`, striped-over-the-network for
+    /// `Pvfs`.
+    pub fn default_topology(&self) -> TopologySpec {
+        match *self {
+            Storage::Hdd => TopologySpec::local(DeviceNode::Hdd),
+            Storage::Ssd => TopologySpec::local(DeviceNode::Ssd),
+            Storage::Pvfs { servers } => TopologySpec::pfs(servers),
+        }
+    }
 }
 
 /// An ordered, validated component chain.
@@ -211,8 +363,13 @@ impl TopologySpec {
                     if middleware_seen.contains(&kind) {
                         return err(i, kind, "each middleware layer may appear at most once");
                     }
-                    if let NodeSpec::Prefetch { window_kb: 0 } = node {
-                        return err(i, kind, "read-ahead window must be positive");
+                    if let NodeSpec::Prefetch { window_kb } = node {
+                        if *window_kb == 0 {
+                            return err(i, kind, "read-ahead window must be positive");
+                        }
+                        if window_kb.checked_mul(1 << 10).is_none() {
+                            return err(i, kind, "window_kb overflows a 64-bit byte count");
+                        }
                     }
                     middleware_seen.push(kind);
                 }
@@ -226,6 +383,14 @@ impl TopologySpec {
                     }
                     if let NodeSpec::Pfs { servers: 0 } = node {
                         return err(i, kind, "a parallel file system needs at least one server");
+                    }
+                    if let NodeSpec::LocalFs {
+                        overhead_us: Some(us),
+                    } = node
+                    {
+                        if us.checked_mul(NS_PER_US).is_none() {
+                            return err(i, kind, "overhead_us overflows 64-bit nanoseconds");
+                        }
                     }
                     fs_at = Some(i);
                 }
@@ -247,12 +412,21 @@ impl TopologySpec {
                         return err(i, kind, "at most one `Net` node is allowed");
                     }
                     if let NodeSpec::Net {
-                        loss_rate: Some(rate),
+                        loss_rate,
+                        retransmit_delay_ms,
                         ..
                     } = node
                     {
-                        if !(0.0..1.0).contains(rate) {
+                        if loss_rate.is_some_and(|rate| !(0.0..1.0).contains(&rate)) {
                             return err(i, kind, "loss_rate must be in [0, 1)");
+                        }
+                        if retransmit_delay_ms.is_some_and(|ms| ms.checked_mul(NS_PER_MS).is_none())
+                        {
+                            return err(
+                                i,
+                                kind,
+                                "retransmit_delay_ms overflows 64-bit nanoseconds",
+                            );
                         }
                     }
                     net_at = Some(i);
@@ -271,6 +445,11 @@ impl TopologySpec {
                         DeviceNode::Ram { rate: 0, .. } => {
                             return err(i, kind, "a RAM device needs a positive byte rate");
                         }
+                        DeviceNode::Ram { fixed_us, .. }
+                            if fixed_us.checked_mul(NS_PER_US).is_none() =>
+                        {
+                            return err(i, kind, "fixed_us overflows 64-bit nanoseconds");
+                        }
                         _ => {}
                     }
                 }
@@ -282,6 +461,45 @@ impl TopologySpec {
             ));
         }
         Ok(())
+    }
+
+    /// Pretty-print the component graph: one line per node showing its
+    /// ports and effective configuration. `workload` is an optional
+    /// source-line description shown above the chain; a missing `Device`
+    /// node is rendered as the implicit HDD default.
+    pub fn render(&self, workload: Option<&str>) -> String {
+        let mut lines: Vec<String> = workload
+            .map(|w| {
+                format!(
+                    "  {:<10} {:>5} -> {:<5}  {w}",
+                    "Workload",
+                    "",
+                    PortKind::App
+                )
+            })
+            .into_iter()
+            .collect();
+        let implicit = NodeSpec::Device {
+            device: DeviceNode::Hdd,
+        };
+        let has_device = self
+            .nodes
+            .iter()
+            .any(|n| matches!(n, NodeSpec::Device { .. }));
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| (n, ""))
+            .chain((!has_device).then_some((&implicit, " [implicit default]")));
+        for (node, note) in nodes {
+            let (input, output) = node.ports();
+            lines.push(format!(
+                "  {:<10} {input:>5} -> {output:<5}  {}{note}",
+                node.kind(),
+                node.describe()
+            ));
+        }
+        lines.join("\n")
     }
 }
 
@@ -474,5 +692,103 @@ mod tests {
             ],
             "loss_rate",
         );
+    }
+
+    #[test]
+    fn chains_are_port_typed() {
+        let spec = TopologySpec::new(vec![
+            NodeSpec::Collective,
+            NodeSpec::Sieving { enabled: true },
+            NodeSpec::Prefetch { window_kb: 128 },
+            NodeSpec::Pfs { servers: 4 },
+            NodeSpec::Net {
+                loss_rate: None,
+                retransmit_delay_ms: None,
+                record: None,
+            },
+            NodeSpec::Device {
+                device: DeviceNode::Hdd,
+            },
+        ]);
+        spec.validate().unwrap();
+        let ports: Vec<_> = spec.nodes().iter().map(NodeSpec::ports).collect();
+        assert_eq!(ports.first().unwrap().0, PortKind::App);
+        assert_eq!(ports.last().unwrap().1, PortKind::Block);
+        for pair in ports.windows(2) {
+            assert_eq!(pair[0].1, pair[1].0);
+        }
+    }
+
+    #[test]
+    fn render_shows_ports_and_implicit_device() {
+        let out =
+            TopologySpec::new(vec![NodeSpec::Pfs { servers: 2 }]).render(Some("test workload"));
+        assert!(out.contains("Workload"), "{out}");
+        assert!(out.contains("app -> file"), "{out}");
+        assert!(out.contains("[implicit default]"), "{out}");
+        let lossy = TopologySpec::new(vec![
+            NodeSpec::Pfs { servers: 2 },
+            NodeSpec::Net {
+                loss_rate: Some(0.02),
+                retransmit_delay_ms: None,
+                record: Some(true),
+            },
+        ])
+        .render(None);
+        assert!(lossy.contains("loss rate 0.02"), "{lossy}");
+        assert!(lossy.contains("recording network-layer spans"), "{lossy}");
+    }
+
+    #[test]
+    fn numbers_that_overflow_their_engine_unit_are_rejected() {
+        let bad = |nodes: Vec<NodeSpec>, needle: &str| {
+            let e = TopologySpec::new(nodes).validate().unwrap_err();
+            assert_eq!(e.0, needle);
+        };
+        let net = |ms: u64| NodeSpec::Net {
+            loss_rate: Some(0.01),
+            retransmit_delay_ms: Some(ms),
+            record: None,
+        };
+        bad(
+            vec![NodeSpec::Pfs { servers: 2 }, net(100_000_000_000_000)],
+            "topology node 1 (Net): retransmit_delay_ms overflows 64-bit nanoseconds",
+        );
+        bad(
+            vec![NodeSpec::LocalFs {
+                overhead_us: Some(u64::MAX / NS_PER_US + 1),
+            }],
+            "topology node 0 (LocalFs): overhead_us overflows 64-bit nanoseconds",
+        );
+        bad(
+            vec![
+                NodeSpec::LocalFs { overhead_us: None },
+                NodeSpec::Device {
+                    device: DeviceNode::Ram {
+                        fixed_us: 100_000_000_000_000_000,
+                        rate: 1_000_000,
+                        capacity: 1 << 30,
+                    },
+                },
+            ],
+            "topology node 1 (Device): fixed_us overflows 64-bit nanoseconds",
+        );
+        bad(
+            vec![
+                NodeSpec::Prefetch { window_kb: 1 << 55 },
+                NodeSpec::LocalFs { overhead_us: None },
+            ],
+            "topology node 0 (Prefetch): window_kb overflows a 64-bit byte count",
+        );
+        // The largest values that still fit are accepted.
+        TopologySpec::new(vec![
+            NodeSpec::Prefetch {
+                window_kb: u64::MAX >> 10,
+            },
+            NodeSpec::Pfs { servers: 2 },
+            net(u64::MAX / NS_PER_MS),
+        ])
+        .validate()
+        .unwrap();
     }
 }

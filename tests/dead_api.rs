@@ -7,9 +7,10 @@
 //! list only shrinks.
 //!
 //! "Non-test part" means each file up to its first `#[cfg(test)]`, with
-//! `//` comment lines (docs included) ignored. Names are matched as whole
-//! identifiers, without type resolution: a name is dead when it occurs
-//! only where a `pub fn` declares it.
+//! `//` comment lines (docs included) and `pub use` re-exports (single-
+//! or multi-line) ignored: a re-export forwards a name, it does not call
+//! it. Names are matched as whole identifiers, without type resolution: a
+//! name is dead when it occurs only where a `pub fn` declares it.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -61,11 +62,19 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The non-test, non-comment lines of a source file.
+/// The non-test, non-comment lines of a source file, without its
+/// `pub use` statements.
 fn code_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut in_pub_use = false;
     text.lines()
         .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
         .filter(|l| !l.trim_start().starts_with("//"))
+        .filter(move |l| {
+            in_pub_use = in_pub_use || l.trim_start().starts_with("pub use ");
+            let re_export = in_pub_use;
+            in_pub_use = in_pub_use && !l.trim_end().ends_with(';');
+            !re_export
+        })
 }
 
 fn identifiers(line: &str) -> impl Iterator<Item = &str> {
