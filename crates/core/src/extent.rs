@@ -99,19 +99,6 @@ pub fn hull(normalized: &[Extent]) -> Option<Extent> {
     }
 }
 
-/// The holes between consecutive regions of a normalized list — the bytes
-/// data sieving reads that the application never asked for.
-pub fn holes(normalized: &[Extent]) -> Vec<Extent> {
-    normalized
-        .windows(2)
-        .filter(|w| w[0].end() < w[1].offset)
-        .map(|w| Extent {
-            offset: w[0].end(),
-            len: w[1].offset - w[0].end(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,17 +126,14 @@ mod tests {
         let input = [e(0, 4), e(10, 4), e(20, 4)];
         let n = normalize(&input);
         assert_eq!(hull(&n), Some(e(0, 24)));
-        assert_eq!(holes(&n), vec![e(4, 6), e(14, 6)]);
-        // Hole bytes + covered bytes = hull bytes.
-        let hole_bytes: u64 = holes(&n).iter().map(|h| h.len).sum();
-        assert_eq!(hole_bytes + covered_bytes(&n), hull(&n).unwrap().len);
+        // The hull covers the regions plus the two 6-byte holes between them.
+        assert_eq!(covered_bytes(&n) + 2 * 6, hull(&n).unwrap().len);
     }
 
     #[test]
     fn empty_inputs() {
         assert!(normalize(&[]).is_empty());
         assert_eq!(hull(&[]), None);
-        assert!(holes(&[]).is_empty());
         assert_eq!(covered_bytes(&[]), 0);
     }
 

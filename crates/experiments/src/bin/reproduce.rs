@@ -22,9 +22,9 @@
 //! ```
 
 use bps_experiments::export;
+use bps_experiments::figures::faults::{self, FaultKind};
 use bps_experiments::figures::{
-    extensions, faults, fig01, fig02, fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10,
-    fig11, fig12, overhead, summary, tables, writes,
+    extensions, fig01, fig02, fig03, overhead, summary, tables, CcFigure,
 };
 use bps_experiments::journal::Journal;
 use bps_experiments::scale::Scale;
@@ -113,15 +113,20 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// The failure class of an engine error: an invalid scenario or an I/O
+/// failure.
+fn failure_kind(e: &engine::EngineError) -> FailureKind {
+    match e.kind() {
+        engine::EngineErrorKind::InvalidSpec => FailureKind::InvalidSpec,
+        engine::EngineErrorKind::Io => FailureKind::Io,
+    }
+}
+
 /// Exit with the engine error's class code: 3 for an invalid scenario,
 /// 4 for an I/O failure.
 fn fail_engine(e: engine::EngineError) -> ! {
-    let code = match e.kind() {
-        engine::EngineErrorKind::InvalidSpec => FailureKind::InvalidSpec.exit_code(),
-        engine::EngineErrorKind::Io => FailureKind::Io.exit_code(),
-    };
     eprintln!("error: {e}");
-    std::process::exit(code);
+    std::process::exit(failure_kind(&e).exit_code());
 }
 
 /// Where `--telemetry` writes its JSONL stream, plus the argv recorded in
@@ -517,38 +522,40 @@ fn print_profile(targets: &[&str], scale_label: &str) {
     }
 }
 
-fn cmd_check(paths: &[String]) {
-    for p in paths {
-        let sc = match engine::load_path(Path::new(p)) {
-            Ok(sc) => sc,
-            Err(e) => fail_engine(e),
-        };
-        let scales = [
+/// `reproduce check <path.json>...` — parse each operand and expand it at
+/// every scale, printing `ok: …` or `error: …` for each, then exit with
+/// the worst failure's code (0 when every operand is valid).
+fn cmd_check(paths: &[String]) -> ! {
+    let check = |p: &str| -> Result<String, (String, FailureKind)> {
+        let sc = engine::load_path(Path::new(p)).map_err(|e| (e.to_string(), failure_kind(&e)))?;
+        let mut quick_cases = 0;
+        for (name, scale) in [
             ("tiny", Scale::tiny()),
             ("quick", Scale::quick()),
             ("paper", Scale::paper()),
-        ];
-        let mut quick_cases = 0;
-        for (name, scale) in &scales {
-            match engine::expand(&sc, scale) {
-                Ok(cases) => {
-                    if *name == "quick" {
-                        quick_cases = cases.len();
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: {p}: at --{name}: {e}");
-                    std::process::exit(match e.kind() {
-                        engine::EngineErrorKind::InvalidSpec => {
-                            FailureKind::InvalidSpec.exit_code()
-                        }
-                        engine::EngineErrorKind::Io => FailureKind::Io.exit_code(),
-                    });
-                }
+        ] {
+            let cases = engine::expand(&sc, &scale)
+                .map_err(|e| (format!("{p}: at --{name}: {e}"), failure_kind(&e)))?;
+            if name == "quick" {
+                quick_cases = cases.len();
             }
         }
-        println!("ok: {} ({} cases at quick scale)", sc.name, quick_cases);
+        Ok(format!(
+            "ok: {} ({quick_cases} cases at quick scale)",
+            sc.name
+        ))
+    };
+    let mut failures = Vec::new();
+    for p in paths {
+        match check(p) {
+            Ok(line) => println!("{line}"),
+            Err((msg, kind)) => {
+                eprintln!("error: {msg}");
+                failures.push(kind);
+            }
+        }
     }
+    std::process::exit(FailureKind::worst(failures).map_or(0, |k| k.exit_code()));
 }
 
 /// `reproduce topology <name|path.json>...` — expand each scenario at
@@ -595,21 +602,31 @@ fn cmd_topology(refs: &[String], scale: &Scale) {
     }
 }
 
-fn cmd_run(
-    refs: &[String],
-    scale: &Scale,
+/// How this invocation runs its sweeps, fixed once by `main` from the
+/// flags.
+struct Sweeps<'a> {
+    scale: &'a Scale,
     exec: SweepExec,
-    opts: &RunOpts,
-    csv_dir: Option<&PathBuf>,
-) -> bool {
-    let mut bad = false;
-    for r in refs {
-        let sc = resolve_scenario(r);
-        let out = match engine::run_with_opts(&sc, scale, exec, true, opts) {
-            Ok(out) => out,
-            Err(e) => fail_engine(e),
-        };
-        if let Some(dir) = csv_dir {
+    opts: &'a RunOpts,
+    csv_dir: Option<&'a Path>,
+    /// Compute (and export) without printing: `profile` wants the work
+    /// without the figure text.
+    quiet: bool,
+}
+
+impl Sweeps<'_> {
+    /// Run one scenario through the engine.
+    fn run(&self, sc: &Scenario) -> engine::ScenarioOutput {
+        engine::run_with_opts(sc, self.scale, self.exec, true, self.opts)
+            .unwrap_or_else(|e| fail_engine(e))
+    }
+
+    /// Run one scenario, write it to `<name>.csv` when `--csv` asks, and
+    /// print its report: the one route from a sweep to its report, for
+    /// `run`'s operands and the fixed targets' bundled scenarios alike.
+    fn report(&self, sc: &Scenario) -> engine::ScenarioOutput {
+        let out = self.run(sc);
+        if let Some(dir) = self.csv_dir {
             let csv = match &out {
                 engine::ScenarioOutput::Cc(fig) => export::cc_figure_csv(fig),
                 engine::ScenarioOutput::Detail(s) => export::detail_series_csv(s),
@@ -623,7 +640,25 @@ fn cmd_run(
                 )),
             }
         }
-        print!("{out}");
+        if !self.quiet {
+            println!("{out}");
+        }
+        out
+    }
+}
+
+/// A bundled scenario a fixed target runs, by registry name.
+fn bundled(name: &str) -> Scenario {
+    registry::find(name).unwrap_or_else(|| panic!("no bundled scenario named `{name}`"))
+}
+
+/// `reproduce run <name|path.json>...` — report each scenario, then
+/// check its declared expectations; true when any was violated.
+fn cmd_run(refs: &[String], sweeps: &Sweeps) -> bool {
+    let mut bad = false;
+    for r in refs {
+        let sc = resolve_scenario(r);
+        let out = sweeps.report(&sc);
         let violations = engine::violations(&out, &sc.expect, sc.verdict);
         if !violations.is_empty() {
             eprintln!("{}: expectation violations:", sc.name);
@@ -632,7 +667,6 @@ fn cmd_run(
             }
             bad = true;
         }
-        println!();
     }
     bad
 }
@@ -663,46 +697,15 @@ fn expand_targets(targets: &[String]) -> Vec<&'static str> {
     out
 }
 
-/// Run the fixed report targets in order. With `quiet`, reports are
-/// computed (and exported, if `--csv` asks) but not printed — `profile`
-/// wants the work without the figure text.
-fn run_fixed_targets(
-    expanded: &[&str],
-    scale: &Scale,
-    exec: SweepExec,
-    opts: &RunOpts,
-    csv_dir: Option<&PathBuf>,
-    quiet: bool,
-) {
+/// Run the fixed report targets in order. A sweep target reports its
+/// bundled scenarios by registry name; the fixed targets do not check
+/// declared expectations (`run` does).
+fn run_fixed_targets(expanded: &[&str], sweeps: &Sweeps) {
     let emit = |text: String| {
-        if !quiet {
-            print!("{text}");
-            println!();
+        if !sweeps.quiet {
+            println!("{text}");
         }
     };
-    let export_cc = |name: &str, fig: &bps_experiments::figures::common::CcFigure| {
-        if let Some(dir) = csv_dir {
-            match export::write_csv(dir, name, &export::cc_figure_csv(fig)) {
-                Ok(path) => eprintln!("wrote {}", path.display()),
-                Err(e) => fail(format_args!(
-                    "cannot write {name}.csv under {}: {e}",
-                    dir.display()
-                )),
-            }
-        }
-    };
-    let export_detail = |name: &str, s: &bps_experiments::figures::common::DetailSeries| {
-        if let Some(dir) = csv_dir {
-            match export::write_csv(dir, name, &export::detail_series_csv(s)) {
-                Ok(path) => eprintln!("wrote {}", path.display()),
-                Err(e) => fail(format_args!(
-                    "cannot write {name}.csv under {}: {e}",
-                    dir.display()
-                )),
-            }
-        }
-    };
-
     for &target in expanded {
         let _span = if bps_telemetry::enabled() {
             bps_telemetry::phase(&format!("target:{target}"))
@@ -715,63 +718,31 @@ fn run_fixed_targets(
             "fig1" => emit(fig01::report().to_string()),
             "fig2" => emit(fig02::report().to_string()),
             "fig3" => emit(fig03::report().to_string()),
-            "fig4" => {
-                let fig = fig04::run(scale, exec, opts);
-                export_cc("fig04", &fig);
-                emit(fig.to_string());
+            "summary" => {
+                let figures: Vec<CcFigure> = summary::FIGURES
+                    .iter()
+                    .map(|name| sweeps.run(&bundled(name)).into_cc())
+                    .collect();
+                emit(summary::render(&figures));
             }
-            "fig5" => {
-                let fig = fig05::run(scale, exec, opts);
-                export_cc("fig05", &fig);
-                emit(fig.to_string());
-            }
-            "fig6" => {
-                let fig = fig06::run(scale, exec, opts);
-                export_cc("fig06", &fig);
-                emit(fig.to_string());
-            }
-            "fig7" => {
-                let s = fig07::run(scale, exec, opts);
-                export_detail("fig07", &s);
-                emit(s.to_string());
-            }
-            "fig8" => {
-                let s = fig08::run(scale, exec, opts);
-                export_detail("fig08", &s);
-                emit(s.to_string());
-            }
-            "fig9" => {
-                let fig = fig09::run(scale, exec, opts);
-                export_cc("fig09", &fig);
-                emit(fig.to_string());
-            }
-            "fig10" => {
-                let s = fig10::run(scale, exec, opts);
-                export_detail("fig10", &s);
-                emit(s.to_string());
-            }
-            "fig11" => {
-                let fig = fig11::run(scale, exec, opts);
-                export_cc("fig11", &fig);
-                emit(fig.to_string());
-            }
-            "fig12" => {
-                let fig = fig12::run(scale, exec, opts);
-                export_cc("fig12", &fig);
-                emit(fig.to_string());
-            }
-            "summary" => emit(summary::report(scale, exec, opts)),
-            "extensions" => emit(extensions::report(scale, exec)),
+            "extensions" => emit(extensions::report(sweeps.scale, sweeps.exec)),
             "overhead" => emit(overhead::report()),
-            "writes" => emit(writes::report(scale, exec, opts)),
-            "faults" => {
-                let figures = faults::run(scale, exec, opts);
-                for (kind, fig) in &figures {
-                    export_cc(&format!("faults-{}", kind.name()), fig);
+            "writes" => {
+                for name in ["writes-hdd", "writes-ssd"] {
+                    sweeps.report(&bundled(name));
                 }
-                emit(faults::render(&figures));
             }
-            other => unreachable!("expand_targets admitted `{other}`"),
+            "faults" => {
+                let figures: Vec<(FaultKind, CcFigure)> = FaultKind::all()
+                    .into_iter()
+                    .map(|kind| (kind, sweeps.report(&kind.scenario()).into_cc()))
+                    .collect();
+                emit(faults::verdict(&figures));
+            }
+            // fig4..fig12: each is one bundled scenario of the same name.
+            name => {
+                sweeps.report(&bundled(name));
+            }
         }
     }
 }
@@ -867,8 +838,6 @@ fn main() {
     if targets.is_empty() {
         usage();
     }
-    let exec = SweepExec::from_env(threads);
-
     // Arm the collector before anything that could emit telemetry runs.
     // `profile` implies collection even without `--telemetry <path>`.
     let profile_mode = targets[0] == "profile";
@@ -905,6 +874,14 @@ fn main() {
         }
     }
 
+    let mut sweeps = Sweeps {
+        scale: &scale,
+        exec: SweepExec::from_env(threads),
+        opts: &opts,
+        csv_dir: csv_dir.as_deref(),
+        quiet: false,
+    };
+
     match targets[0].as_str() {
         "cache" => {
             let op = match targets.as_slice() {
@@ -931,7 +908,7 @@ fn main() {
             if targets.len() < 2 {
                 usage();
             }
-            let bad = cmd_run(&targets[1..], &scale, exec, &opts, csv_dir.as_ref());
+            let bad = cmd_run(&targets[1..], &sweeps);
             finish(bad);
         }
         "check" => {
@@ -939,7 +916,6 @@ fn main() {
                 usage();
             }
             cmd_check(&targets[1..]);
-            return;
         }
         "topology" => {
             if targets.len() < 2 {
@@ -962,7 +938,8 @@ fn main() {
                 usage();
             }
             let expanded = expand_targets(&targets[1..]);
-            run_fixed_targets(&expanded, &scale, exec, &opts, csv_dir.as_ref(), true);
+            sweeps.quiet = true;
+            run_fixed_targets(&expanded, &sweeps);
             print_profile(&expanded, scale_label);
             finish(false);
         }
@@ -970,6 +947,6 @@ fn main() {
     }
 
     let expanded = expand_targets(&targets);
-    run_fixed_targets(&expanded, &scale, exec, &opts, csv_dir.as_ref(), false);
+    run_fixed_targets(&expanded, &sweeps);
     finish(false);
 }

@@ -234,6 +234,33 @@ impl fmt::Display for DetailSeries {
     }
 }
 
+/// Run a scenario at `--tiny` scale with default options: the figure
+/// tests' one way into the engine.
+#[cfg(test)]
+pub(crate) fn run_tiny(
+    sc: &crate::scenario::spec::Scenario,
+) -> crate::scenario::engine::ScenarioOutput {
+    crate::scenario::engine::run_with_opts(
+        sc,
+        &crate::scale::Scale::tiny(),
+        crate::sweep::SweepExec::from_env(None),
+        true,
+        &crate::scenario::engine::RunOpts::default(),
+    )
+    .expect("bundled scenario is valid")
+}
+
+/// [`run_tiny`] of a detail scenario: its series.
+#[cfg(test)]
+pub(crate) fn detail_tiny(sc: &crate::scenario::spec::Scenario) -> DetailSeries {
+    match run_tiny(sc) {
+        crate::scenario::engine::ScenarioOutput::Detail(s) => s,
+        crate::scenario::engine::ScenarioOutput::Cc(fig) => {
+            panic!("scenario produced a CC figure: {}", fig.label)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

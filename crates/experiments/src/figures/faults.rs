@@ -28,18 +28,14 @@
 //!   actually experienced.
 
 use crate::figures::common::CcFigure;
-use crate::runner::CasePoint;
 use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, DeviceErrorSpec, FaultSpec, Grid, LayoutSpec, LinkLossSpec,
     OutageTrainSpec, OutputSpec, Patch, RetrySpec, Scenario, SlowdownSpec, StorageSpec,
     WorkloadTemplate,
 };
-use crate::sweep::SweepExec;
 use bps_core::extent::Extent;
 use bps_workloads::spec::{AppOp, OpStream, Workload};
-use std::fmt::Write;
 
 /// I/O servers in every degraded-mode case.
 pub const SERVERS: usize = 4;
@@ -320,18 +316,6 @@ impl FaultKind {
     }
 }
 
-/// Sweep one variety over its fault shapes and score the metrics.
-pub fn variety(kind: FaultKind, scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
-    engine::run_with_opts(&kind.scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_cc()
-}
-
-/// The averaged sweep points of one variety.
-pub fn points(kind: FaultKind, scale: &Scale, exec: SweepExec, opts: &RunOpts) -> Vec<CasePoint> {
-    variety(kind, scale, exec, opts).cases
-}
-
 /// Whether BPS has the strictly largest |CC| of the four metrics in a
 /// variety's figure (the acceptance bar for the degraded-mode claim).
 pub fn bps_strictly_best(fig: &CcFigure) -> bool {
@@ -346,34 +330,16 @@ pub fn bps_strictly_best(fig: &CcFigure) -> bool {
         })
 }
 
-/// Run every variety.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> Vec<(FaultKind, CcFigure)> {
-    FaultKind::all()
-        .into_iter()
-        .map(|kind| (kind, variety(kind, scale, exec, opts)))
-        .collect()
-}
-
-/// Render the whole set: one CC figure per variety plus the verdict line.
-pub fn report(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> String {
-    render(&run(scale, exec, opts))
-}
-
-/// Render already-run variety figures (shared by [`report`] and the
-/// `reproduce` binary, which also exports each figure as CSV).
-pub fn render(figures: &[(FaultKind, CcFigure)]) -> String {
-    let mut out = String::new();
-    for (_, fig) in figures {
-        writeln!(out, "{fig}").unwrap();
-    }
+/// The set's verdict line over its varieties' figures: under which
+/// varieties BPS has the strictly highest |CC|.
+pub fn verdict(figures: &[(FaultKind, CcFigure)]) -> String {
     let winners: Vec<&str> = figures
         .iter()
         .filter(|(_, fig)| bps_strictly_best(fig))
         .map(|(kind, _)| kind.name())
         .collect();
-    writeln!(
-        out,
-        "BPS has the strictly highest |CC| under {} of {} fault varieties: {}",
+    format!(
+        "BPS has the strictly highest |CC| under {} of {} fault varieties: {}\n",
         winners.len(),
         figures.len(),
         if winners.is_empty() {
@@ -382,13 +348,21 @@ pub fn render(figures: &[(FaultKind, CcFigure)]) -> String {
             winners.join(", ")
         }
     )
-    .unwrap();
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::common::run_tiny;
+    use crate::scenario::engine;
+
+    /// Every variety's figure at `--tiny`, in [`FaultKind::all`] order.
+    fn figures() -> Vec<(FaultKind, CcFigure)> {
+        FaultKind::all()
+            .into_iter()
+            .map(|kind| (kind, run_tiny(&kind.scenario()).into_cc()))
+            .collect()
+    }
 
     #[test]
     fn workload_shape() {
@@ -430,13 +404,8 @@ mod tests {
     #[test]
     fn faults_lengthen_execution_time() {
         // Every faulted shape runs longer than its variety's healthy case.
-        for kind in FaultKind::all() {
-            let pts = points(
-                kind,
-                &Scale::tiny(),
-                SweepExec::from_env(None),
-                &RunOpts::default(),
-            );
+        for (kind, fig) in figures() {
+            let pts = &fig.cases;
             for p in &pts[1..] {
                 assert!(
                     p.exec_s > pts[0].exec_s,
@@ -452,11 +421,7 @@ mod tests {
     fn bps_highest_under_at_least_two_fault_types() {
         // The acceptance bar: |CC(BPS)| strictly highest under ≥ 2
         // distinct fault varieties.
-        let figures = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let figures = figures();
         let winners: Vec<&str> = figures
             .iter()
             .filter(|(_, fig)| bps_strictly_best(fig))

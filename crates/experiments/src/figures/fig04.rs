@@ -11,14 +11,10 @@
 //! single reader's requests span multiple 64 KB stripes and the PVFS
 //! server count actually matters.
 
-use crate::figures::common::CcFigure;
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, ScaleKnob, Scenario, StorageSpec,
     WorkloadTemplate,
 };
-use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 /// Record size used for the sequential read.
@@ -78,35 +74,20 @@ pub fn scenario() -> Scenario {
     }
 }
 
-/// Run the sweep and score the metrics.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
-    engine::run_with_opts(&scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_cc()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::common::assert_cc_expectations;
+    use crate::figures::common::{assert_cc_expectations, run_tiny};
 
     #[test]
     fn all_four_metrics_correct_and_strong() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         assert_cc_expectations(&fig, &scenario().expect);
     }
 
     #[test]
     fn ssd_fastest_pvfs_scales() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         let by_label = |l: &str| fig.cases.iter().find(|c| c.label == l).unwrap();
         assert!(by_label("ssd").exec_s < by_label("hdd").exec_s);
         assert!(by_label("pvfs-8").exec_s < by_label("pvfs-1").exec_s);

@@ -6,14 +6,10 @@
 //! records mean fewer, slower ops (IOPS down, ARPT up) yet much faster
 //! applications.
 
-use crate::figures::common::CcFigure;
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, ScaleKnob, Scenario, StorageSpec,
     WorkloadTemplate,
 };
-use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 /// The record-size sweep: 4 KB to 8 MB.
@@ -114,35 +110,20 @@ pub fn scenario() -> Scenario {
     )
 }
 
-/// Run the HDD sweep and score the metrics.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
-    engine::run_with_opts(&scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_cc()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::common::assert_cc_expectations;
+    use crate::figures::common::{assert_cc_expectations, run_tiny};
 
     #[test]
     fn bw_and_bps_correct_iops_and_arpt_wrong() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         assert_cc_expectations(&fig, &scenario().expect);
     }
 
     #[test]
     fn bigger_records_run_faster() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         let first = &fig.cases[0];
         let last = &fig.cases[fig.cases.len() - 1];
         assert!(last.exec_s < first.exec_s / 2.0, "{fig}");

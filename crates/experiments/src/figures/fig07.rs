@@ -5,12 +5,8 @@
 //! 358.1 s. "Obviously, the IOPS is largely decreased, but the overall
 //! computer performance is largely increased."
 
-use crate::figures::common::DetailSeries;
 use crate::figures::fig05::record_size_scenario;
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{OutputSpec, Scenario, StorageSpec};
-use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 /// The sweep as data.
@@ -27,24 +23,14 @@ pub fn scenario() -> Scenario {
     )
 }
 
-/// Run the sweep and extract the IOPS detail series.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> DetailSeries {
-    engine::run_with_opts(&scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_detail()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::common::detail_tiny;
 
     #[test]
     fn iops_falls_while_time_falls() {
-        let s = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let s = detail_tiny(&scenario());
         let first = &s.points[0]; // 4 KB
         let last = &s.points[s.points.len() - 1]; // 8 MB
         assert!(first.1 > 10.0 * last.1, "IOPS should collapse: {s}");
@@ -55,11 +41,7 @@ mod tests {
     fn iops_anchor_order_of_magnitude() {
         // At 4 KB sequential HDD records the simulator should land in the
         // same order of magnitude as the paper's 5156 IOPS.
-        let s = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let s = detail_tiny(&scenario());
         let iops_4k = s.points[0].1;
         assert!((2000.0..12000.0).contains(&iops_4k), "4KB IOPS = {iops_4k}");
     }

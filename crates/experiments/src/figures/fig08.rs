@@ -4,12 +4,8 @@
 //! 22.35 ms at 4 MB — "meaning a decreased I/O performance. However, the
 //! overall computer performance is largely increased."
 
-use crate::figures::common::DetailSeries;
 use crate::figures::fig05::record_size_scenario;
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{OutputSpec, Scenario, StorageSpec};
-use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 /// The sweep as data.
@@ -26,24 +22,14 @@ pub fn scenario() -> Scenario {
     )
 }
 
-/// Run the sweep and extract the ARPT detail series.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> DetailSeries {
-    engine::run_with_opts(&scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_detail()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::common::detail_tiny;
 
     #[test]
     fn arpt_rises_while_time_falls() {
-        let s = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let s = detail_tiny(&scenario());
         let first = &s.points[0]; // 4 KB
         let large = s.points.iter().find(|p| p.0 == "4MB").unwrap();
         assert!(large.1 > 20.0 * first.1, "ARPT should grow: {s}");
@@ -52,11 +38,7 @@ mod tests {
 
     #[test]
     fn arpt_anchors_near_paper() {
-        let s = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let s = detail_tiny(&scenario());
         let arpt_4k = s.points[0].1;
         let arpt_4m = s.points.iter().find(|p| p.0 == "4MB").unwrap().1;
         // Paper: 0.00014 s and 0.02235 s.

@@ -8,14 +8,10 @@
 //! correctly (~0.96); ARPT points the wrong way — more concurrency
 //! finishes sooner while per-request response times inch *up*.
 
-use crate::figures::common::CcFigure;
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, LayoutSpec, Num, OutputSpec, Patch, ScaleKnob, Scenario,
     StorageSpec, WorkloadTemplate,
 };
-use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 /// Record size of the per-process sequential reads.
@@ -82,35 +78,20 @@ pub fn scenario() -> Scenario {
     )
 }
 
-/// Run the sweep and score the metrics.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
-    engine::run_with_opts(&scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_cc()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::common::assert_cc_expectations;
+    use crate::figures::common::{assert_cc_expectations, run_tiny};
 
     #[test]
     fn throughput_metrics_correct_arpt_wrong() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         assert_cc_expectations(&fig, &scenario().expect);
     }
 
     #[test]
     fn more_processes_finish_sooner() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         assert!(fig.cases[7].exec_s < fig.cases[0].exec_s / 3.0, "{fig}");
     }
 }

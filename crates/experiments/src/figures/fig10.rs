@@ -4,12 +4,8 @@
 //! smaller variation, so it is not able to reflect the overall computer
 //! performance accurately."
 
-use crate::figures::common::DetailSeries;
 use crate::figures::fig09::concurrency_scenario;
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{OutputSpec, Scenario};
-use crate::sweep::SweepExec;
 
 /// The sweep as data.
 pub fn scenario() -> Scenario {
@@ -23,24 +19,14 @@ pub fn scenario() -> Scenario {
     )
 }
 
-/// Run the sweep and extract the ARPT detail series.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> DetailSeries {
-    engine::run_with_opts(&scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_detail()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::common::detail_tiny;
 
     #[test]
     fn arpt_variation_much_smaller_than_exec_variation() {
-        let s = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let s = detail_tiny(&scenario());
         let arpts: Vec<f64> = s.points.iter().map(|p| p.1).collect();
         let execs: Vec<f64> = s.points.iter().map(|p| p.2).collect();
         let rel = |v: &[f64]| {

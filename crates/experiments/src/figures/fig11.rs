@@ -7,14 +7,10 @@
 //! 1–32. IOPS/BW/BPS stay correct (~0.91); ARPT again points the wrong
 //! way (paper: ~0.39) as server queues grow with fan-in.
 
-use crate::figures::common::CcFigure;
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, ScaleKnob, Scenario, StorageSpec,
     WorkloadTemplate,
 };
-use crate::sweep::SweepExec;
 
 /// The process counts swept.
 pub const PROCESS_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -65,35 +61,20 @@ pub fn scenario() -> Scenario {
     }
 }
 
-/// Run the sweep and score the metrics.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
-    engine::run_with_opts(&scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_cc()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::common::assert_cc_expectations;
+    use crate::figures::common::{assert_cc_expectations, run_tiny};
 
     #[test]
     fn throughput_metrics_correct_arpt_wrong() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         assert_cc_expectations(&fig, &scenario().expect);
     }
 
     #[test]
     fn speedup_then_saturation() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         let t = |label: &str| fig.cases.iter().find(|c| c.label == label).unwrap().exec_s;
         // Concurrency helps early...
         assert!(t("np=8") < t("np=1"), "{fig}");
@@ -104,11 +85,7 @@ mod tests {
 
     #[test]
     fn arpt_grows_under_fan_in() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         let a = |label: &str| fig.cases.iter().find(|c| c.label == label).unwrap().arpt;
         assert!(a("np=32") > a("np=1"), "{fig}");
     }

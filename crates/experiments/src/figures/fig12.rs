@@ -8,14 +8,10 @@
 //! application only gets slower. "File system performance does not
 //! represent I/O system performance."
 
-use crate::figures::common::CcFigure;
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Expect, Grid, Num, OutputSpec, Patch, ScaleKnob, Scenario, StorageSpec,
     WorkloadTemplate,
 };
-use crate::sweep::SweepExec;
 
 /// The region spacings swept (bytes of hole between 256-byte regions).
 pub const SPACINGS: [u64; 5] = [8, 64, 256, 1024, 4096];
@@ -75,35 +71,20 @@ pub fn scenario() -> Scenario {
     }
 }
 
-/// Run the sweep and score the metrics.
-pub fn run(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
-    engine::run_with_opts(&scenario(), scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_cc()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::common::assert_cc_expectations;
+    use crate::figures::common::{assert_cc_expectations, run_tiny};
 
     #[test]
     fn bw_wrong_direction_others_correct() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         assert_cc_expectations(&fig, &scenario().expect);
     }
 
     #[test]
     fn wider_gaps_slow_the_application() {
-        let fig = run(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let fig = run_tiny(&scenario()).into_cc();
         let first = &fig.cases[0];
         let last = &fig.cases[fig.cases.len() - 1];
         assert!(last.exec_s > 2.0 * first.exec_s, "{fig}");

@@ -6,24 +6,12 @@
 //! 0.91 correlation coefficient overall.
 
 use crate::figures::common::CcFigure;
-use crate::figures::{fig04, fig05, fig06, fig09, fig11, fig12};
-use crate::scale::Scale;
-use crate::scenario::engine::RunOpts;
-use crate::sweep::SweepExec;
 use bps_core::metrics::paper_metrics;
 use std::fmt::Write;
 
-/// Run every CC figure.
-pub fn all_figures(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> Vec<CcFigure> {
-    vec![
-        fig04::run(scale, exec, opts),
-        fig05::run(scale, exec, opts),
-        fig06::run(scale, exec, opts),
-        fig09::run(scale, exec, opts),
-        fig11::run(scale, exec, opts),
-        fig12::run(scale, exec, opts),
-    ]
-}
+/// The bundled scenarios the summary scores, by registry name: every CC
+/// figure of the paper.
+pub const FIGURES: [&str; 6] = ["fig4", "fig5", "fig6", "fig9", "fig11", "fig12"];
 
 /// The cross-experiment verdict per metric: `(name, mean normalized CC,
 /// number of scenarios with the wrong direction)`.
@@ -43,9 +31,8 @@ pub fn verdicts(figures: &[CcFigure]) -> Vec<(String, f64, usize)> {
         .collect()
 }
 
-/// Render the summary table.
-pub fn report(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> String {
-    let figures = all_figures(scale, exec, opts);
+/// Render the summary table over the [`FIGURES`] sweeps' figures.
+pub fn render(figures: &[CcFigure]) -> String {
     let mut out = String::new();
     writeln!(out, "=== Summary (paper §IV.C.5) ===").unwrap();
     writeln!(
@@ -54,7 +41,7 @@ pub fn report(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> String {
         "metric", "mean norm. CC", "wrong-direction cases"
     )
     .unwrap();
-    for (name, mean, wrong) in verdicts(&figures) {
+    for (name, mean, wrong) in verdicts(figures) {
         writeln!(out, "{name:<6} {mean:>14.3} {wrong:>22}").unwrap();
     }
     writeln!(
@@ -68,14 +55,15 @@ pub fn report(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::common::run_tiny;
+    use crate::scenario::registry;
 
     #[test]
     fn bps_wins_everywhere_others_fail_somewhere() {
-        let figures = all_figures(
-            &Scale::tiny(),
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
+        let figures: Vec<CcFigure> = FIGURES
+            .iter()
+            .map(|name| run_tiny(&registry::find(name).unwrap()).into_cc())
+            .collect();
         let v = verdicts(&figures);
         let get = |m: &str| v.iter().find(|(n, _, _)| n == m).unwrap().clone();
         // BPS: correct in all six scenarios, high mean CC.

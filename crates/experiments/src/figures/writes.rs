@@ -7,12 +7,8 @@
 //! over: IOPS and ARPT still mislead, BW and BPS still track the
 //! application.
 
-use crate::figures::common::CcFigure;
 use crate::figures::fig05::{record_size_scenario, size_sweep_expect};
-use crate::scale::Scale;
-use crate::scenario::engine::{self, RunOpts};
 use crate::scenario::spec::{OutputSpec, Scenario, StorageSpec};
-use crate::sweep::SweepExec;
 use bps_workloads::iozone::IozoneMode;
 
 fn write_scenario(name: &str, storage: StorageSpec, device: &str) -> Scenario {
@@ -36,45 +32,15 @@ pub fn scenario_ssd() -> Scenario {
     write_scenario("writes-ssd", StorageSpec::Ssd, "SSD")
 }
 
-/// Run the write sweep on one device.
-pub fn run_on(storage: StorageSpec, scale: &Scale, exec: SweepExec, opts: &RunOpts) -> CcFigure {
-    let sc = match storage {
-        StorageSpec::Hdd => scenario_hdd(),
-        StorageSpec::Ssd => scenario_ssd(),
-        StorageSpec::Pvfs { .. } => panic!("the write extension sweeps local devices only"),
-    };
-    engine::run_with_opts(&sc, scale, exec, true, opts)
-        .expect("bundled scenario is valid")
-        .into_cc()
-}
-
-/// Both device sweeps.
-pub fn report(scale: &Scale, exec: SweepExec, opts: &RunOpts) -> String {
-    format!(
-        "{}\n{}",
-        run_on(StorageSpec::Hdd, scale, exec, opts),
-        run_on(StorageSpec::Ssd, scale, exec, opts)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::common::assert_cc_expectations;
+    use crate::figures::common::{assert_cc_expectations, run_tiny};
 
     #[test]
     fn write_sweep_same_verdicts_as_reads() {
-        for (storage, sc) in [
-            (StorageSpec::Hdd, scenario_hdd()),
-            (StorageSpec::Ssd, scenario_ssd()),
-        ] {
-            let fig = run_on(
-                storage,
-                &Scale::tiny(),
-                SweepExec::from_env(None),
-                &RunOpts::default(),
-            );
-            assert_cc_expectations(&fig, &sc.expect);
+        for sc in [scenario_hdd(), scenario_ssd()] {
+            assert_cc_expectations(&run_tiny(&sc).into_cc(), &sc.expect);
         }
     }
 
@@ -82,15 +48,8 @@ mod tests {
     fn ssd_writes_slower_than_reads_at_same_size() {
         // The SSD's program latency exceeds its read latency; sanity-check
         // the asymmetry survives the full stack.
-        let scale = Scale::tiny();
-        let writes = run_on(
-            StorageSpec::Ssd,
-            &scale,
-            SweepExec::from_env(None),
-            &RunOpts::default(),
-        );
-        let reads =
-            crate::figures::fig06::run(&scale, SweepExec::from_env(None), &RunOpts::default());
+        let writes = run_tiny(&scenario_ssd()).into_cc();
+        let reads = run_tiny(&crate::figures::fig06::scenario()).into_cc();
         let w4k = writes.cases[0].exec_s;
         let r4k = reads.cases[0].exec_s;
         assert!(w4k > r4k, "write {w4k} vs read {r4k}");

@@ -283,7 +283,10 @@ pub const ENV_KNOBS: [(&str, &str); 6] = [
 /// CLI flags of the `reproduce` binary, with what they control.
 pub const CLI_FLAGS: [(&str, &str); 11] = [
     ("--quick | --tiny | --paper", "workload scale (default `--quick`)"),
-    ("--csv <dir>", "also export each figure as CSV under `<dir>`"),
+    (
+        "--csv <dir>",
+        "also write each scenario run to `<dir>/<name>.csv`, named as in `reproduce list`",
+    ),
     ("--threads <n>", "sweep worker count; outranks `BPS_THREADS`"),
     (
         "--metrics <a,b,c>",

@@ -488,14 +488,6 @@ impl ScenarioOutput {
             ScenarioOutput::Detail(s) => panic!("scenario produced a detail series: {}", s.label),
         }
     }
-
-    /// The detail series, panicking on a CC output.
-    pub fn into_detail(self) -> DetailSeries {
-        match self {
-            ScenarioOutput::Detail(s) => s,
-            ScenarioOutput::Cc(fig) => panic!("scenario produced a CC figure: {}", fig.label),
-        }
-    }
 }
 
 impl fmt::Display for ScenarioOutput {

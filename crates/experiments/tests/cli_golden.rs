@@ -196,9 +196,43 @@ fn unknown_target_names_itself_and_the_valid_set() {
 
 #[test]
 fn run_of_a_bundled_scenario_matches_the_target_report() {
-    // `reproduce run fig9` goes name -> registry -> engine; `reproduce fig9`
-    // goes through the figure module. Same bytes either way.
+    // `reproduce run fig9` also checks the scenario's declared
+    // expectations; the report bytes are the fixed target's.
     assert_eq!(stdout_of(&["run", "fig9", "--tiny"]), golden("fig9"));
+}
+
+#[test]
+fn csv_export_writes_one_file_per_bundled_scenario() {
+    // `all --csv` writes `<name>.csv` for every line of `reproduce list`,
+    // each byte-equal to what `run <name> --csv` writes.
+    let dir = std::env::temp_dir().join(format!("bps_cli_csv-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let all_dir = dir.join("all");
+    stdout_of(&["all", "--tiny", "--csv", all_dir.to_str().unwrap()]);
+    let names: Vec<String> = stdout_of(&["list"])
+        .lines()
+        .map(|l| l.split(' ').next().unwrap().to_string())
+        .collect();
+    assert_eq!(names.len(), 15);
+    let mut written: Vec<String> = std::fs::read_dir(&all_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    let mut expected: Vec<String> = names.iter().map(|n| format!("{n}.csv")).collect();
+    expected.sort();
+    assert_eq!(written, expected);
+    let run_dir = dir.join("run");
+    for name in &names {
+        stdout_of(&["run", name, "--tiny", "--csv", run_dir.to_str().unwrap()]);
+        let file = format!("{name}.csv");
+        assert_eq!(
+            std::fs::read(all_dir.join(&file)).unwrap(),
+            std::fs::read(run_dir.join(&file)).unwrap(),
+            "{file} differs between `all --csv` and `run {name} --csv`"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

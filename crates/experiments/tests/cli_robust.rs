@@ -250,3 +250,62 @@ fn scenario_deadline_outranks_the_flag() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn check_reports_every_invalid_operand_and_exits_with_the_worst() {
+    // Two broken copies of a valid example around an intact one: every
+    // operand is checked and named, not only the first bad one.
+    let example =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios/device-shootout.json");
+    let valid = std::fs::read_to_string(&example).unwrap();
+    let dir = std::env::temp_dir().join(format!("bps_cli_robust_check_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad_storage = dir.join("bad-storage.json");
+    let bad_layout = dir.join("bad-layout.json");
+    let base = "\"storage\": \"Hdd\",";
+    std::fs::write(
+        &bad_storage,
+        valid.replacen(base, "\"storage\": \"Floppy\",", 1),
+    )
+    .unwrap();
+    std::fs::write(
+        &bad_layout,
+        valid.replacen(base, "\"storage\": \"Hdd\", \"layout\": \"Sideways\",", 1),
+    )
+    .unwrap();
+    let missing = dir.join("missing.json");
+    let arg = |p: &Path| p.to_str().unwrap().to_string();
+    let check = |paths: &[String]| {
+        let mut args = vec!["check"];
+        args.extend(paths.iter().map(String::as_str));
+        reproduce(&args, &[])
+    };
+
+    let out = check(&[arg(&bad_storage), arg(&example), arg(&bad_layout)]);
+    assert_eq!(out.status.code(), Some(3));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "ok: device-shootout (6 cases at quick scale)\n"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = err.lines().collect();
+    assert_eq!(lines.len(), 2, "{err}");
+    assert!(lines[0].starts_with("error: ") && lines[0].contains("bad-storage.json"));
+    assert!(
+        lines[0].contains("unknown Storage variant `Floppy`"),
+        "{err}"
+    );
+    assert!(lines[1].starts_with("error: ") && lines[1].contains("bad-layout.json"));
+    assert!(
+        lines[1].contains("unknown Layout variant `Sideways`"),
+        "{err}"
+    );
+
+    // An unreadable operand alone exits 4; beside an invalid one, the
+    // invalid scenario (the worse kind) sets the code.
+    assert_eq!(check(&[arg(&missing)]).status.code(), Some(4));
+    let out = check(&[arg(&missing), arg(&bad_layout)]);
+    assert_eq!(out.status.code(), Some(3));
+    assert_eq!(String::from_utf8_lossy(&out.stderr).lines().count(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,9 +6,8 @@
 //! [`std::collections::BinaryHeap`] of `Reverse` tuples spends its time.
 //! On top of that the heap is *indexed*: each entry belongs to a process
 //! index and a positions table maps the index back to its slot, so a
-//! pending wake can be rescheduled earlier **in place**
-//! ([`WakeHeap::decrease_key`]) instead of by lazy re-push + stale-entry
-//! filtering, keeping heap size exactly equal to the number of scheduled
+//! second wake for a process that already has one is caught at `push`
+//! and heap size stays exactly equal to the number of scheduled
 //! processes.
 //!
 //! Ordering is identical to the previous
@@ -75,8 +74,8 @@ impl WakeHeap {
         self.entries.is_empty()
     }
 
-    /// Schedule a wake. Panics if `idx` already has one (use
-    /// [`WakeHeap::decrease_key`] to reschedule) or is out of range.
+    /// Schedule a wake. Panics if `idx` already has one or is out of
+    /// range.
     pub fn push(&mut self, time: Nanos, seq: u64, idx: usize) {
         assert!(
             self.pos[idx] == ABSENT,
@@ -99,22 +98,6 @@ impl WakeHeap {
             self.sift_down(0);
         }
         Some(top)
-    }
-
-    /// Reschedule `idx`'s pending wake to an earlier (or equal) key,
-    /// sifting it up in place. Panics if `idx` has no pending wake or the
-    /// new key is larger than the current one.
-    pub fn decrease_key(&mut self, idx: usize, time: Nanos, seq: u64) {
-        let slot = self.pos[idx];
-        assert!(slot != ABSENT, "process {idx} has no scheduled wake");
-        let e = &mut self.entries[slot];
-        assert!(
-            (time, seq) <= e.key(),
-            "decrease_key would increase the key of process {idx}"
-        );
-        e.time = time;
-        e.seq = seq;
-        self.sift_up(slot);
     }
 
     #[inline]
@@ -249,32 +232,6 @@ mod tests {
                 other => panic!("heaps disagree on emptiness: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn decrease_key_moves_entry_to_front() {
-        let mut h = WakeHeap::new();
-        h.reset(8);
-        for idx in 0..8 {
-            h.push(ns(100 + idx as u64 * 10), idx as u64, idx);
-        }
-        assert_eq!(h.entries[h.pos[7]].time, ns(170));
-        h.decrease_key(7, ns(5), 100);
-        h.check_invariants();
-        assert_eq!(h.entries[h.pos[7]].time, ns(5));
-        assert_eq!(h.pop().unwrap().idx, 7);
-        // The rest still pop in order.
-        let order: Vec<usize> = std::iter::from_fn(|| h.pop()).map(|e| e.idx).collect();
-        assert_eq!(order, (0..7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "would increase")]
-    fn decrease_key_rejects_increase() {
-        let mut h = WakeHeap::new();
-        h.reset(1);
-        h.push(ns(10), 0, 0);
-        h.decrease_key(0, ns(20), 1);
     }
 
     #[test]

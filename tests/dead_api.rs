@@ -7,10 +7,12 @@
 //! list only shrinks.
 //!
 //! "Non-test part" means each file up to its first `#[cfg(test)]`, with
-//! `//` comment lines (docs included) and `pub use` re-exports (single-
-//! or multi-line) ignored: a re-export forwards a name, it does not call
-//! it. Names are matched as whole identifiers, without type resolution: a
-//! name is dead when it occurs only where a `pub fn` declares it.
+//! `//` comments (docs and trailing ones included), the contents of
+//! string and char literals (raw strings included) and `pub use`
+//! re-exports (single- or multi-line) ignored: a message or a re-export
+//! mentions a name, it does not call it. Names are matched as whole
+//! identifiers, without type resolution: a name is dead when it occurs
+//! only where a `pub fn` declares it.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -62,13 +64,80 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The non-test, non-comment lines of a source file, without its
-/// `pub use` statements.
+/// `text` with every `//` comment and the contents of every string and
+/// char literal (raw and byte strings included) replaced by spaces. Line
+/// breaks are kept, so the result has the same lines as `text`.
+fn blank_literals(text: &str) -> String {
+    let c: Vec<char> = text.chars().collect();
+    let ident = |i: usize| c[i].is_alphanumeric() || c[i] == '_';
+    // A literal may open here: not inside an identifier, or right after
+    // a lone byte prefix `b`.
+    let opens =
+        |i: usize| i == 0 || !ident(i - 1) || (c[i - 1] == 'b' && (i == 1 || !ident(i - 2)));
+    let mut out = String::with_capacity(text.len());
+    let mut i = 0;
+    while i < c.len() {
+        // `(body start, body end, resume)`: the span blanked, and where
+        // scanning goes on after the closing delimiter.
+        let span = if c[i] == '/' && c.get(i + 1) == Some(&'/') {
+            let end = (i..c.len()).find(|&j| c[j] == '\n').unwrap_or(c.len());
+            Some((i, end, end))
+        } else if c[i] == 'r' && opens(i) {
+            // `r"…"`, `r#"…"#`, `br"…"`: no escapes, closed by `"` and as
+            // many `#` as opened it.
+            let hashes = c[i + 1..].iter().take_while(|&&h| h == '#').count();
+            let body = i + 2 + hashes;
+            let closes =
+                |j: usize| c[j] == '"' && c[j + 1..].iter().take(hashes).all(|&h| h == '#');
+            (c.get(body - 1) == Some(&'"')).then(|| {
+                let end = (body..c.len()).find(|&j| closes(j)).unwrap_or(c.len());
+                (body, end, end + 1 + hashes)
+            })
+        } else if c[i] == '"' {
+            let mut end = i + 1;
+            while end < c.len() && c[end] != '"' {
+                end += if c[end] == '\\' { 2 } else { 1 };
+            }
+            Some((i + 1, end, end + 1))
+        } else if c[i] == '\'' && opens(i) {
+            // `'x'` or `'\…'`; any other quote starts a lifetime or a
+            // loop label, which stays.
+            let close = if c.get(i + 1) == Some(&'\\') {
+                (i + 3..c.len()).find(|&j| c[j] == '\'')
+            } else {
+                Some(i + 2).filter(|&j| c.get(j) == Some(&'\''))
+            };
+            close.map(|end| (i + 1, end, end + 1))
+        } else {
+            None
+        };
+        match span {
+            Some((body, end, resume)) => {
+                let (end, resume) = (end.min(c.len()), resume.min(c.len()));
+                out.extend(&c[i..body]);
+                out.extend(
+                    c[body..end]
+                        .iter()
+                        .map(|&x| if x == '\n' { x } else { ' ' }),
+                );
+                out.extend(&c[end..resume]);
+                i = resume;
+            }
+            None => {
+                out.push(c[i]);
+                i += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The non-test lines of a source file already passed through
+/// [`blank_literals`], without its `pub use` statements.
 fn code_lines(text: &str) -> impl Iterator<Item = &str> {
     let mut in_pub_use = false;
     text.lines()
         .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
-        .filter(|l| !l.trim_start().starts_with("//"))
         .filter(move |l| {
             in_pub_use = in_pub_use || l.trim_start().starts_with("pub use ");
             let re_export = in_pub_use;
@@ -109,7 +178,7 @@ fn every_public_function_has_a_caller() {
     let mut uses: BTreeMap<String, usize> = BTreeMap::new();
     let mut declared: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for file in crate_files.iter().chain(&other_files) {
-        let text = std::fs::read_to_string(file).expect("read source file");
+        let text = blank_literals(&std::fs::read_to_string(file).expect("read source file"));
         let in_crates = crate_files.contains(file);
         for line in code_lines(&text) {
             for word in identifiers(line) {
@@ -151,4 +220,20 @@ fn every_public_function_has_a_caller() {
         revived.is_empty(),
         "allow-listed functions now have a caller or are gone; drop them from ALLOWED: {revived:?}"
     );
+}
+
+#[test]
+fn literals_and_comments_hide_names() {
+    let src = "let a = f(\"g(\\\"h\\\")\", 'i', '\\'', b'j', r#\"k\"#, br\"l\"); // m\n\
+               fn n<'o>(p: &'o str) -> char { '\"' } // q \"r\"\n";
+    let words: Vec<String> = blank_literals(src)
+        .lines()
+        .flat_map(identifiers)
+        .map(str::to_string)
+        .collect();
+    assert_eq!(
+        words,
+        ["let", "a", "f", "b", "r", "br", "fn", "n", "o", "p", "o", "str", "char"]
+    );
+    assert_eq!(blank_literals(src).lines().count(), src.lines().count());
 }

@@ -2,19 +2,30 @@
 //! I/O system (not hand-built traces): each figure's qualitative verdict
 //! at test scale.
 
-use bps::experiments::figures::{fig04, fig05, fig09, fig11, fig12, summary};
+use bps::experiments::figures::{summary, CcFigure};
 use bps::experiments::scale::Scale;
-use bps::experiments::scenario::engine::RunOpts;
+use bps::experiments::scenario::engine::{self, RunOpts};
+use bps::experiments::scenario::registry;
 use bps::experiments::sweep::SweepExec;
+
+/// A bundled CC figure, looked up by registry name and run at test scale.
+fn figure(name: &str) -> CcFigure {
+    let sc = registry::find(name).unwrap_or_else(|| panic!("no bundled scenario `{name}`"));
+    engine::run_with_opts(
+        &sc,
+        &Scale::tiny(),
+        SweepExec::from_env(None),
+        true,
+        &RunOpts::default(),
+    )
+    .expect("bundled scenario is valid")
+    .into_cc()
+}
 
 #[test]
 fn set1_devices_all_metrics_behave() {
     // Paper Fig. 4: "All of the four metrics perform well."
-    let fig = fig04::run(
-        &Scale::tiny(),
-        SweepExec::from_env(None),
-        &RunOpts::default(),
-    );
+    let fig = figure("fig4");
     for m in ["IOPS", "BW", "ARPT", "BPS"] {
         assert_eq!(fig.direction_correct(m), Some(true), "{m}\n{fig}");
     }
@@ -24,11 +35,7 @@ fn set1_devices_all_metrics_behave() {
 fn set2_sizes_iops_and_arpt_mislead() {
     // Paper Figs. 5/7: IOPS falls 5156 → 732 while the app runs 2.3x
     // faster; both IOPS and ARPT get the direction wrong.
-    let fig = fig05::run(
-        &Scale::tiny(),
-        SweepExec::from_env(None),
-        &RunOpts::default(),
-    );
+    let fig = figure("fig5");
     assert_eq!(fig.direction_correct("IOPS"), Some(false), "{fig}");
     assert_eq!(fig.direction_correct("ARPT"), Some(false), "{fig}");
     assert_eq!(fig.direction_correct("BW"), Some(true), "{fig}");
@@ -41,18 +48,10 @@ fn set2_sizes_iops_and_arpt_mislead() {
 fn set3_concurrency_arpt_misleads() {
     // Paper Figs. 9/11: ARPT wrong under concurrency, throughput metrics
     // fine.
-    let pure = fig09::run(
-        &Scale::tiny(),
-        SweepExec::from_env(None),
-        &RunOpts::default(),
-    );
+    let pure = figure("fig9");
     assert_eq!(pure.direction_correct("ARPT"), Some(false), "{pure}");
     assert_eq!(pure.direction_correct("BPS"), Some(true), "{pure}");
-    let ior = fig11::run(
-        &Scale::tiny(),
-        SweepExec::from_env(None),
-        &RunOpts::default(),
-    );
+    let ior = figure("fig11");
     assert_eq!(ior.direction_correct("ARPT"), Some(false), "{ior}");
     assert_eq!(ior.direction_correct("BPS"), Some(true), "{ior}");
     // Paper: ARPT correlation is also weak in the IOR case (~0.39),
@@ -67,11 +66,7 @@ fn set3_concurrency_arpt_misleads() {
 fn set4_sieving_bandwidth_misleads() {
     // Paper Fig. 12: "BW has a wrong correlation direction, which will
     // mislead people."
-    let fig = fig12::run(
-        &Scale::tiny(),
-        SweepExec::from_env(None),
-        &RunOpts::default(),
-    );
+    let fig = figure("fig12");
     assert_eq!(fig.direction_correct("BW"), Some(false), "{fig}");
     for m in ["IOPS", "ARPT", "BPS"] {
         assert_eq!(fig.direction_correct(m), Some(true), "{m}\n{fig}");
@@ -82,11 +77,7 @@ fn set4_sieving_bandwidth_misleads() {
 fn headline_bps_wins_every_scenario() {
     // Paper §IV.C.5: "BPS is the only metric that works well for all the
     // scenarios."
-    let figures = summary::all_figures(
-        &Scale::tiny(),
-        SweepExec::from_env(None),
-        &RunOpts::default(),
-    );
+    let figures: Vec<CcFigure> = summary::FIGURES.iter().map(|name| figure(name)).collect();
     let verdicts = summary::verdicts(&figures);
     for (name, mean_cc, wrong) in verdicts {
         match name.as_str() {
