@@ -255,22 +255,20 @@ fn install_interrupt_handler() {
 #[cfg(not(unix))]
 fn install_interrupt_handler() {}
 
-/// Resolve a `run` operand: a bundled scenario name, or a path to a JSON
-/// file (anything with a `.json` suffix or that exists on disk).
+/// Resolve a `run` operand: a bundled scenario name, else a path to a
+/// JSON file (anything with a `.json` suffix or that exists on disk). The
+/// name wins, so a stray file named `fig9` in the working directory never
+/// shadows the bundled `fig9`; `./fig9` still loads the file.
 fn resolve_scenario(arg: &str) -> Scenario {
-    if arg.ends_with(".json") || Path::new(arg).exists() {
-        match engine::load_path(Path::new(arg)) {
-            Ok(sc) => sc,
-            Err(e) => fail_engine(e),
-        }
-    } else {
-        match registry::find(arg) {
-            Some(sc) => sc,
-            None => fail(format_args!(
-                "no bundled scenario named `{arg}` (try `reproduce list`, or pass a .json path)"
-            )),
-        }
+    if let Some(sc) = registry::find(arg) {
+        return sc;
     }
+    if !(arg.ends_with(".json") || Path::new(arg).exists()) {
+        fail(format_args!(
+            "no bundled scenario named `{arg}` (try `reproduce list`, or pass a .json path)"
+        ));
+    }
+    engine::load_path(Path::new(arg)).unwrap_or_else(|e| fail_engine(e))
 }
 
 fn cmd_list(filter: Option<&str>) {

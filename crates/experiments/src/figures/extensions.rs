@@ -8,8 +8,10 @@
 //! combination by BPS, demonstrating the metric doing the job the paper
 //! built it for.
 
+use crate::runner::{CasePoint, UnitValues};
 use crate::scale::Scale;
 use crate::sweep::SweepExec;
+use bps_core::metrics::MetricSelection;
 use bps_core::record::FileId;
 use bps_core::sink::StreamingMetrics;
 use bps_core::time::Dur;
@@ -105,19 +107,6 @@ impl Workload for Mixed {
     }
 }
 
-/// Result of one combination.
-#[derive(Debug, Clone)]
-pub struct ComboResult {
-    /// The combination.
-    pub combo: Combo,
-    /// Mean execution time, seconds.
-    pub exec_s: f64,
-    /// Mean BPS.
-    pub bps: f64,
-    /// Mean file-system bandwidth, MB/s.
-    pub bw: f64,
-}
-
 fn run_combo(combo: Combo, scale: &Scale, seed: u64) -> StreamingMetrics {
     let procs = 2;
     let workload = Mixed {
@@ -166,38 +155,30 @@ fn run_combo(combo: Combo, scale: &Scale, seed: u64) -> StreamingMetrics {
 }
 
 /// Sweep all combinations — every `(combo, seed)` unit in parallel on
-/// `exec` through the streaming pipeline — averaged over the scale's
-/// seeds, sorted by BPS (best first). No scenario runs here, so no
+/// `exec` through the streaming pipeline, its values captured as it
+/// finishes — averaged over the scale's seeds by
+/// [`CasePoint::from_units`] under the paper selection, sorted by BPS
+/// (best first). No scenario runs here, so no
 /// [`RunOpts`](crate::scenario::engine::RunOpts) applies.
-pub fn sweep(scale: &Scale, exec: SweepExec) -> Vec<ComboResult> {
+pub fn sweep(scale: &Scale, exec: SweepExec) -> Vec<(Combo, CasePoint)> {
     let seeds = scale.seeds();
     let combos = Combo::all();
-    let units = combos.len() * seeds.len();
-    let runs = exec.run_indexed(units, |i| {
-        run_combo(combos[i / seeds.len()], scale, seeds[i % seeds.len()])
+    let selection = MetricSelection::paper();
+    let units = exec.run_indexed(combos.len() * seeds.len(), |i| {
+        let run = run_combo(combos[i / seeds.len()], scale, seeds[i % seeds.len()]);
+        UnitValues::capture(&run, &selection)
     });
-    let mut results: Vec<ComboResult> = combos
+    let mut results: Vec<(Combo, CasePoint)> = combos
         .iter()
-        .zip(runs.chunks_exact(seeds.len()))
+        .zip(units.chunks_exact(seeds.len()))
         .map(|(&combo, per_combo)| {
-            let mut exec = 0.0;
-            let mut bps = 0.0;
-            let mut bw = 0.0;
-            for m in per_combo {
-                exec += m.execution_time().as_secs_f64();
-                bps += m.bps().unwrap_or(f64::NAN);
-                bw += m.bandwidth().unwrap_or(f64::NAN);
-            }
-            let n = seeds.len() as f64;
-            ComboResult {
+            (
                 combo,
-                exec_s: exec / n,
-                bps: bps / n,
-                bw: bw / n,
-            }
+                CasePoint::from_units(combo.label(), per_combo, &selection),
+            )
         })
         .collect();
-    results.sort_by(|a, b| b.bps.partial_cmp(&a.bps).expect("finite BPS"));
+    results.sort_by(|a, b| b.1.bps.partial_cmp(&a.1.bps).expect("finite BPS"));
     results
 }
 
@@ -221,14 +202,11 @@ pub fn report(scale: &Scale, exec: SweepExec) -> String {
         "combo", "exec(s)", "BPS", "BW(MB/s)"
     )
     .unwrap();
-    for r in &results {
+    for (_, p) in &results {
         writeln!(
             out,
             "{:<8} {:>10.3} {:>12.0} {:>12.1}",
-            r.combo.label(),
-            r.exec_s,
-            r.bps,
-            r.bw
+            p.label, p.exec_s, p.bps, p.bw
         )
         .unwrap();
     }
@@ -246,10 +224,10 @@ pub fn report(scale: &Scale, exec: SweepExec) -> String {
 }
 
 /// Whether sorting by BPS descending equals sorting by exec time ascending.
-pub fn bps_ranks_match_exec(results: &[ComboResult]) -> bool {
-    let mut by_exec: Vec<&ComboResult> = results.iter().collect();
-    by_exec.sort_by(|a, b| a.exec_s.partial_cmp(&b.exec_s).expect("finite"));
-    by_exec.iter().zip(results).all(|(a, b)| a.combo == b.combo)
+pub fn bps_ranks_match_exec(results: &[(Combo, CasePoint)]) -> bool {
+    let mut by_exec: Vec<&(Combo, CasePoint)> = results.iter().collect();
+    by_exec.sort_by(|a, b| a.1.exec_s.partial_cmp(&b.1.exec_s).expect("finite"));
+    by_exec.iter().zip(results).all(|(a, b)| a.0 == b.0)
 }
 
 #[cfg(test)]
@@ -271,16 +249,16 @@ mod tests {
         // The best combination uses sieving (the noncontiguous phase is
         // hostile without it), and every sieving combo beats every
         // non-sieving combo on BPS.
-        assert!(results[0].combo.sieving, "{results:?}");
+        assert!(results[0].0.sieving, "{results:?}");
         let worst_sieving = results
             .iter()
-            .filter(|r| r.combo.sieving)
-            .map(|r| r.bps)
+            .filter(|(c, _)| c.sieving)
+            .map(|(_, p)| p.bps)
             .fold(f64::MAX, f64::min);
         let best_plain = results
             .iter()
-            .filter(|r| !r.combo.sieving)
-            .map(|r| r.bps)
+            .filter(|(c, _)| !c.sieving)
+            .map(|(_, p)| p.bps)
             .fold(f64::MIN, f64::max);
         assert!(worst_sieving > best_plain, "{results:?}");
     }

@@ -600,7 +600,7 @@ fn case_spec<'a>(c: &ResolvedCase, w: &'a dyn Workload) -> CaseSpec<'a> {
 /// failure budget. A scenario's own `metrics` list and `deadline_ms`
 /// outrank the matching fields here. The default (all `None`) scores the
 /// paper four and runs every unit once on the scoped pool, isolating
-/// failures without a journal, watchdog or budget.
+/// failures without a journal, deadline or budget.
 #[derive(Default, Clone)]
 pub struct RunOpts {
     /// Metric names (`--metrics`) for scenarios without a `metrics` list.
@@ -617,7 +617,7 @@ pub struct RunOpts {
 /// Run the missing cases through the supervised executor: one
 /// [`UnitTask`](crate::supervise::UnitTask) per `(case, seed)`, journal
 /// replay for units already on disk, journal append for fresh ones, and
-/// the watchdog when a per-unit deadline is set. Each unit's values are
+/// the per-unit deadline when one is set. Each unit's values are
 /// captured as it finishes and averaged in seed order, so the output is
 /// byte-identical at any thread count, journaled or not.
 fn run_cases(
@@ -672,20 +672,7 @@ fn run_cases(
             });
         }
     }
-    let journal = opts.journal.clone();
-    let on_done: Arc<supervise::OnDone> = Arc::new(move |task: &UnitTask, values: &UnitValues| {
-        if let Some(journal) = &journal {
-            journal.record(&task.key, &task.label, task.seed, values);
-        }
-    });
-    let fresh = supervise::run_supervised(
-        tasks,
-        exec.threads(),
-        opts.deadline,
-        opts.max_failures,
-        opts.journal.as_ref().map(|j| j.path()),
-        on_done,
-    );
+    let fresh = supervise::run_supervised(tasks, exec, opts);
     for ((mi, si), outcome) in task_pos.into_iter().zip(fresh) {
         outcomes[mi][si] = Some(outcome);
     }

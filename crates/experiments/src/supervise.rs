@@ -8,36 +8,41 @@
 //!   (`Panic | Timeout | InvalidSpec | Io`) and carried as a
 //!   [`UnitFailure`] through the sweep report, the CC "why n/a" rows,
 //!   and the `reproduce` exit code;
-//! * without a deadline, units run on
+//! * units run on
 //!   [`SweepExec::run_indexed`](crate::sweep::SweepExec::run_indexed)'s
-//!   scoped work-stealing pool, so no worker outlives the call;
-//! * with a per-unit wall-clock deadline, units run on a watchdog pool
-//!   instead: the calling thread watches the clock, and a unit that
-//!   overruns is marked `Timeout` and *detached* (its wedged worker is
-//!   never joined; a replacement worker keeps the pool full), so one
-//!   pathological case degrades the sweep instead of hanging it;
+//!   scoped work-stealing pool, with or without a deadline;
+//! * with a per-unit wall-clock deadline, the pool worker runs its unit
+//!   on a thread of its own and waits at most the deadline for it: a unit
+//!   that overruns is marked `Timeout` and *detached* (its thread is never
+//!   joined) while the worker claims the next unit, so one pathological
+//!   case degrades the sweep instead of hanging it;
 //! * a `--max-failures N` budget aborts the whole run once more than
 //!   `N` units have failed;
-//! * a SIGINT sets [`request_interrupt`]; the supervisor notices between
-//!   units, stops dispatching, and exits with the journal flushed and
-//!   the exact `resume` command printed.
+//! * a SIGINT sets [`request_interrupt`]; workers notice between units
+//!   and stop claiming, and once the in-flight units finish (or time out)
+//!   the run exits with the journal flushed and the exact `resume`
+//!   command printed.
 //!
-//! The deadline, the budget and the journal named in the resume hint
-//! are arguments of [`run_supervised`]; the engine passes them from its
-//! [`RunOpts`](crate::scenario::engine::RunOpts). Two pieces of state stay
-//! process-wide: the interrupt flag, because a signal handler can reach
-//! nothing else, and the failure ledger ([`record_failures`] /
-//! [`take_recorded_failures`]), which is how the CLI and the benchmark
-//! learn, at the end of a run that spanned many figures, which failure
-//! classes occurred — each class maps to a distinct documented exit code.
+//! The budget and the interrupt are checked once, after the pool
+//! returns, on every path. The deadline, the budget and the journal are
+//! fields of the [`RunOpts`] the engine passes to [`run_supervised`]. Two
+//! pieces of state stay process-wide: the interrupt flag, because a
+//! signal handler can reach nothing else, and the failure ledger
+//! ([`record_failures`] / [`take_recorded_failures`]), which is how the
+//! CLI and the benchmark learn, at the end of a run that spanned many
+//! figures, which failure classes occurred — each class maps to a
+//! distinct documented exit code.
 
+use crate::journal::Journal;
 use crate::runner::UnitValues;
+use crate::scenario::engine::RunOpts;
 use crate::sweep::SweepExec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
 
 /// Why a `(case, seed)` unit failed to produce metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,6 +261,7 @@ pub fn apply_test_hooks(label: &str) {
 pub type UnitWork = Arc<dyn Fn() -> Result<UnitValues, (FailureKind, String)> + Send + Sync>;
 
 /// One schedulable `(case, seed)` unit.
+#[derive(Clone)]
 pub struct UnitTask {
     /// Case label, for failure reports.
     pub label: String,
@@ -276,27 +282,11 @@ pub enum UnitOutcome {
     Failed(FailureKind, String),
 }
 
-enum SlotState {
-    Pending,
-    Running(Instant),
-    Done(UnitOutcome),
-}
-
-struct Shared {
-    tasks: Vec<UnitTask>,
-    next: AtomicUsize,
-    slots: Vec<Mutex<SlotState>>,
-    done: Mutex<usize>,
-    cv: Condvar,
-    halt: AtomicBool,
-    failures: AtomicUsize,
-}
-
-/// Completion callback of [`run_supervised`]: invoked with every healthy
-/// unit *before* it is counted done (the journal-before-done ordering).
-pub type OnDone = dyn Fn(&UnitTask, &UnitValues) + Send + Sync;
-
-fn run_unit(task: &UnitTask, on_done: &OnDone) -> UnitOutcome {
+/// Run one unit to its outcome, isolating a panic, and journal it if it
+/// completed. The journal line is written before the outcome is handed
+/// back, so "all units done" implies "all units journaled" — a kill can
+/// lose at most in-flight units.
+fn run_unit(task: &UnitTask, journal: Option<&Journal>) -> UnitOutcome {
     let started = bps_telemetry::now();
     let out = match catch_unwind(AssertUnwindSafe(|| (task.work)())) {
         Ok(Ok(values)) => UnitOutcome::Done(values),
@@ -310,96 +300,76 @@ fn run_unit(task: &UnitTask, on_done: &OnDone) -> UnitOutcome {
             bps_telemetry::incr(bps_telemetry::Counter::SweepFailures);
         }
     }
-    if let UnitOutcome::Done(values) = &out {
-        // Journal before reporting completion, so "all units done" implies
-        // "all units journaled" — a kill can lose at most in-flight units.
-        on_done(task, values);
+    if let (UnitOutcome::Done(values), Some(journal)) = (&out, journal) {
+        journal.record(&task.key, &task.label, task.seed, values);
     }
     out
 }
 
-fn worker(shared: &Shared, on_done: &OnDone) {
-    loop {
-        if shared.halt.load(Ordering::Relaxed) {
-            return;
-        }
-        let i = shared.next.fetch_add(1, Ordering::Relaxed);
-        if i >= shared.tasks.len() {
-            return;
-        }
-        *shared.slots[i].lock().expect("slot poisoned") = SlotState::Running(Instant::now());
-        let out = run_unit(&shared.tasks[i], on_done);
-        let mut slot = shared.slots[i].lock().expect("slot poisoned");
-        if matches!(*slot, SlotState::Done(_)) {
-            // The supervisor already timed this unit out; its late result
-            // is journaled (harmless — the journal is content-keyed) but
-            // the run's outcome stays Timeout.
-            continue;
-        }
-        if matches!(out, UnitOutcome::Failed(..)) {
-            shared.failures.fetch_add(1, Ordering::Relaxed);
-        }
-        *slot = SlotState::Done(out);
-        drop(slot);
-        *shared.done.lock().expect("done count poisoned") += 1;
-        shared.cv.notify_all();
+/// Run one unit on its own thread and wait at most `deadline` for it. An
+/// overrunning unit is marked [`FailureKind::Timeout`] and its thread is
+/// detached, never joined, so the pool worker moves on to the next unit;
+/// a late result is still journaled (harmless — the journal is
+/// content-keyed) but the run's outcome stays `Timeout`.
+fn run_unit_with_deadline(
+    task: &UnitTask,
+    journal: Option<&Arc<Journal>>,
+    deadline: Duration,
+) -> UnitOutcome {
+    let (tx, rx) = mpsc::channel();
+    let (task, journal) = (task.clone(), journal.cloned());
+    std::thread::spawn(move || {
+        let _ = tx.send(run_unit(&task, journal.as_deref()));
+    });
+    match rx.recv_timeout(deadline) {
+        Ok(outcome) => outcome,
+        Err(RecvTimeoutError::Timeout) => UnitOutcome::Failed(
+            FailureKind::Timeout,
+            format!("exceeded per-unit deadline of {} ms", deadline.as_millis()),
+        ),
+        Err(RecvTimeoutError::Disconnected) => UnitOutcome::Failed(
+            FailureKind::Panic,
+            "unit thread ended without an outcome".to_string(),
+        ),
     }
 }
 
-/// Execute `tasks` under supervision and return one outcome per task, in
-/// task order. `threads` workers claim tasks from a shared counter, so
-/// the set of executed units is identical at any thread count. Without a
-/// `deadline` they are [`SweepExec`]'s scoped workers; with one, the
-/// calling thread watches the clock, and a unit running past `deadline`
-/// is marked [`FailureKind::Timeout`] and detached — its worker thread is
-/// never joined, and a replacement worker keeps the pool at full
-/// strength. The process exits (with the journal flushed and the resume
-/// command for `journal` printed) if the run is interrupted or more than
-/// `max_failures` units fail.
-pub fn run_supervised(
-    tasks: Vec<UnitTask>,
-    threads: usize,
-    deadline: Option<Duration>,
-    max_failures: Option<usize>,
-    journal: Option<&Path>,
-    on_done: Arc<OnDone>,
-) -> Vec<UnitOutcome> {
-    if tasks.is_empty() {
-        return Vec::new();
-    }
-    match deadline {
-        None => run_pooled(&tasks, threads, max_failures, journal, on_done.as_ref()),
-        Some(deadline) => run_watched(tasks, threads, deadline, max_failures, journal, on_done),
-    }
-}
-
-/// The no-deadline scheduler: [`SweepExec::run_indexed`] over the tasks.
-/// Each worker checks the interrupt flag and the failure budget before
-/// claiming a unit and skips the rest once either trips; the calling
-/// thread exits after the in-flight units finish (and are journaled).
-fn run_pooled(
-    tasks: &[UnitTask],
-    threads: usize,
-    max_failures: Option<usize>,
-    journal: Option<&Path>,
-    on_done: &OnDone,
-) -> Vec<UnitOutcome> {
+/// Execute `tasks` under supervision on `exec`'s pool
+/// ([`SweepExec::run_indexed`]) and return one outcome per task, in task
+/// order; workers claim tasks from a shared counter, so the set of
+/// executed units is identical at any thread count. Completed units are
+/// recorded to `opts.journal`. With `opts.deadline`, each unit runs on
+/// its own thread and one that overruns is marked
+/// [`FailureKind::Timeout`] and detached. Each worker checks the
+/// interrupt flag and `opts.max_failures` before claiming a unit and
+/// skips the rest once either trips; after the pool returns, the process
+/// exits — with the journal flushed and the resume command printed — if
+/// the run was interrupted or more than `max_failures` units failed.
+pub fn run_supervised(tasks: Vec<UnitTask>, exec: SweepExec, opts: &RunOpts) -> Vec<UnitOutcome> {
+    let journal = opts.journal.as_ref();
     let failed = AtomicUsize::new(0);
-    let over_budget = || max_failures.is_some_and(|b| failed.load(Ordering::Relaxed) > b);
-    let outcomes = SweepExec::new(threads).run_indexed(tasks.len(), |i| {
+    let over_budget = || {
+        opts.max_failures
+            .is_some_and(|b| failed.load(Ordering::Relaxed) > b)
+    };
+    let outcomes = exec.run_indexed(tasks.len(), |i| {
         if interrupted() || over_budget() {
             return None;
         }
-        let outcome = run_unit(&tasks[i], on_done);
+        let outcome = match opts.deadline {
+            None => run_unit(&tasks[i], journal.map(Arc::as_ref)),
+            Some(deadline) => run_unit_with_deadline(&tasks[i], journal, deadline),
+        };
         if matches!(outcome, UnitOutcome::Failed(..)) {
             failed.fetch_add(1, Ordering::Relaxed);
         }
         Some(outcome)
     });
+    let journal = journal.map(|j| j.path());
     if interrupted() {
         exit_interrupted(journal);
     }
-    if let Some(budget) = max_failures {
+    if let Some(budget) = opts.max_failures {
         let failed = failed.load(Ordering::Relaxed);
         if failed > budget {
             exit_budget(failed, budget, journal);
@@ -408,111 +378,6 @@ fn run_pooled(
     outcomes
         .into_iter()
         .map(|o| o.expect("no unit is skipped unless the run exits"))
-        .collect()
-}
-
-/// The deadline scheduler: detachable workers under a watchdog.
-fn run_watched(
-    tasks: Vec<UnitTask>,
-    threads: usize,
-    deadline: Duration,
-    max_failures: Option<usize>,
-    journal: Option<&Path>,
-    on_done: Arc<OnDone>,
-) -> Vec<UnitOutcome> {
-    let n = tasks.len();
-    let shared = Arc::new(Shared {
-        slots: (0..n).map(|_| Mutex::new(SlotState::Pending)).collect(),
-        tasks,
-        next: AtomicUsize::new(0),
-        done: Mutex::new(0),
-        cv: Condvar::new(),
-        halt: AtomicBool::new(false),
-        failures: AtomicUsize::new(0),
-    });
-    let workers = threads.clamp(1, n);
-    let mut handles = Vec::with_capacity(workers);
-    let spawn_worker = |handles: &mut Vec<std::thread::JoinHandle<()>>| {
-        let shared = shared.clone();
-        let on_done = on_done.clone();
-        handles.push(std::thread::spawn(move || {
-            worker(&shared, on_done.as_ref())
-        }));
-    };
-    for _ in 0..workers {
-        spawn_worker(&mut handles);
-    }
-
-    loop {
-        {
-            let done = shared.done.lock().expect("done count poisoned");
-            if *done >= n {
-                break;
-            }
-            // Wake on unit completion or every 20 ms to scan the clock.
-            let _ = shared
-                .cv
-                .wait_timeout(done, Duration::from_millis(20))
-                .expect("done count poisoned");
-        }
-        if interrupted() {
-            shared.halt.store(true, Ordering::Relaxed);
-            exit_interrupted(journal);
-        }
-        if let Some(budget) = max_failures {
-            let failed = shared.failures.load(Ordering::Relaxed);
-            if failed > budget {
-                shared.halt.store(true, Ordering::Relaxed);
-                exit_budget(failed, budget, journal);
-            }
-        }
-        for i in 0..n {
-            let mut slot = shared.slots[i].lock().expect("slot poisoned");
-            if let SlotState::Running(started) = *slot {
-                if started.elapsed() >= deadline {
-                    *slot = SlotState::Done(UnitOutcome::Failed(
-                        FailureKind::Timeout,
-                        format!("exceeded per-unit deadline of {} ms", deadline.as_millis()),
-                    ));
-                    drop(slot);
-                    shared.failures.fetch_add(1, Ordering::Relaxed);
-                    *shared.done.lock().expect("done count poisoned") += 1;
-                    // The worker stuck on this unit is detached, never
-                    // joined; a replacement keeps the pool full.
-                    spawn_worker(&mut handles);
-                }
-            }
-        }
-    }
-    // Stop idle workers and join only those that actually finished — a
-    // detached worker wedged inside a timed-out unit is left behind.
-    shared.halt.store(true, Ordering::Relaxed);
-    for h in handles {
-        if h.is_finished() {
-            let _ = h.join();
-        }
-    }
-    let shared = match Arc::try_unwrap(shared) {
-        Ok(s) => s,
-        Err(shared) => {
-            // Detached workers still hold the Arc; copy the outcomes out.
-            return shared
-                .slots
-                .iter()
-                .map(|s| match &*s.lock().expect("slot poisoned") {
-                    SlotState::Done(out) => out.clone(),
-                    _ => unreachable!("supervisor returned before all units were done"),
-                })
-                .collect();
-        }
-    };
-    shared
-        .slots
-        .into_iter()
-        .map(|s| match s.into_inner().expect("slot poisoned") {
-            SlotState::Done(out) => out,
-            _ => unreachable!("supervisor returned before all units were done"),
-        })
         .collect()
 }
 
@@ -561,16 +426,23 @@ mod tests {
 
     #[test]
     fn outcomes_come_back_in_task_order_at_any_thread_count() {
-        for threads in [1, 4] {
-            let tasks: Vec<UnitTask> = (0..10)
-                .map(|i| ok_task(&format!("t{i}"), i, i as f64))
-                .collect();
-            let out = run_supervised(tasks, threads, None, None, None, Arc::new(|_, _| {}));
-            assert_eq!(out.len(), 10);
-            for (i, o) in out.iter().enumerate() {
-                match o {
-                    UnitOutcome::Done(v) => assert_eq!(v.exec_s, i as f64),
-                    other => panic!("unit {i}: {other:?}"),
+        // Through the bare pool and through the per-unit deadline wrapper.
+        for deadline in [None, Some(Duration::from_secs(10))] {
+            for threads in [1, 4] {
+                let tasks: Vec<UnitTask> = (0..10)
+                    .map(|i| ok_task(&format!("t{i}"), i, i as f64))
+                    .collect();
+                let opts = RunOpts {
+                    deadline,
+                    ..RunOpts::default()
+                };
+                let out = run_supervised(tasks, SweepExec::new(threads), &opts);
+                assert_eq!(out.len(), 10);
+                for (i, o) in out.iter().enumerate() {
+                    match o {
+                        UnitOutcome::Done(v) => assert_eq!(v.exec_s, i as f64),
+                        other => panic!("unit {i} ({deadline:?}, {threads}t): {other:?}"),
+                    }
                 }
             }
         }
@@ -587,7 +459,7 @@ mod tests {
         });
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = run_supervised(tasks, 2, None, None, None, Arc::new(|_, _| {}));
+        let out = run_supervised(tasks, SweepExec::new(2), &RunOpts::default());
         std::panic::set_hook(prev);
         assert!(matches!(out[0], UnitOutcome::Done(_)));
         match &out[1] {
@@ -618,15 +490,12 @@ mod tests {
             }),
         });
         tasks.push(ok_task("after", 3, 3.0));
-        let started = Instant::now();
-        let out = run_supervised(
-            tasks,
-            2,
-            Some(Duration::from_millis(80)),
-            None,
-            None,
-            Arc::new(|_, _| {}),
-        );
+        let started = std::time::Instant::now();
+        let opts = RunOpts {
+            deadline: Some(Duration::from_millis(80)),
+            ..RunOpts::default()
+        };
+        let out = run_supervised(tasks, SweepExec::new(2), &opts);
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "sweep hung on the stuck unit"
@@ -638,14 +507,17 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // The unit behind the stuck one still ran (replacement worker).
+        // The unit behind the stuck one still ran: the worker that timed
+        // the stuck unit out claimed it.
         assert!(matches!(out[2], UnitOutcome::Done(_)));
     }
 
     #[test]
-    fn on_done_sees_every_completed_unit() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = seen.clone();
+    fn journal_records_every_completed_unit() {
+        let path = std::env::temp_dir().join(format!(
+            "bps_supervise_journal_{}.jsonl",
+            std::process::id()
+        ));
         let tasks: Vec<UnitTask> = (0..6)
             .map(|i| {
                 let mut t = ok_task(&format!("t{i}"), i, i as f64);
@@ -653,17 +525,19 @@ mod tests {
                 t
             })
             .collect();
-        let out = run_supervised(
-            tasks,
-            3,
-            None,
-            None,
-            None,
-            Arc::new(move |task, _| sink.lock().unwrap().push(task.key.clone())),
-        );
+        let opts = RunOpts {
+            journal: Some(Arc::new(Journal::create(&path, &[]).unwrap())),
+            ..RunOpts::default()
+        };
+        let out = run_supervised(tasks, SweepExec::new(3), &opts);
         assert_eq!(out.len(), 6);
-        let mut keys = seen.lock().unwrap().clone();
-        keys.sort();
-        assert_eq!(keys, vec!["k0", "k1", "k2", "k3", "k4", "k5"]);
+        drop(opts);
+        let (journal, _) = Journal::open_resume(&path).unwrap();
+        assert_eq!(journal.replayed_units(), 6);
+        for i in 0..6 {
+            let values = journal.lookup(&format!("k{i}")).expect("unit journaled");
+            assert_eq!(values.exec_s, i as f64);
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

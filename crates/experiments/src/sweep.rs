@@ -8,11 +8,11 @@
 //! because each unit is deterministic in `(case, seed)` and the averaging
 //! still happens in seed order on the caller's thread.
 //!
-//! This is the pool every scenario run schedules on: the supervisor
+//! This is the one pool every sweep unit schedules on: the supervisor
 //! ([`run_supervised`](crate::supervise::run_supervised)) wraps each unit
-//! with failure isolation, the journal and the failure budget, and only a
-//! per-unit deadline swaps in its own watchdog pool. [`SweepExec::run_one`]
-//! averages one ad-hoc [`CaseSpec`] for examples and tests.
+//! with failure isolation, the journal, the failure budget and, when one
+//! is set, a per-unit deadline. [`SweepExec::run_one`] averages one
+//! ad-hoc [`CaseSpec`] for examples and tests.
 //!
 //! Thread count, in precedence order ([`SweepExec::from_env`]): the
 //! caller's explicit count (the `reproduce --threads N` flag), then the

@@ -204,6 +204,51 @@ fn failure_budget_exceeded_exits_7_with_resume_hint() {
 }
 
 #[test]
+fn failure_budget_is_checked_when_the_last_units_time_out() {
+    // pvfs-8 is fig4's last case: both of its units time out, and the
+    // budget must still trip after the pool drains, as it does without a
+    // deadline, instead of the run reporting plain timeouts (exit 6).
+    let out = reproduce(
+        &[
+            "fig4",
+            "--tiny",
+            "--threads",
+            "1",
+            "--deadline-ms",
+            "100",
+            "--max-failures",
+            "1",
+        ],
+        &[("BPS_TEST_UNIT_STALL", "pvfs-8:60000")],
+    );
+    assert_eq!(out.status.code(), Some(7));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("failure budget exceeded"), "{err}");
+}
+
+#[test]
+fn a_file_named_like_a_bundled_scenario_does_not_shadow_it() {
+    let dir = std::env::temp_dir().join(format!("bps_cli_robust_shadow_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("fig9"), "not a scenario\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["run", "fig9", "--tiny"])
+        .current_dir(&dir)
+        .env("BPS_THREADS", "1")
+        .env("BPS_CACHE", "0")
+        .output()
+        .expect("spawn reproduce");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden("fig9"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_of_a_missing_journal_exits_4() {
     let out = reproduce(&["resume", "/nonexistent/journal.jsonl"], &[]);
     assert_eq!(out.status.code(), Some(4));
