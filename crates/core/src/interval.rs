@@ -23,6 +23,8 @@
 
 use crate::time::{Dur, Nanos};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A half-open time interval `[start, end)` during which an I/O request was
 /// in flight. `start == end` is permitted and denotes an instantaneous
@@ -352,6 +354,117 @@ pub fn max_depth(intervals: &[Interval]) -> u32 {
     max as u32
 }
 
+/// A running hull in front of an [`IntervalSet`]. Overlapping-or-touching
+/// intervals merge into the hull in either direction (the hull of
+/// overlapping intervals *is* their union), so the set is touched once per
+/// busy period instead of once per interval. The set's state does not
+/// depend on insertion order, so the fused result is the one inserting
+/// every interval would give. Flush before the set forgets behind a
+/// watermark: the hull may reach back before it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Hull(Option<Interval>);
+
+impl Hull {
+    #[inline]
+    pub(crate) fn add(&mut self, iv: Interval, set: &mut IntervalSet) {
+        match &mut self.0 {
+            Some(run) if iv.start <= run.end && iv.end >= run.start => {
+                run.start = run.start.min(iv.start);
+                run.end = run.end.max(iv.end);
+            }
+            Some(run) => Self::spill(run, iv, set),
+            None => self.0 = Some(iv),
+        }
+    }
+
+    /// Busy-period break: insert the finished hull and start a new one.
+    /// Outlined and cold so the fuse loop above stays tight.
+    #[cold]
+    fn spill(run: &mut Interval, iv: Interval, set: &mut IntervalSet) {
+        set.insert(*run);
+        *run = iv;
+    }
+
+    pub(crate) fn flush(&mut self, set: &mut IntervalSet) {
+        if let Some(run) = self.0.take() {
+            set.insert(run);
+        }
+    }
+}
+
+/// [`max_depth`] as a sweep over a stream behind a watermark, in memory
+/// bounded by the intervals the watermark has not yet passed plus the
+/// ones in flight.
+///
+/// Intervals wait until a watermark passes their start, since a later
+/// arrival may still start before them. They are then swept in start
+/// order against a min-heap of the ends still in flight: ends at or
+/// before a start leave first, so ends come before starts at an equal
+/// instant, and the heap's size after each start is the depth
+/// [`max_depth`] takes its maximum over. Zero-length intervals are
+/// skipped. Swept starts never decrease, because every interval still
+/// waiting or yet to arrive starts at or after the last watermark.
+#[derive(Debug, Clone)]
+pub(crate) struct DepthSweep {
+    /// Intervals no watermark has passed yet: a sorted run left by the
+    /// last sweep, then arrivals in arrival order.
+    pending: Vec<Interval>,
+    /// Earliest start in `pending`, `Nanos::MAX` when empty.
+    pending_min: Nanos,
+    /// Ends of the swept intervals still in flight, earliest first.
+    in_flight: BinaryHeap<Reverse<Nanos>>,
+    max: usize,
+}
+
+impl Default for DepthSweep {
+    fn default() -> Self {
+        DepthSweep {
+            pending: Vec::new(),
+            pending_min: Nanos::MAX,
+            in_flight: BinaryHeap::new(),
+            max: 0,
+        }
+    }
+}
+
+impl DepthSweep {
+    #[inline]
+    pub(crate) fn push(&mut self, iv: Interval) {
+        if iv.start != iv.end {
+            self.pending_min = self.pending_min.min(iv.start);
+            self.pending.push(iv);
+        }
+    }
+
+    /// Sweep every waiting interval that starts before `t`: the caller
+    /// promises no later interval does.
+    pub(crate) fn advance(&mut self, t: Nanos) {
+        if t <= self.pending_min {
+            return;
+        }
+        sort_runs(&mut self.pending);
+        let k = self.pending.partition_point(|iv| iv.start < t);
+        for iv in self.pending.drain(..k) {
+            while self.in_flight.peek().is_some_and(|e| e.0 <= iv.start) {
+                self.in_flight.pop();
+            }
+            self.in_flight.push(Reverse(iv.end));
+            self.max = self.max.max(self.in_flight.len());
+        }
+        self.pending_min = self.pending.first().map_or(Nanos::MAX, |iv| iv.start);
+    }
+
+    /// The peak depth of everything pushed so far, swept on a copy so the
+    /// stream can go on.
+    pub(crate) fn peak(&self) -> u32 {
+        let mut rest = self.clone();
+        rest.advance(Nanos::MAX);
+        // A nonzero-length interval starts before the last instant.
+        debug_assert!(rest.pending.is_empty());
+        rest.max as u32
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,5 +652,24 @@ mod tests {
     fn concurrency_profile_empty_and_degenerate() {
         assert_eq!(max_depth(&[]), 0);
         assert_eq!(max_depth(&[iv(1, 1)]), 0);
+        assert_eq!(DepthSweep::default().peak(), 0);
+    }
+
+    #[test]
+    fn depth_sweep_waits_for_the_watermark() {
+        let mut sweep = DepthSweep::default();
+        // [4,8) arrives first; [0,4) touches it and must not count.
+        sweep.push(iv(4, 8));
+        sweep.advance(ms(0));
+        sweep.push(iv(0, 4));
+        sweep.push(iv(5, 5));
+        sweep.advance(ms(5));
+        assert_eq!(sweep.pending, vec![]);
+        sweep.push(iv(6, 9));
+        assert_eq!(sweep.peak(), 2);
+        // Peeking swept a copy: the stream goes on.
+        assert_eq!(sweep.pending, vec![iv(6, 9)]);
+        sweep.push(iv(7, 8));
+        assert_eq!(sweep.peak(), 3);
     }
 }

@@ -8,11 +8,12 @@
 //!
 //! Like the paper four, each is a [`MetricFold`] over the shared
 //! [`StreamingMetrics`] accumulator; the percentiles and queue depth
-//! declare [`FoldNeeds`] so the sink retains the per-record state their
-//! `finish` reads (the only registered metrics that are not constant-space).
+//! declare [`FoldNeeds`] so the sink keeps the state their `finish` reads.
+//! The percentiles keep every application response time, the only state
+//! that grows with the stream; the queue depth keeps what its sweep behind
+//! the watermark has not yet passed.
 
 use super::{Direction, FoldNeeds, MetricFold};
-use crate::interval::max_depth;
 use crate::record::Layer;
 use crate::sink::StreamingMetrics;
 
@@ -206,19 +207,17 @@ impl MetricFold for MaxQueueDepth {
 
     fn needs(&self) -> FoldNeeds {
         FoldNeeds {
-            app_intervals: true,
+            app_depth: true,
             ..FoldNeeds::NONE
         }
     }
 
     fn finish(&self, acc: &StreamingMetrics) -> Option<f64> {
-        let intervals = acc.app_intervals()?;
+        let depth = acc.app_queue_depth()?;
         if acc.op_count(Layer::Application) == 0 {
             return None;
         }
-        // `max_depth` sorts internally, so arrival order is irrelevant and
-        // the streamed result matches the trace path exactly.
-        Some(f64::from(max_depth(intervals)))
+        Some(f64::from(depth))
     }
 
     fn unit(&self) -> &'static str {

@@ -51,7 +51,7 @@ pub use bandwidth::Bandwidth;
 pub use bps::Bps;
 pub use iops::Iops;
 
-use crate::sink::{RecordSink, StreamingMetrics};
+use crate::sink::StreamingMetrics;
 use crate::trace::Trace;
 use extended::{EffectiveParallelism, IoEfficiency, LatencyPercentile, MaxQueueDepth};
 use std::fmt;
@@ -80,37 +80,37 @@ impl Direction {
     }
 }
 
-/// Extra stream state a metric needs [`StreamingMetrics`] to retain beyond
+/// Extra stream state a metric needs [`StreamingMetrics`] to keep beyond
 /// the constant-size core accumulators. The paper four need nothing; the
 /// latency percentiles need every application response time, and the queue
-/// depth profile needs every application interval. A sink only pays for
-/// what the selected metrics ask for ([`MetricSelection::needs`]).
+/// depth needs a sweep over the application intervals. A sink only pays
+/// for what the selected metrics ask for ([`MetricSelection::needs`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FoldNeeds {
     /// Retain each application record's response time (percentiles).
     pub app_durations: bool,
-    /// Retain each application record's in-flight interval (queue depth).
-    pub app_intervals: bool,
+    /// Sweep the application queue depth behind the watermark.
+    pub app_depth: bool,
 }
 
 impl FoldNeeds {
     /// No retained per-record state: the constant-space streaming core.
     pub const NONE: FoldNeeds = FoldNeeds {
         app_durations: false,
-        app_intervals: false,
+        app_depth: false,
     };
 
     /// Everything any registered metric could ask for.
     pub const ALL: FoldNeeds = FoldNeeds {
         app_durations: true,
-        app_intervals: true,
+        app_depth: true,
     };
 
     /// The union of two needs.
     pub fn union(self, other: FoldNeeds) -> FoldNeeds {
         FoldNeeds {
             app_durations: self.app_durations || other.app_durations,
-            app_intervals: self.app_intervals || other.app_intervals,
+            app_depth: self.app_depth || other.app_depth,
         }
     }
 }
@@ -178,8 +178,7 @@ pub trait Metric: MetricFold {
     /// latency).
     fn compute(&self, trace: &Trace) -> Option<f64> {
         let mut acc = StreamingMetrics::with_needs(self.needs());
-        acc.push_batch(trace.records());
-        acc.on_execution_time(trace.execution_time());
+        trace.replay(&mut acc);
         self.finish(&acc)
     }
 }
@@ -391,6 +390,7 @@ impl Default for MetricSelection {
 mod tests {
     use super::*;
     use crate::record::{FileId, IoRecord, ProcessId};
+    use crate::sink::RecordSink;
     use crate::time::Nanos;
 
     #[test]
@@ -468,7 +468,7 @@ mod tests {
     fn selection_needs_union() {
         assert_eq!(MetricSelection::paper().needs(), FoldNeeds::NONE);
         let sel = MetricSelection::parse(&["p99"]).unwrap();
-        assert!(sel.needs().app_durations && !sel.needs().app_intervals);
+        assert!(sel.needs().app_durations && !sel.needs().app_depth);
         let sel = MetricSelection::parse(&["p99", "MaxQD"]).unwrap();
         assert_eq!(sel.needs(), FoldNeeds::ALL);
         assert_eq!(MetricSelection::all().needs(), FoldNeeds::ALL);

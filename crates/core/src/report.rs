@@ -3,10 +3,12 @@
 use crate::correlation::CcOutcome;
 use crate::interval::IntervalSet;
 use crate::metrics::{registry, MetricSelection};
-use crate::record::Layer;
+use crate::record::{IoRecord, Layer, ProcessId};
 use crate::sink::{RecordSink, StreamingMetrics};
+use crate::time::Nanos;
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A registry-ordered set of metric values for one trace or record stream,
@@ -35,11 +37,11 @@ impl MetricsSummary {
         MetricsSummary::from_trace_selected(trace, &MetricSelection::all())
     }
 
-    /// Compute a selection of metrics from a trace.
+    /// Compute a selection of metrics from a trace, replayed behind its own
+    /// watermark ([`Trace::replay`]).
     pub fn from_trace_selected(trace: &Trace, selection: &MetricSelection) -> Self {
         let mut acc = StreamingMetrics::for_selection(selection);
-        acc.push_batch(trace.records());
-        acc.on_execution_time(trace.execution_time());
+        trace.replay(&mut acc);
         MetricsSummary::from_fold(&acc, selection)
     }
 
@@ -120,26 +122,77 @@ pub struct ProcessBreakdown {
     pub bps: Option<f64>,
 }
 
+/// One process's running totals in [`per_process`].
+struct ProcessAcc {
+    pid: ProcessId,
+    ops: u64,
+    bytes: u64,
+    blocks: u64,
+    /// Response times in seconds, summed in arrival order from the value
+    /// `Iterator::sum` starts at, so the total is the one summing the
+    /// process's records would give.
+    summed: f64,
+    union: IntervalSet,
+}
+
+/// Every application process's totals in one pass, each union forgetting
+/// behind the replay watermark.
+#[derive(Default)]
+struct ProcessFold {
+    procs: Vec<ProcessAcc>,
+    slot_of: HashMap<ProcessId, usize>,
+}
+
+impl RecordSink for ProcessFold {
+    fn on_record(&mut self, r: &IoRecord) {
+        if r.layer != Layer::Application {
+            return;
+        }
+        let procs = &mut self.procs;
+        let slot = *self.slot_of.entry(r.pid).or_insert_with(|| {
+            procs.push(ProcessAcc {
+                pid: r.pid,
+                ops: 0,
+                bytes: 0,
+                blocks: 0,
+                summed: std::iter::empty::<f64>().sum(),
+                union: IntervalSet::new(),
+            });
+            procs.len() - 1
+        });
+        let p = &mut procs[slot];
+        p.ops += 1;
+        p.bytes += r.bytes;
+        p.blocks += r.blocks();
+        p.summed += r.duration().as_secs_f64();
+        p.union.insert(r.interval());
+    }
+
+    fn on_watermark(&mut self, t: Nanos) {
+        for p in &mut self.procs {
+            p.union.forget_before(t);
+        }
+    }
+}
+
 /// Break a trace down by process at the application layer, sorted by pid.
+/// One pass over the trace, whatever the number of processes.
 pub fn per_process(trace: &Trace) -> Vec<ProcessBreakdown> {
-    trace
-        .pids(Layer::Application)
+    let mut fold = ProcessFold::default();
+    trace.replay(&mut fold);
+    let mut procs = fold.procs;
+    procs.sort_unstable_by_key(|p| p.pid);
+    procs
         .into_iter()
-        .map(|pid| {
-            let records: Vec<_> = trace.process(Layer::Application, pid).collect();
-            let ops = records.len() as u64;
-            let bytes = records.iter().map(|r| r.bytes).sum();
-            let summed: f64 = records.iter().map(|r| r.duration().as_secs_f64()).sum();
-            let io_time = IntervalSet::from_unsorted(records.iter().map(|r| r.interval())).total();
-            let blocks: u64 = records.iter().map(|r| r.blocks()).sum();
-            let io_time_s = io_time.as_secs_f64();
+        .map(|p| {
+            let io_time_s = p.union.total().as_secs_f64();
             ProcessBreakdown {
-                pid,
-                ops,
-                bytes,
-                arpt_s: if ops > 0 { summed / ops as f64 } else { 0.0 },
+                pid: p.pid,
+                ops: p.ops,
+                bytes: p.bytes,
+                arpt_s: p.summed / p.ops as f64,
                 io_time_s,
-                bps: (io_time_s > 0.0).then(|| blocks as f64 / io_time_s),
+                bps: (io_time_s > 0.0).then(|| p.blocks as f64 / io_time_s),
             }
         })
         .collect()
@@ -181,20 +234,19 @@ impl CcReport {
         cases: &[Trace],
         selection: &MetricSelection,
     ) -> CcReport {
-        let exec: Vec<f64> = cases
-            .iter()
-            .map(|t| t.execution_time().as_secs_f64())
-            .collect();
-        // Fold each case once; every selected metric finishes from the
-        // same accumulator.
+        // Fold each case once, behind its own watermark; every selected
+        // metric and the execution time finish from the same accumulator.
         let accs: Vec<StreamingMetrics> = cases
             .iter()
             .map(|t| {
                 let mut acc = StreamingMetrics::for_selection(selection);
-                acc.push_batch(t.records());
-                acc.on_execution_time(t.execution_time());
+                t.replay(&mut acc);
                 acc
             })
+            .collect();
+        let exec: Vec<f64> = accs
+            .iter()
+            .map(|a| a.execution_time().as_secs_f64())
             .collect();
         let rows = selection
             .metrics()

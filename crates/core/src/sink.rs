@@ -10,10 +10,12 @@
 //! metrics bit-for-bit without ever storing a record. A producer that
 //! knows how far its clock has advanced says so through
 //! [`RecordSink::on_watermark`], which lets the union drop busy periods
-//! no later record can touch.
+//! no later record can touch. A simulated run supplies watermarks from its
+//! engine clock; a stored trace supplies its own through
+//! [`Trace::replay`].
 
 use crate::batch::RecordBatch;
-use crate::interval::{Interval, IntervalSet};
+use crate::interval::{DepthSweep, Hull, IntervalSet};
 use crate::metrics::{
     registry, Arpt, Bandwidth, Bps, FoldNeeds, Iops, MetricFold, MetricSelection,
 };
@@ -75,7 +77,8 @@ pub trait RecordSink {
     /// before `t`. The promise must hold: a sink that relied on it panics
     /// on the first record breaking it rather than folding a wrong value.
     /// Watermarks never decrease. The default ignores them, and so does
-    /// [`Trace`], which keeps every record anyway.
+    /// [`Trace`], which keeps every record anyway. [`Trace::replay`]
+    /// emits them for a stored trace.
     fn on_watermark(&mut self, t: Nanos) {
         let _ = t;
     }
@@ -164,20 +167,23 @@ impl LayerAcc {
 /// touch is one span per request. A producer that emits
 /// [`RecordSink::on_watermark`] bounds that: once a union retains more
 /// than 64 spans, the spans ending before the watermark are dropped with
-/// their measure kept, so a simulated run holds a constant number of
-/// spans. Without watermarks (a stored trace, which
-/// may arrive in any order) the unions grow with the busy periods.
+/// their measure kept. A simulated run's engine clock and a stored trace
+/// replayed through [`Trace::replay`] both emit watermarks, so either
+/// holds the spans of its busy frontier, not of its whole run. A producer
+/// that never emits one leaves the unions growing with the busy periods.
 ///
 /// Every core accumulator is integer-valued (counts, bytes,
 /// blocks, nanoseconds), so the final floating-point divisions see exactly
 /// the operands the trace-based path computes: results are bit-for-bit
 /// equal, not merely close.
 ///
-/// Metrics that need per-record state (latency percentiles, queue depth)
-/// declare it via [`MetricFold::needs`]; build the sink with
+/// Metrics that need more state declare it via [`MetricFold::needs`]: the
+/// latency percentiles keep every application response time, and the
+/// queue depth runs a sweep that holds the application intervals no
+/// watermark has passed plus the ones in flight. Build the sink with
 /// [`StreamingMetrics::with_needs`] or
 /// [`StreamingMetrics::for_selection`] and only the requested state is
-/// retained.
+/// kept.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingMetrics {
     app: LayerAcc,
@@ -191,22 +197,20 @@ pub struct StreamingMetrics {
     records: u64,
     /// Application response times in arrival order, when requested.
     app_durations: Option<Vec<Dur>>,
-    /// Application in-flight intervals in arrival order, when requested.
-    app_intervals: Option<Vec<Interval>>,
+    /// The application queue-depth sweep, when requested.
+    app_depth: Option<DepthSweep>,
 }
 
 /// Register-resident accumulator for one layer's share of a batch: counts
-/// plus a running interval hull. Overlapping-or-touching intervals merge
-/// into the hull in either direction (the hull of overlapping intervals
-/// *is* their union), so the [`IntervalSet`] is touched once per busy
-/// period instead of once per record, and the struct's count fields once
-/// per batch.
+/// plus a running interval [`Hull`], so the [`IntervalSet`] is touched
+/// once per busy period instead of once per record, and the struct's
+/// count fields once per batch.
 struct BatchAcc {
     ops: u64,
     bytes: u64,
     blocks: u64,
     summed: Dur,
-    run: Option<Interval>,
+    run: Hull,
 }
 
 impl BatchAcc {
@@ -216,7 +220,7 @@ impl BatchAcc {
             bytes: 0,
             blocks: 0,
             summed: Dur::ZERO,
-            run: None,
+            run: Hull::default(),
         }
     }
 
@@ -226,33 +230,15 @@ impl BatchAcc {
         self.bytes += r.bytes;
         self.blocks += r.blocks();
         self.summed += r.duration();
-        let iv = r.interval();
-        match &mut self.run {
-            Some(run) if iv.start <= run.end && iv.end >= run.start => {
-                run.start = run.start.min(iv.start);
-                run.end = run.end.max(iv.end);
-            }
-            Some(run) => Self::spill(run, iv, union),
-            None => self.run = Some(iv),
-        }
+        self.run.add(r.interval(), union);
     }
 
-    /// Busy-period break: flush the finished hull and start a new one.
-    /// Outlined and cold so the fuse loop above stays tight.
-    #[cold]
-    fn spill(run: &mut Interval, iv: Interval, union: &mut IntervalSet) {
-        union.insert(*run);
-        *run = iv;
-    }
-
-    fn flush_into(self, layer: &mut LayerAcc) {
+    fn flush_into(mut self, layer: &mut LayerAcc) {
         layer.ops += self.ops;
         layer.bytes += self.bytes;
         layer.blocks += self.blocks;
         layer.summed += self.summed;
-        if let Some(run) = self.run {
-            layer.union.insert(run);
-        }
+        self.run.flush(&mut layer.union);
     }
 }
 
@@ -267,7 +253,7 @@ impl StreamingMetrics {
     pub fn with_needs(needs: FoldNeeds) -> Self {
         StreamingMetrics {
             app_durations: needs.app_durations.then(Vec::new),
-            app_intervals: needs.app_intervals.then(Vec::new),
+            app_depth: needs.app_depth.then(DepthSweep::default),
             ..StreamingMetrics::default()
         }
     }
@@ -377,10 +363,11 @@ impl StreamingMetrics {
         self.app_durations.as_deref()
     }
 
-    /// Application in-flight intervals in arrival order; `None` unless the
-    /// sink was built with [`FoldNeeds::app_intervals`].
-    pub fn app_intervals(&self) -> Option<&[Interval]> {
-        self.app_intervals.as_deref()
+    /// Peak number of simultaneously in-flight application requests, as
+    /// [`crate::interval::max_depth`] counts them; `None` unless the sink
+    /// was built with [`FoldNeeds::app_depth`].
+    pub fn app_queue_depth(&self) -> Option<u32> {
+        self.app_depth.as_ref().map(DepthSweep::peak)
     }
 
     /// Total records observed across all layers.
@@ -406,8 +393,8 @@ impl StreamingMetrics {
         if let Some(durs) = &mut self.app_durations {
             durs.push(r.duration());
         }
-        if let Some(ivs) = &mut self.app_intervals {
-            ivs.push(r.interval());
+        if let Some(depth) = &mut self.app_depth {
+            depth.push(r.interval());
         }
     }
 }
@@ -479,13 +466,16 @@ impl RecordSink for StreamingMetrics {
     }
 
     /// Drop the busy periods that ended before `t` from the application
-    /// and file-system unions, once either retains more than 64. A
-    /// dropped span ends before every later record starts, so it could
-    /// never merge with one: `T` at both layers, and every metric, stay
-    /// bit-identical.
+    /// and file-system unions, once either retains more than 64, and
+    /// sweep the queue depth up to `t`. A dropped span ends before every
+    /// later record starts, so it could never merge with one: `T` at both
+    /// layers, and every metric, stay bit-identical.
     fn on_watermark(&mut self, t: Nanos) {
         self.app.on_watermark(t);
         self.fs.on_watermark(t);
+        if let Some(depth) = &mut self.app_depth {
+            depth.advance(t);
+        }
     }
 }
 

@@ -5,11 +5,18 @@
 //! that collection, carrying records from every process and — in this
 //! reproduction — from every instrumented layer of the I/O stack.
 
-use crate::interval::{Interval, IntervalSet};
+use crate::interval::{Hull, Interval, IntervalSet};
 use crate::record::{IoRecord, Layer, ProcessId};
+use crate::sink::RecordSink;
 use crate::time::{Dur, Nanos};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+
+/// Records [`Trace::replay`] delivers between two watermarks. Large enough
+/// that the pass taking block minima and the per-block calls cost little
+/// per record, small enough that a sink holds about one block of busy
+/// frontier.
+const REPLAY_BLOCK: usize = 4096;
 
 /// A global, multi-process, multi-layer collection of I/O records, plus the
 /// application execution span the metrics are correlated against.
@@ -143,11 +150,46 @@ impl Trace {
         self.blocks(Layer::Application)
     }
 
+    /// Deliver this trace to a sink as a live producer would: the records
+    /// in order, in blocks of 4096 through [`RecordSink::push_batch`], then
+    /// the recorded execution time, if any.
+    ///
+    /// Before each block the trace supplies its own watermark: the
+    /// earliest start in that block and every later one (one pass takes
+    /// each block's minimum, then a suffix minimum over them). The
+    /// watermarks never decrease and no later record starts before one,
+    /// so a sink that forgets behind them, such as
+    /// [`crate::sink::StreamingMetrics`], folds a stored trace in memory
+    /// bounded by its busy frontier rather than its length.
+    pub fn replay<S: RecordSink + ?Sized>(&self, sink: &mut S) {
+        let mut marks: Vec<Nanos> = self
+            .records
+            .chunks(REPLAY_BLOCK)
+            .map(|block| block.iter().fold(Nanos::MAX, |m, r| m.min(r.start)))
+            .collect();
+        for i in (1..marks.len()).rev() {
+            marks[i - 1] = marks[i - 1].min(marks[i]);
+        }
+        for (block, mark) in self.records.chunks(REPLAY_BLOCK).zip(marks) {
+            sink.on_watermark(mark);
+            sink.push_batch(block);
+        }
+        if let Some(t) = self.exec_time {
+            sink.on_execution_time(t);
+        }
+    }
+
     /// Overlapped I/O time `T` at a layer: the union of all in-flight
     /// intervals (paper Figure 2). Idle time excluded, concurrency counted
-    /// once.
+    /// once. Folded through [`Trace::replay`], so the union holds only the
+    /// busy periods its watermark has not passed.
     pub fn overlapped_io_time(&self, layer: Layer) -> Dur {
-        self.busy_periods(layer).total()
+        let mut fold = LayerUnion {
+            layer,
+            union: IntervalSet::new(),
+        };
+        self.replay(&mut fold);
+        fold.union.total()
     }
 
     /// Sum of the individual response times at a layer — what ARPT averages
@@ -155,11 +197,6 @@ impl Trace {
     pub fn summed_io_time(&self, layer: Layer) -> Dur {
         self.layer(layer)
             .fold(Dur::ZERO, |acc, r| acc + r.duration())
-    }
-
-    /// The merged busy periods at a layer.
-    pub fn busy_periods(&self, layer: Layer) -> IntervalSet {
-        IntervalSet::from_unsorted(self.layer(layer).map(|r| r.interval()))
     }
 
     /// All in-flight intervals at a layer, unmerged.
@@ -187,6 +224,30 @@ impl Trace {
     /// Latest record end, if any.
     pub fn last_end(&self) -> Option<Nanos> {
         self.records.iter().map(|r| r.end).max()
+    }
+}
+
+/// One layer's union behind the replay watermark.
+struct LayerUnion {
+    layer: Layer,
+    union: IntervalSet,
+}
+
+impl RecordSink for LayerUnion {
+    fn on_record(&mut self, record: &IoRecord) {
+        self.push_batch(std::slice::from_ref(record));
+    }
+
+    fn push_batch(&mut self, records: &[IoRecord]) {
+        let mut run = Hull::default();
+        for r in records.iter().filter(|r| r.layer == self.layer) {
+            run.add(r.interval(), &mut self.union);
+        }
+        run.flush(&mut self.union);
+    }
+
+    fn on_watermark(&mut self, t: Nanos) {
+        self.union.forget_before(t);
     }
 }
 
@@ -278,10 +339,59 @@ mod tests {
     #[test]
     fn busy_periods_and_concurrency() {
         let t = sample();
-        let periods = t.busy_periods(Layer::Application);
+        let periods = IntervalSet::from_unsorted(t.intervals(Layer::Application));
         assert_eq!(periods.period_count(), 1);
         let depth = crate::interval::max_depth(&t.intervals(Layer::Application));
         assert_eq!(depth, 2);
+    }
+
+    /// Replay's watermarks never decrease, precede every record they
+    /// promise about, and the records arrive whole and in order.
+    #[test]
+    fn replay_watermarks_bound_every_later_record() {
+        struct Probe {
+            marks: Vec<Nanos>,
+            seen: Vec<IoRecord>,
+            exec: Option<Dur>,
+        }
+        impl RecordSink for Probe {
+            fn on_record(&mut self, r: &IoRecord) {
+                if let Some(&t) = self.marks.last() {
+                    assert!(r.start >= t, "record at {} behind watermark {}", r.start, t);
+                }
+                self.seen.push(*r);
+            }
+            fn on_watermark(&mut self, t: Nanos) {
+                assert!(self.marks.last().is_none_or(|&m| m <= t));
+                self.marks.push(t);
+            }
+            fn on_execution_time(&mut self, t: Dur) {
+                self.exec = Some(t);
+            }
+        }
+        // Completion order: late-starting records finish first, and the
+        // very last record starts early, holding every watermark back.
+        let n = 3 * REPLAY_BLOCK as u64 + 17;
+        let mut t = Trace::new();
+        for k in 0..n {
+            let s = if k == n - 1 { 5 } else { 10 + (k ^ 3) };
+            t.push(rec((k % 4) as u32, Layer::Application, 0, 512, s, s + 20));
+        }
+        let mut probe = Probe {
+            marks: Vec::new(),
+            seen: Vec::new(),
+            exec: None,
+        };
+        t.replay(&mut probe);
+        assert_eq!(probe.seen, t.records());
+        assert_eq!(probe.marks.len(), 4);
+        assert!(probe.marks.iter().all(|&m| m == Nanos::from_micros(5)));
+        assert_eq!(probe.exec, None);
+        t.set_execution_time(Dur::from_micros(99));
+        t.replay(&mut probe);
+        assert_eq!(probe.exec, Some(Dur::from_micros(99)));
+        // An empty trace delivers nothing.
+        Trace::new().replay(&mut probe);
     }
 
     #[test]

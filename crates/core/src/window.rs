@@ -7,10 +7,12 @@
 //! request spanning windows contributes its overlap to each.
 
 use crate::interval::{Interval, IntervalSet};
-use crate::record::Layer;
+use crate::record::{IoRecord, Layer};
+use crate::sink::RecordSink;
 use crate::time::{Dur, Nanos};
 use crate::trace::Trace;
 use serde::Serialize;
+use std::collections::VecDeque;
 
 /// One window's worth of activity.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -37,6 +39,12 @@ pub struct WindowPoint {
 /// clipped fraction of its duration (an instantaneous record contributes
 /// all its blocks to the window containing it).
 ///
+/// The trace is replayed behind its own watermark ([`Trace::replay`]).
+/// Each window unions its clipped intervals in its own [`IntervalSet`];
+/// once the watermark passes a window's end no later record can reach it,
+/// so the window is sealed, its `io_time` taken and its spans freed. Only
+/// the windows the busy frontier touches hold spans.
+///
 /// ```
 /// use bps_core::prelude::*;
 /// use bps_core::window::windowed_series;
@@ -57,41 +65,77 @@ pub fn windowed_series(trace: &Trace, window: Dur) -> Vec<WindowPoint> {
     };
     let span = last - first;
     let buckets = (span.0.div_ceil(window.0)).max(1) as usize;
-    let mut out: Vec<WindowPoint> = (0..buckets)
-        .map(|i| WindowPoint {
-            start: first + window * i as u64,
-            len: window,
-            blocks: 0.0,
-            io_time: Dur::ZERO,
-            bps: None,
-            active_requests: 0,
-        })
-        .collect();
+    let mut fold = WindowFold {
+        first,
+        window,
+        points: (0..buckets)
+            .map(|i| WindowPoint {
+                start: first + window * i as u64,
+                len: window,
+                blocks: 0.0,
+                io_time: Dur::ZERO,
+                bps: None,
+                active_requests: 0,
+            })
+            .collect(),
+        sealed: 0,
+        open: VecDeque::new(),
+    };
+    trace.replay(&mut fold);
+    fold.seal_through(buckets);
+    fold.points
+}
 
-    // Gather per-bucket clipped intervals (for the union) and blocks.
-    let mut per_bucket: Vec<Vec<Interval>> = vec![Vec::new(); buckets];
-    for r in trace.layer(Layer::Application) {
+/// The windowed series as a sink: every window before `sealed` is final;
+/// `open[i]` unions the clipped intervals of window `sealed + i`.
+struct WindowFold {
+    first: Nanos,
+    window: Dur,
+    points: Vec<WindowPoint>,
+    sealed: usize,
+    open: VecDeque<IntervalSet>,
+}
+
+impl WindowFold {
+    /// Instant window `b` ends. A window reaching past the last
+    /// representable instant ends there.
+    fn end_of(&self, b: usize) -> Nanos {
+        Nanos(self.points[b].start.0.saturating_add(self.window.0))
+    }
+
+    /// Take the `io_time` of every window before `b` and free its spans.
+    fn seal_through(&mut self, b: usize) {
+        while self.sealed < b {
+            let union = self.open.pop_front().unwrap_or_default();
+            let point = &mut self.points[self.sealed];
+            point.io_time = union.total();
+            if !point.io_time.is_zero() {
+                point.bps = Some(point.blocks / point.io_time.as_secs_f64());
+            }
+            self.sealed += 1;
+        }
+    }
+}
+
+impl RecordSink for WindowFold {
+    fn on_record(&mut self, r: &IoRecord) {
+        if r.layer != Layer::Application {
+            return;
+        }
+        let buckets = self.points.len();
         let dur = r.duration();
-        let b_first = ((r.start - first).0 / window.0) as usize;
+        let b_first = ((r.start - self.first).0 / self.window.0) as usize;
         let b_last = if r.end > r.start {
-            (((r.end - first).0 - 1) / window.0) as usize
+            (((r.end - self.first).0 - 1) / self.window.0) as usize
         } else {
             b_first
         };
-        for (b, point) in out
-            .iter_mut()
-            .enumerate()
-            .take((b_last + 1).min(buckets))
-            .skip(b_first)
-        {
-            let w_start = first + window * b as u64;
-            // A window reaching past the last representable instant ends
-            // there.
-            let w_end = Nanos(w_start.0.saturating_add(window.0));
+        for b in b_first..(b_last + 1).min(buckets) {
             let clip = Interval {
-                start: r.start.max(w_start),
-                end: r.end.min(w_end),
+                start: r.start.max(self.points[b].start),
+                end: r.end.min(self.end_of(b)),
             };
+            let point = &mut self.points[b];
             point.active_requests += 1;
             if dur.is_zero() {
                 // Instantaneous record: all blocks land here.
@@ -99,17 +143,31 @@ pub fn windowed_series(trace: &Trace, window: Dur) -> Vec<WindowPoint> {
             } else {
                 let frac = clip.duration().as_secs_f64() / dur.as_secs_f64();
                 point.blocks += r.blocks() as f64 * frac;
-                per_bucket[b].push(clip);
+                // The watermark sealed only windows ending before it,
+                // and this record starts at or after it.
+                let i = b - self.sealed;
+                if i >= self.open.len() {
+                    self.open.resize_with(i + 1, IntervalSet::new);
+                }
+                self.open[i].insert(clip);
             }
         }
     }
-    for (point, clipped) in out.iter_mut().zip(per_bucket) {
-        point.io_time = IntervalSet::from_unsorted(clipped).total();
-        if !point.io_time.is_zero() {
-            point.bps = Some(point.blocks / point.io_time.as_secs_f64());
+
+    /// Seal every window ending before `t`, and drop the spans that ended
+    /// before `t` from the first still open, the only one that can hold
+    /// any. A window ending at `t` stays open: it may be one clamped at
+    /// the last instant, which a record at `t` still reaches.
+    fn on_watermark(&mut self, t: Nanos) {
+        let mut b = self.sealed;
+        while b < self.points.len() && self.end_of(b) < t {
+            b += 1;
+        }
+        self.seal_through(b);
+        if let Some(front) = self.open.front_mut() {
+            front.forget_before(t);
         }
     }
-    out
 }
 
 #[cfg(test)]

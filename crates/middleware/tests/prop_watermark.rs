@@ -16,6 +16,7 @@
 //! open call fails them.
 
 use bps_core::extent::Extent;
+use bps_core::interval::IntervalSet;
 use bps_core::metrics::{registry, Metric, MetricSelection};
 use bps_core::record::{FileId, Layer};
 use bps_core::retry::RetryPolicy;
@@ -61,6 +62,12 @@ impl Workload for Script {
     fn stream(&self, pid: usize) -> OpStream {
         Box::new(self.streams[pid].clone().into_iter())
     }
+}
+
+/// Disjoint busy periods at a layer of a trace: what a union that never
+/// forgets would retain.
+fn busy_periods(trace: &Trace, layer: Layer) -> usize {
+    IntervalSet::from_unsorted(trace.layer(layer).map(|r| r.interval())).period_count()
 }
 
 /// The stack around the workload.
@@ -382,8 +389,8 @@ fn open_noncontig_calls_hold_the_watermark() {
         .filter(|op| !matches!(op, AppOp::Compute { .. }))
         .count();
     assert!(trace.op_count(Layer::Application) < issued as u64);
-    assert!(trace.busy_periods(Layer::Application).period_count() > 128);
-    assert!(trace.busy_periods(Layer::FileSystem).period_count() > 128);
+    assert!(busy_periods(&trace, Layer::Application) > 128);
+    assert!(busy_periods(&trace, Layer::FileSystem) > 128);
 }
 
 /// Each round, process 3 reaches the collective read early and parks while
@@ -409,5 +416,5 @@ fn parked_collective_arrivals_hold_the_watermark() {
     }
     let trace = streamed_equals_traced(&Script { streams }, &faulted());
     assert!(trace.op_count(Layer::Retry) > 0);
-    assert!(trace.busy_periods(Layer::FileSystem).period_count() > 256);
+    assert!(busy_periods(&trace, Layer::FileSystem) > 256);
 }

@@ -49,6 +49,11 @@ fn op_layer_flags(op: IoOp, layer: Layer) -> u8 {
     op_bit | (layer_bits << 1)
 }
 
+/// The largest flag byte [`op_layer_flags`] writes: a write at layer code
+/// 4. Codes 5 to 7 and bits 4 to 7 are unassigned.
+const MAX_FLAGS: u8 = 0b1001;
+
+/// The op and layer of a flag byte no greater than [`MAX_FLAGS`].
 fn decode_flags(flags: u8) -> (IoOp, Layer) {
     let op = if flags & 1 == 0 {
         IoOp::Read
@@ -59,8 +64,8 @@ fn decode_flags(flags: u8) -> (IoOp, Layer) {
         0 => Layer::Application,
         1 => Layer::FileSystem,
         2 => Layer::Device,
-        4 => Layer::Network,
-        _ => Layer::Retry,
+        3 => Layer::Retry,
+        _ => Layer::Network,
     };
     (op, layer)
 }
@@ -92,7 +97,8 @@ pub fn to_binary(trace: &Trace) -> Vec<u8> {
 ///
 /// The header's record count is checked against the body length before
 /// anything is allocated, so a lying header cannot ask for a huge buffer.
-/// A record that ends before it starts fails the whole trace.
+/// A record that ends before it starts, or whose flag byte names no op and
+/// layer, fails the whole trace.
 pub fn from_binary(data: &[u8]) -> io::Result<Trace> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     if data.len() < 16 || &data[..8] != MAGIC {
@@ -111,9 +117,11 @@ pub fn from_binary(data: &[u8]) -> io::Result<Trace> {
         ));
     }
     // Collecting from `chunks_exact` allocates the exact count once and
-    // writes each record in place; an inverted record is remembered and
-    // rejected after the loop, which keeps the loop free of early exits.
+    // writes each record in place; an inverted record or an unassigned
+    // flag byte is remembered and rejected after the loop, which keeps the
+    // loop free of early exits.
     let mut inverted = false;
+    let mut bad_flags = false;
     let records: Vec<IoRecord> = body
         .chunks_exact(BINARY_RECORD_SIZE)
         .map(|rec| {
@@ -122,6 +130,7 @@ pub fn from_binary(data: &[u8]) -> io::Result<Trace> {
                 |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4 bytes"));
             let u64_at =
                 |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+            bad_flags |= rec[28] > MAX_FLAGS;
             let (op, layer) = decode_flags(rec[28]);
             let (start, end) = (Nanos(u64_at(8)), Nanos(u64_at(16)));
             inverted |= end < start;
@@ -139,6 +148,17 @@ pub fn from_binary(data: &[u8]) -> io::Result<Trace> {
         .collect();
     if inverted {
         return Err(invalid("record ends before it starts".into()));
+    }
+    if bad_flags {
+        let (i, flags) = body
+            .chunks_exact(BINARY_RECORD_SIZE)
+            .map(|rec| rec[28])
+            .enumerate()
+            .find(|&(_, flags)| flags > MAX_FLAGS)
+            .expect("a record with bad flags");
+        return Err(invalid(format!(
+            "record {i} has flag byte {flags:#04x}, which names no op and layer"
+        )));
     }
     Ok(Trace::from_records(records))
 }
@@ -290,6 +310,30 @@ mod tests {
         let t = sample();
         let bin = to_binary(&t);
         assert!(from_binary(&bin[..bin.len() - 1]).is_err());
+    }
+
+    /// Layer codes 5 to 7 used to decode as `Retry`, which every metric
+    /// drops, and bits 4 to 7 were ignored: both are corrupt records now.
+    #[test]
+    fn unassigned_flag_bytes_are_rejected() {
+        let bin = to_binary(&sample());
+        for flags in [5u8 << 1, (7 << 1) | 1, 0x10, 0x80 | 1, 0xff] {
+            let mut bad = bin.clone();
+            bad[16 + 3 * BINARY_RECORD_SIZE + 28] = flags;
+            let err = from_binary(&bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("record 3 "), "{err}");
+        }
+        // Every assigned byte still decodes.
+        for flags in 0..=MAX_FLAGS {
+            let mut ok = bin.clone();
+            ok[16 + 28] = flags;
+            let t = from_binary(&ok).unwrap();
+            assert_eq!(
+                op_layer_flags(t.records()[0].op, t.records()[0].layer),
+                flags
+            );
+        }
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! Every check returns findings rather than failing hard — a trace with
 //! oddities is still analyzable, but the analyst should know.
 
-use bps_core::interval::{Interval, IntervalSet};
+use bps_core::interval::Interval;
 use bps_core::record::{Layer, ProcessId};
 use bps_core::time::Dur;
 use bps_core::trace::Trace;
 use serde::Serialize;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -66,10 +67,29 @@ impl Hasher for PidHasher {
     }
 }
 
+type PidMap<V> = HashMap<ProcessId, V, BuildHasherDefault<PidHasher>>;
+
+/// One process's application requests, checked for overlap as they
+/// arrive.
+struct ProcCheck {
+    pid: ProcessId,
+    /// The latest interval.
+    last: Interval,
+    /// True while the intervals have arrived in `(start, end)` order, so
+    /// each overlapping pair of the sorted list is one of neighbours in
+    /// arrival order.
+    sorted: bool,
+    /// Overlapping neighbour pairs, while `sorted`.
+    overlapping: usize,
+}
+
 /// Validate a trace; returns all findings (empty = clean).
 ///
-/// One pass over the records counts everything the checks need and groups
-/// each process's application intervals in arrival order.
+/// One pass over the records counts everything the checks need and
+/// counts each process's overlapping requests against its previous one.
+/// Only a process whose requests arrive out of order costs a second pass
+/// that collects and sorts its intervals. The mostly-idle check takes the
+/// union behind the trace's own watermark ([`Trace::overlapped_io_time`]).
 pub fn validate(trace: &Trace) -> Vec<Finding> {
     let mut findings = Vec::new();
 
@@ -85,8 +105,8 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
     let (mut zero, mut empty_io, mut app, mut fs) = (0usize, 0usize, 0u64, 0u64);
     let first = &trace.records()[0];
     let (mut first_start, mut last_end) = (first.start, first.end);
-    let mut procs: Vec<(ProcessId, Vec<Interval>)> = Vec::new();
-    let mut slot_of: HashMap<ProcessId, usize, BuildHasherDefault<PidHasher>> = HashMap::default();
+    let mut procs: Vec<ProcCheck> = Vec::new();
+    let mut slot_of: PidMap<usize> = HashMap::default();
     for r in trace.records() {
         zero += usize::from(r.start == r.end);
         empty_io += usize::from(r.bytes == 0);
@@ -100,11 +120,24 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
             }
             _ => continue,
         }
-        let slot = *slot_of.entry(r.pid).or_insert_with(|| {
-            procs.push((r.pid, Vec::new()));
-            procs.len() - 1
-        });
-        procs[slot].1.push(r.interval());
+        let iv = r.interval();
+        match slot_of.entry(r.pid) {
+            Entry::Occupied(slot) => {
+                let p = &mut procs[*slot.get()];
+                p.sorted &= iv >= p.last;
+                p.overlapping += usize::from(iv.start < p.last.end);
+                p.last = iv;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(procs.len());
+                procs.push(ProcCheck {
+                    pid: r.pid,
+                    last: iv,
+                    sorted: true,
+                    overlapping: 0,
+                });
+            }
+        }
     }
 
     // Zero-duration records: legal, but many of them usually means the
@@ -138,27 +171,20 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
     // Per-process overlap at the application layer: a single-threaded
     // process cannot have two POSIX calls in flight; overlap suggests
     // thread-shared pids or broken timestamps. `Interval`'s order is
-    // `(start, end)`. A process's requests arrive nearly in order, and
-    // the stable sort merges runs: intervals already in order cost it one
-    // linear scan.
-    procs.sort_unstable_by_key(|&(pid, _)| pid);
-    for (pid, intervals) in &mut procs {
-        intervals.sort();
-        let overlapping = intervals
-            .windows(2)
-            .filter(|w| w[1].start < w[0].end)
-            .count();
-        if overlapping > 0 {
-            findings.push(Finding {
-                severity: Severity::Warning,
-                check: "intra-process-overlap",
-                detail: format!(
-                    "process {} has {overlapping} overlapping request pairs \
-                     (multithreaded process, or clock skew between threads)",
-                    pid.0
-                ),
-            });
-        }
+    // `(start, end)`. A process whose requests arrived out of that order
+    // has its overlapping pairs counted again on its sorted intervals.
+    recount_out_of_order(trace, &mut procs);
+    procs.sort_unstable_by_key(|p| p.pid);
+    for p in procs.iter().filter(|p| p.overlapping > 0) {
+        findings.push(Finding {
+            severity: Severity::Warning,
+            check: "intra-process-overlap",
+            detail: format!(
+                "process {} has {} overlapping request pairs \
+                 (multithreaded process, or clock skew between threads)",
+                p.pid.0, p.overlapping
+            ),
+        });
     }
 
     // FS layer moving less than the app required is physically impossible
@@ -176,22 +202,12 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
 
     // Giant idle fraction: execution dominated by non-I/O time is fine,
     // but worth surfacing since BPS excludes it by design. The union is
-    // taken only when the execution is long enough to be flagged. It
-    // reuses the largest process's buffer, and the processes' sorted
-    // intervals concatenated are runs the union's sort merges.
+    // taken only when the execution is long enough to be flagged.
     let exec = trace
         .recorded_execution_time()
         .unwrap_or(last_end - first_start);
     if exec > Dur::from_millis(1) {
-        procs.sort_unstable_by_key(|(_, intervals)| std::cmp::Reverse(intervals.len()));
-        let mut all = procs
-            .first_mut()
-            .map(|(_, intervals)| std::mem::take(intervals))
-            .unwrap_or_default();
-        for (_, intervals) in &procs {
-            all.extend_from_slice(intervals);
-        }
-        let io = IntervalSet::from_unsorted(all).total();
+        let io = trace.overlapped_io_time(Layer::Application);
         if io < exec / 100 {
             findings.push(Finding {
                 severity: Severity::Warning,
@@ -205,6 +221,33 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
     }
 
     findings
+}
+
+/// Count the overlapping pairs of every process whose requests arrived out
+/// of order on its sorted intervals, gathered in one more pass. The
+/// stable sort merges the runs a nearly ordered arrival leaves.
+fn recount_out_of_order(trace: &Trace, procs: &mut [ProcCheck]) {
+    let mut lists: PidMap<Vec<Interval>> = procs
+        .iter()
+        .filter(|p| !p.sorted)
+        .map(|p| (p.pid, Vec::new()))
+        .collect();
+    if lists.is_empty() {
+        return;
+    }
+    for r in trace.layer(Layer::Application) {
+        if let Some(list) = lists.get_mut(&r.pid) {
+            list.push(r.interval());
+        }
+    }
+    for p in procs.iter_mut().filter(|p| !p.sorted) {
+        let intervals = lists.get_mut(&p.pid).expect("gathered above");
+        intervals.sort();
+        p.overlapping = intervals
+            .windows(2)
+            .filter(|w| w[1].start < w[0].end)
+            .count();
+    }
 }
 
 /// True when no [`Severity::Error`] findings exist.

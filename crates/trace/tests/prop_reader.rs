@@ -132,6 +132,26 @@ proptest! {
     }
 }
 
+proptest! {
+    /// A flag byte with layer code 5 to 7 or any of bits 4 to 7 set makes
+    /// a valid file corrupt: `InvalidData`, naming the first such record.
+    #[test]
+    fn unassigned_flag_bytes_are_invalid_data(
+        trace in valid_trace(),
+        at in any::<usize>(),
+        flags in prop_oneof![10u8..16, 16u8..=255],
+    ) {
+        prop_assume!(!trace.is_empty());
+        let mut bin = to_binary(&trace);
+        let i = at % trace.len();
+        bin[16 + i * BINARY_RECORD_SIZE + 28] = flags;
+        let err = from_binary(&bin).unwrap_err();
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let named = format!("record {i} ");
+        prop_assert!(err.to_string().contains(&named), "{}", err);
+    }
+}
+
 /// Nesting far past the JSON parser's depth limit is an error, not a
 /// stack overflow.
 #[test]

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// `(function name, why it stays although no product path calls it)`.
-const ALLOWED: [(&str, &str); 11] = [
+const ALLOWED: [(&str, &str); 12] = [
     (
         "add_process",
         "bps-trace collector API: the toolkit users record real applications with",
@@ -48,6 +48,10 @@ const ALLOWED: [(&str, &str); 11] = [
         "the healthy-path reference that Device::submit_scaled must equal",
     ),
     ("extract", "the sieve-plan oracle of prop_sieving"),
+    (
+        "max_depth",
+        "the batch queue depth the streaming MaxQD sweep must equal (prop_analysis)",
+    ),
     ("take_trace", "observation seam for the fs tests"),
     ("device_stats", "observation seam for the fs tests"),
     ("assert_cc_expectations", "the figure-test helper"),
