@@ -1,6 +1,6 @@
-//! Human-readable summaries of traces and correlation sweeps.
+//! Human-readable summaries of traces: every metric of one trace, and
+//! the per-process breakdown.
 
-use crate::correlation::CcOutcome;
 use crate::interval::IntervalSet;
 use crate::metrics::{registry, MetricSelection};
 use crate::record::{IoRecord, Layer, ProcessId};
@@ -198,110 +198,6 @@ pub fn per_process(trace: &Trace) -> Vec<ProcessBreakdown> {
         .collect()
 }
 
-/// One row of a paper-style CC figure: a metric and its normalized CC value.
-#[derive(Debug, Clone, Serialize)]
-pub struct CcRow {
-    /// Metric name ("IOPS", "BW", "ARPT", "BPS").
-    pub metric: &'static str,
-    /// The correlation outcome, or `None` when the metric was undefined on
-    /// some sweep point.
-    pub outcome: Option<CcOutcome>,
-}
-
-/// A full CC report: the four paper metrics scored against execution times
-/// across a sweep of I/O access cases — one of these per bar-chart figure.
-#[derive(Debug, Clone, Serialize)]
-pub struct CcReport {
-    /// Label of the sweep ("Fig. 4: various storage devices", ...).
-    pub label: String,
-    /// Per-metric rows in figure order.
-    pub rows: Vec<CcRow>,
-}
-
-impl CcReport {
-    /// Score the four paper metrics over per-case traces.
-    ///
-    /// `cases` holds the trace of each I/O access case in the sweep; the
-    /// execution time of each case comes from [`Trace::execution_time`].
-    pub fn from_cases(label: impl Into<String>, cases: &[Trace]) -> CcReport {
-        CcReport::from_cases_selected(label, cases, &MetricSelection::paper())
-    }
-
-    /// Score a selection of registered metrics over per-case traces; rows
-    /// come out in registry order.
-    pub fn from_cases_selected(
-        label: impl Into<String>,
-        cases: &[Trace],
-        selection: &MetricSelection,
-    ) -> CcReport {
-        // Fold each case once, behind its own watermark; every selected
-        // metric and the execution time finish from the same accumulator.
-        let accs: Vec<StreamingMetrics> = cases
-            .iter()
-            .map(|t| {
-                let mut acc = StreamingMetrics::for_selection(selection);
-                t.replay(&mut acc);
-                acc
-            })
-            .collect();
-        let exec: Vec<f64> = accs
-            .iter()
-            .map(|a| a.execution_time().as_secs_f64())
-            .collect();
-        let rows = selection
-            .metrics()
-            .iter()
-            .map(|m| {
-                let values: Option<Vec<f64>> = accs.iter().map(|a| m.finish(a)).collect();
-                let outcome = values.and_then(|v| {
-                    crate::correlation::normalized_cc(&v, &exec, m.expected_direction()).ok()
-                });
-                CcRow {
-                    metric: m.name(),
-                    outcome,
-                }
-            })
-            .collect();
-        CcReport {
-            label: label.into(),
-            rows,
-        }
-    }
-
-    /// The normalized CC of a named metric (case-insensitive), if defined.
-    pub fn normalized(&self, metric: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.metric.eq_ignore_ascii_case(metric))
-            .and_then(|r| r.outcome.map(|o| o.normalized))
-    }
-}
-
-impl fmt::Display for CcReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}", self.label)?;
-        writeln!(f, "  metric   norm.CC   raw.CC   direction")?;
-        for row in &self.rows {
-            match row.outcome {
-                Some(o) => writeln!(
-                    f,
-                    "  {:<7} {:>8.3} {:>8.3}   {}",
-                    row.metric,
-                    o.normalized,
-                    o.raw,
-                    if o.direction_correct {
-                        "correct"
-                    } else {
-                        "WRONG"
-                    }
-                )?,
-                None => writeln!(f, "  {:<7}      n/a      n/a   -", row.metric)?,
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,7 +205,7 @@ mod tests {
     use crate::time::{Dur, Nanos};
 
     /// A family of traces where larger requests finish the same total data
-    /// faster: IOPS should come out direction-wrong, BPS direction-right.
+    /// faster.
     fn size_sweep() -> Vec<Trace> {
         let total_bytes: u64 = 1 << 24; // 16 MiB
         [4u64 << 10, 64 << 10, 1 << 20]
@@ -337,19 +233,6 @@ mod tests {
                 tr
             })
             .collect()
-    }
-
-    #[test]
-    fn cc_report_flags_iops_in_size_sweep() {
-        let report = CcReport::from_cases("size sweep", &size_sweep());
-        // BPS correct and strong.
-        assert!(report.normalized("BPS").unwrap() > 0.9);
-        // IOPS misleads: higher IOPS (small records) went with *longer*
-        // execution, so normalized CC is negative.
-        assert!(report.normalized("IOPS").unwrap() < 0.0);
-        let shown = format!("{report}");
-        assert!(shown.contains("WRONG"));
-        assert!(shown.contains("BPS"));
     }
 
     #[test]
@@ -440,18 +323,5 @@ mod tests {
         let s = MetricsSummary::from_trace(&Trace::new());
         assert!(s.metrics.iter().all(|(_, v)| v.is_none()));
         assert_eq!(s.app_ops, 0);
-    }
-
-    #[test]
-    fn cc_report_scores_extended_metrics() {
-        let sel = MetricSelection::parse(&["BPS", "p99"]).unwrap();
-        let report = CcReport::from_cases_selected("size sweep", &size_sweep(), &sel);
-        let metrics: Vec<&str> = report.rows.iter().map(|r| r.metric).collect();
-        assert_eq!(metrics, vec!["BPS", "P99"]);
-        assert!(report.normalized("p99").is_some());
-        assert_eq!(report.normalized("BPS"), {
-            let paper = CcReport::from_cases("size sweep", &size_sweep());
-            paper.normalized("BPS")
-        });
     }
 }

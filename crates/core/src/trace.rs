@@ -5,12 +5,11 @@
 //! that collection, carrying records from every process and — in this
 //! reproduction — from every instrumented layer of the I/O stack.
 
-use crate::interval::{Hull, Interval, IntervalSet};
-use crate::record::{IoRecord, Layer, ProcessId};
+use crate::interval::{Hull, IntervalSet};
+use crate::record::{IoRecord, Layer};
 use crate::sink::RecordSink;
 use crate::time::{Dur, Nanos};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Records [`Trace::replay`] delivers between two watermarks. Large enough
 /// that the pass taking block minima and the per-block calls cost little
@@ -116,17 +115,6 @@ impl Trace {
         self.records.iter().filter(move |r| r.layer == layer)
     }
 
-    /// Iterator over records of a single process at a given layer.
-    pub fn process(&self, layer: Layer, pid: ProcessId) -> impl Iterator<Item = &IoRecord> + '_ {
-        self.layer(layer).filter(move |r| r.pid == pid)
-    }
-
-    /// The distinct process ids present at a layer, sorted.
-    pub fn pids(&self, layer: Layer) -> Vec<ProcessId> {
-        let set: BTreeSet<ProcessId> = self.layer(layer).map(|r| r.pid).collect();
-        set.into_iter().collect()
-    }
-
     /// Number of records at a layer.
     pub fn op_count(&self, layer: Layer) -> u64 {
         self.layer(layer).count() as u64
@@ -199,11 +187,6 @@ impl Trace {
             .fold(Dur::ZERO, |acc, r| acc + r.duration())
     }
 
-    /// All in-flight intervals at a layer, unmerged.
-    pub fn intervals(&self, layer: Layer) -> Vec<Interval> {
-        self.layer(layer).map(|r| r.interval()).collect()
-    }
-
     /// Keep only records satisfying the predicate.
     pub fn retain<F: FnMut(&IoRecord) -> bool>(&mut self, f: F) {
         self.records.retain(f);
@@ -254,7 +237,8 @@ impl RecordSink for LayerUnion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{FileId, IoOp};
+    use crate::interval::Interval;
+    use crate::record::{FileId, IoOp, ProcessId};
 
     fn rec(pid: u32, layer: Layer, offset: u64, bytes: u64, s_us: u64, e_us: u64) -> IoRecord {
         IoRecord::new(
@@ -315,7 +299,8 @@ mod tests {
         let b = Trace::from_records(vec![rec(1, Layer::Application, 0, 512, 20, 30)]);
         a.extend(b.records());
         assert_eq!(a.len(), 2);
-        assert_eq!(a.pids(Layer::Application), vec![ProcessId(0), ProcessId(1)]);
+        let pids: Vec<ProcessId> = a.layer(Layer::Application).map(|r| r.pid).collect();
+        assert_eq!(pids, vec![ProcessId(0), ProcessId(1)]);
         assert_eq!(a.execution_time(), Dur::from_micros(30));
         // Idle gap [10,20) excluded from overlapped time.
         assert_eq!(
@@ -339,9 +324,10 @@ mod tests {
     #[test]
     fn busy_periods_and_concurrency() {
         let t = sample();
-        let periods = IntervalSet::from_unsorted(t.intervals(Layer::Application));
+        let app: Vec<Interval> = t.layer(Layer::Application).map(|r| r.interval()).collect();
+        let periods = IntervalSet::from_unsorted(app.iter().copied());
         assert_eq!(periods.period_count(), 1);
-        let depth = crate::interval::max_depth(&t.intervals(Layer::Application));
+        let depth = crate::interval::max_depth(&app);
         assert_eq!(depth, 2);
     }
 

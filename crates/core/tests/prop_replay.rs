@@ -208,11 +208,14 @@ fn window_for(trace: &Trace, choice: &WindowChoice) -> Dur {
 /// The per-process breakdown as it was computed before replay: one scan
 /// of the trace per process.
 fn reference_per_process(trace: &Trace) -> Vec<(ProcessId, u64, u64, u64, u64, Option<u64>)> {
-    trace
-        .pids(Layer::Application)
-        .into_iter()
+    let pids: std::collections::BTreeSet<ProcessId> =
+        trace.layer(Layer::Application).map(|r| r.pid).collect();
+    pids.into_iter()
         .map(|pid| {
-            let records: Vec<_> = trace.process(Layer::Application, pid).collect();
+            let records: Vec<_> = trace
+                .layer(Layer::Application)
+                .filter(|r| r.pid == pid)
+                .collect();
             let ops = records.len() as u64;
             let bytes = records.iter().map(|r| r.bytes).sum();
             let summed: f64 = records.iter().map(|r| r.duration().as_secs_f64()).sum();
@@ -350,7 +353,7 @@ proptest! {
             }
             acc.on_record(r);
         }
-        let app: Vec<Interval> = t.intervals(Layer::Application);
+        let app: Vec<Interval> = t.layer(Layer::Application).map(|r| r.interval()).collect();
         prop_assert_eq!(acc.app_queue_depth(), Some(max_depth(&app)));
         let want = (!app.is_empty()).then(|| f64::from(max_depth(&app)));
         prop_assert_eq!(bps_core::metrics::extended::MaxQueueDepth.finish(&acc), want);

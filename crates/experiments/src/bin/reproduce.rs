@@ -231,6 +231,13 @@ fn finish(violations: bool) -> ! {
     std::process::exit(if violations { 1 } else { 0 });
 }
 
+#[cfg(unix)]
+extern "C" {
+    /// The C library's `signal`; `handler` is a function address or
+    /// `SIG_DFL` (0).
+    fn signal(signum: i32, handler: usize) -> usize;
+}
+
 /// Install a SIGINT/SIGTERM handler that asks the supervisor to stop at
 /// the next unit boundary (the journal is flushed per unit, so completed
 /// work is already safe). Only installed for journaled runs — an
@@ -241,19 +248,37 @@ fn install_interrupt_handler() {
         // Only an atomic store: async-signal-safe.
         supervise::request_interrupt();
     }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    let handler = handle as extern "C" fn(i32) as usize;
+    // SAFETY: `signal` takes any signal number and a handler address; both
+    // numbers are valid and `handle` is an `extern "C" fn(i32)` that only
+    // does an atomic store, which is async-signal-safe.
     unsafe {
-        signal(SIGINT, handle);
-        signal(SIGTERM, handle);
+        signal(SIGINT, handler);
+        signal(SIGTERM, handler);
     }
 }
 
 #[cfg(not(unix))]
 fn install_interrupt_handler() {}
+
+/// Give SIGPIPE back its default action, which the Rust runtime sets to
+/// ignore: `reproduce list | head -1` then ends quietly when the reader
+/// goes away, where a write to the closed pipe would panic (exit 101).
+#[cfg(unix)]
+fn restore_sigpipe() {
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` takes any signal number and `SIG_DFL`; resetting a
+    // disposition touches no memory of this program.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_sigpipe() {}
 
 /// Resolve a `run` operand: a bundled scenario name, else a path to a
 /// JSON file (anything with a `.json` suffix or that exists on disk). The
@@ -723,7 +748,10 @@ fn run_fixed_targets(expanded: &[&str], sweeps: &Sweeps) {
                     .collect();
                 emit(summary::render(&figures));
             }
-            "extensions" => emit(extensions::report(sweeps.scale, sweeps.exec)),
+            "extensions" => {
+                let fig = sweeps.run(&extensions::scenario(sweeps.scale)).into_cc();
+                emit(extensions::render(&fig));
+            }
             "overhead" => emit(overhead::report()),
             "writes" => {
                 for name in ["writes-hdd", "writes-ssd"] {
@@ -746,6 +774,7 @@ fn run_fixed_targets(expanded: &[&str], sweeps: &Sweeps) {
 }
 
 fn main() {
+    restore_sigpipe();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();

@@ -18,7 +18,7 @@
 //! | [`fig11`] | Figure 11: IOR shared-file concurrency CC | `fig11` |
 //! | [`fig12`] | Figure 12: data-sieving additional-data-movement CC | `fig12` |
 //! | [`summary`] | §IV.C.5: the cross-experiment summary, rendered over the [`summary::FIGURES`] | |
-//! | [`extensions`] | future-work extension: optimization combos ranked by BPS | |
+//! | [`extensions`] | future-work extension: optimization combos ranked by BPS, rendered over [`extensions::scenario`] (not in the registry) | |
 //! | [`faults`] | extension (Set 5): CC under fault injection / degraded mode, plus its verdict line | `faults-<variety>` ×4 |
 //! | [`overhead`] | §III.C: measurement overhead (space + time) | |
 //! | [`writes`] | extension: the Set 2 sweep with sequential writes | `writes-hdd`, `writes-ssd` |

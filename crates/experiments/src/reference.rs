@@ -170,20 +170,27 @@ fn topology_page() -> String {
             "Local file system on a single server. `overhead_us`: per-call overhead \
              (`null` = profile default)."
         }
-        "Pfs" => "Striped parallel file system. `servers`: number of I/O servers.",
+        "Pfs" => {
+            "Striped parallel file system. `servers`: number of I/O servers. \
+             `server_cpu_us` (optional, omitted when unset): fixed per-request server CPU \
+             instead of the per-seed jittered default."
+        }
         "Net" => {
             "Client/server interconnect (Gigabit Ethernet model). `loss_rate`, \
              `retransmit_delay_ms`, `record` (emit per-chunk network records)."
         }
         "Device" => {
             "The storage device on each server. `device`: `Hdd`, `Ssd`, \
-             `{\"Raid0\": {\"members\": n}}`, or a constant-cost `Ram` profile."
+             `{\"Raid0\": {\"members\": n}}`, or a constant-cost `Ram` profile. \
+             `sched` (optional, omitted when unset): `Fifo` (the default) or `Elevator` \
+             disk scheduling."
         }
         _ => "(undocumented)",
     };
     let mut out = format!("{BANNER}\n\n# Topology components\n\n");
     out.push_str(
-        "The component kinds a scenario's `topology` list may declare, in \
+        "The component kinds a scenario's `topology` list (on the base template, \
+         or on a grid cell's patch for that cell alone) may declare, in \
          required stack order (middleware above file system above network \
          above device). In JSON a unit node is a bare string \
          (`\"Collective\"`) and a configured node a single-key object \

@@ -333,6 +333,7 @@ pub fn expand(scenario: &Scenario, scale: &Scale) -> Result<Vec<ResolvedCase>, E
         let mut storage = base.storage;
         let mut layout = base.layout.unwrap_or(LayoutSpec::DefaultStripe);
         let mut fault = base.fault.clone();
+        let mut topology = base.topology.clone();
         let mut workload = base.workload.clone();
         for patch in patches {
             if let Some(s) = patch.storage {
@@ -343,6 +344,11 @@ pub fn expand(scenario: &Scenario, scale: &Scale) -> Result<Vec<ResolvedCase>, E
             }
             if let Some(f) = &patch.fault {
                 fault = Some(f.clone());
+            }
+            if let Some(t) = &patch.topology {
+                t.validate()
+                    .map_err(|e| err(format!("case `{label}`: {e}")))?;
+                topology = Some(t.clone());
             }
             workload = patch_workload(&workload, patch, &label)?;
         }
@@ -361,7 +367,7 @@ pub fn expand(scenario: &Scenario, scale: &Scale) -> Result<Vec<ResolvedCase>, E
             fault,
             cpu_per_op_us: base.cpu_per_op_us.unwrap_or(5),
             clients: base.clients,
-            topology: base.topology.clone(),
+            topology,
             workload,
         };
         check_durations(&case).map_err(|e| err(format!("case `{}`: {e}", case.label)))?;

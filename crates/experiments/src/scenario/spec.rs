@@ -280,6 +280,9 @@ pub struct Patch {
     pub region_spacing: Option<u64>,
     /// Override the fault plan.
     pub fault: Option<FaultSpec>,
+    /// Override the component graph (omitted on the wire when unset).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub topology: Option<bps_topology::TopologySpec>,
 }
 
 impl Patch {
@@ -292,6 +295,7 @@ impl Patch {
             processes: None,
             region_spacing: None,
             fault: None,
+            topology: None,
         }
     }
 }
@@ -336,7 +340,7 @@ impl Grid {
 /// the hand-built sweeps' conventions: 64 KB default striping, ROMIO
 /// sieving defaults, default retry policy, no faults, 5 µs of CPU per
 /// op, and one client node per workload process.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CaseTemplate {
     /// Storage under test.
     pub storage: StorageSpec,
@@ -356,7 +360,10 @@ pub struct CaseTemplate {
     pub clients: Option<usize>,
     /// Explicit component graph (`"topology": [...]` in scenario JSON);
     /// default = the prebuilt graph derived from `storage`, which runs
-    /// byte-identically to the pre-topology engine.
+    /// byte-identically to the pre-topology engine. Omitted on the wire
+    /// when unset, keeping serialized scenarios byte-identical to the
+    /// pre-topology format (the other optionals keep their `null`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub topology: Option<bps_topology::TopologySpec>,
 }
 
@@ -374,48 +381,6 @@ impl CaseTemplate {
             clients: None,
             topology: None,
         }
-    }
-}
-
-// Hand-rolled so the absent `topology` of a classic template is omitted
-// on the wire, keeping serialized scenarios byte-identical to the
-// pre-topology format (the other optionals keep the derived `null`
-// encoding they have always had).
-impl Serialize for CaseTemplate {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![
-            ("storage".to_string(), self.storage.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("layout".to_string(), self.layout.to_value()),
-            ("sieving".to_string(), self.sieving.to_value()),
-            ("retry".to_string(), self.retry.to_value()),
-            ("fault".to_string(), self.fault.to_value()),
-            ("cpu_per_op_us".to_string(), self.cpu_per_op_us.to_value()),
-            ("clients".to_string(), self.clients.to_value()),
-        ];
-        if let Some(topology) = &self.topology {
-            pairs.push(("topology".to_string(), topology.to_value()));
-        }
-        serde::Value::Object(pairs)
-    }
-}
-
-impl Deserialize for CaseTemplate {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(CaseTemplate {
-            storage: ctx("storage", Deserialize::from_value(v.field("storage")?))?,
-            workload: ctx("workload", Deserialize::from_value(v.field("workload")?))?,
-            layout: ctx("layout", Deserialize::from_value(v.field("layout")?))?,
-            sieving: ctx("sieving", Deserialize::from_value(v.field("sieving")?))?,
-            retry: ctx("retry", Deserialize::from_value(v.field("retry")?))?,
-            fault: ctx("fault", Deserialize::from_value(v.field("fault")?))?,
-            cpu_per_op_us: ctx(
-                "cpu_per_op_us",
-                Deserialize::from_value(v.field("cpu_per_op_us")?),
-            )?,
-            clients: ctx("clients", Deserialize::from_value(v.field("clients")?))?,
-            topology: ctx("topology", Deserialize::from_value(v.field("topology")?))?,
-        })
     }
 }
 
@@ -483,7 +448,7 @@ pub enum Verdict {
 }
 
 /// A complete sweep description.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Registry name (`reproduce run <name>`).
     pub name: String,
@@ -499,6 +464,7 @@ pub struct Scenario {
     /// order; rendered in registry order). Empty — the default, and
     /// omitted from serialized scenarios — means the paper four. Metrics
     /// named by `output` or `expect` are always computed in addition.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub metrics: Vec<String>,
     /// Per-unit wall-clock deadline in milliseconds. A `(case, seed)` unit
     /// running longer is detached and reported as a `Timeout` failure
@@ -506,64 +472,12 @@ pub struct Scenario {
     /// from serialized scenarios — means no scenario-level deadline;
     /// when set it outranks the CLI's `--deadline-ms`. Like that flag it
     /// must be positive: expansion rejects 0.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub deadline_ms: Option<u64>,
     /// Table-1 expected directions, checked by tests and `reproduce check`.
     pub expect: Vec<Expect>,
     /// Optional cross-metric verdict.
     pub verdict: Option<Verdict>,
-}
-
-// Hand-rolled (de)serialization because `metrics` and `deadline_ms` are
-// optional on the wire: an empty/absent value is omitted when writing (so
-// serialized scenarios are byte-identical to the pre-extension formats)
-// and defaults when absent (so every existing scenario file keeps parsing).
-impl Serialize for Scenario {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![
-            ("name".to_string(), self.name.to_value()),
-            ("title".to_string(), self.title.to_value()),
-            ("output".to_string(), self.output.to_value()),
-            ("base".to_string(), self.base.to_value()),
-            ("grid".to_string(), self.grid.to_value()),
-        ];
-        if !self.metrics.is_empty() {
-            pairs.push(("metrics".to_string(), self.metrics.to_value()));
-        }
-        if let Some(ms) = self.deadline_ms {
-            pairs.push(("deadline_ms".to_string(), ms.to_value()));
-        }
-        pairs.push(("expect".to_string(), self.expect.to_value()));
-        pairs.push(("verdict".to_string(), self.verdict.to_value()));
-        serde::Value::Object(pairs)
-    }
-}
-
-// Name the offending field, like the derived impls do, so a deep error
-// reads as a path from the scenario root.
-fn ctx<T>(field: &str, r: Result<T, serde::Error>) -> Result<T, serde::Error> {
-    r.map_err(|e| serde::Error(format!("field `{field}`: {e}")))
-}
-
-impl Deserialize for Scenario {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Scenario {
-            name: ctx("name", Deserialize::from_value(v.field("name")?))?,
-            title: ctx("title", Deserialize::from_value(v.field("title")?))?,
-            output: ctx("output", Deserialize::from_value(v.field("output")?))?,
-            base: ctx("base", Deserialize::from_value(v.field("base")?))?,
-            grid: ctx("grid", Deserialize::from_value(v.field("grid")?))?,
-            metrics: match v.field("metrics")? {
-                serde::Value::Null => Vec::new(),
-                other => ctx("metrics", Deserialize::from_value(other))?,
-            },
-            deadline_ms: ctx(
-                "deadline_ms",
-                Deserialize::from_value(v.field("deadline_ms")?),
-            )?,
-            expect: ctx("expect", Deserialize::from_value(v.field("expect")?))?,
-            verdict: ctx("verdict", Deserialize::from_value(v.field("verdict")?))?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -149,6 +149,62 @@ fn forced_panic_exits_5_and_names_the_kind() {
 }
 
 #[test]
+fn extension_study_journals_every_unit_and_renders_failed_cases() {
+    // The study runs through the engine: one journal line per (case, seed).
+    let journal = unique_journal();
+    let out = reproduce(
+        &[
+            "extensions",
+            "--tiny",
+            "--journal",
+            journal.to_str().unwrap(),
+        ],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden("extensions"));
+    let lines = std::fs::read_to_string(&journal).unwrap();
+    let units = lines
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"unit\""))
+        .count();
+    assert_eq!(units, 8 * Scale::tiny().seeds().len());
+    std::fs::remove_file(&journal).ok();
+
+    // Both S+P+ combinations fail every seed: they rank last as n/a with
+    // their kind, and the run exits with the panic code.
+    let out = reproduce(
+        &["extensions", "--tiny"],
+        &[("BPS_TEST_UNIT_PANIC", "S+P+")],
+    );
+    assert_eq!(out.status.code(), Some(5));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = stdout.lines().skip(3).take(8).collect();
+    assert_eq!(
+        rows[6..],
+        ["S+P+E-   n/a [panic]", "S+P+E+   n/a [panic]"],
+        "{stdout}"
+    );
+}
+
+/// A reader that goes away early ends `reproduce` quietly (SIGPIPE's
+/// default action), not with a panic on the failed write (exit 101).
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("list")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn reproduce");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
+
+#[test]
 fn deadline_overrun_exits_6_not_hangs() {
     // Every pvfs-3 unit stalls 60 s; a 100 ms deadline must detach it and
     // report Timeout well before the stall would finish.

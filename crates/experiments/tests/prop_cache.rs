@@ -7,7 +7,8 @@
 //! silently. These tests audit injectivity two ways:
 //!
 //! 1. a property test generating *pairs* of fully resolved cases
-//!    (storage, layout, sieving, retry, faults, topology, workload),
+//!    (storage, layout, sieving, retry, faults, topology with its disk
+//!    scheduler and server CPU, workload with sequences of parts),
 //!    scales, and metric selections, asserting keys agree exactly when
 //!    the label-stripped inputs agree;
 //! 2. a deterministic one-field audit: every simulation-feeding field of
@@ -23,6 +24,8 @@ use bps_experiments::scenario::spec::{
     DeviceErrorSpec, FaultSpec, LayoutSpec, LinkLossSpec, OutageTrainSpec, RetrySpec, SievingSpec,
     SlowdownSpec, StorageSpec,
 };
+use bps_sim::device::DiskSched;
+use bps_topology::{DeviceNode, NodeSpec, TopologySpec};
 use bps_workloads::iozone::IozoneMode;
 use bps_workloads::WorkloadSpec;
 use proptest::prelude::*;
@@ -106,14 +109,38 @@ fn faults() -> impl Strategy<Value = Option<FaultSpec>> {
     ]
 }
 
-fn topologies() -> impl Strategy<Value = Option<bps_topology::TopologySpec>> {
+/// A `Pfs` over an HDD whose server CPU and disk scheduler are optional.
+fn tuned_pfs(server_cpu_us: Option<u64>, sched: Option<DiskSched>) -> TopologySpec {
+    TopologySpec::new(vec![
+        NodeSpec::Pfs {
+            servers: 2,
+            server_cpu_us,
+        },
+        NodeSpec::Device {
+            device: DeviceNode::Hdd,
+            sched,
+        },
+    ])
+}
+
+fn topologies() -> impl Strategy<Value = Option<TopologySpec>> {
     // Distinct component graphs, including derived ones: the audit cares
     // that two cases declaring different stacks never share a key.
+    let sched = prop_oneof![
+        Just(None),
+        Just(Some(DiskSched::Fifo)),
+        Just(Some(DiskSched::Elevator))
+    ];
     prop_oneof![
         Just(None),
         Just(Some(Storage::Hdd.default_topology())),
         Just(Some(Storage::Ssd.default_topology())),
         (1usize..=4).prop_map(|servers| Some(Storage::Pvfs { servers }.default_topology())),
+        (
+            prop_oneof![Just(None), Just(Some(25u64)), Just(Some(50u64))],
+            sched
+        )
+            .prop_map(|(cpu, sched)| Some(tuned_pfs(cpu, sched))),
     ]
 }
 
@@ -148,7 +175,28 @@ fn workloads() -> impl Strategy<Value = ResolvedWorkload> {
             })
         },
     );
-    prop_oneof![iozone, ior, Just(ResolvedWorkload::DegradedMix)]
+    let sequence = (1usize..4, prop_oneof![Just(4096u64), Just(65536u64)]).prop_map(
+        |(processes, record_size)| {
+            ResolvedWorkload::Spec(WorkloadSpec::Sequence {
+                parts: vec![
+                    WorkloadSpec::Ior {
+                        file_size: 1 << 18,
+                        transfer_size: 65536,
+                        processes,
+                        write: false,
+                    },
+                    WorkloadSpec::Iozone {
+                        mode: IozoneMode::SeqRead,
+                        file_size: 1 << 18,
+                        record_size,
+                        processes,
+                        seed: 0,
+                    },
+                ],
+            })
+        },
+    );
+    prop_oneof![iozone, ior, sequence, Just(ResolvedWorkload::DegradedMix)]
 }
 
 fn cases() -> impl Strategy<Value = ResolvedCase> {
@@ -316,6 +364,16 @@ fn every_field_mutation_changes_the_key() {
             "workload kind",
             Box::new(|c| c.workload = ResolvedWorkload::DegradedMix),
         ),
+        (
+            "workload as a one-part sequence",
+            Box::new(|c| {
+                if let ResolvedWorkload::Spec(spec) = &c.workload {
+                    c.workload = ResolvedWorkload::Spec(WorkloadSpec::Sequence {
+                        parts: vec![spec.clone()],
+                    });
+                }
+            }),
+        ),
     ];
     for (name, mutate) in &mutations {
         let mut c = base.clone();
@@ -338,6 +396,50 @@ fn every_field_mutation_changes_the_key() {
     assert_ne!(
         content_key(&fa, &scale, &sel),
         content_key(&fb, &scale, &sel)
+    );
+
+    // Graphs differing only in the disk scheduler or the server CPU, and
+    // sequences differing only in one part, never share a key.
+    let keyed = |topology: Option<TopologySpec>, workload: Option<WorkloadSpec>| {
+        let mut c = base.clone();
+        c.topology = topology;
+        if let Some(w) = workload {
+            c.workload = ResolvedWorkload::Spec(w);
+        }
+        content_key(&c, &scale, &sel)
+    };
+    let variants = [
+        tuned_pfs(None, None),
+        tuned_pfs(None, Some(DiskSched::Fifo)),
+        tuned_pfs(None, Some(DiskSched::Elevator)),
+        tuned_pfs(Some(25), None),
+        tuned_pfs(Some(26), None),
+    ];
+    let keys: std::collections::BTreeSet<String> = variants
+        .iter()
+        .map(|t| keyed(Some(t.clone()), None))
+        .collect();
+    assert_eq!(keys.len(), variants.len());
+    let sequence = |record_size: u64| WorkloadSpec::Sequence {
+        parts: vec![
+            WorkloadSpec::Ior {
+                file_size: 1 << 20,
+                transfer_size: 65536,
+                processes: 1,
+                write: false,
+            },
+            WorkloadSpec::Iozone {
+                mode: IozoneMode::SeqRead,
+                file_size: 1 << 20,
+                record_size,
+                processes: 1,
+                seed: 0,
+            },
+        ],
+    };
+    assert_ne!(
+        keyed(None, Some(sequence(4096))),
+        keyed(None, Some(sequence(8192)))
     );
 
     // The label is display-only: figures sharing a case under different

@@ -54,7 +54,10 @@ fn chain(p: &ChainParams) -> TopologySpec {
     }
     match p.pfs_servers {
         Some(servers) => {
-            nodes.push(NodeSpec::Pfs { servers });
+            nodes.push(NodeSpec::Pfs {
+                servers,
+                server_cpu_us: None,
+            });
             if let Some((retransmit_delay_ms, record)) = p.net {
                 nodes.push(NodeSpec::Net {
                     loss_rate: if p.loss_permille == 0 {
@@ -82,7 +85,10 @@ fn chain(p: &ChainParams) -> TopologySpec {
                 capacity: 1 << 30,
             },
         };
-        nodes.push(NodeSpec::Device { device });
+        nodes.push(NodeSpec::Device {
+            device,
+            sched: None,
+        });
     }
     TopologySpec::new(nodes)
 }
@@ -248,7 +254,10 @@ proptest! {
 fn memo_on_and_off_agree_for_explicit_topologies() {
     let topo = TopologySpec::new(vec![
         NodeSpec::Prefetch { window_kb: 256 },
-        NodeSpec::Pfs { servers: 3 },
+        NodeSpec::Pfs {
+            servers: 3,
+            server_cpu_us: None,
+        },
         NodeSpec::Net {
             loss_rate: Some(0.01),
             retransmit_delay_ms: Some(5),
@@ -256,6 +265,7 @@ fn memo_on_and_off_agree_for_explicit_topologies() {
         },
         NodeSpec::Device {
             device: DeviceNode::Ssd,
+            sched: None,
         },
     ]);
     let sc = scenario(Some(topo), StorageSpec::Pvfs { servers: 3 }, 32);

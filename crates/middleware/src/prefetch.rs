@@ -17,13 +17,6 @@ pub struct PrefetchConfig {
     pub window: u64,
 }
 
-impl PrefetchConfig {
-    /// A Linux-readahead-like 128 KB window.
-    pub fn readahead_128k() -> Self {
-        PrefetchConfig { window: 128 << 10 }
-    }
-}
-
 /// What the middleware should do for one read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrefetchDecision {

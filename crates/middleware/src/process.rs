@@ -284,6 +284,14 @@ mod tests {
         (IoStack::new(cluster, FsBackend::Parallel(pfs)), files)
     }
 
+    /// Every application record's in-flight interval, unmerged.
+    fn app_intervals(trace: &bps_core::trace::Trace) -> Vec<bps_core::interval::Interval> {
+        trace
+            .layer(Layer::Application)
+            .map(|r| r.interval())
+            .collect()
+    }
+
     #[test]
     fn single_process_sequential_run() {
         let w = Iozone::seq_read(4 << 20, 64 << 10);
@@ -294,26 +302,34 @@ mod tests {
         assert!(outcome.makespan() > Dur::ZERO);
         assert_eq!(trace.execution_time(), outcome.makespan());
         // Sequential process: app I/O intervals never overlap.
-        assert_eq!(max_depth(&trace.intervals(Layer::Application)), 1);
+        assert_eq!(max_depth(&app_intervals(&trace)), 1);
     }
 
     #[test]
     fn throughput_mode_runs_concurrently() {
         // 4 processes, each with its own file pinned to its own server.
-        let w = Iozone::throughput_read(4, 1 << 20, 64 << 10);
+        let w = Iozone {
+            processes: 4,
+            ..Iozone::seq_read(1 << 20, 64 << 10)
+        };
         let (stack, files) = pfs_stack_with_files(4, 4, &w, StripeLayout::pinned);
         let (trace, _) = run_workload(stack, &w, &files, Dur::from_micros(5));
-        let depth = max_depth(&trace.intervals(Layer::Application));
+        let depth = max_depth(&app_intervals(&trace));
         assert!(depth >= 3, "depth {depth}");
         // All four processes appear in the trace.
-        assert_eq!(trace.pids(Layer::Application).len(), 4);
+        let pids: std::collections::BTreeSet<_> =
+            trace.layer(Layer::Application).map(|r| r.pid).collect();
+        assert_eq!(pids.len(), 4);
     }
 
     #[test]
     fn concurrency_shortens_makespan() {
         let total = 16 << 20;
         let run = |n: usize| {
-            let w = Iozone::throughput_read(n, total / n as u64, 64 << 10);
+            let w = Iozone {
+                processes: n,
+                ..Iozone::seq_read(total / n as u64, 64 << 10)
+            };
             let (stack, files) = pfs_stack_with_files(n, n, &w, StripeLayout::pinned);
             let (_, outcome) = run_workload(stack, &w, &files, Dur::from_micros(5));
             outcome.makespan().as_secs_f64()
@@ -326,7 +342,10 @@ mod tests {
     #[test]
     fn deterministic_runs() {
         let build = || {
-            let w = Iozone::throughput_read(2, 1 << 20, 64 << 10);
+            let w = Iozone {
+                processes: 2,
+                ..Iozone::seq_read(1 << 20, 64 << 10)
+            };
             let (stack, files) = pfs_stack_with_files(2, 2, &w, StripeLayout::pinned);
             run_workload(stack, &w, &files, Dur::from_micros(5))
         };

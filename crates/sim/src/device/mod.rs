@@ -58,8 +58,9 @@ pub struct ServiceCtx<'a> {
 /// which an analytic FIFO cannot express. Instead, when a request arrives at
 /// a non-empty queue, its positional (seek + rotation) cost is scaled by
 /// [`DiskSched::ELEVATOR_FACTOR`], modeling the shorter average seeks a
-/// sorted service order achieves. The ablation bench compares the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// sorted service order achieves. `device::tests::elevator_beats_fifo_on_a_random_burst`
+/// compares the two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum DiskSched {
     /// Serve strictly in arrival order.
     #[default]

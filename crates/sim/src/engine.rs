@@ -42,11 +42,6 @@ impl Waker {
     pub fn wake_at(&mut self, idx: usize, at: Nanos) {
         self.requests.push((idx, at));
     }
-
-    /// Number of queued requests (tests).
-    pub fn pending(&self) -> usize {
-        self.requests.len()
-    }
 }
 
 /// A simulated sequential process.

@@ -62,11 +62,6 @@ impl Link {
         self.queue.stats()
     }
 
-    /// One-way latency.
-    pub fn latency(&self) -> Dur {
-        self.latency
-    }
-
     /// Bandwidth in bytes/second.
     pub fn bandwidth(&self) -> u64 {
         self.rate.rate()
@@ -145,11 +140,6 @@ impl Switch {
         arrival + self.forwarding + self.aggregate_bandwidth.price(bytes) + penalty
     }
 
-    /// Messages forwarded.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
     /// Bytes forwarded.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -219,7 +209,7 @@ mod tests {
             .since(Nanos::from_micros(100));
         assert!(loaded > lone + Dur::from_micros(50), "{lone} vs {loaded}");
         assert!(s.recent_load > 50.0);
-        assert_eq!(s.ops(), 102);
+        assert_eq!(s.ops, 102);
     }
 
     #[test]

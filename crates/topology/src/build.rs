@@ -6,10 +6,11 @@
 //! the stack's sieving and read-ahead, the file-system node picks the
 //! backend and server count, a `Net` node composes link loss and network
 //! recording, and the `Device` node (HDD when absent) picks the server
-//! device. The prebuilt topologies ([`TopologySpec::local`],
-//! [`TopologySpec::pfs`]) reproduce the pre-topology assembly byte for
-//! byte — same config fields, same construction order, same RNG
-//! consumption.
+//! device and its disk scheduler. A `Pfs` node's `server_cpu_us`
+//! replaces [`BuildEnv::server_cpu`]. The prebuilt topologies
+//! ([`TopologySpec::local`], [`TopologySpec::pfs`]) reproduce the
+//! pre-topology assembly byte for byte — same config fields, same
+//! construction order, same RNG consumption.
 
 use crate::spec::{DeviceNode, NodeSpec};
 use crate::{TopologyError, TopologySpec};
@@ -47,7 +48,7 @@ pub enum Layout {
 pub struct BuildEnv<'a> {
     /// Number of client nodes (clamped to at least 1).
     pub clients: usize,
-    /// Per-request server CPU cost.
+    /// Per-request server CPU cost, unless the `Pfs` node fixes one.
     pub server_cpu: Dur,
     /// Simulation seed.
     pub seed: u64,
@@ -81,6 +82,7 @@ impl TopologySpec {
         self.validate()?;
         let mut fs = None;
         let mut device = &DeviceNode::Hdd;
+        let mut sched = None;
         let mut sieving = env.sieving;
         let mut prefetch = None;
         let mut fault = env.fault.clone();
@@ -102,21 +104,30 @@ impl TopologySpec {
                         fault = fault.with_link_loss(rate, Dur::from_millis(delay_ms));
                     }
                 }
-                NodeSpec::Device { device: d } => device = d,
+                NodeSpec::Device {
+                    device: d,
+                    sched: s,
+                } => (device, sched) = (d, *s),
             }
         }
         let fs = fs.expect("validation guarantees a file-system node");
 
-        let servers = match fs {
-            NodeSpec::Pfs { servers } => *servers,
-            _ => 1,
+        let (servers, server_cpu) = match fs {
+            NodeSpec::Pfs {
+                servers,
+                server_cpu_us,
+            } => (
+                *servers,
+                server_cpu_us.map_or(env.server_cpu, Dur::from_micros),
+            ),
+            _ => (1, env.server_cpu),
         };
         let cfg = ClusterConfig {
             servers,
             clients: env.clients.max(1),
             device: device.to_spec(),
-            sched: DiskSched::Fifo,
-            server_cpu: env.server_cpu,
+            sched: sched.unwrap_or(DiskSched::Fifo),
+            server_cpu,
             jitter: Jitter::DEFAULT,
             seed: env.seed,
             record_device_layer: false,
@@ -206,9 +217,13 @@ mod tests {
         let spec = TopologySpec::new(vec![
             NodeSpec::Sieving { enabled: false },
             NodeSpec::Prefetch { window_kb: 256 },
-            NodeSpec::Pfs { servers: 2 },
+            NodeSpec::Pfs {
+                servers: 2,
+                server_cpu_us: None,
+            },
             NodeSpec::Device {
                 device: DeviceNode::Ssd,
+                sched: None,
             },
         ]);
         let built = spec.build(&env(&sizes), Trace::new()).unwrap();
@@ -217,6 +232,49 @@ mod tests {
             built.stack.prefetch,
             Some(PrefetchConfig { window: 256 << 10 })
         );
+    }
+
+    #[test]
+    fn pfs_and_device_fields_reach_the_cluster() {
+        use bps_workloads::iozone::{Iozone, IozoneMode};
+        use bps_workloads::spec::Workload;
+        // Four processes of random 1 MB reads, far apart, queue on one
+        // server's disk, where the elevator shortens seeks; a fixed server
+        // CPU replaces the environment's.
+        let w = Iozone {
+            mode: IozoneMode::RandomRead,
+            file_size: 256 << 20,
+            record_size: 1 << 20,
+            processes: 4,
+            seed: 3,
+        };
+        let sizes = w.file_sizes();
+        let run = |server_cpu_us, sched| {
+            let built = TopologySpec::new(vec![
+                NodeSpec::Pfs {
+                    servers: 1,
+                    server_cpu_us,
+                },
+                NodeSpec::Device {
+                    device: DeviceNode::Hdd,
+                    sched,
+                },
+            ])
+            .build(&env(&sizes), Trace::new())
+            .unwrap();
+            let (trace, _) = bps_middleware::process::run_workload(
+                built.stack,
+                &w,
+                &built.files,
+                Dur::from_micros(5),
+            );
+            trace.execution_time()
+        };
+        let plain = run(None, None);
+        assert_eq!(run(None, Some(DiskSched::Fifo)), plain);
+        assert_eq!(run(Some(25), None), plain, "env's server CPU is 25 us");
+        assert!(run(Some(2_000), None) > plain);
+        assert!(run(None, Some(DiskSched::Elevator)) < plain);
     }
 
     #[test]

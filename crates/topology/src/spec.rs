@@ -24,6 +24,7 @@ use bps_core::time::Dur;
 use bps_fs::cluster::DeviceSpec;
 use bps_sim::device::hdd::HddProfile;
 use bps_sim::device::ssd::SsdProfile;
+use bps_sim::device::DiskSched;
 use bps_sim::net::Link;
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -118,7 +119,9 @@ impl DeviceNode {
 /// One declarable node of the component graph.
 ///
 /// In JSON a unit node is a bare string (`"Collective"`) and a configured
-/// node is a single-key object (`{"Pfs": {"servers": 4}}`).
+/// node is a single-key object (`{"Pfs": {"servers": 4}}`). An optional
+/// field added after a node's format was fixed is omitted on the wire
+/// when unset, so files written before it stay byte-identical.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NodeSpec {
     /// Two-phase collective I/O marker. Group size always follows the
@@ -146,6 +149,10 @@ pub enum NodeSpec {
     Pfs {
         /// Number of I/O servers.
         servers: usize,
+        /// Fixed per-request server CPU cost in microseconds; unset for
+        /// the runner's per-seed jittered cost.
+        #[serde(skip_serializing_if = "Option::is_none")]
+        server_cpu_us: Option<u64>,
     },
     /// The client/server interconnect (Gigabit Ethernet model).
     Net {
@@ -163,6 +170,9 @@ pub enum NodeSpec {
     Device {
         /// Device model selector.
         device: DeviceNode,
+        /// Disk scheduling policy; unset for FIFO.
+        #[serde(skip_serializing_if = "Option::is_none")]
+        sched: Option<DiskSched>,
     },
 }
 
@@ -226,10 +236,19 @@ impl NodeSpec {
                 overhead_us: Some(us),
             } => format!("local file system on one server, {us} us per-call overhead"),
             NodeSpec::LocalFs { overhead_us: None } => "local file system on one server".into(),
-            NodeSpec::Pfs { servers } => format!(
-                "parallel file system, 64 KB stripes over {servers} server{}",
-                if *servers == 1 { "" } else { "s" }
-            ),
+            NodeSpec::Pfs {
+                servers,
+                server_cpu_us,
+            } => {
+                let mut d = format!(
+                    "parallel file system, 64 KB stripes over {servers} server{}",
+                    if *servers == 1 { "" } else { "s" }
+                );
+                if let Some(us) = server_cpu_us {
+                    d.push_str(&format!(", {us} us server CPU per request"));
+                }
+                d
+            }
             NodeSpec::Net { record, .. } => {
                 let mut d = format!("gigabit ethernet, {}", Link::gigabit_ethernet().describe());
                 match self.link_loss() {
@@ -243,22 +262,30 @@ impl NodeSpec {
                 }
                 d
             }
-            NodeSpec::Device { device } => match device {
-                DeviceNode::Hdd => "HDD, SATA 7200 rpm 250 GB profile".into(),
-                DeviceNode::Ssd => "SSD, PCIe x4 100 GB profile (4 channels)".into(),
-                DeviceNode::Raid0 { members } => {
-                    format!("RAID-0 over {members} SATA 7200 rpm members")
+            NodeSpec::Device { device, sched } => {
+                let mut d: String = match device {
+                    DeviceNode::Hdd => "HDD, SATA 7200 rpm 250 GB profile".into(),
+                    DeviceNode::Ssd => "SSD, PCIe x4 100 GB profile (4 channels)".into(),
+                    DeviceNode::Raid0 { members } => {
+                        format!("RAID-0 over {members} SATA 7200 rpm members")
+                    }
+                    DeviceNode::Ram {
+                        fixed_us,
+                        rate,
+                        capacity,
+                    } => format!(
+                        "RAM-backed: {fixed_us} us fixed + {} MB/s, {} MB capacity",
+                        rate / 1_000_000,
+                        capacity / 1_000_000
+                    ),
+                };
+                match sched {
+                    Some(DiskSched::Elevator) => d.push_str(", elevator scheduling"),
+                    Some(DiskSched::Fifo) => d.push_str(", FIFO scheduling"),
+                    None => {}
                 }
-                DeviceNode::Ram {
-                    fixed_us,
-                    rate,
-                    capacity,
-                } => format!(
-                    "RAM-backed: {fixed_us} us fixed + {} MB/s, {} MB capacity",
-                    rate / 1_000_000,
-                    capacity / 1_000_000
-                ),
-            },
+                d
+            }
         }
     }
 }
@@ -314,7 +341,10 @@ impl TopologySpec {
     pub fn local(device: DeviceNode) -> Self {
         TopologySpec::new(vec![
             NodeSpec::LocalFs { overhead_us: None },
-            NodeSpec::Device { device },
+            NodeSpec::Device {
+                device,
+                sched: None,
+            },
         ])
     }
 
@@ -323,7 +353,10 @@ impl TopologySpec {
     /// servers, each chunk crossing a lossless Gigabit link to an HDD.
     pub fn pfs(servers: usize) -> Self {
         TopologySpec::new(vec![
-            NodeSpec::Pfs { servers },
+            NodeSpec::Pfs {
+                servers,
+                server_cpu_us: None,
+            },
             NodeSpec::Net {
                 loss_rate: None,
                 retransmit_delay_ms: None,
@@ -331,6 +364,7 @@ impl TopologySpec {
             },
             NodeSpec::Device {
                 device: DeviceNode::Hdd,
+                sched: None,
             },
         ])
     }
@@ -381,8 +415,17 @@ impl TopologySpec {
                             "a topology has exactly one file-system node, found a second",
                         );
                     }
-                    if let NodeSpec::Pfs { servers: 0 } = node {
+                    if let NodeSpec::Pfs { servers: 0, .. } = node {
                         return err(i, kind, "a parallel file system needs at least one server");
+                    }
+                    if let NodeSpec::Pfs {
+                        server_cpu_us: Some(us),
+                        ..
+                    } = node
+                    {
+                        if us.checked_mul(NS_PER_US).is_none() {
+                            return err(i, kind, "server_cpu_us overflows 64-bit nanoseconds");
+                        }
                     }
                     if let NodeSpec::LocalFs {
                         overhead_us: Some(us),
@@ -431,7 +474,7 @@ impl TopologySpec {
                     }
                     net_at = Some(i);
                 }
-                NodeSpec::Device { device } => {
+                NodeSpec::Device { device, .. } => {
                     if fs_at.is_none() {
                         return err(i, kind, "`Device` must come after the file-system node");
                     }
@@ -481,6 +524,7 @@ impl TopologySpec {
             .collect();
         let implicit = NodeSpec::Device {
             device: DeviceNode::Hdd,
+            sched: None,
         };
         let has_device = self
             .nodes
@@ -573,7 +617,10 @@ mod tests {
             NodeSpec::Collective,
             NodeSpec::Sieving { enabled: false },
             NodeSpec::Prefetch { window_kb: 256 },
-            NodeSpec::Pfs { servers: 4 },
+            NodeSpec::Pfs {
+                servers: 4,
+                server_cpu_us: None,
+            },
             NodeSpec::Net {
                 loss_rate: Some(0.01),
                 retransmit_delay_ms: Some(5),
@@ -581,6 +628,7 @@ mod tests {
             },
             NodeSpec::Device {
                 device: DeviceNode::Raid0 { members: 3 },
+                sched: None,
             },
         ]);
         let json = serde_json::to_string(&spec).unwrap();
@@ -589,12 +637,46 @@ mod tests {
     }
 
     #[test]
+    fn unset_optional_node_fields_stay_off_the_wire() {
+        let json = serde_json::to_string(&TopologySpec::pfs(4)).unwrap();
+        assert_eq!(
+            json,
+            r#"[{"Pfs":{"servers":4}},{"Net":{"loss_rate":null,"retransmit_delay_ms":null,"record":null}},{"Device":{"device":"Hdd"}}]"#
+        );
+        let tuned = TopologySpec::new(vec![
+            NodeSpec::Pfs {
+                servers: 4,
+                server_cpu_us: Some(25),
+            },
+            NodeSpec::Device {
+                device: DeviceNode::Hdd,
+                sched: Some(DiskSched::Elevator),
+            },
+        ]);
+        let json = serde_json::to_string(&tuned).unwrap();
+        assert_eq!(
+            json,
+            r#"[{"Pfs":{"servers":4,"server_cpu_us":25}},{"Device":{"device":"Hdd","sched":"Elevator"}}]"#
+        );
+        assert_eq!(parse(&json).unwrap(), tuned);
+        let shown = tuned.render(None);
+        assert!(shown.contains("25 us server CPU per request"), "{shown}");
+        assert!(shown.contains("elevator scheduling"), "{shown}");
+    }
+
+    #[test]
     fn bare_string_and_object_forms_parse() {
         let spec =
             parse(r#"["Collective", {"Pfs": {"servers": 2}}, {"Device": {"device": "Ssd"}}]"#)
                 .unwrap();
         assert_eq!(spec.nodes()[0], NodeSpec::Collective);
-        assert_eq!(spec.nodes()[1], NodeSpec::Pfs { servers: 2 });
+        assert_eq!(
+            spec.nodes()[1],
+            NodeSpec::Pfs {
+                servers: 2,
+                server_cpu_us: None
+            }
+        );
         spec.validate().unwrap();
     }
 
@@ -627,7 +709,10 @@ mod tests {
         bad(
             vec![
                 NodeSpec::LocalFs { overhead_us: None },
-                NodeSpec::Pfs { servers: 2 },
+                NodeSpec::Pfs {
+                    servers: 2,
+                    server_cpu_us: None,
+                },
             ],
             "found a second",
         );
@@ -642,7 +727,10 @@ mod tests {
             vec![
                 NodeSpec::Collective,
                 NodeSpec::Collective,
-                NodeSpec::Pfs { servers: 2 },
+                NodeSpec::Pfs {
+                    servers: 2,
+                    server_cpu_us: None,
+                },
             ],
             "at most once",
         );
@@ -661,6 +749,7 @@ mod tests {
             vec![
                 NodeSpec::Device {
                     device: DeviceNode::Hdd,
+                    sched: None,
                 },
                 NodeSpec::LocalFs { overhead_us: None },
             ],
@@ -668,9 +757,13 @@ mod tests {
         );
         bad(
             vec![
-                NodeSpec::Pfs { servers: 2 },
+                NodeSpec::Pfs {
+                    servers: 2,
+                    server_cpu_us: None,
+                },
                 NodeSpec::Device {
                     device: DeviceNode::Hdd,
+                    sched: None,
                 },
                 NodeSpec::Net {
                     loss_rate: None,
@@ -680,10 +773,19 @@ mod tests {
             ],
             "last node",
         );
-        bad(vec![NodeSpec::Pfs { servers: 0 }], "at least one server");
+        bad(
+            vec![NodeSpec::Pfs {
+                servers: 0,
+                server_cpu_us: None,
+            }],
+            "at least one server",
+        );
         bad(
             vec![
-                NodeSpec::Pfs { servers: 2 },
+                NodeSpec::Pfs {
+                    servers: 2,
+                    server_cpu_us: None,
+                },
                 NodeSpec::Net {
                     loss_rate: Some(1.5),
                     retransmit_delay_ms: None,
@@ -700,7 +802,10 @@ mod tests {
             NodeSpec::Collective,
             NodeSpec::Sieving { enabled: true },
             NodeSpec::Prefetch { window_kb: 128 },
-            NodeSpec::Pfs { servers: 4 },
+            NodeSpec::Pfs {
+                servers: 4,
+                server_cpu_us: None,
+            },
             NodeSpec::Net {
                 loss_rate: None,
                 retransmit_delay_ms: None,
@@ -708,6 +813,7 @@ mod tests {
             },
             NodeSpec::Device {
                 device: DeviceNode::Hdd,
+                sched: None,
             },
         ]);
         spec.validate().unwrap();
@@ -721,13 +827,19 @@ mod tests {
 
     #[test]
     fn render_shows_ports_and_implicit_device() {
-        let out =
-            TopologySpec::new(vec![NodeSpec::Pfs { servers: 2 }]).render(Some("test workload"));
+        let out = TopologySpec::new(vec![NodeSpec::Pfs {
+            servers: 2,
+            server_cpu_us: None,
+        }])
+        .render(Some("test workload"));
         assert!(out.contains("Workload"), "{out}");
         assert!(out.contains("app -> file"), "{out}");
         assert!(out.contains("[implicit default]"), "{out}");
         let lossy = TopologySpec::new(vec![
-            NodeSpec::Pfs { servers: 2 },
+            NodeSpec::Pfs {
+                servers: 2,
+                server_cpu_us: None,
+            },
             NodeSpec::Net {
                 loss_rate: Some(0.02),
                 retransmit_delay_ms: None,
@@ -751,7 +863,13 @@ mod tests {
             record: None,
         };
         bad(
-            vec![NodeSpec::Pfs { servers: 2 }, net(100_000_000_000_000)],
+            vec![
+                NodeSpec::Pfs {
+                    servers: 2,
+                    server_cpu_us: None,
+                },
+                net(100_000_000_000_000),
+            ],
             "topology node 1 (Net): retransmit_delay_ms overflows 64-bit nanoseconds",
         );
         bad(
@@ -759,6 +877,13 @@ mod tests {
                 overhead_us: Some(u64::MAX / NS_PER_US + 1),
             }],
             "topology node 0 (LocalFs): overhead_us overflows 64-bit nanoseconds",
+        );
+        bad(
+            vec![NodeSpec::Pfs {
+                servers: 2,
+                server_cpu_us: Some(u64::MAX / NS_PER_US + 1),
+            }],
+            "topology node 0 (Pfs): server_cpu_us overflows 64-bit nanoseconds",
         );
         bad(
             vec![
@@ -769,6 +894,7 @@ mod tests {
                         rate: 1_000_000,
                         capacity: 1 << 30,
                     },
+                    sched: None,
                 },
             ],
             "topology node 1 (Device): fixed_us overflows 64-bit nanoseconds",
@@ -785,7 +911,10 @@ mod tests {
             NodeSpec::Prefetch {
                 window_kb: u64::MAX >> 10,
             },
-            NodeSpec::Pfs { servers: 2 },
+            NodeSpec::Pfs {
+                servers: 2,
+                server_cpu_us: None,
+            },
             net(u64::MAX / NS_PER_MS),
         ])
         .validate()

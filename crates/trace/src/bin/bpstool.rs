@@ -215,7 +215,29 @@ fn run() -> Result<(), String> {
     }
 }
 
+/// Give SIGPIPE back its default action, which the Rust runtime sets to
+/// ignore: `bpstool timeline t.bpstrc | head` then ends quietly when the
+/// reader goes away, where a write to the closed pipe would panic (exit
+/// 101).
+#[cfg(unix)]
+fn restore_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` takes any signal number and `SIG_DFL`; resetting a
+    // disposition touches no memory of this program.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(unix))]
+fn restore_sigpipe() {}
+
 fn main() -> ExitCode {
+    restore_sigpipe();
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

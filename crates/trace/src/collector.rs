@@ -108,6 +108,13 @@ mod tests {
         )
     }
 
+    /// Distinct processes at the application layer.
+    fn app_pid_count(t: &Trace) -> usize {
+        let pids: std::collections::BTreeSet<_> =
+            t.layer(Layer::Application).map(|r| r.pid).collect();
+        pids.len()
+    }
+
     #[test]
     fn batch_collection_merges_and_sorts() {
         let mut c = Collector::new();
@@ -117,7 +124,7 @@ mod tests {
         let t = c.into_trace();
         let starts: Vec<_> = t.records().iter().map(|r| r.start).collect();
         assert!(starts.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(t.pids(Layer::Application).len(), 2);
+        assert_eq!(app_pid_count(&t), 2);
     }
 
     #[test]
@@ -142,7 +149,7 @@ mod tests {
         });
         let t = collector.finish();
         assert_eq!(t.len(), 200);
-        assert_eq!(t.pids(Layer::Application).len(), 4);
+        assert_eq!(app_pid_count(&t), 4);
         // Sorted by start.
         let starts: Vec<_> = t.records().iter().map(|r| r.start).collect();
         assert!(starts.windows(2).all(|w| w[0] <= w[1]));

@@ -87,11 +87,6 @@ impl ProcessRecorder {
         self.end(p, end);
     }
 
-    /// The process id being recorded.
-    pub fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
     /// Number of records so far.
     pub fn len(&self) -> usize {
         self.records.len()

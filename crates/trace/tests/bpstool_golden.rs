@@ -119,6 +119,28 @@ fn bpstool_output_matches_goldens() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A reader that goes away early ends `bpstool` quietly (SIGPIPE's
+/// default action), not with a panic on the failed write (exit 101).
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("bpstool_pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("seeded.bpstrc");
+    bps_trace::format::store_path(&seeded_trace(), &path).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bpstool"))
+        .args(["timeline", path.to_str().unwrap(), "1"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn bpstool");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for bpstool");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A zero window and one past `u64` nanoseconds are usage errors: exit 2
 /// with a `bpstool:` message, not a panic.
 #[test]

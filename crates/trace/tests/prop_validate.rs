@@ -48,9 +48,12 @@ fn reference(trace: &Trace) -> Vec<Finding> {
             detail: format!("{empty_io} records moved zero bytes"),
         });
     }
-    for pid in trace.pids(Layer::Application) {
+    let pids: std::collections::BTreeSet<_> =
+        trace.layer(Layer::Application).map(|r| r.pid).collect();
+    for pid in pids {
         let mut intervals: Vec<_> = trace
-            .process(Layer::Application, pid)
+            .layer(Layer::Application)
+            .filter(|r| r.pid == pid)
             .map(|r| r.interval())
             .collect();
         intervals.sort_unstable_by_key(|iv| (iv.start, iv.end));

@@ -59,18 +59,6 @@ impl Iozone {
         }
     }
 
-    /// Throughput mode — the paper's Set 3a shape: `n` processes, each
-    /// sequentially reading its own file of `file_size` bytes.
-    pub fn throughput_read(n: usize, file_size: u64, record_size: u64) -> Self {
-        Iozone {
-            mode: IozoneMode::SeqRead,
-            file_size,
-            record_size,
-            processes: n,
-            seed: 0,
-        }
-    }
-
     fn records(&self) -> u64 {
         self.file_size.div_ceil(self.record_size)
     }
@@ -187,7 +175,10 @@ mod tests {
 
     #[test]
     fn throughput_mode_one_file_per_process() {
-        let w = Iozone::throughput_read(4, 1 << 20, 64 << 10);
+        let w = Iozone {
+            processes: 4,
+            ..Iozone::seq_read(1 << 20, 64 << 10)
+        };
         assert_eq!(w.processes(), 4);
         assert_eq!(w.file_sizes(), vec![1 << 20; 4]);
         for pid in 0..4 {

@@ -13,7 +13,7 @@ use crate::hpio::Hpio;
 use crate::ior::Ior;
 use crate::iozone::{Iozone, IozoneMode};
 use crate::replay::Replay;
-use crate::spec::Workload;
+use crate::spec::{AppOp, OpStream, Workload};
 use crate::synthetic::{Pattern, Synthetic};
 use bps_core::time::Dur;
 use std::fmt;
@@ -111,6 +111,56 @@ pub enum WorkloadSpec {
         /// directory at build time.
         path: String,
     },
+    /// Several workloads run back to back: each process issues its stream
+    /// of every part in order. The file tables concatenate, later parts'
+    /// file indices shifted past earlier parts' files. Every part must run
+    /// the same number of processes.
+    Sequence {
+        /// The parts, in run order.
+        parts: Vec<WorkloadSpec>,
+    },
+}
+
+/// A built [`WorkloadSpec::Sequence`]: the parts, each with the number of
+/// files the parts before it declare.
+struct Sequence {
+    parts: Vec<(Box<dyn Workload>, usize)>,
+}
+
+impl Workload for Sequence {
+    fn name(&self) -> &'static str {
+        "sequence"
+    }
+
+    fn processes(&self) -> usize {
+        self.parts[0].0.processes()
+    }
+
+    fn file_sizes(&self) -> Vec<u64> {
+        self.parts
+            .iter()
+            .flat_map(|(w, _)| w.file_sizes())
+            .collect()
+    }
+
+    fn stream(&self, pid: usize) -> OpStream {
+        let mut stream: OpStream = Box::new(std::iter::empty());
+        for (part, shift) in &self.parts {
+            let shift = *shift;
+            let ops = part.stream(pid).map(move |mut op| {
+                if let AppOp::Read { file, .. }
+                | AppOp::Write { file, .. }
+                | AppOp::ReadNoncontig { file, .. }
+                | AppOp::CollectiveReadNoncontig { file, .. } = &mut op
+                {
+                    *file += shift;
+                }
+                op
+            });
+            stream = Box::new(stream.chain(ops));
+        }
+        stream
+    }
 }
 
 impl WorkloadSpec {
@@ -160,6 +210,14 @@ impl WorkloadSpec {
                 read_fraction * 100.0
             ),
             WorkloadSpec::Replay { path } => format!("Replay of `{path}`"),
+            WorkloadSpec::Sequence { parts } => format!(
+                "Sequence: {}",
+                parts
+                    .iter()
+                    .map(WorkloadSpec::summary)
+                    .collect::<Vec<_>>()
+                    .join(", then ")
+            ),
         }
     }
 
@@ -285,6 +343,29 @@ impl WorkloadSpec {
                     .map_err(|e| BuildError(format!("cannot replay trace `{path}`: {e}")))?;
                 Ok(Box::new(replay))
             }
+            WorkloadSpec::Sequence { parts } => {
+                let mut built: Vec<(Box<dyn Workload>, usize)> = Vec::with_capacity(parts.len());
+                let mut files = 0;
+                for (i, part) in parts.iter().enumerate() {
+                    let w = part.build()?;
+                    if let Some((first, _)) = built.first() {
+                        if w.processes() != first.processes() {
+                            return Err(invalid(format!(
+                                "sequence part {i} runs {} processes, part 0 runs {}",
+                                w.processes(),
+                                first.processes()
+                            )));
+                        }
+                    }
+                    let shift = files;
+                    files += w.file_sizes().len();
+                    built.push((w, shift));
+                }
+                if built.is_empty() {
+                    return Err(invalid("sequence needs at least one part"));
+                }
+                Ok(Box::new(Sequence { parts: built }))
+            }
         }
     }
 }
@@ -329,7 +410,21 @@ mod tests {
                 burst_len: 10,
                 seed: 42,
             },
+            WorkloadSpec::Sequence {
+                parts: vec![hpio(8), iozone_read(1 << 20, 64 << 10)],
+            },
         ]
+    }
+
+    /// One sequential IOzone read per process, in throughput mode.
+    fn iozone_read(file_size: u64, record_size: u64) -> WorkloadSpec {
+        WorkloadSpec::Iozone {
+            mode: IozoneMode::SeqRead,
+            file_size,
+            record_size,
+            processes: 1,
+            seed: 0,
+        }
     }
 
     fn hpio(region_spacing: u64) -> WorkloadSpec {
@@ -441,10 +536,65 @@ mod tests {
                 burst_len: 0,
                 seed: 0,
             },
+            WorkloadSpec::Sequence { parts: Vec::new() },
+            // Part 1 runs one process, part 0 two.
+            WorkloadSpec::Sequence {
+                parts: vec![
+                    WorkloadSpec::Ior {
+                        file_size: 100,
+                        transfer_size: 10,
+                        processes: 2,
+                        write: false,
+                    },
+                    iozone_read(100, 10),
+                ],
+            },
+            // An invalid part invalidates the sequence.
+            WorkloadSpec::Sequence {
+                parts: vec![iozone_read(100, 0)],
+            },
         ];
         for spec in bad {
             assert!(spec.build().is_err(), "{spec:?} should be rejected");
         }
+        let err = WorkloadSpec::Sequence { parts: Vec::new() }
+            .build()
+            .err()
+            .expect("empty sequence");
+        assert!(err.to_string().contains("at least one part"), "{err}");
+    }
+
+    #[test]
+    fn sequence_concatenates_streams_and_shifts_files() {
+        // HPIO declares one shared file; IOzone one file per process.
+        let parts = vec![hpio(8), iozone_read(1000, 500)];
+        let seq = WorkloadSpec::Sequence {
+            parts: parts.clone(),
+        }
+        .build()
+        .unwrap();
+        let built: Vec<_> = parts.iter().map(|p| p.build().unwrap()).collect();
+        assert_eq!(seq.processes(), 1);
+        assert_eq!(
+            seq.file_sizes(),
+            [built[0].file_sizes(), built[1].file_sizes()].concat()
+        );
+        let ops: Vec<AppOp> = seq.stream(0).collect();
+        let mut expected: Vec<AppOp> = built[0].stream(0).collect();
+        expected.extend(built[1].stream(0).map(|op| match op {
+            AppOp::Read { file, extent } => AppOp::Read {
+                file: file + 1,
+                extent,
+            },
+            other => panic!("IOzone reads only, got {other:?}"),
+        }));
+        assert_eq!(ops, expected);
+        let summary = WorkloadSpec::Sequence { parts }.summary();
+        assert!(
+            summary.starts_with("Sequence: HPIO independent"),
+            "{summary}"
+        );
+        assert!(summary.contains(", then IOzone SeqRead"), "{summary}");
     }
 
     #[test]

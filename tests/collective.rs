@@ -90,7 +90,9 @@ fn collective_run_completes_and_records_all_processes() {
     let w = workload(4, true);
     let trace = run(&w, 1);
     // One app record per collective call per process.
-    assert_eq!(trace.pids(Layer::Application).len(), 4);
+    let pids: std::collections::BTreeSet<_> =
+        trace.layer(Layer::Application).map(|r| r.pid).collect();
+    assert_eq!(pids.len(), 4);
     assert_eq!(trace.bytes(Layer::Application), w.required_bytes());
     assert!(Bps.compute(&trace).unwrap() > 0.0);
     // Collective reads the union once; independent sieving drags the other

@@ -1,12 +1,14 @@
 //! End-to-end integration: workload generation → simulated I/O stack →
 //! trace collection → metrics → correlation, plus persistence round-trips.
 
-use bps::core::metrics::{Bandwidth, Bps, Iops, Metric};
+use bps::core::metrics::{Bandwidth, Bps, Iops, Metric, MetricSelection};
 use bps::core::record::Layer;
-use bps::core::report::{CcReport, MetricsSummary};
+use bps::core::report::MetricsSummary;
 use bps::core::time::Dur;
-use bps::core::trace::Trace;
-use bps::experiments::runner::{run_case, CaseSpec, LayoutPolicy, Storage};
+use bps::experiments::figures::CcFigure;
+use bps::experiments::runner::{
+    run_case, run_case_streaming_selected, CasePoint, CaseSpec, LayoutPolicy, Storage, UnitValues,
+};
 use bps::fs::layout::StripeLayout;
 use bps::middleware::process::run_workload;
 use bps::middleware::stack::{FsBackend, IoStack};
@@ -55,15 +57,17 @@ fn full_pipeline_produces_consistent_layers() {
 fn cc_report_from_simulated_sweep() {
     // A size sweep through the whole stack: BPS must correlate correctly,
     // IOPS must not.
-    let cases: Vec<Trace> = [16u64 << 10, 256 << 10, 2 << 20]
+    let paper = MetricSelection::paper();
+    let cases: Vec<CasePoint> = [16u64 << 10, 256 << 10, 2 << 20]
         .iter()
         .map(|&rs| {
             let w = Iozone::seq_read(16 << 20, rs);
             let spec = CaseSpec::new(Storage::Hdd, &w);
-            run_case(&spec, 1)
+            let run = run_case_streaming_selected(&spec, 1, &paper);
+            CasePoint::from_units(rs.to_string(), &[UnitValues::capture(&run, &paper)], &paper)
         })
         .collect();
-    let report = CcReport::from_cases("size sweep", &cases);
+    let report = CcFigure::from_points("size sweep", cases);
     assert!(report.normalized("BPS").unwrap() > 0.8);
     assert!(report.normalized("IOPS").unwrap() < 0.0);
 }
@@ -97,14 +101,19 @@ fn trace_survives_binary_roundtrip_with_metrics() {
 fn collector_gathers_simulated_processes() {
     // Split a simulated trace by process, drain through recorders, and
     // verify the collector's gather step rebuilds the same metrics.
-    let w = Iozone::throughput_read(3, 8 << 20, 512 << 10);
+    let w = Iozone {
+        processes: 3,
+        ..Iozone::seq_read(8 << 20, 512 << 10)
+    };
     let mut spec = CaseSpec::new(Storage::Pvfs { servers: 3 }, &w);
     spec.layout = LayoutPolicy::PinnedPerFile;
     spec.clients = 3;
     let trace = run_case(&spec, 2);
 
     let mut collector = bps::trace::collector::Collector::new();
-    for pid in trace.pids(Layer::Application) {
+    let pids: std::collections::BTreeSet<_> =
+        trace.layer(Layer::Application).map(|r| r.pid).collect();
+    for pid in pids {
         let recs: Vec<_> = trace
             .records()
             .iter()

@@ -15,7 +15,10 @@ fn simulate_persist_reload_analyze() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // Simulate a 3-process run.
-    let w = Iozone::throughput_read(3, 16 << 20, 256 << 10);
+    let w = Iozone {
+        processes: 3,
+        ..Iozone::seq_read(16 << 20, 256 << 10)
+    };
     let mut spec = CaseSpec::new(Storage::Pvfs { servers: 3 }, &w);
     spec.layout = LayoutPolicy::PinnedPerFile;
     spec.clients = 3;
