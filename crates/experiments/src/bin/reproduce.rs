@@ -638,17 +638,12 @@ struct Sweeps<'a> {
 }
 
 impl Sweeps<'_> {
-    /// Run one scenario through the engine.
+    /// Run one scenario through the engine and write it to `<name>.csv`
+    /// when `--csv` asks: every scenario a target sweeps is exported,
+    /// whether its report prints as is or feeds a combined table.
     fn run(&self, sc: &Scenario) -> engine::ScenarioOutput {
-        engine::run_with_opts(sc, self.scale, self.exec, true, self.opts)
-            .unwrap_or_else(|e| fail_engine(e))
-    }
-
-    /// Run one scenario, write it to `<name>.csv` when `--csv` asks, and
-    /// print its report: the one route from a sweep to its report, for
-    /// `run`'s operands and the fixed targets' bundled scenarios alike.
-    fn report(&self, sc: &Scenario) -> engine::ScenarioOutput {
-        let out = self.run(sc);
+        let out = engine::run_with_opts(sc, self.scale, self.exec, true, self.opts)
+            .unwrap_or_else(|e| fail_engine(e));
         if let Some(dir) = self.csv_dir {
             let csv = match &out {
                 engine::ScenarioOutput::Cc(fig) => export::cc_figure_csv(fig),
@@ -663,6 +658,14 @@ impl Sweeps<'_> {
                 )),
             }
         }
+        out
+    }
+
+    /// Run one scenario and print its report: the one route from a sweep
+    /// to its report, for `run`'s operands and the fixed targets' bundled
+    /// scenarios alike.
+    fn report(&self, sc: &Scenario) -> engine::ScenarioOutput {
+        let out = self.run(sc);
         if !self.quiet {
             println!("{out}");
         }

@@ -204,7 +204,8 @@ fn run_of_a_bundled_scenario_matches_the_target_report() {
 #[test]
 fn csv_export_writes_one_file_per_bundled_scenario() {
     // `all --csv` writes `<name>.csv` for every line of `reproduce list`,
-    // each byte-equal to what `run <name> --csv` writes.
+    // each byte-equal to what `run <name> --csv` writes, and the
+    // extension study's `extensions.csv`.
     let dir = std::env::temp_dir().join(format!("bps_cli_csv-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let all_dir = dir.join("all");
@@ -219,7 +220,12 @@ fn csv_export_writes_one_file_per_bundled_scenario() {
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     written.sort();
-    let mut expected: Vec<String> = names.iter().map(|n| format!("{n}.csv")).collect();
+    let mut expected: Vec<String> = names
+        .iter()
+        .map(String::as_str)
+        .chain(["extensions"])
+        .map(|n| format!("{n}.csv"))
+        .collect();
     expected.sort();
     assert_eq!(written, expected);
     let run_dir = dir.join("run");

@@ -4,6 +4,7 @@
 //! injection uses the `BPS_TEST_UNIT_PANIC` / `BPS_TEST_UNIT_STALL`
 //! hooks, which are inert unless set.
 
+use bps_experiments::figures::summary;
 use bps_experiments::scale::Scale;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -185,6 +186,49 @@ fn extension_study_journals_every_unit_and_renders_failed_cases() {
         ["S+P+E-   n/a [panic]", "S+P+E+   n/a [panic]"],
         "{stdout}"
     );
+}
+
+/// `--csv` exports every scenario a target sweeps, also when its figures
+/// feed a combined table: `summary` writes its six CC figures, each the
+/// same bytes the figure's own target writes, and `extensions` writes
+/// `extensions.csv`.
+#[test]
+fn summary_and_extensions_write_every_swept_scenario_as_csv() {
+    let dirs = [unique_journal(), unique_journal()].map(|p| p.with_extension("d"));
+    let out = reproduce(
+        &[
+            "extensions",
+            "summary",
+            "--tiny",
+            "--csv",
+            dirs[0].to_str().unwrap(),
+        ],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(0));
+    let mut written: Vec<String> = std::fs::read_dir(&dirs[0])
+        .expect("csv directory")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    let mut want: Vec<String> = summary::FIGURES
+        .iter()
+        .chain(&["extensions"])
+        .map(|name| format!("{name}.csv"))
+        .collect();
+    want.sort();
+    assert_eq!(written, want);
+
+    let mut args: Vec<&str> = summary::FIGURES.to_vec();
+    args.extend(["--tiny", "--csv", dirs[1].to_str().unwrap()]);
+    assert_eq!(reproduce(&args, &[]).status.code(), Some(0));
+    for name in summary::FIGURES {
+        let read = |dir: &Path| std::fs::read(dir.join(format!("{name}.csv"))).unwrap();
+        assert_eq!(read(&dirs[0]), read(&dirs[1]), "{name}.csv");
+    }
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 /// A reader that goes away early ends `reproduce` quietly (SIGPIPE's

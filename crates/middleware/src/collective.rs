@@ -9,7 +9,7 @@
 //! the simulated stack.
 
 use crate::sieving::covering_reads;
-use bps_core::extent::{self, Extent};
+use bps_core::extent::{self, Extent, Regions, Run};
 
 /// One aggregator's assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,21 +43,23 @@ pub struct CollectivePlan {
 pub const COLLECTIVE_BUFFER: u64 = 4 << 20;
 
 /// Plan a collective read: `requests[p]` is the region list of process `p`;
-/// the first `aggregator_count` processes act as aggregators.
-pub fn plan_collective_read(requests: &[Vec<Extent>], aggregator_count: usize) -> CollectivePlan {
+/// the first `aggregator_count` processes act as aggregators. Domains are
+/// cut from the runs by arithmetic, so a strided request costs O(runs) per
+/// domain, not O(regions).
+pub fn plan_collective_read(requests: &[Regions], aggregator_count: usize) -> CollectivePlan {
     let nprocs = requests.len();
     let nagg = aggregator_count.clamp(1, nprocs.max(1));
     // Each process's wanted bytes, normalized once for every domain.
     let owned: Vec<_> = requests.iter().map(|r| extent::normalize(r)).collect();
     let required: Vec<u64> = owned.iter().map(|o| extent::covered_bytes(o)).collect();
     // The hull of the merged wanted bytes, from each list's first and last
-    // extents; no wanted bytes at all means nothing to plan.
+    // runs; no wanted bytes at all means nothing to plan.
     let start = owned
         .iter()
         .filter_map(|o| o.first())
-        .map(|e| e.offset)
+        .map(|r| r.offset)
         .min();
-    let end = owned.iter().filter_map(|o| o.last()).map(|e| e.end()).max();
+    let end = owned.iter().filter_map(|o| o.last()).map(|r| r.end()).max();
     let hull = match (start, end) {
         (Some(start), Some(end)) => Extent::new(start, end - start),
         _ => {
@@ -75,10 +77,12 @@ pub fn plan_collective_read(requests: &[Vec<Extent>], aggregator_count: usize) -
     let mut read_bytes = 0;
     let mut exchange_bytes = 0;
     // Every process's pieces of the current domain, reused across domains.
-    let mut pieces: Vec<Extent> = Vec::new();
+    let mut pieces: Vec<Run> = Vec::new();
     for a in 0..nagg {
-        let dom_start = hull.offset + a as u64 * domain;
-        let dom_end = (dom_start + domain).min(hull.end());
+        // Saturating is exact: a domain start past `u64::MAX` lies beyond
+        // the hull, and the loop stops there.
+        let dom_start = hull.offset.saturating_add(a as u64 * domain);
+        let dom_end = dom_start.saturating_add(domain).min(hull.end());
         if dom_start >= dom_end {
             break;
         }
@@ -88,10 +92,10 @@ pub fn plan_collective_read(requests: &[Vec<Extent>], aggregator_count: usize) -
         // locally).
         pieces.clear();
         let mut exchanges = Vec::new();
-        for (p, regions) in owned.iter().enumerate() {
+        for (p, runs) in owned.iter().enumerate() {
             let from = pieces.len();
-            pieces.extend(clip_all(regions, &dom));
-            let bytes: u64 = pieces[from..].iter().map(|e| e.len).sum();
+            clip_all(runs, &dom, &mut pieces);
+            let bytes = extent::covered_bytes(&pieces[from..]);
             if bytes > 0 && p != a {
                 exchanges.push((p, bytes));
                 exchange_bytes += bytes;
@@ -120,24 +124,59 @@ pub fn plan_collective_read(requests: &[Vec<Extent>], aggregator_count: usize) -
     }
 }
 
-/// The pieces of a normalized list inside `dom`. Binary search skips the
-/// extents that end before the domain, and the walk stops at the first
-/// one starting past it: both would clip to nothing.
-fn clip_all<'a>(normalized: &'a [Extent], dom: &'a Extent) -> impl Iterator<Item = Extent> + 'a {
-    let first = normalized.partition_point(|e| e.end() <= dom.offset);
-    normalized[first..]
+/// Append the pieces of a normalized run list inside `dom` to `out`.
+/// Binary search skips the runs that end before the domain, and the walk
+/// stops at the first one starting past it: both would clip to nothing.
+fn clip_all(normalized: &[Run], dom: &Extent, out: &mut Vec<Run>) {
+    let first = normalized.partition_point(|r| r.end() <= dom.offset);
+    for run in normalized[first..]
         .iter()
-        .take_while(|e| e.offset < dom.end())
-        .filter_map(|e| clip(e, dom))
+        .take_while(|r| r.offset < dom.end())
+    {
+        clip(run, dom, out);
+    }
 }
 
-fn clip(e: &Extent, dom: &Extent) -> Option<Extent> {
-    let start = e.offset.max(dom.offset);
-    let end = e.end().min(dom.end());
-    if start < end {
-        Some(Extent::new(start, end - start))
-    } else {
-        None
+/// Append the part of `run` inside `dom`, which it overlaps: at most a
+/// cut head region, the whole regions in between as one run, and a cut
+/// tail region.
+fn clip(run: &Run, dom: &Extent, out: &mut Vec<Run>) {
+    // Regions `lo..hi` end past the domain's start and begin before its
+    // end. A run of several regions has `stride > len > 0`.
+    let (mut lo, mut hi) = (0, 1);
+    if run.count > 1 {
+        if let Some(before) = dom.offset.checked_sub(run.offset + run.len) {
+            lo = before / run.stride + 1;
+        }
+        hi = ((dom.end() - 1 - run.offset) / run.stride + 1).min(run.count);
+    }
+    let cut = |e: Extent| {
+        let start = e.offset.max(dom.offset);
+        Run::one(Extent::new(start, e.end().min(dom.end()) - start))
+    };
+    if lo >= hi {
+        // The domain lies in a hole between two regions.
+        return;
+    }
+    let head = run.region(lo);
+    if head.offset < dom.offset || head.end() > dom.end() {
+        out.push(cut(head));
+        lo += 1;
+    }
+    let tail = run.region(hi - 1);
+    let tail_cut = lo < hi && tail.end() > dom.end();
+    if tail_cut {
+        hi -= 1;
+    }
+    if lo < hi {
+        out.push(Run {
+            offset: run.region(lo).offset,
+            count: hi - lo,
+            ..*run
+        });
+    }
+    if tail_cut {
+        out.push(cut(tail));
     }
 }
 
@@ -146,13 +185,10 @@ mod tests {
     use super::*;
 
     /// Interleaved per-process strided requests, the classic two-phase win.
-    fn interleaved(nprocs: usize, blocks: u64, block_size: u64) -> Vec<Vec<Extent>> {
-        (0..nprocs)
-            .map(|p| {
-                (0..blocks)
-                    .map(|b| Extent::new((b * nprocs as u64 + p as u64) * block_size, block_size))
-                    .collect()
-            })
+    fn interleaved(nprocs: usize, blocks: u64, block_size: u64) -> Vec<Regions> {
+        let n = nprocs as u64;
+        (0..n)
+            .map(|p| Regions::strided(p * block_size, block_size, n * block_size, blocks))
             .collect()
     }
 
@@ -186,9 +222,9 @@ mod tests {
     fn read_bytes_cover_wanted_plus_small_holes() {
         // Sparse requests: the covering reads include intra-domain holes
         // (sieving semantics), bounded by the hull.
-        let reqs = vec![
-            vec![Extent::new(0, 100), Extent::new(10_000, 100)],
-            vec![Extent::new(5_000, 100)],
+        let reqs: Vec<Regions> = vec![
+            vec![Extent::new(0, 100), Extent::new(10_000, 100)].into(),
+            vec![Extent::new(5_000, 100)].into(),
         ];
         let plan = plan_collective_read(&reqs, 2);
         assert!(plan.read_bytes >= 300);
@@ -232,15 +268,27 @@ mod tests {
 
     #[test]
     fn empty_requests_plan_nothing() {
-        let plan = plan_collective_read(&[vec![], vec![]], 2);
+        let plan = plan_collective_read(&[Regions::default(), Regions::default()], 2);
         assert_eq!(plan.read_bytes, 0);
         assert!(plan.aggregators.is_empty());
     }
 
     #[test]
+    fn domains_at_the_top_of_the_address_space() {
+        // Eight aggregators over a 10-byte hull ending at `u64::MAX`:
+        // five 2-byte domains, and the sixth would start past the top.
+        let top = u64::MAX - 10;
+        let reqs = vec![Regions::strided(top, 10, 0, 1); 8];
+        let plan = plan_collective_read(&reqs, 8);
+        assert_eq!(plan.aggregators.len(), 5);
+        assert_eq!(plan.read_bytes, 10);
+        assert_eq!(plan.aggregators[4].reads, vec![Extent::new(top + 8, 2)]);
+    }
+
+    #[test]
     fn overlapping_requests_not_double_read() {
         // Two processes want the same bytes: read once, shipped once.
-        let reqs = vec![vec![Extent::new(0, 1000)], vec![Extent::new(0, 1000)]];
+        let reqs = vec![Regions::strided(0, 1000, 0, 1); 2];
         let plan = plan_collective_read(&reqs, 1);
         assert_eq!(plan.read_bytes, 1000);
         assert_eq!(plan.exchange_bytes, 1000); // to the non-aggregator only

@@ -11,7 +11,7 @@
 
 use crate::collective::plan_collective_read;
 use crate::stack::IoStack;
-use bps_core::extent::Extent;
+use bps_core::extent::Regions;
 use bps_core::record::{FileId, ProcessId};
 use bps_core::sink::RecordSink;
 use bps_core::time::Nanos;
@@ -26,7 +26,7 @@ pub struct CollectiveArrival {
     /// Client node.
     pub client: usize,
     /// The regions this process needs.
-    pub regions: Vec<Extent>,
+    pub regions: Regions,
     /// Arrival instant.
     pub at: Nanos,
 }
@@ -80,7 +80,7 @@ impl<S: RecordSink> IoStack<S> {
         let barrier = arrivals.iter().map(|a| a.at).max().expect("non-empty");
 
         // Phase plan over the per-process region lists.
-        let requests: Vec<Vec<Extent>> = arrivals
+        let requests: Vec<Regions> = arrivals
             .iter_mut()
             .map(|a| std::mem::take(&mut a.regions))
             .collect();
@@ -124,11 +124,10 @@ impl<S: RecordSink> IoStack<S> {
         // required bytes, from its arrival to its completion.
         let mut out = Vec::with_capacity(arrivals.len());
         for (i, (a, regions)) in arrivals.iter().zip(&requests).enumerate() {
-            let first_offset = regions.first().map(|r| r.offset).unwrap_or(0);
             self.record_app_read(
                 a.pid,
                 file,
-                first_offset,
+                regions.first_offset(),
                 plan.required[i],
                 a.at,
                 completions[i],
@@ -143,6 +142,7 @@ impl<S: RecordSink> IoStack<S> {
 mod tests {
     use super::*;
     use crate::stack::FsBackend;
+    use bps_core::extent::Extent;
     use bps_core::record::Layer;
     use bps_core::time::Dur;
     use bps_fs::cluster::{Cluster, ClusterConfig, DeviceSpec};
@@ -180,7 +180,7 @@ mod tests {
             engine_idx: i,
             pid: ProcessId(i as u32),
             client: i,
-            regions,
+            regions: regions.into(),
             at: Nanos::from_millis(at_ms),
         }
     }

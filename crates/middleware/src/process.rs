@@ -153,7 +153,7 @@ impl AppProcess {
                     required: plan.required,
                     moved: plan.moved,
                     sieved: plan.sieved,
-                    first_offset: regions.first().map(|r| r.offset).unwrap_or(0),
+                    first_offset: regions.first_offset(),
                     started: now,
                 });
                 self.step_noncontig(now, stack)

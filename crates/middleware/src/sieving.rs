@@ -9,7 +9,7 @@
 //! movement: exactly the trade the paper's Set 4 sweeps by varying region
 //! spacing.
 
-use bps_core::extent::{self, Extent};
+use bps_core::extent::{self, Extent, Run};
 use serde::{Deserialize, Serialize};
 
 /// When to apply data sieving.
@@ -68,31 +68,48 @@ pub struct SievePlan {
     pub sieved: bool,
 }
 
-/// Build the covering reads for a region list under a buffer limit. Regions
-/// must be normalized (sorted, disjoint, non-empty). Also used by the
-/// collective planner to sieve within each aggregator's file domain.
-pub fn covering_reads(regions: &[Extent], buffer: u64) -> Vec<Extent> {
+/// Build the covering reads for a run list under a buffer limit. The runs
+/// must be normalized ([`extent::normalize`]). Each window finds the last
+/// whole region of a run that fits it by arithmetic, so the cost is
+/// O(reads + runs), not O(regions). Also used by the collective planner
+/// to sieve within each aggregator's file domain.
+pub fn covering_reads(runs: &[Run], buffer: u64) -> Vec<Extent> {
     let mut reads = Vec::new();
-    let mut i = 0;
+    // The next region not yet wholly covered is region `i` of run `k`.
+    let (mut k, mut i) = (0, 0);
     // `pos` is the first byte not yet covered by any planned read.
-    let mut pos = match regions.first() {
+    let mut pos = match runs.first() {
         Some(r) => r.offset,
         None => return reads,
     };
-    while i < regions.len() {
-        let start = pos.max(regions[i].offset);
+    while k < runs.len() {
+        let start = pos.max(runs[k].region(i).offset);
         // Saturating is exact: a sum past `u64::MAX` lies beyond every end.
         let limit = start.saturating_add(buffer);
         let mut end = start;
-        while i < regions.len() && regions[i].offset < limit {
-            if regions[i].end() <= limit {
-                end = end.max(regions[i].end());
-                i += 1;
-            } else {
+        while k < runs.len() {
+            let run = &runs[k];
+            let region = run.region(i);
+            if region.offset >= limit {
+                break;
+            }
+            if region.end() > limit {
                 // Region straddles the buffer boundary: cover up to the
                 // limit now, keep the region for the next window.
                 end = limit;
                 break;
+            }
+            // The run's last region ending inside the window; the one
+            // after it starts past the window or straddles its boundary.
+            let last = match run.count {
+                1 => 0,
+                _ => ((limit - run.offset - run.len) / run.stride).min(run.count - 1),
+            };
+            end = run.region(last).end();
+            if last + 1 < run.count {
+                i = last + 1;
+            } else {
+                (k, i) = (k + 1, 0);
             }
         }
         reads.push(Extent::new(start, end - start));
@@ -104,21 +121,22 @@ pub fn covering_reads(regions: &[Extent], buffer: u64) -> Vec<Extent> {
 /// Plan a noncontiguous read.
 ///
 /// ```
-/// use bps_core::extent::Extent;
+/// use bps_core::extent::Regions;
 /// use bps_middleware::sieving::{plan_read, SievingConfig};
 /// // Four 256 B regions with 1 KiB holes: one covering read, holes included.
-/// let regions: Vec<Extent> = (0..4).map(|i| Extent::new(i * 1280, 256)).collect();
+/// let regions = Regions::strided(0, 256, 1280, 4);
 /// let plan = plan_read(&regions, &SievingConfig::romio_default());
 /// assert!(plan.sieved);
 /// assert_eq!(plan.fs_reads.len(), 1);
 /// assert_eq!(plan.required, 1024);
 /// assert!(plan.moved > plan.required);
 /// ```
-pub fn plan_read(regions: &[Extent], cfg: &SievingConfig) -> SievePlan {
+pub fn plan_read(regions: &[Run], cfg: &SievingConfig) -> SievePlan {
     let normalized = extent::normalize(regions);
     let required = extent::covered_bytes(&normalized);
     // A contiguous (or empty) request has nothing to sieve.
-    if normalized.len() > 1 && cfg.mode != SieveMode::Disabled {
+    let several = normalized.len() > 1 || normalized.first().is_some_and(|r| r.count > 1);
+    if several && cfg.mode != SieveMode::Disabled {
         let fs_reads = covering_reads(&normalized, cfg.buffer_size.max(1));
         let moved: u64 = fs_reads.iter().map(|e| e.len).sum();
         // `required` > 0 here: more than one non-empty region.
@@ -132,9 +150,10 @@ pub fn plan_read(regions: &[Extent], cfg: &SievingConfig) -> SievePlan {
             };
         }
     }
-    // The direct plan is the only one that copies the regions.
+    // The direct plan reads each region on its own: one file-system
+    // request per region, so only it expands the runs.
     SievePlan {
-        fs_reads: normalized.into_owned(),
+        fs_reads: extent::expand(&normalized).collect(),
         required,
         moved: required,
         sieved: false,
@@ -145,14 +164,14 @@ pub fn plan_read(regions: &[Extent], cfg: &SievingConfig) -> SievePlan {
 /// (content-mode correctness path). `fetch` returns the bytes of one
 /// planned read.
 pub fn extract<F: FnMut(Extent) -> Vec<u8>>(
-    regions: &[Extent],
+    regions: &[Run],
     plan: &SievePlan,
     mut fetch: F,
 ) -> Vec<u8> {
     // Materialize each planned read once.
     let buffers: Vec<(Extent, Vec<u8>)> = plan.fs_reads.iter().map(|e| (*e, fetch(*e))).collect();
     let mut out = Vec::with_capacity(plan.required as usize);
-    for region in extent::normalize(regions).iter() {
+    for region in extent::expand(&extent::normalize(regions)) {
         let mut pos = region.offset;
         while pos < region.end() {
             let (cover, bytes) = buffers
@@ -171,6 +190,7 @@ pub fn extract<F: FnMut(Extent) -> Vec<u8>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bps_core::extent::Regions;
 
     fn cfg(mode: SieveMode, buffer: u64) -> SievingConfig {
         SievingConfig {
@@ -180,10 +200,8 @@ mod tests {
         }
     }
 
-    fn strided(count: u64, size: u64, spacing: u64) -> Vec<Extent> {
-        (0..count)
-            .map(|i| Extent::new(i * (size + spacing), size))
-            .collect()
+    fn strided(count: u64, size: u64, spacing: u64) -> Regions {
+        Regions::strided(0, size, size + spacing, count)
     }
 
     #[test]
@@ -229,12 +247,12 @@ mod tests {
     fn region_straddling_buffer_boundary_is_fully_covered() {
         // One 10-byte region at 0, one 8-byte region at 13 with buffer 16:
         // second region crosses the 16-byte window edge.
-        let regions = vec![Extent::new(0, 10), Extent::new(13, 8)];
+        let regions = Regions::from(vec![Extent::new(0, 10), Extent::new(13, 8)]);
         let plan = plan_read(&regions, &cfg(SieveMode::Enabled, 16));
         let covered_end = plan.fs_reads.last().unwrap().end();
         assert!(covered_end >= 21);
         // Every region byte is inside some read.
-        for r in &regions {
+        for r in extent::expand(&regions) {
             for b in [r.offset, r.end() - 1] {
                 assert!(
                     plan.fs_reads.iter().any(|e| e.offset <= b && b < e.end()),
@@ -247,26 +265,37 @@ mod tests {
     #[test]
     fn unbounded_buffer_does_not_overflow() {
         // `start + buffer` is past u64::MAX: one read covers the hull.
-        let regions = vec![
-            Extent::new(1 << 40, 256),
-            Extent::new((1 << 40) + 1280, 256),
-        ];
+        let regions = Regions::strided(1 << 40, 256, 1280, 2);
         let plan = plan_read(&regions, &cfg(SieveMode::Enabled, u64::MAX));
         assert_eq!(plan.fs_reads, vec![Extent::new(1 << 40, 1536)]);
-        let top = vec![
+        let top = Regions::from(vec![
             Extent::new(u64::MAX - 100, 10),
             Extent::new(u64::MAX - 50, 50),
-        ];
+        ]);
         assert_eq!(
             covering_reads(&top, 4 << 20),
             vec![Extent::new(u64::MAX - 100, 100)]
+        );
+        // A strided run ending 90 bytes below the top, under a limit that
+        // saturates, and under one that cuts it in two.
+        let top = Regions::strided(u64::MAX - 1000, 10, 100, 10);
+        assert_eq!(
+            covering_reads(&top, u64::MAX),
+            vec![Extent::new(u64::MAX - 1000, 910)]
+        );
+        assert_eq!(
+            covering_reads(&top, 500),
+            vec![
+                Extent::new(u64::MAX - 1000, 410),
+                Extent::new(u64::MAX - 500, 410)
+            ]
         );
     }
 
     #[test]
     fn auto_rejects_extreme_waste() {
         // 2 tiny regions a megabyte apart: waste factor ~2000x.
-        let regions = vec![Extent::new(0, 256), Extent::new(1 << 20, 256)];
+        let regions = Regions::from(vec![Extent::new(0, 256), Extent::new(1 << 20, 256)]);
         let plan = plan_read(&regions, &cfg(SieveMode::Auto, 4 << 20));
         assert!(!plan.sieved);
         // Dense regions: auto sieves.
@@ -278,11 +307,14 @@ mod tests {
     #[test]
     fn contiguous_or_single_region_never_sieves() {
         let one = vec![Extent::new(100, 4096)];
-        let plan = plan_read(&one, &cfg(SieveMode::Enabled, 4 << 20));
+        let plan = plan_read(
+            &Regions::from(one.clone()),
+            &cfg(SieveMode::Enabled, 4 << 20),
+        );
         assert!(!plan.sieved);
         assert_eq!(plan.fs_reads, one);
         // Touching regions normalize into one.
-        let touching = vec![Extent::new(0, 100), Extent::new(100, 100)];
+        let touching = Regions::from(vec![Extent::new(0, 100), Extent::new(100, 100)]);
         let plan = plan_read(&touching, &cfg(SieveMode::Enabled, 4 << 20));
         assert!(!plan.sieved);
         assert_eq!(plan.fs_reads.len(), 1);
@@ -305,8 +337,7 @@ mod tests {
         for mode in [SieveMode::Disabled, SieveMode::Enabled] {
             let plan = plan_read(&regions, &cfg(mode, 1024));
             let got = extract(&regions, &plan, fetch);
-            let want: Vec<u8> = regions
-                .iter()
+            let want: Vec<u8> = extent::expand(&regions)
                 .flat_map(|r| (r.offset..r.end()).map(file_byte))
                 .collect();
             assert_eq!(got, want, "mode {mode:?}");
@@ -324,5 +355,22 @@ mod tests {
             assert!(plan.moved > last_moved, "spacing {spacing}");
             last_moved = plan.moved;
         }
+    }
+
+    #[test]
+    fn strided_call_of_a_billion_regions_sieves_without_expanding() {
+        // 2^30 regions of 256 B, 1 KiB apart: 4 MiB windows hold 4096
+        // regions each, so the plan is 2^18 covering reads. Expanding the
+        // regions would take 16 GiB; the runs take arithmetic.
+        let count = 1u64 << 30;
+        let regions = strided(count, 256, 768);
+        let plan = plan_read(&regions, &SievingConfig::romio_default());
+        assert!(plan.sieved);
+        assert_eq!(plan.required, count * 256);
+        assert_eq!(plan.fs_reads.len(), 1 << 18);
+        // Each window ends on its last whole region: 4095 strides + 256.
+        assert_eq!(plan.fs_reads[0], Extent::new(0, 4095 * 1024 + 256));
+        assert_eq!(plan.fs_reads[1].offset, 4096 * 1024);
+        assert_eq!(plan.moved, (1 << 18) * (4095 * 1024 + 256));
     }
 }

@@ -9,7 +9,7 @@
 use crate::prefetch::{PrefetchConfig, PrefetchDecision, PrefetchState};
 use crate::sieving::{plan_read, SievingConfig};
 use bps_core::error::IoError;
-use bps_core::extent::Extent;
+use bps_core::extent::{Extent, Run};
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
 use bps_core::retry::{issue_with_retry, RetryIo};
 use bps_core::sink::RecordSink;
@@ -313,7 +313,7 @@ impl<S: RecordSink> IoStack<S> {
     }
 
     /// Plan a noncontiguous read under this stack's sieving configuration.
-    pub fn plan_noncontig(&self, regions: &[Extent]) -> crate::sieving::SievePlan {
+    pub fn plan_noncontig(&self, regions: &[Run]) -> crate::sieving::SievePlan {
         plan_read(regions, &self.sieving)
     }
 
@@ -434,7 +434,7 @@ mod tests {
         }
 
         fn stream(&self, _pid: usize) -> OpStream {
-            let regions = self.0.clone();
+            let regions = self.0.clone().into();
             Box::new(std::iter::once(AppOp::ReadNoncontig { file: 0, regions }))
         }
     }

@@ -1,13 +1,17 @@
 //! Property tests for data sieving: coverage, disjointness, extraction
 //! correctness, and the waste accounting behind Figure 12.
 
-use bps_core::extent::{self, Extent};
+use bps_core::extent::{self, Extent, Regions};
 use bps_middleware::sieving::{extract, plan_read, SieveMode, SievingConfig};
 use proptest::prelude::*;
 
-fn regions() -> impl Strategy<Value = Vec<Extent>> {
-    proptest::collection::vec((0u64..1_000_000, 1u64..10_000), 0..40)
-        .prop_map(|v| v.into_iter().map(|(o, l)| Extent::new(o, l)).collect())
+fn regions() -> impl Strategy<Value = Regions> {
+    proptest::collection::vec((0u64..1_000_000, 1u64..10_000), 0..40).prop_map(|v| {
+        v.into_iter()
+            .map(|(o, l)| Extent::new(o, l))
+            .collect::<Vec<_>>()
+            .into()
+    })
 }
 
 fn config() -> impl Strategy<Value = SievingConfig> {
@@ -40,7 +44,7 @@ proptest! {
         // Coverage: every region byte inside some read. Check region
         // endpoints and one midpoint (reads are contiguous ranges).
         let covered = |b: u64| plan.fs_reads.iter().any(|e| e.offset <= b && b < e.end());
-        for r in extent::normalize(&rs).iter() {
+        for r in extent::expand(&extent::normalize(&rs)) {
             prop_assert!(covered(r.offset), "first byte of {r:?}");
             prop_assert!(covered(r.end() - 1), "last byte of {r:?}");
             prop_assert!(covered(r.offset + r.len / 2));
@@ -74,8 +78,7 @@ proptest! {
         let file_byte = |i: u64| (i.wrapping_mul(31).wrapping_add(7) % 256) as u8;
         let plan = plan_read(&rs, &cfg);
         let got = extract(&rs, &plan, |e| (e.offset..e.end()).map(file_byte).collect());
-        let want: Vec<u8> = extent::normalize(&rs)
-            .iter()
+        let want: Vec<u8> = extent::expand(&extent::normalize(&rs))
             .flat_map(|r| (r.offset..r.end()).map(file_byte))
             .collect();
         prop_assert_eq!(got, want);

@@ -15,7 +15,7 @@
 //! collective arrivals are open; a watermark that ignored either kind of
 //! open call fails them.
 
-use bps_core::extent::Extent;
+use bps_core::extent::{Extent, Regions};
 use bps_core::interval::IntervalSet;
 use bps_core::metrics::{registry, Metric, MetricSelection};
 use bps_core::record::{FileId, Layer};
@@ -143,12 +143,9 @@ fn stack<S: RecordSink>(setup: &Setup, clients: usize, sink: S) -> (IoStack<S>, 
 }
 
 /// Strided regions for one noncontiguous call.
-fn regions() -> impl Strategy<Value = Vec<Extent>> {
-    (0u64..1024, 1u64..16, 256u64..4096, 1u64..8).prop_map(|(base, count, len, gap)| {
-        (0..count)
-            .map(|i| Extent::new(base * 4096 + i * len * gap, len))
-            .collect()
-    })
+fn regions() -> impl Strategy<Value = Regions> {
+    (0u64..1024, 1u64..16, 256u64..4096, 1u64..8)
+        .prop_map(|(base, count, len, gap)| Regions::strided(base * 4096, len, len * gap, count))
 }
 
 /// A few ops of one process between collective calls.
@@ -365,9 +362,7 @@ fn open_noncontig_calls_hold_the_watermark() {
         let offset = (k % 256) << 15;
         streams[0].push(AppOp::ReadNoncontig {
             file: 0,
-            regions: (0..16)
-                .map(|i| Extent::new(offset + i * 2048, 512))
-                .collect(),
+            regions: Regions::strided(offset, 512, 2048, 16),
         });
         streams[0].push(compute(3_000));
     }
@@ -410,7 +405,7 @@ fn parked_collective_arrivals_hold_the_watermark() {
             }
             stream.push(AppOp::CollectiveReadNoncontig {
                 file: 0,
-                regions: vec![Extent::new((p as u64) << 16, 4096)],
+                regions: vec![Extent::new((p as u64) << 16, 4096)].into(),
             });
         }
     }

@@ -11,7 +11,7 @@
 //! regions. Processes partition the region sequence block-wise.
 
 use crate::spec::{AppOp, OpStream, Workload};
-use bps_core::extent::Extent;
+use bps_core::extent::Regions;
 
 /// An HPIO run description.
 #[derive(Debug, Clone)]
@@ -96,12 +96,11 @@ impl Workload for Hpio {
         let per_call = self.regions_per_call.max(1);
         let calls = count.div_ceil(per_call);
         let collective = self.collective;
+        // Each call is one MPI vector: one run, whatever its region count.
         Box::new((0..calls).map(move |c| {
             let call_first = first + c * per_call;
             let call_count = per_call.min(first + count - call_first);
-            let regions = (0..call_count)
-                .map(|r| Extent::new((call_first + r) * stride, size))
-                .collect();
+            let regions = Regions::strided(call_first * stride, size, stride, call_count);
             if collective {
                 AppOp::CollectiveReadNoncontig { file: 0, regions }
             } else {
@@ -118,6 +117,31 @@ impl Workload for Hpio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bps_core::extent::{self, Extent};
+
+    /// The region lists of `pid`'s calls, built region by region as the
+    /// generator did before it emitted one run per call.
+    fn materialized(w: &Hpio, pid: usize) -> Vec<Vec<Extent>> {
+        let (first, count) = w.region_range(pid);
+        let per_call = w.regions_per_call.max(1);
+        (0..count.div_ceil(per_call))
+            .map(|c| {
+                let call_first = first + c * per_call;
+                let call_count = per_call.min(first + count - call_first);
+                (0..call_count)
+                    .map(|r| Extent::new((call_first + r) * w.stride(), w.region_size))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn regions_of(op: AppOp) -> Regions {
+        match op {
+            AppOp::ReadNoncontig { regions, .. }
+            | AppOp::CollectiveReadNoncontig { regions, .. } => regions,
+            other => panic!("not a noncontiguous call: {other:?}"),
+        }
+    }
 
     #[test]
     fn regions_are_equally_spaced() {
@@ -129,18 +153,15 @@ mod tests {
             processes: 1,
             collective: false,
         };
-        let ops: Vec<AppOp> = w.stream(0).collect();
-        assert_eq!(ops.len(), 3); // 4 + 4 + 2 regions
-        if let AppOp::ReadNoncontig { regions, .. } = &ops[0] {
-            assert_eq!(regions.len(), 4);
-            assert_eq!(regions[0], Extent::new(0, 256));
-            assert_eq!(regions[1], Extent::new(1280, 256));
-        } else {
-            panic!();
-        }
-        if let AppOp::ReadNoncontig { regions, .. } = &ops[2] {
-            assert_eq!(regions.len(), 2);
-        }
+        let calls: Vec<Vec<Extent>> = w
+            .stream(0)
+            .map(|op| extent::expand(&regions_of(op)).collect())
+            .collect();
+        assert_eq!(calls.len(), 3); // 4 + 4 + 2 regions
+        assert_eq!(calls[0].len(), 4);
+        assert_eq!(calls[0][0], Extent::new(0, 256));
+        assert_eq!(calls[0][1], Extent::new(1280, 256));
+        assert_eq!(calls[2].len(), 2);
     }
 
     #[test]
@@ -171,10 +192,9 @@ mod tests {
         let mut seen_starts: Vec<u64> = Vec::new();
         for pid in 0..4 {
             for op in w.stream(pid) {
-                if let AppOp::ReadNoncontig { regions, .. } = op {
-                    total += regions.len() as u64;
-                    seen_starts.extend(regions.iter().map(|r| r.offset));
-                }
+                let regions = regions_of(op);
+                total += extent::expand(&regions).count() as u64;
+                seen_starts.extend(extent::expand(&regions).map(|r| r.offset));
             }
         }
         assert_eq!(total, 1003);
@@ -215,5 +235,36 @@ mod tests {
         let wide = Hpio::paper_shape(100, 4096, 1);
         assert_eq!(narrow.required_bytes(), wide.required_bytes());
         assert!(wide.file_span() > narrow.file_span());
+    }
+
+    #[test]
+    fn each_call_is_one_run_expanding_to_the_materialized_regions() {
+        let shapes = [
+            (Hpio::paper_shape(1003, 8, 4), 4),
+            (Hpio::paper_shape(10_000, 4096, 3).collective(), 3),
+            (
+                Hpio {
+                    region_count: 17,
+                    region_size: 10,
+                    region_spacing: 0,
+                    regions_per_call: 5,
+                    processes: 2,
+                    collective: false,
+                },
+                2,
+            ),
+        ];
+        for (w, procs) in &shapes {
+            for pid in 0..*procs {
+                let calls: Vec<Regions> = w.stream(pid).map(regions_of).collect();
+                let want = materialized(w, pid);
+                assert_eq!(calls.len(), want.len());
+                for (call, want) in calls.iter().zip(&want) {
+                    assert_eq!(call.len(), 1, "one run per call");
+                    assert_eq!(extent::expand(call).collect::<Vec<_>>(), *want);
+                    assert_eq!(call.first_offset(), want[0].offset);
+                }
+            }
+        }
     }
 }

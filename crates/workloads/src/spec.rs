@@ -1,6 +1,6 @@
 //! The workload vocabulary: operations, streams, and the generator trait.
 
-use bps_core::extent::Extent;
+use bps_core::extent::{self, Extent, Regions};
 use bps_core::time::Dur;
 
 /// One application-level operation. Files are referenced by index into the
@@ -28,7 +28,7 @@ pub enum AppOp {
         /// File table index.
         file: usize,
         /// The regions the application actually needs.
-        regions: Vec<Extent>,
+        regions: Regions,
     },
     /// Collective noncontiguous read: every process of the workload issues
     /// one of these together (two-phase I/O). All processes must emit a
@@ -37,7 +37,7 @@ pub enum AppOp {
         /// File table index (must agree across processes).
         file: usize,
         /// The regions *this* process needs.
-        regions: Vec<Extent>,
+        regions: Regions,
     },
     /// Pure computation between I/O phases.
     Compute {
@@ -52,7 +52,7 @@ impl AppOp {
         match self {
             AppOp::Read { extent, .. } | AppOp::Write { extent, .. } => extent.len,
             AppOp::ReadNoncontig { regions, .. }
-            | AppOp::CollectiveReadNoncontig { regions, .. } => regions.iter().map(|r| r.len).sum(),
+            | AppOp::CollectiveReadNoncontig { regions, .. } => extent::covered_bytes(regions),
             AppOp::Compute { .. } => 0,
         }
     }
@@ -102,9 +102,14 @@ mod tests {
         assert_eq!(r.required_bytes(), 100);
         let nc = AppOp::ReadNoncontig {
             file: 0,
-            regions: vec![Extent::new(0, 10), Extent::new(50, 20)],
+            regions: vec![Extent::new(0, 10), Extent::new(50, 20)].into(),
         };
         assert_eq!(nc.required_bytes(), 30);
+        let strided = AppOp::CollectiveReadNoncontig {
+            file: 0,
+            regions: Regions::strided(0, 256, 1024, 1 << 40),
+        };
+        assert_eq!(strided.required_bytes(), 256 << 40);
         let c = AppOp::Compute {
             dur: Dur::from_millis(1),
         };

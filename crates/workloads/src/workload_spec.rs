@@ -374,6 +374,7 @@ impl WorkloadSpec {
 mod tests {
     use super::*;
     use crate::spec::AppOp;
+    use bps_core::extent::{self, Extent, Regions};
     use serde::{Deserialize, Serialize};
 
     fn specimens() -> Vec<WorkloadSpec> {
@@ -446,15 +447,20 @@ mod tests {
         let stride = (u64::MAX - 256) / 3;
         let w = hpio(stride - 256).build().expect("spec inside the limit");
         assert_eq!(w.file_sizes(), vec![3 * stride + 256]);
-        let offsets: Vec<u64> = w
+        // One call, one run, expanding to the four regions the generator
+        // used to build one by one; the last ends within 256 B of the top.
+        let calls: Vec<Regions> = w
             .stream(0)
-            .flat_map(|op| match op {
+            .map(|op| match op {
                 AppOp::ReadNoncontig { regions, .. } => regions,
-                _ => Vec::new(),
+                other => panic!("not a noncontiguous call: {other:?}"),
             })
-            .map(|r| r.offset)
             .collect();
-        assert_eq!(offsets, vec![0, stride, 2 * stride, 3 * stride]);
+        assert_eq!(calls, vec![Regions::strided(0, 256, stride, 4)]);
+        let extents: Vec<Extent> = extent::expand(&calls[0]).collect();
+        let want: Vec<Extent> = (0..4).map(|i| Extent::new(i * stride, 256)).collect();
+        assert_eq!(extents, want);
+        assert!(u64::MAX - extents[3].end() < 256);
         assert!(hpio(stride - 255).build().is_err());
     }
 

@@ -1,7 +1,7 @@
 //! Property tests: every generator's streams stay in bounds, partition
 //! their data, and report accurate totals.
 
-use bps_core::extent::Extent;
+use bps_core::extent::{self, Extent};
 use bps_workloads::hpio::Hpio;
 use bps_workloads::ior::Ior;
 use bps_workloads::iozone::{Iozone, IozoneMode};
@@ -12,7 +12,7 @@ fn op_extents(op: &AppOp) -> Vec<Extent> {
     match op {
         AppOp::Read { extent, .. } | AppOp::Write { extent, .. } => vec![*extent],
         AppOp::ReadNoncontig { regions, .. } | AppOp::CollectiveReadNoncontig { regions, .. } => {
-            regions.clone()
+            extent::expand(regions).collect()
         }
         AppOp::Compute { .. } => vec![],
     }
@@ -93,8 +93,8 @@ proptest! {
         for pid in 0..procs {
             for op in w.stream(pid) {
                 if let AppOp::ReadNoncontig { regions, .. } = op {
-                    prop_assert!(regions.len() as u64 <= per_call);
-                    for r in &regions {
+                    prop_assert!(extent::expand(&regions).count() as u64 <= per_call);
+                    for r in extent::expand(&regions) {
                         prop_assert_eq!(r.len, size);
                         prop_assert_eq!(r.offset % w.stride(), 0);
                         prop_assert!(r.end() <= w.file_span());

@@ -47,6 +47,7 @@ impl Workload for Interleaved {
                 )
             })
             .collect();
+        let regions = regions.into();
         let op = if self.collective {
             AppOp::CollectiveReadNoncontig { file: 0, regions }
         } else {
