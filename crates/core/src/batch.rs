@@ -42,7 +42,7 @@ pub struct RecordBatch {
 }
 
 impl RecordBatch {
-    /// An empty batch. `const` so thread-local pools can hold one.
+    /// An empty batch.
     pub const fn new() -> Self {
         RecordBatch {
             pids: Vec::new(),

@@ -343,44 +343,6 @@ pub fn max_depth(intervals: &[Interval]) -> u32 {
     max as u32
 }
 
-/// A running hull in front of an [`IntervalSet`]. Overlapping-or-touching
-/// intervals merge into the hull in either direction (the hull of
-/// overlapping intervals *is* their union), so the set is touched once per
-/// busy period instead of once per interval. The set's state does not
-/// depend on insertion order, so the fused result is the one inserting
-/// every interval would give. Flush before the set forgets behind a
-/// watermark: the hull may reach back before it.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Hull(Option<Interval>);
-
-impl Hull {
-    #[inline]
-    pub(crate) fn add(&mut self, iv: Interval, set: &mut IntervalSet) {
-        match &mut self.0 {
-            Some(run) if iv.start <= run.end && iv.end >= run.start => {
-                run.start = run.start.min(iv.start);
-                run.end = run.end.max(iv.end);
-            }
-            Some(run) => Self::spill(run, iv, set),
-            None => self.0 = Some(iv),
-        }
-    }
-
-    /// Busy-period break: insert the finished hull and start a new one.
-    /// Outlined and cold so the fuse loop above stays tight.
-    #[cold]
-    fn spill(run: &mut Interval, iv: Interval, set: &mut IntervalSet) {
-        set.insert(*run);
-        *run = iv;
-    }
-
-    pub(crate) fn flush(&mut self, set: &mut IntervalSet) {
-        if let Some(run) = self.0.take() {
-            set.insert(run);
-        }
-    }
-}
-
 /// [`max_depth`] as a sweep over a stream behind a watermark, in memory
 /// bounded by the intervals the watermark has not yet passed plus the
 /// ones in flight.

@@ -117,9 +117,8 @@ impl FoldNeeds {
 
 /// A scalar I/O performance metric as a fold over a record stream.
 ///
-/// Implementors are stateless unit structs: the per-record /
-/// [`push_batch`](crate::sink::RecordSink::push_batch) update lives in the
-/// shared [`StreamingMetrics`] accumulator (so the interval union, counts
+/// Implementors are stateless unit structs: the per-record update lives
+/// in the shared [`StreamingMetrics`] accumulator (so the interval union, counts
 /// and sums are maintained once, not once per metric), and
 /// [`MetricFold::finish`] reads the metric's value out of the accumulated
 /// state. [`FoldNeeds`] declares any retained per-record state the finish

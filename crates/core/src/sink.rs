@@ -7,15 +7,17 @@
 //! [`StreamingMetrics`] folds each record into constant-size accumulators
 //! — per-layer counts, byte/block sums, summed response time, and an
 //! [`IntervalSet`] for the overlapped time — and reproduces the four paper
-//! metrics bit-for-bit without ever storing a record. A producer that
-//! knows how far its clock has advanced says so through
-//! [`RecordSink::on_watermark`], which lets the union drop busy periods
-//! no later record can touch. A simulated run supplies watermarks from its
+//! metrics bit-for-bit without ever storing a record. It has one fold,
+//! [`RecordSink::on_record`]; its batch entry points are the trait
+//! defaults that loop over it. The simulated cluster calls `on_record` as
+//! each access completes. A producer that knows how far its clock has
+//! advanced says so through [`RecordSink::on_watermark`], which lets the
+//! union drop busy periods no later record can touch. A simulated run supplies watermarks from its
 //! engine clock; a stored trace supplies its own through
 //! [`Trace::replay`].
 
 use crate::batch::RecordBatch;
-use crate::interval::{DepthSweep, Hull, IntervalSet};
+use crate::interval::{DepthSweep, IntervalSet};
 use crate::metrics::{
     registry, Arpt, Bandwidth, Bps, FoldNeeds, Iops, MetricFold, MetricSelection,
 };
@@ -36,11 +38,9 @@ pub trait RecordSink {
     ///
     /// Must be observationally identical to calling
     /// [`RecordSink::on_record`] once per record in order (the default
-    /// does exactly that). Producers that complete several accesses in one
-    /// step — a striped read fanning out to many servers, one simulated
-    /// wake — should prefer this entry point: it crosses the sink
-    /// abstraction once per batch instead of once per record, and lets
-    /// implementations amortize per-record bookkeeping.
+    /// does exactly that). [`Trace::replay`] feeds a stored trace through
+    /// this entry point in blocks; [`Trace`] overrides it with one bulk
+    /// copy.
     fn push_batch(&mut self, records: &[IoRecord]) {
         for r in records {
             self.on_record(r);
@@ -52,9 +52,8 @@ pub trait RecordSink {
     ///
     /// Must be observationally identical to calling
     /// [`RecordSink::on_record`] once per row in order, which is what the
-    /// default does. The simulated producers emit row batches through
-    /// [`RecordSink::push_batch`]: their wakes complete a few records of
-    /// mixed layers, which a row fold takes in one pass.
+    /// default does. The simulated producers call
+    /// [`RecordSink::on_record`] as each access completes.
     fn push_columns(&mut self, batch: &RecordBatch) {
         for i in 0..batch.len() {
             self.on_record(&batch.get(i));
@@ -199,47 +198,6 @@ pub struct StreamingMetrics {
     app_durations: Option<Vec<Dur>>,
     /// The application queue-depth sweep, when requested.
     app_depth: Option<DepthSweep>,
-}
-
-/// Register-resident accumulator for one layer's share of a batch: counts
-/// plus a running interval [`Hull`], so the [`IntervalSet`] is touched
-/// once per busy period instead of once per record, and the struct's
-/// count fields once per batch.
-struct BatchAcc {
-    ops: u64,
-    bytes: u64,
-    blocks: u64,
-    summed: Dur,
-    run: Hull,
-}
-
-impl BatchAcc {
-    fn new() -> Self {
-        BatchAcc {
-            ops: 0,
-            bytes: 0,
-            blocks: 0,
-            summed: Dur::ZERO,
-            run: Hull::default(),
-        }
-    }
-
-    #[inline]
-    fn observe(&mut self, r: &IoRecord, union: &mut IntervalSet) {
-        self.ops += 1;
-        self.bytes += r.bytes;
-        self.blocks += r.blocks();
-        self.summed += r.duration();
-        self.run.add(r.interval(), union);
-    }
-
-    fn flush_into(mut self, layer: &mut LayerAcc) {
-        layer.ops += self.ops;
-        layer.bytes += self.bytes;
-        layer.blocks += self.blocks;
-        layer.summed += self.summed;
-        self.run.flush(&mut layer.union);
-    }
 }
 
 impl StreamingMetrics {
@@ -422,45 +380,6 @@ impl RecordSink for StreamingMetrics {
         }
     }
 
-    /// Batch ingestion: one pass accumulating counters, wall-span bounds
-    /// and a per-layer running interval hull entirely in locals; the
-    /// struct's accumulators are touched once per batch and the union
-    /// once per busy period.
-    ///
-    /// Fusing out of arrival order is sound because [`IntervalSet`]'s
-    /// state is a canonical function of the *set* of inserted intervals:
-    /// every insert path keeps the spans disjoint, sorted and maximal,
-    /// with `total` exactly equal to their integer measure, and the hull
-    /// of overlapping-or-touching intervals is exactly their union. The
-    /// final spans and total — and therefore every metric — are
-    /// bit-identical to per-record ingestion in arrival order.
-    fn push_batch(&mut self, records: &[IoRecord]) {
-        let Some(first) = records.first() else { return };
-        self.records += records.len() as u64;
-        let mut first_start = self.first_start.unwrap_or(first.start);
-        let mut last_end = self.last_end.unwrap_or(first.end);
-        let mut app = BatchAcc::new();
-        let mut fs = BatchAcc::new();
-        for r in records {
-            first_start = first_start.min(r.start);
-            last_end = last_end.max(r.end);
-            match r.layer {
-                Layer::Application => {
-                    app.observe(r, &mut self.app.union);
-                    self.retain_app(r);
-                }
-                Layer::FileSystem => fs.observe(r, &mut self.fs.union),
-                Layer::Device => self.device_ops += 1,
-                Layer::Network => self.net_ops += 1,
-                Layer::Retry => self.retry_ops += 1,
-            }
-        }
-        app.flush_into(&mut self.app);
-        fs.flush_into(&mut self.fs);
-        self.first_start = Some(first_start);
-        self.last_end = Some(last_end);
-    }
-
     fn on_execution_time(&mut self, t: Dur) {
         self.exec_time = Some(t);
     }
@@ -576,37 +495,7 @@ mod tests {
             rec(0, Layer::Application, 1 << 20, 200, 900),
             rec(0, Layer::FileSystem, 4096, 210, 890),
         ];
-        let mut one = StreamingMetrics::new();
-        for r in &records {
-            one.on_record(r);
-        }
-        // Split into uneven batches, including an empty one.
-        let mut batched = StreamingMetrics::new();
-        batched.push_batch(&records[..3]);
-        batched.push_batch(&[]);
-        batched.push_batch(&records[3..4]);
-        batched.push_batch(&records[4..]);
-        assert_eq!(one.bps(), batched.bps());
-        assert_eq!(one.iops(), batched.iops());
-        assert_eq!(one.bandwidth(), batched.bandwidth());
-        assert_eq!(one.arpt(), batched.arpt());
-        assert_eq!(one.execution_time(), batched.execution_time());
-        assert_eq!(one.len(), batched.len());
-        for layer in [
-            Layer::Application,
-            Layer::FileSystem,
-            Layer::Device,
-            Layer::Network,
-            Layer::Retry,
-        ] {
-            assert_eq!(one.op_count(layer), batched.op_count(layer));
-            assert_eq!(
-                one.overlapped_io_time(layer),
-                batched.overlapped_io_time(layer)
-            );
-        }
-
-        // Trace agrees too, and preserves exact record order.
+        // `Trace`'s bulk-copy override preserves exact record order.
         let mut t1 = Trace::new();
         for r in &records {
             t1.on_record(r);

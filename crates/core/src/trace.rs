@@ -5,7 +5,7 @@
 //! that collection, carrying records from every process and — in this
 //! reproduction — from every instrumented layer of the I/O stack.
 
-use crate::interval::{Hull, IntervalSet};
+use crate::interval::IntervalSet;
 use crate::record::{IoRecord, Layer};
 use crate::sink::RecordSink;
 use crate::time::{Dur, Nanos};
@@ -218,15 +218,9 @@ struct LayerUnion {
 
 impl RecordSink for LayerUnion {
     fn on_record(&mut self, record: &IoRecord) {
-        self.push_batch(std::slice::from_ref(record));
-    }
-
-    fn push_batch(&mut self, records: &[IoRecord]) {
-        let mut run = Hull::default();
-        for r in records.iter().filter(|r| r.layer == self.layer) {
-            run.add(r.interval(), &mut self.union);
+        if record.layer == self.layer {
+            self.union.insert(record.interval());
         }
-        run.flush(&mut self.union);
     }
 
     fn on_watermark(&mut self, t: Nanos) {

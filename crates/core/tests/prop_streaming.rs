@@ -1,11 +1,13 @@
 //! Property tests: the streaming observer path is *exactly* the
-//! materialize-then-compute path — bit-for-bit, not approximately.
+//! materialize-then-compute path — bit-for-bit, not approximately — and
+//! both equal the paper's definitions computed from plain per-layer sums
+//! and the Figure 3 union.
 
 use bps_core::batch::RecordBatch;
 use bps_core::interval::{paper_union_time, Interval, IntervalSet};
 use bps_core::metrics::{registry, Arpt, Bandwidth, Bps, FoldNeeds, Iops, Metric};
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
-use bps_core::sink::{RecordSink, StreamingMetrics};
+use bps_core::sink::{RecordSink, StreamingMetrics, Tee};
 use bps_core::time::{Dur, Nanos};
 use bps_core::trace::Trace;
 use proptest::prelude::*;
@@ -42,6 +44,120 @@ fn records() -> impl Strategy<Value = Vec<IoRecord>> {
 
 fn bits(v: Option<f64>) -> Option<u64> {
     v.map(f64::to_bits)
+}
+
+/// Sparse records on every layer: up to 300 short requests spread over
+/// 20 ms, so a layer often holds more than the 64 busy periods a
+/// streaming union retains before a watermark lets it forget. Half the
+/// streams carry no file-system records, so bandwidth falls back to the
+/// application layer.
+fn sparse_records() -> impl Strategy<Value = Vec<IoRecord>> {
+    const LAYERS: [Layer; 8] = [
+        Layer::Application,
+        Layer::Application,
+        Layer::Application,
+        Layer::FileSystem,
+        Layer::FileSystem,
+        Layer::Device,
+        Layer::Network,
+        Layer::Retry,
+    ];
+    let one = (
+        0u32..4,
+        0u64..20_000_000,
+        0u64..40_000,
+        0u64..3_000_000,
+        0usize..8,
+    )
+        .prop_map(|(pid, start, len, bytes, shape)| {
+            IoRecord::new(
+                ProcessId(pid),
+                IoOp::Read,
+                FileId(pid),
+                start,
+                bytes,
+                Nanos(start),
+                Nanos(start + len),
+                LAYERS[shape],
+            )
+        });
+    (proptest::collection::vec(one, 0..300), any::<bool>()).prop_map(|(mut recs, fs)| {
+        if !fs {
+            recs.retain(|r| r.layer != Layer::FileSystem);
+        }
+        recs
+    })
+}
+
+/// The paper's metrics from first principles: per-layer counts and sums
+/// over the records, `T` from the Figure 3 algorithm
+/// ([`paper_union_time`]), and the execution time as the wall span of all
+/// records unless one was observed.
+#[derive(Debug, Clone, PartialEq)]
+struct Oracle {
+    iops: Option<u64>,
+    bw: Option<u64>,
+    arpt: Option<u64>,
+    bps: Option<u64>,
+    exec: Dur,
+}
+
+fn oracle(recs: &[IoRecord], exec: Option<Dur>) -> Oracle {
+    let of =
+        |layer: Layer| -> Vec<&IoRecord> { recs.iter().filter(|r| r.layer == layer).collect() };
+    let secs = |ns: u64| ns as f64 / 1e9;
+    let union_ns = |rs: &[&IoRecord]| {
+        let ivs: Vec<Interval> = rs.iter().map(|r| Interval::new(r.start, r.end)).collect();
+        paper_union_time(&ivs).0
+    };
+    let app = of(Layer::Application);
+    let fs = of(Layer::FileSystem);
+    let ops = app.len() as u64;
+    let t = union_ns(&app);
+    let per_t = |x: u64| (ops > 0 && t > 0).then(|| x as f64 / secs(t));
+    let blocks: u64 = app.iter().map(|r| r.bytes.div_ceil(512)).sum();
+    let summed: u64 = app.iter().map(|r| r.end.0 - r.start.0).sum();
+    let bw_layer = if fs.is_empty() { &app } else { &fs };
+    let bw_t = union_ns(bw_layer);
+    let bw_bytes: u64 = bw_layer.iter().map(|r| r.bytes).sum();
+    let span = match (
+        recs.iter().map(|r| r.start.0).min(),
+        recs.iter().map(|r| r.end.0).max(),
+    ) {
+        (Some(s), Some(e)) => Dur(e - s),
+        _ => Dur::ZERO,
+    };
+    Oracle {
+        iops: bits(per_t(ops)),
+        bw: bits((!bw_layer.is_empty() && bw_t > 0).then(|| bw_bytes as f64 / 1e6 / secs(bw_t))),
+        arpt: bits((ops > 0).then(|| secs(summed) / ops as f64)),
+        bps: bits(per_t(blocks)),
+        exec: exec.unwrap_or(span),
+    }
+}
+
+fn folded(s: &StreamingMetrics) -> Oracle {
+    Oracle {
+        iops: bits(s.iops()),
+        bw: bits(s.bandwidth()),
+        arpt: bits(s.arpt()),
+        bps: bits(s.bps()),
+        exec: s.execution_time(),
+    }
+}
+
+/// Feed `recs` to `sink` through `push_batch`, cut by `cuts` (the rest in
+/// one batch once the cuts run out), starting with an empty batch.
+fn push_cut<S: RecordSink>(sink: &mut S, recs: &[IoRecord], cuts: &[usize]) {
+    sink.push_batch(&[]);
+    let mut rest = recs;
+    let mut cuts = cuts.iter();
+    while !rest.is_empty() {
+        let k = cuts.next().copied().unwrap_or(rest.len()).min(rest.len());
+        let (chunk, tail) = rest.split_at(k);
+        sink.push_batch(chunk);
+        rest = tail;
+    }
 }
 
 proptest! {
@@ -133,52 +249,79 @@ proptest! {
         prop_assert_eq!(online.total(), paper_union_time(&ivs));
     }
 
-    /// Batched ingestion is bit-identical to per-record ingestion on the
-    /// same stream, for every way of cutting the stream into batches —
-    /// mixed layers, overlap, and out-of-order completions included.
+    /// `StreamingMetrics` equals the first-principles oracle bit for bit
+    /// however the stream reaches it: one record at a time, in random
+    /// `push_batch` cuttings, through [`Trace::replay`] with the trace's
+    /// own watermarks, and one record at a time behind the tightest true
+    /// watermark (the earliest start still to come), which makes the
+    /// unions forget.
+    #[test]
+    fn streaming_equals_first_principles_oracle(
+        recs in sparse_records(),
+        cuts in proptest::collection::vec(1usize..40, 0..24),
+        exec_ns in (any::<bool>(), 1u64..100_000_000).prop_map(|(some, ns)| some.then_some(ns)),
+    ) {
+        let exec = exec_ns.map(Dur);
+        let want = oracle(&recs, exec);
+        let finish = |mut s: StreamingMetrics| {
+            if let Some(t) = exec {
+                s.on_execution_time(t);
+            }
+            folded(&s)
+        };
+
+        let mut one = StreamingMetrics::new();
+        for r in &recs {
+            one.on_record(r);
+        }
+        prop_assert_eq!(finish(one), want.clone(), "per record");
+
+        let mut cut = StreamingMetrics::new();
+        push_cut(&mut cut, &recs, &cuts);
+        prop_assert_eq!(finish(cut), want.clone(), "batch cuttings");
+
+        let mut trace = Trace::from_records(recs.clone());
+        if let Some(t) = exec {
+            trace.set_execution_time(t);
+        }
+        let mut replayed = StreamingMetrics::new();
+        trace.replay(&mut replayed);
+        prop_assert_eq!(folded(&replayed), want.clone(), "Trace::replay");
+
+        let mut marks: Vec<Nanos> = recs.iter().map(|r| r.start).collect();
+        for i in (1..marks.len()).rev() {
+            marks[i - 1] = marks[i - 1].min(marks[i]);
+        }
+        let mut behind = StreamingMetrics::new();
+        for (r, &mark) in recs.iter().zip(&marks) {
+            behind.on_watermark(mark);
+            behind.on_record(r);
+        }
+        prop_assert_eq!(finish(behind), want, "behind watermarks");
+    }
+
+    /// `push_batch` on a [`Trace`] (its bulk-copy override) and on a
+    /// [`Tee`] (which forwards each batch to both halves) is per-record
+    /// ingestion, for every way of cutting the stream into batches: the
+    /// trace keeps exact record order and the tee's `StreamingMetrics`
+    /// half equals the first-principles oracle.
     #[test]
     fn push_batch_equals_per_record(
         recs in records(),
         cuts in proptest::collection::vec(1usize..8, 0..24),
     ) {
-        let mut seq = StreamingMetrics::new();
+        let mut seq = Trace::new();
         for r in &recs {
             seq.on_record(r);
         }
-        let mut bat = StreamingMetrics::new();
-        bat.push_batch(&[]); // empty batches are no-ops
-        let mut rest = &recs[..];
-        let mut cuts = cuts.iter();
-        while !rest.is_empty() {
-            let k = cuts.next().copied().unwrap_or(rest.len()).min(rest.len());
-            let (chunk, tail) = rest.split_at(k);
-            bat.push_batch(chunk);
-            rest = tail;
-        }
-        prop_assert_eq!(bits(seq.bps()), bits(bat.bps()));
-        prop_assert_eq!(bits(seq.iops()), bits(bat.iops()));
-        prop_assert_eq!(bits(seq.bandwidth()), bits(bat.bandwidth()));
-        prop_assert_eq!(bits(seq.arpt()), bits(bat.arpt()));
-        prop_assert_eq!(seq.execution_time(), bat.execution_time());
-        prop_assert_eq!(seq.len(), bat.len());
-        for layer in [
-            Layer::Application,
-            Layer::FileSystem,
-            Layer::Device,
-            Layer::Network,
-            Layer::Retry,
-        ] {
-            prop_assert_eq!(seq.op_count(layer), bat.op_count(layer));
-        }
-        prop_assert_eq!(seq.app_blocks(), bat.app_blocks());
-        prop_assert_eq!(
-            seq.overlapped_io_time(Layer::Application),
-            bat.overlapped_io_time(Layer::Application)
-        );
-        prop_assert_eq!(
-            seq.overlapped_io_time(Layer::FileSystem),
-            bat.overlapped_io_time(Layer::FileSystem)
-        );
+        let mut bat = Trace::new();
+        push_cut(&mut bat, &recs, &cuts);
+        prop_assert_eq!(seq.records(), bat.records());
+
+        let mut tee = Tee(Trace::new(), StreamingMetrics::new());
+        push_cut(&mut tee, &recs, &cuts);
+        prop_assert_eq!(tee.0.records(), seq.records());
+        prop_assert_eq!(folded(&tee.1), oracle(&recs, None));
     }
 
     /// Every metric in the registry — paper four and extended — agrees
@@ -199,14 +342,7 @@ proptest! {
             seq.on_record(r);
         }
         let mut bat = StreamingMetrics::with_needs(FoldNeeds::ALL);
-        let mut rest = &recs[..];
-        let mut cuts = cuts.iter();
-        while !rest.is_empty() {
-            let k = cuts.next().copied().unwrap_or(rest.len()).min(rest.len());
-            let (chunk, tail) = rest.split_at(k);
-            bat.push_batch(chunk);
-            rest = tail;
-        }
+        push_cut(&mut bat, &recs, &cuts);
         for m in registry().all() {
             prop_assert_eq!(
                 bits(m.compute(&trace)),

@@ -343,8 +343,8 @@ fn telemetry_page() -> String {
         "`reproduce --telemetry out.jsonl` records one JSONL event stream; \
          `reproduce profile <target>` prints the same data as tables. \
          Collection is off by default and byte-neutral to every report: \
-         the instrumentation behind the `Collector` trait is a no-op \
-         until a collector is installed.\n\n",
+         every instrumentation site is a no-op until the one \
+         `AtomicCollector` is installed.\n\n",
     );
     out.push_str("## Counters\n\n| Counter | Meaning |\n|---|---|\n");
     for c in Counter::ALL {

@@ -5,6 +5,10 @@
 //! on Gigabit Ethernet through one switch, each server with its own disk —
 //! at the fidelity the experiments need: every NIC, the switch backplane,
 //! each server CPU, and each device is a contended FIFO resource.
+//!
+//! Every layer hands its records to the cluster's [`RecordSink`] through
+//! [`Cluster::record`] the moment the simulated access completes, in
+//! completion order; nothing is buffered between the stack and the sink.
 
 use crate::layout::Chunk;
 use bps_core::error::IoError;
@@ -154,22 +158,10 @@ pub struct Cluster<S: RecordSink = Trace> {
     /// it as each access completes; experiments read it back at the end of
     /// a run.
     pub sink: S,
-    /// Records completed inside an open batch scope, in completion order,
-    /// awaiting one [`RecordSink::push_batch`] flush. Empty whenever
-    /// `batch_depth == 0`.
-    pending: Vec<IoRecord>,
-    /// Nesting depth of open [`Cluster::begin_batch`] scopes. At depth 0
-    /// every record goes straight to the sink, so callers that never open
-    /// a scope (tests poking at `sink` between calls) see records
-    /// immediately, exactly as before.
-    batch_depth: u32,
     /// Records routed to the sink over this cluster's lifetime. Flushed to
     /// telemetry on drop so the hot path pays one integer add, not an
     /// atomic.
     tele_records: u64,
-    /// Batch flushes delivered via `push_batch`, flushed like
-    /// `tele_records`.
-    tele_batches: u64,
 }
 
 impl Cluster<Trace> {
@@ -212,54 +204,15 @@ impl<S: RecordSink> Cluster<S> {
             record_net_layer: cfg.record_net_layer,
             fault: FaultInjector::new(&cfg.fault, cfg.seed),
             sink,
-            pending: PENDING_POOL.take(),
-            batch_depth: 0,
             tele_records: 0,
-            tele_batches: 0,
         }
     }
 
-    /// Open a batch scope: records completed until the matching
-    /// [`Cluster::end_batch`] are buffered and delivered to the sink as one
-    /// [`RecordSink::push_batch`] call. Scopes nest; only the outermost
-    /// close flushes, so a striped operation that fans out to per-chunk
-    /// calls still yields a single batch per process wake.
-    pub fn begin_batch(&mut self) {
-        self.batch_depth += 1;
-    }
-
-    /// Close a batch scope, flushing buffered records to the sink when the
-    /// outermost scope closes. Order of delivery is exactly completion
-    /// order, so batched and unbatched runs feed the sink identically.
-    ///
-    /// The buffer holds whole records (rows), not columns: a wake's batch
-    /// is a couple of records spanning several layers, which the row fold
-    /// takes in one pass.
-    pub fn end_batch(&mut self) {
-        debug_assert!(self.batch_depth > 0, "end_batch without begin_batch");
-        self.batch_depth -= 1;
-        if self.batch_depth == 0 && !self.pending.is_empty() {
-            self.sink.push_batch(&self.pending);
-            self.pending.clear();
-            self.tele_batches += 1;
-        }
-    }
-
-    /// Route one completed record to the sink: immediately at batch depth
-    /// 0, buffered inside an open batch scope.
+    /// Hand one completed record to the sink, in completion order.
     #[inline]
     pub fn record(&mut self, record: IoRecord) {
         self.tele_records += 1;
-        if self.batch_depth == 0 {
-            self.sink.on_record(&record);
-        } else {
-            self.pending.push(record);
-        }
-    }
-
-    /// Open batch-scope depth; 0 means records flow straight to the sink.
-    pub fn batch_depth(&self) -> u32 {
-        self.batch_depth
+        self.sink.on_record(&record);
     }
 
     /// Number of I/O servers.
@@ -538,21 +491,9 @@ impl<S: RecordSink> Cluster<S> {
     }
 }
 
-thread_local! {
-    /// Per-thread recycling pool for the batch buffer: a sweep thread
-    /// builds thousands of short-lived clusters, and the buffer's capacity
-    /// survives from one case to the next instead of being reallocated.
-    static PENDING_POOL: std::cell::Cell<Vec<IoRecord>> =
-        const { std::cell::Cell::new(Vec::new()) };
-}
-
 impl<S: RecordSink> Drop for Cluster<S> {
     fn drop(&mut self) {
         bps_telemetry::add(bps_telemetry::Counter::SinkRecords, self.tele_records);
-        bps_telemetry::add(bps_telemetry::Counter::SinkBatches, self.tele_batches);
-        let mut buf = std::mem::take(&mut self.pending);
-        buf.clear();
-        PENDING_POOL.set(buf);
     }
 }
 

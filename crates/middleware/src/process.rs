@@ -6,6 +6,10 @@
 //! cost), and finishes when the stream is exhausted. Concurrency across
 //! processes — the paper's Set 3 — emerges from the engine interleaving
 //! wakes in global time order.
+//!
+//! Each wake first raises the record sink's watermark to the wake's
+//! instant (or the start of a still-open call); the records the wake then
+//! completes reach the sink one at a time, as each access completes.
 
 use crate::stack::IoStack;
 use bps_core::extent::Extent;
@@ -112,9 +116,8 @@ impl AppProcess {
         self
     }
 
-    /// One wake's worth of work; the public [`Process::wake`] wraps this in
-    /// a batch scope so every record the wake completes reaches the sink as
-    /// one [`RecordSink::push_batch`] call.
+    /// One wake's worth of work; the public [`Process::wake`] raises the
+    /// sink's watermark first.
     fn dispatch<S: RecordSink>(
         &mut self,
         now: Nanos,
@@ -191,16 +194,9 @@ impl AppProcess {
 
 impl<S: RecordSink> Process<IoStack<S>> for AppProcess {
     fn wake(&mut self, now: Nanos, stack: &mut IoStack<S>, waker: &mut Waker) -> Wake {
-        // The previous wake's batch is flushed, and nothing from here on
-        // starts before this wake or an open call.
+        // Nothing from here on starts before this wake or an open call.
         stack.watermark(now);
-        // Per-wake batching: everything this wake completes — covering
-        // reads, retries, device records, the application record — is
-        // delivered to the sink as one batch when the scope closes.
-        stack.cluster.begin_batch();
-        let wake = self.dispatch(now, stack, waker);
-        stack.cluster.end_batch();
-        wake
+        self.dispatch(now, stack, waker)
     }
 }
 

@@ -257,9 +257,6 @@ impl<S: RecordSink> IoStack<S> {
         extent: Extent,
         now: Nanos,
     ) -> Result<Nanos, IoError> {
-        // One batch scope per call: the issued FS/device/retry records and
-        // the application record reach the sink as a single batch.
-        self.cluster.begin_batch();
         let result = match self.prefetch {
             Some(cfg) => {
                 let file_size = self.backend.file_size(file);
@@ -273,7 +270,7 @@ impl<S: RecordSink> IoStack<S> {
             }
             None => self.issue(pid, client, file, extent, IoOp::Read, now),
         };
-        let out = match result {
+        match result {
             Ok(done) => {
                 self.record_app(pid, file, extent.offset, extent.len, IoOp::Read, now, done);
                 Ok(done)
@@ -282,9 +279,7 @@ impl<S: RecordSink> IoStack<S> {
                 self.abandoned_ops += 1;
                 Err(e)
             }
-        };
-        self.cluster.end_batch();
-        out
+        }
     }
 
     /// POSIX-style contiguous write. Returns the completion instant, or
@@ -297,8 +292,7 @@ impl<S: RecordSink> IoStack<S> {
         extent: Extent,
         now: Nanos,
     ) -> Result<Nanos, IoError> {
-        self.cluster.begin_batch();
-        let out = match self.issue(pid, client, file, extent, IoOp::Write, now) {
+        match self.issue(pid, client, file, extent, IoOp::Write, now) {
             Ok(done) => {
                 self.record_app(pid, file, extent.offset, extent.len, IoOp::Write, now, done);
                 Ok(done)
@@ -307,9 +301,7 @@ impl<S: RecordSink> IoStack<S> {
                 self.abandoned_ops += 1;
                 Err(e)
             }
-        };
-        self.cluster.end_batch();
-        out
+        }
     }
 
     /// Plan a noncontiguous read under this stack's sieving configuration.
@@ -352,11 +344,6 @@ impl<S: RecordSink> IoStack<S> {
     where
         S: Default,
     {
-        debug_assert_eq!(
-            self.cluster.batch_depth(),
-            0,
-            "finish inside an open batch scope would lose buffered records"
-        );
         debug_assert!(
             self.open_calls.is_empty(),
             "finish with a multi-wake call still open"

@@ -12,10 +12,14 @@
 //! fully determined at arrival. The engine only has to guarantee that
 //! arrivals happen in nondecreasing global time order — which the wake heap
 //! does — for the analytic bookkeeping to be exact.
+//!
+//! The wake heap ([`crate::heap`]) pops in time order with ties broken by
+//! insertion order. A process is pushed only at start, after its own pop,
+//! or when a [`Waker`] releases it from a park, so it is never in the heap
+//! twice.
 
 use crate::heap::WakeHeap;
 use bps_core::time::Nanos;
-use std::cell::Cell;
 
 /// What a process wants after a wake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,22 +99,15 @@ impl RunOutcome {
 /// targets a process that is not parked, or if the run deadlocks with
 /// parked processes left over.
 pub fn run_processes<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunOutcome {
-    // Scheduling state (wake heap, parked flags, waker request buffer) is
-    // borrowed from a per-thread pool and returned on exit, so a sweep
-    // running thousands of cases on one thread allocates it once. A fresh
-    // default is used if the slot is empty (first run on this thread,
-    // reentrant run, or a previous run panicked mid-flight) — `reset`
-    // makes the starting state identical either way.
-    let mut s = ENGINE_SCRATCH.take().unwrap_or_default();
-    s.reset(processes.len());
+    let mut heap = WakeHeap::with_capacity(processes.len());
+    let mut parked = vec![false; processes.len()];
+    let mut waker = Waker::default();
 
-    let mut seq: u64 = 0;
     let mut started_at = Nanos::MAX;
     for (idx, p) in processes.iter().enumerate() {
         let t = p.start_time();
         started_at = started_at.min(t);
-        s.heap.push(t, seq, idx);
-        seq += 1;
+        heap.push(t, idx);
     }
     if processes.is_empty() {
         started_at = Nanos::ZERO;
@@ -120,46 +117,42 @@ pub fn run_processes<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunO
     let mut ended_at = started_at;
     let mut wakes: u64 = 0;
 
-    while let Some(entry) = s.heap.pop() {
-        let (now, idx) = (entry.time, entry.idx);
+    while let Some((now, idx)) = heap.pop() {
         wakes += 1;
-        debug_assert!(!s.parked[idx], "parked process {idx} dispatched");
-        match processes[idx].wake(now, env, &mut s.waker) {
+        debug_assert!(!parked[idx], "parked process {idx} dispatched");
+        match processes[idx].wake(now, env, &mut waker) {
             Wake::At(next) => {
                 assert!(
                     next >= now,
                     "process {idx} scheduled a wake in the past ({next} < {now})"
                 );
-                s.heap.push(next, seq, idx);
-                seq += 1;
+                heap.push(next, idx);
             }
-            Wake::Park => s.parked[idx] = true,
+            Wake::Park => parked[idx] = true,
             Wake::Done => {
                 finish_times[idx] = now;
                 ended_at = ended_at.max(now);
             }
         }
         // Release peers the woken process asked for.
-        for (target, at) in s.waker.requests.drain(..) {
+        for (target, at) in waker.requests.drain(..) {
             assert!(
-                s.parked[target],
+                parked[target],
                 "waker targeted process {target}, which is not parked"
             );
             assert!(
                 at >= now,
                 "waker scheduled process {target} in the past ({at} < {now})"
             );
-            s.parked[target] = false;
-            s.heap.push(at, seq, target);
-            seq += 1;
+            parked[target] = false;
+            heap.push(at, target);
         }
     }
 
     assert!(
-        s.parked.iter().all(|&p| !p),
+        parked.iter().all(|&p| !p),
         "deadlock: processes still parked at end of run"
     );
-    ENGINE_SCRATCH.set(Some(s));
     bps_telemetry::add(bps_telemetry::Counter::EngineWakes, wakes);
 
     RunOutcome {
@@ -168,27 +161,6 @@ pub fn run_processes<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunO
         ended_at,
         wakes,
     }
-}
-
-/// Reusable per-thread scheduling state for [`run_processes`].
-#[derive(Debug, Default)]
-struct EngineScratch {
-    heap: WakeHeap,
-    parked: Vec<bool>,
-    waker: Waker,
-}
-
-impl EngineScratch {
-    fn reset(&mut self, n: usize) {
-        self.heap.reset(n);
-        self.parked.clear();
-        self.parked.resize(n, false);
-        self.waker.requests.clear();
-    }
-}
-
-thread_local! {
-    static ENGINE_SCRATCH: Cell<Option<EngineScratch>> = const { Cell::new(None) };
 }
 
 #[cfg(test)]

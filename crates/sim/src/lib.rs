@@ -32,7 +32,7 @@
 pub mod device;
 pub mod engine;
 pub mod fault;
-pub mod heap;
+mod heap;
 pub mod net;
 pub mod resource;
 pub mod rng;

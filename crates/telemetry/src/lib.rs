@@ -1,9 +1,10 @@
-//! Run telemetry: counters and scoped phase timers behind a [`Collector`]
-//! trait.
+//! Run telemetry: counters and scoped phase timers, collected by one
+//! process-wide [`AtomicCollector`].
 //!
-//! The default collector is a no-op and the global enabled flag is false, so
-//! instrumentation sites cost one relaxed atomic load on the off path and
-//! emit nothing. Installing an [`AtomicCollector`] (done by
+//! Until a collector is installed, instrumentation sites cost one atomic
+//! load and emit nothing;
+//! [`snapshot`] then reports every counter as 0 and [`drain_events`]
+//! returns nothing. Installing an [`AtomicCollector`] (done by
 //! `reproduce --telemetry` / `reproduce profile`) flips the flag and routes
 //! counter increments into a fixed array of atomics and span events into a
 //! mutex-guarded buffer.
@@ -17,7 +18,7 @@
 //!   observation-only (no RNG draws, no virtual-clock access), so golden
 //!   outputs stay byte-identical whether it is on or off.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -33,8 +34,6 @@ pub enum Counter {
     EngineWakes,
     /// I/O records emitted into record sinks.
     SinkRecords,
-    /// Record batches flushed by the cluster wake loop.
-    SinkBatches,
     /// In-process memo (L1) cache hits in the scenario engine.
     CacheL1Hits,
     /// In-process memo (L1) cache misses in the scenario engine.
@@ -72,10 +71,9 @@ pub enum Counter {
 
 impl Counter {
     /// Registry order; index == discriminant.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::EngineWakes,
         Counter::SinkRecords,
-        Counter::SinkBatches,
         Counter::CacheL1Hits,
         Counter::CacheL1Misses,
         Counter::CacheL2Hits,
@@ -99,7 +97,6 @@ impl Counter {
         match self {
             Counter::EngineWakes => "engine.wakes",
             Counter::SinkRecords => "sink.records",
-            Counter::SinkBatches => "sink.batches",
             Counter::CacheL1Hits => "cache.l1.hits",
             Counter::CacheL1Misses => "cache.l1.misses",
             Counter::CacheL2Hits => "cache.l2.hits",
@@ -124,7 +121,6 @@ impl Counter {
         match self {
             Counter::EngineWakes => "simulator process wake-ups across all runs",
             Counter::SinkRecords => "I/O records emitted into record sinks",
-            Counter::SinkBatches => "record batches flushed by the cluster wake loop",
             Counter::CacheL1Hits => "in-process memo (L1) hits in the scenario engine",
             Counter::CacheL1Misses => "in-process memo (L1) misses in the scenario engine",
             Counter::CacheL2Hits => "persistent case-store (L2) hits",
@@ -176,42 +172,6 @@ pub enum Event {
     },
 }
 
-/// Sink for telemetry. Implementations must be cheap and must never block
-/// the caller on anything slower than a short uncontended mutex.
-pub trait Collector: Send + Sync {
-    /// Add `n` to a counter.
-    fn add(&self, counter: Counter, n: u64);
-    /// Record a completed phase span.
-    fn phase_span(&self, name: &str, start: Duration, end: Duration);
-    /// Record a completed sweep unit.
-    fn unit_span(&self, case: &str, seed: u64, start: Duration, end: Duration);
-    /// Offset of "now" from the collector's epoch.
-    fn now(&self) -> Duration;
-    /// Snapshot of every counter, in [`Counter::ALL`] order.
-    fn snapshot(&self) -> Vec<(Counter, u64)>;
-    /// Drain buffered events (in capture order).
-    fn drain_events(&self) -> Vec<Event>;
-}
-
-/// Discards everything. Used when telemetry is off; instrumentation sites
-/// never reach it because they check [`enabled`] first.
-pub struct NoopCollector;
-
-impl Collector for NoopCollector {
-    fn add(&self, _counter: Counter, _n: u64) {}
-    fn phase_span(&self, _name: &str, _start: Duration, _end: Duration) {}
-    fn unit_span(&self, _case: &str, _seed: u64, _start: Duration, _end: Duration) {}
-    fn now(&self) -> Duration {
-        Duration::ZERO
-    }
-    fn snapshot(&self) -> Vec<(Counter, u64)> {
-        Counter::ALL.iter().map(|&c| (c, 0)).collect()
-    }
-    fn drain_events(&self) -> Vec<Event> {
-        Vec::new()
-    }
-}
-
 /// Thread-safe collector: counters in a fixed array of atomics, events in a
 /// mutex-guarded buffer. Counter updates are monotone non-decreasing.
 pub struct AtomicCollector {
@@ -221,6 +181,7 @@ pub struct AtomicCollector {
 }
 
 impl AtomicCollector {
+    /// A collector with every counter at 0 and no events, its epoch now.
     pub fn new() -> Self {
         AtomicCollector {
             epoch: Instant::now(),
@@ -228,15 +189,7 @@ impl AtomicCollector {
             events: Mutex::new(Vec::new()),
         }
     }
-}
 
-impl Default for AtomicCollector {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Collector for AtomicCollector {
     fn add(&self, counter: Counter, n: u64) {
         self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
@@ -274,52 +227,54 @@ impl Collector for AtomicCollector {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static COLLECTOR: OnceLock<Arc<dyn Collector>> = OnceLock::new();
+impl Default for AtomicCollector {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
-/// True once a collector has been installed. The off-path cost of every
-/// instrumentation site is this single relaxed load.
+static COLLECTOR: OnceLock<Arc<AtomicCollector>> = OnceLock::new();
+
+/// The installed collector, if any. The off-path cost of every
+/// instrumentation site is this one atomic load.
+#[inline(always)]
+fn collector() -> Option<&'static AtomicCollector> {
+    COLLECTOR.get().map(|c| &**c)
+}
+
+/// True once a collector has been installed.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    collector().is_some()
 }
 
 /// Install the process-wide collector. First install wins (the CLI installs
 /// exactly once, before any work runs); later calls are ignored.
-pub fn install(collector: Arc<dyn Collector>) {
-    if COLLECTOR.set(collector).is_ok() {
-        ENABLED.store(true, Ordering::SeqCst);
-    }
+pub fn install(collector: Arc<AtomicCollector>) {
+    let _ = COLLECTOR.set(collector);
 }
 
-fn collector() -> &'static Arc<dyn Collector> {
-    static NOOP: OnceLock<Arc<dyn Collector>> = OnceLock::new();
-    COLLECTOR
-        .get()
-        .unwrap_or_else(|| NOOP.get_or_init(|| Arc::new(NoopCollector)))
-}
-
-/// Add `n` to a counter. No-op (one relaxed load) when telemetry is off.
+/// Add `n` to a counter. No-op (one atomic load) when telemetry is off.
 #[inline]
 pub fn add(counter: Counter, n: u64) {
-    if enabled() && n > 0 {
-        collector().add(counter, n);
+    if let Some(c) = collector() {
+        if n > 0 {
+            c.add(counter, n);
+        }
     }
 }
 
 /// Increment a counter by one.
 #[inline]
 pub fn incr(counter: Counter) {
-    if enabled() {
-        collector().add(counter, 1);
-    }
+    add(counter, 1);
 }
 
 /// Scoped phase timer: records a [`Event::Phase`] span when dropped.
 /// Constructing one while telemetry is off is free (no allocation, no clock
 /// read).
 pub struct PhaseGuard {
-    inner: Option<(String, Duration)>,
+    inner: Option<(&'static AtomicCollector, String, Duration)>,
 }
 
 impl PhaseGuard {
@@ -331,51 +286,44 @@ impl PhaseGuard {
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        if let Some((name, start)) = self.inner.take() {
-            let c = collector();
-            let end = c.now();
-            c.phase_span(&name, start, end);
+        if let Some((c, name, start)) = self.inner.take() {
+            c.phase_span(&name, start, c.now());
         }
     }
 }
 
 /// Open a scoped phase span named `name`.
 pub fn phase(name: &str) -> PhaseGuard {
-    if !enabled() {
-        return PhaseGuard::disabled();
-    }
     PhaseGuard {
-        inner: Some((name.to_string(), collector().now())),
+        inner: collector().map(|c| (c, name.to_string(), c.now())),
     }
 }
 
 /// Offset of "now" from the collector epoch, for callers that time a region
 /// manually (sweep units). Returns [`Duration::ZERO`] when off.
 pub fn now() -> Duration {
-    if !enabled() {
-        return Duration::ZERO;
-    }
-    collector().now()
+    collector().map_or(Duration::ZERO, AtomicCollector::now)
 }
 
 /// Record one completed sweep unit (a single case × seed simulation).
 pub fn unit(case: &str, seed: u64, start: Duration) {
-    if !enabled() {
-        return;
+    if let Some(c) = collector() {
+        c.unit_span(case, seed, start, c.now());
     }
-    let c = collector();
-    let end = c.now();
-    c.unit_span(case, seed, start, end);
 }
 
-/// Snapshot every counter in registry order.
+/// Snapshot every counter in registry order; all 0 while no collector is
+/// installed.
 pub fn snapshot() -> Vec<(Counter, u64)> {
-    collector().snapshot()
+    match collector() {
+        Some(c) => c.snapshot(),
+        None => Counter::ALL.iter().map(|&c| (c, 0)).collect(),
+    }
 }
 
-/// Drain buffered span events.
+/// Drain buffered span events; none while no collector is installed.
 pub fn drain_events() -> Vec<Event> {
-    collector().drain_events()
+    collector().map_or_else(Vec::new, AtomicCollector::drain_events)
 }
 
 #[cfg(test)]
@@ -448,11 +396,19 @@ mod tests {
         assert_eq!(records, 4000);
     }
 
+    /// No test in this binary installs a collector, so the process-wide
+    /// entry points stay on their off path.
     #[test]
     fn noop_collector_reports_zeros() {
-        let c = NoopCollector;
-        c.add(Counter::EngineWakes, 99);
-        assert!(c.snapshot().iter().all(|&(_, v)| v == 0));
-        assert!(c.drain_events().is_empty());
+        add(Counter::EngineWakes, 99);
+        incr(Counter::SweepUnits);
+        drop(phase("expand"));
+        unit("hdd", 3, now());
+        assert!(!enabled());
+        assert_eq!(now(), Duration::ZERO);
+        let snap = snapshot();
+        assert_eq!(snap.len(), Counter::ALL.len());
+        assert!(snap.iter().all(|&(_, v)| v == 0));
+        assert!(drain_events().is_empty());
     }
 }

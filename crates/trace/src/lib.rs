@@ -5,9 +5,10 @@
 //!
 //! * [`recorder`] — per-process recording of I/O accesses (paper §III.B
 //!   Step 1), both single-threaded and shared/concurrent variants.
-//! * [`collector`] — gathering all processes' records into the global
-//!   collection (Step 2), including a channel-based streaming collector for
-//!   multi-threaded tracing.
+//! * Gathering all processes' records into the global collection (Step 2)
+//!   is [`bps_core::trace::Trace::from_records`] over the drained
+//!   recorders followed by [`bps_core::trace::Trace::sort_by_start`], as
+//!   [`realfile::trace_session`] does.
 //! * [`format`] — trace persistence: human-readable JSON and the compact
 //!   32-byte-per-record binary format whose size the paper's overhead
 //!   analysis assumes ("as the size of each record is 32 bytes, even for
@@ -22,11 +23,53 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod collector;
 pub mod format;
 pub mod realfile;
 pub mod recorder;
 pub mod validate;
 
-pub use collector::Collector;
 pub use recorder::{ProcessRecorder, SharedRecorder};
+
+/// Step 2 (gathering) has no type of its own: it is
+/// [`bps_core::trace::Trace::from_records`] over the drained recorders and
+/// [`bps_core::trace::Trace::sort_by_start`]. These tests pin that
+/// composition.
+#[cfg(test)]
+mod collector {
+    mod tests {
+        use crate::ProcessRecorder;
+        use bps_core::record::{FileId, IoOp, Layer, ProcessId};
+        use bps_core::time::Nanos;
+        use bps_core::trace::Trace;
+
+        fn recorder(pid: u32, starts_us: &[u64]) -> ProcessRecorder {
+            let mut r = ProcessRecorder::new(ProcessId(pid));
+            for &s in starts_us {
+                r.record(
+                    IoOp::Read,
+                    FileId(0),
+                    0,
+                    512,
+                    Nanos::from_micros(s),
+                    Nanos::from_micros(s + 10),
+                );
+            }
+            r
+        }
+
+        #[test]
+        fn batch_collection_merges_and_sorts() {
+            let mut procs = [recorder(0, &[100, 300]), recorder(1, &[50, 200])];
+            let records: Vec<_> = procs.iter_mut().flat_map(|r| r.drain()).collect();
+            assert_eq!(records.len(), 4);
+            let mut t = Trace::from_records(records);
+            t.sort_by_start();
+            let starts: Vec<_> = t.records().iter().map(|r| r.start.0).collect();
+            assert_eq!(starts, vec![50_000, 100_000, 200_000, 300_000]);
+            let pids: std::collections::BTreeSet<_> =
+                t.layer(Layer::Application).map(|r| r.pid).collect();
+            assert_eq!(pids.len(), 2);
+            assert!(procs.iter().all(|r| r.is_empty()));
+        }
+    }
+}

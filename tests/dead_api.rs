@@ -23,19 +23,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// `(function name, why it stays although no product path calls it)`.
-const ALLOWED: [(&str, &str); 11] = [
-    (
-        "add_process",
-        "bps-trace collector API: the toolkit users record real applications with",
-    ),
-    (
-        "into_trace",
-        "bps-trace collector API: the toolkit users record real applications with",
-    ),
-    (
-        "sender",
-        "bps-trace collector API: the toolkit users record real applications with",
-    ),
+const ALLOWED: [(&str, &str); 8] = [
     (
         "spearman",
         "rank statistic for scoring the central claim (ROADMAP item 1)",

@@ -99,8 +99,9 @@ fn trace_survives_binary_roundtrip_with_metrics() {
 
 #[test]
 fn collector_gathers_simulated_processes() {
-    // Split a simulated trace by process, drain through recorders, and
-    // verify the collector's gather step rebuilds the same metrics.
+    // Split a simulated trace by process and verify that the gather step
+    // (concatenate every process's records, then sort by start, as
+    // `realfile::trace_session` does) rebuilds the same metrics.
     let w = Iozone {
         processes: 3,
         ..Iozone::seq_read(8 << 20, 512 << 10)
@@ -110,19 +111,14 @@ fn collector_gathers_simulated_processes() {
     spec.clients = 3;
     let trace = run_case(&spec, 2);
 
-    let mut collector = bps::trace::collector::Collector::new();
     let pids: std::collections::BTreeSet<_> =
         trace.layer(Layer::Application).map(|r| r.pid).collect();
+    let mut records = Vec::new();
     for pid in pids {
-        let recs: Vec<_> = trace
-            .records()
-            .iter()
-            .filter(|r| r.pid == pid)
-            .copied()
-            .collect();
-        collector.add_process(recs);
+        records.extend(trace.records().iter().filter(|r| r.pid == pid));
     }
-    let mut gathered = collector.into_trace();
+    let mut gathered = bps::core::trace::Trace::from_records(records);
+    gathered.sort_by_start();
     gathered.set_execution_time(trace.execution_time());
     assert_eq!(gathered.len(), trace.len());
     let a = Bps.compute(&trace).unwrap();
