@@ -10,6 +10,7 @@ use crate::record::{IoRecord, Layer};
 use crate::sink::RecordSink;
 use crate::time::{Dur, Nanos};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Records [`Trace::replay`] delivers between two watermarks. Large enough
 /// that the pass taking block minima and the per-block calls cost little
@@ -40,6 +41,53 @@ pub struct Trace {
     /// Experiments correlate metrics against this. When absent,
     /// [`Trace::execution_time`] falls back to the span of all records.
     exec_time: Option<Dur>,
+    /// Taken on first use and dropped by every method that changes the
+    /// records. Derived from them, so never serialized.
+    #[serde(skip)]
+    index: OnceLock<ReplayIndex>,
+}
+
+/// What one pass over a trace's records learns for [`Trace::replay`] and
+/// the span queries.
+#[derive(Debug, Clone)]
+struct ReplayIndex {
+    /// The watermark before each replay block.
+    marks: Vec<Nanos>,
+    /// The latest end of any record, `None` for an empty trace.
+    last_end: Option<Nanos>,
+}
+
+impl ReplayIndex {
+    fn of(records: &[IoRecord]) -> Self {
+        let mut last_end = Nanos::ZERO;
+        let marks = replay_watermarks(records.iter().map(|r| {
+            last_end = last_end.max(r.end);
+            r.start
+        }));
+        ReplayIndex {
+            last_end: (!records.is_empty()).then_some(last_end),
+            marks,
+        }
+    }
+}
+
+/// The watermarks of a record stream replayed in blocks of
+/// [`REPLAY_BLOCK`], given its starts in order: the earliest start in each
+/// block and every later one. One pass takes each block's minimum, then a
+/// suffix minimum runs over those, so the result holds one value per
+/// block.
+fn replay_watermarks(starts: impl IntoIterator<Item = Nanos>) -> Vec<Nanos> {
+    let mut starts = starts.into_iter();
+    let mut marks = Vec::new();
+    loop {
+        let mut block = starts.by_ref().take(REPLAY_BLOCK);
+        let Some(first) = block.next() else { break };
+        marks.push(block.fold(first, Nanos::min));
+    }
+    for i in (1..marks.len()).rev() {
+        marks[i - 1] = marks[i - 1].min(marks[i]);
+    }
+    marks
 }
 
 impl Trace {
@@ -53,17 +101,25 @@ impl Trace {
         Trace {
             records,
             exec_time: None,
+            index: OnceLock::new(),
         }
+    }
+
+    /// The replay index, taken on first use.
+    fn index(&self) -> &ReplayIndex {
+        self.index.get_or_init(|| ReplayIndex::of(&self.records))
     }
 
     /// Append one record.
     pub fn push(&mut self, r: IoRecord) {
+        self.index.take();
         self.records.push(r);
     }
 
     /// Append a batch of records, preserving their order. One reserve +
     /// memcpy instead of a push per record.
     pub fn extend(&mut self, records: &[IoRecord]) {
+        self.index.take();
         self.records.extend_from_slice(records);
     }
 
@@ -72,27 +128,14 @@ impl Trace {
         self.exec_time = Some(t);
     }
 
-    /// The execution time recorded with [`Trace::set_execution_time`], if
-    /// any.
-    pub fn recorded_execution_time(&self) -> Option<Dur> {
-        self.exec_time
-    }
-
     /// Application execution time: the explicitly recorded value if set,
     /// otherwise the wall span from the first record start to the last end.
     pub fn execution_time(&self) -> Dur {
-        self.exec_time.unwrap_or_else(|| {
-            let Some(first) = self.records.first() else {
-                return Dur::ZERO;
-            };
-            let (start, end) = self
-                .records
-                .iter()
-                .fold((first.start, first.end), |(s, e), r| {
-                    (s.min(r.start), e.max(r.end))
-                });
-            end - start
-        })
+        self.exec_time
+            .unwrap_or_else(|| match (self.first_start(), self.last_end()) {
+                (Some(start), Some(end)) => end - start,
+                _ => Dur::ZERO,
+            })
     }
 
     /// All records, in insertion order.
@@ -143,22 +186,14 @@ impl Trace {
     /// the recorded execution time, if any.
     ///
     /// Before each block the trace supplies its own watermark: the
-    /// earliest start in that block and every later one (one pass takes
-    /// each block's minimum, then a suffix minimum over them). The
+    /// earliest start in that block and every later one, taken in one
+    /// pass on the first replay and kept until the records change. The
     /// watermarks never decrease and no later record starts before one,
     /// so a sink that forgets behind them, such as
     /// [`crate::sink::StreamingMetrics`], folds a stored trace in memory
     /// bounded by its busy frontier rather than its length.
     pub fn replay<S: RecordSink + ?Sized>(&self, sink: &mut S) {
-        let mut marks: Vec<Nanos> = self
-            .records
-            .chunks(REPLAY_BLOCK)
-            .map(|block| block.iter().fold(Nanos::MAX, |m, r| m.min(r.start)))
-            .collect();
-        for i in (1..marks.len()).rev() {
-            marks[i - 1] = marks[i - 1].min(marks[i]);
-        }
-        for (block, mark) in self.records.chunks(REPLAY_BLOCK).zip(marks) {
+        for (block, &mark) in self.records.chunks(REPLAY_BLOCK).zip(&self.index().marks) {
             sink.on_watermark(mark);
             sink.push_batch(block);
         }
@@ -189,6 +224,7 @@ impl Trace {
 
     /// Keep only records satisfying the predicate.
     pub fn retain<F: FnMut(&IoRecord) -> bool>(&mut self, f: F) {
+        self.index.take();
         self.records.retain(f);
     }
 
@@ -196,17 +232,19 @@ impl Trace {
     /// Figure 3 algorithm. Metrics do not require sorted input, but
     /// serialized traces are friendlier to inspect sorted.
     pub fn sort_by_start(&mut self) {
+        self.index.take();
         self.records.sort_unstable_by_key(|r| (r.start, r.end));
     }
 
     /// Earliest record start, if any.
     pub fn first_start(&self) -> Option<Nanos> {
-        self.records.iter().map(|r| r.start).min()
+        // The first watermark is the earliest start of all.
+        self.index().marks.first().copied()
     }
 
     /// Latest record end, if any.
     pub fn last_end(&self) -> Option<Nanos> {
-        self.records.iter().map(|r| r.end).max()
+        self.index().last_end
     }
 }
 

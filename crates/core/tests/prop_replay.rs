@@ -12,6 +12,11 @@
 //! watermarks. Traces come in completion order from up to 16 processes,
 //! with zero-length and long records, and many are longer than one block
 //! so that sealing and forgetting happen mid-trace.
+//!
+//! The watermarks and the span come from an index the trace takes once
+//! and keeps until its records change. Random sequences of every method
+//! that changes a trace, copies it or round-trips it through JSON, with
+//! queries between them, check that index against a fresh scan.
 
 use bps_core::interval::{max_depth, Interval, IntervalSet};
 use bps_core::metrics::{FoldNeeds, MetricFold, MetricSelection};
@@ -22,6 +27,7 @@ use bps_core::time::{Dur, Nanos};
 use bps_core::trace::Trace;
 use bps_core::window::{windowed_series, WindowPoint};
 use proptest::prelude::*;
+use serde::Serialize;
 
 /// One generated request: process, gap since that process's previous
 /// start, length, layer and byte selector.
@@ -357,5 +363,179 @@ proptest! {
         prop_assert_eq!(acc.app_queue_depth(), Some(max_depth(&app)));
         let want = (!app.is_empty()).then(|| f64::from(max_depth(&app)));
         prop_assert_eq!(bps_core::metrics::extended::MaxQueueDepth.finish(&acc), want);
+    }
+}
+
+/// Records `Trace::replay` delivers between two watermarks.
+const REPLAY_BLOCK: usize = 4096;
+
+/// One step of a trace's life.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Push one record drawn from the seed; an even seed places it after
+    /// every record ends.
+    Push(u64),
+    /// Extend by this many records drawn from the seed.
+    Extend(usize, u64),
+    /// Keep the records whose start is not a multiple of this.
+    Retain(u64),
+    SortByStart,
+    SetExecutionTime(u64),
+    Clone,
+    JsonRoundTrip,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        any::<u64>().prop_map(Step::Push),
+        (prop_oneof![0usize..40, 1usize..REPLAY_BLOCK], any::<u64>())
+            .prop_map(|(n, seed)| Step::Extend(n, seed)),
+        (2u64..5).prop_map(Step::Retain),
+        Just(Step::SortByStart),
+        any::<u64>().prop_map(Step::SetExecutionTime),
+        Just(Step::Clone),
+        Just(Step::JsonRoundTrip),
+    ]
+}
+
+/// Records from a seed, starting anywhere in the first millisecond (so a
+/// later record often starts before an earlier one) and lasting up to
+/// 50 µs, some of them zero-length.
+fn seeded(n: usize, seed: u64) -> Vec<IoRecord> {
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let start = x % 1_000_000;
+            IoRecord::new(
+                ProcessId((x >> 20) as u32 % 8),
+                IoOp::Read,
+                FileId(0),
+                0,
+                512,
+                Nanos(start),
+                Nanos(start + (x >> 40) % 50_000 * u64::from(!x.is_multiple_of(7))),
+                if x.is_multiple_of(5) {
+                    Layer::FileSystem
+                } else {
+                    Layer::Application
+                },
+            )
+        })
+        .collect()
+}
+
+/// The trace as it went on the wire before it carried an index.
+#[derive(Serialize)]
+struct WireTrace {
+    records: Vec<IoRecord>,
+    exec_time: Option<Dur>,
+}
+
+/// The watermarks replay hands a sink, and how many records arrived
+/// before each.
+#[derive(Default)]
+struct MarkProbe {
+    marks: Vec<Nanos>,
+    records: usize,
+    blocks: Vec<usize>,
+}
+
+impl RecordSink for MarkProbe {
+    fn on_record(&mut self, _: &IoRecord) {
+        self.records += 1;
+    }
+
+    fn on_watermark(&mut self, t: Nanos) {
+        self.marks.push(t);
+        self.blocks.push(self.records);
+    }
+}
+
+/// Every query the index answers against fresh scans, and the JSON.
+fn check_index(t: &Trace, exec_time: Option<Dur>) {
+    check_queries(t, exec_time);
+    let wire = WireTrace {
+        records: t.records().to_vec(),
+        exec_time,
+    };
+    assert_eq!(
+        serde_json::to_string_pretty(t).unwrap(),
+        serde_json::to_string_pretty(&wire).unwrap()
+    );
+}
+
+/// The replay watermarks, span and execution time against fresh scans,
+/// given the execution time last set.
+fn check_queries(t: &Trace, exec_time: Option<Dur>) {
+    let records = t.records();
+    // Two passes, as replay took them before the index: each block's
+    // earliest start, then a suffix minimum over the blocks.
+    let mut want: Vec<Nanos> = records
+        .chunks(REPLAY_BLOCK)
+        .map(|b| b.iter().map(|r| r.start).min().unwrap())
+        .collect();
+    for i in (1..want.len()).rev() {
+        want[i - 1] = want[i - 1].min(want[i]);
+    }
+    let mut probe = MarkProbe::default();
+    t.replay(&mut probe);
+    assert_eq!(probe.marks, want);
+    assert_eq!(probe.records, records.len());
+    let block_starts: Vec<usize> = (0..want.len()).map(|b| b * REPLAY_BLOCK).collect();
+    assert_eq!(probe.blocks, block_starts);
+
+    let first = records.iter().map(|r| r.start).min();
+    let last = records.iter().map(|r| r.end).max();
+    assert_eq!(t.first_start(), first);
+    assert_eq!(t.last_end(), last);
+    let span = match (first, last) {
+        (Some(f), Some(l)) => l - f,
+        _ => Dur::ZERO,
+    };
+    assert_eq!(t.execution_time(), exec_time.unwrap_or(span));
+}
+
+proptest! {
+    /// After every step of a random life, the replay watermarks, the span
+    /// and the execution time equal fresh scans of the records, so every
+    /// step but the first meets an index already taken; at the end the
+    /// JSON is what it was before the trace carried an index. Lives start
+    /// from traces up to three replay blocks long.
+    #[test]
+    fn replay_index_follows_every_change(
+        n in prop_oneof![0usize..40, 1usize..3 * REPLAY_BLOCK],
+        seed in any::<u64>(),
+        steps in proptest::collection::vec(step(), 1..12),
+    ) {
+        let mut t = Trace::from_records(seeded(n, seed));
+        let mut exec_time = None;
+        for s in &steps {
+            match *s {
+                Step::Push(seed) => {
+                    let mut r = seeded(1, seed)[0];
+                    if seed % 2 == 0 {
+                        let after = t.records().iter().map(|r| r.end).max().unwrap_or_default();
+                        (r.start, r.end) = (after + Dur(1), after + Dur(1) + r.duration());
+                    }
+                    t.push(r);
+                }
+                Step::Extend(n, seed) => t.extend(&seeded(n, seed)),
+                Step::Retain(k) => t.retain(|r| r.start.0 % k != 0),
+                Step::SortByStart => t.sort_by_start(),
+                Step::SetExecutionTime(ns) => {
+                    t.set_execution_time(Dur(ns));
+                    exec_time = Some(Dur(ns));
+                }
+                Step::Clone => t = t.clone(),
+                Step::JsonRoundTrip => {
+                    t = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+                }
+            }
+            check_queries(&t, exec_time);
+        }
+        check_index(&t, exec_time);
     }
 }

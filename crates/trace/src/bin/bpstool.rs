@@ -11,7 +11,9 @@
 //! ```
 //!
 //! Trace files are `.json` (full fidelity) or `.bpstrc` (the paper's
-//! 32-byte-per-record binary format).
+//! 32-byte-per-record binary format). A `.bpstrc` file streams through one
+//! 128 KiB buffer into the decoded trace, so loading it holds the trace
+//! and not the file; a `.json` file is read and parsed whole first.
 
 use bps_core::metrics::MetricSelection;
 use bps_core::report::MetricsSummary;
@@ -210,7 +212,9 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         _ => Err(
-            "usage: bpstool <summary|processes|timeline|validate|compare|convert> ...".to_string(),
+            "usage: bpstool <summary|processes|timeline|validate|compare|convert> ...\n\
+             trace files: .bpstrc streams into the decoded trace; .json loads whole"
+                .to_string(),
         ),
     }
 }

@@ -14,7 +14,7 @@ use bps_core::block::{blocks_for_bytes, BLOCK_SIZE};
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
 use bps_core::time::Nanos;
 use bps_core::trace::Trace;
-use std::io;
+use std::io::{self, Read};
 
 /// Size of one binary record on disk.
 pub const BINARY_RECORD_SIZE: usize = 32;
@@ -91,76 +91,133 @@ pub fn to_binary(trace: &Trace) -> Vec<u8> {
     buf
 }
 
+/// Records decoded per block: [`read_binary_file`] reads the body through
+/// one reused buffer of this many records (128 KiB).
+const DECODE_BLOCK: usize = 4096;
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// The record count of a binary trace that starts with `head` and whose
+/// body after the 16-byte header is `body_len` bytes long. The count is
+/// checked against the body with checked arithmetic, so a lying header
+/// cannot ask for a huge allocation.
+fn record_count(head: &[u8], body_len: u64) -> io::Result<usize> {
+    if head.len() < 16 || &head[..8] != MAGIC {
+        return Err(invalid("not a BPS binary trace".into()));
+    }
+    let count = u64::from_le_bytes(head[8..16].try_into().expect("8 header bytes"));
+    let expected = usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_mul(BINARY_RECORD_SIZE))
+        .ok_or_else(|| invalid(format!("record count {count} overflows the address space")))?;
+    if body_len != expected as u64 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("expected {expected} record bytes, found {body_len}"),
+        ));
+    }
+    Ok(expected / BINARY_RECORD_SIZE)
+}
+
+/// The one record decoder: blocks of whole records in, one exactly sized
+/// trace out. The first inverted record and the first unassigned flag
+/// byte are remembered and reported by [`Decoder::finish`], an inverted
+/// record first, so the result does not depend on how the body was cut
+/// into blocks.
+struct Decoder {
+    records: Vec<IoRecord>,
+    /// Index of the first record that ends before it starts.
+    inverted: Option<usize>,
+    /// Index and flag byte of the first record whose flags name no op
+    /// and layer.
+    bad_flags: Option<(usize, u8)>,
+}
+
+impl Decoder {
+    fn new(count: usize) -> Self {
+        Decoder {
+            records: Vec::with_capacity(count),
+            inverted: None,
+            bad_flags: None,
+        }
+    }
+
+    /// Decode a block of whole records. Records are read at fixed offsets
+    /// and appended in place; the error checks only set flags, which keeps
+    /// the loop free of early exits, and a flagged block is searched again
+    /// for the index.
+    fn block(&mut self, body: &[u8]) {
+        let at = self.records.len();
+        let (mut inverted, mut bad_flags) = (false, false);
+        self.records
+            .extend(body.chunks_exact(BINARY_RECORD_SIZE).map(|rec| {
+                let rec: &[u8; BINARY_RECORD_SIZE] = rec.try_into().expect("exact chunk");
+                let u32_at =
+                    |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4 bytes"));
+                let u64_at =
+                    |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
+                bad_flags |= rec[28] > MAX_FLAGS;
+                let (op, layer) = decode_flags(rec[28]);
+                let (start, end) = (Nanos(u64_at(8)), Nanos(u64_at(16)));
+                inverted |= end < start;
+                IoRecord {
+                    pid: ProcessId(u32_at(0)),
+                    op,
+                    file: FileId(u32_at(24)),
+                    offset: 0,
+                    bytes: u64::from(u32_at(4)) * BLOCK_SIZE,
+                    start,
+                    end,
+                    layer,
+                }
+            }));
+        if inverted && self.inverted.is_none() {
+            self.inverted = self.records[at..]
+                .iter()
+                .position(|r| r.end < r.start)
+                .map(|i| at + i);
+        }
+        if bad_flags && self.bad_flags.is_none() {
+            self.bad_flags = body
+                .chunks_exact(BINARY_RECORD_SIZE)
+                .map(|rec| rec[28])
+                .enumerate()
+                .find(|&(_, flags)| flags > MAX_FLAGS)
+                .map(|(i, flags)| (at + i, flags));
+        }
+    }
+
+    fn finish(self) -> io::Result<Trace> {
+        if let Some(i) = self.inverted {
+            return Err(invalid(format!("record {i} ends before it starts")));
+        }
+        if let Some((i, flags)) = self.bad_flags {
+            return Err(invalid(format!(
+                "record {i} has flag byte {flags:#04x}, which names no op and layer"
+            )));
+        }
+        Ok(Trace::from_records(self.records))
+    }
+}
+
 /// Decode the binary format. Byte sizes come back block-rounded (the
 /// format stores block counts, as the paper's record does); offsets come
 /// back as zero.
 ///
 /// The header's record count is checked against the body length before
-/// anything is allocated, so a lying header cannot ask for a huge buffer.
-/// A record that ends before it starts, or whose flag byte names no op and
-/// layer, fails the whole trace.
+/// anything is allocated. A record that ends before it starts, or whose
+/// flag byte names no op and layer, fails the whole trace, naming the
+/// first such record.
 pub fn from_binary(data: &[u8]) -> io::Result<Trace> {
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    if data.len() < 16 || &data[..8] != MAGIC {
-        return Err(invalid("not a BPS binary trace".into()));
+    let body = data.get(16..).unwrap_or_default();
+    let count = record_count(data, body.len() as u64)?;
+    let mut decoder = Decoder::new(count);
+    for block in body.chunks(DECODE_BLOCK * BINARY_RECORD_SIZE) {
+        decoder.block(block);
     }
-    let count = u64::from_le_bytes(data[8..16].try_into().expect("8 header bytes"));
-    let body = &data[16..];
-    let expected = usize::try_from(count)
-        .ok()
-        .and_then(|c| c.checked_mul(BINARY_RECORD_SIZE))
-        .ok_or_else(|| invalid(format!("record count {count} overflows the address space")))?;
-    if body.len() != expected {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("expected {expected} record bytes, found {}", body.len()),
-        ));
-    }
-    // Collecting from `chunks_exact` allocates the exact count once and
-    // writes each record in place; an inverted record or an unassigned
-    // flag byte is remembered and rejected after the loop, which keeps the
-    // loop free of early exits.
-    let mut inverted = false;
-    let mut bad_flags = false;
-    let records: Vec<IoRecord> = body
-        .chunks_exact(BINARY_RECORD_SIZE)
-        .map(|rec| {
-            let rec: &[u8; BINARY_RECORD_SIZE] = rec.try_into().expect("exact chunk");
-            let u32_at =
-                |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4 bytes"));
-            let u64_at =
-                |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
-            bad_flags |= rec[28] > MAX_FLAGS;
-            let (op, layer) = decode_flags(rec[28]);
-            let (start, end) = (Nanos(u64_at(8)), Nanos(u64_at(16)));
-            inverted |= end < start;
-            IoRecord {
-                pid: ProcessId(u32_at(0)),
-                op,
-                file: FileId(u32_at(24)),
-                offset: 0,
-                bytes: u64::from(u32_at(4)) * BLOCK_SIZE,
-                start,
-                end,
-                layer,
-            }
-        })
-        .collect();
-    if inverted {
-        return Err(invalid("record ends before it starts".into()));
-    }
-    if bad_flags {
-        let (i, flags) = body
-            .chunks_exact(BINARY_RECORD_SIZE)
-            .map(|rec| rec[28])
-            .enumerate()
-            .find(|&(_, flags)| flags > MAX_FLAGS)
-            .expect("a record with bad flags");
-        return Err(invalid(format!(
-            "record {i} has flag byte {flags:#04x}, which names no op and layer"
-        )));
-    }
-    Ok(Trace::from_records(records))
+    decoder.finish()
 }
 
 /// Write a trace to a file in the binary format.
@@ -168,9 +225,26 @@ pub fn write_binary_file(trace: &Trace, path: &std::path::Path) -> io::Result<()
     std::fs::write(path, to_binary(trace))
 }
 
-/// Read a binary-format trace file.
+/// Read a binary-format trace file: the same result as [`from_binary`] on
+/// its bytes, without holding them. The header is checked against the
+/// file's length, then the body streams through one reused 128 KiB buffer
+/// into the exactly sized trace.
 pub fn read_binary_file(path: &std::path::Path) -> io::Result<Trace> {
-    from_binary(&std::fs::read(path)?)
+    let mut file = std::fs::File::open(path)?;
+    let mut head = Vec::with_capacity(16);
+    (&mut file).take(16).read_to_end(&mut head)?;
+    let body_len = file.metadata()?.len().saturating_sub(16);
+    let count = record_count(&head, body_len)?;
+    let mut decoder = Decoder::new(count);
+    let mut left = count * BINARY_RECORD_SIZE;
+    let mut buf = vec![0u8; left.min(DECODE_BLOCK * BINARY_RECORD_SIZE)];
+    while left > 0 {
+        let block = &mut buf[..left.min(DECODE_BLOCK * BINARY_RECORD_SIZE)];
+        file.read_exact(block)?;
+        decoder.block(block);
+        left -= block.len();
+    }
+    decoder.finish()
 }
 
 /// Load a trace by file extension: `.json` (lossless) or `.bpstrc`
@@ -333,6 +407,45 @@ mod tests {
                 op_layer_flags(t.records()[0].op, t.records()[0].layer),
                 flags
             );
+        }
+    }
+
+    /// The first inverted record is named, and outranks an unassigned
+    /// flag byte in an earlier block, whether the trace is decoded from
+    /// memory or streamed from a file.
+    #[test]
+    fn inverted_records_are_named() {
+        let n = DECODE_BLOCK + 10;
+        let t = Trace::from_records(
+            (0..n as u64)
+                .map(|i| {
+                    IoRecord::new(
+                        ProcessId(0),
+                        IoOp::Read,
+                        FileId(0),
+                        0,
+                        4096,
+                        Nanos(i * 10),
+                        Nanos(i * 10 + 5),
+                        Layer::Application,
+                    )
+                })
+                .collect(),
+        );
+        let mut bin = to_binary(&t);
+        let end_of = |i: usize| 16 + i * BINARY_RECORD_SIZE + 16;
+        for i in [DECODE_BLOCK + 3, DECODE_BLOCK + 7] {
+            bin[end_of(i)..end_of(i) + 8].copy_from_slice(&0u64.to_le_bytes());
+        }
+        bin[16 + 2 * BINARY_RECORD_SIZE + 28] = 0x0a;
+        let path = std::env::temp_dir().join(format!("bps_inverted-{}.bpstrc", std::process::id()));
+        std::fs::write(&path, &bin).unwrap();
+        let streamed = read_binary_file(&path);
+        std::fs::remove_file(&path).ok();
+        for err in [from_binary(&bin).unwrap_err(), streamed.unwrap_err()] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let want = format!("record {} ends before it starts", DECODE_BLOCK + 3);
+            assert_eq!(err.to_string(), want);
         }
     }
 

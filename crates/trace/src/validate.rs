@@ -103,15 +103,11 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
     }
 
     let (mut zero, mut empty_io, mut app, mut fs) = (0usize, 0usize, 0u64, 0u64);
-    let first = &trace.records()[0];
-    let (mut first_start, mut last_end) = (first.start, first.end);
     let mut procs: Vec<ProcCheck> = Vec::new();
     let mut slot_of: PidMap<usize> = HashMap::default();
     for r in trace.records() {
         zero += usize::from(r.start == r.end);
         empty_io += usize::from(r.bytes == 0);
-        first_start = first_start.min(r.start);
-        last_end = last_end.max(r.end);
         match r.layer {
             Layer::Application => app += r.bytes,
             Layer::FileSystem => {
@@ -203,9 +199,7 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
     // Giant idle fraction: execution dominated by non-I/O time is fine,
     // but worth surfacing since BPS excludes it by design. The union is
     // taken only when the execution is long enough to be flagged.
-    let exec = trace
-        .recorded_execution_time()
-        .unwrap_or(last_end - first_start);
+    let exec = trace.execution_time();
     if exec > Dur::from_millis(1) {
         let io = trace.overlapped_io_time(Layer::Application);
         if io < exec / 100 {

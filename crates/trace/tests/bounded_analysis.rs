@@ -8,7 +8,10 @@
 //! 1 MiB; the summary of every registered metric may add the latency
 //! percentiles' response times on top, 16 bytes per application record. A
 //! pass that collects the trace's intervals, or a union that never forgets
-//! behind the watermark, needs several MiB here.
+//! behind the watermark, needs several MiB here. Loading the trace from
+//! its `.bpstrc` file may hold the decoded trace, 48 bytes per record,
+//! plus 1 MiB: a reader that holds the 32-byte-per-record file image
+//! next to it does not fit.
 
 use bps_core::metrics::MetricSelection;
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
@@ -130,8 +133,13 @@ fn stored_trace_analysis_holds_its_frontier() {
     let trace = trace();
     let app = trace.op_count(Layer::Application) as usize;
     assert_eq!(trace.len(), 200_000);
+    let path = std::env::temp_dir().join(format!("bps_bounded-{}.bpstrc", std::process::id()));
+    bps_trace::format::write_binary_file(&trace, &path).unwrap();
+    let decode = peak_added(|| bps_trace::format::load_path(&path).unwrap());
+    std::fs::remove_file(&path).ok();
 
-    let checks: [(&str, usize, usize); 6] = [
+    let checks: [(&str, usize, usize); 7] = [
+        ("load_path(.bpstrc)", decode, 48 * trace.len() + MIB),
         (
             "overlapped_io_time",
             peak_added(|| trace.overlapped_io_time(Layer::Application)),
