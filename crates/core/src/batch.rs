@@ -24,7 +24,7 @@ use crate::time::Nanos;
 /// let mut batch = RecordBatch::new();
 /// batch.push(&IoRecord::app_read(
 ///     ProcessId(0), FileId(0), 0, 4096,
-///     Nanos::ZERO, Nanos::from_micros(100),
+///     Nanos::ZERO, Nanos(100_000),
 /// ));
 /// assert_eq!(batch.len(), 1);
 /// assert_eq!(batch.bytes_col(), &[4096]);
@@ -54,29 +54,6 @@ impl RecordBatch {
             ends: Vec::new(),
             layers: Vec::new(),
         }
-    }
-
-    /// An empty batch with room for `n` records in every column.
-    pub fn with_capacity(n: usize) -> Self {
-        RecordBatch {
-            pids: Vec::with_capacity(n),
-            ops: Vec::with_capacity(n),
-            files: Vec::with_capacity(n),
-            offsets: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            starts: Vec::with_capacity(n),
-            ends: Vec::with_capacity(n),
-            layers: Vec::with_capacity(n),
-        }
-    }
-
-    /// Columnarize a record slice, preserving order.
-    pub fn from_records(records: &[IoRecord]) -> Self {
-        let mut batch = RecordBatch::with_capacity(records.len());
-        for r in records {
-            batch.push(r);
-        }
-        batch
     }
 
     /// Append one record's fields to the columns.
@@ -118,18 +95,6 @@ impl RecordBatch {
     /// True when the batch holds no records.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Drop all records, keeping the column allocations.
-    pub fn clear(&mut self) {
-        self.pids.clear();
-        self.ops.clear();
-        self.files.clear();
-        self.offsets.clear();
-        self.bytes.clear();
-        self.starts.clear();
-        self.ends.clear();
-        self.layers.clear();
     }
 
     /// The byte-size column.
@@ -194,8 +159,8 @@ mod tests {
             FileId(0),
             0,
             bytes,
-            Nanos::from_micros(s_us),
-            Nanos::from_micros(e_us),
+            Nanos(s_us * 1_000),
+            Nanos(e_us * 1_000),
             layer,
         )
     }
@@ -213,25 +178,15 @@ mod tests {
     #[test]
     fn roundtrips_records_in_order() {
         let records = sample();
-        let batch = RecordBatch::from_records(&records);
+        let mut batch = RecordBatch::new();
+        for r in &records {
+            batch.push(r);
+        }
         assert_eq!(batch.len(), records.len());
         for (i, r) in records.iter().enumerate() {
             assert_eq!(&batch.get(i), r);
         }
         let collected: RecordBatch = records.iter().copied().collect();
         assert_eq!(collected, batch);
-    }
-
-    #[test]
-    fn clear_keeps_capacity_and_empties_every_column() {
-        let mut batch = RecordBatch::from_records(&sample());
-        batch.clear();
-        assert!(batch.is_empty());
-        assert!(batch.starts_col().is_empty());
-        assert!(batch.ends_col().is_empty());
-        batch.push(&rec(Layer::Application, 512, 3, 9));
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch.starts_col(), &[Nanos::from_micros(3)]);
-        assert_eq!(batch.ends_col(), &[Nanos::from_micros(9)]);
     }
 }

@@ -6,11 +6,6 @@ use std::fmt;
 /// Errors produced when building or analyzing traces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
-    /// A metric was asked to evaluate a trace containing no relevant records.
-    EmptyTrace {
-        /// The metric that was being computed.
-        metric: &'static str,
-    },
     /// A correlation was requested over series of mismatched or insufficient length.
     BadSeries {
         /// Length of the x series.
@@ -26,9 +21,6 @@ pub enum CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoreError::EmptyTrace { metric } => {
-                write!(f, "cannot compute {metric}: no matching records in trace")
-            }
             CoreError::BadSeries { x_len, y_len } => write!(
                 f,
                 "correlation needs two equal-length series of >= 2 points, got {x_len} and {y_len}"
@@ -76,11 +68,6 @@ pub enum IoError {
         /// When the server is expected back.
         until: Nanos,
     },
-    /// The client gave up on an in-flight request after its timeout budget.
-    Timeout {
-        /// The instant the client abandoned the request.
-        at: Nanos,
-    },
     /// All retry attempts were exhausted; carries the final failure.
     RetriesExhausted {
         /// Total attempts made.
@@ -99,7 +86,6 @@ impl IoError {
             IoError::BeyondEof { .. } => None,
             IoError::DeviceFault { at, .. }
             | IoError::ServerOffline { at, .. }
-            | IoError::Timeout { at }
             | IoError::RetriesExhausted { at, .. } => Some(*at),
         }
     }
@@ -126,7 +112,6 @@ impl fmt::Display for IoError {
             IoError::ServerOffline { server, at, until } => {
                 write!(f, "server {server} offline at {at} (back at {until})")
             }
-            IoError::Timeout { at } => write!(f, "request timed out at {at}"),
             IoError::RetriesExhausted { attempts, at } => {
                 write!(f, "gave up after {attempts} attempts at {at}")
             }
@@ -142,8 +127,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = CoreError::EmptyTrace { metric: "BPS" };
-        assert!(e.to_string().contains("BPS"));
         let e = CoreError::BadSeries { x_len: 1, y_len: 2 };
         assert!(e.to_string().contains("1 and 2"));
         assert!(CoreError::ZeroVariance.to_string().contains("variance"));
@@ -162,10 +145,10 @@ mod tests {
 
         let fault = IoError::DeviceFault {
             server: 2,
-            at: Nanos::from_micros(7),
+            at: Nanos(7_000),
         };
         assert!(fault.is_transient());
-        assert_eq!(fault.fail_time(), Some(Nanos::from_micros(7)));
+        assert_eq!(fault.fail_time(), Some(Nanos(7_000)));
 
         let off = IoError::ServerOffline {
             server: 0,
@@ -181,9 +164,5 @@ mod tests {
         };
         assert!(!gone.is_transient());
         assert!(gone.to_string().contains("4 attempts"));
-        assert!(IoError::Timeout {
-            at: Nanos::from_millis(2)
-        }
-        .is_transient());
     }
 }

@@ -4,9 +4,8 @@
 //! sieving) is described as a list of file regions. An [`Extent`] is one
 //! such region; a [`Run`] is a strided vector of equal regions, and
 //! [`Regions`] is one request's run list. The helpers here normalize run
-//! lists and compute the quantities data sieving cares about: the covering
-//! hull and the bytes the regions cover, in time linear in the runs, not
-//! the regions.
+//! lists and compute the bytes the regions cover, in time linear in the
+//! runs, not the regions.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -29,26 +28,6 @@ impl Extent {
     /// One past the last byte.
     pub const fn end(&self) -> u64 {
         self.offset + self.len
-    }
-
-    /// True for zero-length extents.
-    pub const fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True when `self` fully contains `other`.
-    pub fn contains(&self, other: &Extent) -> bool {
-        self.offset <= other.offset && other.end() <= self.end()
-    }
-
-    /// The smallest extent covering both.
-    pub fn hull(&self, other: &Extent) -> Extent {
-        let offset = self.offset.min(other.offset);
-        let end = self.end().max(other.end());
-        Extent {
-            offset,
-            len: end - offset,
-        }
     }
 }
 
@@ -198,14 +177,6 @@ pub fn covered_bytes(normalized: &[Run]) -> u64 {
     normalized.iter().map(|r| r.count * r.len).sum()
 }
 
-/// The covering hull of a non-empty normalized run list.
-pub fn hull(normalized: &[Run]) -> Option<Extent> {
-    match (normalized.first(), normalized.last()) {
-        (Some(a), Some(b)) => Some(Extent::new(a.offset, b.end() - a.offset)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,19 +221,18 @@ mod tests {
     fn hull_and_holes() {
         let input = Regions::from(vec![e(0, 4), e(10, 4), e(20, 4)]);
         let n = normalize(&input);
-        assert_eq!(hull(&n), Some(e(0, 24)));
-        // The hull covers the regions plus the two 6-byte holes between them.
-        assert_eq!(covered_bytes(&n) + 2 * 6, hull(&n).unwrap().len);
+        // The 24-byte hull holds the regions plus the two 6-byte holes
+        // between them.
+        assert_eq!(n.last().unwrap().end() - n[0].offset, 24);
+        assert_eq!(covered_bytes(&n) + 2 * 6, 24);
         // The same three regions as one strided run.
         let strided = Regions::strided(0, 4, 10, 3);
-        assert_eq!(hull(&normalize(&strided)), Some(e(0, 24)));
         assert_eq!(covered_bytes(&normalize(&strided)), 12);
     }
 
     #[test]
     fn empty_inputs() {
         assert!(normalize(&[]).is_empty());
-        assert_eq!(hull(&[]), None);
         assert_eq!(covered_bytes(&[]), 0);
         assert!(normalize(&Regions::strided(7, 256, 300, 0)).is_empty());
         assert!(normalize(&Regions::strided(7, 0, 300, 9)).is_empty());
@@ -270,10 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_end() {
-        assert!(e(0, 10).contains(&e(2, 3)));
-        assert!(!e(0, 10).contains(&e(8, 5)));
-        assert!(e(0, 10).contains(&e(0, 10)));
+    fn ends_of_extents_and_runs() {
         assert_eq!(e(3, 4).end(), 7);
         assert_eq!(run(3, 4, 10, 3).end(), 27);
         assert_eq!(run(3, 4, 99, 1).end(), 7);
@@ -282,7 +249,7 @@ mod tests {
     /// The sort-and-merge `normalize` ran on every input before the
     /// already-normalized shortcut.
     fn reference(extents: &[Extent]) -> Vec<Extent> {
-        let mut v: Vec<Extent> = extents.iter().copied().filter(|e| !e.is_empty()).collect();
+        let mut v: Vec<Extent> = extents.iter().copied().filter(|e| e.len > 0).collect();
         v.sort_unstable_by_key(|e| (e.offset, e.len));
         let mut out: Vec<Extent> = Vec::new();
         for e in v {

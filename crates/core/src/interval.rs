@@ -288,12 +288,6 @@ impl IntervalSet {
         self.spans.len()
     }
 
-    /// True if no interval has been inserted (or all were degenerate —
-    /// degenerate intervals are kept but measure zero).
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.forgotten_end.is_none()
-    }
-
     /// The retained merged disjoint spans, sorted by start.
     pub fn spans(&self) -> &[Interval] {
         &self.spans
@@ -539,7 +533,6 @@ mod tests {
         set.insert(iv(95, 120));
         set.insert(iv(200, 201));
         assert_eq!(set.total(), Dur::from_millis(10 * 3 + 25 + 1));
-        assert!(!set.is_empty());
     }
 
     #[test]
@@ -558,7 +551,6 @@ mod tests {
         // Forgetting everything keeps the set non-empty in measure.
         set.forget_before(ms(11));
         assert_eq!(set.period_count(), 0);
-        assert!(!set.is_empty());
         assert_eq!(set.total(), Dur::from_millis(7));
     }
 

@@ -53,7 +53,6 @@ pub mod interval;
 pub mod metrics;
 pub mod record;
 pub mod report;
-pub mod retry;
 pub mod sink;
 pub mod time;
 pub mod trace;
@@ -72,7 +71,6 @@ pub mod prelude {
     };
     pub use crate::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
     pub use crate::report::MetricsSummary;
-    pub use crate::retry::{issue_with_retry, RetryIo, RetryPolicy};
     pub use crate::sink::{RecordSink, StreamingMetrics};
     pub use crate::time::{Dur, Nanos};
     pub use crate::trace::Trace;

@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn fallback_layer_choice_is_explicit() {
-        let mut acc = StreamingMetrics::new();
+        let mut acc = StreamingMetrics::default();
         acc.on_record(&rec(Layer::Application, 2_000_000, 0, 10));
         assert_eq!(Bandwidth::measurement_layer(&acc), Layer::Application);
         acc.on_record(&rec(Layer::FileSystem, 2_000_000, 0, 10));

@@ -304,7 +304,7 @@ mod tests {
         // A sink built without the retained state cannot finish the
         // percentiles or queue depth — None, not a wrong answer.
         use crate::sink::{RecordSink, StreamingMetrics};
-        let mut bare = StreamingMetrics::new();
+        let mut bare = StreamingMetrics::default();
         bare.on_record(&read(0, 0, 10));
         assert!(LatencyPercentile::P99.finish(&bare).is_none());
         assert!(MaxQueueDepth.finish(&bare).is_none());

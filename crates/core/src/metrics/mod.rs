@@ -341,13 +341,6 @@ impl MetricSelection {
         self.metrics.iter().map(|m| m.name()).collect()
     }
 
-    /// True when a metric of this name (case-insensitive) is selected.
-    pub fn contains(&self, name: &str) -> bool {
-        self.metrics
-            .iter()
-            .any(|m| m.name().eq_ignore_ascii_case(name))
-    }
-
     /// Union with metrics named by `names` (already-validated registry
     /// names); the result stays registry-ordered.
     pub fn with_names<S: AsRef<str>>(&self, names: &[S]) -> Result<Self, UnknownMetric> {
@@ -445,7 +438,6 @@ mod tests {
         let sel = MetricSelection::parse(&["p99", "bps", "P99"]).unwrap();
         assert_eq!(sel.names(), vec!["BPS", "P99"]);
         assert_ne!(sel, MetricSelection::paper());
-        assert!(sel.contains("p99") && sel.contains("BPS") && !sel.contains("IOPS"));
     }
 
     #[test]
@@ -497,7 +489,7 @@ mod tests {
             0,
             4096,
             Nanos::ZERO,
-            Nanos::from_micros(100),
+            Nanos(100_000),
         ));
         for m in paper_metrics() {
             let v = m.compute(&t).unwrap();

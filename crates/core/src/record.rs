@@ -53,7 +53,8 @@ pub enum Layer {
     Application,
     /// What was requested of the (possibly parallel) file system.
     FileSystem,
-    /// What the block device actually served.
+    /// What the block device actually served. Stored traces may carry
+    /// it; the simulated cluster does not record it.
     Device,
     /// Time a request spent crossing the interconnect between client and
     /// server (request out for writes, reply back for reads). Network
@@ -165,8 +166,8 @@ mod tests {
             FileId(0),
             0,
             bytes,
-            Nanos::from_micros(s),
-            Nanos::from_micros(e),
+            Nanos(s * 1_000),
+            Nanos(e * 1_000),
         )
     }
 

@@ -310,7 +310,7 @@ mod tests {
         assert!((rows[1].arpt_s - 0.005).abs() < 1e-12);
         // Ops sum to the trace's ops.
         let total: u64 = rows.iter().map(|r| r.ops).sum();
-        assert_eq!(total, tr.op_count(Layer::Application));
+        assert_eq!(total, tr.layer(Layer::Application).count() as u64);
     }
 
     #[test]

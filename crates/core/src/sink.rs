@@ -18,9 +18,7 @@
 
 use crate::batch::RecordBatch;
 use crate::interval::{DepthSweep, IntervalSet};
-use crate::metrics::{
-    registry, Arpt, Bandwidth, Bps, FoldNeeds, Iops, MetricFold, MetricSelection,
-};
+use crate::metrics::{Arpt, Bandwidth, Bps, FoldNeeds, Iops, MetricFold, MetricSelection};
 use crate::record::{IoRecord, Layer};
 use crate::time::{Dur, Nanos};
 use crate::trace::Trace;
@@ -201,12 +199,6 @@ pub struct StreamingMetrics {
 }
 
 impl StreamingMetrics {
-    /// Fresh, empty accumulators retaining nothing per record (sufficient
-    /// for the paper four).
-    pub fn new() -> Self {
-        StreamingMetrics::default()
-    }
-
     /// Fresh accumulators retaining the per-record state `needs` asks for.
     pub fn with_needs(needs: FoldNeeds) -> Self {
         StreamingMetrics {
@@ -242,14 +234,6 @@ impl StreamingMetrics {
     /// Average response time per application operation, seconds.
     pub fn arpt(&self) -> Option<f64> {
         Arpt.finish(self)
-    }
-
-    /// Finish the registered metric called `name` (case-insensitive) from
-    /// the accumulated state. `None` for unknown names, streams with no
-    /// relevant records, or metrics whose [`FoldNeeds`] this sink was not
-    /// built with.
-    pub fn value(&self, name: &str) -> Option<f64> {
-        registry().find(name)?.finish(self)
     }
 
     /// Application execution time: the explicitly observed value if any,
@@ -338,11 +322,6 @@ impl StreamingMetrics {
         self.records == 0
     }
 
-    /// Application blocks observed so far (the `B` of equation (1)).
-    pub fn app_blocks(&self) -> u64 {
-        self.app.blocks
-    }
-
     /// Retain the per-record state requested at construction for one
     /// application record. Both branches are untaken (and predictable) in
     /// the default constant-space configuration.
@@ -411,15 +390,15 @@ mod tests {
             FileId(0),
             0,
             bytes,
-            Nanos::from_micros(s_us),
-            Nanos::from_micros(e_us),
+            Nanos(s_us * 1_000),
+            Nanos(e_us * 1_000),
             layer,
         )
     }
 
     fn cross_check(records: &[IoRecord]) {
         let mut trace = Trace::new();
-        let mut stream = StreamingMetrics::new();
+        let mut stream = StreamingMetrics::default();
         for r in records {
             trace.on_record(r);
             stream.on_record(r);
@@ -451,7 +430,7 @@ mod tests {
 
     #[test]
     fn explicit_execution_time_wins() {
-        let mut s = StreamingMetrics::new();
+        let mut s = StreamingMetrics::default();
         s.on_record(&rec(0, Layer::Application, 512, 0, 10));
         s.on_execution_time(Dur::from_micros(1234));
         assert_eq!(s.execution_time(), Dur::from_micros(1234));
@@ -463,8 +442,8 @@ mod tests {
             rec(0, Layer::Application, 4096, 0, 40),
             rec(0, Layer::FileSystem, 4096, 5, 35),
         ];
-        let mut plain = StreamingMetrics::new();
-        let mut faulted = StreamingMetrics::new();
+        let mut plain = StreamingMetrics::default();
+        let mut faulted = StreamingMetrics::default();
         for r in &healthy {
             plain.on_record(r);
             faulted.on_record(r);
@@ -507,7 +486,7 @@ mod tests {
 
     #[test]
     fn sequential_stream_behind_a_watermark_retains_a_constant() {
-        let mut stream = StreamingMetrics::new();
+        let mut stream = StreamingMetrics::default();
         let mut trace = Trace::new();
         for k in 0..100_000u64 {
             // Non-touching: a 1 us gap after every 3 us request.
@@ -515,7 +494,7 @@ mod tests {
             stream.push_batch(&[r]);
             trace.on_record(&r);
             // The next record starts at (k + 1) * 4 us.
-            let next = Nanos::from_micros((k + 1) * 4);
+            let next = Nanos(((k + 1) * 4) * 1_000);
             stream.on_watermark(next);
             trace.on_watermark(next);
             assert!(stream.app.union.period_count() <= RETAINED_SPANS);
@@ -531,12 +510,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "could touch a span forgotten")]
     fn record_behind_a_broken_watermark_panics() {
-        let mut stream = StreamingMetrics::new();
+        let mut stream = StreamingMetrics::default();
         for k in 0..=RETAINED_SPANS as u64 {
             stream.on_record(&rec(0, Layer::FileSystem, 512, k * 10, k * 10 + 5));
         }
         let last_start = RETAINED_SPANS as u64 * 10;
-        stream.on_watermark(Nanos::from_micros(last_start));
+        stream.on_watermark(Nanos(last_start * 1_000));
         // Starts before the watermark and reaches a dropped span.
         stream.on_record(&rec(0, Layer::FileSystem, 512, 3, last_start));
     }
@@ -547,7 +526,7 @@ mod tests {
             rec(0, Layer::Application, 2048, 0, 30),
             rec(1, Layer::Application, 2048, 10, 50),
         ];
-        let mut tee = Tee(Trace::new(), StreamingMetrics::new());
+        let mut tee = Tee(Trace::new(), StreamingMetrics::default());
         tee.push_batch(&records);
         assert_eq!(tee.0.len(), 2);
         assert_eq!(tee.1.len(), 2);
@@ -556,7 +535,7 @@ mod tests {
 
     #[test]
     fn tee_feeds_both_sinks() {
-        let mut tee = Tee(Trace::new(), StreamingMetrics::new());
+        let mut tee = Tee(Trace::new(), StreamingMetrics::default());
         let r = rec(0, Layer::Application, 2048, 0, 30);
         tee.on_record(&r);
         tee.on_execution_time(Dur::from_micros(30));

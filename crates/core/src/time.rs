@@ -41,10 +41,6 @@ impl Nanos {
     pub const fn from_millis(ms: u64) -> Self {
         Nanos(ms * 1_000_000)
     }
-    /// Construct from microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        Nanos(us * 1_000)
-    }
     /// Fractional seconds since the epoch.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
@@ -67,10 +63,6 @@ impl Dur {
     /// Zero-length duration.
     pub const ZERO: Dur = Dur(0);
 
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Dur(s * NANOS_PER_SEC)
-    }
     /// Construct from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         Dur(ms * 1_000_000)
@@ -103,10 +95,6 @@ impl Dur {
     /// True if the duration is zero.
     pub fn is_zero(self) -> bool {
         self.0 == 0
-    }
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: Dur) -> Dur {
-        Dur(self.0.saturating_sub(other.0))
     }
 }
 
@@ -214,8 +202,7 @@ mod tests {
     fn constructors_agree() {
         assert_eq!(Nanos::from_secs(2), Nanos(2 * NANOS_PER_SEC));
         assert_eq!(Nanos::from_millis(3), Nanos(3_000_000));
-        assert_eq!(Nanos::from_micros(5), Nanos(5_000));
-        assert_eq!(Dur::from_secs(1), Dur(NANOS_PER_SEC));
+        assert_eq!(Dur::from_millis(1), Dur(NANOS_PER_SEC / 1_000));
     }
 
     #[test]
@@ -312,7 +299,7 @@ mod tests {
         assert_eq!(format!("{}", Dur(500)), "500ns");
         assert_eq!(format!("{}", Dur::from_micros(12)), "12.00us");
         assert_eq!(format!("{}", Dur::from_millis(12)), "12.00ms");
-        assert_eq!(format!("{}", Dur::from_secs(2)), "2.000s");
+        assert_eq!(format!("{}", Dur::from_millis(2_000)), "2.000s");
     }
 
     #[test]

@@ -26,7 +26,7 @@ const REPLAY_BLOCK: usize = 4096;
 /// let mut trace = Trace::new();
 /// trace.push(IoRecord::app_read(
 ///     ProcessId(0), FileId(0), 0, 4096,
-///     Nanos::ZERO, Nanos::from_micros(100),
+///     Nanos::ZERO, Nanos(100_000),
 /// ));
 /// assert_eq!(trace.app_blocks(), 8);
 /// assert_eq!(
@@ -158,11 +158,6 @@ impl Trace {
         self.records.iter().filter(move |r| r.layer == layer)
     }
 
-    /// Number of records at a layer.
-    pub fn op_count(&self, layer: Layer) -> u64 {
-        self.layer(layer).count() as u64
-    }
-
     /// Total bytes at a layer (what *moved* if `layer` is below the
     /// optimizations, what was *required* at `Layer::Application`).
     pub fn bytes(&self, layer: Layer) -> u64 {
@@ -222,12 +217,6 @@ impl Trace {
             .fold(Dur::ZERO, |acc, r| acc + r.duration())
     }
 
-    /// Keep only records satisfying the predicate.
-    pub fn retain<F: FnMut(&IoRecord) -> bool>(&mut self, f: F) {
-        self.index.take();
-        self.records.retain(f);
-    }
-
     /// Sort records by (start, end) — the first half of the paper's
     /// Figure 3 algorithm. Metrics do not require sorted input, but
     /// serialized traces are friendlier to inspect sorted.
@@ -279,8 +268,8 @@ mod tests {
             FileId(0),
             offset,
             bytes,
-            Nanos::from_micros(s_us),
-            Nanos::from_micros(e_us),
+            Nanos(s_us * 1_000),
+            Nanos(e_us * 1_000),
             layer,
         )
     }
@@ -298,8 +287,8 @@ mod tests {
     #[test]
     fn layer_separation() {
         let t = sample();
-        assert_eq!(t.op_count(Layer::Application), 2);
-        assert_eq!(t.op_count(Layer::FileSystem), 1);
+        assert_eq!(t.layer(Layer::Application).count(), 2);
+        assert_eq!(t.layer(Layer::FileSystem).count(), 1);
         assert_eq!(t.bytes(Layer::Application), 8192);
         assert_eq!(t.bytes(Layer::FileSystem), 16384);
         assert_eq!(t.app_blocks(), 16);
@@ -347,10 +336,12 @@ mod tests {
         let mut write = rec(0, Layer::Application, 0, 1024, 200, 210);
         write.op = IoOp::Write;
         t.push(write);
-        t.retain(|r| r.layer == Layer::Application);
-        assert_eq!(t.len(), 3);
-        t.retain(|r| r.op == IoOp::Read);
-        assert_eq!(t.len(), 2);
+        let keep = |f: &dyn Fn(&IoRecord) -> bool| {
+            Trace::from_records(t.records().iter().copied().filter(|r| f(r)).collect())
+        };
+        assert_eq!(keep(&|r| r.layer == Layer::Application).len(), 3);
+        let reads = keep(&|r| r.layer == Layer::Application && r.op == IoOp::Read);
+        assert_eq!(reads.len(), 2);
     }
 
     #[test]
@@ -403,7 +394,7 @@ mod tests {
         t.replay(&mut probe);
         assert_eq!(probe.seen, t.records());
         assert_eq!(probe.marks.len(), 4);
-        assert!(probe.marks.iter().all(|&m| m == Nanos::from_micros(5)));
+        assert!(probe.marks.iter().all(|&m| m == Nanos(5_000)));
         assert_eq!(probe.exec, None);
         t.set_execution_time(Dur::from_micros(99));
         t.replay(&mut probe);
@@ -420,6 +411,6 @@ mod tests {
         t.sort_by_start();
         assert!(t.records()[0].start < t.records()[1].start);
         assert_eq!(t.first_start(), Some(Nanos::ZERO));
-        assert_eq!(t.last_end(), Some(Nanos::from_micros(110)));
+        assert_eq!(t.last_end(), Some(Nanos(110_000)));
     }
 }

@@ -377,8 +377,6 @@ enum Step {
     Push(u64),
     /// Extend by this many records drawn from the seed.
     Extend(usize, u64),
-    /// Keep the records whose start is not a multiple of this.
-    Retain(u64),
     SortByStart,
     SetExecutionTime(u64),
     Clone,
@@ -390,7 +388,6 @@ fn step() -> impl Strategy<Value = Step> {
         any::<u64>().prop_map(Step::Push),
         (prop_oneof![0usize..40, 1usize..REPLAY_BLOCK], any::<u64>())
             .prop_map(|(n, seed)| Step::Extend(n, seed)),
-        (2u64..5).prop_map(Step::Retain),
         Just(Step::SortByStart),
         any::<u64>().prop_map(Step::SetExecutionTime),
         Just(Step::Clone),
@@ -523,7 +520,6 @@ proptest! {
                     t.push(r);
                 }
                 Step::Extend(n, seed) => t.extend(&seeded(n, seed)),
-                Step::Retain(k) => t.retain(|r| r.start.0 % k != 0),
                 Step::SortByStart => t.sort_by_start(),
                 Step::SetExecutionTime(ns) => {
                     t.set_execution_time(Dur(ns));

@@ -167,7 +167,7 @@ proptest! {
     #[test]
     fn streaming_equals_materialized(recs in records()) {
         let mut trace = Trace::new();
-        let mut stream = StreamingMetrics::new();
+        let mut stream = StreamingMetrics::default();
         for r in &recs {
             trace.on_record(r);
             stream.on_record(r);
@@ -177,10 +177,10 @@ proptest! {
         prop_assert_eq!(bits(Bandwidth.compute(&trace)), bits(stream.bandwidth()));
         prop_assert_eq!(bits(Arpt.compute(&trace)), bits(stream.arpt()));
         prop_assert_eq!(trace.execution_time(), stream.execution_time());
-        prop_assert_eq!(trace.op_count(Layer::Application), stream.op_count(Layer::Application));
-        prop_assert_eq!(trace.op_count(Layer::FileSystem), stream.op_count(Layer::FileSystem));
-        prop_assert_eq!(trace.op_count(Layer::Device), stream.op_count(Layer::Device));
-        prop_assert_eq!(trace.app_blocks(), stream.app_blocks());
+        prop_assert_eq!(trace.layer(Layer::Application).count() as u64, stream.op_count(Layer::Application));
+        prop_assert_eq!(trace.layer(Layer::FileSystem).count() as u64, stream.op_count(Layer::FileSystem));
+        prop_assert_eq!(trace.layer(Layer::Device).count() as u64, stream.op_count(Layer::Device));
+        prop_assert_eq!(trace.app_blocks(), stream.blocks(Layer::Application));
         prop_assert_eq!(
             trace.overlapped_io_time(Layer::Application),
             stream.overlapped_io_time(Layer::Application)
@@ -192,7 +192,7 @@ proptest! {
     #[test]
     fn streaming_execution_time_override(recs in records(), exec_ns in 1u64..10_000_000) {
         let mut trace = Trace::new();
-        let mut stream = StreamingMetrics::new();
+        let mut stream = StreamingMetrics::default();
         for r in &recs {
             trace.on_record(r);
             stream.on_record(r);
@@ -270,13 +270,13 @@ proptest! {
             folded(&s)
         };
 
-        let mut one = StreamingMetrics::new();
+        let mut one = StreamingMetrics::default();
         for r in &recs {
             one.on_record(r);
         }
         prop_assert_eq!(finish(one), want.clone(), "per record");
 
-        let mut cut = StreamingMetrics::new();
+        let mut cut = StreamingMetrics::default();
         push_cut(&mut cut, &recs, &cuts);
         prop_assert_eq!(finish(cut), want.clone(), "batch cuttings");
 
@@ -284,7 +284,7 @@ proptest! {
         if let Some(t) = exec {
             trace.set_execution_time(t);
         }
-        let mut replayed = StreamingMetrics::new();
+        let mut replayed = StreamingMetrics::default();
         trace.replay(&mut replayed);
         prop_assert_eq!(folded(&replayed), want.clone(), "Trace::replay");
 
@@ -292,7 +292,7 @@ proptest! {
         for i in (1..marks.len()).rev() {
             marks[i - 1] = marks[i - 1].min(marks[i]);
         }
-        let mut behind = StreamingMetrics::new();
+        let mut behind = StreamingMetrics::default();
         for (r, &mark) in recs.iter().zip(&marks) {
             behind.on_watermark(mark);
             behind.on_record(r);
@@ -318,7 +318,7 @@ proptest! {
         push_cut(&mut bat, &recs, &cuts);
         prop_assert_eq!(seq.records(), bat.records());
 
-        let mut tee = Tee(Trace::new(), StreamingMetrics::new());
+        let mut tee = Tee(Trace::new(), StreamingMetrics::default());
         push_cut(&mut tee, &recs, &cuts);
         prop_assert_eq!(tee.0.records(), seq.records());
         prop_assert_eq!(folded(&tee.1), oracle(&recs, None));
@@ -373,7 +373,7 @@ proptest! {
             trace_seq.on_record(r);
         }
         let mut col = StreamingMetrics::with_needs(FoldNeeds::ALL);
-        let mut plain = StreamingMetrics::new();
+        let mut plain = StreamingMetrics::default();
         let mut trace_col = Trace::new();
         col.push_columns(&RecordBatch::new()); // empty batches are no-ops
         let mut rest = &recs[..];
@@ -381,7 +381,7 @@ proptest! {
         while !rest.is_empty() {
             let k = cuts.next().copied().unwrap_or(rest.len()).min(rest.len());
             let (chunk, tail) = rest.split_at(k);
-            let batch = RecordBatch::from_records(chunk);
+            let batch: RecordBatch = chunk.iter().copied().collect();
             col.push_columns(&batch);
             plain.push_columns(&batch);
             trace_col.push_columns(&batch);

@@ -396,7 +396,7 @@ mod tests {
             assert!(shapes[0].1.is_none(), "{}", kind.name());
             for (label, spec) in &shapes[1..] {
                 let plan = engine::build_fault(spec.as_ref().unwrap());
-                assert!(!plan.is_none(), "{}/{label}", kind.name());
+                assert_ne!(plan, Default::default(), "{}/{label}", kind.name());
             }
         }
     }

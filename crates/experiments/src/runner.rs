@@ -334,8 +334,8 @@ mod tests {
         let spec = CaseSpec::new(Storage::Hdd, &w);
         let trace = run_case(&spec, 1);
         use bps_core::record::Layer;
-        assert_eq!(trace.op_count(Layer::Application), 32);
-        assert_eq!(trace.op_count(Layer::FileSystem), 32);
+        assert_eq!(trace.layer(Layer::Application).count(), 32);
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 32);
         assert!(trace.execution_time() > Dur::ZERO);
     }
 
@@ -375,7 +375,7 @@ mod tests {
         let w = Iozone::seq_read(4 << 20, 256 << 10);
         let spec = CaseSpec::new(Storage::Hdd, &w);
         let trace = run_case(&spec, 7);
-        let stream = run_case_with(&spec, 7, StreamingMetrics::new());
+        let stream = run_case_with(&spec, 7, StreamingMetrics::default());
         assert_eq!(Bps.compute(&trace), stream.bps());
         assert_eq!(Iops.compute(&trace), stream.iops());
         assert_eq!(Bandwidth.compute(&trace), stream.bandwidth());
@@ -392,7 +392,7 @@ mod tests {
         let trace = run_case(&spec, 3);
         use bps_core::record::Layer;
         // 1 MB records over 64 KB stripes on 4 servers: >1 FS op per app op.
-        assert!(trace.op_count(Layer::FileSystem) > trace.op_count(Layer::Application));
+        assert!(trace.layer(Layer::FileSystem).count() > trace.layer(Layer::Application).count());
     }
 
     #[test]
@@ -449,7 +449,7 @@ mod tests {
         use bps_core::sink::StreamingMetrics;
         use bps_core::time::Nanos;
         // One healthy run and one zero-time run (BPS/IOPS/BW undefined).
-        let mut good = StreamingMetrics::new();
+        let mut good = StreamingMetrics::default();
         good.on_record(&IoRecord::new(
             ProcessId(0),
             IoOp::Read,
@@ -457,18 +457,18 @@ mod tests {
             0,
             4096,
             Nanos::ZERO,
-            Nanos::from_micros(100),
+            Nanos(100_000),
             Layer::Application,
         ));
-        let mut degenerate = StreamingMetrics::new();
+        let mut degenerate = StreamingMetrics::default();
         degenerate.on_record(&IoRecord::new(
             ProcessId(0),
             IoOp::Read,
             FileId(0),
             0,
             4096,
-            Nanos::from_micros(5),
-            Nanos::from_micros(5),
+            Nanos(5_000),
+            Nanos(5_000),
             Layer::Application,
         ));
         let paper = MetricSelection::paper();

@@ -59,11 +59,6 @@ impl SweepExec {
         SweepExec::new(threads)
     }
 
-    /// The worker thread count this executor fans out to.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run `f(0..n)` across the executor's threads and collect the results
     /// indexed by input position. Workers claim indices from a shared
     /// counter (work stealing), so uneven unit costs balance out; the
@@ -148,15 +143,15 @@ mod tests {
 
     #[test]
     fn thread_count_floor_is_one() {
-        assert_eq!(SweepExec::new(0).threads(), 1);
+        assert_eq!(SweepExec::new(0).threads, 1);
     }
 
     #[test]
     fn thread_override_outranks_environment() {
-        assert_eq!(SweepExec::from_env(Some(3)).threads(), 3);
+        assert_eq!(SweepExec::from_env(Some(3)).threads, 3);
         // No flag: BPS_THREADS or the machine's parallelism, both of
         // which give at least one worker.
-        assert!(SweepExec::from_env(None).threads() >= 1);
+        assert!(SweepExec::from_env(None).threads >= 1);
     }
 
     #[test]

@@ -92,8 +92,6 @@ pub struct ClusterConfig {
     pub jitter: Jitter,
     /// Master seed; every device gets a forked stream.
     pub seed: u64,
-    /// Also record `Layer::Device` records (adds one record per chunk).
-    pub record_device_layer: bool,
     /// Also record `Layer::Network` records for the payload leg of each
     /// remote chunk (adds one record per chunk).
     pub record_net_layer: bool,
@@ -115,7 +113,6 @@ impl ClusterConfig {
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::DEFAULT,
             seed,
-            record_device_layer: false,
             record_net_layer: false,
             fault: FaultPlan::none(),
         }
@@ -151,7 +148,6 @@ pub struct Cluster<S: RecordSink = Trace> {
     clients: Vec<ClientNode>,
     switch: Switch,
     server_cpu: Dur,
-    record_device_layer: bool,
     record_net_layer: bool,
     fault: FaultInjector,
     /// The global record observer (paper §III.B Step 2). All layers feed
@@ -200,7 +196,6 @@ impl<S: RecordSink> Cluster<S> {
             clients,
             switch: Switch::gigabit_cluster(),
             server_cpu: cfg.server_cpu,
-            record_device_layer: cfg.record_device_layer,
             record_net_layer: cfg.record_net_layer,
             fault: FaultInjector::new(&cfg.fault, cfg.seed),
             sink,
@@ -226,15 +221,12 @@ impl<S: RecordSink> Cluster<S> {
     }
 
     /// Direct (no-network) device I/O on server `s` — the local-file-system
-    /// path. Returns the completion instant; records a `Layer::Device`
-    /// record when enabled. Under fault injection, an outage fails fast
-    /// (no network on this path) and a transient device error surfaces at
-    /// the grant's end — the device did the work, the data is bad.
-    #[allow(clippy::too_many_arguments)]
+    /// path. Returns the completion instant. Under fault injection, an
+    /// outage fails fast (no network on this path) and a transient device
+    /// error surfaces at the grant's end — the device did the work, the
+    /// data is bad.
     pub fn local_io(
         &mut self,
-        pid: ProcessId,
-        file: FileId,
         server: usize,
         lba: u64,
         bytes: u64,
@@ -254,18 +246,6 @@ impl<S: RecordSink> Cluster<S> {
             self.servers[server]
                 .device
                 .submit_scaled(issue, DeviceReq { lba, blocks, op }, slow);
-        if self.record_device_layer {
-            self.record(IoRecord::new(
-                pid,
-                op,
-                file,
-                lba * bps_core::block::BLOCK_SIZE,
-                bytes,
-                grant.start,
-                grant.end,
-                Layer::Device,
-            ));
-        }
         if self.fault.device_error(server) {
             return Err(IoError::DeviceFault {
                 server,
@@ -350,18 +330,6 @@ impl<S: RecordSink> Cluster<S> {
             DeviceReq { lba, blocks, op },
             slow,
         );
-        if self.record_device_layer {
-            self.record(IoRecord::new(
-                pid,
-                op,
-                file,
-                lba * bps_core::block::BLOCK_SIZE,
-                bytes,
-                grant.start,
-                grant.end,
-                Layer::Device,
-            ));
-        }
         // A transient device error: the device did the work, but the client
         // gets an error reply instead of data.
         if self.fault.device_error(server) {
@@ -523,7 +491,6 @@ mod tests {
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::NONE,
             seed: 1,
-            record_device_layer: true,
             record_net_layer: false,
             fault: FaultPlan::none(),
         })
@@ -558,10 +525,9 @@ mod tests {
         // CPU (25 us) + request hop (~250 us of latency) + 64 KB data reply
         // over two NICs + switch (~1.3 ms total path). Sanity bounds:
         assert!((0.0015..0.0035).contains(&secs), "{secs}");
-        // FS record captured, device record captured.
+        // FS record captured.
         use bps_core::record::Layer;
-        assert_eq!(c.sink.op_count(Layer::FileSystem), 1);
-        assert_eq!(c.sink.op_count(Layer::Device), 1);
+        assert_eq!(c.sink.layer(Layer::FileSystem).count(), 1);
         assert_eq!(c.sink.bytes(Layer::FileSystem), 64 << 10);
     }
 
@@ -646,17 +612,7 @@ mod tests {
     #[test]
     fn local_io_skips_network() {
         let mut c = ram_cluster(1, 1);
-        let done = c
-            .local_io(
-                ProcessId(0),
-                FileId(0),
-                0,
-                0,
-                64 << 10,
-                IoOp::Read,
-                Nanos::ZERO,
-            )
-            .unwrap();
+        let done = c.local_io(0, 0, 64 << 10, IoOp::Read, Nanos::ZERO).unwrap();
         // Just the device: 100 us fixed + ~655 us transfer.
         let secs = done.since(Nanos::ZERO).as_secs_f64();
         assert!((0.0006..0.0009).contains(&secs), "{secs}");
@@ -665,8 +621,6 @@ mod tests {
     #[test]
     fn take_trace_drains() {
         let mut c = ram_cluster(1, 1);
-        c.local_io(ProcessId(0), FileId(0), 0, 0, 512, IoOp::Read, Nanos::ZERO)
-            .unwrap();
         c.record_fs_access(
             ProcessId(0),
             FileId(0),
@@ -674,10 +628,10 @@ mod tests {
             512,
             IoOp::Read,
             Nanos::ZERO,
-            Nanos::from_micros(10),
+            Nanos(10_000),
         );
         let t = c.take_trace();
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.len(), 1);
         assert!(c.sink.is_empty());
     }
 
@@ -696,12 +650,11 @@ mod tests {
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::NONE,
             seed: 1,
-            record_device_layer: true,
             record_net_layer: false,
             fault: FaultPlan::none(),
         };
         let mut traced = Cluster::new(&cfg);
-        let mut streamed = Cluster::with_sink(&cfg, StreamingMetrics::new());
+        let mut streamed = Cluster::with_sink(&cfg, StreamingMetrics::default());
         for c in 0..2u64 {
             traced
                 .remote_chunk_io(
@@ -711,7 +664,7 @@ mod tests {
                     &chunk(0, 64 << 10),
                     c * 128,
                     IoOp::Read,
-                    Nanos::from_micros(c * 5),
+                    Nanos(c * 5 * 1_000),
                 )
                 .unwrap();
             streamed
@@ -722,13 +675,13 @@ mod tests {
                     &chunk(0, 64 << 10),
                     c * 128,
                     IoOp::Read,
-                    Nanos::from_micros(c * 5),
+                    Nanos(c * 5 * 1_000),
                 )
                 .unwrap();
         }
         use bps_core::record::Layer;
         assert_eq!(
-            traced.sink.op_count(Layer::FileSystem),
+            traced.sink.layer(Layer::FileSystem).count() as u64,
             streamed.sink.op_count(Layer::FileSystem)
         );
         assert_eq!(

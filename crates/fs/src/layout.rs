@@ -31,7 +31,8 @@ pub struct Chunk {
 /// use bps_fs::layout::StripeLayout;
 /// // 64 KB stripes over 4 servers: a 256 KB read touches each server once.
 /// let layout = StripeLayout::default_over(4);
-/// let chunks = layout.map(0, 256 << 10);
+/// let mut chunks = Vec::new();
+/// layout.map_into(0, 256 << 10, &mut chunks);
 /// assert_eq!(chunks.len(), 4);
 /// assert_eq!(chunks.iter().map(|c| c.len).sum::<u64>(), 256 << 10);
 /// ```
@@ -70,17 +71,11 @@ impl StripeLayout {
         self.servers.len()
     }
 
-    /// Map the byte extent `[offset, offset+len)` onto per-server chunks,
-    /// in ascending file-offset order. Adjacent stripe units that land on
-    /// the same server (the single-server case) are coalesced.
-    pub fn map(&self, offset: u64, len: u64) -> Vec<Chunk> {
-        let mut chunks = Vec::new();
-        self.map_into(offset, len, &mut chunks);
-        chunks
-    }
-
-    /// [`map`](Self::map) into `chunks`, which is cleared first, so a
-    /// caller can reuse one buffer across requests.
+    /// Map the byte extent `[offset, offset+len)` onto per-server chunks
+    /// in `chunks`, in ascending file-offset order. Adjacent stripe units
+    /// that land on the same server (the single-server case) are
+    /// coalesced. `chunks` is cleared first, so a caller can reuse one
+    /// buffer across requests.
     pub fn map_into(&self, offset: u64, len: u64, chunks: &mut Vec<Chunk>) {
         chunks.clear();
         let n = self.servers.len() as u64;
@@ -139,10 +134,16 @@ impl StripeLayout {
 mod tests {
     use super::*;
 
+    fn map(l: &StripeLayout, offset: u64, len: u64) -> Vec<Chunk> {
+        let mut chunks = Vec::new();
+        l.map_into(offset, len, &mut chunks);
+        chunks
+    }
+
     #[test]
     fn chunks_partition_request_exactly() {
         let l = StripeLayout::new(100, vec![0, 1, 2]);
-        let chunks = l.map(37, 1000);
+        let chunks = map(&l, 37, 1000);
         // Lengths sum; file offsets are contiguous ascending.
         let total: u64 = chunks.iter().map(|c| c.len).sum();
         assert_eq!(total, 1000);
@@ -158,7 +159,7 @@ mod tests {
     #[test]
     fn round_robin_assignment() {
         let l = StripeLayout::new(10, vec![5, 7]);
-        let chunks = l.map(0, 40);
+        let chunks = map(&l, 0, 40);
         let servers: Vec<usize> = chunks.iter().map(|c| c.server).collect();
         assert_eq!(servers, vec![5, 7, 5, 7]);
         // Server offsets advance per pass.
@@ -169,7 +170,7 @@ mod tests {
     #[test]
     fn single_server_coalesces() {
         let l = StripeLayout::pinned(3);
-        let chunks = l.map(0, 10 * DEFAULT_STRIPE_SIZE);
+        let chunks = map(&l, 0, 10 * DEFAULT_STRIPE_SIZE);
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].server, 3);
         assert_eq!(chunks[0].len, 10 * DEFAULT_STRIPE_SIZE);
@@ -179,7 +180,7 @@ mod tests {
     #[test]
     fn unaligned_start_and_end() {
         let l = StripeLayout::new(100, vec![0, 1]);
-        let chunks = l.map(150, 100);
+        let chunks = map(&l, 150, 100);
         // [150,200) on server 1 (stripe 1), [200,250) on server 0 (stripe 2).
         assert_eq!(chunks.len(), 2);
         assert_eq!(
@@ -207,7 +208,7 @@ mod tests {
     #[test]
     fn empty_request_maps_to_nothing() {
         let l = StripeLayout::default_over(4);
-        assert!(l.map(123, 0).is_empty());
+        assert!(map(&l, 123, 0).is_empty());
     }
 
     #[test]
@@ -223,7 +224,7 @@ mod tests {
     fn server_share_matches_map() {
         let l = StripeLayout::new(64, vec![0, 1, 2, 3]);
         let size = 1000;
-        let chunks = l.map(0, size);
+        let chunks = map(&l, 0, size);
         for slot in 0..4 {
             let mapped: u64 = chunks
                 .iter()

@@ -93,37 +93,9 @@ impl LocalFs {
         }
         let lba = meta.base_lba[0] + offset / BLOCK_SIZE;
         let t0 = now + self.per_op_overhead;
-        let done = cluster.local_io(pid, file, self.server, lba, len, op, t0)?;
+        let done = cluster.local_io(self.server, lba, len, op, t0)?;
         cluster.record_fs_access(pid, file, offset, len, op, now, done);
         Ok(done)
-    }
-
-    /// Convenience read.
-    #[allow(clippy::too_many_arguments)]
-    pub fn read<S: RecordSink>(
-        &mut self,
-        cluster: &mut Cluster<S>,
-        pid: ProcessId,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        now: Nanos,
-    ) -> Result<Nanos, IoError> {
-        self.io(cluster, pid, file, offset, len, IoOp::Read, now)
-    }
-
-    /// Convenience write.
-    #[allow(clippy::too_many_arguments)]
-    pub fn write<S: RecordSink>(
-        &mut self,
-        cluster: &mut Cluster<S>,
-        pid: ProcessId,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        now: Nanos,
-    ) -> Result<Nanos, IoError> {
-        self.io(cluster, pid, file, offset, len, IoOp::Write, now)
     }
 }
 
@@ -152,13 +124,29 @@ mod tests {
         // First read pays the initial seek to the file's extent; measure
         // the steady state after it.
         let warm = fs
-            .read(&mut cluster, ProcessId(0), f, 0, 4096, Nanos::ZERO)
+            .io(
+                &mut cluster,
+                ProcessId(0),
+                f,
+                0,
+                4096,
+                IoOp::Read,
+                Nanos::ZERO,
+            )
             .unwrap();
         let mut now = warm;
         let n = 64;
         for i in 1..=n {
             now = fs
-                .read(&mut cluster, ProcessId(0), f, i * 4096, 4096, now)
+                .io(
+                    &mut cluster,
+                    ProcessId(0),
+                    f,
+                    i * 4096,
+                    4096,
+                    IoOp::Read,
+                    now,
+                )
                 .unwrap();
         }
         let per_op = now.since(warm).as_secs_f64() / n as f64;
@@ -175,7 +163,15 @@ mod tests {
         let mut now = Nanos::ZERO;
         for i in 0..1024u64 {
             now = fs
-                .read(&mut cluster, ProcessId(0), f, i * 4096, 4096, now)
+                .io(
+                    &mut cluster,
+                    ProcessId(0),
+                    f,
+                    i * 4096,
+                    4096,
+                    IoOp::Read,
+                    now,
+                )
                 .unwrap();
         }
         let small_total = now.since(Nanos::ZERO);
@@ -183,7 +179,15 @@ mod tests {
         let mut fs2 = LocalFs::new(0);
         let f2 = fs2.create(64 << 20);
         let big_done = fs2
-            .read(&mut cluster2, ProcessId(0), f2, 0, 4 << 20, Nanos::ZERO)
+            .io(
+                &mut cluster2,
+                ProcessId(0),
+                f2,
+                0,
+                4 << 20,
+                IoOp::Read,
+                Nanos::ZERO,
+            )
             .unwrap();
         let big_total = big_done.since(Nanos::ZERO);
         assert!(
@@ -197,10 +201,18 @@ mod tests {
         let mut cluster = hdd_cluster();
         let mut fs = LocalFs::new(0);
         let f = fs.create(1 << 20);
-        fs.read(&mut cluster, ProcessId(0), f, 0, 8192, Nanos::ZERO)
-            .unwrap();
+        fs.io(
+            &mut cluster,
+            ProcessId(0),
+            f,
+            0,
+            8192,
+            IoOp::Read,
+            Nanos::ZERO,
+        )
+        .unwrap();
         let trace = cluster.take_trace();
-        assert_eq!(trace.op_count(Layer::FileSystem), 1);
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 1);
         assert_eq!(trace.bytes(Layer::FileSystem), 8192);
     }
 
@@ -220,7 +232,15 @@ mod tests {
         let mut fs = LocalFs::new(0);
         let f = fs.create(4096);
         let err = fs
-            .read(&mut cluster, ProcessId(0), f, 0, 8192, Nanos::ZERO)
+            .io(
+                &mut cluster,
+                ProcessId(0),
+                f,
+                0,
+                8192,
+                IoOp::Read,
+                Nanos::ZERO,
+            )
             .unwrap_err();
         assert!(
             matches!(err, IoError::BeyondEof { size: 4096, .. }),
@@ -236,12 +256,13 @@ mod tests {
         let mut fs = LocalFs::new(0);
         let f = fs.create(4096);
         let err = fs
-            .read(
+            .io(
                 &mut cluster,
                 ProcessId(0),
                 f,
                 u64::MAX - 10,
                 512,
+                IoOp::Read,
                 Nanos::ZERO,
             )
             .unwrap_err();
@@ -270,7 +291,6 @@ mod tests {
                 server_cpu: Dur::from_micros(25),
                 jitter: Jitter::NONE,
                 seed: 7,
-                record_device_layer: false,
                 record_net_layer: false,
                 fault: bps_sim::fault::FaultPlan::none(),
             };
@@ -283,7 +303,9 @@ mod tests {
             for i in 0..256u64 {
                 // Random-ish strided access pattern (stride breaks streaming).
                 let off = (i * 37 % 1024) * 4096;
-                now = fs.read(cluster, ProcessId(0), f, off, 4096, now).unwrap();
+                now = fs
+                    .io(cluster, ProcessId(0), f, off, 4096, IoOp::Read, now)
+                    .unwrap();
             }
             now
         };

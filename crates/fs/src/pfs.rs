@@ -20,31 +20,22 @@ pub struct ParallelFs {
     files: Vec<FileMeta>,
     /// Next free LBA on each cluster server (contiguous extent allocator).
     alloc_cursor: Vec<u64>,
-    /// Client-side software cost per request (request construction, layout
-    /// lookup, PVFS client state machine).
-    client_overhead: Dur,
     /// Stripe fan-out buffer reused by every [`io`](Self::io) call.
     chunks: Vec<Chunk>,
 }
 
 impl ParallelFs {
-    /// Default client-side request overhead.
-    pub const DEFAULT_OVERHEAD: Dur = Dur(50_000);
+    /// Client-side software cost per request (request construction,
+    /// layout lookup, PVFS client state machine).
+    const CLIENT_OVERHEAD: Dur = Dur(50_000);
 
     /// A PFS over a cluster of `server_count` I/O servers.
     pub fn new(server_count: usize) -> Self {
         ParallelFs {
             files: Vec::new(),
             alloc_cursor: vec![64; server_count],
-            client_overhead: Self::DEFAULT_OVERHEAD,
             chunks: Vec::new(),
         }
-    }
-
-    /// Override the client-side overhead (calibration knob).
-    pub fn with_overhead(mut self, overhead: Dur) -> Self {
-        self.client_overhead = overhead;
-        self
     }
 
     /// Create a file of `size` bytes with the given layout: one contiguous
@@ -106,7 +97,7 @@ impl ParallelFs {
                 size: meta.size,
             });
         }
-        let t0 = now + self.client_overhead;
+        let t0 = now + Self::CLIENT_OVERHEAD;
         let mut chunks = std::mem::take(&mut self.chunks);
         meta.layout.map_into(offset, len, &mut chunks);
         let done = chunks.iter().try_fold(t0, |done, chunk| {
@@ -150,36 +141,6 @@ impl ParallelFs {
         };
         cluster.remote_chunk_io(pid, file, client, &degraded, lba, op, detected)
     }
-
-    /// Convenience read.
-    #[allow(clippy::too_many_arguments)]
-    pub fn read<S: RecordSink>(
-        &mut self,
-        cluster: &mut Cluster<S>,
-        pid: ProcessId,
-        client: usize,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        now: Nanos,
-    ) -> Result<Nanos, IoError> {
-        self.io(cluster, pid, client, file, offset, len, IoOp::Read, now)
-    }
-
-    /// Convenience write.
-    #[allow(clippy::too_many_arguments)]
-    pub fn write<S: RecordSink>(
-        &mut self,
-        cluster: &mut Cluster<S>,
-        pid: ProcessId,
-        client: usize,
-        file: FileId,
-        offset: u64,
-        len: u64,
-        now: Nanos,
-    ) -> Result<Nanos, IoError> {
-        self.io(cluster, pid, client, file, offset, len, IoOp::Write, now)
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +169,6 @@ mod tests {
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::NONE,
             seed: 3,
-            record_device_layer: true,
             record_net_layer: true,
             fault,
         })
@@ -219,11 +179,20 @@ mod tests {
         let mut cluster = ram_cluster(4, 1);
         let mut pfs = ParallelFs::new(4);
         let f = pfs.create(16 << 20, StripeLayout::default_over(4));
-        pfs.read(&mut cluster, ProcessId(0), 0, f, 0, 1 << 20, Nanos::ZERO)
-            .unwrap();
+        pfs.io(
+            &mut cluster,
+            ProcessId(0),
+            0,
+            f,
+            0,
+            1 << 20,
+            IoOp::Read,
+            Nanos::ZERO,
+        )
+        .unwrap();
         // 1 MiB over 64 KB stripes on 4 servers: 16 chunks, 4 per server.
         let trace = cluster.take_trace();
-        assert_eq!(trace.op_count(Layer::FileSystem), 16);
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 16);
         assert_eq!(trace.bytes(Layer::FileSystem), 1 << 20);
         for s in 0..4 {
             // Each server device saw 4 chunks. (Device stats survive
@@ -239,7 +208,16 @@ mod tests {
             let mut pfs = ParallelFs::new(n);
             let f = pfs.create(64 << 20, StripeLayout::default_over(n));
             let done = pfs
-                .read(&mut cluster, ProcessId(0), 0, f, 0, 16 << 20, Nanos::ZERO)
+                .io(
+                    &mut cluster,
+                    ProcessId(0),
+                    0,
+                    f,
+                    0,
+                    16 << 20,
+                    IoOp::Read,
+                    Nanos::ZERO,
+                )
                 .unwrap();
             done.since(Nanos::ZERO).as_secs_f64()
         };
@@ -255,8 +233,17 @@ mod tests {
         let mut cluster = ram_cluster(4, 2);
         let mut pfs = ParallelFs::new(4);
         let f0 = pfs.create(1 << 20, StripeLayout::pinned(2));
-        pfs.read(&mut cluster, ProcessId(0), 0, f0, 0, 1 << 20, Nanos::ZERO)
-            .unwrap();
+        pfs.io(
+            &mut cluster,
+            ProcessId(0),
+            0,
+            f0,
+            0,
+            1 << 20,
+            IoOp::Read,
+            Nanos::ZERO,
+        )
+        .unwrap();
         assert_eq!(cluster.device_stats(2).ops, 1);
         for s in [0usize, 1, 3] {
             assert_eq!(cluster.device_stats(s).ops, 0, "server {s}");
@@ -282,7 +269,16 @@ mod tests {
         let mut pfs = ParallelFs::new(1);
         let f = pfs.create(4096, StripeLayout::default_over(1));
         let err = pfs
-            .read(&mut cluster, ProcessId(0), 0, f, 4096, 1, Nanos::ZERO)
+            .io(
+                &mut cluster,
+                ProcessId(0),
+                0,
+                f,
+                4096,
+                1,
+                IoOp::Read,
+                Nanos::ZERO,
+            )
             .unwrap_err();
         assert!(
             matches!(err, IoError::BeyondEof { size: 4096, .. }),
@@ -301,13 +297,14 @@ mod tests {
         let mut pfs = ParallelFs::new(2);
         let f = pfs.create(4096, StripeLayout::default_over(2));
         let err = pfs
-            .read(
+            .io(
                 &mut cluster,
                 ProcessId(0),
                 0,
                 f,
                 u64::MAX - 10,
                 512,
+                IoOp::Read,
                 Nanos::ZERO,
             )
             .unwrap_err();
@@ -347,14 +344,32 @@ mod tests {
                 let mut cluster = faulted_ram_cluster(4, 1, plan.clone());
                 let mut pfs = ParallelFs::new(4);
                 let f = pfs.create(16 << 20, StripeLayout::default_over(4));
-                let faulted = pfs.read(&mut cluster, ProcessId(0), 0, f, 0, 1 << 20, Nanos::ZERO);
+                let faulted = pfs.io(
+                    &mut cluster,
+                    ProcessId(0),
+                    0,
+                    f,
+                    0,
+                    1 << 20,
+                    IoOp::Read,
+                    Nanos::ZERO,
+                );
                 let faulted_records = cluster.take_trace().records().to_vec();
                 if !reuse {
                     pfs = ParallelFs::new(4);
                     pfs.create(16 << 20, StripeLayout::default_over(4));
                 }
                 let at = Nanos::from_millis(50);
-                let healthy = pfs.read(&mut cluster, ProcessId(0), 0, f, 5000, 3 << 16, at);
+                let healthy = pfs.io(
+                    &mut cluster,
+                    ProcessId(0),
+                    0,
+                    f,
+                    5000,
+                    3 << 16,
+                    IoOp::Read,
+                    at,
+                );
                 let records = cluster.take_trace().records().to_vec();
                 (faulted, faulted_records, healthy, records)
             };
@@ -382,16 +397,26 @@ mod tests {
         let mut pfs = ParallelFs::new(1);
         let f = pfs.create(8 << 20, StripeLayout::pinned(0));
         let a = pfs
-            .read(&mut cluster, ProcessId(0), 0, f, 0, 4 << 20, Nanos::ZERO)
+            .io(
+                &mut cluster,
+                ProcessId(0),
+                0,
+                f,
+                0,
+                4 << 20,
+                IoOp::Read,
+                Nanos::ZERO,
+            )
             .unwrap();
         let b = pfs
-            .read(
+            .io(
                 &mut cluster,
                 ProcessId(1),
                 1,
                 f,
                 4 << 20,
                 4 << 20,
+                IoOp::Read,
                 Nanos::ZERO,
             )
             .unwrap();

@@ -164,7 +164,6 @@ mod tests {
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::NONE,
             seed: 1,
-            record_device_layer: false,
             record_net_layer: false,
             fault: bps_sim::fault::FaultPlan::none(),
         });
@@ -212,7 +211,7 @@ mod tests {
         }
         // One app record per participant, with each's own required bytes.
         let trace = s.finish(Dur::ZERO);
-        assert_eq!(trace.op_count(Layer::Application), 3);
+        assert_eq!(trace.layer(Layer::Application).count(), 3);
         assert_eq!(trace.bytes(Layer::Application), 3 * 4 * 4096);
         // Aggregators read the union exactly once at the FS layer.
         assert_eq!(trace.bytes(Layer::FileSystem), 3 * 4 * 4096);

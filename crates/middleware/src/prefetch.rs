@@ -38,11 +38,6 @@ pub struct PrefetchState {
 }
 
 impl PrefetchState {
-    /// Fresh state: nothing staged.
-    pub fn new() -> Self {
-        PrefetchState::default()
-    }
-
     /// Decide how to serve a read of `extent` from a file of `file_size`
     /// bytes, and update the state.
     pub fn on_read(
@@ -79,7 +74,7 @@ mod tests {
 
     #[test]
     fn first_two_reads_fetch_then_readahead_arms() {
-        let mut st = PrefetchState::new();
+        let mut st = PrefetchState::default();
         // First read: not yet trusted as sequential — fetch exactly.
         let d = st.on_read(Extent::new(0, 100), &CFG, 1 << 20);
         assert_eq!(d, PrefetchDecision::Fetch(Extent::new(0, 100)));
@@ -98,7 +93,7 @@ mod tests {
 
     #[test]
     fn random_read_disarms() {
-        let mut st = PrefetchState::new();
+        let mut st = PrefetchState::default();
         st.on_read(Extent::new(0, 100), &CFG, 1 << 20);
         st.on_read(Extent::new(100, 100), &CFG, 1 << 20);
         // Jump: plain fetch, no read-ahead.
@@ -108,7 +103,7 @@ mod tests {
 
     #[test]
     fn readahead_clamped_at_eof() {
-        let mut st = PrefetchState::new();
+        let mut st = PrefetchState::default();
         st.on_read(Extent::new(0, 100), &CFG, 250);
         let d = st.on_read(Extent::new(100, 100), &CFG, 250);
         assert_eq!(d, PrefetchDecision::Fetch(Extent::new(100, 150)));
@@ -116,7 +111,7 @@ mod tests {
 
     #[test]
     fn hit_requires_full_containment() {
-        let mut st = PrefetchState::new();
+        let mut st = PrefetchState::default();
         st.on_read(Extent::new(0, 100), &CFG, 1 << 20);
         st.on_read(Extent::new(100, 100), &CFG, 1 << 20); // staged to 1200
                                                           // A read ending exactly at the staged edge is a hit...

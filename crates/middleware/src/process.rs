@@ -83,7 +83,6 @@ impl AppProcess {
                         let at = e.fail_time().unwrap_or(now);
                         stack.close_call(pending.started);
                         self.pending = None;
-                        stack.abandoned_ops += 1;
                         Wake::At(at + self.cpu_per_op)
                     }
                 }
@@ -257,7 +256,6 @@ mod tests {
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::NONE,
             seed: 11,
-            record_device_layer: false,
             record_net_layer: false,
             fault: bps_sim::fault::FaultPlan::none(),
         })
@@ -293,7 +291,7 @@ mod tests {
         let w = Iozone::seq_read(4 << 20, 64 << 10);
         let (stack, files) = pfs_stack_with_files(2, 1, &w, |_| StripeLayout::default_over(2));
         let (trace, outcome) = run_workload(stack, &w, &files, Dur::from_micros(5));
-        assert_eq!(trace.op_count(Layer::Application), 64);
+        assert_eq!(trace.layer(Layer::Application).count(), 64);
         assert_eq!(trace.bytes(Layer::Application), 4 << 20);
         assert!(outcome.makespan() > Dur::ZERO);
         assert_eq!(trace.execution_time(), outcome.makespan());

@@ -12,6 +12,9 @@
 use bps_core::extent::{self, Extent, Run};
 use serde::{Deserialize, Serialize};
 
+/// Maximum covering-read size: ROMIO's `ind_rd_buffer_size`, 4 MB.
+pub const BUFFER_SIZE: u64 = 4 << 20;
+
 /// When to apply data sieving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SieveMode {
@@ -19,30 +22,20 @@ pub enum SieveMode {
     Disabled,
     /// Always sieve noncontiguous requests (ROMIO's default for reads).
     Enabled,
-    /// Sieve only when the waste stays below
-    /// [`SievingConfig::auto_waste_limit`].
-    Auto,
 }
 
 /// Data sieving configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SievingConfig {
     /// Mode selector.
     pub mode: SieveMode,
-    /// Maximum covering-read size (ROMIO's `ind_rd_buffer_size`, 4 MB).
-    pub buffer_size: u64,
-    /// `Auto` threshold: sieve only while `moved / required` stays at or
-    /// below this factor.
-    pub auto_waste_limit: f64,
 }
 
 impl SievingConfig {
-    /// ROMIO defaults: sieving enabled, 4 MB buffer.
+    /// ROMIO defaults: sieving enabled, [`BUFFER_SIZE`] covering reads.
     pub fn romio_default() -> Self {
         SievingConfig {
             mode: SieveMode::Enabled,
-            buffer_size: 4 << 20,
-            auto_waste_limit: 16.0,
         }
     }
 
@@ -50,7 +43,6 @@ impl SievingConfig {
     pub fn disabled() -> Self {
         SievingConfig {
             mode: SieveMode::Disabled,
-            ..Self::romio_default()
         }
     }
 }
@@ -136,19 +128,15 @@ pub fn plan_read(regions: &[Run], cfg: &SievingConfig) -> SievePlan {
     let required = extent::covered_bytes(&normalized);
     // A contiguous (or empty) request has nothing to sieve.
     let several = normalized.len() > 1 || normalized.first().is_some_and(|r| r.count > 1);
-    if several && cfg.mode != SieveMode::Disabled {
-        let fs_reads = covering_reads(&normalized, cfg.buffer_size.max(1));
-        let moved: u64 = fs_reads.iter().map(|e| e.len).sum();
-        // `required` > 0 here: more than one non-empty region.
-        let waste = moved as f64 / required as f64;
-        if cfg.mode == SieveMode::Enabled || waste <= cfg.auto_waste_limit {
-            return SievePlan {
-                fs_reads,
-                required,
-                moved,
-                sieved: true,
-            };
-        }
+    if several && cfg.mode == SieveMode::Enabled {
+        let fs_reads = covering_reads(&normalized, BUFFER_SIZE);
+        let moved = fs_reads.iter().map(|e| e.len).sum();
+        return SievePlan {
+            fs_reads,
+            required,
+            moved,
+            sieved: true,
+        };
     }
     // The direct plan reads each region on its own: one file-system
     // request per region, so only it expands the runs.
@@ -192,12 +180,8 @@ mod tests {
     use super::*;
     use bps_core::extent::Regions;
 
-    fn cfg(mode: SieveMode, buffer: u64) -> SievingConfig {
-        SievingConfig {
-            mode,
-            buffer_size: buffer,
-            auto_waste_limit: 16.0,
-        }
+    fn cfg(mode: SieveMode) -> SievingConfig {
+        SievingConfig { mode }
     }
 
     fn strided(count: u64, size: u64, spacing: u64) -> Regions {
@@ -207,7 +191,7 @@ mod tests {
     #[test]
     fn disabled_reads_each_region() {
         let regions = strided(4, 256, 1024);
-        let plan = plan_read(&regions, &cfg(SieveMode::Disabled, 4 << 20));
+        let plan = plan_read(&regions, &cfg(SieveMode::Disabled));
         assert!(!plan.sieved);
         assert_eq!(plan.fs_reads.len(), 4);
         assert_eq!(plan.moved, plan.required);
@@ -217,7 +201,7 @@ mod tests {
     #[test]
     fn enabled_covers_holes_in_one_read() {
         let regions = strided(4, 256, 1024);
-        let plan = plan_read(&regions, &cfg(SieveMode::Enabled, 4 << 20));
+        let plan = plan_read(&regions, &cfg(SieveMode::Enabled));
         assert!(plan.sieved);
         assert_eq!(plan.fs_reads.len(), 1);
         // Hull: 3*(256+1024) + 256 bytes.
@@ -228,19 +212,18 @@ mod tests {
     #[test]
     fn buffer_limit_splits_covering_reads() {
         let regions = strided(100, 256, 768); // stride 1 KiB, hull ~100 KiB
-        let plan = plan_read(&regions, &cfg(SieveMode::Enabled, 10 * 1024));
-        assert!(plan.sieved);
-        assert!(plan.fs_reads.len() >= 10, "{}", plan.fs_reads.len());
-        for r in &plan.fs_reads {
+        let reads = covering_reads(&regions, 10 * 1024);
+        assert!(reads.len() >= 10, "{}", reads.len());
+        for r in &reads {
             assert!(r.len <= 10 * 1024);
         }
         // Reads are disjoint and ascending.
-        for w in plan.fs_reads.windows(2) {
+        for w in reads.windows(2) {
             assert!(w[0].end() <= w[1].offset);
         }
         // All regions covered.
-        let covered: u64 = plan.fs_reads.iter().map(|e| e.len).sum();
-        assert!(covered >= plan.required);
+        let covered: u64 = reads.iter().map(|e| e.len).sum();
+        assert!(covered >= 100 * 256);
     }
 
     #[test]
@@ -248,14 +231,14 @@ mod tests {
         // One 10-byte region at 0, one 8-byte region at 13 with buffer 16:
         // second region crosses the 16-byte window edge.
         let regions = Regions::from(vec![Extent::new(0, 10), Extent::new(13, 8)]);
-        let plan = plan_read(&regions, &cfg(SieveMode::Enabled, 16));
-        let covered_end = plan.fs_reads.last().unwrap().end();
+        let reads = covering_reads(&regions, 16);
+        let covered_end = reads.last().unwrap().end();
         assert!(covered_end >= 21);
         // Every region byte is inside some read.
         for r in extent::expand(&regions) {
             for b in [r.offset, r.end() - 1] {
                 assert!(
-                    plan.fs_reads.iter().any(|e| e.offset <= b && b < e.end()),
+                    reads.iter().any(|e| e.offset <= b && b < e.end()),
                     "byte {b} uncovered"
                 );
             }
@@ -266,8 +249,10 @@ mod tests {
     fn unbounded_buffer_does_not_overflow() {
         // `start + buffer` is past u64::MAX: one read covers the hull.
         let regions = Regions::strided(1 << 40, 256, 1280, 2);
-        let plan = plan_read(&regions, &cfg(SieveMode::Enabled, u64::MAX));
-        assert_eq!(plan.fs_reads, vec![Extent::new(1 << 40, 1536)]);
+        assert_eq!(
+            covering_reads(&regions, u64::MAX),
+            vec![Extent::new(1 << 40, 1536)]
+        );
         let top = Regions::from(vec![
             Extent::new(u64::MAX - 100, 10),
             Extent::new(u64::MAX - 50, 50),
@@ -293,29 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn auto_rejects_extreme_waste() {
-        // 2 tiny regions a megabyte apart: waste factor ~2000x.
-        let regions = Regions::from(vec![Extent::new(0, 256), Extent::new(1 << 20, 256)]);
-        let plan = plan_read(&regions, &cfg(SieveMode::Auto, 4 << 20));
-        assert!(!plan.sieved);
-        // Dense regions: auto sieves.
-        let dense = strided(16, 256, 8);
-        let plan = plan_read(&dense, &cfg(SieveMode::Auto, 4 << 20));
-        assert!(plan.sieved);
-    }
-
-    #[test]
     fn contiguous_or_single_region_never_sieves() {
         let one = vec![Extent::new(100, 4096)];
-        let plan = plan_read(
-            &Regions::from(one.clone()),
-            &cfg(SieveMode::Enabled, 4 << 20),
-        );
+        let plan = plan_read(&Regions::from(one.clone()), &cfg(SieveMode::Enabled));
         assert!(!plan.sieved);
         assert_eq!(plan.fs_reads, one);
         // Touching regions normalize into one.
         let touching = Regions::from(vec![Extent::new(0, 100), Extent::new(100, 100)]);
-        let plan = plan_read(&touching, &cfg(SieveMode::Enabled, 4 << 20));
+        let plan = plan_read(&touching, &cfg(SieveMode::Enabled));
         assert!(!plan.sieved);
         assert_eq!(plan.fs_reads.len(), 1);
     }
@@ -335,7 +305,7 @@ mod tests {
         let fetch = |e: Extent| (e.offset..e.end()).map(file_byte).collect::<Vec<u8>>();
         let regions = strided(10, 100, 300);
         for mode in [SieveMode::Disabled, SieveMode::Enabled] {
-            let plan = plan_read(&regions, &cfg(mode, 1024));
+            let plan = plan_read(&regions, &cfg(mode));
             let got = extract(&regions, &plan, fetch);
             let want: Vec<u8> = extent::expand(&regions)
                 .flat_map(|r| (r.offset..r.end()).map(file_byte))

@@ -11,7 +11,6 @@ use crate::sieving::{plan_read, SievingConfig};
 use bps_core::error::IoError;
 use bps_core::extent::{Extent, Run};
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
-use bps_core::retry::{issue_with_retry, RetryIo};
 use bps_core::sink::RecordSink;
 use bps_core::time::{Dur, Nanos};
 use bps_core::trace::Trace;
@@ -21,15 +20,46 @@ use bps_fs::pfs::ParallelFs;
 use bps_sim::resource::ByteRate;
 use std::collections::HashMap;
 
-/// The shared bounded-backoff retry policy; lives in
-/// [`bps_core::retry`] and is re-exported here for the middleware's
-/// historical callers.
+/// How the stack reacts to failed or over-long requests: bounded retries
+/// with exponential backoff and an optional per-request timeout.
 ///
 /// Every abandoned attempt is recorded as a [`Layer::Retry`] record (which
 /// never counts toward the paper's four metrics); the successful attempt
 /// records normally, so a degraded run shows longer application records
 /// plus retry sub-records rather than a panic.
-pub use bps_core::retry::RetryPolicy;
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryPolicy {
+    /// Total attempts per request (first try + retries). At least 1.
+    pub max_attempts: u32,
+    /// Backoff before retry `n` is `base_backoff * 2^(n-1)`, capped at
+    /// [`RetryPolicy::max_backoff`].
+    pub base_backoff: Dur,
+    /// Upper bound on a single backoff pause.
+    pub max_backoff: Dur,
+    /// Abandon an attempt that has not completed after this long
+    /// (`None` = wait forever).
+    pub timeout: Option<Dur>,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 4,
+            base_backoff: Dur::from_millis(1),
+            max_backoff: Dur::from_millis(100),
+            timeout: None,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Backoff pause before retrying after failed attempt `attempt`
+    /// (1-based): exponential, capped.
+    fn backoff(&self, attempt: u32) -> Dur {
+        let factor = 1u64 << (attempt - 1).min(16);
+        Dur(self.base_backoff.0.saturating_mul(factor)).min(self.max_backoff)
+    }
+}
 
 /// The file system under the middleware.
 pub enum FsBackend {
@@ -75,46 +105,6 @@ impl FsBackend {
     }
 }
 
-/// One request's view of the backend for the shared retry loop: attempts
-/// go through the file system, abandoned attempts become `Layer::Retry`
-/// records in the cluster's sink. Borrows the backend and cluster
-/// separately so both are reachable from one `&mut` context.
-struct BackendRetry<'a, S: RecordSink> {
-    backend: &'a mut FsBackend,
-    cluster: &'a mut Cluster<S>,
-    pid: ProcessId,
-    client: usize,
-    file: FileId,
-    extent: Extent,
-    op: IoOp,
-}
-
-impl<S: RecordSink> RetryIo for BackendRetry<'_, S> {
-    fn attempt(&mut self, at: Nanos) -> Result<Nanos, IoError> {
-        self.backend.io(
-            self.cluster,
-            self.pid,
-            self.client,
-            self.file,
-            self.extent,
-            self.op,
-            at,
-        )
-    }
-
-    fn on_abandoned(&mut self, start: Nanos, end: Nanos) {
-        self.cluster.record_retry(
-            self.pid,
-            self.file,
-            self.extent.offset,
-            self.extent.len,
-            self.op,
-            start,
-            end,
-        );
-    }
-}
-
 /// The middleware + file system + cluster, as one environment for the
 /// simulation engine.
 ///
@@ -132,14 +122,11 @@ pub struct IoStack<S: RecordSink = Trace> {
     /// Sequential read-ahead; `None` disables prefetching.
     pub prefetch: Option<PrefetchConfig>,
     /// Memory-copy rate for prefetch hits and sieving extraction.
-    pub memcpy_rate: ByteRate,
+    memcpy_rate: ByteRate,
     /// Barrier state for collective calls (group size 0 = disabled).
     pub collective: crate::collective_exec::CollectiveState,
     /// Timeout/retry/backoff behavior for faulted requests.
     pub retry: RetryPolicy,
-    /// Requests abandoned after exhausting every retry (degraded-run
-    /// diagnostic; stays 0 on a healthy cluster).
-    pub abandoned_ops: u64,
     prefetch_states: HashMap<(ProcessId, FileId), PrefetchState>,
     /// Start instants of the calls spanning several engine wakes that have
     /// not recorded yet: noncontiguous reads between their first and last
@@ -159,7 +146,6 @@ impl<S: RecordSink> IoStack<S> {
             memcpy_rate: ByteRate::new(10_000_000_000),
             collective: crate::collective_exec::CollectiveState::default(),
             retry: RetryPolicy::default(),
-            abandoned_ops: 0,
             prefetch_states: HashMap::new(),
             open_calls: Vec::new(),
         }
@@ -218,13 +204,11 @@ impl<S: RecordSink> IoStack<S> {
     }
 
     /// Issue one request through the backend under this stack's
-    /// [`RetryPolicy`], driven by the shared
-    /// [`bps_core::retry::issue_with_retry`] loop: transient failures back
-    /// off exponentially and retry (each abandoned attempt recorded as
-    /// [`Layer::Retry`]); over-long attempts are abandoned at the timeout
-    /// and retried; the final attempt's result is accepted as-is.
-    /// Non-transient errors (EOF) propagate immediately.
-    #[allow(clippy::too_many_arguments)]
+    /// [`RetryPolicy`]: transient failures back off exponentially and
+    /// retry (each abandoned attempt recorded as [`Layer::Retry`]);
+    /// over-long attempts are abandoned at the timeout and retried; the
+    /// final attempt's result is accepted as-is. Non-transient errors
+    /// (EOF) propagate immediately.
     fn issue(
         &mut self,
         pid: ProcessId,
@@ -234,16 +218,51 @@ impl<S: RecordSink> IoStack<S> {
         op: IoOp,
         now: Nanos,
     ) -> Result<Nanos, IoError> {
-        let mut io = BackendRetry {
-            backend: &mut self.backend,
-            cluster: &mut self.cluster,
-            pid,
-            client,
-            file,
-            extent,
-            op,
+        use bps_telemetry::Counter;
+        let policy = self.retry;
+        let abandon = |cluster: &mut Cluster<S>, start: Nanos, end: Nanos| {
+            bps_telemetry::incr(Counter::RetryAbandoned);
+            cluster.record_retry(pid, file, extent.offset, extent.len, op, start, end);
         };
-        issue_with_retry(&self.retry, now, &mut io)
+        let mut t = now;
+        let mut attempt = 1u32;
+        loop {
+            let last = attempt >= policy.max_attempts;
+            if attempt > 1 {
+                bps_telemetry::incr(Counter::RetryAttempts);
+            }
+            match self
+                .backend
+                .io(&mut self.cluster, pid, client, file, extent, op, t)
+            {
+                Ok(done) => match policy.timeout {
+                    // An attempt that outlived the timeout was abandoned
+                    // by the client even though the work finished — retry
+                    // unless this was the last attempt (then take the
+                    // slow completion).
+                    Some(timeout) if !last && done.since(t) > timeout => {
+                        let abandoned = t + timeout;
+                        abandon(&mut self.cluster, t, abandoned);
+                        t = abandoned + policy.backoff(attempt);
+                    }
+                    _ => return Ok(done),
+                },
+                Err(e) if !e.is_transient() => return Err(e),
+                Err(e) => {
+                    let detected = e.fail_time().unwrap_or(t);
+                    abandon(&mut self.cluster, t, detected);
+                    if last {
+                        bps_telemetry::incr(Counter::RetryExhausted);
+                        return Err(IoError::RetriesExhausted {
+                            attempts: attempt,
+                            at: detected,
+                        });
+                    }
+                    t = detected + policy.backoff(attempt);
+                }
+            }
+            attempt += 1;
+        }
     }
 
     /// POSIX-style contiguous read. Returns the completion instant, or the
@@ -270,16 +289,9 @@ impl<S: RecordSink> IoStack<S> {
             }
             None => self.issue(pid, client, file, extent, IoOp::Read, now),
         };
-        match result {
-            Ok(done) => {
-                self.record_app(pid, file, extent.offset, extent.len, IoOp::Read, now, done);
-                Ok(done)
-            }
-            Err(e) => {
-                self.abandoned_ops += 1;
-                Err(e)
-            }
-        }
+        let done = result?;
+        self.record_app(pid, file, extent.offset, extent.len, IoOp::Read, now, done);
+        Ok(done)
     }
 
     /// POSIX-style contiguous write. Returns the completion instant, or
@@ -292,16 +304,9 @@ impl<S: RecordSink> IoStack<S> {
         extent: Extent,
         now: Nanos,
     ) -> Result<Nanos, IoError> {
-        match self.issue(pid, client, file, extent, IoOp::Write, now) {
-            Ok(done) => {
-                self.record_app(pid, file, extent.offset, extent.len, IoOp::Write, now, done);
-                Ok(done)
-            }
-            Err(e) => {
-                self.abandoned_ops += 1;
-                Err(e)
-            }
-        }
+        let done = self.issue(pid, client, file, extent, IoOp::Write, now)?;
+        self.record_app(pid, file, extent.offset, extent.len, IoOp::Write, now, done);
+        Ok(done)
     }
 
     /// Plan a noncontiguous read under this stack's sieving configuration.
@@ -365,6 +370,10 @@ mod tests {
     use bps_workloads::spec::{AppOp, OpStream, Workload};
 
     fn ram_cluster(servers: usize) -> Cluster {
+        faulted_ram_cluster(servers, bps_sim::fault::FaultPlan::none())
+    }
+
+    fn faulted_ram_cluster(servers: usize, fault: bps_sim::fault::FaultPlan) -> Cluster {
         Cluster::new(&ClusterConfig {
             servers,
             clients: 2,
@@ -377,17 +386,103 @@ mod tests {
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::NONE,
             seed: 5,
-            record_device_layer: false,
             record_net_layer: false,
-            fault: bps_sim::fault::FaultPlan::none(),
+            fault,
         })
     }
 
     fn local_stack() -> (IoStack, FileId) {
-        let cluster = ram_cluster(1);
+        faulted_local_stack(bps_sim::fault::FaultPlan::none())
+    }
+
+    /// A local FS with a 50 µs per-op overhead over one RAM device.
+    fn faulted_local_stack(fault: bps_sim::fault::FaultPlan) -> (IoStack, FileId) {
+        let cluster = faulted_ram_cluster(1, fault);
         let mut fs = LocalFs::new(0).with_overhead(Dur::from_micros(50));
         let f = fs.create(64 << 20);
         (IoStack::new(cluster, FsBackend::Local(fs)), f)
+    }
+
+    #[test]
+    fn backoff_is_exponential_and_capped() {
+        let p = RetryPolicy::default();
+        assert_eq!(p.backoff(1), Dur::from_millis(1));
+        assert_eq!(p.backoff(2), Dur::from_millis(2));
+        assert_eq!(p.backoff(3), Dur::from_millis(4));
+        assert_eq!(p.backoff(9), Dur::from_millis(100));
+        assert_eq!(p.backoff(60), Dur::from_millis(100));
+    }
+
+    #[test]
+    fn transient_failures_back_off_then_succeed() {
+        // The server is offline for the first 2 ms: each refused attempt
+        // is detected when it reaches the device, 50 µs after issue.
+        let outage = bps_sim::fault::Outage {
+            server: 0,
+            start: Nanos::ZERO,
+            end: Nanos::from_millis(2),
+        };
+        let (mut stack, f) =
+            faulted_local_stack(bps_sim::fault::FaultPlan::none().with_outage(outage));
+        let extent = Extent::new(0, 4096);
+        let done = stack.read(ProcessId(0), 0, f, extent, Nanos::ZERO).unwrap();
+        // Attempt 1 fails at 50 µs, backs off 1 ms; attempt 2 fails 50 µs
+        // later, backs off 2 ms; attempt 3 succeeds like a healthy read
+        // issued then.
+        let third = Nanos::ZERO
+            + Dur::from_micros(50)
+            + Dur::from_millis(1)
+            + Dur::from_micros(50)
+            + Dur::from_millis(2);
+        let (mut healthy, g) = local_stack();
+        assert_eq!(
+            done,
+            healthy.read(ProcessId(0), 0, g, extent, third).unwrap()
+        );
+        let trace = stack.finish(done.since(Nanos::ZERO));
+        let retries: Vec<(Nanos, Nanos)> = trace
+            .layer(Layer::Retry)
+            .map(|r| (r.start, r.end))
+            .collect();
+        let second = Nanos::ZERO + Dur::from_micros(1050);
+        assert_eq!(
+            retries,
+            [
+                (Nanos::ZERO, Nanos::ZERO + Dur::from_micros(50)),
+                (second, second + Dur::from_micros(50)),
+            ]
+        );
+    }
+
+    #[test]
+    fn exhausted_retries_report_attempt_count() {
+        let (mut stack, f) =
+            faulted_local_stack(bps_sim::fault::FaultPlan::none().with_device_errors(1.0));
+        match stack.read(ProcessId(0), 0, f, Extent::new(0, 4096), Nanos::ZERO) {
+            Err(IoError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 4),
+            other => panic!("expected RetriesExhausted, got {other:?}"),
+        }
+        let trace = stack.finish(Dur::ZERO);
+        assert_eq!(trace.layer(Layer::Retry).count(), 4);
+        assert_eq!(trace.layer(Layer::Application).count(), 0);
+    }
+
+    #[test]
+    fn timeout_abandons_slow_attempts() {
+        let (mut stack, f) = local_stack();
+        stack.retry = RetryPolicy {
+            timeout: Some(Dur::from_micros(10)),
+            ..RetryPolicy::default()
+        };
+        // Every attempt outlives the timeout; the last one's completion
+        // is accepted after three abandoned attempts and 1 + 2 + 4 ms of
+        // backoff.
+        let done = stack
+            .read(ProcessId(0), 0, f, Extent::new(0, 4096), Nanos::ZERO)
+            .unwrap();
+        assert!(done.since(Nanos::ZERO) > Dur::from_millis(7));
+        let trace = stack.finish(done.since(Nanos::ZERO));
+        assert_eq!(trace.layer(Layer::Retry).count(), 3);
     }
 
     #[test]
@@ -398,8 +493,8 @@ mod tests {
             .unwrap();
         assert!(done > Nanos::ZERO);
         let trace = stack.finish(done.since(Nanos::ZERO));
-        assert_eq!(trace.op_count(Layer::Application), 1);
-        assert_eq!(trace.op_count(Layer::FileSystem), 1);
+        assert_eq!(trace.layer(Layer::Application).count(), 1);
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 1);
         assert_eq!(trace.bytes(Layer::Application), 4096);
         assert_eq!(trace.bytes(Layer::FileSystem), 4096);
     }
@@ -443,15 +538,15 @@ mod tests {
         assert_eq!(trace.bytes(Layer::FileSystem), 15 * 4096 + 256);
         // One app record for the whole MPI-IO call; one FS read (fits the
         // 4 MB buffer).
-        assert_eq!(trace.op_count(Layer::Application), 1);
-        assert_eq!(trace.op_count(Layer::FileSystem), 1);
+        assert_eq!(trace.layer(Layer::Application).count(), 1);
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 1);
     }
 
     #[test]
     fn unsieved_read_issues_per_region_fs_ops() {
         let regions: Vec<Extent> = (0..16).map(|i| Extent::new(i * 4096, 256)).collect();
         let (trace, _) = noncontig_call(regions, SievingConfig::disabled());
-        assert_eq!(trace.op_count(Layer::FileSystem), 16);
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 16);
         assert_eq!(trace.bytes(Layer::FileSystem), 16 * 256);
     }
 
@@ -469,8 +564,8 @@ mod tests {
     #[test]
     fn empty_noncontig_read_is_instant() {
         let (trace, _) = noncontig_call(Vec::new(), SievingConfig::romio_default());
-        assert_eq!(trace.op_count(Layer::Application), 1);
-        assert_eq!(trace.op_count(Layer::FileSystem), 0);
+        assert_eq!(trace.layer(Layer::Application).count(), 1);
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 0);
         assert_eq!(trace.bytes(Layer::Application), 0);
         assert_eq!(trace.summed_io_time(Layer::Application), Dur::ZERO);
     }
@@ -494,7 +589,7 @@ mod tests {
         // FS moved at least as much as the app required.
         assert!(trace.bytes(Layer::FileSystem) >= trace.bytes(Layer::Application));
         // Fewer FS ops than app ops.
-        assert!(trace.op_count(Layer::FileSystem) < trace.op_count(Layer::Application));
+        assert!(trace.layer(Layer::FileSystem).count() < trace.layer(Layer::Application).count());
     }
 
     #[test]
@@ -507,8 +602,8 @@ mod tests {
             .read(ProcessId(0), 0, f, Extent::new(0, 1 << 20), Nanos::ZERO)
             .unwrap();
         let trace = stack.finish(done.since(Nanos::ZERO));
-        assert_eq!(trace.op_count(Layer::Application), 1);
-        assert_eq!(trace.op_count(Layer::FileSystem), 16);
+        assert_eq!(trace.layer(Layer::Application).count(), 1);
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 16);
         assert_eq!(stack.backend.file_size(f), 16 << 20);
     }
 }

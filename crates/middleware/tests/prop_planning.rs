@@ -13,7 +13,9 @@ use bps_core::extent::{self, Extent, Regions, Run};
 use bps_middleware::collective::{
     plan_collective_read, AggregatorPlan, CollectivePlan, COLLECTIVE_BUFFER,
 };
-use bps_middleware::sieving::{covering_reads, plan_read, SieveMode, SievePlan, SievingConfig};
+use bps_middleware::sieving::{
+    covering_reads, plan_read, SieveMode, SievePlan, SievingConfig, BUFFER_SIZE,
+};
 use proptest::prelude::*;
 use std::borrow::Cow;
 
@@ -27,18 +29,19 @@ mod reference {
 
     /// The extent-list `hull` of a normalized list.
     fn hull(normalized: &[Extent]) -> Option<Extent> {
-        Some(normalized.first()?.hull(normalized.last()?))
+        let (first, last) = (normalized.first()?, normalized.last()?);
+        Some(Extent::new(first.offset, last.end() - first.offset))
     }
 
     /// The copying `normalize`: an already normalized list is copied,
     /// anything else sorted and merged.
     pub fn normalize(extents: &[Extent]) -> Vec<Extent> {
-        let normalized = extents.iter().all(|e| !e.is_empty())
+        let normalized = extents.iter().all(|e| e.len > 0)
             && extents.windows(2).all(|w| w[0].end() < w[1].offset);
         if normalized {
             return extents.to_vec();
         }
-        let mut v: Vec<Extent> = extents.iter().copied().filter(|e| !e.is_empty()).collect();
+        let mut v: Vec<Extent> = extents.iter().copied().filter(|e| e.len > 0).collect();
         v.sort();
         let mut out: Vec<Extent> = Vec::with_capacity(v.len());
         for e in v {
@@ -92,24 +95,16 @@ mod reference {
         if normalized.len() <= 1 {
             return direct();
         }
-        let fs_reads = covering_reads(&normalized, cfg.buffer_size.max(1));
+        if cfg.mode == SieveMode::Disabled {
+            return direct();
+        }
+        let fs_reads = covering_reads(&normalized, BUFFER_SIZE);
         let moved: u64 = fs_reads.iter().map(|e| e.len).sum();
-        let sieved = SievePlan {
+        SievePlan {
             fs_reads,
             required,
             moved,
             sieved: true,
-        };
-        match cfg.mode {
-            SieveMode::Disabled => direct(),
-            SieveMode::Enabled => sieved,
-            SieveMode::Auto => {
-                if required > 0 && moved as f64 / required as f64 <= cfg.auto_waste_limit {
-                    sieved
-                } else {
-                    direct()
-                }
-            }
         }
     }
 
@@ -362,11 +357,7 @@ fn run_requests() -> impl Strategy<Value = Vec<Regions>> {
 }
 
 fn mode() -> impl Strategy<Value = SieveMode> {
-    prop_oneof![
-        Just(SieveMode::Disabled),
-        Just(SieveMode::Enabled),
-        Just(SieveMode::Auto)
-    ]
+    prop_oneof![Just(SieveMode::Disabled), Just(SieveMode::Enabled)]
 }
 
 proptest! {
@@ -383,14 +374,9 @@ proptest! {
     }
 
     #[test]
-    fn plan_read_matches_reference(
-        reqs in requests(),
-        pick in any::<u64>(),
-        mode in mode(),
-        auto_waste_limit in 1.0f64..16.0,
-    ) {
+    fn plan_read_matches_reference(reqs in requests(), mode in mode()) {
         for list in &reqs {
-            let cfg = SievingConfig { mode, buffer_size: buffer_for(list, pick), auto_waste_limit };
+            let cfg = SievingConfig { mode };
             let runs = Regions::from(list.clone());
             prop_assert_eq!(plan_read(&runs, &cfg), reference::plan_read(list, &cfg));
         }
@@ -435,15 +421,10 @@ proptest! {
     }
 
     #[test]
-    fn run_plan_read_matches_reference(
-        reqs in run_requests(),
-        pick in any::<u64>(),
-        mode in mode(),
-        auto_waste_limit in 1.0f64..16.0,
-    ) {
+    fn run_plan_read_matches_reference(reqs in run_requests(), mode in mode()) {
         for regions in &reqs {
             let list = expand(regions);
-            let cfg = SievingConfig { mode, buffer_size: buffer_for(&list, pick), auto_waste_limit };
+            let cfg = SievingConfig { mode };
             prop_assert_eq!(plan_read(regions, &cfg), reference::plan_read(&list, &cfg));
         }
     }

@@ -2,7 +2,7 @@
 //! correctness, and the waste accounting behind Figure 12.
 
 use bps_core::extent::{self, Extent, Regions};
-use bps_middleware::sieving::{extract, plan_read, SieveMode, SievingConfig};
+use bps_middleware::sieving::{covering_reads, extract, plan_read, SieveMode, SievingConfig};
 use proptest::prelude::*;
 
 fn regions() -> impl Strategy<Value = Regions> {
@@ -15,20 +15,8 @@ fn regions() -> impl Strategy<Value = Regions> {
 }
 
 fn config() -> impl Strategy<Value = SievingConfig> {
-    (
-        prop_oneof![
-            Just(SieveMode::Disabled),
-            Just(SieveMode::Enabled),
-            Just(SieveMode::Auto)
-        ],
-        1u64..100_000,
-        1.0f64..100.0,
-    )
-        .prop_map(|(mode, buffer_size, auto_waste_limit)| SievingConfig {
-            mode,
-            buffer_size,
-            auto_waste_limit,
-        })
+    prop_oneof![Just(SieveMode::Disabled), Just(SieveMode::Enabled)]
+        .prop_map(|mode| SievingConfig { mode })
 }
 
 proptest! {
@@ -59,15 +47,21 @@ proptest! {
         }
     }
 
-    /// Planned reads respect the buffer limit when sieving.
+    /// Covering reads respect the buffer limit, stay ascending and
+    /// disjoint, and cover every requested byte.
     #[test]
     fn buffer_limit_respected(rs in regions(), buffer in 1u64..50_000) {
-        let cfg = SievingConfig { mode: SieveMode::Enabled, buffer_size: buffer, auto_waste_limit: 16.0 };
-        let plan = plan_read(&rs, &cfg);
-        if plan.sieved {
-            for r in &plan.fs_reads {
-                prop_assert!(r.len <= buffer, "{} > {buffer}", r.len);
-            }
+        let reads = covering_reads(&extent::normalize(&rs), buffer);
+        for r in &reads {
+            prop_assert!(r.len <= buffer, "{} > {buffer}", r.len);
+        }
+        for w in reads.windows(2) {
+            prop_assert!(w[0].end() <= w[1].offset);
+        }
+        let covered = |b: u64| reads.iter().any(|e| e.offset <= b && b < e.end());
+        for r in extent::expand(&extent::normalize(&rs)) {
+            prop_assert!(covered(r.offset), "first byte of {r:?}");
+            prop_assert!(covered(r.end() - 1), "last byte of {r:?}");
         }
     }
 
@@ -82,16 +76,6 @@ proptest! {
             .flat_map(|r| (r.offset..r.end()).map(file_byte))
             .collect();
         prop_assert_eq!(got, want);
-    }
-
-    /// Auto never wastes more than the configured limit.
-    #[test]
-    fn auto_bounds_waste(rs in regions(), limit in 1.0f64..50.0) {
-        let cfg = SievingConfig { mode: SieveMode::Auto, buffer_size: 1 << 20, auto_waste_limit: limit };
-        let plan = plan_read(&rs, &cfg);
-        if plan.sieved && plan.required > 0 {
-            prop_assert!(plan.moved as f64 / plan.required as f64 <= limit + 1e-9);
-        }
     }
 
     /// Sieving never issues more file-system reads than the disabled plan.

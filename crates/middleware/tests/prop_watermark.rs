@@ -19,7 +19,6 @@ use bps_core::extent::{Extent, Regions};
 use bps_core::interval::IntervalSet;
 use bps_core::metrics::{registry, Metric, MetricSelection};
 use bps_core::record::{FileId, Layer};
-use bps_core::retry::RetryPolicy;
 use bps_core::sink::{RecordSink, StreamingMetrics};
 use bps_core::time::{Dur, Nanos};
 use bps_core::trace::Trace;
@@ -30,6 +29,7 @@ use bps_fs::pfs::ParallelFs;
 use bps_middleware::prefetch::PrefetchConfig;
 use bps_middleware::process::run_workload;
 use bps_middleware::sieving::SievingConfig;
+use bps_middleware::stack::RetryPolicy;
 use bps_middleware::stack::{FsBackend, IoStack};
 use bps_sim::device::DiskSched;
 use bps_sim::fault::{FaultPlan, Outage};
@@ -92,7 +92,7 @@ fn stack<S: RecordSink>(setup: &Setup, clients: usize, sink: S) -> (IoStack<S>, 
             .with_link_loss(0.02, Dur::from_micros(300))
             .with_outage(Outage {
                 server: 0,
-                start: Nanos::from_micros(500),
+                start: Nanos(500_000),
                 end: Nanos::from_millis(3),
             });
     }
@@ -109,7 +109,6 @@ fn stack<S: RecordSink>(setup: &Setup, clients: usize, sink: S) -> (IoStack<S>, 
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::NONE,
             seed: setup.seed,
-            record_device_layer: setup.record_lower_layers,
             record_net_layer: setup.record_lower_layers,
             fault,
         },
@@ -288,7 +287,12 @@ fn streamed_equals_traced(w: &Script, setup: &Setup) -> Trace {
         Layer::Network,
         Layer::Retry,
     ] {
-        assert_eq!(trace.op_count(layer), stream.op_count(layer), "{:?}", layer);
+        assert_eq!(
+            trace.layer(layer).count() as u64,
+            stream.op_count(layer),
+            "{:?}",
+            layer
+        );
     }
     for layer in [Layer::Application, Layer::FileSystem] {
         assert_eq!(trace.bytes(layer), stream.bytes(layer), "{:?}", layer);
@@ -376,14 +380,14 @@ fn open_noncontig_calls_hold_the_watermark() {
     let trace = streamed_equals_traced(&w, &faulted());
     // The run really did abandon calls, and left more than twice the 64
     // busy periods a layer union retains before it drops some.
-    assert!(trace.op_count(Layer::Retry) > 0);
+    assert!(trace.layer(Layer::Retry).count() > 0);
     let issued = w
         .streams
         .iter()
         .flatten()
         .filter(|op| !matches!(op, AppOp::Compute { .. }))
         .count();
-    assert!(trace.op_count(Layer::Application) < issued as u64);
+    assert!(trace.layer(Layer::Application).count() < issued);
     assert!(busy_periods(&trace, Layer::Application) > 128);
     assert!(busy_periods(&trace, Layer::FileSystem) > 128);
 }
@@ -410,6 +414,6 @@ fn parked_collective_arrivals_hold_the_watermark() {
         }
     }
     let trace = streamed_equals_traced(&Script { streams }, &faulted());
-    assert!(trace.op_count(Layer::Retry) > 0);
+    assert!(trace.layer(Layer::Retry).count() > 0);
     assert!(busy_periods(&trace, Layer::FileSystem) > 256);
 }

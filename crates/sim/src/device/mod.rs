@@ -150,11 +150,6 @@ impl Device {
     pub fn stats(&self) -> &ResourceStats {
         self.queue.stats()
     }
-
-    /// Capacity in 512-byte blocks.
-    pub fn capacity_blocks(&self) -> u64 {
-        self.model.capacity_blocks()
-    }
 }
 
 #[cfg(test)]
@@ -252,6 +247,6 @@ mod tests {
         let d = ram_device();
         assert_eq!(d.model.name(), "ram");
         assert!(format!("{d:?}").contains("ram"));
-        assert_eq!(d.capacity_blocks(), (1 << 30) / 512);
+        assert_eq!(d.model.capacity_blocks(), (1 << 30) / 512);
     }
 }

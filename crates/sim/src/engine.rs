@@ -53,13 +53,9 @@ impl Waker {
 /// `E` is the shared environment — typically the simulated I/O stack plus
 /// the trace being collected. The engine hands each process exclusive
 /// (`&mut`) access during its wake, so no synchronization is needed and the
-/// simulation is deterministic.
+/// simulation is deterministic. Every process first wakes at
+/// [`Nanos::ZERO`].
 pub trait Process<E> {
-    /// When this process first wants to run.
-    fn start_time(&self) -> Nanos {
-        Nanos::ZERO
-    }
-
     /// Called at `now`; do work against `env`, optionally release parked
     /// peers through `waker`, and say when to wake next.
     fn wake(&mut self, now: Nanos, env: &mut E, waker: &mut Waker) -> Wake;
@@ -71,8 +67,6 @@ pub struct RunOutcome {
     /// Instant each process returned [`Wake::Done`] (index-aligned with the
     /// input process vector).
     pub finish_times: Vec<Nanos>,
-    /// The earliest start among all processes.
-    pub started_at: Nanos,
     /// The latest finish among all processes (simulation end).
     pub ended_at: Nanos,
     /// Total number of wakes dispatched.
@@ -80,10 +74,11 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Wall time of the whole run: latest finish minus earliest start —
-    /// the "application execution time" the paper correlates metrics with.
+    /// Wall time of the whole run, from the common start at zero to the
+    /// latest finish — the "application execution time" the paper
+    /// correlates metrics with.
     pub fn makespan(&self) -> bps_core::time::Dur {
-        self.ended_at - self.started_at
+        self.ended_at.since(Nanos::ZERO)
     }
 }
 
@@ -103,18 +98,12 @@ pub fn run_processes<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunO
     let mut parked = vec![false; processes.len()];
     let mut waker = Waker::default();
 
-    let mut started_at = Nanos::MAX;
-    for (idx, p) in processes.iter().enumerate() {
-        let t = p.start_time();
-        started_at = started_at.min(t);
-        heap.push(t, idx);
-    }
-    if processes.is_empty() {
-        started_at = Nanos::ZERO;
+    for idx in 0..processes.len() {
+        heap.push(Nanos::ZERO, idx);
     }
 
     let mut finish_times = vec![Nanos::ZERO; processes.len()];
-    let mut ended_at = started_at;
+    let mut ended_at = Nanos::ZERO;
     let mut wakes: u64 = 0;
 
     while let Some((now, idx)) = heap.pop() {
@@ -157,7 +146,6 @@ pub fn run_processes<E, P: Process<E>>(processes: &mut [P], env: &mut E) -> RunO
 
     RunOutcome {
         finish_times,
-        started_at,
         ended_at,
         wakes,
     }
@@ -169,7 +157,8 @@ mod tests {
     use bps_core::time::Dur;
 
     /// A process that appends (its id, wake time) to a shared log a fixed
-    /// number of times with a fixed period.
+    /// number of times with a fixed period, from `start` on (its first
+    /// wake, at zero, only sleeps until then).
     struct Ticker {
         id: usize,
         period: Dur,
@@ -178,10 +167,10 @@ mod tests {
     }
 
     impl Process<Vec<(usize, Nanos)>> for Ticker {
-        fn start_time(&self) -> Nanos {
-            self.start
-        }
         fn wake(&mut self, now: Nanos, log: &mut Vec<(usize, Nanos)>, _waker: &mut Waker) -> Wake {
+            if now < self.start {
+                return Wake::At(self.start);
+            }
             log.push((self.id, now));
             if self.remaining == 0 {
                 return Wake::Done;
@@ -216,10 +205,10 @@ mod tests {
         // Proc 0 finishes at 30 ms, proc 1 at 31 ms.
         assert_eq!(out.finish_times[0], Nanos::from_millis(30));
         assert_eq!(out.finish_times[1], Nanos::from_millis(31));
-        assert_eq!(out.started_at, Nanos::ZERO);
         assert_eq!(out.ended_at, Nanos::from_millis(31));
         assert_eq!(out.makespan(), Dur::from_millis(31));
-        assert_eq!(out.wakes as usize, log.len());
+        // Proc 1's first wake only slept until its start.
+        assert_eq!(out.wakes as usize, log.len() + 1);
     }
 
     #[test]
@@ -252,11 +241,11 @@ mod tests {
     fn waking_in_the_past_panics() {
         struct Bad;
         impl Process<()> for Bad {
-            fn start_time(&self) -> Nanos {
-                Nanos::from_millis(5)
-            }
-            fn wake(&mut self, _now: Nanos, _env: &mut (), _waker: &mut Waker) -> Wake {
-                Wake::At(Nanos::ZERO)
+            fn wake(&mut self, now: Nanos, _env: &mut (), _waker: &mut Waker) -> Wake {
+                match now {
+                    Nanos::ZERO => Wake::At(Nanos::from_millis(5)),
+                    _ => Wake::At(Nanos::ZERO),
+                }
             }
         }
         run_processes(&mut [Bad], &mut ());
@@ -278,10 +267,10 @@ mod tests {
     }
 
     impl Process<BarrierEnv> for BarrierProc {
-        fn start_time(&self) -> Nanos {
-            self.arrive_at
-        }
         fn wake(&mut self, now: Nanos, env: &mut BarrierEnv, waker: &mut Waker) -> Wake {
+            if now < self.arrive_at {
+                return Wake::At(self.arrive_at);
+            }
             if self.done_after {
                 return Wake::Done;
             }

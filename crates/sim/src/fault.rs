@@ -84,15 +84,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// True when the plan injects nothing.
-    pub fn is_none(&self) -> bool {
-        self.slowdowns.is_empty()
-            && self.device_error_rate == 0.0
-            && self.device_error_hotspots.is_empty()
-            && self.link_loss_rate == 0.0
-            && self.outages.is_empty()
-    }
-
     /// Add a straggler window.
     pub fn with_slowdown(mut self, window: SlowdownWindow) -> Self {
         assert!(window.factor > 0.0, "slowdown factor must be positive");
@@ -168,11 +159,6 @@ impl FaultInjector {
             rng: SimRng::seed_from_u64(plan.seed ^ run_seed.wrapping_mul(0xD1B5_4A32_D192_ED03)),
             outages,
         }
-    }
-
-    /// True when the underlying plan injects nothing.
-    pub fn is_none(&self) -> bool {
-        self.plan.is_none()
     }
 
     /// Service-time multiplier for `server` at instant `at`: the product
@@ -252,10 +238,7 @@ mod tests {
 
     #[test]
     fn none_plan_is_inert() {
-        let plan = FaultPlan::none();
-        assert!(plan.is_none());
-        let mut inj = FaultInjector::new(&plan, 42);
-        assert!(inj.is_none());
+        let mut inj = FaultInjector::new(&FaultPlan::none(), 42);
         assert_eq!(inj.slowdown(0, Nanos::from_millis(5)), 1.0);
         assert_eq!(inj.outage_until(0, Nanos::from_millis(5)), None);
         for _ in 0..100 {
@@ -395,7 +378,7 @@ mod tests {
     #[test]
     fn hotspot_rate_applies_to_its_server_only() {
         let plan = FaultPlan::none().with_device_errors_on(1, 0.5);
-        assert!(!plan.is_none());
+        assert_ne!(plan, FaultPlan::none());
         let mut inj = FaultInjector::new(&plan, 3);
         // Server 0 has rate zero: never errors, never draws.
         for _ in 0..100 {

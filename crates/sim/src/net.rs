@@ -20,7 +20,7 @@
 //! throughput, but it gives ARPT the gentle upward drift under concurrency
 //! that the paper's Figure 10 shows.
 
-use crate::resource::{ByteRate, FifoResource, Grant, ResourceStats};
+use crate::resource::{ByteRate, FifoResource, Grant};
 use bps_core::time::{Dur, Nanos};
 
 /// A simplex point-to-point link (one NIC direction).
@@ -57,11 +57,6 @@ impl Link {
         g.end + self.latency
     }
 
-    /// Counters (ops, bytes, busy time, queueing).
-    pub fn stats(&self) -> &ResourceStats {
-        self.queue.stats()
-    }
-
     /// Bandwidth in bytes/second.
     pub fn bandwidth(&self) -> u64 {
         self.rate.rate()
@@ -92,8 +87,6 @@ pub struct Switch {
     recent_load: f64,
     /// Anchor of the last decay update (monotone).
     last_update: Nanos,
-    ops: u64,
-    bytes: u64,
 }
 
 impl Switch {
@@ -107,8 +100,6 @@ impl Switch {
             window: Dur::from_millis(1),
             recent_load: 0.0,
             last_update: Nanos::ZERO,
-            ops: 0,
-            bytes: 0,
         }
     }
 
@@ -135,14 +126,7 @@ impl Switch {
         }
         let penalty = Dur::from_secs_f64(self.congestion_per_msg.as_secs_f64() * self.recent_load);
         self.recent_load += 1.0;
-        self.ops += 1;
-        self.bytes += bytes;
         arrival + self.forwarding + self.aggregate_bandwidth.price(bytes) + penalty
-    }
-
-    /// Bytes forwarded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -155,7 +139,7 @@ mod tests {
         let mut l = Link::new(Dur::from_micros(100), 1_000_000); // 1 MB/s
         let done = l.transfer(Nanos::ZERO, 1_000_000);
         // 1 s serialization + 100 us latency.
-        assert_eq!(done, Nanos::from_micros(1_000_100));
+        assert_eq!(done, Nanos(1_000_100_000));
     }
 
     #[test]
@@ -165,7 +149,6 @@ mod tests {
         let b = l.transfer(Nanos::ZERO, 500_000);
         assert_eq!(a, Nanos::from_millis(500));
         assert_eq!(b, Nanos::from_millis(1000));
-        assert_eq!(l.stats().bytes, 1_000_000);
     }
 
     #[test]
@@ -182,7 +165,7 @@ mod tests {
         let mut s = Switch::gigabit_cluster();
         let done = s.forward(Nanos::ZERO, 64 << 10);
         // ~10 us forwarding + ~11 us backplane, no congestion yet.
-        assert!(done < Nanos::from_micros(40), "{done}");
+        assert!(done < Nanos(40_000), "{done}");
     }
 
     #[test]
@@ -202,21 +185,18 @@ mod tests {
         let lone = s.forward(Nanos::ZERO, 1024).since(Nanos::ZERO);
         // Hammer the switch within one window.
         for i in 0..100 {
-            s.forward(Nanos::from_micros(i), 1024);
+            s.forward(Nanos(i * 1_000), 1024);
         }
-        let loaded = s
-            .forward(Nanos::from_micros(100), 1024)
-            .since(Nanos::from_micros(100));
+        let loaded = s.forward(Nanos(100_000), 1024).since(Nanos(100_000));
         assert!(loaded > lone + Dur::from_micros(50), "{lone} vs {loaded}");
         assert!(s.recent_load > 50.0);
-        assert_eq!(s.ops, 102);
     }
 
     #[test]
     fn congestion_decays_when_quiet() {
         let mut s = Switch::gigabit_cluster();
         for i in 0..100 {
-            s.forward(Nanos::from_micros(i), 1024);
+            s.forward(Nanos(i * 1_000), 1024);
         }
         // After 100 windows of silence the penalty is gone.
         let calm = s

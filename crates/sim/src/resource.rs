@@ -121,11 +121,6 @@ impl FifoResource {
     pub fn busy_until(&self) -> Nanos {
         self.busy_until
     }
-
-    /// Counters.
-    pub fn stats(&self) -> &ResourceStats {
-        &self.stats
-    }
 }
 
 /// `k` identical FIFO servers fed from one queue (an SSD's internal
@@ -164,11 +159,6 @@ impl MultiChannel {
         g
     }
 
-    /// Number of channels.
-    pub fn width(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Aggregated counters.
     pub fn stats(&self) -> &ResourceStats {
         &self.stats
@@ -201,7 +191,7 @@ mod tests {
         let g = r.acquire(ms(2), dms(5));
         assert_eq!(g.start, ms(10));
         assert_eq!(g.end, ms(15));
-        assert_eq!(r.stats().waited, dms(8));
+        assert_eq!(r.stats.waited, dms(8));
     }
 
     #[test]
@@ -212,7 +202,7 @@ mod tests {
         let g = r.acquire(ms(5), dms(1));
         assert_eq!(g.start, ms(5));
         // Busy time excludes the idle gap.
-        assert_eq!(r.stats().busy, dms(2));
+        assert_eq!(r.stats.busy, dms(2));
         assert_eq!(r.busy_until(), ms(6));
     }
 
@@ -230,8 +220,8 @@ mod tests {
         let mut r = FifoResource::new();
         r.acquire_bytes(ms(0), dms(5), 1000);
         r.acquire_bytes(ms(5), dms(5), 2000);
-        assert_eq!(r.stats().bytes, 3000);
-        assert_eq!(r.stats().busy, dms(10));
+        assert_eq!(r.stats.bytes, 3000);
+        assert_eq!(r.stats.busy, dms(10));
     }
 
     #[test]
@@ -246,7 +236,7 @@ mod tests {
         let c = m.acquire(ms(1), dms(10));
         assert_eq!(c.start, ms(10));
         assert_eq!(m.stats().ops, 3);
-        assert_eq!(m.width(), 2);
+        assert_eq!(m.channels.len(), 2);
     }
 
     #[test]

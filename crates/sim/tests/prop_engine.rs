@@ -32,7 +32,6 @@ struct World {
 #[derive(Debug, Clone)]
 struct Scripted {
     id: usize,
-    start: u64,
     script: Vec<Step>,
     next: usize,
 }
@@ -69,9 +68,6 @@ impl Scripted {
 }
 
 impl Process<World> for Scripted {
-    fn start_time(&self) -> Nanos {
-        Nanos(self.start)
-    }
     fn wake(&mut self, now: Nanos, w: &mut World, waker: &mut Waker) -> Wake {
         self.step(now, w, &mut |p, at| waker.wake_at(p, at))
     }
@@ -80,16 +76,14 @@ impl Process<World> for Scripted {
 /// The scheduler by definition: keep every pending wake in a list, take
 /// the one with the smallest `(time, seq)` by linear scan, and number
 /// every push, releases in request order after the woken process's own.
+/// Every process first wakes at zero, in index order.
 fn reference(procs: &mut [Scripted], w: &mut World) -> RunOutcome {
-    let mut pending: Vec<(Nanos, u64, usize)> = procs
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.start_time(), i as u64, i))
+    let mut pending: Vec<(Nanos, u64, usize)> = (0..procs.len())
+        .map(|i| (Nanos::ZERO, i as u64, i))
         .collect();
     let mut seq = procs.len() as u64;
-    let started_at = pending.iter().map(|e| e.0).min().unwrap_or(Nanos::ZERO);
     let mut finish_times = vec![Nanos::ZERO; procs.len()];
-    let mut ended_at = started_at;
+    let mut ended_at = Nanos::ZERO;
     let mut wakes = 0;
     while !pending.is_empty() {
         let k = (0..pending.len())
@@ -116,14 +110,14 @@ fn reference(procs: &mut [Scripted], w: &mut World) -> RunOutcome {
     }
     RunOutcome {
         finish_times,
-        started_at,
         ended_at,
         wakes,
     }
 }
 
-/// Up to nine processes over a narrow time range, so starts and wakes tie
-/// often; a quarter of the steps park and a quarter release.
+/// Up to nine processes over a narrow time range, so wakes tie often; each
+/// script opens with a wait of its own, a quarter of the steps park and a
+/// quarter release.
 fn scripts() -> impl Strategy<Value = Vec<Scripted>> {
     let step = (0u8..8, 0usize..8, 0u64..40).prop_map(|(kind, pick, d)| match kind {
         0 | 1 => Step::Wait(0),
@@ -137,8 +131,7 @@ fn scripts() -> impl Strategy<Value = Vec<Scripted>> {
             .enumerate()
             .map(|(id, (start, script))| Scripted {
                 id,
-                start,
-                script,
+                script: [Step::Wait(start)].into_iter().chain(script).collect(),
                 next: 0,
             })
             .collect()
@@ -151,13 +144,9 @@ struct Logger {
     id: usize,
     periods: Vec<u64>,
     next: usize,
-    start: u64,
 }
 
 impl Process<Vec<(Nanos, usize)>> for Logger {
-    fn start_time(&self) -> Nanos {
-        Nanos(self.start)
-    }
     fn wake(&mut self, now: Nanos, log: &mut Vec<(Nanos, usize)>, _w: &mut Waker) -> Wake {
         log.push((now, self.id));
         match self.periods.get(self.next) {
@@ -170,12 +159,14 @@ impl Process<Vec<(Nanos, usize)>> for Logger {
     }
 }
 
-fn schedules() -> impl Strategy<Value = Vec<(u64, Vec<u64>)>> {
+/// Per process, its periods; the first, up to 1 ms, staggers the starts.
+fn schedules() -> impl Strategy<Value = Vec<Vec<u64>>> {
     proptest::collection::vec(
         (
             0u64..1_000_000,
             proptest::collection::vec(1u64..100_000, 0..20),
-        ),
+        )
+            .prop_map(|(start, periods)| [start].into_iter().chain(periods).collect()),
         1..8,
     )
 }
@@ -188,25 +179,23 @@ proptest! {
         let mut procs: Vec<Logger> = scheds
             .iter()
             .enumerate()
-            .map(|(id, (start, periods))| Logger {
+            .map(|(id, periods)| Logger {
                 id,
                 periods: periods.clone(),
                 next: 0,
-                start: *start,
             })
             .collect();
         let mut log = Vec::new();
         let out = run_processes(&mut procs, &mut log);
         prop_assert!(log.windows(2).all(|w| w[0].0 <= w[1].0));
-        for (id, (_, periods)) in scheds.iter().enumerate() {
+        for (id, periods) in scheds.iter().enumerate() {
             let wakes = log.iter().filter(|&&(_, i)| i == id).count();
             prop_assert_eq!(wakes, periods.len() + 1);
         }
         prop_assert_eq!(out.wakes as usize, log.len());
-        // Finish time of each process = its start + sum of periods.
-        for (id, (start, periods)) in scheds.iter().enumerate() {
-            let expect = Nanos(start + periods.iter().sum::<u64>());
-            prop_assert_eq!(out.finish_times[id], expect);
+        // Finish time of each process = the sum of its periods.
+        for (id, periods) in scheds.iter().enumerate() {
+            prop_assert_eq!(out.finish_times[id], Nanos(periods.iter().sum::<u64>()));
         }
     }
 
@@ -217,11 +206,10 @@ proptest! {
             scheds
                 .iter()
                 .enumerate()
-                .map(|(id, (start, periods))| Logger {
+                .map(|(id, periods)| Logger {
                     id,
                     periods: periods.clone(),
                     next: 0,
-                    start: *start,
                 })
                 .collect()
         };
@@ -248,10 +236,10 @@ proptest! {
             release: Option<Nanos>,
         }
         impl Process<Env> for B {
-            fn start_time(&self) -> Nanos {
-                Nanos(self.at)
-            }
             fn wake(&mut self, now: Nanos, env: &mut Env, w: &mut Waker) -> Wake {
+                if now < Nanos(self.at) {
+                    return Wake::At(Nanos(self.at));
+                }
                 match self.phase {
                     0 => {
                         self.phase = 1;

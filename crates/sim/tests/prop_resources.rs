@@ -24,22 +24,18 @@ fn arrivals() -> impl Strategy<Value = Vec<(u64, u64)>> {
 
 proptest! {
     /// FIFO: service periods never overlap, never start before arrival,
-    /// and total busy time equals the sum of services.
+    /// and each lasts exactly its service time.
     #[test]
     fn fifo_no_overlap(reqs in arrivals()) {
         let mut r = FifoResource::new();
         let mut prev_end = Nanos::ZERO;
-        let mut total = Dur::ZERO;
         for &(arr, svc) in &reqs {
             let g = r.acquire(Nanos(arr * 1000), Dur(svc * 1000));
             prop_assert!(g.start >= Nanos(arr * 1000));
             prop_assert!(g.start >= prev_end);
             prop_assert_eq!(g.end - g.start, Dur(svc * 1000));
             prev_end = g.end;
-            total += Dur(svc * 1000);
         }
-        prop_assert_eq!(r.stats().busy, total);
-        prop_assert_eq!(r.stats().ops, reqs.len() as u64);
     }
 
     /// A k-channel resource is never slower than a 1-channel one and never

@@ -15,7 +15,6 @@
 use crate::spec::{DeviceNode, NodeSpec};
 use crate::{TopologyError, TopologySpec};
 use bps_core::record::FileId;
-use bps_core::retry::RetryPolicy;
 use bps_core::sink::RecordSink;
 use bps_core::time::Dur;
 use bps_fs::cluster::{Cluster, ClusterConfig};
@@ -24,6 +23,7 @@ use bps_fs::localfs::LocalFs;
 use bps_fs::pfs::ParallelFs;
 use bps_middleware::prefetch::PrefetchConfig;
 use bps_middleware::sieving::SievingConfig;
+use bps_middleware::stack::RetryPolicy;
 use bps_middleware::stack::{FsBackend, IoStack};
 use bps_sim::device::DiskSched;
 use bps_sim::fault::FaultPlan;
@@ -130,7 +130,6 @@ impl TopologySpec {
             server_cpu,
             jitter: Jitter::DEFAULT,
             seed: env.seed,
-            record_device_layer: false,
             record_net_layer: record_net,
             fault,
         };

@@ -293,8 +293,8 @@ mod tests {
                     FileId(pid),
                     i * 4096,
                     4096,
-                    Nanos::from_micros(i * 100),
-                    Nanos::from_micros(i * 100 + 40),
+                    Nanos(i * 100 * 1_000),
+                    Nanos((i * 100 + 40) * 1_000),
                     if i % 3 == 0 {
                         Layer::FileSystem
                     } else {
@@ -363,8 +363,8 @@ mod tests {
                 FileId(0),
                 0,
                 4096,
-                Nanos::from_micros(i as u64 * 10),
-                Nanos::from_micros(i as u64 * 10 + 5),
+                Nanos(i as u64 * 10 * 1_000),
+                Nanos((i as u64 * 10 + 5) * 1_000),
                 layer,
             ));
         }

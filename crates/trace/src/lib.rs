@@ -4,7 +4,7 @@
 //! release it to the public". This crate is that toolkit:
 //!
 //! * [`recorder`] — per-process recording of I/O accesses (paper §III.B
-//!   Step 1), both single-threaded and shared/concurrent variants.
+//!   Step 1), shared by the threads of one process.
 //! * Gathering all processes' records into the global collection (Step 2)
 //!   is [`bps_core::trace::Trace::from_records`] over the drained
 //!   recorders followed by [`bps_core::trace::Trace::sort_by_start`], as
@@ -28,7 +28,7 @@ pub mod realfile;
 pub mod recorder;
 pub mod validate;
 
-pub use recorder::{ProcessRecorder, SharedRecorder};
+pub use recorder::SharedRecorder;
 
 /// Step 2 (gathering) has no type of its own: it is
 /// [`bps_core::trace::Trace::from_records`] over the drained recorders and
@@ -37,21 +37,21 @@ pub use recorder::{ProcessRecorder, SharedRecorder};
 #[cfg(test)]
 mod collector {
     mod tests {
-        use crate::ProcessRecorder;
+        use crate::SharedRecorder;
         use bps_core::record::{FileId, IoOp, Layer, ProcessId};
         use bps_core::time::Nanos;
         use bps_core::trace::Trace;
 
-        fn recorder(pid: u32, starts_us: &[u64]) -> ProcessRecorder {
-            let mut r = ProcessRecorder::new(ProcessId(pid));
+        fn recorder(pid: u32, starts_us: &[u64]) -> SharedRecorder {
+            let r = SharedRecorder::new(ProcessId(pid));
             for &s in starts_us {
                 r.record(
                     IoOp::Read,
                     FileId(0),
                     0,
                     512,
-                    Nanos::from_micros(s),
-                    Nanos::from_micros(s + 10),
+                    Nanos(s * 1_000),
+                    Nanos((s + 10) * 1_000),
                 );
             }
             r
@@ -59,8 +59,8 @@ mod collector {
 
         #[test]
         fn batch_collection_merges_and_sorts() {
-            let mut procs = [recorder(0, &[100, 300]), recorder(1, &[50, 200])];
-            let records: Vec<_> = procs.iter_mut().flat_map(|r| r.drain()).collect();
+            let procs = [recorder(0, &[100, 300]), recorder(1, &[50, 200])];
+            let records: Vec<_> = procs.iter().flat_map(|r| r.drain()).collect();
             assert_eq!(records.len(), 4);
             let mut t = Trace::from_records(records);
             t.sort_by_start();
@@ -69,7 +69,7 @@ mod collector {
             let pids: std::collections::BTreeSet<_> =
                 t.layer(Layer::Application).map(|r| r.pid).collect();
             assert_eq!(pids.len(), 2);
-            assert!(procs.iter().all(|r| r.is_empty()));
+            assert!(procs.iter().all(|r| r.drain().is_empty()));
         }
     }
 }

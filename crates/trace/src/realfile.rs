@@ -86,11 +86,6 @@ impl<F> TracedFile<F> {
             clock,
         }
     }
-
-    /// The wrapped value.
-    pub fn into_inner(self) -> F {
-        self.inner
-    }
 }
 
 impl<F: Read> Read for TracedFile<F> {
@@ -176,7 +171,7 @@ mod tests {
                 f.read_exact(&mut buf).unwrap();
             }
         });
-        assert_eq!(trace.op_count(Layer::Application), 16);
+        assert_eq!(trace.layer(Layer::Application).count(), 16);
         assert_eq!(trace.bytes(Layer::Application), 64 << 10);
         // Real wall-clock I/O on memory is fast but nonzero; BPS computes.
         assert!(Bps.compute(&trace).is_some());

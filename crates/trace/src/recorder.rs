@@ -5,120 +5,27 @@
 //! MPI-IO applications, or I/O function libraries for ordinary POSIX
 //! interface applications, to avoid the modification of applications."
 //!
-//! [`ProcessRecorder`] is the single-threaded building block;
-//! [`SharedRecorder`] wraps it for concurrent use from many threads of one
-//! process.
+//! [`SharedRecorder`] collects one process's application-layer records,
+//! from any number of its threads.
 
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
 use bps_core::time::Nanos;
 use std::sync::{Arc, Mutex};
 
-/// A begun-but-unfinished access, returned by [`ProcessRecorder::begin`].
-#[derive(Debug, Clone, Copy)]
-#[must_use = "finish the access with ProcessRecorder::end"]
-pub struct PendingIo {
-    op: IoOp,
-    file: FileId,
-    offset: u64,
-    bytes: u64,
-    start: Nanos,
-}
-
-/// Records the I/O accesses of one process.
-#[derive(Debug)]
-pub struct ProcessRecorder {
-    pid: ProcessId,
-    layer: Layer,
-    records: Vec<IoRecord>,
-}
-
-impl ProcessRecorder {
-    /// A recorder for `pid`, observing at the application layer.
-    pub fn new(pid: ProcessId) -> Self {
-        Self::at_layer(pid, Layer::Application)
-    }
-
-    /// A recorder observing at an explicit layer.
-    pub fn at_layer(pid: ProcessId, layer: Layer) -> Self {
-        ProcessRecorder {
-            pid,
-            layer,
-            records: Vec::new(),
-        }
-    }
-
-    /// Mark the start of an access.
-    pub fn begin(&self, op: IoOp, file: FileId, offset: u64, bytes: u64, now: Nanos) -> PendingIo {
-        PendingIo {
-            op,
-            file,
-            offset,
-            bytes,
-            start: now,
-        }
-    }
-
-    /// Complete an access begun earlier.
-    pub fn end(&mut self, pending: PendingIo, now: Nanos) {
-        self.records.push(IoRecord::new(
-            self.pid,
-            pending.op,
-            pending.file,
-            pending.offset,
-            pending.bytes,
-            pending.start,
-            now,
-            self.layer,
-        ));
-    }
-
-    /// Record a complete access in one call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        op: IoOp,
-        file: FileId,
-        offset: u64,
-        bytes: u64,
-        start: Nanos,
-        end: Nanos,
-    ) {
-        let p = self.begin(op, file, offset, bytes, start);
-        self.end(p, end);
-    }
-
-    /// Number of records so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Drain the records (hand-off to a collector).
-    pub fn drain(&mut self) -> Vec<IoRecord> {
-        std::mem::take(&mut self.records)
-    }
-
-    /// Peek at the records.
-    pub fn records(&self) -> &[IoRecord] {
-        &self.records
-    }
-}
-
-/// A thread-safe recorder shareable across the threads of one process.
+/// A thread-safe recorder of one process's application-layer accesses;
+/// clones share the same records.
 #[derive(Debug, Clone)]
 pub struct SharedRecorder {
-    inner: Arc<Mutex<ProcessRecorder>>,
+    pid: ProcessId,
+    records: Arc<Mutex<Vec<IoRecord>>>,
 }
 
 impl SharedRecorder {
     /// A shared recorder for `pid` at the application layer.
     pub fn new(pid: ProcessId) -> Self {
         SharedRecorder {
-            inner: Arc::new(Mutex::new(ProcessRecorder::new(pid))),
+            pid,
+            records: Arc::default(),
         }
     }
 
@@ -133,25 +40,25 @@ impl SharedRecorder {
         start: Nanos,
         end: Nanos,
     ) {
-        self.inner
+        let record = IoRecord::new(
+            self.pid,
+            op,
+            file,
+            offset,
+            bytes,
+            start,
+            end,
+            Layer::Application,
+        );
+        self.records
             .lock()
             .expect("recorder lock poisoned")
-            .record(op, file, offset, bytes, start, end);
+            .push(record);
     }
 
-    /// Number of records so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("recorder lock poisoned").len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drain the records.
+    /// Drain the records (hand-off to a collector).
     pub fn drain(&self) -> Vec<IoRecord> {
-        self.inner.lock().expect("recorder lock poisoned").drain()
+        std::mem::take(&mut *self.records.lock().expect("recorder lock poisoned"))
     }
 }
 
@@ -160,46 +67,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn begin_end_roundtrip() {
-        let mut r = ProcessRecorder::new(ProcessId(7));
-        let p = r.begin(IoOp::Read, FileId(1), 0, 4096, Nanos::from_micros(10));
-        r.end(p, Nanos::from_micros(35));
-        assert_eq!(r.len(), 1);
-        let rec = r.records()[0];
-        assert_eq!(rec.pid, ProcessId(7));
-        assert_eq!(rec.bytes, 4096);
-        assert_eq!(rec.duration(), bps_core::time::Dur::from_micros(25));
-        assert_eq!(rec.layer, Layer::Application);
-    }
-
-    #[test]
     fn drain_empties() {
-        let mut r = ProcessRecorder::new(ProcessId(0));
-        r.record(
-            IoOp::Write,
-            FileId(0),
-            0,
-            512,
-            Nanos::ZERO,
-            Nanos::from_micros(1),
-        );
+        let r = SharedRecorder::new(ProcessId(7));
+        r.record(IoOp::Read, FileId(1), 0, 4096, Nanos(10_000), Nanos(35_000));
         let v = r.drain();
         assert_eq!(v.len(), 1);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn layer_override() {
-        let mut r = ProcessRecorder::at_layer(ProcessId(0), Layer::FileSystem);
-        r.record(
-            IoOp::Read,
-            FileId(0),
-            0,
-            512,
-            Nanos::ZERO,
-            Nanos::from_micros(1),
-        );
-        assert_eq!(r.records()[0].layer, Layer::FileSystem);
+        assert_eq!(v[0].pid, ProcessId(7));
+        assert_eq!(v[0].bytes, 4096);
+        assert_eq!(v[0].duration(), bps_core::time::Dur::from_micros(25));
+        assert_eq!(v[0].layer, Layer::Application);
+        assert!(r.drain().is_empty());
     }
 
     #[test]
@@ -222,9 +99,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(rec.len(), 400);
-        let v = rec.drain();
-        assert_eq!(v.len(), 400);
-        assert!(rec.is_empty());
+        assert_eq!(rec.drain().len(), 400);
+        assert!(rec.drain().is_empty());
     }
 }

@@ -261,8 +261,8 @@ mod tests {
             FileId(0),
             0,
             bytes,
-            Nanos::from_micros(s_us),
-            Nanos::from_micros(e_us),
+            Nanos(s_us * 1_000),
+            Nanos(e_us * 1_000),
         )
     }
 
@@ -324,7 +324,7 @@ mod tests {
             0,
             1024, // far less than the app required
             Nanos::ZERO,
-            Nanos::from_micros(100),
+            Nanos(100_000),
             Layer::FileSystem,
         ));
         let f = validate(&t);
@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn mostly_idle_flagged() {
         let mut t = Trace::from_records(vec![rec(0, 512, 0, 10)]);
-        t.set_execution_time(Dur::from_secs(10));
+        t.set_execution_time(Dur::from_millis(10_000));
         let f = validate(&t);
         assert!(f.iter().any(|x| x.check == "mostly-idle"));
         assert!(is_usable(&f));

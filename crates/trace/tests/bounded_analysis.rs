@@ -131,7 +131,7 @@ fn trace() -> Trace {
 fn stored_trace_analysis_holds_its_frontier() {
     const MIB: usize = 1 << 20;
     let trace = trace();
-    let app = trace.op_count(Layer::Application) as usize;
+    let app = trace.layer(Layer::Application).count();
     assert_eq!(trace.len(), 200_000);
     let path = std::env::temp_dir().join(format!("bps_bounded-{}.bpstrc", std::process::id()));
     bps_trace::format::write_binary_file(&trace, &path).unwrap();

@@ -15,8 +15,8 @@ fn small_requests(fs_bytes: Option<u64>) -> Trace {
     for pid in 0..4u32 {
         for i in 0..10u64 {
             let (start, end) = (
-                Nanos::from_micros(i * 50 + u64::from(pid) * 7),
-                Nanos::from_micros(i * 50 + u64::from(pid) * 7 + 40),
+                Nanos((i * 50 + u64::from(pid) * 7) * 1_000),
+                Nanos((i * 50 + u64::from(pid) * 7 + 40) * 1_000),
             );
             t.push(IoRecord::app_read(
                 ProcessId(pid),

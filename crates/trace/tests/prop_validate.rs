@@ -197,7 +197,7 @@ fn fixed_cases_match_reference() {
         IoRecord::app_read(ProcessId(pid), FileId(0), 0, 512, Nanos(s), Nanos(e))
     };
     let mut idle = Trace::from_records(vec![rec(0, 0, 10)]);
-    idle.set_execution_time(Dur::from_secs(10));
+    idle.set_execution_time(Dur::from_millis(10_000));
     // Exactly 1 ms of execution is not long enough to be mostly idle.
     let mut short = Trace::from_records(vec![rec(0, 0, 10)]);
     short.set_execution_time(Dur::from_millis(1));

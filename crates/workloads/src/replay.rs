@@ -136,8 +136,8 @@ mod tests {
             FileId(file),
             offset,
             bytes,
-            Nanos::from_micros(s_us),
-            Nanos::from_micros(e_us),
+            Nanos(s_us * 1_000),
+            Nanos(e_us * 1_000),
             Layer::Application,
         )
     }

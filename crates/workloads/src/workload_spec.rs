@@ -630,7 +630,7 @@ mod tests {
             u64::MAX - 10,
             512,
             Nanos::ZERO,
-            Nanos::from_micros(5),
+            Nanos(5_000),
             Layer::Application,
         );
         bps_trace::format::store_path(&Trace::from_records(vec![record]), &path).unwrap();

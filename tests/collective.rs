@@ -62,7 +62,6 @@ fn run(w: &Interleaved, seed: u64) -> bps::core::trace::Trace {
         server_cpu: Dur::from_micros(25),
         jitter: Jitter::NONE,
         seed,
-        record_device_layer: false,
         record_net_layer: false,
         fault: bps::sim::fault::FaultPlan::none(),
     });

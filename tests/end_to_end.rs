@@ -36,12 +36,12 @@ fn full_pipeline_produces_consistent_layers() {
     let (trace, outcome) = run_workload(stack, &w, &files, Dur::from_micros(5));
 
     // Application layer: exactly the workload's requests.
-    assert_eq!(trace.op_count(Layer::Application), 32);
+    assert_eq!(trace.layer(Layer::Application).count(), 32);
     assert_eq!(trace.bytes(Layer::Application), 32 << 20);
     // FS layer moved the same bytes (no sieving/prefetch on contiguous
     // reads) in 64 KB stripe chunks.
     assert_eq!(trace.bytes(Layer::FileSystem), 32 << 20);
-    assert_eq!(trace.op_count(Layer::FileSystem), 512);
+    assert_eq!(trace.layer(Layer::FileSystem).count(), 512);
     // Exec time covers the I/O time.
     assert!(trace.execution_time() >= trace.overlapped_io_time(Layer::Application));
     assert_eq!(trace.execution_time(), outcome.makespan());

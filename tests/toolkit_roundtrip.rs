@@ -52,7 +52,7 @@ fn simulate_persist_reload_analyze() {
     let rows = per_process(&from_json);
     assert_eq!(rows.len(), 3);
     let ops: u64 = rows.iter().map(|r| r.ops).sum();
-    assert_eq!(ops, trace.op_count(Layer::Application));
+    assert_eq!(ops, trace.layer(Layer::Application).count() as u64);
     for row in &rows {
         assert!(row.bps.unwrap() > 0.0);
     }
