@@ -33,10 +33,6 @@ impl Nanos {
     /// The largest representable instant; used as an "infinitely far" sentinel.
     pub const MAX: Nanos = Nanos(u64::MAX);
 
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Nanos(s * NANOS_PER_SEC)
-    }
     /// Construct from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         Nanos(ms * 1_000_000)
@@ -200,7 +196,7 @@ mod tests {
 
     #[test]
     fn constructors_agree() {
-        assert_eq!(Nanos::from_secs(2), Nanos(2 * NANOS_PER_SEC));
+        assert_eq!(Nanos::from_millis(2_000), Nanos(2 * NANOS_PER_SEC));
         assert_eq!(Nanos::from_millis(3), Nanos(3_000_000));
         assert_eq!(Dur::from_millis(1), Dur(NANOS_PER_SEC / 1_000));
     }

@@ -16,8 +16,8 @@ use crate::scale::Scale;
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, Grid, OutputSpec, Patch, Scenario, StorageSpec, WorkloadTemplate,
 };
-use bps_sim::device::DiskSched;
-use bps_topology::{DeviceNode, NodeSpec, TopologySpec};
+use bps_sim::device::{DeviceNode, DiskSched};
+use bps_topology::{NodeSpec, TopologySpec};
 use bps_workloads::iozone::IozoneMode;
 use bps_workloads::WorkloadSpec;
 use std::fmt::Write;

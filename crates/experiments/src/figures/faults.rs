@@ -31,10 +31,10 @@ use crate::figures::common::CcFigure;
 use crate::scale::Scale;
 use crate::scenario::spec::{
     CaseDecl, CaseTemplate, DeviceErrorSpec, FaultSpec, Grid, LayoutSpec, LinkLossSpec,
-    OutageTrainSpec, OutputSpec, Patch, RetrySpec, Scenario, SlowdownSpec, StorageSpec,
-    WorkloadTemplate,
+    OutageTrainSpec, OutputSpec, Patch, RetrySpec, Scenario, StorageSpec, WorkloadTemplate,
 };
 use bps_core::extent::Extent;
+use bps_sim::fault::Slowdown;
 use bps_workloads::spec::{AppOp, OpStream, Workload};
 
 /// I/O servers in every degraded-mode case.
@@ -114,7 +114,7 @@ impl Workload for DegradedMix {
 /// damage, and that asymmetry is exactly what separates the metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Slowdown windows: one big straggler vs several mild ones.
+    /// Slowdowns: one big straggler vs several mild ones.
     Straggler,
     /// Transient device errors: one failing disk vs uniform bit-rot.
     DeviceErrors,
@@ -150,7 +150,7 @@ impl FaultKind {
     /// two varieties never share an injector stream.
     pub fn shapes(&self) -> Vec<(String, Option<FaultSpec>)> {
         let base = || FaultSpec::seeded(0x5E7_5000 + *self as u64);
-        let slow = |server: usize, factor: f64| SlowdownSpec { server, factor };
+        let slow = |server: usize, factor: f64| Slowdown { server, factor };
         // Periodic outages on one server: `width` ms down starting `phase`
         // ms into every `period` ms cycle. Blanketing a long horizon keeps
         // the duty cycle meaningful at any scale preset's run length.
@@ -165,9 +165,9 @@ impl FaultKind {
             }];
             spec
         };
-        let slowed = |windows: Vec<SlowdownSpec>| {
+        let slowed = |slowdowns: Vec<Slowdown>| {
             let mut spec = base();
-            spec.slowdowns = windows;
+            spec.slowdowns = slowdowns;
             spec
         };
         let errors = |rates: Vec<DeviceErrorSpec>| {

@@ -32,7 +32,7 @@ use bps_core::metrics::{registry, MetricSelection};
 use bps_core::time::{Dur, Nanos};
 use bps_middleware::sieving::SievingConfig;
 use bps_middleware::stack::RetryPolicy;
-use bps_sim::fault::{FaultPlan, Outage, SlowdownWindow};
+use bps_sim::fault::{FaultPlan, Outage};
 use bps_workloads::spec::Workload;
 use bps_workloads::WorkloadSpec;
 use std::collections::HashMap;
@@ -370,7 +370,9 @@ pub fn expand(scenario: &Scenario, scale: &Scale) -> Result<Vec<ResolvedCase>, E
             topology,
             workload,
         };
-        check_durations(&case).map_err(|e| err(format!("case `{}`: {e}", case.label)))?;
+        check_durations(&case)
+            .and_then(|()| check_faults(&case))
+            .map_err(|e| err(format!("case `{}`: {e}", case.label)))?;
         cases.push(case);
     }
     Ok(cases)
@@ -423,6 +425,68 @@ fn check_durations(c: &ResolvedCase) -> Result<(), String> {
     Ok(())
 }
 
+/// Reject a fault plan that `build_fault` would refuse (a slowdown
+/// factor that is not positive, an error or loss rate outside [0, 1]), or
+/// that names a server the case's stack does not have, which the run
+/// would silently ignore.
+fn check_faults(c: &ResolvedCase) -> Result<(), String> {
+    let Some(fault) = &c.fault else {
+        return Ok(());
+    };
+    let servers = c
+        .effective_topology()
+        .nodes()
+        .iter()
+        .find_map(|n| match n {
+            bps_topology::NodeSpec::Pfs { servers, .. } => Some(*servers),
+            _ => None,
+        })
+        .unwrap_or(1);
+    let on_a_server = |what: &str, server: usize| {
+        if server < servers {
+            Ok(())
+        } else {
+            Err(format!(
+                "{what} names server {server}, but the stack has {servers} server(s)"
+            ))
+        }
+    };
+    let probability = |what: &str, rate: f64| {
+        if (0.0..=1.0).contains(&rate) {
+            Ok(())
+        } else {
+            Err(format!("{what}: `rate` must be in [0, 1], got {rate}"))
+        }
+    };
+    for (i, s) in fault.slowdowns.iter().enumerate() {
+        let what = format!("fault slowdown {i}");
+        if !(s.factor.is_finite() && s.factor > 0.0) {
+            return Err(format!(
+                "{what}: `factor` must be positive and finite, got {}",
+                s.factor
+            ));
+        }
+        on_a_server(&what, s.server)?;
+    }
+    for (i, d) in fault.device_errors.iter().enumerate() {
+        let what = format!("fault device error {i}");
+        match *d {
+            DeviceErrorSpec::Uniform { rate } => probability(&what, rate)?,
+            DeviceErrorSpec::Server { server, rate } => {
+                probability(&what, rate)?;
+                on_a_server(&what, server)?;
+            }
+        }
+    }
+    if let Some(ll) = &fault.link_loss {
+        probability("fault link loss", ll.rate)?;
+    }
+    for (i, t) in fault.outage_trains.iter().enumerate() {
+        on_a_server(&format!("fault outage train {i}"), t.server)?;
+    }
+    Ok(())
+}
+
 /// Build a concrete [`FaultPlan`] from its declarative form, applying the
 /// pieces in field order (slowdowns, device errors, link loss, outage
 /// trains) exactly as the hand-built plans chained their builders.
@@ -431,13 +495,8 @@ pub fn build_fault(spec: &FaultSpec) -> FaultPlan {
         seed: spec.seed,
         ..FaultPlan::none()
     };
-    for s in &spec.slowdowns {
-        plan = plan.with_slowdown(SlowdownWindow {
-            server: s.server,
-            start: Nanos::ZERO,
-            end: Nanos::from_secs(1 << 20),
-            factor: s.factor,
-        });
+    for &s in &spec.slowdowns {
+        plan = plan.with_slowdown(s);
     }
     for d in &spec.device_errors {
         plan = match *d {
@@ -1254,26 +1313,13 @@ mod tests {
 
     #[test]
     fn fault_spec_builds_the_hand_built_plan() {
-        use super::super::spec::{LinkLossSpec, OutageTrainSpec, SlowdownSpec};
+        use super::super::spec::{LinkLossSpec, OutageTrainSpec};
+        use bps_sim::fault::Slowdown;
         // Mirror of the faults.rs "two-x2.0" straggler shape.
+        let slow = |server: usize, factor: f64| Slowdown { server, factor };
         let mut spec = FaultSpec::seeded(0x5E7_5000);
-        spec.slowdowns = vec![
-            SlowdownSpec {
-                server: 0,
-                factor: 2.0,
-            },
-            SlowdownSpec {
-                server: 1,
-                factor: 2.0,
-            },
-        ];
+        spec.slowdowns = vec![slow(0, 2.0), slow(1, 2.0)];
         let plan = build_fault(&spec);
-        let slow = |server: usize, factor: f64| SlowdownWindow {
-            server,
-            start: Nanos::ZERO,
-            end: Nanos::from_secs(1 << 20),
-            factor,
-        };
         let hand = FaultPlan {
             seed: 0x5E7_5000,
             ..FaultPlan::none()

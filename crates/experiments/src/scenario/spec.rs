@@ -128,15 +128,6 @@ pub enum RetrySpec {
     },
 }
 
-/// A permanent straggler slowdown on one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SlowdownSpec {
-    /// The slowed server.
-    pub server: usize,
-    /// Service-time multiplier (> 1 slows the server down).
-    pub factor: f64,
-}
-
 /// Transient device error injection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DeviceErrorSpec {
@@ -185,8 +176,8 @@ pub struct OutageTrainSpec {
 pub struct FaultSpec {
     /// Seed of the injector's private randomness.
     pub seed: u64,
-    /// Straggler windows (full-horizon, one per entry).
-    pub slowdowns: Vec<SlowdownSpec>,
+    /// Permanent stragglers, one per entry.
+    pub slowdowns: Vec<bps_sim::fault::Slowdown>,
     /// Device error rates, applied in order.
     pub device_errors: Vec<DeviceErrorSpec>,
     /// Lossy-link configuration.

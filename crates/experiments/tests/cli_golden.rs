@@ -457,6 +457,23 @@ fn overflowing_durations_and_sizes_fail_check() {
 }
 
 #[test]
+fn out_of_range_faults_fail_check_and_run() {
+    // A slowdown factor that is not positive, an error or loss rate
+    // outside [0, 1], or a fault on a server the stack does not have
+    // would panic in every unit or be silently ignored; `check` and `run`
+    // reject each as an invalid spec (exit 3) before any unit starts.
+    for path in fixtures("out-of-range") {
+        for args in [vec!["check", &path], vec!["run", &path, "--tiny"]] {
+            let out = reproduce(&args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(3), "{args:?}: {err}");
+            assert!(err.contains("fault"), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+    }
+}
+
+#[test]
 fn topology_of_a_prebuilt_scenario_shows_the_derived_graph() {
     // A scenario with no `topology` field still renders: the graph is
     // derived from its storage (fig9 is 8-server PFS over HDD).

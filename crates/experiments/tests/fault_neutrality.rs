@@ -15,7 +15,7 @@
 use bps_core::time::{Dur, Nanos};
 use bps_experiments::runner::{CasePoint, CaseSpec, Storage};
 use bps_experiments::sweep::SweepExec;
-use bps_sim::fault::{FaultPlan, Outage, SlowdownWindow};
+use bps_sim::fault::{FaultPlan, Outage, Slowdown};
 use bps_workloads::iozone::Iozone;
 use proptest::prelude::*;
 
@@ -107,10 +107,8 @@ fn degraded_plan() -> FaultPlan {
         seed: 0xFA_57,
         ..FaultPlan::none()
     }
-    .with_slowdown(SlowdownWindow {
+    .with_slowdown(Slowdown {
         server: 0,
-        start: Nanos::ZERO,
-        end: Nanos::from_secs(3600),
         factor: 2.5,
     })
     .with_device_errors(0.05)

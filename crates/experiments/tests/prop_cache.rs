@@ -22,10 +22,11 @@ use bps_experiments::scale::Scale;
 use bps_experiments::scenario::engine::{content_key, ResolvedCase, ResolvedWorkload};
 use bps_experiments::scenario::spec::{
     DeviceErrorSpec, FaultSpec, LayoutSpec, LinkLossSpec, OutageTrainSpec, RetrySpec, SievingSpec,
-    SlowdownSpec, StorageSpec,
+    StorageSpec,
 };
-use bps_sim::device::DiskSched;
-use bps_topology::{DeviceNode, NodeSpec, TopologySpec};
+use bps_sim::device::{DeviceNode, DiskSched};
+use bps_sim::fault::Slowdown;
+use bps_topology::{NodeSpec, TopologySpec};
 use bps_workloads::iozone::IozoneMode;
 use bps_workloads::WorkloadSpec;
 use proptest::prelude::*;
@@ -60,7 +61,7 @@ fn storages() -> impl Strategy<Value = StorageSpec> {
 }
 
 fn faults() -> impl Strategy<Value = Option<FaultSpec>> {
-    let slowdown = (0usize..4, 1u32..6).prop_map(|(server, f)| SlowdownSpec {
+    let slowdown = (0usize..4, 1u32..6).prop_map(|(server, f)| Slowdown {
         server,
         factor: f as f64,
     });
@@ -389,7 +390,7 @@ fn every_field_mutation_changes_the_key() {
     let mut fa = base.clone();
     fa.fault = Some(FaultSpec::seeded(7));
     let mut fb = fa.clone();
-    fb.fault.as_mut().unwrap().slowdowns.push(SlowdownSpec {
+    fb.fault.as_mut().unwrap().slowdowns.push(Slowdown {
         server: 0,
         factor: 2.0,
     });

@@ -12,8 +12,9 @@ use bps_experiments::scenario::spec::{
     WorkloadTemplate,
 };
 use bps_experiments::sweep::SweepExec;
+use bps_sim::device::DeviceNode;
 use bps_sim::fault::FaultPlan;
-use bps_topology::{DeviceNode, NodeSpec, TopologySpec};
+use bps_topology::{NodeSpec, TopologySpec};
 use bps_workloads::iozone::{Iozone, IozoneMode};
 use proptest::prelude::*;
 

@@ -16,64 +16,10 @@ use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
 use bps_core::sink::RecordSink;
 use bps_core::time::{Dur, Nanos};
 use bps_core::trace::Trace;
-use bps_sim::device::hdd::{Hdd, HddProfile};
-use bps_sim::device::raid0::Raid0;
-use bps_sim::device::ram::Ram;
-use bps_sim::device::ssd::{Ssd, SsdProfile};
-use bps_sim::device::{Device, DeviceReq, DiskSched};
+use bps_sim::device::{Device, DeviceNode, DeviceReq, DiskSched};
 use bps_sim::fault::{FaultInjector, FaultPlan};
 use bps_sim::net::{Link, Switch};
 use bps_sim::rng::{Jitter, SimRng};
-
-/// Which device model an I/O server carries.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeviceSpec {
-    /// Rotating disk.
-    Hdd(HddProfile),
-    /// RAID-0 array of rotating disks.
-    Raid0 {
-        /// Member disk profile.
-        member: HddProfile,
-        /// Number of members.
-        members: usize,
-    },
-    /// Flash SSD.
-    Ssd(SsdProfile),
-    /// Constant-cost device (tests).
-    Ram {
-        /// Fixed per-op latency.
-        fixed: Dur,
-        /// Bytes per second.
-        rate: u64,
-        /// Capacity in bytes.
-        capacity: u64,
-    },
-}
-
-impl DeviceSpec {
-    fn build(&self, sched: DiskSched, jitter: Jitter, rng: SimRng) -> Device {
-        match self {
-            DeviceSpec::Hdd(p) => Device::new(Box::new(Hdd::new(p.clone())), sched, jitter, rng),
-            DeviceSpec::Raid0 { member, members } => Device::new(
-                Box::new(Raid0::new(member.clone(), *members)),
-                sched,
-                jitter,
-                rng,
-            ),
-            DeviceSpec::Ssd(p) => Device::new(Box::new(Ssd::new(p.clone())), sched, jitter, rng),
-            DeviceSpec::Ram {
-                fixed,
-                rate,
-                capacity,
-            } => Device::new(
-                Box::new(Ram::new(*fixed, *rate, *capacity)),
-                sched,
-                jitter,
-                rng,
-            ),
-        }
-    }
-}
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -83,7 +29,7 @@ pub struct ClusterConfig {
     /// Number of client nodes.
     pub clients: usize,
     /// Device on each server.
-    pub device: DeviceSpec,
+    pub device: DeviceNode,
     /// Disk scheduling policy.
     pub sched: DiskSched,
     /// Per-request CPU cost on a server (request parsing, FS lookup).
@@ -108,7 +54,7 @@ impl ClusterConfig {
         ClusterConfig {
             servers,
             clients,
-            device: DeviceSpec::Hdd(HddProfile::sata_7200_250gb()),
+            device: DeviceNode::Hdd,
             sched: DiskSched::Fifo,
             server_cpu: Dur::from_micros(25),
             jitter: Jitter::DEFAULT,
@@ -164,11 +110,6 @@ impl Cluster<Trace> {
     /// Build a cluster from a config, collecting records into a [`Trace`].
     pub fn new(cfg: &ClusterConfig) -> Self {
         Cluster::with_sink(cfg, Trace::new())
-    }
-
-    /// Take the collected trace out of the cluster (end of a run).
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.sink)
     }
 }
 
@@ -241,7 +182,7 @@ impl<S: RecordSink> Cluster<S> {
             });
         }
         let blocks = bps_core::block::blocks_for_bytes(bytes);
-        let slow = self.fault.slowdown(server, issue);
+        let slow = self.fault.slowdown(server);
         let grant =
             self.servers[server]
                 .device
@@ -263,7 +204,7 @@ impl<S: RecordSink> Cluster<S> {
     ///
     /// Fault handling: an offline server is detected only after the request
     /// hop and an error reply come back (the error carries the detection
-    /// instant and the recovery time); a straggler window scales both the
+    /// instant and the recovery time); a straggler factor scales both the
     /// server CPU and the device service; a transient device error pays the
     /// full device grant plus an error-reply round trip; a lossy link adds
     /// one retransmit delay to the payload leg. Errors return `Err` without
@@ -317,8 +258,8 @@ impl<S: RecordSink> Cluster<S> {
                 until,
             });
         }
-        // Server CPU (scaled by any open straggler window), then the disk.
-        let slow = self.fault.slowdown(server, t);
+        // Server CPU (scaled by the server's straggler factor), then the disk.
+        let slow = self.fault.slowdown(server);
         let cpu = if slow == 1.0 {
             self.server_cpu
         } else {
@@ -452,11 +393,6 @@ impl<S: RecordSink> Cluster<S> {
             Layer::FileSystem,
         ));
     }
-
-    /// Device utilization counters of server `s` (tests, reports).
-    pub fn device_stats(&self, server: usize) -> &bps_sim::resource::ResourceStats {
-        self.servers[server].device.stats()
-    }
 }
 
 impl<S: RecordSink> Drop for Cluster<S> {
@@ -482,8 +418,8 @@ mod tests {
         Cluster::new(&ClusterConfig {
             servers,
             clients,
-            device: DeviceSpec::Ram {
-                fixed: Dur::from_micros(100),
+            device: DeviceNode::Ram {
+                fixed_us: 100,
                 rate: 100_000_000,
                 capacity: 1 << 40,
             },
@@ -619,30 +555,13 @@ mod tests {
     }
 
     #[test]
-    fn take_trace_drains() {
-        let mut c = ram_cluster(1, 1);
-        c.record_fs_access(
-            ProcessId(0),
-            FileId(0),
-            0,
-            512,
-            IoOp::Read,
-            Nanos::ZERO,
-            Nanos(10_000),
-        );
-        let t = c.take_trace();
-        assert_eq!(t.len(), 1);
-        assert!(c.sink.is_empty());
-    }
-
-    #[test]
     fn streaming_sink_sees_the_same_records() {
         use bps_core::sink::StreamingMetrics;
         let cfg = ClusterConfig {
             servers: 1,
             clients: 1,
-            device: DeviceSpec::Ram {
-                fixed: Dur::from_micros(100),
+            device: DeviceNode::Ram {
+                fixed_us: 100,
                 rate: 100_000_000,
                 capacity: 1 << 40,
             },

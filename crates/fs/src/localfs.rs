@@ -102,9 +102,9 @@ impl LocalFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterConfig, DeviceSpec};
+    use crate::cluster::ClusterConfig;
     use bps_core::record::Layer;
-    use bps_sim::device::DiskSched;
+    use bps_sim::device::{DeviceNode, DiskSched};
     use bps_sim::rng::Jitter;
 
     fn hdd_cluster() -> Cluster {
@@ -211,7 +211,7 @@ mod tests {
             Nanos::ZERO,
         )
         .unwrap();
-        let trace = cluster.take_trace();
+        let trace = &cluster.sink;
         assert_eq!(trace.layer(Layer::FileSystem).count(), 1);
         assert_eq!(trace.bytes(Layer::FileSystem), 8192);
     }
@@ -253,7 +253,9 @@ mod tests {
     #[test]
     fn overflowing_extent_is_beyond_eof() {
         let mut cluster = hdd_cluster();
-        let mut fs = LocalFs::new(0);
+        // No per-call overhead: the probe below reaches the disk at zero,
+        // behind anything issued before it.
+        let mut fs = LocalFs::new(0).with_overhead(Dur::ZERO);
         let f = fs.create(4096);
         let err = fs
             .io(
@@ -277,12 +279,20 @@ mod tests {
             ),
             "{err}"
         );
-        assert_eq!(cluster.device_stats(0).ops, 0);
+        // Nothing reached the disk: no record, and the next read lands
+        // exactly as on a fresh cluster's idle disk.
+        assert!(cluster.sink.is_empty());
+        let mut probe = |cluster: &mut Cluster| {
+            fs.io(cluster, ProcessId(0), f, 0, 4096, IoOp::Read, Nanos::ZERO)
+                .unwrap();
+            std::mem::take(&mut cluster.sink).records().to_vec()
+        };
+        assert_eq!(probe(&mut cluster), probe(&mut hdd_cluster()));
     }
 
     #[test]
     fn ssd_beats_hdd_on_small_reads() {
-        let mk = |device: DeviceSpec| {
+        let mk = |device: DeviceNode| {
             let cfg = ClusterConfig {
                 servers: 1,
                 clients: 1,
@@ -309,12 +319,8 @@ mod tests {
             }
             now
         };
-        let mut hdd = mk(DeviceSpec::Hdd(
-            bps_sim::device::hdd::HddProfile::sata_7200_250gb(),
-        ));
-        let mut ssd = mk(DeviceSpec::Ssd(
-            bps_sim::device::ssd::SsdProfile::pcie_x4_100gb(),
-        ));
+        let mut hdd = mk(DeviceNode::Hdd);
+        let mut ssd = mk(DeviceNode::Ssd);
         let t_hdd = run(&mut hdd);
         let t_ssd = run(&mut ssd);
         assert!(

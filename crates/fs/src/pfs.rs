@@ -146,9 +146,9 @@ impl ParallelFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterConfig, DeviceSpec};
+    use crate::cluster::ClusterConfig;
     use bps_core::record::Layer;
-    use bps_sim::device::DiskSched;
+    use bps_sim::device::{DeviceNode, DiskSched};
     use bps_sim::fault::{FaultPlan, Outage};
     use bps_sim::rng::Jitter;
 
@@ -156,12 +156,36 @@ mod tests {
         faulted_ram_cluster(servers, clients, FaultPlan::none())
     }
 
+    /// Asserts that nothing reached `cluster` yet: no record, and a read
+    /// striped over every server lands exactly as on a fresh cluster, so
+    /// no device, NIC or server queue holds earlier work.
+    fn assert_untouched(cluster: &mut Cluster, servers: usize) {
+        assert!(cluster.sink.is_empty(), "{:?}", cluster.sink.records());
+        let probe = |cluster: &mut Cluster| {
+            let mut pfs = ParallelFs::new(servers);
+            let f = pfs.create(1 << 20, StripeLayout::default_over(servers));
+            pfs.io(
+                cluster,
+                ProcessId(0),
+                0,
+                f,
+                0,
+                1 << 20,
+                IoOp::Read,
+                Nanos::ZERO,
+            )
+            .unwrap();
+            std::mem::take(&mut cluster.sink).records().to_vec()
+        };
+        assert_eq!(probe(cluster), probe(&mut ram_cluster(servers, 1)));
+    }
+
     fn faulted_ram_cluster(servers: usize, clients: usize, fault: FaultPlan) -> Cluster {
         Cluster::new(&ClusterConfig {
             servers,
             clients,
-            device: DeviceSpec::Ram {
-                fixed: Dur::from_micros(100),
+            device: DeviceNode::Ram {
+                fixed_us: 100,
                 rate: 100_000_000,
                 capacity: 1 << 40,
             },
@@ -190,15 +214,14 @@ mod tests {
             Nanos::ZERO,
         )
         .unwrap();
-        // 1 MiB over 64 KB stripes on 4 servers: 16 chunks, 4 per server.
-        let trace = cluster.take_trace();
+        // 1 MiB over 64 KB stripes on 4 servers: 16 chunks, one per
+        // stripe, so stripe `i` on server `i % 4` gives each server 4.
+        let trace = &cluster.sink;
         assert_eq!(trace.layer(Layer::FileSystem).count(), 16);
         assert_eq!(trace.bytes(Layer::FileSystem), 1 << 20);
-        for s in 0..4 {
-            // Each server device saw 4 chunks. (Device stats survive
-            // take_trace.)
-            let _ = s;
-        }
+        let mut offsets: Vec<u64> = trace.layer(Layer::FileSystem).map(|r| r.offset).collect();
+        offsets.sort_unstable();
+        assert_eq!(offsets, (0..16).map(|i| i << 16).collect::<Vec<_>>());
     }
 
     #[test]
@@ -230,24 +253,47 @@ mod tests {
 
     #[test]
     fn pinned_files_use_only_their_server() {
-        let mut cluster = ram_cluster(4, 2);
-        let mut pfs = ParallelFs::new(4);
-        let f0 = pfs.create(1 << 20, StripeLayout::pinned(2));
-        pfs.io(
-            &mut cluster,
-            ProcessId(0),
-            0,
-            f0,
-            0,
-            1 << 20,
-            IoOp::Read,
-            Nanos::ZERO,
-        )
-        .unwrap();
-        assert_eq!(cluster.device_stats(2).ops, 1);
-        for s in [0usize, 1, 3] {
-            assert_eq!(cluster.device_stats(s).ops, 0, "server {s}");
-        }
+        // A 1 MiB read of a file pinned to server 2, with the servers in
+        // `down` offline for the whole run.
+        let read = |down: &[usize]| {
+            let plan = down.iter().fold(FaultPlan::none(), |plan, &server| {
+                plan.with_outage(Outage {
+                    server,
+                    start: Nanos::ZERO,
+                    end: Nanos::from_millis(1_000),
+                })
+            });
+            let mut cluster = faulted_ram_cluster(4, 2, plan);
+            let mut pfs = ParallelFs::new(4);
+            let f0 = pfs.create(1 << 20, StripeLayout::pinned(2));
+            let done = pfs.io(
+                &mut cluster,
+                ProcessId(0),
+                0,
+                f0,
+                0,
+                1 << 20,
+                IoOp::Read,
+                Nanos::ZERO,
+            );
+            (done, std::mem::take(&mut cluster.sink))
+        };
+        // Every other server down: one chunk, served by server 2 with no
+        // failed attempt, exactly as on the healthy cluster. A chunk sent
+        // to server 0, 1 or 3 would have failed, or failed over with a
+        // retry record.
+        let (done, trace) = read(&[0, 1, 3]);
+        assert!(done.is_ok(), "{done:?}");
+        assert_eq!(trace.layer(Layer::FileSystem).count(), 1);
+        assert_eq!(trace.bytes(Layer::FileSystem), 1 << 20);
+        assert_eq!(trace.layer(Layer::Retry).count(), 0);
+        let (healthy, healthy_trace) = read(&[]);
+        assert_eq!(done, healthy);
+        assert_eq!(trace.records(), healthy_trace.records());
+        // Server 2 down: the one chunk fails there and fails over.
+        let (done, trace) = read(&[2]);
+        assert!(done.is_ok(), "{done:?}");
+        assert_eq!(trace.layer(Layer::Retry).count(), 1);
     }
 
     #[test]
@@ -286,7 +332,7 @@ mod tests {
         );
         assert!(!err.is_transient());
         // Nothing was issued to any device.
-        assert_eq!(cluster.device_stats(0).ops, 0);
+        assert_untouched(&mut cluster, 1);
     }
 
     /// An extent whose end overflows `u64` is past EOF, not a wrapped
@@ -319,9 +365,7 @@ mod tests {
             ),
             "{err}"
         );
-        for s in 0..2 {
-            assert_eq!(cluster.device_stats(s).ops, 0, "server {s}");
-        }
+        assert_untouched(&mut cluster, 2);
     }
 
     /// A read whose chunk hits an outage leaves the reused stripe buffer
@@ -354,7 +398,7 @@ mod tests {
                     IoOp::Read,
                     Nanos::ZERO,
                 );
-                let faulted_records = cluster.take_trace().records().to_vec();
+                let faulted_records = std::mem::take(&mut cluster.sink).records().to_vec();
                 if !reuse {
                     pfs = ParallelFs::new(4);
                     pfs.create(16 << 20, StripeLayout::default_over(4));
@@ -370,7 +414,7 @@ mod tests {
                     IoOp::Read,
                     at,
                 );
-                let records = cluster.take_trace().records().to_vec();
+                let records = std::mem::take(&mut cluster.sink).records().to_vec();
                 (faulted, faulted_records, healthy, records)
             };
             let reused = run(true);

@@ -145,18 +145,18 @@ mod tests {
     use bps_core::extent::Extent;
     use bps_core::record::Layer;
     use bps_core::time::Dur;
-    use bps_fs::cluster::{Cluster, ClusterConfig, DeviceSpec};
+    use bps_fs::cluster::{Cluster, ClusterConfig};
     use bps_fs::layout::StripeLayout;
     use bps_fs::pfs::ParallelFs;
-    use bps_sim::device::DiskSched;
+    use bps_sim::device::{DeviceNode, DiskSched};
     use bps_sim::rng::Jitter;
 
     fn stack(group: usize) -> (IoStack, FileId) {
         let cluster = Cluster::new(&ClusterConfig {
             servers: 2,
             clients: group.max(1),
-            device: DeviceSpec::Ram {
-                fixed: Dur::from_micros(100),
+            device: DeviceNode::Ram {
+                fixed_us: 100,
                 rate: 100_000_000,
                 capacity: 1 << 40,
             },

@@ -236,10 +236,10 @@ mod tests {
     use crate::stack::FsBackend;
     use bps_core::interval::max_depth;
     use bps_core::record::Layer;
-    use bps_fs::cluster::{Cluster, ClusterConfig, DeviceSpec};
+    use bps_fs::cluster::{Cluster, ClusterConfig};
     use bps_fs::layout::StripeLayout;
     use bps_fs::pfs::ParallelFs;
-    use bps_sim::device::DiskSched;
+    use bps_sim::device::{DeviceNode, DiskSched};
     use bps_sim::rng::Jitter;
     use bps_workloads::iozone::Iozone;
 
@@ -247,8 +247,8 @@ mod tests {
         Cluster::new(&ClusterConfig {
             servers,
             clients,
-            device: DeviceSpec::Ram {
-                fixed: Dur::from_micros(100),
+            device: DeviceNode::Ram {
+                fixed_us: 100,
                 rate: 100_000_000,
                 capacity: 1 << 40,
             },

@@ -362,9 +362,9 @@ impl<S: RecordSink> IoStack<S> {
 mod tests {
     use super::*;
     use crate::process::run_workload;
-    use bps_fs::cluster::{ClusterConfig, DeviceSpec};
+    use bps_fs::cluster::ClusterConfig;
     use bps_fs::layout::StripeLayout;
-    use bps_sim::device::DiskSched;
+    use bps_sim::device::{DeviceNode, DiskSched};
     use bps_sim::engine::RunOutcome;
     use bps_sim::rng::Jitter;
     use bps_workloads::spec::{AppOp, OpStream, Workload};
@@ -377,8 +377,8 @@ mod tests {
         Cluster::new(&ClusterConfig {
             servers,
             clients: 2,
-            device: DeviceSpec::Ram {
-                fixed: Dur::from_micros(100),
+            device: DeviceNode::Ram {
+                fixed_us: 100,
                 rate: 100_000_000,
                 capacity: 1 << 40,
             },

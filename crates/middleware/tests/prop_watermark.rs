@@ -22,7 +22,7 @@ use bps_core::record::{FileId, Layer};
 use bps_core::sink::{RecordSink, StreamingMetrics};
 use bps_core::time::{Dur, Nanos};
 use bps_core::trace::Trace;
-use bps_fs::cluster::{Cluster, ClusterConfig, DeviceSpec};
+use bps_fs::cluster::{Cluster, ClusterConfig};
 use bps_fs::layout::StripeLayout;
 use bps_fs::localfs::LocalFs;
 use bps_fs::pfs::ParallelFs;
@@ -31,7 +31,7 @@ use bps_middleware::process::run_workload;
 use bps_middleware::sieving::SievingConfig;
 use bps_middleware::stack::RetryPolicy;
 use bps_middleware::stack::{FsBackend, IoStack};
-use bps_sim::device::DiskSched;
+use bps_sim::device::{DeviceNode, DiskSched};
 use bps_sim::fault::{FaultPlan, Outage};
 use bps_sim::rng::Jitter;
 use bps_workloads::spec::{AppOp, OpStream, Workload};
@@ -100,8 +100,8 @@ fn stack<S: RecordSink>(setup: &Setup, clients: usize, sink: S) -> (IoStack<S>, 
         &ClusterConfig {
             servers: setup.servers,
             clients,
-            device: DeviceSpec::Ram {
-                fixed: Dur::from_micros(100),
+            device: DeviceNode::Ram {
+                fixed_us: 100,
                 rate: 100_000_000,
                 capacity: 1 << 40,
             },

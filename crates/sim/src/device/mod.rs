@@ -11,16 +11,26 @@
 //!   transfer rate, internal channel parallelism.
 //! * [`Raid0`](raid0::Raid0) — a striped array of identical disks
 //!   (transfer scales with members, positional costs do not).
+//!
+//! [`DeviceNode`] selects one of them by name: it is the `device` of a
+//! scenario's `Device` topology node and of the cluster's configuration,
+//! and [`DeviceNode::build`] is the one place a selector becomes a
+//! [`Device`].
 
 pub mod hdd;
 pub mod raid0;
 pub mod ram;
 pub mod ssd;
 
-use crate::resource::{Grant, MultiChannel, ResourceStats};
+use crate::resource::{Grant, MultiChannel};
 use crate::rng::{Jitter, SimRng};
 use bps_core::record::IoOp;
 use bps_core::time::{Dur, Nanos};
+use hdd::{Hdd, HddProfile};
+use raid0::Raid0;
+use ram::Ram;
+use serde::{Deserialize, Serialize};
+use ssd::{Ssd, SsdProfile};
 
 /// One request as seen by a block device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +70,7 @@ pub struct ServiceCtx<'a> {
 /// [`DiskSched::ELEVATOR_FACTOR`], modeling the shorter average seeks a
 /// sorted service order achieves. `device::tests::elevator_beats_fifo_on_a_random_burst`
 /// compares the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum DiskSched {
     /// Serve strictly in arrival order.
     #[default]
@@ -72,6 +82,52 @@ pub enum DiskSched {
 impl DiskSched {
     /// Positional-cost multiplier applied by the elevator approximation.
     pub const ELEVATOR_FACTOR: f64 = 0.55;
+}
+
+/// Which device model sits under each server.
+///
+/// Profiles are the calibrated ones the paper's experiments use; a
+/// selector names a profile rather than re-specifying raw device
+/// parameters.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum DeviceNode {
+    /// Rotating disk: the SATA 7200 rpm, 250 GB profile.
+    Hdd,
+    /// Flash SSD: the PCIe x4, 100 GB profile.
+    Ssd,
+    /// RAID-0 array of SATA member disks.
+    Raid0 {
+        /// Number of member disks.
+        members: usize,
+    },
+    /// Constant-cost device (calibration and tests).
+    Ram {
+        /// Fixed per-op latency in microseconds.
+        fixed_us: u64,
+        /// Bytes per second.
+        rate: u64,
+        /// Capacity in bytes.
+        capacity: u64,
+    },
+}
+
+impl DeviceNode {
+    /// The selected model behind a queue scheduled by `sched`.
+    pub fn build(&self, sched: DiskSched, jitter: Jitter, rng: SimRng) -> Device {
+        let model: Box<dyn DeviceModel> = match *self {
+            DeviceNode::Hdd => Box::new(Hdd::new(HddProfile::sata_7200_250gb())),
+            DeviceNode::Ssd => Box::new(Ssd::new(SsdProfile::pcie_x4_100gb())),
+            DeviceNode::Raid0 { members } => {
+                Box::new(Raid0::new(HddProfile::sata_7200_250gb(), members))
+            }
+            DeviceNode::Ram {
+                fixed_us,
+                rate,
+                capacity,
+            } => Box::new(Ram::new(Dur::from_micros(fixed_us), rate, capacity)),
+        };
+        Device::new(model, sched, jitter, rng)
+    }
 }
 
 /// A device model: prices requests, tracking whatever positional state it
@@ -89,7 +145,7 @@ pub trait DeviceModel: Send {
     fn capacity_blocks(&self) -> u64;
 }
 
-/// A queued block device: model + queue + jitter + stats.
+/// A queued block device: model + queue + jitter.
 pub struct Device {
     model: Box<dyn DeviceModel>,
     queue: MultiChannel,
@@ -103,7 +159,6 @@ impl std::fmt::Debug for Device {
         f.debug_struct("Device")
             .field("model", &self.model.name())
             .field("sched", &self.sched)
-            .field("stats", self.queue.stats())
             .finish()
     }
 }
@@ -121,18 +176,14 @@ impl Device {
         }
     }
 
-    /// Submit one request arriving at `arrival`; returns its service grant.
+    /// Submit one request arriving at `arrival` with a fault-injection
+    /// service-time multiplier; returns its service grant. A factor of
+    /// exactly 1.0 bypasses the scaling arithmetic entirely, so the
+    /// healthy path prices the request unscaled.
     ///
     /// Arrivals must be in nondecreasing time order (engine-guaranteed).
-    pub fn submit(&mut self, arrival: Nanos, req: DeviceReq) -> Grant {
-        self.submit_scaled(arrival, req, 1.0)
-    }
-
-    /// [`Device::submit`] with a fault-injection service-time multiplier.
-    /// A factor of exactly 1.0 bypasses the scaling arithmetic entirely,
-    /// so the healthy path stays bit-for-bit identical to `submit`.
     pub fn submit_scaled(&mut self, arrival: Nanos, req: DeviceReq, slow: f64) -> Grant {
-        let queued = self.queue.stats().last_completion > arrival;
+        let queued = self.queue.busy_until() > arrival;
         let mut ctx = ServiceCtx {
             queued,
             sched: self.sched,
@@ -144,11 +195,6 @@ impl Device {
             service = Dur::from_secs_f64(service.as_secs_f64() * slow);
         }
         self.queue.acquire(arrival, service)
-    }
-
-    /// Aggregated queue statistics.
-    pub fn stats(&self) -> &ResourceStats {
-        self.queue.stats()
     }
 }
 
@@ -175,10 +221,10 @@ mod tests {
             blocks: 2048,
             op: IoOp::Read,
         };
-        let a = d.submit(Nanos::ZERO, r);
-        let b = d.submit(Nanos::ZERO, r);
+        let a = d.submit_scaled(Nanos::ZERO, r, 1.0);
+        let b = d.submit_scaled(Nanos::ZERO, r, 1.0);
         assert_eq!(b.start, a.end);
-        assert_eq!(d.stats().ops, 2);
+        assert_eq!(d.queue.busy_until(), b.end);
     }
 
     #[test]
@@ -196,13 +242,41 @@ mod tests {
         assert_eq!(a.start, b.start);
         let ratio = b.end.since(b.start).as_secs_f64() / a.end.since(a.start).as_secs_f64();
         assert!((2.99..3.01).contains(&ratio), "{ratio}");
-        // Factor 1.0 is exactly submit().
-        let mut plain = ram_device();
-        let mut scaled = ram_device();
+        // Factor 1.0 is exactly the unscaled price.
         assert_eq!(
-            plain.submit(Nanos::ZERO, r),
-            scaled.submit_scaled(Nanos::ZERO, r, 1.0)
+            a.end - a.start,
+            Dur::from_micros(10) + Dur::for_bytes(1 << 20, 1_000_000_000)
         );
+    }
+
+    /// Each selector builds its named model, and a `Ram` selector's
+    /// microseconds reach the model.
+    #[test]
+    fn selectors_build_their_models() {
+        let build =
+            |node: DeviceNode| node.build(DiskSched::Fifo, Jitter::NONE, SimRng::seed_from_u64(1));
+        for (node, name) in [
+            (DeviceNode::Hdd, "hdd"),
+            (DeviceNode::Ssd, "ssd"),
+            (DeviceNode::Raid0 { members: 3 }, "raid0"),
+        ] {
+            assert_eq!(build(node).model.name(), name);
+        }
+        let mut ram = build(DeviceNode::Ram {
+            fixed_us: 10,
+            rate: 1_000_000_000,
+            capacity: 1 << 30,
+        });
+        let r = DeviceReq {
+            lba: 0,
+            blocks: 2048,
+            op: IoOp::Read,
+        };
+        assert_eq!(
+            ram.submit_scaled(Nanos::ZERO, r, 1.0),
+            ram_device().submit_scaled(Nanos::ZERO, r, 1.0)
+        );
+        assert_eq!(ram.model.capacity_blocks(), (1 << 30) / 512);
     }
 
     #[test]
@@ -235,7 +309,7 @@ mod tests {
                     blocks: 128,
                     op: IoOp::Read,
                 };
-                done = done.max(dev.submit(Nanos::ZERO, req).end);
+                done = done.max(dev.submit_scaled(Nanos::ZERO, req, 1.0).end);
             }
             done
         };

@@ -1,6 +1,6 @@
 //! A trivial constant-cost device: `fixed + bytes/rate` per request. The
-//! fs tests use it as a test double, and a cluster can be built on it
-//! through `DeviceSpec::Ram`.
+//! fs tests use it as a test double, and a cluster or a scenario's
+//! `Device` node selects it as `DeviceNode::Ram`.
 
 use super::{DeviceModel, DeviceReq, ServiceCtx};
 use crate::resource::ByteRate;

@@ -6,8 +6,8 @@
 //! seeded* [`FaultPlan`]. The cluster consults one [`FaultInjector`] built
 //! from the plan on every grant:
 //!
-//! * **Slowdown windows** scale a server's device service time and CPU cost
-//!   while the window is open (a straggler node).
+//! * **Slowdowns** scale a server's device service time and CPU cost for
+//!   the whole run (a straggler node).
 //! * **Device error rate** makes a device grant complete with a transient
 //!   error: the device does the work, but the client receives an error
 //!   reply instead of data and must retry.
@@ -24,18 +24,14 @@
 
 use crate::rng::SimRng;
 use bps_core::time::{Dur, Nanos};
+use serde::{Deserialize, Serialize};
 
-/// A straggler window: requests touching `server` inside `[start, end)`
-/// have their device service time and server CPU cost multiplied by
-/// `factor`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowdownWindow {
-    /// The degraded server.
+/// A permanent straggler: every request touching `server` has its device
+/// service time and server CPU cost multiplied by `factor`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Slowdown {
+    /// The slowed server.
     pub server: usize,
-    /// Window start (inclusive).
-    pub start: Nanos,
-    /// Window end (exclusive).
-    pub end: Nanos,
     /// Service-time multiplier (> 1 slows the server down).
     pub factor: f64,
 }
@@ -58,8 +54,8 @@ pub struct FaultPlan {
     /// Seed of the injector's private randomness. Two runs with the same
     /// plan and run seed degrade identically.
     pub seed: u64,
-    /// Straggler windows.
-    pub slowdowns: Vec<SlowdownWindow>,
+    /// Stragglers; several on one server compound.
+    pub slowdowns: Vec<Slowdown>,
     /// Probability a device grant completes with a transient error (all
     /// servers).
     pub device_error_rate: f64,
@@ -84,10 +80,10 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Add a straggler window.
-    pub fn with_slowdown(mut self, window: SlowdownWindow) -> Self {
-        assert!(window.factor > 0.0, "slowdown factor must be positive");
-        self.slowdowns.push(window);
+    /// Add a straggler.
+    pub fn with_slowdown(mut self, slowdown: Slowdown) -> Self {
+        assert!(slowdown.factor > 0.0, "slowdown factor must be positive");
+        self.slowdowns.push(slowdown);
         self
     }
 
@@ -127,6 +123,9 @@ impl FaultPlan {
 pub struct FaultInjector {
     plan: FaultPlan,
     rng: SimRng,
+    /// Per server, the product of its slowdown factors in plan order;
+    /// servers past the end are healthy.
+    slowdowns: Vec<f64>,
     /// Per server, its outage windows as `(start, latest end)` sorted by
     /// start, where the latest end is the maximum over this window and all
     /// earlier-starting ones. An outage train has thousands of windows, and
@@ -139,6 +138,13 @@ impl FaultInjector {
     /// `(plan.seed, run_seed)` only — never forked from the cluster's
     /// master RNG — so enabling faults does not perturb device jitter.
     pub fn new(plan: &FaultPlan, run_seed: u64) -> Self {
+        let mut slowdowns: Vec<f64> = Vec::new();
+        for s in &plan.slowdowns {
+            if slowdowns.len() <= s.server {
+                slowdowns.resize(s.server + 1, 1.0);
+            }
+            slowdowns[s.server] *= s.factor;
+        }
         let mut outages: Vec<Vec<(Nanos, Nanos)>> = Vec::new();
         for o in &plan.outages {
             if outages.len() <= o.server {
@@ -157,24 +163,16 @@ impl FaultInjector {
         FaultInjector {
             plan: plan.clone(),
             rng: SimRng::seed_from_u64(plan.seed ^ run_seed.wrapping_mul(0xD1B5_4A32_D192_ED03)),
+            slowdowns,
             outages,
         }
     }
 
-    /// Service-time multiplier for `server` at instant `at`: the product
-    /// of all open slowdown windows (exactly 1.0 when none are open, so
-    /// callers can skip scaling entirely).
-    pub fn slowdown(&self, server: usize, at: Nanos) -> f64 {
-        if self.plan.slowdowns.is_empty() {
-            return 1.0;
-        }
-        let factor: f64 = self
-            .plan
-            .slowdowns
-            .iter()
-            .filter(|w| w.server == server && w.start <= at && at < w.end)
-            .map(|w| w.factor)
-            .product();
+    /// Service-time multiplier for `server`: the product of its
+    /// slowdowns (exactly 1.0 without one, so callers can skip scaling
+    /// entirely).
+    pub fn slowdown(&self, server: usize) -> f64 {
+        let factor = self.slowdowns.get(server).copied().unwrap_or(1.0);
         if factor != 1.0 {
             bps_telemetry::incr(bps_telemetry::Counter::FaultSlowdowns);
         }
@@ -239,7 +237,7 @@ mod tests {
     #[test]
     fn none_plan_is_inert() {
         let mut inj = FaultInjector::new(&FaultPlan::none(), 42);
-        assert_eq!(inj.slowdown(0, Nanos::from_millis(5)), 1.0);
+        assert_eq!(inj.slowdown(0), 1.0);
         assert_eq!(inj.outage_until(0, Nanos::from_millis(5)), None);
         for _ in 0..100 {
             assert!(!inj.device_error(0));
@@ -268,33 +266,37 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_applies_inside_window_only() {
-        let plan = FaultPlan::none().with_slowdown(SlowdownWindow {
+    fn slowdown_applies_to_its_server_only() {
+        let plan = FaultPlan::none().with_slowdown(Slowdown {
             server: 1,
-            start: Nanos::from_millis(10),
-            end: Nanos::from_millis(20),
             factor: 3.0,
         });
         let inj = FaultInjector::new(&plan, 0);
-        assert_eq!(inj.slowdown(1, Nanos::from_millis(15)), 3.0);
-        assert_eq!(inj.slowdown(1, Nanos::from_millis(5)), 1.0);
-        assert_eq!(inj.slowdown(1, Nanos::from_millis(20)), 1.0);
-        assert_eq!(inj.slowdown(0, Nanos::from_millis(15)), 1.0);
+        assert_eq!(inj.slowdown(1), 3.0);
+        assert_eq!(inj.slowdown(0), 1.0);
+        assert_eq!(inj.slowdown(2), 1.0);
     }
 
+    /// Several slowdowns on one server multiply in plan order, bit for
+    /// bit what a product over the plan's entries for that server gives.
     #[test]
     fn overlapping_slowdowns_compound() {
-        let w = |factor| SlowdownWindow {
-            server: 0,
-            start: Nanos::ZERO,
-            end: Nanos::from_secs(1),
-            factor,
-        };
-        let plan = FaultPlan::none()
-            .with_slowdown(w(2.0))
-            .with_slowdown(w(1.5));
+        let factors = [(0, 2.0), (2, 1.1), (0, 1.5), (0, 0.3), (2, 3.7)];
+        let plan = factors
+            .iter()
+            .fold(FaultPlan::none(), |plan, &(server, factor)| {
+                plan.with_slowdown(Slowdown { server, factor })
+            });
         let inj = FaultInjector::new(&plan, 0);
-        assert_eq!(inj.slowdown(0, Nanos::from_millis(1)), 3.0);
+        for server in 0..4 {
+            let scan: f64 = factors
+                .iter()
+                .filter(|&&(s, _)| s == server)
+                .map(|&(_, f)| f)
+                .product();
+            assert_eq!(inj.slowdown(server).to_bits(), scan.to_bits());
+        }
+        assert_eq!(inj.slowdown(0), 2.0 * 1.5 * 0.3);
     }
 
     #[test]

@@ -39,5 +39,4 @@ pub mod rng;
 
 pub use engine::{run_processes, Process, RunOutcome, Wake};
 pub use fault::{FaultInjector, FaultPlan};
-pub use resource::{FifoResource, ResourceStats};
 pub use rng::SimRng;

@@ -53,7 +53,7 @@ impl Link {
     /// serialization, then latency.
     pub fn transfer(&mut self, arrival: Nanos, bytes: u64) -> Nanos {
         let serialization = self.rate.price(bytes);
-        let g: Grant = self.queue.acquire_bytes(arrival, serialization, bytes);
+        let g: Grant = self.queue.acquire(arrival, serialization);
         g.end + self.latency
     }
 

@@ -10,22 +10,6 @@
 //! trivially deterministic.
 
 use bps_core::time::{Dur, Nanos};
-use serde::Serialize;
-
-/// Occupancy and throughput counters for one resource.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct ResourceStats {
-    /// Number of requests served.
-    pub ops: u64,
-    /// Total bytes attributed to served requests (0 for byte-less resources).
-    pub bytes: u64,
-    /// Total time the resource spent serving.
-    pub busy: Dur,
-    /// Total time requests spent waiting for the resource before service.
-    pub waited: Dur,
-    /// Completion time of the last request.
-    pub last_completion: Nanos,
-}
 
 /// A transfer rate in bytes per second that prices each size once.
 ///
@@ -76,7 +60,6 @@ impl ByteRate {
 #[derive(Debug, Clone, Default)]
 pub struct FifoResource {
     busy_until: Nanos,
-    stats: ResourceStats,
 }
 
 /// Timing of one request through a resource.
@@ -103,18 +86,7 @@ impl FifoResource {
         let start = arrival.max(self.busy_until);
         let end = start + service;
         self.busy_until = end;
-        self.stats.ops += 1;
-        self.stats.busy += service;
-        self.stats.waited += start - arrival;
-        self.stats.last_completion = end;
         Grant { start, end }
-    }
-
-    /// Serve a request and attribute `bytes` to it in the stats.
-    pub fn acquire_bytes(&mut self, arrival: Nanos, service: Dur, bytes: u64) -> Grant {
-        let g = self.acquire(arrival, service);
-        self.stats.bytes += bytes;
-        g
     }
 
     /// The instant the resource next becomes free.
@@ -129,7 +101,6 @@ impl FifoResource {
 #[derive(Debug, Clone)]
 pub struct MultiChannel {
     channels: Vec<FifoResource>,
-    stats: ResourceStats,
 }
 
 impl MultiChannel {
@@ -138,7 +109,6 @@ impl MultiChannel {
         assert!(k >= 1, "a resource needs at least one channel");
         MultiChannel {
             channels: vec![FifoResource::new(); k],
-            stats: ResourceStats::default(),
         }
     }
 
@@ -151,17 +121,17 @@ impl MultiChannel {
             .min_by_key(|(_, c)| c.busy_until())
             .map(|(i, _)| i)
             .expect("at least one channel");
-        let g = self.channels[idx].acquire(arrival, service);
-        self.stats.ops += 1;
-        self.stats.busy += service;
-        self.stats.waited += g.start - arrival;
-        self.stats.last_completion = self.stats.last_completion.max(g.end);
-        g
+        self.channels[idx].acquire(arrival, service)
     }
 
-    /// Aggregated counters.
-    pub fn stats(&self) -> &ResourceStats {
-        &self.stats
+    /// The instant every channel is free: the latest grant end so far
+    /// (`Nanos::ZERO` before the first grant).
+    pub fn busy_until(&self) -> Nanos {
+        self.channels
+            .iter()
+            .map(FifoResource::busy_until)
+            .max()
+            .expect("at least one channel")
     }
 }
 
@@ -191,7 +161,7 @@ mod tests {
         let g = r.acquire(ms(2), dms(5));
         assert_eq!(g.start, ms(10));
         assert_eq!(g.end, ms(15));
-        assert_eq!(r.stats.waited, dms(8));
+        assert_eq!(r.busy_until(), ms(15));
     }
 
     #[test]
@@ -201,8 +171,6 @@ mod tests {
         assert_eq!(r.busy_until(), ms(1));
         let g = r.acquire(ms(5), dms(1));
         assert_eq!(g.start, ms(5));
-        // Busy time excludes the idle gap.
-        assert_eq!(r.stats.busy, dms(2));
         assert_eq!(r.busy_until(), ms(6));
     }
 
@@ -216,15 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_bytes() {
-        let mut r = FifoResource::new();
-        r.acquire_bytes(ms(0), dms(5), 1000);
-        r.acquire_bytes(ms(5), dms(5), 2000);
-        assert_eq!(r.stats.bytes, 3000);
-        assert_eq!(r.stats.busy, dms(10));
-    }
-
-    #[test]
     fn multichannel_parallelism() {
         let mut m = MultiChannel::new(2);
         let a = m.acquire(ms(0), dms(10));
@@ -235,7 +194,8 @@ mod tests {
         // Third request waits for the first free channel.
         let c = m.acquire(ms(1), dms(10));
         assert_eq!(c.start, ms(10));
-        assert_eq!(m.stats().ops, 3);
+        assert_eq!(c.end, ms(20));
+        assert_eq!(m.busy_until(), ms(20));
         assert_eq!(m.channels.len(), 2);
     }
 

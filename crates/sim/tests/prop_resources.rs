@@ -53,6 +53,21 @@ proptest! {
         prop_assert!(multi_end <= single_end);
     }
 
+    /// A k-channel resource is busy until its latest grant end, after
+    /// every grant of any arrival sequence, and idle at zero before the
+    /// first: the instant a device asks to decide whether a request
+    /// queued.
+    #[test]
+    fn multichannel_busy_until_is_latest_grant_end(reqs in arrivals(), k in 1usize..6) {
+        let mut m = MultiChannel::new(k);
+        prop_assert_eq!(m.busy_until(), Nanos::ZERO);
+        let mut latest = Nanos::ZERO;
+        for &(arr, svc) in &reqs {
+            latest = latest.max(m.acquire(Nanos(arr * 1000), Dur(svc * 1000)).end);
+            prop_assert_eq!(m.busy_until(), latest);
+        }
+    }
+
     /// HDD service time is monotone in request size for sequential access
     /// and always positive.
     #[test]

@@ -55,7 +55,7 @@ pub enum Counter {
     FaultLinkLosses,
     /// I/O attempts refused because a server outage window was active.
     FaultOutageRefusals,
-    /// I/O issues whose service time was scaled by a slowdown window.
+    /// I/O issues whose service time was scaled by a straggler factor.
     FaultSlowdowns,
     /// Retry attempts issued by the bounded-backoff retry layer.
     RetryAttempts,
@@ -140,7 +140,7 @@ impl Counter {
                 "I/O attempts refused because a server outage window was active"
             }
             Counter::FaultSlowdowns => {
-                "I/O issues whose service time was scaled by a slowdown window"
+                "I/O issues whose service time was scaled by a straggler factor"
             }
             Counter::RetryAttempts => "retry attempts issued by the bounded-backoff retry layer",
             Counter::RetryAbandoned => {

@@ -12,7 +12,7 @@
 //! pre-topology assembly byte for byte — same config fields, same
 //! construction order, same RNG consumption.
 
-use crate::spec::{DeviceNode, NodeSpec};
+use crate::spec::NodeSpec;
 use crate::{TopologyError, TopologySpec};
 use bps_core::record::FileId;
 use bps_core::sink::RecordSink;
@@ -25,7 +25,7 @@ use bps_middleware::prefetch::PrefetchConfig;
 use bps_middleware::sieving::SievingConfig;
 use bps_middleware::stack::RetryPolicy;
 use bps_middleware::stack::{FsBackend, IoStack};
-use bps_sim::device::DiskSched;
+use bps_sim::device::{DeviceNode, DiskSched};
 use bps_sim::fault::FaultPlan;
 use bps_sim::rng::Jitter;
 use serde::{Deserialize, Serialize};
@@ -81,7 +81,7 @@ impl TopologySpec {
     ) -> Result<BuiltStack<S>, TopologyError> {
         self.validate()?;
         let mut fs = None;
-        let mut device = &DeviceNode::Hdd;
+        let mut device = DeviceNode::Hdd;
         let mut sched = None;
         let mut sieving = env.sieving;
         let mut prefetch = None;
@@ -107,7 +107,7 @@ impl TopologySpec {
                 NodeSpec::Device {
                     device: d,
                     sched: s,
-                } => (device, sched) = (d, *s),
+                } => (device, sched) = (d.clone(), *s),
             }
         }
         let fs = fs.expect("validation guarantees a file-system node");
@@ -125,7 +125,7 @@ impl TopologySpec {
         let cfg = ClusterConfig {
             servers,
             clients: env.clients.max(1),
-            device: device.to_spec(),
+            device,
             sched: sched.unwrap_or(DiskSched::Fifo),
             server_cpu,
             jitter: Jitter::DEFAULT,

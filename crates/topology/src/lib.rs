@@ -37,7 +37,7 @@ pub mod build;
 pub mod spec;
 
 pub use crate::build::{BuildEnv, BuiltStack, Layout};
-pub use crate::spec::{DeviceNode, NodeSpec, Storage, TopologySpec, VALID_COMPONENTS};
+pub use crate::spec::{NodeSpec, Storage, TopologySpec, VALID_COMPONENTS};
 
 /// A topology that cannot be validated or built.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -20,11 +20,7 @@
 //! rules that guarantee this.
 
 use crate::TopologyError;
-use bps_core::time::Dur;
-use bps_fs::cluster::DeviceSpec;
-use bps_sim::device::hdd::HddProfile;
-use bps_sim::device::ssd::SsdProfile;
-use bps_sim::device::DiskSched;
+use bps_sim::device::{DeviceNode, DiskSched};
 use bps_sim::net::Link;
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -64,55 +60,6 @@ impl std::fmt::Display for PortKind {
             PortKind::File => "file",
             PortKind::Block => "block",
         })
-    }
-}
-
-/// Which device model sits at the bottom of the stack.
-///
-/// Profiles are the calibrated ones the paper's experiments use; a node
-/// selects a profile rather than re-specifying raw device parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum DeviceNode {
-    /// Rotating disk: the SATA 7200 rpm, 250 GB profile.
-    Hdd,
-    /// Flash SSD: the PCIe x4, 100 GB profile.
-    Ssd,
-    /// RAID-0 array of SATA member disks.
-    Raid0 {
-        /// Number of member disks.
-        members: usize,
-    },
-    /// Constant-cost device (calibration and tests).
-    Ram {
-        /// Fixed per-op latency in microseconds.
-        fixed_us: u64,
-        /// Bytes per second.
-        rate: u64,
-        /// Capacity in bytes.
-        capacity: u64,
-    },
-}
-
-impl DeviceNode {
-    /// Lower to the cluster's device specification.
-    pub fn to_spec(&self) -> DeviceSpec {
-        match self {
-            DeviceNode::Hdd => DeviceSpec::Hdd(HddProfile::sata_7200_250gb()),
-            DeviceNode::Ssd => DeviceSpec::Ssd(SsdProfile::pcie_x4_100gb()),
-            DeviceNode::Raid0 { members } => DeviceSpec::Raid0 {
-                member: HddProfile::sata_7200_250gb(),
-                members: *members,
-            },
-            DeviceNode::Ram {
-                fixed_us,
-                rate,
-                capacity,
-            } => DeviceSpec::Ram {
-                fixed: Dur::from_micros(*fixed_us),
-                rate: *rate,
-                capacity: *capacity,
-            },
-        }
     }
 }
 

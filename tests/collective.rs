@@ -5,12 +5,12 @@ use bps::core::extent::Extent;
 use bps::core::metrics::{Bps, Metric};
 use bps::core::record::{FileId, Layer};
 use bps::core::time::Dur;
-use bps::fs::cluster::{Cluster, ClusterConfig, DeviceSpec};
+use bps::fs::cluster::{Cluster, ClusterConfig};
 use bps::fs::layout::StripeLayout;
 use bps::fs::pfs::ParallelFs;
 use bps::middleware::process::run_workload;
 use bps::middleware::stack::{FsBackend, IoStack};
-use bps::sim::device::DiskSched;
+use bps::sim::device::{DeviceNode, DiskSched};
 use bps::sim::rng::Jitter;
 use bps::workloads::spec::{AppOp, OpStream, Workload};
 
@@ -57,7 +57,7 @@ fn run(w: &Interleaved, seed: u64) -> bps::core::trace::Trace {
     let cluster = Cluster::new(&ClusterConfig {
         servers: 4,
         clients: w.processes(),
-        device: DeviceSpec::Hdd(bps::sim::device::hdd::HddProfile::sata_7200_250gb()),
+        device: DeviceNode::Hdd,
         sched: DiskSched::Fifo,
         server_cpu: Dur::from_micros(25),
         jitter: Jitter::NONE,

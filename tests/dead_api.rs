@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// `(Type::name or name, why it stays although no product path calls it)`.
-const ALLOWED: [(&str, &str); 8] = [
+const ALLOWED: [(&str, &str); 5] = [
     (
         "spearman",
         "rank statistic for scoring the central claim (ROADMAP item 1)",
@@ -42,17 +42,11 @@ const ALLOWED: [(&str, &str); 8] = [
         "kendall_tau",
         "rank statistic for scoring the central claim (ROADMAP item 1)",
     ),
-    (
-        "Device::submit",
-        "the healthy-path reference that Device::submit_scaled must equal",
-    ),
     ("extract", "the sieve-plan oracle of prop_sieving"),
     (
         "max_depth",
         "the batch queue depth the streaming MaxQD sweep must equal (prop_analysis)",
     ),
-    ("Cluster::take_trace", "observation seam for the fs tests"),
-    ("Cluster::device_stats", "observation seam for the fs tests"),
     ("assert_cc_expectations", "the figure-test helper"),
 ];
 
