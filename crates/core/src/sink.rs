@@ -95,33 +95,6 @@ impl RecordSink for Trace {
     }
 }
 
-/// Fan one record stream out to two sinks (e.g. metrics plus a debug
-/// trace).
-#[derive(Debug, Clone, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: RecordSink, B: RecordSink> RecordSink for Tee<A, B> {
-    fn on_record(&mut self, record: &IoRecord) {
-        self.0.on_record(record);
-        self.1.on_record(record);
-    }
-
-    fn push_batch(&mut self, records: &[IoRecord]) {
-        self.0.push_batch(records);
-        self.1.push_batch(records);
-    }
-
-    fn on_execution_time(&mut self, t: Dur) {
-        self.0.on_execution_time(t);
-        self.1.on_execution_time(t);
-    }
-
-    fn on_watermark(&mut self, t: Nanos) {
-        self.0.on_watermark(t);
-        self.1.on_watermark(t);
-    }
-}
-
 /// Busy periods a layer union retains before a watermark drops the ones
 /// behind it: the drop runs about once per this many new periods instead
 /// of on every wake, and the retained spans stay a constant. Out-of-order
@@ -518,29 +491,5 @@ mod tests {
         stream.on_watermark(Nanos(last_start * 1_000));
         // Starts before the watermark and reaches a dropped span.
         stream.on_record(&rec(0, Layer::FileSystem, 512, 3, last_start));
-    }
-
-    #[test]
-    fn tee_forwards_batches_to_both_sinks() {
-        let records = [
-            rec(0, Layer::Application, 2048, 0, 30),
-            rec(1, Layer::Application, 2048, 10, 50),
-        ];
-        let mut tee = Tee(Trace::new(), StreamingMetrics::default());
-        tee.push_batch(&records);
-        assert_eq!(tee.0.len(), 2);
-        assert_eq!(tee.1.len(), 2);
-        assert_eq!(Bps.compute(&tee.0), tee.1.bps());
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks() {
-        let mut tee = Tee(Trace::new(), StreamingMetrics::default());
-        let r = rec(0, Layer::Application, 2048, 0, 30);
-        tee.on_record(&r);
-        tee.on_execution_time(Dur::from_micros(30));
-        assert_eq!(tee.0.len(), 1);
-        assert_eq!(tee.1.len(), 1);
-        assert_eq!(Bps.compute(&tee.0), tee.1.bps());
     }
 }

@@ -27,13 +27,14 @@ use bps_experiments::figures::{
     extensions, fig01, fig02, fig03, overhead, summary, tables, CcFigure,
 };
 use bps_experiments::journal::Journal;
+use bps_experiments::reference::{self, CLI_FLAGS};
 use bps_experiments::scale::Scale;
 use bps_experiments::scenario::engine::{self, RunOpts};
 use bps_experiments::scenario::{registry, spec::Scenario, store};
 use bps_experiments::supervise::{self, FailureKind};
 use bps_experiments::sweep::SweepExec;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The fixed report targets, in `all` order.
@@ -59,49 +60,23 @@ const TARGETS: [&str; 19] = [
     "faults",
 ];
 
-/// Every subcommand, for the unknown-name diagnostic: a first operand
-/// that is neither a subcommand nor a target lists these and exits 2
-/// before anything runs.
-const SUBCOMMANDS: [&str; 9] = [
-    "list", "metrics", "run", "check", "topology", "resume", "cache", "profile", "docs",
-];
-
 fn usage() -> ! {
     eprintln!(
-        "usage: reproduce <target>... [--quick|--tiny|--paper] [--csv <dir>] [--threads <n>] [--metrics a,b,c]\n\
-         \x20                       [--journal <path>] [--deadline-ms <n>] [--max-failures <n>] [--no-cache]\n\
-         \x20      reproduce list [filter]\n\
-         \x20      reproduce metrics\n\
-         \x20      reproduce run <name|path.json>... [same flags as above]\n\
-         \x20      reproduce check <path.json>...\n\
-         \x20      reproduce topology <name|path.json>... [--quick|--tiny|--paper]\n\
-         \x20      reproduce resume <journal> [extra flags]\n\
-         \x20      reproduce cache stats|verify|clear\n\
-         \x20      reproduce profile <target>... [--quick|--tiny|--paper]\n\
-         \x20      reproduce docs [--out <dir>]\n\
+        "usage: reproduce <target>... [flags]\n\
+         \x20      reproduce <subcommand> [operands] [flags]\n\
          targets: all, {}\n\
-         threads: --threads <n> outranks the BPS_THREADS environment variable;\n\
-         \x20        with neither set, the machine's available parallelism is used\n\
-         metrics: --metrics selects registry metrics (see `reproduce metrics`) for any\n\
-         \x20        scenario that does not pin its own `metrics` list\n\
-         robustness: --journal records every finished (case, seed) unit to an append-only\n\
-         \x20        JSONL file; `reproduce resume <journal>` replays it and runs only the\n\
-         \x20        rest, byte-identical to an uninterrupted run. --deadline-ms bounds\n\
-         \x20        each unit's wall-clock time (a scenario's own `deadline_ms` outranks\n\
-         \x20        it); --max-failures N aborts once more than N units fail\n\
-         cache: scored cases persist in a content-addressed store (default\n\
-         \x20        target/bps-cache, BPS_CACHE_DIR overrides) and replay bit-exactly in\n\
-         \x20        later runs; BPS_CACHE=0 or --no-cache bypasses it. `reproduce cache`\n\
-         \x20        prints stats, names unservable entries, or clears the store\n\
-         telemetry: --telemetry <path> records phase spans, per-unit timings, and a\n\
-         \x20        final counter snapshot to a JSONL file; `reproduce profile` prints\n\
-         \x20        the same data as tables; `reproduce docs` regenerates the reference\n\
-         \x20        pages (docs/reference by default) from the live registries\n\
-         exit codes: 0 ok; 1 expectation violations or unknown name; 2 usage;\n\
-         \x20        3 invalid scenario; 4 I/O error; 5 unit panicked; 6 unit timed out;\n\
-         \x20        7 failure budget exceeded; 130 interrupted (journal flushed)",
+         flags and subcommands:",
         TARGETS.join(", ")
     );
+    let width = CLI_FLAGS.iter().map(|(f, _)| f.len()).max().unwrap_or(0);
+    for (flag, what) in CLI_FLAGS {
+        eprintln!("  {flag:<width$}  {what}");
+    }
+    eprintln!("exit codes:");
+    for (code, what) in reference::exit_codes() {
+        eprintln!("  {code:<3}  {what}");
+    }
+    eprintln!("environment variables and the registries: docs/reference (`reproduce docs`)");
     std::process::exit(2);
 }
 
@@ -128,10 +103,6 @@ fn fail_engine(e: engine::EngineError) -> ! {
     eprintln!("error: {e}");
     std::process::exit(failure_kind(&e).exit_code());
 }
-
-/// Where `--telemetry` writes its JSONL stream, plus the argv recorded in
-/// the meta line; armed during flag parsing, drained by [`finish`].
-static TELEMETRY_OUT: OnceLock<(PathBuf, Vec<String>)> = OnceLock::new();
 
 /// Microseconds of a span offset, saturating (spans are process-lifetime
 /// scale, far below u64 µs).
@@ -194,22 +165,18 @@ fn telemetry_jsonl(argv: &[String]) -> String {
     out
 }
 
-/// Write the armed `--telemetry` stream, if any. Called on every exit
-/// path that follows a run (expectation violations and unit failures
-/// still leave a useful stream behind).
-fn flush_telemetry() {
-    if let Some((path, argv)) = TELEMETRY_OUT.get() {
+/// Write the `--telemetry` stream to `telemetry`, if given, with `argv`
+/// in its meta line; then drain the run's failure ledger, print a
+/// per-kind summary, and exit with the worst kind's code — or with 1 on
+/// expectation violations, or 0 on a clean run. Every exit path that
+/// follows a run ends here, so expectation violations and unit failures
+/// still leave a stream behind.
+fn finish(violations: bool, telemetry: Option<&Path>, argv: &[String]) -> ! {
+    if let Some(path) = telemetry {
         if let Err(e) = std::fs::write(path, telemetry_jsonl(argv)) {
             eprintln!("warning: cannot write telemetry to {}: {e}", path.display());
         }
     }
-}
-
-/// Drain the run's failure ledger, print a per-kind summary, and exit
-/// with the worst kind's code — or with 1 on expectation violations, or
-/// 0 on a clean run.
-fn finish(violations: bool) -> ! {
-    flush_telemetry();
     let failures = supervise::take_recorded_failures();
     if !failures.is_empty() {
         let mut counts: Vec<(FailureKind, usize)> = Vec::new();
@@ -545,12 +512,18 @@ fn print_profile(targets: &[&str], scale_label: &str) {
     }
 }
 
-/// `reproduce check <path.json>...` — parse each operand and expand it at
+/// `reproduce check <name|path.json>...` — take each operand as a
+/// bundled scenario's name, else read it as a file, and expand it at
 /// every scale, printing `ok: …` or `error: …` for each, then exit with
 /// the worst failure's code (0 when every operand is valid).
 fn cmd_check(paths: &[String]) -> ! {
     let check = |p: &str| -> Result<String, (String, FailureKind)> {
-        let sc = engine::load_path(Path::new(p)).map_err(|e| (e.to_string(), failure_kind(&e)))?;
+        let sc = match registry::find(p) {
+            Some(sc) => sc,
+            None => {
+                engine::load_path(Path::new(p)).map_err(|e| (e.to_string(), failure_kind(&e)))?
+            }
+        };
         let mut quick_cases = 0;
         for (name, scale) in [
             ("tiny", Scale::tiny()),
@@ -711,7 +684,12 @@ fn expand_targets(targets: &[String]) -> Vec<&'static str> {
             Some(k) => out.push(*k),
             None => {
                 eprintln!("unknown target: {t}");
-                eprintln!("subcommands: {}", SUBCOMMANDS.join(", "));
+                // The subcommands are the rows of CLI_FLAGS that are not flags.
+                let subcommands: Vec<&str> = CLI_FLAGS
+                    .iter()
+                    .filter_map(|(row, _)| row.split(' ').next().filter(|w| !w.starts_with('-')))
+                    .collect();
+                eprintln!("subcommands: {}", subcommands.join(", "));
                 eprintln!("valid targets: all, {}", TARGETS.join(", "));
                 eprintln!(
                     "bundled scenarios run with `reproduce run <name>`; see `reproduce list`"
@@ -874,9 +852,6 @@ fn main() {
     if telemetry_path.is_some() || profile_mode {
         bps_telemetry::install(Arc::new(bps_telemetry::AtomicCollector::new()));
     }
-    if let Some(path) = &telemetry_path {
-        let _ = TELEMETRY_OUT.set((path.clone(), args.clone()));
-    }
     if let Some(path) = &journal_path {
         if opts.journal.is_some() {
             fail(format_args!(
@@ -897,16 +872,14 @@ fn main() {
     }
 
     // Make the persistent case store live for anything that runs cases;
-    // `--no-cache` or BPS_CACHE=0 leaves the engine memo-only.
+    // `--no-cache` leaves the engine memo-only.
     if !no_cache {
-        if let Some(s) = store::from_env() {
-            store::set_active(Some(Arc::new(s)));
-        }
+        store::set_active(Some(Arc::new(store::CaseStore::at(store::env_dir()))));
     }
 
     let mut sweeps = Sweeps {
         scale: &scale,
-        exec: SweepExec::from_env(threads),
+        exec: threads.map_or_else(SweepExec::default, SweepExec::new),
         opts: &opts,
         csv_dir: csv_dir.as_deref(),
         quiet: false,
@@ -939,7 +912,7 @@ fn main() {
                 usage();
             }
             let bad = cmd_run(&targets[1..], &sweeps);
-            finish(bad);
+            finish(bad, telemetry_path.as_deref(), &args);
         }
         "check" => {
             if targets.len() < 2 {
@@ -971,12 +944,12 @@ fn main() {
             sweeps.quiet = true;
             run_fixed_targets(&expanded, &sweeps);
             print_profile(&expanded, scale_label);
-            finish(false);
+            finish(false, telemetry_path.as_deref(), &args);
         }
         _ => {}
     }
 
     let expanded = expand_targets(&targets);
     run_fixed_targets(&expanded, &sweeps);
-    finish(false);
+    finish(false, telemetry_path.as_deref(), &args);
 }

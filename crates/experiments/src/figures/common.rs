@@ -243,7 +243,7 @@ pub(crate) fn run_tiny(
     crate::scenario::engine::run_with_opts(
         sc,
         &crate::scale::Scale::tiny(),
-        crate::sweep::SweepExec::from_env(None),
+        crate::sweep::SweepExec::default(),
         true,
         &crate::scenario::engine::RunOpts::default(),
     )

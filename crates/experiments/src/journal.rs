@@ -14,10 +14,14 @@
 //! run:
 //!
 //! ```text
-//! {"kind":"header","version":1,"args":["run","fig4","--tiny"]}
+//! {"kind":"header","version":2,"args":["run","fig4","--tiny"]}
 //! {"kind":"unit","key":"<case-key>#<seed>","label":"hdd","seed":1,
-//!  "exec_s":"3fe8a3d70a3d70a4","iops":"40f86a0000000000",...,"extra":[...]}
+//!  "exec_s":"3fe8a3d70a3d70a4","iops":"40f86a0000000000",...,"extra":[...],
+//!  "sum":"<16 hex digits>"}
 //! ```
+//!
+//! A unit line's last field, `sum`, is the case store's FNV-1a of every
+//! byte before `,"sum":`. `resume` refuses a journal of another version.
 //!
 //! Units are content-keyed exactly like the cross-figure memo cache
 //! (`case_key(case, scale, selection)` plus the seed), so a journal is
@@ -28,10 +32,11 @@
 //! as `null` and decimal round-trips are not bit-exact, while the bits
 //! encoding is — resume must reproduce cold-run bytes exactly.
 //!
-//! Torn or unparseable lines (a SIGKILL mid-write) are skipped with a
-//! warning; the affected unit just re-runs.
+//! Torn, corrupted or unparseable lines (a SIGKILL mid-write, a flipped
+//! digit) are skipped with a warning; the affected unit just re-runs.
 
 use crate::runner::UnitValues;
+use crate::scenario::store::fnv1a;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -39,7 +44,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Journal format version (the header's `version` field).
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
+
+/// What separates a unit line's payload from its checksum.
+const SUM_FIELD: &str = ",\"sum\":\"";
 
 /// An open run journal: an append handle plus the replay map of every
 /// unit already on disk.
@@ -78,9 +86,35 @@ fn opt_f64_from_value(v: &serde::Value) -> Result<Option<f64>, ()> {
     }
 }
 
+/// The `(version, args)` of a journal's header line (a header without a
+/// version reads as version 0); `None` for any other line.
+fn parse_header(line: &str) -> Option<(u64, Vec<String>)> {
+    let v: serde::Value = serde_json::from_str(line).ok()?;
+    if v.field("kind").ok()? != &serde::Value::Str("header".to_string()) {
+        return None;
+    }
+    let version = match v.field("version") {
+        Ok(serde::Value::UInt(n)) => *n,
+        _ => 0,
+    };
+    let serde::Value::Array(items) = v.field("args").ok()? else {
+        return None;
+    };
+    let args = items.iter().filter_map(|i| match i {
+        serde::Value::Str(s) => Some(s.clone()),
+        _ => None,
+    });
+    Some((version, args.collect()))
+}
+
 /// Parse one journal line into a `(key, values)` unit entry; `None` for
-/// headers, torn lines, or anything else unusable.
+/// headers, torn lines, lines whose checksum fails, or anything else
+/// unusable.
 fn parse_unit(line: &str) -> Option<(String, UnitValues)> {
+    let (payload, sum) = line.strip_suffix("\"}")?.rsplit_once(SUM_FIELD)?;
+    if u64::from_str_radix(sum, 16).ok()? != fnv1a(payload.as_bytes()) {
+        return None;
+    }
     let v: serde::Value = serde_json::from_str(line).ok()?;
     let field = |name: &str| v.field(name).ok().cloned();
     match field("kind")? {
@@ -152,33 +186,25 @@ impl Journal {
     /// from the header.
     pub fn open_resume(path: &Path) -> io::Result<(Journal, Vec<String>)> {
         let text = std::fs::read_to_string(path)?;
-        let mut args: Option<Vec<String>> = None;
+        let invalid = |msg: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {msg}", path.display()),
+            )
+        };
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let (version, args) = lines
+            .next()
+            .and_then(parse_header)
+            .ok_or_else(|| invalid("no journal header line".to_string()))?;
+        if version != VERSION {
+            return Err(invalid(format!(
+                "journal format version {version}; this build resumes version {VERSION} only"
+            )));
+        }
         let mut replay = HashMap::new();
         let mut torn = 0usize;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if args.is_none() {
-                if let Ok(v) = serde_json::from_str::<serde::Value>(line) {
-                    if let (Ok(serde::Value::Str(kind)), Ok(serde::Value::Array(items))) =
-                        (v.field("kind"), v.field("args"))
-                    {
-                        if kind == "header" {
-                            args = Some(
-                                items
-                                    .iter()
-                                    .filter_map(|i| match i {
-                                        serde::Value::Str(s) => Some(s.clone()),
-                                        _ => None,
-                                    })
-                                    .collect(),
-                            );
-                            continue;
-                        }
-                    }
-                }
-            }
+        for line in lines {
             match parse_unit(line) {
                 // Later lines win: a re-run unit appended after a resume
                 // supersedes (bit-identically) its earlier record.
@@ -188,12 +214,6 @@ impl Journal {
                 None => torn += 1,
             }
         }
-        let args = args.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: no journal header line", path.display()),
-            )
-        })?;
         if torn > 0 {
             eprintln!(
                 "warning: {}: skipped {torn} torn/unparseable journal line(s); \
@@ -252,13 +272,17 @@ impl Journal {
             ("bps".to_string(), opt_f64_to_value(values.bps)),
             ("extra".to_string(), extra),
         ]);
-        let line = match serde_json::to_string(&unit) {
-            Ok(line) => line,
+        let payload = match serde_json::to_string(&unit) {
+            Ok(json) => json
+                .strip_suffix('}')
+                .expect("an object ends in `}`")
+                .to_string(),
             Err(e) => {
                 eprintln!("warning: journal: cannot encode unit {key}: {e}");
                 return;
             }
         };
+        let line = format!("{payload}{SUM_FIELD}{:016x}\"}}", fnv1a(payload.as_bytes()));
         let mut file = self.file.lock().expect("journal file poisoned");
         if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
             eprintln!(
@@ -325,6 +349,23 @@ mod tests {
         assert_eq!(j.replayed_units(), 1);
         assert!(j.lookup("a#1").is_some());
         assert!(j.lookup("b#2").is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn line_with_a_flipped_digit_is_skipped() {
+        let path = tmp("flipped");
+        let j = Journal::create(&path, &[]).unwrap();
+        j.record("a#1", "c", 1, &values(1.0));
+        j.record("b#1", "c", 1, &values(2.0));
+        drop(j);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.rfind("\"iops\":\"").unwrap() + 12;
+        let digit = if &text[at..=at] == "0" { "1" } else { "0" };
+        std::fs::write(&path, format!("{}{digit}{}", &text[..at], &text[at + 1..])).unwrap();
+        let (j, _) = Journal::open_resume(&path).unwrap();
+        assert_eq!(j.replayed_units(), 1);
+        assert!(j.lookup("b#1").is_none());
         std::fs::remove_file(&path).ok();
     }
 

@@ -241,6 +241,15 @@ fn failures_page() -> String {
         ));
     }
     out.push_str("\n## All exit codes\n\n| Code | Meaning |\n|---|---|\n");
+    for (code, desc) in exit_codes() {
+        out.push_str(&format!("| {code} | {} |\n", cell(&desc)));
+    }
+    out
+}
+
+/// Every process exit code with its meaning, in numeric order: the rows
+/// of `failures.md` and of the binary's usage text.
+pub fn exit_codes() -> Vec<(i32, String)> {
     let mut codes: Vec<(i32, String)> = FIXED_EXIT_CODES
         .iter()
         .map(|(c, d)| (*c, d.to_string()))
@@ -251,24 +260,13 @@ fn failures_page() -> String {
         )
         .collect();
     codes.sort_by_key(|(c, _)| *c);
-    for (code, desc) in codes {
-        out.push_str(&format!("| {code} | {} |\n", cell(&desc)));
-    }
-    out
+    codes
 }
 
 /// Environment knobs, with what they control. The single source for the
 /// generated knobs page; `cargo test -p bps-experiments` cross-checks it
 /// against the variables the code actually reads.
-pub const ENV_KNOBS: [(&str, &str); 6] = [
-    (
-        "BPS_THREADS",
-        "sweep worker count; `--threads` outranks it, machine parallelism is the fallback",
-    ),
-    (
-        "BPS_CACHE",
-        "`0` disables the persistent (L2) case store; anything else (or unset) leaves it on",
-    ),
+pub const ENV_KNOBS: [(&str, &str); 4] = [
     (
         "BPS_CACHE_DIR",
         "persistent case-store directory (default: the build's `target/bps-cache/`)",
@@ -287,17 +285,18 @@ pub const ENV_KNOBS: [(&str, &str); 6] = [
     ),
 ];
 
-/// CLI flags of the `reproduce` binary, with what they control.
-pub const CLI_FLAGS: [(&str, &str); 11] = [
+/// The flags and subcommands of the `reproduce` binary, with what they
+/// do: the rows of `knobs.md` and of the binary's usage text.
+pub const CLI_FLAGS: [(&str, &str); 18] = [
     ("--quick | --tiny | --paper", "workload scale (default `--quick`)"),
     (
         "--csv <dir>",
         "also write each scenario run to `<dir>/<name>.csv`, named as in `reproduce list`",
     ),
-    ("--threads <n>", "sweep worker count; outranks `BPS_THREADS`"),
+    ("--threads <n>", "sweep worker count (default: machine parallelism)"),
     (
         "--metrics <a,b,c>",
-        "score registry metrics (see `metrics.md`) for scenarios without a pinned `metrics` list",
+        "score registry metrics (see `reproduce metrics`) for scenarios without a pinned `metrics` list",
     ),
     (
         "--journal <path>",
@@ -313,11 +312,18 @@ pub const CLI_FLAGS: [(&str, &str); 11] = [
         "--telemetry <path>",
         "record phase spans, per-unit timings, and a counter snapshot to a JSONL file",
     ),
+    ("list [filter]", "print the bundled scenarios, by name"),
+    ("metrics", "print the metric registry"),
+    ("run <name|path.json>...", "run scenarios and check their expectations"),
+    ("check <name|path.json>...", "parse and expand scenarios at every scale, without running"),
+    ("topology <name|path.json>...", "print the component graph a scenario's cases run"),
+    ("resume <journal> [flags]", "finish a journaled run, replaying its completed units"),
+    ("cache stats|verify|clear", "inspect, verify or clear the persistent case store"),
     (
         "profile <target>...",
         "run targets with telemetry on and print per-phase/per-case time and counter tables",
     ),
-    ("docs [--out <dir>]", "regenerate this reference tree (default `docs/reference/`)"),
+    ("docs [--out <dir>]", "regenerate the reference tree (default `docs/reference/`)"),
 ];
 
 fn knobs_page() -> String {
@@ -326,9 +332,11 @@ fn knobs_page() -> String {
     for (name, what) in ENV_KNOBS {
         out.push_str(&format!("| `{name}` | {} |\n", cell(what)));
     }
-    out.push_str("\n## `reproduce` flags and subcommands\n\n| Flag | Effect |\n|---|---|\n");
+    out.push_str(
+        "\n## `reproduce` flags and subcommands\n\n| Flag or subcommand | Effect |\n|---|---|\n",
+    );
     for (name, what) in CLI_FLAGS {
-        out.push_str(&format!("| `{name}` | {} |\n", cell(what)));
+        out.push_str(&format!("| `{}` | {} |\n", cell(name), cell(what)));
     }
     out.push_str(
         "\nSee `failures.md` for exit codes and `reproduce --help`-equivalent \
@@ -419,25 +427,54 @@ mod tests {
         }
     }
 
+    /// Every `.rs` file under `dir`, recursively.
+    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
     #[test]
     fn env_knob_table_matches_the_code() {
-        // Every variable the workspace reads appears in the table, and
-        // vice versa. Grep-equivalent: the list below must be updated in
-        // lockstep with any new `BPS_*` env read.
-        let documented: Vec<&str> = ENV_KNOBS.iter().map(|(n, _)| *n).collect();
-        for expected in [
-            "BPS_THREADS",
-            "BPS_CACHE",
-            "BPS_CACHE_DIR",
-            "BPS_CODE_FINGERPRINT",
-            "BPS_TEST_UNIT_PANIC",
-            "BPS_TEST_UNIT_STALL",
-        ] {
-            assert!(
-                documented.contains(&expected),
-                "undocumented knob {expected}"
-            );
+        // The `BPS_*` variables the non-test part of `crates/*/src` (each
+        // file up to its first `#[cfg(test)]`) reads, at run time through
+        // `env::var` or at build time through `env!`, are exactly the
+        // documented ones.
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .expect("crates directory");
+        let mut files = Vec::new();
+        for krate in std::fs::read_dir(crates).expect("readable crates directory") {
+            let src = krate.expect("directory entry").path().join("src");
+            if src.is_dir() {
+                rust_files(&src, &mut files);
+            }
         }
-        assert_eq!(documented.len(), 6, "document new knobs in ENV_KNOBS");
+        let mut read: Vec<String> = Vec::new();
+        for file in &files {
+            let text = std::fs::read_to_string(file).expect("readable source file");
+            let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+            for pattern in ["env::var(\"BPS_", "env!(\"BPS_"] {
+                for (at, _) in code.match_indices(pattern) {
+                    let name = &code[at + pattern.len() - 4..];
+                    let name = &name[..name.find('"').expect("closed string literal")];
+                    if !read.iter().any(|r| r == name) {
+                        read.push(name.to_string());
+                    }
+                }
+            }
+        }
+        read.sort();
+        let mut documented: Vec<String> = ENV_KNOBS.iter().map(|(n, _)| n.to_string()).collect();
+        documented.sort();
+        assert_eq!(
+            read, documented,
+            "ENV_KNOBS must list exactly the variables the code reads"
+        );
     }
 }

@@ -360,7 +360,7 @@ mod tests {
     fn averaged_point_is_finite() {
         let w = Iozone::seq_read(4 << 20, 256 << 10);
         let spec = CaseSpec::new(Storage::Ssd, &w);
-        let p = crate::sweep::SweepExec::from_env(None).run_one("ssd", &spec, &[1, 2]);
+        let p = crate::sweep::SweepExec::default().run_one("ssd", &spec, &[1, 2]);
         assert!(p.iops.is_finite() && p.iops > 0.0);
         assert!(p.bw.is_finite() && p.bw > 0.0);
         assert!(p.arpt.is_finite() && p.arpt > 0.0);

@@ -425,9 +425,15 @@ fn check_durations(c: &ResolvedCase) -> Result<(), String> {
     Ok(())
 }
 
+/// The largest product of one server's slowdown factors: past it a
+/// scaled service time saturates and the device queue's clock wraps
+/// (DESIGN.md §9).
+const MAX_SLOWDOWN: f64 = 1_000.0;
+
 /// Reject a fault plan that `build_fault` would refuse (a slowdown
-/// factor that is not positive, an error or loss rate outside [0, 1]), or
-/// that names a server the case's stack does not have, which the run
+/// factor that is not positive, an error or loss rate outside [0, 1]),
+/// whose slowdown factors on one server multiply past [`MAX_SLOWDOWN`],
+/// or that names a server the case's stack does not have, which the run
 /// would silently ignore.
 fn check_faults(c: &ResolvedCase) -> Result<(), String> {
     let Some(fault) = &c.fault else {
@@ -467,6 +473,16 @@ fn check_faults(c: &ResolvedCase) -> Result<(), String> {
             ));
         }
         on_a_server(&what, s.server)?;
+        // The server's factors in plan order, as `FaultInjector::new`
+        // multiplies them.
+        let on_server = fault.slowdowns.iter().filter(|t| t.server == s.server);
+        let product: f64 = on_server.map(|t| t.factor).product();
+        if product > MAX_SLOWDOWN {
+            return Err(format!(
+                "{what}: the factors on server {} multiply to {product:e}, past {MAX_SLOWDOWN}",
+                s.server
+            ));
+        }
     }
     for (i, d) in fault.device_errors.iter().enumerate() {
         let what = format!("fault device error {i}");

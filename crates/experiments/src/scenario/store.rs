@@ -28,10 +28,10 @@
 //!
 //! ## Control surface
 //!
-//! The CLI installs the store from the environment: `BPS_CACHE=0` (or
-//! `--no-cache`) disables it, `BPS_CACHE_DIR` overrides the default
-//! location (the build's `target/bps-cache/`). `reproduce cache
-//! stats|verify|clear` inspects and manages the store.
+//! The CLI installs the store at [`env_dir`] unless `--no-cache` is
+//! given; `BPS_CACHE_DIR` overrides the default location (the build's
+//! `target/bps-cache/`). `reproduce cache stats|verify|clear` inspects
+//! and manages the store.
 
 use crate::journal::{f64_from_value, f64_to_value};
 use crate::runner::CasePoint;
@@ -64,9 +64,9 @@ pub fn store_stats() -> (u64, u64) {
     )
 }
 
-/// FNV-1a over a byte string — entry addressing and checksums. Matches
-/// the `build.rs` fingerprint hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte string — entry addressing and checksums, here and
+/// in the journal's unit lines. Matches the `build.rs` fingerprint hash.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -430,7 +430,7 @@ fn active_slot() -> &'static Mutex<Option<Arc<CaseStore>>> {
 }
 
 /// Install (or clear) the process-wide store the engine consults. The
-/// CLI installs [`from_env`]'s store unless `--no-cache` is given; the
+/// CLI installs the store at [`env_dir`] unless `--no-cache` is given; the
 /// engine's own unit tests never install one, so in-process tests stay
 /// hermetic.
 pub fn set_active(store: Option<Arc<CaseStore>>) {
@@ -443,12 +443,6 @@ pub fn active() -> Option<Arc<CaseStore>> {
         .lock()
         .expect("case store slot poisoned")
         .clone()
-}
-
-/// Whether the environment enables the persistent cache (`BPS_CACHE=0`
-/// turns it off; anything else, including unset, leaves it on).
-pub fn cache_enabled() -> bool {
-    std::env::var("BPS_CACHE").map(|v| v != "0").unwrap_or(true)
 }
 
 /// The store directory the environment selects: `BPS_CACHE_DIR` if set,
@@ -468,11 +462,6 @@ pub fn env_dir() -> PathBuf {
         }
     }
     PathBuf::from("target/bps-cache")
-}
-
-/// The store the environment asks for, or `None` when `BPS_CACHE=0`.
-pub fn from_env() -> Option<CaseStore> {
-    cache_enabled().then(|| CaseStore::at(env_dir()))
 }
 
 #[cfg(test)]

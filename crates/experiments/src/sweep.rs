@@ -14,11 +14,10 @@
 //! is set, a per-unit deadline. [`SweepExec::run_one`] averages one
 //! ad-hoc [`CaseSpec`] for examples and tests.
 //!
-//! Thread count, in precedence order ([`SweepExec::from_env`]): the
-//! caller's explicit count (the `reproduce --threads N` flag), then the
-//! `BPS_THREADS` environment variable, then
-//! [`std::thread::available_parallelism`]. A count of 1 runs inline on
-//! the calling thread.
+//! Thread count: the caller's explicit count ([`SweepExec::new`], the
+//! `reproduce --threads N` flag), else [`SweepExec::default`], the
+//! machine's [`std::thread::available_parallelism`]. A count of 1 runs
+//! inline on the calling thread.
 
 use crate::runner::{run_case_streaming_selected, CasePoint, CaseSpec, UnitValues};
 use bps_core::metrics::MetricSelection;
@@ -31,32 +30,19 @@ pub struct SweepExec {
     threads: usize,
 }
 
+impl Default for SweepExec {
+    /// An executor over the machine's available parallelism.
+    fn default() -> Self {
+        SweepExec::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+}
+
 impl SweepExec {
     /// An executor over exactly `threads` worker threads (minimum 1).
     pub fn new(threads: usize) -> Self {
         SweepExec {
             threads: threads.max(1),
         }
-    }
-
-    /// Thread count by precedence: `flag` (CLI `--threads`), then
-    /// `BPS_THREADS`, then the machine's available parallelism. A zero
-    /// or unparsable count falls through to the next source.
-    pub fn from_env(flag: Option<usize>) -> Self {
-        let threads = flag
-            .filter(|&n| n > 0)
-            .or_else(|| {
-                std::env::var("BPS_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-            })
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        SweepExec::new(threads)
     }
 
     /// Run `f(0..n)` across the executor's threads and collect the results
@@ -147,11 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_outranks_environment() {
-        assert_eq!(SweepExec::from_env(Some(3)).threads, 3);
-        // No flag: BPS_THREADS or the machine's parallelism, both of
-        // which give at least one worker.
-        assert!(SweepExec::from_env(None).threads >= 1);
+    fn default_uses_the_machines_parallelism() {
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(SweepExec::default().threads, machine);
     }
 
     #[test]

@@ -18,28 +18,28 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
+/// Spawn the binary single-threaded. The harness's flags go first, so a
+/// test's own `--threads` (given later) wins.
 fn reproduce(args: &[&str]) -> Output {
-    // BPS_CACHE=0 keeps the harness hermetic: no test here accidentally
+    // --no-cache keeps the harness hermetic: no test here accidentally
     // serves (or pollutes) the build's shared persistent case store.
     // The cache tests below opt back in with an isolated BPS_CACHE_DIR.
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--threads", "1", "--no-cache"])
         .args(args)
-        .env("BPS_THREADS", "1")
-        .env("BPS_CACHE", "0")
         .output()
         .expect("spawn reproduce")
 }
 
-/// Spawn the binary against an isolated persistent cache directory.
-fn reproduce_cached(args: &[&str], cache_dir: &Path, extra_env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
-    cmd.args(args)
-        .env("BPS_THREADS", "1")
-        .env("BPS_CACHE_DIR", cache_dir);
-    for (k, v) in extra_env {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn reproduce")
+/// Spawn the binary single-threaded against an isolated persistent cache
+/// directory.
+fn reproduce_cached(args: &[&str], cache_dir: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--threads", "1"])
+        .args(args)
+        .env("BPS_CACHE_DIR", cache_dir)
+        .output()
+        .expect("spawn reproduce")
 }
 
 /// A unique, empty cache directory for one test.
@@ -94,8 +94,9 @@ fn every_deterministic_target_matches_its_golden() {
 
 #[test]
 fn every_deterministic_target_is_thread_count_invariant() {
-    // `--threads 4` outranks the harness's BPS_THREADS=1 (flag > env >
-    // machine), and a parallel sweep must still produce the golden bytes.
+    // `--threads 4` outranks the harness's earlier `--threads 1` (the
+    // last flag wins), and a parallel sweep must still produce the golden
+    // bytes.
     for target in DETERMINISTIC {
         assert_eq!(
             stdout_of(&[target, "--tiny", "--threads", "4"]),
@@ -111,12 +112,7 @@ fn memoization_does_not_change_a_single_byte() {
     // serves it the cases fig4, fig5 and fig9 simulated; the report must
     // still be exactly the single-target goldens. The engine's unit tests
     // compare memo-on and memo-off runs of the same scenarios directly.
-    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["fig4", "fig5", "fig9", "summary", "--tiny"])
-        .env("BPS_THREADS", "1")
-        .env("BPS_CACHE", "0")
-        .output()
-        .expect("spawn reproduce");
+    let out = reproduce(&["fig4", "fig5", "fig9", "summary", "--tiny"]);
     assert!(out.status.success());
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
@@ -354,6 +350,25 @@ fn check_reports_name_and_case_count() {
 }
 
 #[test]
+fn check_accepts_every_bundled_scenario_name() {
+    // A name `reproduce list` prints is checked as that scenario, at
+    // every scale, without a file of that name.
+    let names: Vec<String> = stdout_of(&["list"])
+        .lines()
+        .map(|l| l.split_whitespace().next().expect("a name").to_string())
+        .collect();
+    assert_eq!(names.len(), 15);
+    let mut args = vec!["check"];
+    args.extend(names.iter().map(String::as_str));
+    let out = stdout_of(&args);
+    let checked: Vec<&str> = out.lines().collect();
+    assert_eq!(checked.len(), names.len(), "{out}");
+    for (line, name) in checked.iter().zip(&names) {
+        assert!(line.starts_with(&format!("ok: {name} (")), "{line}");
+    }
+}
+
+#[test]
 fn check_rejects_malformed_json_with_the_path_named() {
     let dir = std::env::temp_dir().join("bps_cli_golden");
     std::fs::create_dir_all(&dir).unwrap();
@@ -458,10 +473,12 @@ fn overflowing_durations_and_sizes_fail_check() {
 
 #[test]
 fn out_of_range_faults_fail_check_and_run() {
-    // A slowdown factor that is not positive, an error or loss rate
-    // outside [0, 1], or a fault on a server the stack does not have
-    // would panic in every unit or be silently ignored; `check` and `run`
-    // reject each as an invalid spec (exit 3) before any unit starts.
+    // A slowdown factor that is not positive, slowdown factors on one
+    // server whose product passes 1,000, an error or loss rate outside
+    // [0, 1], or a fault on a server the stack does not have would panic
+    // in every unit, wrap the device queue's clock, or be silently
+    // ignored; `check` and `run` reject each as an invalid spec (exit 3)
+    // before any unit starts.
     for path in fixtures("out-of-range") {
         for args in [vec!["check", &path], vec!["run", &path, "--tiny"]] {
             let out = reproduce(&args);
@@ -555,7 +572,9 @@ fn run_of_unknown_name_suggests_list() {
 
 #[test]
 fn no_arguments_is_a_usage_error() {
-    let out = reproduce(&[]);
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .output()
+        .expect("spawn reproduce");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
@@ -566,7 +585,7 @@ fn warm_cache_rerun_is_byte_identical_across_processes() {
     // every case from disk produces the cold run's exact stdout bytes.
     let dir = cache_dir("warm");
     let targets = ["fig4", "fig5", "fig9", "--tiny"];
-    let cold = reproduce_cached(&targets, &dir, &[]);
+    let cold = reproduce_cached(&targets, &dir);
     assert!(
         cold.status.success(),
         "cold: {}",
@@ -577,7 +596,7 @@ fn warm_cache_rerun_is_byte_identical_across_processes() {
     assert!(dir.is_dir(), "cold run must populate {}", dir.display());
 
     // Warm, fresh process: every case served from disk, same bytes.
-    let warm = reproduce_cached(&targets, &dir, &[]);
+    let warm = reproduce_cached(&targets, &dir);
     assert!(warm.status.success());
     assert_eq!(
         String::from_utf8_lossy(&warm.stdout),
@@ -585,17 +604,13 @@ fn warm_cache_rerun_is_byte_identical_across_processes() {
         "warm cross-process rerun drifted from the cold bytes"
     );
 
-    // BPS_CACHE=0 bypasses the store and still matches.
-    let off = reproduce_cached(&targets, &dir, &[("BPS_CACHE", "0")]);
+    // --no-cache bypasses the store and still matches.
+    let off = reproduce_cached(&["fig4", "fig5", "fig9", "--tiny", "--no-cache"], &dir);
     assert!(off.status.success());
     assert_eq!(String::from_utf8_lossy(&off.stdout), expected);
 
     // A parallel warm sweep must also produce the golden bytes.
-    let threaded = reproduce_cached(
-        &["fig4", "fig5", "fig9", "--tiny", "--threads", "4"],
-        &dir,
-        &[],
-    );
+    let threaded = reproduce_cached(&["fig4", "fig5", "fig9", "--tiny", "--threads", "4"], &dir);
     assert!(threaded.status.success());
     assert_eq!(String::from_utf8_lossy(&threaded.stdout), expected);
 
@@ -605,7 +620,7 @@ fn warm_cache_rerun_is_byte_identical_across_processes() {
 #[test]
 fn no_cache_flag_bypasses_the_store() {
     let dir = cache_dir("nocache");
-    let out = reproduce_cached(&["fig4", "--tiny", "--no-cache"], &dir, &[]);
+    let out = reproduce_cached(&["fig4", "--tiny", "--no-cache"], &dir);
     assert!(out.status.success());
     assert_eq!(String::from_utf8_lossy(&out.stdout), golden("fig4"));
     let entries = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
@@ -616,7 +631,7 @@ fn no_cache_flag_bypasses_the_store() {
 #[test]
 fn corrupted_entry_recomputes_silently_and_verify_names_it() {
     let dir = cache_dir("corrupt");
-    let cold = reproduce_cached(&["fig4", "--tiny"], &dir, &[]);
+    let cold = reproduce_cached(&["fig4", "--tiny"], &dir);
     assert!(cold.status.success());
 
     // Truncate one entry mid-payload — a torn write.
@@ -630,7 +645,7 @@ fn corrupted_entry_recomputes_silently_and_verify_names_it() {
     std::fs::write(&entry, &text[..text.len() / 2]).unwrap();
 
     // `cache verify` names the torn entry and exits 1.
-    let verify = reproduce_cached(&["cache", "verify"], &dir, &[]);
+    let verify = reproduce_cached(&["cache", "verify"], &dir);
     assert_eq!(verify.status.code(), Some(1));
     let listing = String::from_utf8_lossy(&verify.stdout);
     let name = entry.file_name().unwrap().to_string_lossy().into_owned();
@@ -638,12 +653,12 @@ fn corrupted_entry_recomputes_silently_and_verify_names_it() {
     assert!(listing.contains("corrupt"), "{listing}");
 
     // The engine treats it as a miss: recomputes silently, same bytes.
-    let warm = reproduce_cached(&["fig4", "--tiny"], &dir, &[]);
+    let warm = reproduce_cached(&["fig4", "--tiny"], &dir);
     assert!(warm.status.success());
     assert_eq!(String::from_utf8_lossy(&warm.stdout), golden("fig4"));
 
     // The recompute rewrote the entry; the store is healthy again.
-    let verify = reproduce_cached(&["cache", "verify"], &dir, &[]);
+    let verify = reproduce_cached(&["cache", "verify"], &dir);
     assert_eq!(verify.status.code(), Some(0), "store should be repaired");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -652,10 +667,10 @@ fn corrupted_entry_recomputes_silently_and_verify_names_it() {
 #[test]
 fn cache_stats_verify_clear_round_trip() {
     let dir = cache_dir("admin");
-    let cold = reproduce_cached(&["fig4", "--tiny"], &dir, &[]);
+    let cold = reproduce_cached(&["fig4", "--tiny"], &dir);
     assert!(cold.status.success());
 
-    let stats = reproduce_cached(&["cache", "stats"], &dir, &[]);
+    let stats = reproduce_cached(&["cache", "stats"], &dir);
     assert!(stats.status.success());
     let text = String::from_utf8_lossy(&stats.stdout).into_owned();
     assert!(text.contains(&dir.display().to_string()), "{text}");
@@ -663,13 +678,13 @@ fn cache_stats_verify_clear_round_trip() {
     assert!(!text.contains("entries: 0 "), "{text}");
     assert!(text.contains("0 stale, 0 corrupt"), "{text}");
 
-    let clear = reproduce_cached(&["cache", "clear"], &dir, &[]);
+    let clear = reproduce_cached(&["cache", "clear"], &dir);
     assert!(clear.status.success());
     assert!(String::from_utf8_lossy(&clear.stdout).contains("cleared"));
 
-    let stats = reproduce_cached(&["cache", "stats"], &dir, &[]);
+    let stats = reproduce_cached(&["cache", "stats"], &dir);
     assert!(String::from_utf8_lossy(&stats.stdout).contains("entries: 0 (0 fresh"));
-    let verify = reproduce_cached(&["cache", "verify"], &dir, &[]);
+    let verify = reproduce_cached(&["cache", "verify"], &dir);
     assert_eq!(verify.status.code(), Some(0));
 
     std::fs::remove_dir_all(&dir).ok();

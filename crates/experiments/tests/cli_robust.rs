@@ -15,11 +15,19 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
+/// The flags every run here starts with: single-threaded, and no
+/// persistent store, since a cache hit would serve an injected-failure
+/// unit before the hook fires. A test's own later `--threads` wins.
+const HERMETIC: [&str; 3] = ["--threads", "1", "--no-cache"];
+
+/// Spawn the binary with `args` after [`HERMETIC`], except for `resume`,
+/// which must come first and takes its flags from the journal header.
 fn reproduce(args: &[&str], envs: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
-    // Injected failures must actually simulate: a persistent-cache hit
-    // would serve the unit before the hook fires.
-    cmd.args(args).env("BPS_THREADS", "1").env("BPS_CACHE", "0");
+    if args.first() != Some(&"resume") {
+        cmd.args(HERMETIC);
+    }
+    cmd.args(args);
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -68,13 +76,57 @@ fn journaled_run_matches_golden_and_resume_replays_it() {
 }
 
 #[test]
+fn resume_reruns_a_unit_whose_line_has_a_flipped_digit() {
+    let journal = unique_journal();
+    let out = reproduce(
+        &["fig4", "--tiny", "--journal", journal.to_str().unwrap()],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(0));
+    // Change one hex digit of the first hdd unit's BPS: the line still
+    // parses, so only its checksum can tell.
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let line = text.find("\"label\":\"hdd\"").expect("an hdd unit");
+    let at = line + text[line..].find("\"bps\":\"").unwrap() + 10;
+    let digit = if &text[at..=at] == "8" { "9" } else { "8" };
+    std::fs::write(
+        &journal,
+        format!("{}{digit}{}", &text[..at], &text[at + 1..]),
+    )
+    .unwrap();
+
+    let out = reproduce(&["resume", journal.to_str().unwrap()], &[]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden("fig4"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("skipped 1 torn"), "{err}");
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn resume_refuses_a_journal_of_another_version() {
+    let journal = unique_journal();
+    let out = reproduce(
+        &["fig4", "--tiny", "--journal", journal.to_str().unwrap()],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(0));
+    let text = std::fs::read_to_string(&journal).unwrap();
+    std::fs::write(&journal, text.replacen("\"version\":2", "\"version\":1", 1)).unwrap();
+    let out = reproduce(&["resume", journal.to_str().unwrap()], &[]);
+    assert_eq!(out.status.code(), Some(4));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("version 1"), "{err}");
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
 fn sigkill_mid_sweep_then_resume_is_byte_identical_to_the_golden() {
     let journal = unique_journal();
     // Stall every pvfs unit 200 ms so the kill lands mid-sweep.
     let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(HERMETIC)
         .args(["fig4", "--tiny", "--journal", journal.to_str().unwrap()])
-        .env("BPS_THREADS", "1")
-        .env("BPS_CACHE", "0")
         .env("BPS_TEST_UNIT_STALL", "pvfs:200")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -332,10 +384,9 @@ fn a_file_named_like_a_bundled_scenario_does_not_shadow_it() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("fig9"), "not a scenario\n").unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(HERMETIC)
         .args(["run", "fig9", "--tiny"])
         .current_dir(&dir)
-        .env("BPS_THREADS", "1")
-        .env("BPS_CACHE", "0")
         .output()
         .expect("spawn reproduce");
     assert_eq!(

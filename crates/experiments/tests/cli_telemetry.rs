@@ -15,13 +15,12 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Spawn the binary hermetically: single-threaded unless a flag overrides,
-/// persistent store off unless a test opts in.
+/// Spawn the binary hermetically: single-threaded unless a later flag
+/// overrides, persistent store off unless a test opts in.
 fn reproduce(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--threads", "1", "--no-cache"])
         .args(args)
-        .env("BPS_THREADS", "1")
-        .env("BPS_CACHE", "0")
         .output()
         .expect("spawn reproduce")
 }
@@ -294,8 +293,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn cache_stats_groups_stale_entries_by_origin() {
     let dir = scratch("stale-origin");
     let cold = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["fig4", "--tiny"])
-        .env("BPS_THREADS", "1")
+        .args(["fig4", "--tiny", "--threads", "1"])
         .env("BPS_CACHE_DIR", &dir)
         .output()
         .expect("spawn reproduce");

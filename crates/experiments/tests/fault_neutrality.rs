@@ -137,7 +137,10 @@ fn degraded_sweep_json(threads: usize) -> String {
 fn same_fault_seed_is_deterministic_across_thread_counts() {
     let one = degraded_sweep_json(1);
     let four = degraded_sweep_json(4);
-    assert_eq!(one, four, "degraded runs must not depend on BPS_THREADS");
+    assert_eq!(
+        one, four,
+        "degraded runs must not depend on the thread count"
+    );
     // And a rerun at the same thread count is byte-identical.
     assert_eq!(four, degraded_sweep_json(4));
 }

@@ -172,7 +172,7 @@ proptest! {
         prop_assert_eq!(a.execution_time(), b.execution_time());
         prop_assert_eq!(a.records(), b.records());
 
-        let exec = SweepExec::from_env(None);
+        let exec = SweepExec::default();
         let pa = exec.run_one("case", &implicit, &[seed, seed + 1]);
         let pb = exec.run_one("case", &explicit, &[seed, seed + 1]);
         prop_assert_eq!(

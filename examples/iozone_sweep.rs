@@ -14,7 +14,7 @@ use bps::workloads::iozone::Iozone;
 fn main() {
     let file_size = 128 << 20; // 128 MiB per case
     let seeds = [1, 2, 3];
-    let exec = SweepExec::from_env(None);
+    let exec = SweepExec::default();
     let points: Vec<CasePoint> = [4u64 << 10, 64 << 10, 512 << 10, 4 << 20]
         .iter()
         .map(|&record| {

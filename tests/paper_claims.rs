@@ -14,7 +14,7 @@ fn figure(name: &str) -> CcFigure {
     engine::run_with_opts(
         &sc,
         &Scale::tiny(),
-        SweepExec::from_env(None),
+        SweepExec::default(),
         true,
         &RunOpts::default(),
     )
