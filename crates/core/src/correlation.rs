@@ -13,10 +13,9 @@
 
 use crate::error::CoreError;
 use crate::metrics::Direction;
-use serde::{Deserialize, Serialize};
 
 /// Result of scoring one metric against execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CcOutcome {
     /// Raw Pearson CC between metric values and execution times.
     pub raw: f64,

@@ -4,11 +4,10 @@ use crate::runner::CasePoint;
 use crate::scenario::spec::Expect;
 use bps_core::correlation::{normalized_cc, CcOutcome};
 use bps_core::metrics::{registry, MetricSelection};
-use serde::Serialize;
 use std::fmt;
 
 /// One metric's correlation verdict in a [`CcFigure`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CcRow {
     /// Registry metric name ("IOPS", "BW", "ARPT", "BPS", "P99", ...).
     pub metric: String,
@@ -22,7 +21,7 @@ pub struct CcRow {
 
 /// A reproduced CC bar chart (Figures 4–6, 9, 11, 12): the selected
 /// registry metrics scored against execution time over the sweep's cases.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CcFigure {
     /// Figure label.
     pub label: String,
@@ -183,7 +182,7 @@ pub fn assert_cc_expectations(fig: &CcFigure, expect: &[Expect]) {
 
 /// A detail figure (Figures 7, 8, 10): one metric plotted against execution
 /// time over the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DetailSeries {
     /// Figure label.
     pub label: String,

@@ -9,34 +9,37 @@
 //!
 //! ## Format
 //!
-//! The first line is a header recording the original CLI arguments
-//! (minus the `--journal` pair), which is how `resume` reconstructs the
-//! run:
+//! Every line is a sealed line of [`crate::persist`]: one JSON object
+//! whose last field, `sum`, is the FNV-1a of every byte before `,"sum":`.
+//! The first line is a header recording the format version, the build's
+//! code fingerprint and the original CLI arguments (minus the `--journal`
+//! pair), which is how `resume` reconstructs the run:
 //!
 //! ```text
-//! {"kind":"header","version":2,"args":["run","fig4","--tiny"]}
+//! {"kind":"header","version":3,"fingerprint":"<16 hex digits>","args":["run","fig4","--tiny"],"sum":"<16 hex digits>"}
 //! {"kind":"unit","key":"<case-key>#<seed>","label":"hdd","seed":1,
 //!  "exec_s":"3fe8a3d70a3d70a4","iops":"40f86a0000000000",...,"extra":[...],
 //!  "sum":"<16 hex digits>"}
 //! ```
 //!
-//! A unit line's last field, `sum`, is the case store's FNV-1a of every
-//! byte before `,"sum":`. `resume` refuses a journal of another version.
+//! `resume` refuses a journal whose header fails its sum, or that another
+//! format version or another build wrote: a rebuilt binary must not mix
+//! its numbers with the old build's.
 //!
 //! Units are content-keyed exactly like the cross-figure memo cache
 //! (`case_key(case, scale, selection)` plus the seed), so a journal is
 //! valid across any target list that shares cases and is simply ignored
-//! for units whose content changed. Every `f64` is stored as the
-//! 16-hex-digit big-endian encoding of its IEEE-754 bits (`null` for an
-//! undefined sample): the vendored JSON writer renders non-finite floats
-//! as `null` and decimal round-trips are not bit-exact, while the bits
-//! encoding is — resume must reproduce cold-run bytes exactly.
+//! for units whose content changed. The metric values are the bit-exact
+//! hex encoding [`crate::persist`] gives every record, so resume
+//! reproduces cold-run bytes exactly.
 //!
-//! Torn, corrupted or unparseable lines (a SIGKILL mid-write, a flipped
-//! digit) are skipped with a warning; the affected unit just re-runs.
+//! A unit line that is torn, corrupted, not UTF-8 or unparseable (a
+//! SIGKILL mid-write, a flipped bit) is skipped with a warning; the
+//! affected unit just re-runs.
 
+use crate::persist::{self, metric_fields, read_metrics, seal, unseal};
 use crate::runner::UnitValues;
-use crate::scenario::store::fnv1a;
+use serde::Value;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -44,10 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Journal format version (the header's `version` field).
-const VERSION: u64 = 2;
-
-/// What separates a unit line's payload from its checksum.
-const SUM_FIELD: &str = ",\"sum\":\"";
+const VERSION: u64 = 3;
 
 /// An open run journal: an append handle plus the replay map of every
 /// unit already on disk.
@@ -57,103 +57,41 @@ pub struct Journal {
     replay: HashMap<String, UnitValues>,
 }
 
-/// Encode an `f64` as its IEEE-754 bits in hex — exact, NaN-safe. Shared
-/// with the persistent case store so both on-disk formats are bit-exact.
-pub(crate) fn f64_to_value(x: f64) -> serde::Value {
-    serde::Value::Str(format!("{:016x}", x.to_bits()))
-}
-
-fn opt_f64_to_value(x: Option<f64>) -> serde::Value {
-    match x {
-        Some(x) => f64_to_value(x),
-        None => serde::Value::Null,
+/// The original CLI arguments of a journal's unsealed header, or why
+/// this build does not resume it.
+fn parse_header(header: &Value) -> Result<Vec<String>, String> {
+    if persist::text(header, "kind") != Some("header") {
+        return Err("no journal header line".to_string());
     }
+    persist::check_stamp(header, VERSION).map_err(|(why, _)| format!("journal {why}"))?;
+    let Ok(Value::Array(items)) = header.field("args") else {
+        return Err("journal header has no arguments".to_string());
+    };
+    Ok(items
+        .iter()
+        .filter_map(|i| match i {
+            Value::Str(s) => Some(s.clone()),
+            _ => None,
+        })
+        .collect())
 }
 
-pub(crate) fn f64_from_value(v: &serde::Value) -> Option<f64> {
-    match v {
-        serde::Value::Str(s) if s.len() == 16 => {
-            u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-        }
-        _ => None,
-    }
-}
-
-fn opt_f64_from_value(v: &serde::Value) -> Result<Option<f64>, ()> {
-    match v {
-        serde::Value::Null => Ok(None),
-        other => f64_from_value(other).map(Some).ok_or(()),
-    }
-}
-
-/// The `(version, args)` of a journal's header line (a header without a
-/// version reads as version 0); `None` for any other line.
-fn parse_header(line: &str) -> Option<(u64, Vec<String>)> {
-    let v: serde::Value = serde_json::from_str(line).ok()?;
-    if v.field("kind").ok()? != &serde::Value::Str("header".to_string()) {
+/// The `(key, values)` of an unsealed unit line; `None` for any other
+/// record.
+fn parse_unit(unit: &Value) -> Option<(String, UnitValues)> {
+    if persist::text(unit, "kind") != Some("unit") {
         return None;
     }
-    let version = match v.field("version") {
-        Ok(serde::Value::UInt(n)) => *n,
-        _ => 0,
-    };
-    let serde::Value::Array(items) = v.field("args").ok()? else {
-        return None;
-    };
-    let args = items.iter().filter_map(|i| match i {
-        serde::Value::Str(s) => Some(s.clone()),
-        _ => None,
-    });
-    Some((version, args.collect()))
-}
-
-/// Parse one journal line into a `(key, values)` unit entry; `None` for
-/// headers, torn lines, lines whose checksum fails, or anything else
-/// unusable.
-fn parse_unit(line: &str) -> Option<(String, UnitValues)> {
-    let (payload, sum) = line.strip_suffix("\"}")?.rsplit_once(SUM_FIELD)?;
-    if u64::from_str_radix(sum, 16).ok()? != fnv1a(payload.as_bytes()) {
-        return None;
-    }
-    let v: serde::Value = serde_json::from_str(line).ok()?;
-    let field = |name: &str| v.field(name).ok().cloned();
-    match field("kind")? {
-        serde::Value::Str(k) if k == "unit" => {}
-        _ => return None,
-    }
-    let key = match field("key")? {
-        serde::Value::Str(k) => k,
-        _ => return None,
-    };
-    let extra = match field("extra")? {
-        serde::Value::Null => Vec::new(),
-        serde::Value::Array(items) => {
-            let mut extra = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    serde::Value::Array(pair) if pair.len() == 2 => {
-                        let name = match &pair[0] {
-                            serde::Value::Str(n) => n.clone(),
-                            _ => return None,
-                        };
-                        extra.push((name, opt_f64_from_value(&pair[1]).ok()?));
-                    }
-                    _ => return None,
-                }
-            }
-            extra
-        }
-        _ => return None,
-    };
+    let ([exec_s, iops, bw, arpt, bps], extra) = read_metrics(unit)?;
     let values = UnitValues {
-        iops: opt_f64_from_value(&field("iops")?).ok()?,
-        bw: opt_f64_from_value(&field("bw")?).ok()?,
-        arpt: opt_f64_from_value(&field("arpt")?).ok()?,
-        bps: opt_f64_from_value(&field("bps")?).ok()?,
-        exec_s: f64_from_value(&field("exec_s")?)?,
+        iops,
+        bw,
+        arpt,
+        bps,
+        exec_s: exec_s?,
         extra,
     };
-    Some((key, values))
+    Some((persist::text(unit, "key")?.to_string(), values))
 }
 
 impl Journal {
@@ -161,17 +99,12 @@ impl Journal {
     /// the run's CLI arguments.
     pub fn create(path: &Path, args: &[String]) -> io::Result<Journal> {
         let mut file = File::create(path)?;
-        let header = serde::Value::Object(vec![
-            ("kind".to_string(), serde::Value::Str("header".to_string())),
-            ("version".to_string(), serde::Value::UInt(VERSION)),
-            (
-                "args".to_string(),
-                serde::Value::Array(args.iter().map(|a| serde::Value::Str(a.clone())).collect()),
-            ),
-        ]);
-        let line = serde_json::to_string(&header)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(file, "{line}")?;
+        let args = args.iter().map(|a| Value::Str(a.clone())).collect();
+        let mut fields = vec![("kind".to_string(), Value::Str("header".to_string()))];
+        fields.extend(persist::stamp(VERSION));
+        fields.push(("args".to_string(), Value::Array(args)));
+        let header = seal(fields);
+        writeln!(file, "{header}")?;
         file.flush()?;
         Ok(Journal {
             path: path.to_path_buf(),
@@ -185,27 +118,26 @@ impl Journal {
     /// in append mode. Returns the journal and the original CLI arguments
     /// from the header.
     pub fn open_resume(path: &Path) -> io::Result<(Journal, Vec<String>)> {
-        let text = std::fs::read_to_string(path)?;
+        let bytes = std::fs::read(path)?;
         let invalid = |msg: String| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: {msg}", path.display()),
             )
         };
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let (version, args) = lines
+        let mut lines = bytes
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.trim_ascii().is_empty());
+        let header = lines
             .next()
-            .and_then(parse_header)
-            .ok_or_else(|| invalid("no journal header line".to_string()))?;
-        if version != VERSION {
-            return Err(invalid(format!(
-                "journal format version {version}; this build resumes version {VERSION} only"
-            )));
-        }
+            .ok_or("empty file")
+            .and_then(unseal)
+            .map_err(|why| invalid(format!("bad journal header line ({why})")))?;
+        let args = parse_header(&header).map_err(invalid)?;
         let mut replay = HashMap::new();
         let mut torn = 0usize;
         for line in lines {
-            match parse_unit(line) {
+            match unseal(line).ok().and_then(|unit| parse_unit(&unit)) {
                 // Later lines win: a re-run unit appended after a resume
                 // supersedes (bit-identically) its earlier record.
                 Some((key, values)) => {
@@ -221,7 +153,11 @@ impl Journal {
                 path.display()
             );
         }
-        let file = OpenOptions::new().append(true).open(path)?;
+        let mut file = OpenOptions::new().append(true).open(path)?;
+        // End a torn tail line, or the next unit would be sealed onto it.
+        if bytes.last().is_some_and(|&b| b != b'\n') {
+            file.write_all(b"\n")?;
+        }
         Ok((
             Journal {
                 path: path.to_path_buf(),
@@ -251,38 +187,23 @@ impl Journal {
     /// arriving right after. A write error is reported, not fatal — losing
     /// journal durability should not kill a healthy sweep.
     pub fn record(&self, key: &str, label: &str, seed: u64, values: &UnitValues) {
-        let extra = serde::Value::Array(
-            values
-                .extra
-                .iter()
-                .map(|(name, v)| {
-                    serde::Value::Array(vec![serde::Value::Str(name.clone()), opt_f64_to_value(*v)])
-                })
-                .collect(),
-        );
-        let unit = serde::Value::Object(vec![
-            ("kind".to_string(), serde::Value::Str("unit".to_string())),
-            ("key".to_string(), serde::Value::Str(key.to_string())),
-            ("label".to_string(), serde::Value::Str(label.to_string())),
-            ("seed".to_string(), serde::Value::UInt(seed)),
-            ("exec_s".to_string(), f64_to_value(values.exec_s)),
-            ("iops".to_string(), opt_f64_to_value(values.iops)),
-            ("bw".to_string(), opt_f64_to_value(values.bw)),
-            ("arpt".to_string(), opt_f64_to_value(values.arpt)),
-            ("bps".to_string(), opt_f64_to_value(values.bps)),
-            ("extra".to_string(), extra),
-        ]);
-        let payload = match serde_json::to_string(&unit) {
-            Ok(json) => json
-                .strip_suffix('}')
-                .expect("an object ends in `}`")
-                .to_string(),
-            Err(e) => {
-                eprintln!("warning: journal: cannot encode unit {key}: {e}");
-                return;
-            }
-        };
-        let line = format!("{payload}{SUM_FIELD}{:016x}\"}}", fnv1a(payload.as_bytes()));
+        let mut fields = vec![
+            ("kind".to_string(), Value::Str("unit".to_string())),
+            ("key".to_string(), Value::Str(key.to_string())),
+            ("label".to_string(), Value::Str(label.to_string())),
+            ("seed".to_string(), Value::UInt(seed)),
+        ];
+        fields.extend(metric_fields(
+            [
+                Some(values.exec_s),
+                values.iops,
+                values.bw,
+                values.arpt,
+                values.bps,
+            ],
+            values.extra.iter().map(|(name, x)| (name.as_str(), *x)),
+        ));
+        let line = seal(fields);
         let mut file = self.file.lock().expect("journal file poisoned");
         if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
             eprintln!(
@@ -349,6 +270,11 @@ mod tests {
         assert_eq!(j.replayed_units(), 1);
         assert!(j.lookup("a#1").is_some());
         assert!(j.lookup("b#2").is_none());
+        // The re-run unit lands on a line of its own, after the torn one.
+        j.record("b#2", "c", 2, &values(2.0));
+        drop(j);
+        let (j, _) = Journal::open_resume(&path).unwrap();
+        assert_eq!(j.replayed_units(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -366,6 +292,21 @@ mod tests {
         let (j, _) = Journal::open_resume(&path).unwrap();
         assert_eq!(j.replayed_units(), 1);
         assert!(j.lookup("b#1").is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn line_that_is_not_utf8_is_a_torn_line() {
+        let path = tmp("not-utf8");
+        let j = Journal::create(&path, &[]).unwrap();
+        j.record("a#1", "c", 1, &values(1.0));
+        drop(j);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"{\"kind\":\"unit\",\"label\":\"\xFF\"}\n");
+        std::fs::write(&path, bytes).unwrap();
+        let (j, _) = Journal::open_resume(&path).unwrap();
+        assert_eq!(j.replayed_units(), 1);
+        assert!(j.lookup("a#1").is_some());
         std::fs::remove_file(&path).ok();
     }
 

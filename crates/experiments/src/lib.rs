@@ -21,6 +21,7 @@
 pub mod export;
 pub mod figures;
 pub mod journal;
+pub mod persist;
 pub mod reference;
 pub mod runner;
 pub mod scale;

@@ -20,7 +20,6 @@ use bps_sim::fault::FaultPlan;
 use bps_sim::rng::SimRng;
 use bps_topology::{BuildEnv, Layout, TopologySpec};
 use bps_workloads::spec::Workload;
-use serde::Serialize;
 
 pub use bps_topology::Storage;
 // Named by benchmark/; goes with ROADMAP item 4.
@@ -189,32 +188,6 @@ pub struct CasePoint {
     /// NaN and this records *why* (panic, timeout, ...), so reports and
     /// CSV exports annotate `n/a` with the failure class.
     pub failed: Option<crate::supervise::FailureKind>,
-}
-
-// Hand-rolled so the empty `extra` of a paper-selection point is omitted
-// on the wire, keeping serialized sweeps byte-identical to the
-// pre-registry format.
-impl Serialize for CasePoint {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![
-            ("label".to_string(), self.label.to_value()),
-            ("iops".to_string(), self.iops.to_value()),
-            ("bw".to_string(), self.bw.to_value()),
-            ("arpt".to_string(), self.arpt.to_value()),
-            ("bps".to_string(), self.bps.to_value()),
-            ("exec_s".to_string(), self.exec_s.to_value()),
-        ];
-        if !self.extra.is_empty() {
-            pairs.push(("extra".to_string(), self.extra.to_value()));
-        }
-        if let Some(kind) = self.failed {
-            pairs.push((
-                "failed".to_string(),
-                serde::Value::Str(kind.name().to_string()),
-            ));
-        }
-        serde::Value::Object(pairs)
-    }
 }
 
 impl CasePoint {

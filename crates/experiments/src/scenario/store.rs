@@ -12,13 +12,14 @@
 //!
 //! ## Guarantees
 //!
-//! - **Bit-exact replay.** Every `f64` is stored as the 16-hex-digit
-//!   encoding of its IEEE-754 bits — the journal's encoding — so a
-//!   cache-served report is byte-identical to a cold one.
-//! - **Torn writes never poison a run.** Each entry is a header line
-//!   carrying the payload length and an FNV-1a checksum; a truncated or
-//!   bit-flipped entry fails the check and is treated as a miss
-//!   (silently recomputed). `reproduce cache verify` names such entries.
+//! - **Bit-exact replay.** Each entry file is one sealed line of
+//!   [`crate::persist`], the run journal's format: every `f64` is the
+//!   16-hex-digit encoding of its IEEE-754 bits, so a cache-served report
+//!   is byte-identical to a cold one.
+//! - **Torn writes never poison a run.** A sealed line ends in the FNV-1a
+//!   of every byte before it; a truncated or bit-flipped entry fails the
+//!   check and is treated as a miss (silently recomputed). `reproduce
+//!   cache verify` names such entries.
 //! - **Concurrent writers are safe.** Entries are written to a
 //!   process-unique temp file and atomically renamed into place; two
 //!   processes racing on one key leave one complete entry, never an
@@ -33,23 +34,20 @@
 //! `target/bps-cache/`). `reproduce cache stats|verify|clear` inspects
 //! and manages the store.
 
-use crate::journal::{f64_from_value, f64_to_value};
+use crate::persist::{self, fnv1a, metric_fields, read_metrics, seal, unseal};
 use crate::runner::CasePoint;
+use serde::Value;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+pub use crate::persist::code_fingerprint;
+
 /// On-disk entry format version (bumped on layout changes; a version
 /// mismatch is a miss).
-pub const VERSION: u64 = 1;
-
-/// The fingerprint of the sources this binary was built from, stamped
-/// into every entry it writes.
-pub fn code_fingerprint() -> &'static str {
-    env!("BPS_CODE_FINGERPRINT")
-}
+pub const VERSION: u64 = 2;
 
 static STORE_HITS: AtomicU64 = AtomicU64::new(0);
 static STORE_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -64,17 +62,6 @@ pub fn store_stats() -> (u64, u64) {
     )
 }
 
-/// FNV-1a over a byte string — entry addressing and checksums, here and
-/// in the journal's unit lines. Matches the `build.rs` fingerprint hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Why an on-disk entry cannot be served.
 enum EntryState {
     /// Valid and written by this build: the stored key and point.
@@ -87,138 +74,52 @@ enum EntryState {
     Corrupt(String),
 }
 
-fn point_to_value(key: &str, point: &CasePoint) -> serde::Value {
-    let extra = serde::Value::Array(
+/// Render a complete entry file: one sealed line.
+fn encode_entry(key: &str, point: &CasePoint) -> String {
+    let mut fields = persist::stamp(VERSION).to_vec();
+    fields.push(("key".to_string(), Value::Str(key.to_string())));
+    fields.push(("label".to_string(), Value::Str(point.label.clone())));
+    fields.extend(metric_fields(
+        [point.exec_s, point.iops, point.bw, point.arpt, point.bps].map(Some),
         point
             .extra
             .iter()
-            .map(|(name, v)| {
-                serde::Value::Array(vec![serde::Value::Str(name.clone()), f64_to_value(*v)])
-            })
-            .collect(),
-    );
-    serde::Value::Object(vec![
-        ("version".to_string(), serde::Value::UInt(VERSION)),
-        (
-            "fingerprint".to_string(),
-            serde::Value::Str(code_fingerprint().to_string()),
-        ),
-        ("key".to_string(), serde::Value::Str(key.to_string())),
-        ("label".to_string(), serde::Value::Str(point.label.clone())),
-        ("exec_s".to_string(), f64_to_value(point.exec_s)),
-        ("iops".to_string(), f64_to_value(point.iops)),
-        ("bw".to_string(), f64_to_value(point.bw)),
-        ("arpt".to_string(), f64_to_value(point.arpt)),
-        ("bps".to_string(), f64_to_value(point.bps)),
-        ("extra".to_string(), extra),
-    ])
+            .map(|(name, x)| (name.as_str(), Some(*x))),
+    ));
+    seal(fields) + "\n"
 }
 
-fn point_from_value(v: &serde::Value) -> Option<(String, CasePoint)> {
-    let str_field = |name: &str| match v.field(name).ok()? {
-        serde::Value::Str(s) => Some(s.clone()),
-        _ => None,
-    };
-    let f64_field = |name: &str| f64_from_value(v.field(name).ok()?);
-    let extra = match v.field("extra").ok()? {
-        serde::Value::Array(items) => {
-            let mut extra = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    serde::Value::Array(pair) if pair.len() == 2 => {
-                        let name = match &pair[0] {
-                            serde::Value::Str(n) => n.clone(),
-                            _ => return None,
-                        };
-                        extra.push((name, f64_from_value(&pair[1])?));
-                    }
-                    _ => return None,
-                }
-            }
-            extra
-        }
-        _ => return None,
-    };
-    let point = CasePoint {
-        label: str_field("label")?,
-        iops: f64_field("iops")?,
-        bw: f64_field("bw")?,
-        arpt: f64_field("arpt")?,
-        bps: f64_field("bps")?,
-        exec_s: f64_field("exec_s")?,
-        extra,
+/// The stored point of an unsealed entry, or `None` if a field is
+/// missing, malformed or undefined.
+fn read_point(entry: &Value) -> Option<CasePoint> {
+    let ([exec_s, iops, bw, arpt, bps], extra) = read_metrics(entry)?;
+    Some(CasePoint {
+        label: persist::text(entry, "label")?.to_string(),
+        iops: iops?,
+        bw: bw?,
+        arpt: arpt?,
+        bps: bps?,
+        exec_s: exec_s?,
+        extra: extra
+            .into_iter()
+            .map(|(name, x)| Some((name, x?)))
+            .collect::<Option<_>>()?,
         failed: None,
-    };
-    Some((str_field("key")?, point))
+    })
 }
 
-/// Render a complete entry file: `bps-case <version> <payload-len>
-/// <payload-checksum>` on the first line, the one-line JSON payload on
-/// the second.
-fn encode_entry(key: &str, point: &CasePoint) -> String {
-    let payload =
-        serde_json::to_string(&point_to_value(key, point)).expect("case point encodes to JSON");
-    format!(
-        "bps-case {VERSION} {} {:016x}\n{payload}\n",
-        payload.len(),
-        fnv1a(payload.as_bytes())
-    )
-}
-
-/// Classify one entry file's text: fresh (servable), stale, or corrupt.
-fn parse_entry(text: &str) -> EntryState {
-    let corrupt = |r: &str| EntryState::Corrupt(r.to_string());
-    let Some((header, rest)) = text.split_once('\n') else {
-        return corrupt("missing header line");
+/// Classify one entry file's bytes: fresh (servable), stale, or corrupt.
+fn parse_entry(bytes: &[u8]) -> EntryState {
+    let entry = match unseal(bytes.strip_suffix(b"\n").unwrap_or(bytes)) {
+        Ok(entry) => entry,
+        Err(why) => return EntryState::Corrupt(why.to_string()),
     };
-    let fields: Vec<&str> = header.split(' ').collect();
-    let [magic, version, len, sum] = fields.as_slice() else {
-        return corrupt("malformed header");
-    };
-    if *magic != "bps-case" {
-        return corrupt("bad magic");
+    if let Err((why, origin)) = persist::check_stamp(&entry, VERSION) {
+        return EntryState::Stale(why, origin);
     }
-    let (Ok(version), Ok(len), Ok(sum)) = (
-        version.parse::<u64>(),
-        len.parse::<usize>(),
-        u64::from_str_radix(sum, 16),
-    ) else {
-        return corrupt("malformed header");
-    };
-    if version != VERSION {
-        return EntryState::Stale(
-            format!("format version {version}; this build reads {VERSION}"),
-            format!("format v{version}"),
-        );
-    }
-    let Some(payload) = rest.get(..len) else {
-        return corrupt(&format!(
-            "torn entry: payload is {} of {len} byte(s)",
-            rest.len().saturating_sub(1)
-        ));
-    };
-    if fnv1a(payload.as_bytes()) != sum {
-        return corrupt("checksum mismatch");
-    }
-    let Ok(v) = serde_json::from_str::<serde::Value>(payload) else {
-        return corrupt("unparseable payload");
-    };
-    if let Ok(serde::Value::Str(fp)) = v.field("fingerprint") {
-        if fp != code_fingerprint() {
-            return EntryState::Stale(
-                format!(
-                    "written by build {fp}; this build is {}",
-                    code_fingerprint()
-                ),
-                format!("build {fp}"),
-            );
-        }
-    } else {
-        return corrupt("missing fingerprint");
-    }
-    match point_from_value(&v) {
-        Some((key, point)) => EntryState::Fresh(key, point),
-        None => corrupt("malformed case point"),
+    match (persist::text(&entry, "key"), read_point(&entry)) {
+        (Some(key), Some(point)) => EntryState::Fresh(key.to_string(), point),
+        _ => EntryState::Corrupt("malformed case point".to_string()),
     }
 }
 
@@ -281,9 +182,9 @@ impl CaseStore {
     pub fn lookup(&self, key: &str) -> Option<CasePoint> {
         use bps_telemetry::Counter;
         let found =
-            fs::read_to_string(self.entry_path(key))
+            fs::read(self.entry_path(key))
                 .ok()
-                .and_then(|text| match parse_entry(&text) {
+                .and_then(|bytes| match parse_entry(&bytes) {
                     EntryState::Fresh(stored_key, point) if stored_key == key => Some(point),
                     EntryState::Stale(..) => {
                         bps_telemetry::incr(Counter::CacheL2Stale);
@@ -361,7 +262,7 @@ impl CaseStore {
         for path in self.entry_files() {
             s.entries += 1;
             s.bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            match fs::read_to_string(&path).map(|t| parse_entry(&t)) {
+            match fs::read(&path).map(|b| parse_entry(&b)) {
                 Ok(EntryState::Fresh(..)) => s.fresh += 1,
                 Ok(EntryState::Stale(_, origin)) => {
                     s.stale += 1;
@@ -389,7 +290,7 @@ impl CaseStore {
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            let reason = match fs::read_to_string(&path).map(|t| parse_entry(&t)) {
+            let reason = match fs::read(&path).map(|b| parse_entry(&b)) {
                 Ok(EntryState::Fresh(..)) => continue,
                 Ok(EntryState::Stale(r, _)) => format!("stale: {r}"),
                 Ok(EntryState::Corrupt(r)) => format!("corrupt: {r}"),
@@ -563,20 +464,17 @@ mod tests {
             .dir()
             .join(format!("{:016x}.case", fnv1a("case-s".as_bytes())));
         // Rewrite the entry as a different build would have: swap the
-        // fingerprint and restamp the header so the checksum still holds.
-        let text = fs::read_to_string(&path).unwrap();
-        let payload = text.split_once('\n').unwrap().1.trim_end();
-        let forged = payload.replace(code_fingerprint(), "deadbeefdeadbeef");
-        assert_ne!(forged, payload, "fingerprint must appear in the payload");
-        fs::write(
-            &path,
-            format!(
-                "bps-case {VERSION} {} {:016x}\n{forged}\n",
-                forged.len(),
-                fnv1a(forged.as_bytes())
-            ),
-        )
-        .unwrap();
+        // fingerprint and reseal, so the checksum still holds.
+        let Ok(Value::Object(mut fields)) = unseal(fs::read(&path).unwrap().trim_ascii_end())
+        else {
+            panic!("entry unseals to an object");
+        };
+        for (name, value) in &mut fields {
+            if name == "fingerprint" {
+                *value = Value::Str("deadbeefdeadbeef".to_string());
+            }
+        }
+        fs::write(&path, seal(fields)).unwrap();
         assert!(store.lookup("case-s").is_none());
         let stats = store.stats();
         assert_eq!((stats.entries, stats.stale, stats.corrupt), (1, 1, 0));

@@ -5,7 +5,9 @@
 //! hooks, which are inert unless set.
 
 use bps_experiments::figures::summary;
+use bps_experiments::persist::{seal, unseal};
 use bps_experiments::scale::Scale;
+use serde::Value;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,6 +43,22 @@ fn unique_journal() -> PathBuf {
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// Set one field of a journal's header and reseal it, as another format
+/// version or another build of `reproduce` would have written it.
+fn reseal_header(journal: &Path, field: &str, value: Value) {
+    let text = std::fs::read_to_string(journal).unwrap();
+    let (header, units) = text.split_once('\n').unwrap();
+    let Ok(Value::Object(mut fields)) = unseal(header.as_bytes()) else {
+        panic!("journal header unseals to an object: {header}");
+    };
+    fields
+        .iter_mut()
+        .find(|(name, _)| name == field)
+        .unwrap_or_else(|| panic!("journal header has no {field}: {header}"))
+        .1 = value;
+    std::fs::write(journal, format!("{}\n{units}", seal(fields))).unwrap();
 }
 
 #[test]
@@ -111,12 +129,36 @@ fn resume_refuses_a_journal_of_another_version() {
         &[],
     );
     assert_eq!(out.status.code(), Some(0));
-    let text = std::fs::read_to_string(&journal).unwrap();
-    std::fs::write(&journal, text.replacen("\"version\":2", "\"version\":1", 1)).unwrap();
+    reseal_header(&journal, "version", Value::UInt(1));
     let out = reproduce(&["resume", journal.to_str().unwrap()], &[]);
     assert_eq!(out.status.code(), Some(4));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("version 1"), "{err}");
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn resume_refuses_a_journal_of_another_build() {
+    let journal = unique_journal();
+    let out = reproduce(
+        &["fig4", "--tiny", "--journal", journal.to_str().unwrap()],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(0));
+    reseal_header(
+        &journal,
+        "fingerprint",
+        Value::Str("deadbeef00c0ffee".to_string()),
+    );
+    let out = reproduce(&["resume", journal.to_str().unwrap()], &[]);
+    assert_eq!(out.status.code(), Some(4));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("written by build deadbeef00c0ffee"), "{err}");
+    assert!(
+        err.contains(bps_experiments::persist::code_fingerprint()),
+        "{err}"
+    );
     std::fs::remove_file(&journal).ok();
 }
 

@@ -6,6 +6,7 @@
 //! flag the reports must be the exact golden bytes, and with the flag the
 //! stdout bytes still must not change — telemetry goes to its own file.
 
+use bps_experiments::persist::{seal, unseal};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -278,15 +279,19 @@ fn profile_prints_phase_and_counter_tables() {
     assert!(text.contains("engine.wakes"), "{text}");
 }
 
-/// FNV-1a matching the store's entry checksum, so the test can re-seal a
-/// doctored payload.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Set one field of a store entry and reseal it, as another build or
+/// format version would have written it.
+fn reseal_entry(path: &Path, field: &str, value: Value) {
+    let bytes = std::fs::read(path).unwrap();
+    let Ok(Value::Object(mut fields)) = unseal(bytes.trim_ascii_end()) else {
+        panic!("{} unseals to an object", path.display());
+    };
+    fields
+        .iter_mut()
+        .find(|(name, _)| name == field)
+        .unwrap_or_else(|| panic!("{} has no {field}", path.display()))
+        .1 = value;
+    std::fs::write(path, seal(fields) + "\n").unwrap();
 }
 
 #[test]
@@ -299,8 +304,8 @@ fn cache_stats_groups_stale_entries_by_origin() {
         .expect("spawn reproduce");
     assert!(cold.status.success());
 
-    // Rewrite one entry as if a different build had written it: swap the
-    // fingerprint inside the payload and re-seal the header checksum.
+    // Reseal one entry as if a different build had written it, and a
+    // second with an older format version: two stale origins.
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("cache populated")
         .flatten()
@@ -309,23 +314,12 @@ fn cache_stats_groups_stale_entries_by_origin() {
         .collect();
     entries.sort();
     assert!(entries.len() >= 2, "need two entries to doctor");
-    let text = std::fs::read_to_string(&entries[0]).unwrap();
-    let (_, payload) = text.split_once('\n').unwrap();
-    let payload = payload.trim_end_matches('\n');
-    let marker = "\"fingerprint\":\"";
-    let at = payload.find(marker).expect("payload carries a fingerprint") + marker.len();
-    let mut doctored = payload.to_string();
-    doctored.replace_range(at..at + 16, "deadbeef00c0ffee");
-    let sealed = format!(
-        "bps-case 1 {} {:016x}\n{doctored}\n",
-        doctored.len(),
-        fnv1a(doctored.as_bytes())
+    reseal_entry(
+        &entries[0],
+        "fingerprint",
+        Value::Str("deadbeef00c0ffee".to_string()),
     );
-    std::fs::write(&entries[0], sealed).unwrap();
-
-    // And age a second entry's format version: a different stale origin.
-    let text = std::fs::read_to_string(&entries[1]).unwrap();
-    std::fs::write(&entries[1], text.replacen("bps-case 1 ", "bps-case 0 ", 1)).unwrap();
+    reseal_entry(&entries[1], "version", Value::UInt(0));
 
     let stats = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(["cache", "stats"])

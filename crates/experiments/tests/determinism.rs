@@ -1,7 +1,8 @@
 //! Sweep determinism: the parallel executor must be invisible in the
 //! results. A scenario run on one thread and the same run fanned over
-//! many threads serialize to byte-identical JSON, and a same-seed rerun is
-//! byte-identical too.
+//! many threads render to identical `{:?}` strings (shortest round-trip
+//! decimals, so equal strings mean equal bits), and a same-seed rerun is
+//! identical too.
 
 use bps_experiments::runner::{CaseSpec, Storage};
 use bps_experiments::scale::Scale;
@@ -50,8 +51,9 @@ fn scenario() -> Scenario {
     }
 }
 
-/// The scenario's case points as JSON, memo off so every run simulates.
-fn sweep_json(threads: usize) -> String {
+/// The scenario's case points in `{:?}` form, memo off so every run
+/// simulates.
+fn sweep_debug(threads: usize) -> String {
     let scale = Scale {
         runs: 3,
         ..Scale::tiny()
@@ -64,21 +66,21 @@ fn sweep_json(threads: usize) -> String {
         &RunOpts::default(),
     )
     .expect("scenario runs");
-    serde_json::to_string(&out.into_cc().cases).expect("CasePoint serializes")
+    format!("{:?}", out.into_cc().cases)
 }
 
 #[test]
 fn one_thread_and_many_threads_serialize_identically() {
-    let sequential = sweep_json(1);
-    let parallel = sweep_json(8);
+    let sequential = sweep_debug(1);
+    let parallel = sweep_debug(8);
     assert_eq!(sequential, parallel);
     // More workers than units exercises the worker cap too.
-    assert_eq!(sequential, sweep_json(64));
+    assert_eq!(sequential, sweep_debug(64));
 }
 
 #[test]
 fn same_seed_rerun_is_byte_identical() {
-    assert_eq!(sweep_json(4), sweep_json(4));
+    assert_eq!(sweep_debug(4), sweep_debug(4));
 }
 
 #[test]
@@ -86,7 +88,7 @@ fn different_seeds_actually_change_the_numbers() {
     let w = Iozone::seq_read(2 << 20, 256 << 10);
     let spec = CaseSpec::new(Storage::Hdd, &w);
     let exec = SweepExec::new(2);
-    let a = serde_json::to_string(&exec.run_one("hdd", &spec, &[1, 2])).unwrap();
-    let b = serde_json::to_string(&exec.run_one("hdd", &spec, &[3, 4])).unwrap();
+    let a = format!("{:?}", exec.run_one("hdd", &spec, &[1, 2]));
+    let b = format!("{:?}", exec.run_one("hdd", &spec, &[3, 4]));
     assert_ne!(a, b, "seed set should perturb the averaged metrics");
 }

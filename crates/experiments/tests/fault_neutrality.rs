@@ -4,7 +4,7 @@
 //!
 //! 1. **Neutrality** — `FaultPlan::none()` (the default on every
 //!    `CaseSpec` and `ClusterConfig`) is *bit-for-bit* invisible: the
-//!    sweep JSON below was captured from the tree **before** the fault
+//!    sweep output below was captured from the tree **before** the fault
 //!    subsystem existed, and the default path must keep reproducing it
 //!    exactly. The injector draws its randomness from a stream independent
 //!    of the cluster's master RNG and never touches it while every rate is
@@ -19,11 +19,12 @@ use bps_sim::fault::{FaultPlan, Outage, Slowdown};
 use bps_workloads::iozone::Iozone;
 use proptest::prelude::*;
 
-/// Serialized sweep output captured on the pre-fault tree (commit "Stream
-/// metrics incrementally and parallelize sweeps"), same cases and seeds as
-/// below. Any drift here means the healthy path is no longer the pre-fault
-/// path.
-const GOLDEN_SWEEP_JSON: &str = "[{\"label\":\"hdd-small\",\"iops\":303.9253246240201,\"bw\":79.67220029823913,\"arpt\":0.0032903635000000003,\"bps\":155609.7662074983,\"exec_s\":0.026362908},{\"label\":\"ssd-small\",\"iops\":649.2060178482678,\"bw\":170.1854623428163,\"arpt\":0.0015404251666666666,\"bps\":332393.48113831313,\"exec_s\":0.012363401333333334},{\"label\":\"pvfs-2\",\"iops\":87.30744506358985,\"bw\":91.94988804974197,\"arpt\":0.011453806583333332,\"bps\":178805.64749023202,\"exec_s\":0.04583522633333333}]";
+/// Sweep output captured on the pre-fault tree (commit "Stream metrics
+/// incrementally and parallelize sweeps"), same cases and seeds as below,
+/// in `{:?}` form: `f64`'s `Debug` prints the shortest decimal that
+/// round-trips, so equal strings mean equal bits. Any drift here means the
+/// healthy path is no longer the pre-fault path.
+const GOLDEN_SWEEP: &str = "[CasePoint { label: \"hdd-small\", iops: 303.9253246240201, bw: 79.67220029823913, arpt: 0.0032903635000000003, bps: 155609.7662074983, exec_s: 0.026362908, extra: [], failed: None }, CasePoint { label: \"ssd-small\", iops: 649.2060178482678, bw: 170.1854623428163, arpt: 0.0015404251666666666, bps: 332393.48113831313, exec_s: 0.012363401333333334, extra: [], failed: None }, CasePoint { label: \"pvfs-2\", iops: 87.30744506358985, bw: 91.94988804974197, arpt: 0.011453806583333332, bps: 178805.64749023202, exec_s: 0.04583522633333333, extra: [], failed: None }]";
 
 /// Average every case over `seeds` with [`SweepExec::run_one`], in input
 /// order.
@@ -35,7 +36,7 @@ fn sweep(threads: usize, cases: &[(&str, CaseSpec<'_>)], seeds: &[u64]) -> Vec<C
         .collect()
 }
 
-fn sweep_json_with(fault: impl Fn() -> FaultPlan) -> String {
+fn healthy_sweep_with(fault: impl Fn() -> FaultPlan) -> Vec<CasePoint> {
     let w_small = Iozone::seq_read(2 << 20, 256 << 10);
     let w_large = Iozone::seq_read(4 << 20, 1 << 20);
     let cases = vec![
@@ -61,22 +62,21 @@ fn sweep_json_with(fault: impl Fn() -> FaultPlan) -> String {
             },
         ),
     ];
-    let points = sweep(2, &cases, &[1, 2, 3]);
-    serde_json::to_string(&points).expect("CasePoint serializes")
+    sweep(2, &cases, &[1, 2, 3])
 }
 
 #[test]
 fn none_plan_reproduces_the_pre_fault_golden_output() {
     assert_eq!(
-        sweep_json_with(FaultPlan::none),
-        GOLDEN_SWEEP_JSON,
+        format!("{:?}", healthy_sweep_with(FaultPlan::none)),
+        GOLDEN_SWEEP,
         "FaultPlan::none() must be bit-for-bit neutral vs the pre-fault tree"
     );
 }
 
 /// One cheap run (single case, single seed) for the seed-irrelevance
 /// property below.
-fn quick_run_json(fault: FaultPlan) -> String {
+fn quick_run(fault: FaultPlan) -> String {
     let w = Iozone::seq_read(1 << 20, 256 << 10);
     let cases = vec![(
         "hdd-quick",
@@ -85,7 +85,7 @@ fn quick_run_json(fault: FaultPlan) -> String {
             ..CaseSpec::new(Storage::Hdd, &w)
         },
     )];
-    serde_json::to_string(&sweep(1, &cases, &[1])).expect("CasePoint serializes")
+    format!("{:?}", sweep(1, &cases, &[1]))
 }
 
 proptest! {
@@ -96,9 +96,9 @@ proptest! {
     fn none_plan_seed_is_irrelevant(seed in any::<u64>()) {
         use std::sync::OnceLock;
         static REFERENCE: OnceLock<String> = OnceLock::new();
-        let reference = REFERENCE.get_or_init(|| quick_run_json(FaultPlan::none()));
-        let json = quick_run_json(FaultPlan { seed, ..FaultPlan::none() });
-        prop_assert_eq!(&json, reference);
+        let reference = REFERENCE.get_or_init(|| quick_run(FaultPlan::none()));
+        let run = quick_run(FaultPlan { seed, ..FaultPlan::none() });
+        prop_assert_eq!(&run, reference);
     }
 }
 
@@ -120,7 +120,7 @@ fn degraded_plan() -> FaultPlan {
     })
 }
 
-fn degraded_sweep_json(threads: usize) -> String {
+fn degraded_sweep(threads: usize) -> String {
     let w = Iozone::seq_read(4 << 20, 1 << 20);
     let cases = vec![(
         "pvfs-2-degraded",
@@ -129,25 +129,24 @@ fn degraded_sweep_json(threads: usize) -> String {
             ..CaseSpec::new(Storage::Pvfs { servers: 2 }, &w)
         },
     )];
-    let points = sweep(threads, &cases, &[1, 2, 3]);
-    serde_json::to_string(&points).expect("CasePoint serializes")
+    format!("{:?}", sweep(threads, &cases, &[1, 2, 3]))
 }
 
 #[test]
 fn same_fault_seed_is_deterministic_across_thread_counts() {
-    let one = degraded_sweep_json(1);
-    let four = degraded_sweep_json(4);
+    let one = degraded_sweep(1);
+    let four = degraded_sweep(4);
     assert_eq!(
         one, four,
         "degraded runs must not depend on the thread count"
     );
     // And a rerun at the same thread count is byte-identical.
-    assert_eq!(four, degraded_sweep_json(4));
+    assert_eq!(four, degraded_sweep(4));
 }
 
 #[test]
 fn faults_actually_degrade_the_run() {
-    let healthy = sweep_json_with(FaultPlan::none);
+    let healthy_exec = healthy_sweep_with(FaultPlan::none)[2].exec_s;
     let w = Iozone::seq_read(4 << 20, 1 << 20);
     let cases = vec![(
         "pvfs-2",
@@ -157,12 +156,6 @@ fn faults_actually_degrade_the_run() {
         },
     )];
     let degraded = sweep(2, &cases, &[1, 2, 3]);
-    #[derive(serde::Deserialize)]
-    struct Point {
-        exec_s: f64,
-    }
-    let healthy_points: Vec<Point> = serde_json::from_str(&healthy).expect("golden parses");
-    let healthy_exec = healthy_points[2].exec_s;
     assert!(
         degraded[0].exec_s > healthy_exec,
         "faults should lengthen the run: degraded {} vs healthy {healthy_exec}",

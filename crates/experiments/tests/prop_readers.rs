@@ -5,10 +5,11 @@
 //! journal line, or a store miss that `cache verify` names.
 
 use bps_experiments::journal::Journal;
+use bps_experiments::persist::fnv1a;
 use bps_experiments::runner::{CasePoint, UnitValues};
 use bps_experiments::scenario::engine;
 use bps_experiments::scenario::registry;
-use bps_experiments::scenario::store::{CaseStore, VERSION};
+use bps_experiments::scenario::store::CaseStore;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -163,15 +164,13 @@ fn check_store_entry(store: &CaseStore, file: &Path, bytes: &[u8]) {
     }
 }
 
-/// A store entry with a valid header and checksum around `payload`, so
-/// the reader gets as far as parsing the JSON.
+/// A store entry sealed around `payload`: the sum holds, so the reader
+/// gets as far as parsing the JSON.
 fn entry_around(payload: &str) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in payload.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("bps-case {VERSION} {} {h:016x}\n{payload}\n", payload.len())
+    format!(
+        "{payload},\"sum\":\"{:016x}\"}}\n",
+        fnv1a(payload.as_bytes())
+    )
 }
 
 #[test]

@@ -175,10 +175,8 @@ proptest! {
         let exec = SweepExec::default();
         let pa = exec.run_one("case", &implicit, &[seed, seed + 1]);
         let pb = exec.run_one("case", &explicit, &[seed, seed + 1]);
-        prop_assert_eq!(
-            serde_json::to_string(&pa).unwrap(),
-            serde_json::to_string(&pb).unwrap()
-        );
+        // `{:?}` prints shortest round-trip decimals: equal strings, equal bits.
+        prop_assert_eq!(format!("{pa:?}"), format!("{pb:?}"));
     }
 
     /// Every well-formed chain validates, survives a JSON round-trip

@@ -59,7 +59,9 @@ pub enum Counter {
     FaultSlowdowns,
     /// Retry attempts issued by the bounded-backoff retry layer.
     RetryAttempts,
-    /// Operations abandoned by the retry layer (deadline exceeded).
+    /// Attempts the retry layer abandoned, each recorded as a `Layer::Retry`
+    /// record: every failed transient attempt, an exhausted operation's
+    /// last one included.
     RetryAbandoned,
     /// Operations that exhausted every retry attempt.
     RetryExhausted,
@@ -144,7 +146,8 @@ impl Counter {
             }
             Counter::RetryAttempts => "retry attempts issued by the bounded-backoff retry layer",
             Counter::RetryAbandoned => {
-                "operations abandoned by the retry layer (deadline exceeded)"
+                "attempts abandoned by the retry layer (every failed transient attempt, \
+                 an exhausted operation's last one included)"
             }
             Counter::RetryExhausted => "operations that exhausted every retry attempt",
             Counter::SweepUnits => "sweep units (case × seed) executed to completion",

@@ -39,15 +39,17 @@ fn take_metrics_flag(args: &mut Vec<String>) -> Result<Option<MetricSelection>, 
     let Some(pos) = args.iter().position(|a| a == "--metrics") else {
         return Ok(None);
     };
-    if pos + 1 >= args.len() {
-        return Err("--metrics wants a comma-separated list of metric names".into());
-    }
-    let names: Vec<String> = args[pos + 1]
-        .split(',')
+    let names: Vec<String> = args
+        .get(pos + 1)
+        .into_iter()
+        .flat_map(|list| list.split(','))
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect();
+    if names.is_empty() {
+        return Err("--metrics wants a comma-separated list of metric names".into());
+    }
     args.drain(pos..pos + 2);
     let sel = MetricSelection::parse(&names).map_err(|e| e.to_string())?;
     Ok(Some(sel))

@@ -163,6 +163,30 @@ fn timeline_rejects_unusable_windows() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--metrics` with no names is a usage error (exit 2), not a silent
+/// fallback to the paper's four metrics.
+#[test]
+fn empty_metrics_list_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("bpstool_metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("seeded.bpstrc");
+    bps_trace::format::store_path(&seeded_trace(), &path).unwrap();
+    for list in ["", " , "] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bpstool"))
+            .args(["summary", path.to_str().unwrap(), "--metrics", list])
+            .output()
+            .expect("spawn bpstool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--metrics {list:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            "bpstool: --metrics wants a comma-separated list of metric names\n"
+        );
+        assert!(out.stdout.is_empty());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A trace one record long but 10^18 ns wide is valid, yet the default
 /// 100 ms window would cut it into 10^10 windows. `timeline` refuses with
 /// exit 2 and names the smallest window that fits, instead of aborting on
