@@ -269,7 +269,7 @@ impl IntervalSet {
     /// [`IntervalSet::gaps`] and [`IntervalSet::period_count`] see only the
     /// retained spans, and an insert that breaks the promise panics instead
     /// of changing `T`.
-    pub(crate) fn forget_before(&mut self, t: Nanos) {
+    pub fn forget_before(&mut self, t: Nanos) {
         let k = self.spans.partition_point(|s| s.end < t);
         if k > 0 {
             self.forgotten_end = Some(self.spans[k - 1].end);
@@ -354,6 +354,9 @@ pub(crate) struct DepthSweep {
     /// Intervals no watermark has passed yet: a sorted run left by the
     /// last sweep, then arrivals in arrival order.
     pending: Vec<Interval>,
+    /// True while `pending` is in `(start, end)` order, as it is when
+    /// intervals arrive in start order: the sweep then needs no sort.
+    pending_sorted: bool,
     /// Earliest start in `pending`, `Nanos::MAX` when empty.
     pending_min: Nanos,
     /// Ends of the swept intervals still in flight, earliest first.
@@ -365,6 +368,7 @@ impl Default for DepthSweep {
     fn default() -> Self {
         DepthSweep {
             pending: Vec::new(),
+            pending_sorted: true,
             pending_min: Nanos::MAX,
             in_flight: BinaryHeap::new(),
             max: 0,
@@ -377,6 +381,7 @@ impl DepthSweep {
     pub(crate) fn push(&mut self, iv: Interval) {
         if iv.start != iv.end {
             self.pending_min = self.pending_min.min(iv.start);
+            self.pending_sorted &= self.pending.last().is_none_or(|last| *last <= iv);
             self.pending.push(iv);
         }
     }
@@ -387,7 +392,10 @@ impl DepthSweep {
         if t <= self.pending_min {
             return;
         }
-        sort_runs(&mut self.pending);
+        if !self.pending_sorted {
+            sort_runs(&mut self.pending);
+            self.pending_sorted = true;
+        }
         let k = self.pending.partition_point(|iv| iv.start < t);
         for iv in self.pending.drain(..k) {
             while self.in_flight.peek().is_some_and(|e| e.0 <= iv.start) {

@@ -16,6 +16,7 @@
 use super::{Direction, FoldNeeds, MetricFold};
 use crate::record::Layer;
 use crate::sink::StreamingMetrics;
+use crate::time::Dur;
 
 /// A latency percentile over application request response times, in seconds.
 ///
@@ -58,18 +59,11 @@ impl MetricFold for LatencyPercentile {
     }
 
     fn finish(&self, acc: &StreamingMetrics) -> Option<f64> {
-        let mut durs = acc.app_durations()?.to_vec();
-        if durs.is_empty() {
-            return None;
-        }
-        // Nearest-rank percentile, selected on the integer nanoseconds in
-        // linear time. Converting only the selected value is exact: the
-        // conversion to seconds is monotone, so it maps the rank-th
-        // smallest duration to the rank-th smallest value in seconds.
-        let rank = ((self.0 / 100.0) * durs.len() as f64).ceil() as usize;
-        let rank = rank.clamp(1, durs.len());
-        let (_, nth, _) = durs.select_nth_unstable(rank - 1);
-        Some(nth.as_secs_f64())
+        // Selected on the integer nanoseconds. Converting only the
+        // selected value is exact: the conversion to seconds is monotone,
+        // so it maps the rank-th smallest duration to the rank-th smallest
+        // value in seconds.
+        nearest_rank(acc.app_durations()?, self.0).map(Dur::as_secs_f64)
     }
 
     fn unit(&self) -> &'static str {
@@ -109,6 +103,66 @@ impl MetricFold for LatencyPercentile {
             "pxx_s"
         }
     }
+}
+
+/// The nearest-rank `pct`-th percentile of `durs` (`pct` in (0, 100]):
+/// the value at rank `ceil(pct / 100 * n)` of the `n` sorted, clamped to
+/// rank 1 to `n`. `None` when `durs` is empty. Found by [`radix_select`],
+/// which reads `durs` without copying it.
+pub fn nearest_rank(durs: &[Dur], pct: f64) -> Option<Dur> {
+    if durs.is_empty() {
+        return None;
+    }
+    let rank = ((pct / 100.0) * durs.len() as f64).ceil() as usize;
+    Some(radix_select(durs, rank.clamp(1, durs.len()) - 1))
+}
+
+/// Most bits of a duration [`radix_select`] settles per pass: its
+/// histogram has 65,536 buckets.
+const DIGIT_BITS: u32 = 16;
+
+/// The `k`-th smallest of `durs` (0-based, `k < durs.len()`), by radix
+/// selection over the integer nanoseconds. It reads the slice and never
+/// copies it.
+///
+/// One pass takes the smallest and the largest value: every value shares
+/// the bits above the highest one where those two differ. Each further
+/// pass settles up to 16 of the bits below the settled ones. It counts
+/// those bits of every value whose higher bits match the settled ones in
+/// a histogram of at most 65,536 buckets, then walks the buckets to the
+/// one holding the `k`-th smallest. Taking the digit just below the
+/// settled bits spreads values of a narrow range over many buckets. At
+/// most four such passes find the value, in memory that does not grow
+/// with the input, and every pass is a plain scan, so a source that can
+/// be read again serves as well as a slice.
+fn radix_select(durs: &[Dur], mut k: usize) -> Dur {
+    let (lo, hi) = durs
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), d| (lo.min(d.0), hi.max(d.0)));
+    let mut counts = vec![0usize; 1 << DIGIT_BITS];
+    // Every bit of `value` from bit `bits` up is settled.
+    let (mut value, mut bits) = (lo, u64::BITS - (lo ^ hi).leading_zeros());
+    while bits > 0 {
+        let width = bits.min(DIGIT_BITS);
+        let shift = bits - width;
+        let settled = u64::MAX.checked_shl(bits).unwrap_or(0);
+        value &= settled;
+        let counts = &mut counts[..1 << width];
+        counts.fill(0);
+        for d in durs {
+            if d.0 & settled == value {
+                counts[(d.0 >> shift) as usize & ((1 << width) - 1)] += 1;
+            }
+        }
+        let mut digit = 0;
+        while k >= counts[digit] {
+            k -= counts[digit];
+            digit += 1;
+        }
+        value |= (digit as u64) << shift;
+        bits = shift;
+    }
+    Dur(value)
 }
 
 /// Effective parallelism: summed response time divided by overlapped I/O

@@ -13,10 +13,11 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Records [`Trace::replay`] delivers between two watermarks. Large enough
-/// that the pass taking block minima and the per-block calls cost little
-/// per record, small enough that a sink holds about one block of busy
-/// frontier.
-const REPLAY_BLOCK: usize = 4096;
+/// that the per-block calls cost little per record, small enough that a
+/// sink holds about one block of busy frontier. A decoder that cuts its
+/// input into blocks of this size can take each block's earliest start as
+/// it goes and hand them to [`Trace::from_blocks`].
+pub const REPLAY_BLOCK: usize = 4096;
 
 /// A global, multi-process, multi-layer collection of I/O records, plus the
 /// application execution span the metrics are correlated against.
@@ -41,8 +42,9 @@ pub struct Trace {
     /// Experiments correlate metrics against this. When absent,
     /// [`Trace::execution_time`] falls back to the span of all records.
     exec_time: Option<Dur>,
-    /// Taken on first use and dropped by every method that changes the
-    /// records. Derived from them, so never serialized.
+    /// Taken on first use, or handed over by [`Trace::from_blocks`], and
+    /// dropped by every method that changes the records. Derived from
+    /// them, so never serialized.
     #[serde(skip)]
     index: OnceLock<ReplayIndex>,
 }
@@ -58,36 +60,34 @@ struct ReplayIndex {
 }
 
 impl ReplayIndex {
+    /// One pass over the blocks of records: each block's earliest start,
+    /// and the latest end of all.
     fn of(records: &[IoRecord]) -> Self {
-        let mut last_end = Nanos::ZERO;
-        let marks = replay_watermarks(records.iter().map(|r| {
-            last_end = last_end.max(r.end);
-            r.start
-        }));
-        ReplayIndex {
-            last_end: (!records.is_empty()).then_some(last_end),
-            marks,
-        }
+        let mut last_end = None;
+        let block_starts = records
+            .chunks(REPLAY_BLOCK)
+            .map(|block| {
+                last_end = last_end.max(block.iter().map(|r| r.end).max());
+                block
+                    .iter()
+                    .map(|r| r.start)
+                    .min()
+                    .expect("a chunk is nonempty")
+            })
+            .collect();
+        ReplayIndex::from_block_starts(block_starts, last_end)
     }
-}
 
-/// The watermarks of a record stream replayed in blocks of
-/// [`REPLAY_BLOCK`], given its starts in order: the earliest start in each
-/// block and every later one. One pass takes each block's minimum, then a
-/// suffix minimum runs over those, so the result holds one value per
-/// block.
-fn replay_watermarks(starts: impl IntoIterator<Item = Nanos>) -> Vec<Nanos> {
-    let mut starts = starts.into_iter();
-    let mut marks = Vec::new();
-    loop {
-        let mut block = starts.by_ref().take(REPLAY_BLOCK);
-        let Some(first) = block.next() else { break };
-        marks.push(block.fold(first, Nanos::min));
+    /// The index of a record stream replayed in blocks of
+    /// [`REPLAY_BLOCK`], given the earliest start in each block: the
+    /// watermark before a block is the earliest start in it and every
+    /// later one, a suffix minimum over the blocks.
+    fn from_block_starts(mut marks: Vec<Nanos>, last_end: Option<Nanos>) -> Self {
+        for i in (1..marks.len()).rev() {
+            marks[i - 1] = marks[i - 1].min(marks[i]);
+        }
+        ReplayIndex { marks, last_end }
     }
-    for i in (1..marks.len()).rev() {
-        marks[i - 1] = marks[i - 1].min(marks[i]);
-    }
-    marks
 }
 
 impl Trace {
@@ -102,6 +102,32 @@ impl Trace {
             records,
             exec_time: None,
             index: OnceLock::new(),
+        }
+    }
+
+    /// Build from records whose replay index a decoder took while it
+    /// wrote them: `block_starts` holds the earliest start of each
+    /// [`REPLAY_BLOCK`] records in order, and `last_end` the latest end of
+    /// any record, `None` when there are none. The first [`Trace::replay`]
+    /// then reads no record twice.
+    ///
+    /// # Panics
+    ///
+    /// If `block_starts` does not hold one value per block.
+    pub fn from_blocks(
+        records: Vec<IoRecord>,
+        block_starts: Vec<Nanos>,
+        last_end: Option<Nanos>,
+    ) -> Self {
+        assert_eq!(
+            block_starts.len(),
+            records.len().div_ceil(REPLAY_BLOCK),
+            "one earliest start per replay block"
+        );
+        Trace {
+            records,
+            exec_time: None,
+            index: OnceLock::from(ReplayIndex::from_block_starts(block_starts, last_end)),
         }
     }
 
@@ -182,7 +208,8 @@ impl Trace {
     ///
     /// Before each block the trace supplies its own watermark: the
     /// earliest start in that block and every later one, taken in one
-    /// pass on the first replay and kept until the records change. The
+    /// pass on the first replay (or by the decoder that built the trace,
+    /// [`Trace::from_blocks`]) and kept until the records change. The
     /// watermarks never decrease and no later record starts before one,
     /// so a sink that forgets behind them, such as
     /// [`crate::sink::StreamingMetrics`], folds a stored trace in memory

@@ -1,12 +1,13 @@
 //! Reference equivalence for the stored-trace analysis path.
 //!
 //! Each fast algorithm is checked bit for bit against the simple one it
-//! replaced: selection percentiles against a full sort, the merged queue
-//! depth against a concurrency profile's event sweep, and the stable-sort
-//! unions against the paper's Figure 3 algorithm.
+//! replaced: percentiles against a full sort, and their radix selection
+//! against `select_nth_unstable` on a copy; the merged queue depth against
+//! a concurrency profile's event sweep; and the stable-sort unions against
+//! the paper's Figure 3 algorithm.
 
 use bps_core::interval::{max_depth, paper_union_time, Interval, IntervalSet};
-use bps_core::metrics::extended::LatencyPercentile;
+use bps_core::metrics::extended::{nearest_rank, LatencyPercentile};
 use bps_core::metrics::{FoldNeeds, MetricFold};
 use bps_core::record::{FileId, IoRecord, ProcessId};
 use bps_core::sink::{RecordSink, StreamingMetrics};
@@ -77,6 +78,54 @@ fn sorted_nearest_rank(durs: &[Dur], pct: f64) -> Option<f64> {
     Some(secs[rank.clamp(1, secs.len()) - 1])
 }
 
+/// The nearest-rank value as it was selected before radix selection:
+/// `select_nth_unstable` on a copy of the durations.
+fn select_nth_reference(durs: &[Dur], pct: f64) -> Option<Dur> {
+    if durs.is_empty() {
+        return None;
+    }
+    let rank = ((pct / 100.0) * durs.len() as f64).ceil() as usize;
+    let mut copy = durs.to_vec();
+    Some(*copy.select_nth_unstable(rank.clamp(1, durs.len()) - 1).1)
+}
+
+/// Durations shaped to reach every path of the radix selection: one
+/// value, all equal, two values, a narrow band (one pass after the
+/// common high bits), nanosecond-scale latencies, the whole range from 0
+/// to `u64::MAX`, and its extremes. Up to 100,000 of them.
+fn radix_inputs() -> impl Strategy<Value = Vec<Dur>> {
+    (
+        prop_oneof![1usize..4, 1usize..300, 1usize..100_000],
+        0u8..7,
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(n, shape, a, b, seed)| {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let extremes = [0, 1, a, 1 << 63, u64::MAX - 1, u64::MAX];
+            (0..n)
+                .map(|_| {
+                    Dur(match shape {
+                        0 => a,
+                        1 => [a, b][(next() & 1) as usize],
+                        2 => a.saturating_add(next() % 4096),
+                        3 => next() % 10_000_000,
+                        4 => next(),
+                        5 => extremes[(next() % 6) as usize],
+                        _ => next() >> (next() % 64),
+                    })
+                })
+                .collect()
+        })
+}
+
 fn percentile_of(durs: &[Dur], pct: f64) -> Option<f64> {
     let mut acc = StreamingMetrics::with_needs(FoldNeeds::ALL);
     for (i, d) in durs.iter().enumerate() {
@@ -109,6 +158,49 @@ fn percentile_edge_cases() {
     assert_eq!(percentile_of(&[], 50.0), None);
 }
 
+/// Radix selection picks what `select_nth_unstable` picks at the first,
+/// median, tail and last ranks of one value, of all-equal and two-valued
+/// inputs, of values at both ends of the range, and of 100,000 values
+/// spread over all of it.
+#[test]
+fn radix_selection_edge_cases() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let spread: Vec<Dur> = (0..100_000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            Dur(x)
+        })
+        .collect();
+    let cases: [Vec<Dur>; 7] = [
+        vec![Dur(7)],
+        vec![Dur(u64::MAX)],
+        vec![Dur(42); 1_000],
+        [Dur(0), Dur(u64::MAX)].repeat(500),
+        [Dur(5), Dur(6)].repeat(3),
+        vec![
+            Dur(u64::MAX),
+            Dur(0),
+            Dur(1 << 63),
+            Dur(u64::MAX - 1),
+            Dur(1),
+        ],
+        spread,
+    ];
+    for durs in &cases {
+        for pct in [1.0, 50.0, 99.0, 100.0] {
+            assert_eq!(
+                nearest_rank(durs, pct),
+                select_nth_reference(durs, pct),
+                "rank {pct} of {} values",
+                durs.len()
+            );
+        }
+    }
+    assert_eq!(nearest_rank(&[], 50.0), None);
+}
+
 #[test]
 fn max_depth_edge_cases() {
     let iv = |s: u64, e: u64| Interval::new(Nanos(s), Nanos(e));
@@ -136,6 +228,19 @@ proptest! {
                 percentile_of(&durs, p).map(f64::to_bits),
                 sorted_nearest_rank(&durs, p).map(f64::to_bits),
                 "rank {}", p
+            );
+        }
+    }
+
+    /// Radix selection equals `select_nth_unstable` on a copy, at the
+    /// registered ranks, the extremes and an arbitrary one.
+    #[test]
+    fn radix_selection_matches_select_nth(durs in radix_inputs(), pct in 0.0f64..100.0) {
+        for p in [1.0, 50.0, 99.0, 100.0, pct] {
+            prop_assert_eq!(
+                nearest_rank(&durs, p),
+                select_nth_reference(&durs, p),
+                "rank {} of {} values", p, durs.len()
             );
         }
     }

@@ -13,10 +13,11 @@
 //! with zero-length and long records, and many are longer than one block
 //! so that sealing and forgetting happen mid-trace.
 //!
-//! The watermarks and the span come from an index the trace takes once
-//! and keeps until its records change. Random sequences of every method
-//! that changes a trace, copies it or round-trips it through JSON, with
-//! queries between them, check that index against a fresh scan.
+//! The watermarks and the span come from an index the trace takes once,
+//! or that a decoder hands over with the records, and keeps until its
+//! records change. Random sequences of every method that changes a trace,
+//! copies it or round-trips it through JSON, with queries between them,
+//! check that index against a fresh scan.
 
 use bps_core::interval::{max_depth, Interval, IntervalSet};
 use bps_core::metrics::{FoldNeeds, MetricFold, MetricSelection};
@@ -24,7 +25,7 @@ use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
 use bps_core::report::{per_process, MetricsSummary};
 use bps_core::sink::{RecordSink, StreamingMetrics};
 use bps_core::time::{Dur, Nanos};
-use bps_core::trace::Trace;
+use bps_core::trace::{Trace, REPLAY_BLOCK};
 use bps_core::window::{windowed_series, WindowPoint};
 use proptest::prelude::*;
 use serde::Serialize;
@@ -366,9 +367,6 @@ proptest! {
     }
 }
 
-/// Records `Trace::replay` delivers between two watermarks.
-const REPLAY_BLOCK: usize = 4096;
-
 /// One step of a trace's life.
 #[derive(Debug, Clone)]
 enum Step {
@@ -500,14 +498,30 @@ proptest! {
     /// and the execution time equal fresh scans of the records, so every
     /// step but the first meets an index already taken; at the end the
     /// JSON is what it was before the trace carried an index. Lives start
-    /// from traces up to three replay blocks long.
+    /// from traces up to three replay blocks long, built from the records
+    /// or as a decoder builds them, with the index handed over
+    /// (`Trace::from_blocks`); the decoded start is checked before the
+    /// first step.
     #[test]
     fn replay_index_follows_every_change(
         n in prop_oneof![0usize..40, 1usize..3 * REPLAY_BLOCK],
         seed in any::<u64>(),
+        decoded in any::<bool>(),
         steps in proptest::collection::vec(step(), 1..12),
     ) {
-        let mut t = Trace::from_records(seeded(n, seed));
+        let records = seeded(n, seed);
+        let mut t = if decoded {
+            let block_starts = records
+                .chunks(REPLAY_BLOCK)
+                .map(|b| b.iter().map(|r| r.start).min().unwrap())
+                .collect();
+            let last_end = records.iter().map(|r| r.end).max();
+            let t = Trace::from_blocks(records, block_starts, last_end);
+            check_queries(&t, None);
+            t
+        } else {
+            Trace::from_records(records)
+        };
         let mut exec_time = None;
         for s in &steps {
             match *s {

@@ -13,7 +13,16 @@
 //! Trace files are `.json` (full fidelity) or `.bpstrc` (the paper's
 //! 32-byte-per-record binary format). A `.bpstrc` file streams through one
 //! 128 KiB buffer into the decoded trace, so loading it holds the trace
-//! and not the file; a `.json` file is read and parsed whole first.
+//! and not the file; a `.json` file is read and parsed whole first. A
+//! record that ends before it starts fails either format (exit 2).
+//!
+//! The `.bpstrc` decoder takes the trace's replay index (each 4096-record
+//! block's earliest start and the latest end) as it writes the records,
+//! so after loading, `summary`, `validate`, `timeline` and `processes`
+//! each read the records once: `validate` reads a second time only the
+//! application records of processes whose requests arrived out of order,
+//! and `timeline` takes its span from the index. A `.json` trace takes
+//! its index in one more pass, on first use.
 
 use bps_core::metrics::MetricSelection;
 use bps_core::report::MetricsSummary;

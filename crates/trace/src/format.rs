@@ -13,7 +13,7 @@
 use bps_core::block::{blocks_for_bytes, BLOCK_SIZE};
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
 use bps_core::time::Nanos;
-use bps_core::trace::Trace;
+use bps_core::trace::{Trace, REPLAY_BLOCK};
 use std::io::{self, Read};
 
 /// Size of one binary record on disk.
@@ -27,9 +27,15 @@ pub fn to_json(trace: &Trace) -> serde_json::Result<String> {
     serde_json::to_string_pretty(trace)
 }
 
-/// Deserialize a trace from JSON.
-pub fn from_json(json: &str) -> serde_json::Result<Trace> {
-    serde_json::from_str(json)
+/// Deserialize a trace from JSON. A record that ends before it starts
+/// fails the whole trace, naming the first such record, as
+/// [`from_binary`] does.
+pub fn from_json(json: &str) -> io::Result<Trace> {
+    let trace: Trace = serde_json::from_str(json).map_err(|e| invalid(e.to_string()))?;
+    match trace.records().iter().position(|r| r.end < r.start) {
+        Some(i) => Err(inverted(i)),
+        None => Ok(trace),
+    }
 }
 
 fn op_layer_flags(op: IoOp, layer: Layer) -> u8 {
@@ -91,12 +97,16 @@ pub fn to_binary(trace: &Trace) -> Vec<u8> {
     buf
 }
 
-/// Records decoded per block: [`read_binary_file`] reads the body through
-/// one reused buffer of this many records (128 KiB).
-const DECODE_BLOCK: usize = 4096;
+/// Bytes of one block of [`REPLAY_BLOCK`] records: [`read_binary_file`]
+/// reads the body through one reused buffer of this size (128 KiB).
+const BLOCK_BYTES: usize = REPLAY_BLOCK * BINARY_RECORD_SIZE;
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn inverted(i: usize) -> io::Error {
+    invalid(format!("record {i} ends before it starts"))
 }
 
 /// The record count of a binary trace that starts with `head` and whose
@@ -121,13 +131,19 @@ fn record_count(head: &[u8], body_len: u64) -> io::Result<usize> {
     Ok(expected / BINARY_RECORD_SIZE)
 }
 
-/// The one record decoder: blocks of whole records in, one exactly sized
-/// trace out. The first inverted record and the first unassigned flag
-/// byte are remembered and reported by [`Decoder::finish`], an inverted
-/// record first, so the result does not depend on how the body was cut
-/// into blocks.
+/// The one record decoder: blocks of [`REPLAY_BLOCK`] whole records in
+/// (the last one may be short), one exactly sized trace out. The first
+/// inverted record and the first unassigned flag byte are remembered and
+/// reported by [`Decoder::finish`], an inverted record first. Each block's
+/// earliest start and the latest end so far are taken as the records are
+/// written, so the trace comes with its replay index
+/// ([`Trace::from_blocks`]).
 struct Decoder {
     records: Vec<IoRecord>,
+    /// The earliest start of each block decoded.
+    block_starts: Vec<Nanos>,
+    /// The latest end of any record decoded, `None` before the first.
+    last_end: Option<Nanos>,
     /// Index of the first record that ends before it starts.
     inverted: Option<usize>,
     /// Index and flag byte of the first record whose flags name no op
@@ -139,6 +155,8 @@ impl Decoder {
     fn new(count: usize) -> Self {
         Decoder {
             records: Vec::with_capacity(count),
+            block_starts: Vec::with_capacity(count.div_ceil(REPLAY_BLOCK)),
+            last_end: None,
             inverted: None,
             bad_flags: None,
         }
@@ -149,6 +167,7 @@ impl Decoder {
     /// the loop free of early exits, and a flagged block is searched again
     /// for the index.
     fn block(&mut self, body: &[u8]) {
+        debug_assert!(body.len() <= BLOCK_BYTES && self.records.len().is_multiple_of(REPLAY_BLOCK));
         let at = self.records.len();
         let (mut inverted, mut bad_flags) = (false, false);
         self.records
@@ -173,11 +192,15 @@ impl Decoder {
                     layer,
                 }
             }));
+        // The replay index, taken while the block is in cache: one fold
+        // per field measured cheaper than one fold of both, or than
+        // folding inside the loop above.
+        let block = &self.records[at..];
+        let first = block.iter().map(|r| r.start).min();
+        self.block_starts.push(first.expect("a block is nonempty"));
+        self.last_end = self.last_end.max(block.iter().map(|r| r.end).max());
         if inverted && self.inverted.is_none() {
-            self.inverted = self.records[at..]
-                .iter()
-                .position(|r| r.end < r.start)
-                .map(|i| at + i);
+            self.inverted = block.iter().position(|r| r.end < r.start).map(|i| at + i);
         }
         if bad_flags && self.bad_flags.is_none() {
             self.bad_flags = body
@@ -191,14 +214,18 @@ impl Decoder {
 
     fn finish(self) -> io::Result<Trace> {
         if let Some(i) = self.inverted {
-            return Err(invalid(format!("record {i} ends before it starts")));
+            return Err(inverted(i));
         }
         if let Some((i, flags)) = self.bad_flags {
             return Err(invalid(format!(
                 "record {i} has flag byte {flags:#04x}, which names no op and layer"
             )));
         }
-        Ok(Trace::from_records(self.records))
+        Ok(Trace::from_blocks(
+            self.records,
+            self.block_starts,
+            self.last_end,
+        ))
     }
 }
 
@@ -214,7 +241,7 @@ pub fn from_binary(data: &[u8]) -> io::Result<Trace> {
     let body = data.get(16..).unwrap_or_default();
     let count = record_count(data, body.len() as u64)?;
     let mut decoder = Decoder::new(count);
-    for block in body.chunks(DECODE_BLOCK * BINARY_RECORD_SIZE) {
+    for block in body.chunks(BLOCK_BYTES) {
         decoder.block(block);
     }
     decoder.finish()
@@ -237,9 +264,9 @@ pub fn read_binary_file(path: &std::path::Path) -> io::Result<Trace> {
     let count = record_count(&head, body_len)?;
     let mut decoder = Decoder::new(count);
     let mut left = count * BINARY_RECORD_SIZE;
-    let mut buf = vec![0u8; left.min(DECODE_BLOCK * BINARY_RECORD_SIZE)];
+    let mut buf = vec![0u8; left.min(BLOCK_BYTES)];
     while left > 0 {
-        let block = &mut buf[..left.min(DECODE_BLOCK * BINARY_RECORD_SIZE)];
+        let block = &mut buf[..left.min(BLOCK_BYTES)];
         file.read_exact(block)?;
         decoder.block(block);
         left -= block.len();
@@ -251,10 +278,7 @@ pub fn read_binary_file(path: &std::path::Path) -> io::Result<Trace> {
 /// (compact binary).
 pub fn load_path(path: &std::path::Path) -> io::Result<Trace> {
     match path.extension().and_then(|e| e.to_str()) {
-        Some("json") => {
-            let text = std::fs::read_to_string(path)?;
-            from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-        }
+        Some("json") => from_json(&std::fs::read_to_string(path)?),
         Some("bpstrc") => read_binary_file(path),
         other => Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -415,7 +439,7 @@ mod tests {
     /// memory or streamed from a file.
     #[test]
     fn inverted_records_are_named() {
-        let n = DECODE_BLOCK + 10;
+        let n = REPLAY_BLOCK + 10;
         let t = Trace::from_records(
             (0..n as u64)
                 .map(|i| {
@@ -434,7 +458,7 @@ mod tests {
         );
         let mut bin = to_binary(&t);
         let end_of = |i: usize| 16 + i * BINARY_RECORD_SIZE + 16;
-        for i in [DECODE_BLOCK + 3, DECODE_BLOCK + 7] {
+        for i in [REPLAY_BLOCK + 3, REPLAY_BLOCK + 7] {
             bin[end_of(i)..end_of(i) + 8].copy_from_slice(&0u64.to_le_bytes());
         }
         bin[16 + 2 * BINARY_RECORD_SIZE + 28] = 0x0a;
@@ -444,7 +468,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         for err in [from_binary(&bin).unwrap_err(), streamed.unwrap_err()] {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            let want = format!("record {} ends before it starts", DECODE_BLOCK + 3);
+            let want = format!("record {} ends before it starts", REPLAY_BLOCK + 3);
             assert_eq!(err.to_string(), want);
         }
     }

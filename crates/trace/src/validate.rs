@@ -5,9 +5,10 @@
 //! Every check returns findings rather than failing hard — a trace with
 //! oddities is still analyzable, but the analyst should know.
 
-use bps_core::interval::Interval;
-use bps_core::record::{Layer, ProcessId};
-use bps_core::time::Dur;
+use bps_core::interval::{Interval, IntervalSet};
+use bps_core::record::{IoRecord, Layer, ProcessId};
+use bps_core::sink::RecordSink;
+use bps_core::time::{Dur, Nanos};
 use bps_core::trace::Trace;
 use serde::Serialize;
 use std::collections::hash_map::Entry;
@@ -83,13 +84,66 @@ struct ProcCheck {
     overlapping: usize,
 }
 
+/// What [`validate`]'s one pass over the records counts.
+#[derive(Default)]
+struct Scan {
+    zero: usize,
+    empty_io: usize,
+    app: u64,
+    fs: u64,
+    procs: Vec<ProcCheck>,
+    slot_of: PidMap<usize>,
+    /// The application layer's busy time, forgetting behind each
+    /// watermark: the mostly-idle check reads only its total.
+    union: IntervalSet,
+}
+
+impl RecordSink for Scan {
+    fn on_record(&mut self, r: &IoRecord) {
+        self.zero += usize::from(r.start == r.end);
+        self.empty_io += usize::from(r.bytes == 0);
+        match r.layer {
+            Layer::Application => self.app += r.bytes,
+            Layer::FileSystem => {
+                self.fs += r.bytes;
+                return;
+            }
+            _ => return,
+        }
+        let iv = r.interval();
+        self.union.insert(iv);
+        match self.slot_of.entry(r.pid) {
+            Entry::Occupied(slot) => {
+                let p = &mut self.procs[*slot.get()];
+                p.sorted &= iv >= p.last;
+                p.overlapping += usize::from(iv.start < p.last.end);
+                p.last = iv;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.procs.len());
+                self.procs.push(ProcCheck {
+                    pid: r.pid,
+                    last: iv,
+                    sorted: true,
+                    overlapping: 0,
+                });
+            }
+        }
+    }
+
+    fn on_watermark(&mut self, t: Nanos) {
+        self.union.forget_before(t);
+    }
+}
+
 /// Validate a trace; returns all findings (empty = clean).
 ///
-/// One pass over the records counts everything the checks need and
-/// counts each process's overlapping requests against its previous one.
-/// Only a process whose requests arrive out of order costs a second pass
-/// that collects and sorts its intervals. The mostly-idle check takes the
-/// union behind the trace's own watermark ([`Trace::overlapped_io_time`]).
+/// One pass over the records, [`Trace::replay`] into a sink, counts
+/// everything the checks need, counts each process's overlapping requests
+/// against its previous one, and folds the application-layer union the
+/// mostly-idle check reads behind the trace's own watermark. Only a
+/// process whose requests arrive out of order costs a second pass that
+/// collects and sorts its intervals.
 pub fn validate(trace: &Trace) -> Vec<Finding> {
     let mut findings = Vec::new();
 
@@ -102,39 +156,17 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
         return findings;
     }
 
-    let (mut zero, mut empty_io, mut app, mut fs) = (0usize, 0usize, 0u64, 0u64);
-    let mut procs: Vec<ProcCheck> = Vec::new();
-    let mut slot_of: PidMap<usize> = HashMap::default();
-    for r in trace.records() {
-        zero += usize::from(r.start == r.end);
-        empty_io += usize::from(r.bytes == 0);
-        match r.layer {
-            Layer::Application => app += r.bytes,
-            Layer::FileSystem => {
-                fs += r.bytes;
-                continue;
-            }
-            _ => continue,
-        }
-        let iv = r.interval();
-        match slot_of.entry(r.pid) {
-            Entry::Occupied(slot) => {
-                let p = &mut procs[*slot.get()];
-                p.sorted &= iv >= p.last;
-                p.overlapping += usize::from(iv.start < p.last.end);
-                p.last = iv;
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(procs.len());
-                procs.push(ProcCheck {
-                    pid: r.pid,
-                    last: iv,
-                    sorted: true,
-                    overlapping: 0,
-                });
-            }
-        }
-    }
+    let mut scan = Scan::default();
+    trace.replay(&mut scan);
+    let Scan {
+        zero,
+        empty_io,
+        app,
+        fs,
+        mut procs,
+        union,
+        ..
+    } = scan;
 
     // Zero-duration records: legal, but many of them usually means the
     // clock resolution was too coarse for the I/O being measured.
@@ -197,11 +229,10 @@ pub fn validate(trace: &Trace) -> Vec<Finding> {
     }
 
     // Giant idle fraction: execution dominated by non-I/O time is fine,
-    // but worth surfacing since BPS excludes it by design. The union is
-    // taken only when the execution is long enough to be flagged.
+    // but worth surfacing since BPS excludes it by design.
     let exec = trace.execution_time();
     if exec > Dur::from_millis(1) {
-        let io = trace.overlapped_io_time(Layer::Application);
+        let io = union.total();
         if io < exec / 100 {
             findings.push(Finding {
                 severity: Severity::Warning,

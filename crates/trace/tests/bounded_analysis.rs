@@ -6,12 +6,13 @@
 //! rarely touch so that every union has about one busy period per request,
 //! the peak live bytes each analysis adds beyond the trace must stay under
 //! 1 MiB; the summary of every registered metric may add the latency
-//! percentiles' response times on top, 16 bytes per application record. A
-//! pass that collects the trace's intervals, or a union that never forgets
-//! behind the watermark, needs several MiB here. Loading the trace from
-//! its `.bpstrc` file may hold the decoded trace, 48 bytes per record,
-//! plus 1 MiB: a reader that holds the 32-byte-per-record file image
-//! next to it does not fit.
+//! percentiles' retained response times on top, 8 bytes per application
+//! record, and nothing more: a percentile that copies them to select in
+//! does not fit. A pass that collects the trace's intervals, or a union
+//! that never forgets behind the watermark, needs several MiB here.
+//! Loading the trace from its `.bpstrc` file may hold the decoded trace,
+//! 48 bytes per record, plus 1 MiB: a reader that holds the
+//! 32-byte-per-record file image next to it does not fit.
 
 use bps_core::metrics::MetricSelection;
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
@@ -164,7 +165,7 @@ fn stored_trace_analysis_holds_its_frontier() {
         (
             "from_trace",
             peak_added(|| MetricsSummary::from_trace(&trace)),
-            16 * app + MIB,
+            8 * app + MIB,
         ),
     ];
     let over: Vec<String> = checks

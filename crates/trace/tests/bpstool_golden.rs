@@ -224,3 +224,30 @@ fn timeline_rejects_a_series_too_long_to_hold() {
     assert!(out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A JSON trace whose one record ends before it starts (start 5000 ns,
+/// end 1000 ns) is refused with exit 2 and the binary decoder's message,
+/// by every command that loads it, instead of being summarized with a
+/// wrapped duration or validated as clean.
+#[test]
+fn inverted_json_record_is_refused() {
+    let dir = std::env::temp_dir().join(format!("bpstool_inverted-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("inverted.json");
+    let mut record = IoRecord::app_read(ProcessId(0), FileId(0), 0, 4096, Nanos(0), Nanos(0));
+    (record.start, record.end) = (Nanos(5_000), Nanos(1_000));
+    let json = bps_trace::format::to_json(&Trace::from_records(vec![record])).unwrap();
+    std::fs::write(&path, json).unwrap();
+    let file = path.to_str().unwrap();
+    for cmd in ["summary", "validate", "timeline", "processes"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bpstool"))
+            .args([cmd, file])
+            .output()
+            .expect("spawn bpstool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert_eq!(stderr, "bpstool: record 0 ends before it starts\n", "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

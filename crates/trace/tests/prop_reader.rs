@@ -1,12 +1,17 @@
 //! The trace readers never panic: arbitrary bytes, truncated valid files
 //! and bit-flipped valid files all end in `Ok` or an `io::Error`. The
 //! streaming file reader returns exactly what `from_binary` returns on the
-//! same bytes.
+//! same bytes, and a decoded trace comes with the replay index
+//! `Trace::from_records` would take of its records. A record that ends
+//! before it starts is an error in either format.
 
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
-use bps_core::time::Nanos;
-use bps_core::trace::Trace;
-use bps_trace::format::{from_binary, load_path, to_binary, to_json, BINARY_RECORD_SIZE};
+use bps_core::sink::RecordSink;
+use bps_core::time::{Dur, Nanos};
+use bps_core::trace::{Trace, REPLAY_BLOCK};
+use bps_trace::format::{
+    from_binary, from_json, load_path, to_binary, to_json, BINARY_RECORD_SIZE,
+};
 use proptest::prelude::*;
 use std::io;
 use std::path::PathBuf;
@@ -155,9 +160,6 @@ proptest! {
     }
 }
 
-/// Records the file reader decodes per read: one 128 KiB block.
-const READ_BLOCK: usize = 4096;
-
 /// A valid binary trace of `n` records drawn from `seed`: every layer,
 /// both ops, each record ending at or after its start.
 fn generated_file(n: usize, seed: u64) -> Vec<u8> {
@@ -199,10 +201,10 @@ fn generated_file(n: usize, seed: u64) -> Vec<u8> {
 fn record_count() -> impl Strategy<Value = usize> {
     prop_oneof![
         0usize..24,
-        READ_BLOCK - 3..READ_BLOCK + 3,
-        Just(READ_BLOCK),
-        Just(2 * READ_BLOCK),
-        READ_BLOCK + 1..2 * READ_BLOCK + 900,
+        REPLAY_BLOCK - 3..REPLAY_BLOCK + 3,
+        Just(REPLAY_BLOCK),
+        Just(2 * REPLAY_BLOCK),
+        REPLAY_BLOCK + 1..2 * REPLAY_BLOCK + 900,
     ]
 }
 
@@ -312,6 +314,124 @@ proptest! {
         let streamed = load_path(&path);
         std::fs::remove_file(&path).ok();
         same_outcome(streamed, from_binary(&bytes));
+    }
+}
+
+proptest! {
+    /// A JSON trace holding a record that ends before it starts is
+    /// `InvalidData` naming that record, as the binary decoder reports
+    /// it, from `from_json` and from `load_path` of a `.json` file.
+    #[test]
+    fn inverted_json_records_are_invalid_data(trace in valid_trace(), at in any::<usize>()) {
+        prop_assume!(!trace.is_empty());
+        let mut records = trace.records().to_vec();
+        let i = at % records.len();
+        (records[i].start, records[i].end) = (records[i].end + Dur(1), records[i].start);
+        let json = to_json(&Trace::from_records(records)).unwrap();
+        let path = scratch("inverted", "json");
+        std::fs::write(&path, &json).unwrap();
+        let loaded = load_path(&path);
+        std::fs::remove_file(&path).ok();
+        for err in [from_json(&json).unwrap_err(), loaded.unwrap_err()] {
+            prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            prop_assert_eq!(err.to_string(), format!("record {i} ends before it starts"));
+        }
+    }
+}
+
+/// The watermarks `Trace::replay` hands a sink, and how many records
+/// arrived before each.
+#[derive(Debug, Default, PartialEq)]
+struct MarkProbe {
+    marks: Vec<(Nanos, usize)>,
+    records: usize,
+}
+
+impl RecordSink for MarkProbe {
+    fn on_record(&mut self, _: &IoRecord) {
+        self.records += 1;
+    }
+
+    fn on_watermark(&mut self, t: Nanos) {
+        self.marks.push((t, self.records));
+    }
+}
+
+/// Application and file-system records from `seed`, issued in start
+/// order with gaps, overlaps and long requests; in completion order when
+/// `completion` is set, so later blocks hold records that started
+/// earlier.
+fn ordered_records(n: usize, seed: u64, completion: bool) -> Vec<IoRecord> {
+    let mut x = seed | 1;
+    let mut t = 0u64;
+    let mut records: Vec<IoRecord> = (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            t += x % 3_000;
+            let len = if x.is_multiple_of(16) {
+                2_000_000
+            } else {
+                (x >> 20) % 50_000
+            };
+            IoRecord::new(
+                ProcessId((x >> 8) as u32 % 8),
+                IoOp::Read,
+                FileId(0),
+                0,
+                4096,
+                Nanos(t),
+                Nanos(t + len),
+                if x.is_multiple_of(5) {
+                    Layer::FileSystem
+                } else {
+                    Layer::Application
+                },
+            )
+        })
+        .collect();
+    if completion {
+        records.sort_by_key(|r| r.end);
+    }
+    records
+}
+
+/// What the replay index answers: the watermarks a sink sees, the span
+/// and the execution time.
+fn index_answers(t: &Trace) -> (MarkProbe, Option<Nanos>, Option<Nanos>, Dur) {
+    let mut probe = MarkProbe::default();
+    t.replay(&mut probe);
+    (probe, t.first_start(), t.last_end(), t.execution_time())
+}
+
+proptest! {
+    /// A `.bpstrc` trace decoded by `from_binary` or `load_path` answers
+    /// the replay and span queries exactly as `Trace::from_records` of
+    /// the same records, at every edge of the replay block, whether the
+    /// records are in start or completion order.
+    #[test]
+    fn decoded_index_equals_from_records(
+        n in prop_oneof![
+            Just(0usize),
+            Just(1),
+            REPLAY_BLOCK - 1..REPLAY_BLOCK + 2,
+            Just(2 * REPLAY_BLOCK),
+            Just(2 * REPLAY_BLOCK + 1),
+        ],
+        seed in any::<u64>(),
+        completion in any::<bool>(),
+    ) {
+        let bytes = to_binary(&Trace::from_records(ordered_records(n, seed, completion)));
+        let path = scratch("index", "bpstrc");
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = load_path(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        for decoded in [loaded, from_binary(&bytes).unwrap()] {
+            let fresh = Trace::from_records(decoded.records().to_vec());
+            prop_assert_eq!(decoded.len(), n);
+            prop_assert_eq!(index_answers(&decoded), index_answers(&fresh));
+        }
     }
 }
 

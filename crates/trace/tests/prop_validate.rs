@@ -1,10 +1,12 @@
 //! The one-pass `validate` produces the same findings, in the same order
 //! and with the same text, as a naive reference that scans the trace once
-//! per check and once per application process.
+//! per check and once per application process. Traces longer than a
+//! replay block check the union `validate` folds behind the trace's own
+//! watermark, mostly idle ones included.
 
 use bps_core::record::{FileId, IoOp, IoRecord, Layer, ProcessId};
 use bps_core::time::{Dur, Nanos};
-use bps_core::trace::Trace;
+use bps_core::trace::{Trace, REPLAY_BLOCK};
 use bps_trace::validate::{validate, Finding, Severity};
 use proptest::prelude::*;
 
@@ -191,6 +193,79 @@ fn completion_ordered_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// Bursts of back-to-back requests from six processes, in completion
+/// order, over one to three replay blocks, so the union `validate` folds
+/// forgets behind watermarks mid-trace. One in four records is a
+/// file-system record. Bursts are `idle` nanoseconds apart; with the
+/// longest gaps, or an execution time far past the span, the trace is
+/// mostly idle. A straggler, when present, is an application record of
+/// process 0 that starts first and is stored last: every watermark waits
+/// for it, every other application record arrives behind watermarks that
+/// late, and process 0 arrives out of order and overlapping.
+fn long_trace() -> impl Strategy<Value = Trace> {
+    (
+        REPLAY_BLOCK - 8..3 * REPLAY_BLOCK + 100,
+        any::<u64>(),
+        prop_oneof![Just(1_000u64), Just(10_000_000), Just(1_000_000_000)],
+        any::<bool>(),
+        prop_oneof![Just(None), (50u64..200).prop_map(Some)],
+    )
+        .prop_map(|(n, seed, idle, straggler, exec_factor)| {
+            let mut x = seed | 1;
+            let mut clock = [idle; 6];
+            let mut records: Vec<IoRecord> = (0..n)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let p = (x % 6) as usize;
+                    if i % 500 == 499 {
+                        let burst = clock.iter().max().copied().unwrap_or(0) + idle;
+                        clock = [burst; 6];
+                    }
+                    let start = clock[p] + (x >> 8) % 2_000;
+                    let end = start + (x >> 24) % 20_000;
+                    clock[p] = end;
+                    let layer = if x.is_multiple_of(4) {
+                        Layer::FileSystem
+                    } else {
+                        Layer::Application
+                    };
+                    let bytes = (x >> 40) % 8 * 512;
+                    let pid = ProcessId(p as u32);
+                    IoRecord::new(
+                        pid,
+                        IoOp::Read,
+                        FileId(0),
+                        0,
+                        bytes,
+                        Nanos(start),
+                        Nanos(end),
+                        layer,
+                    )
+                })
+                .collect();
+            records.sort_by_key(|r| r.end);
+            if straggler {
+                let end = records.last().map_or(Nanos(1), |r| r.end);
+                records.push(IoRecord::app_read(
+                    ProcessId(0),
+                    FileId(0),
+                    0,
+                    512,
+                    Nanos(0),
+                    end,
+                ));
+            }
+            let mut t = Trace::from_records(records);
+            if let Some(k) = exec_factor {
+                let span = t.execution_time();
+                t.set_execution_time(span * k);
+            }
+            t
+        })
+}
+
 #[test]
 fn fixed_cases_match_reference() {
     let rec = |pid: u32, s: u64, e: u64| {
@@ -221,6 +296,11 @@ proptest! {
 
     #[test]
     fn one_pass_matches_reference_in_completion_order(t in completion_ordered_trace()) {
+        prop_assert_eq!(rendered(&validate(&t)), rendered(&reference(&t)));
+    }
+
+    #[test]
+    fn one_pass_matches_reference_behind_watermarks(t in long_trace()) {
         prop_assert_eq!(rendered(&validate(&t)), rendered(&reference(&t)));
     }
 }
